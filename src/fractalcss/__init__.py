@@ -10,7 +10,6 @@ from .code import (
     logical_basis,
 )
 from .complexes import (
-    dual,
     Cell,
     CellComplex,
     FractalSpec,
@@ -49,7 +48,6 @@ __all__ = [
     "fractal_complex",
     "punch_fractal",
     "punch_box",
-    "dual",
     "dual_with_boundary",
     "HomologyRequest",
     "betti",

@@ -204,13 +204,7 @@ def cmd_scan(args) -> int:
             f"{dz.value},{dz.kind},{dx.value},{dx.kind},{seconds:.3f}"
         )
 
-    if args.threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            rows = list(pool.map(scan_level, levels))  # ordering fixed by level
-    else:
-        rows = [scan_level(level) for level in levels]
+    rows = [scan_level(level) for level in levels]
     text = "n,p,q,level,L,k,dz,dz_kind,dx,dx_kind,seconds\n" + "\n".join(rows) + "\n"
     _write(args.out, text)
     return 0
@@ -311,7 +305,7 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _add_spec_flags(p, need_spec=True):
+def _add_spec_flags(p):
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--q", type=int, default=1)
@@ -320,8 +314,6 @@ def _add_spec_flags(p, need_spec=True):
     p.add_argument("--holes", default="m")
     p.add_argument("--i", type=int, default=1)
     p.add_argument("--style", default="plain", choices=["plain", "code"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default=None)
 
 

@@ -1,8 +1,10 @@
 """CSS codes built from labeled cell complexes.
 
 Qubits sit on the i-cells.  Each surviving (i-1)-cell anchors an X
-stabilizer on its coboundary; each surviving (i+1)-cell anchors a Z
-stabilizer on its boundary.  Boundary conditions are label-driven:
+stabilizer on its cofaces; each surviving (i+1)-cell anchors a Z
+stabilizer on its faces.  The check matrices are the only dense GF(2)
+objects of a code: their rows come straight from the complex's face and
+coface lists.  Boundary conditions are label-driven:
 
 * every cell of an E-labeled (rough) patch is dropped from the code -
   its i-cells are not qubits and its (i-1)-cells anchor no X stabilizer,
@@ -67,6 +69,10 @@ class CssCode:
     z_anchor_cells: list[int]
     source: CellComplex | None = None
     isolated_qubits: list[int] = field(default_factory=list)
+    # False when the checks are not the label-driven code of `source`, so
+    # the homology cross-check of code_params does not apply
+    check_homology_by_labels: bool = True
+    _rrefs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         assert self.hx.cols == self.n_qubits == self.hz.cols
@@ -82,11 +88,6 @@ class CssCode:
 class CodeParams:
     n_qubits: int
     k: int
-    d_z: "DistanceLike | None" = None
-    d_x: "DistanceLike | None" = None
-
-
-DistanceLike = object  # distance module attaches its DistanceResult here
 
 
 def css_from_complex(cx: CellComplex, i: int) -> CssCode:
@@ -95,45 +96,48 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
     if not 1 <= i <= n - 1:
         raise ValueError(f"grading {i} out of range 1..{n - 1}")
 
-    def is_e(label: str) -> bool:
-        return label_is_e(label)
-
-    qubits = [j for j, c in enumerate(cx.cells[i]) if not is_e(c.label)]
-    x_anchors = [j for j, c in enumerate(cx.cells[i - 1]) if not is_e(c.label)]
-    z_anchors = [j for j, c in enumerate(cx.cells[i + 1]) if not is_e(c.label)]
+    qubits = [j for j, c in enumerate(cx.cells[i]) if not label_is_e(c.label)]
+    x_anchors = [j for j, c in enumerate(cx.cells[i - 1]) if not label_is_e(c.label)]
+    z_anchors = [j for j, c in enumerate(cx.cells[i + 1]) if not label_is_e(c.label)]
     m_anchor = [label_is_m(cx.cells[i + 1][j].label) for j in z_anchors]
-    hx = cx.boundary_matrix(i).submatrix(x_anchors, qubits)
-    hz = cx.boundary_matrix(i + 1).submatrix(qubits, z_anchors).transpose()
+    qubit_of = {cell: q for q, cell in enumerate(qubits)}
+    up = cx.cofaces(i - 1)
+    x_rows = [[qubit_of[j] for j in up[a] if j in qubit_of] for a in x_anchors]
+    z_rows = [[qubit_of[j] for j in cx.faces[i + 1][b] if j in qubit_of] for b in z_anchors]
 
     # Smooth-patch rule: a Z stabilizer anchored on an M-labeled (i+1)-cell
     # is dropped when it is a product of the kept ones, so m-condensation is
     # manifest in the generating set while the stabilizer group (and k) is
     # unchanged.  An independent M-anchored plaquette stays.
-    keep_z = _drop_redundant_m_rows(hz, m_anchor)
-    keep_x = [r for r in range(hx.rows) if hx.row_weight(r) > 0]
-    keep_z = [r for r in keep_z if hz.row_weight(r) > 0]
-    hx = hx.submatrix(keep_x, range(hx.cols))
-    hz = hz.submatrix(keep_z, range(hz.cols))
-    x_cells = [x_anchors[r] for r in keep_x]
-    z_cells = [z_anchors[r] for r in keep_z]
+    keep_z = _drop_redundant_m_rows(_rows_matrix(len(qubits), z_rows), m_anchor)
+    keep_x = [r for r, sup in enumerate(x_rows) if sup]
+    keep_z = [r for r in keep_z if z_rows[r]]
+    x_rows = [x_rows[r] for r in keep_x]
+    z_rows = [z_rows[r] for r in keep_z]
 
     covered = [False] * len(qubits)
-    for m in (hx, hz):
-        for r in range(m.rows):
-            for c in m.row_indices(r):
-                covered[c] = True
+    for sup in x_rows + z_rows:
+        for q in sup:
+            covered[q] = True
     isolated = [q for q, seen in enumerate(covered) if not seen]
 
     return CssCode(
         n_qubits=len(qubits),
-        hx=hx,
-        hz=hz,
+        hx=_rows_matrix(len(qubits), x_rows),
+        hz=_rows_matrix(len(qubits), z_rows),
         grading=i,
         qubit_cells=qubits,
-        x_anchor_cells=x_cells,
-        z_anchor_cells=z_cells,
+        x_anchor_cells=[x_anchors[r] for r in keep_x],
+        z_anchor_cells=[z_anchors[r] for r in keep_z],
         source=cx,
         isolated_qubits=isolated,
+    )
+
+
+def _rows_matrix(cols: int, rows: list[list[int]]) -> Gf2Matrix:
+    """Check matrix whose row r has its ones at the columns in rows[r]."""
+    return Gf2Matrix.from_entries(
+        len(rows), cols, ((r, c) for r, sup in enumerate(rows) for c in sup)
     )
 
 
@@ -172,11 +176,7 @@ def code_params(code: CssCode, cross_check: bool = True) -> CodeParams:
     """n and k from the check-matrix ranks; k is cross-checked against the
     matching (relative) homology request when the source complex is known."""
     k = code.n_qubits - rank(code.hx) - rank(code.hz)
-    if (
-        cross_check
-        and code.source is not None
-        and getattr(code, "check_homology_by_labels", True)
-    ):
+    if cross_check and code.source is not None and code.check_homology_by_labels:
         hk = homology_k(code)
         if hk != k:
             raise AssertionError(
@@ -284,11 +284,9 @@ def is_x_logical(code: CssCode, support: Gf2Vector) -> bool:
 
 
 def _cached_rref(code: CssCode, which: str):
-    attr = f"_rref_cache_{which}"
-    if not hasattr(code, attr):
-        m = code.hz if which == "z" else code.hx
-        setattr(code, attr, m.rref())
-    return getattr(code, attr)
+    if which not in code._rrefs:
+        code._rrefs[which] = (code.hz if which == "z" else code.hx).rref()
+    return code._rrefs[which]
 
 
 # -- serialization -----------------------------------------------------------

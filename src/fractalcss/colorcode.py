@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .code import CssCode, logical_basis
-from .complexes import BULK, Cell, CellComplex
+from .complexes import BULK, Cell, CellComplex, _mod2
 from .gates import ConditionResult, GateCheckReport
 from .gf2 import Gf2Matrix, in_rowspace
 
@@ -161,13 +161,8 @@ def _shrink(cc: ColorCode2D, color: int) -> CellComplex:
                 out.append(vertex_pos[f])
         return out
 
-    d1_entries = []
-    for i, e in enumerate(keep_edges):
-        for r in endpoint_vertices(e):
-            d1_entries.append((r, i))
-
     new_faces = []
-    d2_entries = []
+    face_faces = []
     for f in range(len(cc.faces)):
         if cc.face_colors[f] == color:
             continue
@@ -180,22 +175,20 @@ def _shrink(cc: ColorCode2D, color: int) -> CellComplex:
                 chain[r] = chain.get(r, 0) ^ 1
         if any(chain.values()):
             continue  # open chain: boundary face of the shrunk lattice
-        col = len(new_faces)
         new_faces.append(f)
-        for e in boundary_edges:
-            d2_entries.append((edge_pos[e], col))
+        face_faces.append(tuple(edge_pos[e] for e in boundary_edges))
 
     cells = [
         [Cell(((f, f), (0, 0)), BULK) for f in new_vertices],
         [Cell(((e, e), (1, 1)), BULK) for e in keep_edges],
         [Cell(((f, f), (2, 2)), BULK) for f in new_faces],
     ]
-    boundary = [
-        Gf2Matrix.zeros(0, len(new_vertices)),
-        Gf2Matrix.from_entries(len(new_vertices), len(keep_edges), d1_entries),
-        Gf2Matrix.from_entries(len(keep_edges), len(new_faces), d2_entries),
+    faces = [
+        [()] * len(new_vertices),
+        [_mod2(endpoint_vertices(e)) for e in keep_edges],
+        face_faces,
     ]
-    return CellComplex(2, cells, boundary, "open", "shrunk", (None, None))
+    return CellComplex(2, cells, faces, "open", "shrunk", (None, None))
 
 
 def check_transversal_s_colorcode(

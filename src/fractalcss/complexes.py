@@ -24,6 +24,10 @@ Two lattice styles are built from per-axis 1D factors:
   and the minimum-area logical branes reproduce the Sierpinski-carpet
   areas exactly.
 
+Boundaries are stored sparse, as the sorted face list of every cell (see
+:class:`CellComplex`); dense GF(2) boundary matrices are built on demand,
+only for the eliminations of the homology module.
+
 Boundary labels are short strings: ``bulk``, ``oE<k>``/``oM<k>`` for outer
 hypersurface patches (patch id ``2*axis + side``), ``hE<k>``/``hM<k>`` for
 hole surfaces.  Outer labels are assigned with E-priority at patch corners
@@ -123,40 +127,38 @@ class FractalSpec:
 
 
 class CellComplex:
-    """Graded cells with Z2 boundary maps.
+    """Graded cells with Z2 boundaries stored as per-cell face lists.
 
     Immutable after construction; every operation returns a new complex.
-    ``boundary[k]`` maps k-chains to (k-1)-chains: rows index (k-1)-cells,
-    columns index k-cells.  The identity ``boundary[k-1] @ boundary[k] = 0``
-    is asserted bit-exact at construction time.
+    ``faces[k][i]`` is the sorted tuple of (k-1)-cell indices in the
+    boundary of k-cell i, with repeated incidences cancelled mod 2
+    (``faces[0]`` holds empty tuples).  Cofaces and the dense boundary
+    matrices are derived on demand.  The identity ``d d = 0`` is checked
+    bit-exact at construction time.
     """
 
     def __init__(
         self,
         dim: int,
         cells: list[list[Cell]],
-        boundary: list[Gf2Matrix],
+        faces: list[list[tuple[int, ...]]],
         background: str = "open",
         style: str = "plain",
         periods: tuple[int | None, ...] | None = None,
         holes: list[Hole] | None = None,
-        check: bool = True,
     ):
         self.dim = dim
         self.cells = cells
-        self._boundary = boundary
+        self.faces = faces
         self.background = background
         self.style = style
         self.periods = periods if periods is not None else (None,) * dim
         self.holes = holes or []
         assert len(cells) == dim + 1
-        assert len(boundary) == dim + 1
+        assert len(faces) == dim + 1
         for k in range(dim + 1):
-            b = boundary[k]
-            assert b.cols == len(cells[k])
-            assert b.rows == (len(cells[k - 1]) if k > 0 else 0)
-        if check:
-            self.assert_dd_zero()
+            assert len(faces[k]) == len(cells[k])
+        self.assert_dd_zero()
 
     # -- basic accessors ------------------------------------------------
 
@@ -165,13 +167,25 @@ class CellComplex:
             return len(self.cells[k])
         return 0
 
+    def cofaces(self, k: int) -> list[list[int]]:
+        """Per k-cell, the sorted (k+1)-cells whose boundary contains it."""
+        out: list[list[int]] = [[] for _ in range(self.n_cells(k))]
+        if k < self.dim:
+            for j, fs in enumerate(self.faces[k + 1]):
+                for i in fs:
+                    out[i].append(j)
+        return out
+
     def boundary_matrix(self, k: int) -> Gf2Matrix:
-        """Boundary map C_k -> C_{k-1}; degenerate sizes outside 1..dim."""
-        if 1 <= k <= self.dim:
-            return self._boundary[k]
+        """Dense boundary map C_k -> C_{k-1}; degenerate sizes outside 1..dim."""
         if k == 0:
             return Gf2Matrix.zeros(0, self.n_cells(0))
-        return Gf2Matrix.zeros(self.n_cells(self.dim), 0)
+        if not 1 <= k <= self.dim:
+            return Gf2Matrix.zeros(self.n_cells(self.dim), 0)
+        return Gf2Matrix.from_entries(
+            self.n_cells(k - 1), self.n_cells(k),
+            ((r, i) for i, fs in enumerate(self.faces[k]) for r in fs),
+        )
 
     def euler_characteristic(self) -> int:
         return sum((-1) ** k * self.n_cells(k) for k in range(self.dim + 1))
@@ -185,26 +199,16 @@ class CellComplex:
             for grade in self.cells
         ]
 
-    def find_cell(self, k: int, box: Box) -> int | None:
-        idx = self._index().get(box)
-        if idx is not None and idx[0] == k:
-            return idx[1]
-        return None
-
-    def _index(self) -> dict[Box, tuple[int, int]]:
-        if not hasattr(self, "_box_index"):
-            ix: dict[Box, tuple[int, int]] = {}
-            for k, grade in enumerate(self.cells):
-                for i, c in enumerate(grade):
-                    ix[c.box] = (k, i)
-            self._box_index = ix
-        return self._box_index
-
     def assert_dd_zero(self) -> None:
+        """Every (k-2)-cell is reached an even number of times from each k-cell."""
         for k in range(2, self.dim + 1):
-            prod = self._boundary[k - 1].matmul(self._boundary[k])
-            if not prod.is_zero():
-                raise AssertionError(f"boundary of boundary nonzero at grade {k}")
+            below = self.faces[k - 1]
+            for fs in self.faces[k]:
+                odd: set[int] = set()
+                for j in fs:
+                    odd.symmetric_difference_update(below[j])
+                if odd:
+                    raise AssertionError(f"boundary of boundary nonzero at grade {k}")
 
     # -- derived complexes ------------------------------------------------
 
@@ -228,16 +232,19 @@ class CellComplex:
                     c = Cell(c.box, relabel[(k, i)])
                 grade.append(c)
             cells.append(grade)
-        boundary = [Gf2Matrix.zeros(0, len(cells[0]))]
+        faces = [[()] * len(keep[0])]
         for k in range(1, self.dim + 1):
-            boundary.append(self._boundary[k].submatrix(keep[k - 1], keep[k]))
+            pos = {old: new for new, old in enumerate(keep[k - 1])}
+            faces.append([
+                tuple(pos[r] for r in self.faces[k][i] if r in pos) for i in keep[k]
+            ])
         return CellComplex(
-            self.dim, cells, boundary, self.background, self.style, self.periods,
+            self.dim, cells, faces, self.background, self.style, self.periods,
             self.holes + (holes_add or []),
         )
 
     def transpose_dual(self) -> "CellComplex":
-        """The plain dual: k-cells become (n-k)-cells, boundary maps transpose.
+        """The plain dual: k-cells become (n-k)-cells, cofaces become faces.
 
         Dual cells inherit the box and label of their primal cell.  Exact on
         closed backgrounds; for complexes with boundary use
@@ -245,11 +252,11 @@ class CellComplex:
         """
         n = self.dim
         cells = [list(self.cells[n - j]) for j in range(n + 1)]
-        boundary = [Gf2Matrix.zeros(0, len(cells[0]))]
+        faces = [[()] * len(cells[0])]
         for j in range(1, n + 1):
-            boundary.append(self._boundary[n - j + 1].transpose())
+            faces.append([tuple(up) for up in self.cofaces(n - j)])
         return CellComplex(
-            n, cells, boundary, self.background, "dual", self.periods, self.holes
+            n, cells, faces, self.background, "dual", self.periods, self.holes
         )
 
     def quotient_to_point(self, labels: set[str]) -> "CellComplex":
@@ -273,52 +280,32 @@ class CellComplex:
         new_cells.append([self.cells[0][i] for i in keep[0]] + [Cell(sentinel, BULK)])
         for k in range(1, self.dim + 1):
             new_cells.append([self.cells[k][i] for i in keep[k]])
-        star = len(keep[0])  # index of the new vertex
+        star = len(keep[0])  # index of the new vertex, after every kept one
 
-        boundary = [Gf2Matrix.zeros(0, len(new_cells[0]))]
-        pos0 = {old: new for new, old in enumerate(keep[0])}
-        d1 = Gf2Matrix(len(new_cells[0]), len(keep[1]))
-        for col_new, col_old in enumerate(keep[1]):
-            star_hits = 0
-            for r in self._column_support(1, col_old):
-                if r in selected[0]:
-                    star_hits ^= 1
-                else:
-                    d1.set(pos0[r], col_new, d1.get(pos0[r], col_new) ^ 1)
-            if star_hits:
-                d1.set(star, col_new, d1.get(star, col_new) ^ 1)
-        boundary.append(d1)
-        for k in range(2, self.dim + 1):
-            posk = {old: new for new, old in enumerate(keep[k - 1])}
-            dk = Gf2Matrix(len(new_cells[k - 1]), len(keep[k]))
-            for col_new, col_old in enumerate(keep[k]):
-                for r in self._column_support(k, col_old):
-                    if r not in selected[k - 1]:
-                        dk.set(posk[r], col_new, dk.get(posk[r], col_new) ^ 1)
-            boundary.append(dk)
+        faces = [[()] * len(new_cells[0])]
+        for k in range(1, self.dim + 1):
+            pos = {old: new for new, old in enumerate(keep[k - 1])}
+            grade = []
+            for i in keep[k]:
+                fs = [pos[r] for r in self.faces[k][i] if r in pos]
+                if k == 1 and (len(self.faces[1][i]) - len(fs)) % 2:
+                    fs.append(star)
+                grade.append(tuple(fs))
+            faces.append(grade)
         background = self.background
         if labels and all(lb.startswith("o") for lb in labels):
             rest = self.labels_present() - labels
             if not any(lb.startswith("o") for lb in rest):
                 background = "sphere"
         return CellComplex(
-            self.dim, new_cells, boundary, background, self.style, self.periods,
+            self.dim, new_cells, faces, background, self.style, self.periods,
             [h for h in self.holes if h.label not in labels],
         )
-
-    def _column_support(self, k: int, col: int) -> list[int]:
-        if not hasattr(self, "_col_support_cache"):
-            self._col_support_cache = {}
-        cache = self._col_support_cache
-        if k not in cache:
-            t = self._boundary[k].transpose()
-            cache[k] = [t.row_indices(c) for c in range(t.rows)]
-        return cache[k][col]
 
     def _check_downward_closed(self, selected: list[set[int]]) -> None:
         for k in range(1, self.dim + 1):
             for i in selected[k]:
-                for r in self._column_support(k, i):
+                for r in self.faces[k][i]:
                     if r not in selected[k - 1]:
                         raise ValueError(
                             f"selected subcomplex is not closed under the boundary: "
@@ -338,7 +325,7 @@ class CellComplex:
         for k in range(self.dim + 1):
             for i, c in enumerate(self.cells[k]):
                 coords = " ".join(f"{lo} {hi}" for lo, hi in c.box)
-                faces = " ".join(str(r) for r in self._column_support(k, i)) if k else ""
+                faces = " ".join(map(str, self.faces[k][i]))
                 lines.append(f"cell {k} {i} {c.label} {coords} : {faces}".rstrip())
         return "\n".join(lines) + "\n"
 
@@ -373,7 +360,7 @@ class CellComplex:
             counts.append(int(toks[3]))
             pos += 1
         cells: list[list[Cell]] = [[] for _ in range(dim + 1)]
-        entries: list[list[tuple[int, int]]] = [[] for _ in range(dim + 1)]
+        faces: list[list[tuple[int, ...]]] = [[] for _ in range(dim + 1)]
         for k in range(dim + 1):
             for i in range(counts[k]):
                 toks = lines[pos].split()
@@ -384,12 +371,19 @@ class CellComplex:
                 nums = [int(t) for t in toks[4:sep]]
                 box = tuple((nums[2 * a], nums[2 * a + 1]) for a in range(dim))
                 cells[k].append(Cell(box, label))
-                for r in toks[sep + 1 :]:
-                    entries[k].append((int(r), i))
-        boundary = [Gf2Matrix.zeros(0, counts[0])]
-        for k in range(1, dim + 1):
-            boundary.append(Gf2Matrix.from_entries(counts[k - 1], counts[k], entries[k]))
-        return cls(dim, cells, boundary, background, style, periods, holes)
+                fs = _mod2(int(r) for r in toks[sep + 1 :])
+                if fs and (k == 0 or fs[0] < 0 or fs[-1] >= counts[k - 1]):
+                    raise ValueError(f"cell {k} {i} has a face index out of range")
+                faces[k].append(fs)
+        return cls(dim, cells, faces, background, style, periods, holes)
+
+
+def _mod2(indices) -> tuple[int, ...]:
+    """Sorted indices that occur an odd number of times: a chain over Z2."""
+    odd: set[int] = set()
+    for i in indices:
+        odd.symmetric_difference_update((i,))
+    return tuple(sorted(odd))
 
 
 # -- lattice construction ---------------------------------------------------
@@ -441,14 +435,13 @@ def _build_from_axes(
                 label = labeler(box) if labeler else BULK
                 cells[k].append(Cell(box, label))
     grade_index = [{c.box: i for i, c in enumerate(cells[k])} for k in range(dim + 1)]
-    boundary = [Gf2Matrix.zeros(0, len(cells[0]))]
+    faces = [[()] * len(cells[0])]
     for k in range(1, dim + 1):
-        entries = []
-        for i, c in enumerate(cells[k]):
-            for fb in _faces_of_box(c.box, periods):
-                entries.append((grade_index[k - 1][fb], i))
-        boundary.append(Gf2Matrix.from_entries(len(cells[k - 1]), len(cells[k]), entries))
-    return CellComplex(dim, cells, boundary, background, style, periods)
+        below = grade_index[k - 1]
+        faces.append([
+            _mod2(below[fb] for fb in _faces_of_box(c.box, periods)) for c in cells[k]
+        ])
+    return CellComplex(dim, cells, faces, background, style, periods)
 
 
 def _outer_labeler(dim: int, L: int, e_axes: tuple[int, ...]):
@@ -581,9 +574,8 @@ def _box_within_closed(box: Box, hole: Box, periods) -> bool:
 
 def _downward_close(cx: CellComplex, doomed: list[set[int]]) -> list[set[int]]:
     for k in range(cx.dim, 0, -1):
-        for i in list(doomed[k]):
-            for r in cx._column_support(k, i):
-                doomed[k - 1].add(r)
+        for i in doomed[k]:
+            doomed[k - 1].update(cx.faces[k][i])
     return doomed
 
 
@@ -710,12 +702,6 @@ def fractal_complex(spec: FractalSpec, style: str = "plain",
 # -- duals -------------------------------------------------------------------
 
 
-def dual(cx: CellComplex) -> CellComplex:
-    """The transpose dual: k-cells become (n-k)-cells; see
-    :meth:`CellComplex.transpose_dual`."""
-    return cx.transpose_dual()
-
-
 def dual_with_boundary(cx: CellComplex) -> CellComplex:
     """Honest dual cellulation of a complex with boundary.
 
@@ -745,32 +731,18 @@ def dual_with_boundary(cx: CellComplex) -> CellComplex:
             pos[("B", k, i)] = len(cells[grade])
             cells[grade].append(Cell(c.box, c.label))
 
-    cofaces: list[list[list[int]]] = []
+    faces: list[list[tuple[int, ...]]] = [[()] * len(grade) for grade in cells]
     for k in range(n + 1):
-        if k == n:
-            cofaces.append([[] for _ in cx.cells[k]])
-        else:
-            up = cx.boundary_matrix(k + 1)
-            cofaces.append([up.row_indices(r) for r in range(up.rows)])
-
-    entries: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
-    for k in range(n + 1):
+        up = cx.cofaces(k)
         for i, c in enumerate(cx.cells[k]):
-            grade = n - k
-            if grade >= 1:
-                col = pos[("D", k, i)]
-                for j in cofaces[k][i]:
-                    entries[grade].append((pos[("D", k + 1, j)], col))
+            if n - k >= 1:
+                fs = [pos[("D", k + 1, j)] for j in up[i]]
                 if c.label != BULK:
-                    entries[grade].append((pos[("B", k, i)], col))
+                    fs.append(pos[("B", k, i)])
+                faces[n - k][pos[("D", k, i)]] = _mod2(fs)
             if c.label != BULK and n - 1 - k >= 1:
-                col = pos[("B", k, i)]
-                for j in cofaces[k][i]:
-                    if cx.cells[k + 1][j].label != BULK:
-                        entries[n - 1 - k].append((pos[("B", k + 1, j)], col))
-    boundary = [Gf2Matrix.zeros(0, len(cells[0]))]
-    for g in range(1, n + 1):
-        boundary.append(
-            Gf2Matrix.from_entries(len(cells[g - 1]), len(cells[g]), entries[g])
-        )
-    return CellComplex(n, cells, boundary, cx.background, "dual", cx.periods, cx.holes)
+                faces[n - 1 - k][pos[("B", k, i)]] = _mod2(
+                    pos[("B", k + 1, j)] for j in up[i]
+                    if cx.cells[k + 1][j].label != BULK
+                )
+    return CellComplex(n, cells, faces, cx.background, "dual", cx.periods, cx.holes)

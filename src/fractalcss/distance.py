@@ -95,7 +95,7 @@ class _QubitGraph:
                 node_of_cell[j] = n_bulk + term_index[c.label]
         self.edges: list[tuple[int, int]] = []
         for q, cell in enumerate(code.qubit_cells):
-            ends = [node_of_cell[r] for r in cx._column_support(1, cell)]
+            ends = [node_of_cell[r] for r in cx.faces[1][cell]]
             if len(ends) == 1:
                 ends = ends * 2  # wrap edge collapsed mod 2; treat as loop
             if len(ends) == 0:
@@ -110,30 +110,33 @@ class _QubitGraph:
     def terminal_node(self, label: str) -> int:
         return self.n_bulk + self.terminal_labels.index(label)
 
-    def bfs(self, sources: list[int]):
-        dist = [-1] * self.n_nodes
-        via: list[tuple[int, int] | None] = [None] * self.n_nodes
-        dq = deque()
-        for s in sources:
-            dist[s] = 0
-            dq.append(s)
-        while dq:
-            u = dq.popleft()
-            for v, q in self.adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    via[v] = (u, q)
-                    dq.append(v)
-        return dist, via
 
-    def path_edges(self, via, end: int) -> list[int]:
-        out = []
-        node = end
-        while via[node] is not None:
-            prev, q = via[node]
-            out.append(q)
-            node = prev
-        return out[::-1]
+def _bfs(adj: list[list[tuple[int, int]]], source: int):
+    """Breadth-first search over (neighbor, qubit) adjacency lists, visiting
+    neighbors in list order: (distance, (previous node, qubit) per node)."""
+    dist = [-1] * len(adj)
+    via: list[tuple[int, int] | None] = [None] * len(adj)
+    dq = deque([source])
+    dist[source] = 0
+    while dq:
+        u = dq.popleft()
+        for v, q in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                via[v] = (u, q)
+                dq.append(v)
+    return dist, via
+
+
+def _path(via, end: int) -> list[int]:
+    """Qubits of the BFS-tree path from the source to `end`, source first."""
+    out = []
+    node = end
+    while via[node] is not None:
+        prev, q = via[node]
+        out.append(q)
+        node = prev
+    return out[::-1]
 
 
 def dz_shortest_path(code: CssCode) -> DistanceResult:
@@ -150,12 +153,11 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
 
     if len(g.terminal_labels) >= 2:
         for t, label in enumerate(g.terminal_labels):
-            src = g.n_bulk + t
-            dist, via = g.bfs([src])
+            dist, via = _bfs(g.adj, g.n_bulk + t)
             for t2 in range(t + 1, len(g.terminal_labels)):
                 node = g.n_bulk + t2
                 if dist[node] >= 0 and (best is None or dist[node] < best[0]):
-                    best = (dist[node], g.path_edges(via, node))
+                    best = (dist[node], _path(via, node))
     if all(p is not None for p in cx.periods):
         for axis in range(cx.dim):
             period = cx.periods[axis]
@@ -176,11 +178,11 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
                     if best is None or 1 < best[0]:
                         best = (1, [q])
                     continue
-                dist, via = _bfs_on(adj_cut, g.n_nodes, u)
+                dist, via = _bfs(adj_cut, u)
                 if dist[v] >= 0:
                     total = dist[v] + 1
                     if best is None or total < best[0]:
-                        best = (total, _path_on(via, v) + [q])
+                        best = (total, _path(via, v) + [q])
     if best is None:
         raise PreconditionError(
             "need at least two e-boundary components or a torus background"
@@ -190,31 +192,6 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
     assert is_z_logical(code, witness.z_support), "shortest-path witness not logical"
     assert witness.z_support.weight() == value
     return DistanceResult(value, "exact", witness)
-
-
-def _bfs_on(adj, n_nodes, source):
-    dist = [-1] * n_nodes
-    via = [None] * n_nodes
-    dq = deque([source])
-    dist[source] = 0
-    while dq:
-        u = dq.popleft()
-        for v, q in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                via[v] = (u, q)
-                dq.append(v)
-    return dist, via
-
-
-def _path_on(via, end):
-    out = []
-    node = end
-    while via[node] is not None:
-        prev, q = via[node]
-        out.append(q)
-        node = prev
-    return out[::-1]
 
 
 # -- min cut -----------------------------------------------------------------

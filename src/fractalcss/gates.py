@@ -28,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .code import CssCode, PauliOperator, css_from_complex, is_x_logical, logical_basis
-from .complexes import Box, CellComplex, Hole, code_lattice, punch_holes
+from .complexes import (
+    Box, CellComplex, Hole, _faces_of_box, _mod2, code_lattice, punch_holes,
+)
 from .gf2 import Gf2Matrix, Gf2Vector, in_rowspace
 
 
@@ -340,13 +342,12 @@ def build_vasmer_browne_stack(
         for r, sup in enumerate(z_rows):
             for q in sup:
                 hz.set(r, q, 1)
-        code = CssCode(
+        return CssCode(
             n_qubits=n, hx=hx, hz=hz, grading=1,
             qubit_cells=list(copy1.qubit_cells),
             x_anchor_cells=[], z_anchor_cells=[], source=cx,
+            check_homology_by_labels=False,
         )
-        code.check_homology_by_labels = False
-        return code
 
     copy2 = build_cube_code(x_parity=0, rough_axis=0)
     copy3 = build_cube_code(x_parity=1, rough_axis=1)
@@ -551,7 +552,6 @@ def merge_rough(a: CssCode, b: CssCode) -> MergeResult:
 
     dim = ca.dim
     cells = []
-    boundary = []
     hole_shift = max((h.hole_id for h in cb.holes), default=-1) + 1
     for k in range(dim + 1):
         grade = []
@@ -564,22 +564,15 @@ def merge_rough(a: CssCode, b: CssCode) -> MergeResult:
                 continue
             grade.append(type(c)(box, _shift_hole_label(c.label, hole_shift)))
         cells.append(grade)
-    index = [{c.box: i for i, c in enumerate(cells[k])} for k in range(dim + 1)]
-    from .complexes import _faces_of_box  # shared face enumeration
-
-    for k in range(dim + 1):
-        if k == 0:
-            boundary.append(Gf2Matrix.zeros(0, len(cells[0])))
-            continue
-        entries = []
-        for i, c in enumerate(cells[k]):
-            for fb in _faces_of_box(c.box, ca.periods):
-                r = index[k - 1].get(fb)
-                if r is not None:
-                    entries.append((r, i))
-        boundary.append(Gf2Matrix.from_entries(len(cells[k - 1]), len(cells[k]), entries))
+    faces = [[()] * len(cells[0])]
+    for k in range(1, dim + 1):
+        below = {c.box: i for i, c in enumerate(cells[k - 1])}
+        faces.append([
+            _mod2(below[fb] for fb in _faces_of_box(c.box, ca.periods) if fb in below)
+            for c in cells[k]
+        ])
     merged_cx = CellComplex(
-        dim, cells, boundary, "open", ca.style, ca.periods,
+        dim, cells, faces, "open", ca.style, ca.periods,
         cb.holes + [Hole(h.hole_id + hole_shift, shift_a(h.box), h.kind, h.level)
                     for h in ca.holes],
     )

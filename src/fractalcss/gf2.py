@@ -177,8 +177,9 @@ class Gf2Matrix:
         """Build from an iterable of (row, col) positions (an odd number of
         repeats of a position sets the bit)."""
         m = cls(rows, cols)
-        for r, c in entries:
-            m.data[r, c >> 6] ^= np.uint64(1) << np.uint64(c & 63)
+        rc = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+        r, c = rc[:, 0], rc[:, 1]
+        np.bitwise_xor.at(m.data, (r, c >> 6), np.uint64(1) << (c & 63).astype(np.uint64))
         return m
 
     @classmethod
@@ -427,11 +428,11 @@ def quotient_dim(space: Gf2Matrix, subspace: Gf2Matrix) -> int:
 
 def matrix_to_text(m: Gf2Matrix) -> str:
     """Serialize in the ``gf2matrix v1`` text format."""
-    lines = ["gf2matrix v1", f"{m.rows} {m.cols}"]
-    for r in range(m.rows):
-        bits = m.row(r)
-        lines.append("".join("1" if bits.get(c) else "0" for c in range(m.cols)))
-    return "\n".join(lines) + "\n"
+    bytes_le = m.data.astype("<u8").view(np.uint8)
+    bits = np.unpackbits(bytes_le, axis=1, count=m.cols, bitorder="little")
+    body = np.full((m.rows, m.cols + 1), ord("\n"), dtype=np.uint8)
+    body[:, : m.cols] = bits + ord("0")
+    return f"gf2matrix v1\n{m.rows} {m.cols}\n" + body.tobytes().decode("ascii")
 
 
 def matrix_from_text(text: str) -> Gf2Matrix:
@@ -441,14 +442,15 @@ def matrix_from_text(text: str) -> Gf2Matrix:
     rows, cols = (int(t) for t in lines[1].split())
     if len(lines) != 2 + rows:
         raise ValueError(f"expected {rows} data lines, got {len(lines) - 2}")
-    m = Gf2Matrix(rows, cols)
-    for r in range(rows):
-        line = lines[2 + r].strip()
+    body = [ln.strip() for ln in lines[2:]]
+    for r, line in enumerate(body):
         if len(line) != cols:
             raise ValueError(f"row {r} has length {len(line)}, expected {cols}")
-        for c, ch in enumerate(line):
-            if ch == "1":
-                m.set(r, c, 1)
-            elif ch != "0":
-                raise ValueError(f"bad character {ch!r} in row {r}")
-    return m
+        if line.count("0") + line.count("1") != cols:
+            ch = next(ch for ch in line if ch not in "01")
+            raise ValueError(f"bad character {ch!r} in row {r}")
+    bits = np.frombuffer("".join(body).encode("ascii"), dtype=np.uint8).reshape(rows, cols)
+    packed = np.packbits(bits - ord("0"), axis=1, bitorder="little")
+    bytes_le = np.zeros((rows, 8 * _n_words(cols)), dtype=np.uint8)
+    bytes_le[:, : packed.shape[1]] = packed
+    return Gf2Matrix(rows, cols, bytes_le.view("<u8"))

@@ -146,6 +146,30 @@ def test_text_roundtrip():
     assert again == m
 
 
+def _text_bit_by_bit(m: Gf2Matrix) -> str:
+    """Reference writer: one get() per bit."""
+    rows = ["".join(str(m.get(r, c)) for c in range(m.cols)) for r in range(m.rows)]
+    return "\n".join(["gf2matrix v1", f"{m.rows} {m.cols}", *rows]) + "\n"
+
+
+@pytest.mark.parametrize("rows,cols", [(0, 5), (1, 1), (3, 63), (4, 64), (5, 65), (7, 130)])
+def test_text_matches_bitwise_reference(rows, cols):
+    m = _random_matrix(np.random.default_rng(rows * 1000 + cols), rows, cols)
+    text = matrix_to_text(m)
+    assert text == _text_bit_by_bit(m)
+    assert matrix_from_text(text) == m
+
+
+@pytest.mark.parametrize("text,message", [
+    ("gf2matrix v1\n2 3\n101\n1x1\n", "bad character 'x' in row 1"),
+    ("gf2matrix v1\n2 3\n101\n11\n", "row 1 has length 2, expected 3"),
+    ("gf2matrix v1\n3 3\n101\n110\n", "expected 3 data lines, got 2"),
+])
+def test_text_parser_rejects_malformed(text, message):
+    with pytest.raises(ValueError, match=message):
+        matrix_from_text(text)
+
+
 def test_torus_boundary_rank_example():
     # d1 of the 2-torus at L=3: 9 vertices, 18 edges, GF(2) rank 8.
     from fractalcss.complexes import build_lattice
