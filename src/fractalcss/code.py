@@ -14,8 +14,10 @@ coface lists.  Boundary conditions are label-driven:
   anchored on the patch's (i+1)-cells are removed (they are products of
   bulk stabilizers, so the group is unchanged).
 
-H_X H_Z^T = 0 is asserted for every constructed code, truncations
-included.
+H_X H_Z^T = 0 is checked for every constructed code, truncations
+included, from the sparse supports: the set bits of both matrices are
+joined on the qubit column, and every (X row, Z row) pair must meet an
+even number of times.  No dense product is formed.
 """
 
 from __future__ import annotations
@@ -75,13 +77,33 @@ class CssCode:
     _rrefs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        assert self.hx.cols == self.n_qubits == self.hz.cols
-        prod = self.hx.matmul_t(self.hz)
-        if not prod.is_zero():
+        if not self.hx.cols == self.n_qubits == self.hz.cols:
+            raise AssertionError(
+                f"check matrices have {self.hx.cols} and {self.hz.cols} columns "
+                f"for {self.n_qubits} qubits"
+            )
+        if not _checks_commute(self.hx, self.hz):
             raise AssertionError("H_X H_Z^T != 0: X and Z checks do not commute")
 
     def qubit_box(self, q: int):
         return self.source.cells[self.grading][self.qubit_cells[q]].box
+
+
+def _checks_commute(hx: Gf2Matrix, hz: Gf2Matrix) -> bool:
+    """H_X H_Z^T = 0: every (X row, Z row) pair shares an even number of
+    columns.  Joins the two entry lists on the column, so time and memory
+    grow with the number of such pairs, not with rows x rows."""
+    xr, xc = hx.entries()
+    zr, zc = hz.entries()
+    by_col = np.argsort(zc, kind="stable")
+    zr, zc = zr[by_col], zc[by_col]
+    first = np.searchsorted(zc, xc, "left")
+    count = np.searchsorted(zc, xc, "right") - first
+    # pair each X entry with every Z entry of its column
+    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    pairs = np.repeat(xr, count) * hz.rows + zr[np.repeat(first, count) + offset]
+    _, times = np.unique(pairs, return_counts=True)
+    return not (times & 1).any()
 
 
 @dataclass(frozen=True)

@@ -44,12 +44,23 @@ Hole conventions (see :func:`punch_fractal`):
 * code style, e-hole: mark the strictly interior cells together with
   their faces as an e-patch; the code builder deletes the patch, leaving
   dangling rough-direction edges pointing at the hole.
+
+The three box relations are per-axis tests on a cell's doubled midpoint
+``m = lo + hi``.  For a hole box ``[a, b]`` on every axis: a cell is
+strictly inside when ``2a < m < 2b``; it touches the closed box when
+``2a - 2 <= m <= 2b + 2`` on extended axes and ``2a <= m <= 2b`` on
+degenerate ones; it lies within the closed box when ``2a + 2 <= m <=
+2b - 2`` on extended axes and ``2a <= m <= 2b`` on degenerate ones.  On a
+periodic axis ``m +- 2 * period`` is tried as well.  :func:`punch_holes`
+runs these tests over per-grade coordinate arrays, one hole at a time.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .gf2 import Gf2Matrix
 
@@ -531,45 +542,20 @@ def code_lattice(
 # -- hole punching ----------------------------------------------------------
 
 
-def _axis_relate(lo: int, hi: int, a: int, b: int, period: int | None):
-    """Per-axis interval relations, wrap-aware: (strictly_inside, touches)."""
-    reps = [(lo, hi)]
-    if period:
-        reps.append((lo - period, hi - period))
-        reps.append((lo + period, hi + period))
-    inside = touches = False
-    for rl, rh in reps:
-        if rl == rh:
-            inside = inside or (a < rl < b)
-        else:
-            inside = inside or (a <= rl and rh <= b)
-        touches = touches or (max(rl, a) <= min(rh, b))
-    return inside, touches
-
-
-def _box_strictly_inside(box: Box, hole: Box, periods) -> bool:
-    return all(
-        _axis_relate(lo, hi, a, b, periods[d])[0]
-        for d, ((lo, hi), (a, b)) in enumerate(zip(box, hole))
-    )
-
-
-def _box_touches(box: Box, hole: Box, periods) -> bool:
-    return all(
-        _axis_relate(lo, hi, a, b, periods[d])[1]
-        for d, ((lo, hi), (a, b)) in enumerate(zip(box, hole))
-    )
-
-
-def _box_within_closed(box: Box, hole: Box, periods) -> bool:
-    for d, ((lo, hi), (a, b)) in enumerate(zip(box, hole)):
-        reps = [(lo, hi)]
+def _hits(m, margin, box: Box, periods) -> np.ndarray:
+    """Indices i with ``2a + margin[d, i] <= m[d, i] <= 2b - margin[d, i]``
+    on every axis d of the hole box, on periodic axes also after shifting
+    m by one period either way (2 * period in these units)."""
+    idx = slice(None)
+    for d, (a, b) in enumerate(box):
+        md, gd = m[d, idx], margin[d, idx]
+        lo, hi = 2 * a + gd, 2 * b - gd
+        hit = (lo <= md) & (md <= hi)
         if periods[d]:
-            reps.append((lo - periods[d], hi - periods[d]))
-            reps.append((lo + periods[d], hi + periods[d]))
-        if not any(a <= rl and rh <= b for rl, rh in reps):
-            return False
-    return True
+            for shift in (-2 * periods[d], 2 * periods[d]):
+                hit |= (lo <= md + shift) & (md + shift <= hi)
+        idx = np.flatnonzero(hit) if d == 0 else idx[hit]
+    return idx
 
 
 def _downward_close(cx: CellComplex, doomed: list[set[int]]) -> list[set[int]]:
@@ -584,41 +570,44 @@ def punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
 
     The deleted set stays closed under the boundary (rough bites take their
     faces along) or the coboundary (smooth bites are closed stars), so the
-    restricted complex still satisfies dd = 0.
+    restricted complex still satisfies dd = 0.  Holes apply in order; a
+    cell relabeled by several holes takes the last one's label.
     """
-    doomed: list[set[int]] = [set() for _ in range(cx.dim + 1)]
-    relabel: dict[tuple[int, int], str] = {}
-    for hole in holes:
+    grades = range(cx.dim + 1)
+    m, w = [], []  # per grade, (dim, N_k): lo + hi and hi - lo of each cell
+    for grade in cx.cells:
+        box = np.array([c.box for c in grade], dtype=np.int64).reshape(-1, cx.dim, 2)
+        m.append((box[..., 0] + box[..., 1]).T)
+        w.append((box[..., 1] - box[..., 0]).T)
+    inside = [np.maximum(wk, 1) for wk in w]  # strict on degenerate axes
+    touch = [-wk for wk in w]
+    doomed = [np.zeros(cx.n_cells(k), dtype=bool) for k in grades]
+    tag = [np.full(cx.n_cells(k), -1) for k in grades]  # index of the relabeling hole
+    bulk = [np.array([c.label == BULK for c in grade], dtype=bool) for grade in cx.cells]
+    for j, hole in enumerate(holes):
         if cx.style == "code" and hole.kind == "m":
             # measured-out region: closed star of the hole box
-            for k in range(cx.dim + 1):
-                for i, c in enumerate(cx.cells[k]):
-                    if _box_touches(c.box, hole.box, cx.periods):
-                        doomed[k].add(i)
+            for k in grades:
+                doomed[k][_hits(m[k], touch[k], hole.box, cx.periods)] = True
         elif cx.style == "code" and hole.kind == "e":
             # rough hole: mark the interior and its faces as an e-patch; the
             # code module deletes the patch, leaving dangling edges
-            marked: list[set[int]] = [set() for _ in range(cx.dim + 1)]
-            for k in range(cx.dim + 1):
-                for i, c in enumerate(cx.cells[k]):
-                    if _box_strictly_inside(c.box, hole.box, cx.periods):
-                        marked[k].add(i)
+            marked = [set(_hits(m[k], inside[k], hole.box, cx.periods).tolist())
+                      for k in grades]
             _downward_close(cx, marked)
-            for k in range(cx.dim + 1):
-                for i in marked[k]:
-                    relabel[(k, i)] = hole.label
+            for k in grades:
+                tag[k][list(marked[k])] = j
         else:
-            for k in range(cx.dim + 1):
-                for i, c in enumerate(cx.cells[k]):
-                    if _box_strictly_inside(c.box, hole.box, cx.periods):
-                        doomed[k].add(i)
-            for k in range(cx.dim + 1):
-                for i, c in enumerate(cx.cells[k]):
-                    if i in doomed[k] or c.label != BULK:
-                        continue
-                    if _box_within_closed(c.box, hole.box, cx.periods):
-                        relabel[(k, i)] = hole.label
-    return cx.delete(doomed, holes_add=holes, relabel=relabel)
+            for k in grades:
+                doomed[k][_hits(m[k], inside[k], hole.box, cx.periods)] = True
+            for k in grades:
+                i = _hits(m[k], w[k], hole.box, cx.periods)
+                tag[k][i[~doomed[k][i] & bulk[k][i]]] = j
+    relabel = {
+        (k, int(i)): holes[tag[k][i]].label for k in grades for i in np.flatnonzero(tag[k] >= 0)
+    }
+    return cx.delete([set(np.flatnonzero(d).tolist()) for d in doomed],
+                     holes_add=holes, relabel=relabel)
 
 
 def punch_box(cx: CellComplex, origin: tuple[int, ...], side: int, kind: str,
@@ -648,7 +637,8 @@ def fractal_holes(spec: FractalSpec) -> list[Hole]:
             for steps in itertools.product(range(spec.p), repeat=spec.n):
                 sub_origin = tuple(o + s * sub for o, s in zip(origin, steps))
                 sub_box = tuple((2 * so, 2 * (so + sub)) for so in sub_origin)
-                if not _box_within_closed(sub_box, hole_box, (None,) * spec.n):
+                if not all(a <= lo and hi <= b
+                           for (lo, hi), (a, b) in zip(sub_box, hole_box)):
                     new_blocks.append(sub_origin)
         blocks = new_blocks
         block_side = sub

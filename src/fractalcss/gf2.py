@@ -217,6 +217,14 @@ class Gf2Matrix:
     def row_indices(self, r: int) -> list[int]:
         return self.row(r).indices()
 
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(row, col) index arrays of the set bits, in row-major order; only
+        the nonzero words are unpacked."""
+        r, w = np.nonzero(self.data)
+        words = self.data[r, w].astype("<u8").view(np.uint8).reshape(-1, 8)
+        i, b = np.nonzero(np.unpackbits(words, axis=1, bitorder="little"))
+        return r[i], (w[i] << 6) + b
+
     def copy(self) -> "Gf2Matrix":
         return Gf2Matrix(self.rows, self.cols, self.data.copy())
 
@@ -236,19 +244,14 @@ class Gf2Matrix:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        for r in range(self.rows):
-            for c in self.row_indices(r):
-                out[r, c] = 1
+        out[self.entries()] = 1
         return out
 
     # -- structural ops -----------------------------------------------
 
     def transpose(self) -> "Gf2Matrix":
-        t = Gf2Matrix(self.cols, self.rows)
-        for r in range(self.rows):
-            for c in self.row_indices(r):
-                t.data[c, r >> 6] |= np.uint64(1) << np.uint64(r & 63)
-        return t
+        r, c = self.entries()
+        return Gf2Matrix.from_entries(self.cols, self.rows, zip(c.tolist(), r.tolist()))
 
     def submatrix(self, row_idx, col_idx) -> "Gf2Matrix":
         """Select rows and columns (each a list of indices, order kept)."""

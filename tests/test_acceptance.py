@@ -138,6 +138,24 @@ def test_criterion_03_theorem3_distances():
     report(3, True, f"d_Z 3/9, d_X 8/64, exponent {fit.exponent:.4f}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
+def test_criterion_03_level3_distances():
+    # FC(3,1) level 3 (L = 27): the third point of the d_X exponent fit;
+    # k at this size waits for a homology reduction, so no code_params
+    t0 = time.perf_counter()
+    code = _fc_code(3, 1, 3)
+    dz = dz_shortest_path(code)
+    assert (dz.value, dz.kind) == (27, "exact")
+    assert dz.witness.weight() == 27 and is_z_logical(code, dz.witness.z_support)
+    dx = dx_min_cut(code)
+    assert (dx.value, dx.kind) == (512, "exact")
+    assert dx.witness.weight() == 512 and is_x_logical(code, dx.witness.x_support)
+    fit = fit_scaling([(3, 8), (9, 64), (27, dx.value)])
+    assert abs(fit.exponent - np.log(8) / np.log(3)) < 5e-3
+    elapsed = _budget(t0, 600.0)
+    report(3, True, f"level 3: d_Z 27, d_X 512, exponent {fit.exponent:.4f}, {elapsed:.1f}s")
+
+
 def test_criterion_04_no_go_2d():
     t0 = time.perf_counter()
     points = []

@@ -1,9 +1,11 @@
 """Code construction: qubit counts, logical counts, logical bases."""
 
+import numpy as np
 import pytest
 
 from fractalcss.code import (
     CssCode,
+    _checks_commute,
     code_from_text,
     code_params,
     code_to_text,
@@ -19,6 +21,8 @@ from fractalcss.complexes import (
     code_lattice,
     fractal_complex,
 )
+from fractalcss.gates import build_vasmer_browne_stack, merge_rough
+from fractalcss.gf2 import Gf2Matrix, kernel_basis
 
 
 def test_toric_code_2d():
@@ -89,6 +93,22 @@ def test_grading_out_of_range():
         css_from_complex(build_lattice(2, 2, "open"), 2)
 
 
+def _dense_commute(hx: Gf2Matrix, hz: Gf2Matrix) -> bool:
+    return hx.matmul_t(hz).is_zero()
+
+
+def _shipped_codes() -> list[CssCode]:
+    """The byte-pinned geometries of test_faces, the CCZ stacks, a rough merge."""
+    from test_faces import CASES
+
+    codes = [css_from_complex(build(), g) for build, g in CASES.values() if g]
+    for L, holes in ((2, None), (3, None), (3, "center")):
+        codes += build_vasmer_browne_stack(L, holes)[0]
+    a, b = css_from_complex(code_lattice(3, 2), 1), css_from_complex(code_lattice(3, 2), 1)
+    codes.append(merge_rough(a, b).merged)
+    return codes
+
+
 def test_commutation_for_all_shipped_geometries():
     geoms = [
         css_from_complex(build_lattice(2, 3, "torus"), 1),
@@ -96,9 +116,11 @@ def test_commutation_for_all_shipped_geometries():
         css_from_complex(fractal_complex(FractalSpec(3, 3, 1, 1), "code"), 1),
         css_from_complex(fractal_complex(FractalSpec(3, 3, 1, 1, holes="e"), "code"), 1),
         css_from_complex(build_lattice(4, 2, "torus"), 2),
-    ]
+    ] + _shipped_codes()
     for code in geoms:
-        assert code.hx.matmul_t(code.hz).is_zero()  # also checked in __post_init__
+        # the sparse check of __post_init__ against the dense product
+        assert _checks_commute(code.hx, code.hz)
+        assert _dense_commute(code.hx, code.hz)
 
 
 def test_4d_torus_22_code():
@@ -148,3 +170,56 @@ def test_code_text_roundtrip():
     assert again.n_qubits == code.n_qubits
     assert again.hx == code.hx and again.hz == code.hz
     assert again.qubit_cells == code.qubit_cells
+
+
+# -- one flipped bit: the sparse check raises iff the dense product is nonzero --
+
+
+def _random_code(rng: np.random.Generator) -> tuple[Gf2Matrix, Gf2Matrix]:
+    """A valid random code whose H_Z leaves about a quarter of the columns
+    empty, so that some single flips keep the checks commuting."""
+    n = int(rng.integers(8, 70))
+    dense = rng.random((int(rng.integers(1, n // 2 + 1)), n)) < 0.25
+    dense[:, rng.random(n) < 0.25] = False
+    hz = Gf2Matrix.from_dense(dense)
+    kernel = np.array([v.to_dense() for v in kernel_basis(hz)], dtype=np.int64)
+    mix = rng.random((int(rng.integers(1, 12)), len(kernel))) < 0.4
+    return Gf2Matrix.from_dense(mix @ kernel % 2), hz
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sparse_commutation_check_after_one_flip(seed):
+    rng = np.random.default_rng(seed)
+    if seed % 2:
+        hx, hz = _random_code(rng)
+    else:
+        # a torus with random plaquettes and their cubes removed
+        cx = build_lattice(3, int(rng.integers(2, 4)), "torus")
+        faces = set(rng.choice(cx.n_cells(2), size=6, replace=False).tolist())
+        up = cx.cofaces(2)
+        cubes = {j for f in faces for j in up[f]}
+        code = css_from_complex(cx.delete([set(), set(), faces, cubes]), 1)
+        hx, hz = code.hx, code.hz
+    n = hx.cols
+    CssCode(n, hx, hz, 1, list(range(n)), [], [])
+    outcomes = set()
+    for _ in range(30):
+        x, z = hx.copy(), hz.copy()
+        m = x if rng.random() < 0.5 else z
+        r, c = int(rng.integers(m.rows)), int(rng.integers(n))
+        m.set(r, c, 1 - m.get(r, c))
+        try:
+            CssCode(n, x, z, 1, list(range(n)), [], [])
+            raised = False
+        except AssertionError as exc:
+            assert "do not commute" in str(exc)
+            raised = True
+        assert raised == (not _dense_commute(x, z))
+        outcomes.add(raised)
+    assert True in outcomes
+
+
+def test_check_width_mismatch_raises():
+    hx, hz = Gf2Matrix.zeros(1, 4), Gf2Matrix.zeros(1, 5)
+    with pytest.raises(AssertionError, match="columns"):
+        CssCode(4, hx, hz, 1, list(range(4)), [], [])

@@ -77,7 +77,6 @@ def test_dx_fc42_level1():
     assert dx_min_cut(_fc_code(4, 2, 1)).value == 12
 
 
-@pytest.mark.slow
 def test_dx_fc42_level2():
     # (p^2 - q^2)^l at level 2: 144 at L=16
     assert dx_min_cut(_fc_code(4, 2, 2)).value == 144

@@ -120,6 +120,18 @@ def test_matmul_matches_dense(rows, cols, seed):
     assert np.array_equal(prod.to_dense(), ref.astype(np.uint8))
 
 
+@pytest.mark.parametrize("rows,cols", [(0, 5), (5, 0), (1, 1), (3, 64), (70, 130), (129, 65)])
+def test_entries_dense_and_transpose_match_numpy(rows, cols):
+    dense = (np.random.default_rng(rows * 1000 + cols).random((rows, cols)) < 0.3)
+    m = Gf2Matrix.from_dense(dense)
+    r, c = m.entries()
+    assert np.array_equal(r, np.nonzero(dense)[0]) and np.array_equal(c, np.nonzero(dense)[1])
+    assert np.array_equal(m.to_dense(), dense.astype(np.uint8))
+    t = m.transpose()
+    assert (t.rows, t.cols) == (cols, rows)
+    assert np.array_equal(t.to_dense(), dense.T.astype(np.uint8))
+
+
 def test_submatrix_and_stack():
     rng = np.random.default_rng(5)
     m = _random_matrix(rng, 9, 70)

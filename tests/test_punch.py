@@ -1,0 +1,206 @@
+"""Hole punching: the array midpoint tests against the per-cell box tests.
+
+The oracle is the per-cell implementation of `punch_holes` that tested
+every cell against every hole with Python interval helpers; it is kept
+here verbatim and compared byte for byte (``to_text()``) with the array
+implementation on random hole layouts, overlapping holes, holes on or
+past the outer boundary, and holes that wrap around periodic axes.
+"""
+
+import random
+
+import pytest
+
+from fractalcss.complexes import (
+    BULK,
+    Box,
+    CellComplex,
+    Hole,
+    build_lattice,
+    code_lattice,
+    punch_box,
+    punch_holes,
+)
+
+# -- oracle: the per-cell implementation ------------------------------------
+
+
+def _axis_relate(lo: int, hi: int, a: int, b: int, period: int | None):
+    """Per-axis interval relations, wrap-aware: (strictly_inside, touches)."""
+    reps = [(lo, hi)]
+    if period:
+        reps.append((lo - period, hi - period))
+        reps.append((lo + period, hi + period))
+    inside = touches = False
+    for rl, rh in reps:
+        if rl == rh:
+            inside = inside or (a < rl < b)
+        else:
+            inside = inside or (a <= rl and rh <= b)
+        touches = touches or (max(rl, a) <= min(rh, b))
+    return inside, touches
+
+
+def _box_strictly_inside(box: Box, hole: Box, periods) -> bool:
+    return all(
+        _axis_relate(lo, hi, a, b, periods[d])[0]
+        for d, ((lo, hi), (a, b)) in enumerate(zip(box, hole))
+    )
+
+
+def _box_touches(box: Box, hole: Box, periods) -> bool:
+    return all(
+        _axis_relate(lo, hi, a, b, periods[d])[1]
+        for d, ((lo, hi), (a, b)) in enumerate(zip(box, hole))
+    )
+
+
+def _box_within_closed(box: Box, hole: Box, periods) -> bool:
+    for d, ((lo, hi), (a, b)) in enumerate(zip(box, hole)):
+        reps = [(lo, hi)]
+        if periods[d]:
+            reps.append((lo - periods[d], hi - periods[d]))
+            reps.append((lo + periods[d], hi + periods[d]))
+        if not any(a <= rl and rh <= b for rl, rh in reps):
+            return False
+    return True
+
+
+def _downward_close(cx: CellComplex, doomed: list[set[int]]) -> list[set[int]]:
+    for k in range(cx.dim, 0, -1):
+        for i in doomed[k]:
+            doomed[k - 1].update(cx.faces[k][i])
+    return doomed
+
+
+def reference_punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
+    doomed: list[set[int]] = [set() for _ in range(cx.dim + 1)]
+    relabel: dict[tuple[int, int], str] = {}
+    for hole in holes:
+        if cx.style == "code" and hole.kind == "m":
+            # measured-out region: closed star of the hole box
+            for k in range(cx.dim + 1):
+                for i, c in enumerate(cx.cells[k]):
+                    if _box_touches(c.box, hole.box, cx.periods):
+                        doomed[k].add(i)
+        elif cx.style == "code" and hole.kind == "e":
+            # rough hole: mark the interior and its faces as an e-patch; the
+            # code module deletes the patch, leaving dangling edges
+            marked: list[set[int]] = [set() for _ in range(cx.dim + 1)]
+            for k in range(cx.dim + 1):
+                for i, c in enumerate(cx.cells[k]):
+                    if _box_strictly_inside(c.box, hole.box, cx.periods):
+                        marked[k].add(i)
+            _downward_close(cx, marked)
+            for k in range(cx.dim + 1):
+                for i in marked[k]:
+                    relabel[(k, i)] = hole.label
+        else:
+            for k in range(cx.dim + 1):
+                for i, c in enumerate(cx.cells[k]):
+                    if _box_strictly_inside(c.box, hole.box, cx.periods):
+                        doomed[k].add(i)
+            for k in range(cx.dim + 1):
+                for i, c in enumerate(cx.cells[k]):
+                    if i in doomed[k] or c.label != BULK:
+                        continue
+                    if _box_within_closed(c.box, hole.box, cx.periods):
+                        relabel[(k, i)] = hole.label
+    return cx.delete(doomed, holes_add=holes, relabel=relabel)
+
+
+# -- comparison ---------------------------------------------------------------
+
+
+def _outcome(punch, cx: CellComplex, holes: list[Hole]) -> str:
+    """The punched complex's text, or the invariant failure it raised."""
+    try:
+        return punch(cx, holes).to_text()
+    except AssertionError as exc:
+        return f"AssertionError: {exc}"
+
+
+def _assert_text_equal(new: str, ref: str) -> None:
+    if new != ref:
+        # name the first differing line; a full diff of two large texts is slow
+        a, b = new.splitlines(), ref.splitlines()
+        i = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+        pytest.fail(f"line {i}: {a[i:i + 1]} != oracle {b[i:i + 1]}")
+
+
+def _assert_same(cx: CellComplex, holes: list[Hole]) -> str:
+    new = _outcome(punch_holes, cx, holes)
+    _assert_text_equal(new, _outcome(reference_punch_holes, cx, holes))
+    return new
+
+
+def _hole(hid: int, origin: tuple[int, ...], side: int, kind: str) -> Hole:
+    return Hole(hid, tuple((2 * o, 2 * (o + side)) for o in origin), kind)
+
+
+def _base(style: str, n: int, L: int, background: str) -> CellComplex:
+    if style == "code":
+        return code_lattice(n, L, background)
+    return build_lattice(n, L, background)
+
+
+SIZES = {2: (3, 6), 3: (2, 4), 4: (2, 3)}
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_random_layouts_match_oracle(seed):
+    rng = random.Random(seed)
+    n = rng.choice((2, 3, 4))
+    L = rng.randint(*SIZES[n])
+    style = rng.choice(("plain", "code"))
+    background = rng.choice(
+        ("open", "torus") if style == "code" else ("open", "torus", "sphere")
+    )
+    cx = _base(style, n, L, background)
+    holes = []
+    for hid in range(rng.randint(1, 4)):
+        side = rng.randint(1, max(1, L - 1))
+        # origins from -1 to L - side + 1: holes may stick out of the lattice
+        origin = tuple(rng.randint(-1, L - side + 1) for _ in range(n))
+        holes.append(_hole(hid, origin, side, rng.choice("em")))
+    _assert_same(cx, holes)
+
+
+@pytest.mark.parametrize("style", ("plain", "code"))
+@pytest.mark.parametrize("kinds", ("mm", "ee", "em", "me"))
+def test_overlapping_holes_match_oracle(style, kinds):
+    cx = _base(style, 3, 5, "open")
+    holes = [_hole(0, (1, 1, 1), 2, kinds[0]), _hole(1, (2, 2, 1), 2, kinds[1])]
+    text = _assert_same(cx, holes)
+    assert not text.startswith("AssertionError")
+
+
+@pytest.mark.parametrize("style", ("plain", "code"))
+@pytest.mark.parametrize("kind", "em")
+@pytest.mark.parametrize("origin", ((0, 0, 0), (0, 1, 1), (3, 1, 2), (-1, 1, 1), (2, 2, 3)))
+def test_outer_boundary_holes_match_oracle(style, kind, origin):
+    # L = 4, side 2: the hole touches or crosses at least one outer face
+    _assert_same(_base(style, 3, 4, "open"), [_hole(0, origin, 2, kind)])
+
+
+@pytest.mark.parametrize("style", ("plain", "code"))
+@pytest.mark.parametrize("kind", "em")
+@pytest.mark.parametrize("n,L", ((3, 3), (4, 2)))
+def test_torus_wrapping_holes_match_oracle(style, kind, n, L):
+    cx = _base(style, n, L, "torus")
+    holes = [
+        _hole(0, (L - 1,) + (0,) * (n - 1), 2, kind),  # wraps on axis 0
+        _hole(1, (-1,) * n, 2, kind),  # wraps on every axis
+    ]
+    for hole in holes:
+        _assert_same(cx, [hole])
+    _assert_same(cx, holes)
+
+
+def test_punch_box_sequence_matches_oracle():
+    cx = ref = code_lattice(3, 5)
+    for origin, side, kind in (((1, 1, 1), 1, "m"), ((3, 2, 1), 2, "e"), ((0, 3, 3), 2, "m")):
+        cx = punch_box(cx, origin, side, kind)
+        hid = max((h.hole_id for h in ref.holes), default=-1) + 1
+        ref = reference_punch_holes(ref, [_hole(hid, origin, side, kind)])
+    _assert_text_equal(cx.to_text(), ref.to_text())
