@@ -30,7 +30,7 @@ from .distance import (
     fit_scaling,
 )
 from .gf2 import Gf2Matrix, Gf2Vector, kernel_basis, quotient_dim, rank, solve
-from .homology import HomologyRequest, betti, cobetti, verify_lefschetz
+from .homology import betti, cobetti, verify_lefschetz
 
 __all__ = [
     "Gf2Matrix",
@@ -49,7 +49,6 @@ __all__ = [
     "punch_fractal",
     "punch_box",
     "dual_with_boundary",
-    "HomologyRequest",
     "betti",
     "cobetti",
     "verify_lefschetz",

@@ -20,6 +20,8 @@ from .complexes import (
     FractalSpec,
     build_lattice,
     fractal_complex,
+    label_is_e,
+    label_is_m,
 )
 from .distance import (
     BudgetError,
@@ -131,9 +133,9 @@ def cmd_homology(args) -> int:
         cx = fractal_complex(_spec_from_args(args), style=args.style)
     rel: set[str] = set()
     if args.relative == "e":
-        rel = {lb for lb in cx.labels_present() if lb[0] in "oh" and "E" in lb[:2]}
+        rel = {lb for lb in cx.labels_present() if label_is_e(lb)}
     elif args.relative == "m":
-        rel = {lb for lb in cx.labels_present() if lb[0] in "oh" and "M" in lb[:2]}
+        rel = {lb for lb in cx.labels_present() if label_is_m(lb)}
     elif args.relative:
         rel = set(args.relative.split(","))
     b = betti(cx, args.grade, rel)

@@ -4,7 +4,9 @@ Qubits sit on the i-cells.  Each surviving (i-1)-cell anchors an X
 stabilizer on its cofaces; each surviving (i+1)-cell anchors a Z
 stabilizer on its faces.  The check matrices are the only dense GF(2)
 objects of a code: their rows come straight from the complex's face and
-coface lists.  Boundary conditions are label-driven:
+coface lists, and each is eliminated at most once (`CssCode.hx_rref`,
+`CssCode.hz_rref`) for k, the logical tests and the logical basis.
+Boundary conditions are label-driven:
 
 * every cell of an E-labeled (rough) patch is dropped from the code -
   its i-cells are not qubits and its (i-1)-cells anchor no X stabilizer,
@@ -23,11 +25,12 @@ even number of times.  No dense product is formed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .complexes import CellComplex, label_is_e, label_is_m
-from .gf2 import Gf2Matrix, Gf2Vector, in_rowspace, kernel_basis, rank
+from .gf2 import Gf2Matrix, Gf2Vector, _kernel_from_rref, _rref_inplace, in_rowspace
 from .homology import betti
 
 
@@ -74,7 +77,6 @@ class CssCode:
     # False when the checks are not the label-driven code of `source`, so
     # the homology cross-check of code_params does not apply
     check_homology_by_labels: bool = True
-    _rrefs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.hx.cols == self.n_qubits == self.hz.cols:
@@ -87,6 +89,16 @@ class CssCode:
 
     def qubit_box(self, q: int):
         return self.source.cells[self.grading][self.qubit_cells[q]].box
+
+    # The one elimination of each check matrix: k, the logical tests and the
+    # logical basis all read these.
+    @cached_property
+    def hx_rref(self) -> tuple[Gf2Matrix, list[int]]:
+        return self.hx.rref()
+
+    @cached_property
+    def hz_rref(self) -> tuple[Gf2Matrix, list[int]]:
+        return self.hz.rref()
 
 
 def _checks_commute(hx: Gf2Matrix, hz: Gf2Matrix) -> bool:
@@ -164,47 +176,33 @@ def _rows_matrix(cols: int, rows: list[list[int]]) -> Gf2Matrix:
 
 
 def _drop_redundant_m_rows(hz: Gf2Matrix, m_anchor: list[bool]) -> list[int]:
-    """Row indices to keep: all non-M rows, plus M rows independent of them."""
+    """Row indices to keep: all non-M rows, plus every M row independent of
+    the rows before it when the non-M rows come first.  Such a row is a
+    pivot column of the transpose in that row order."""
     if not any(m_anchor):
         return list(range(hz.rows))
-    keep = [r for r in range(hz.rows) if not m_anchor[r]]
-    reduced: list[Gf2Vector] = []
-
-    def reduce_against(v: Gf2Vector) -> Gf2Vector:
-        w = v.copy()
-        for u in reduced:
-            lead = u.indices()[0]
-            if w.get(lead):
-                w ^= u
-        return w
-
-    for r in keep:
-        w = reduce_against(hz.row(r))
-        if not w.is_zero():
-            reduced.append(w)
-    reduced.sort(key=lambda u: u.indices()[0])
-    for r in range(hz.rows):
-        if not m_anchor[r]:
-            continue
-        w = reduce_against(hz.row(r))
-        if not w.is_zero():
-            keep.append(r)
-            reduced.append(w)
-            reduced.sort(key=lambda u: u.indices()[0])
-    return sorted(keep)
+    order = sorted(range(hz.rows), key=lambda r: m_anchor[r])
+    t = Gf2Matrix(hz.rows, hz.cols, hz.data[order]).transpose()
+    pivots = _rref_inplace(t.data, t.rows, t.cols)
+    independent_m = [order[p] for p in pivots if m_anchor[order[p]]]
+    return sorted([r for r in range(hz.rows) if not m_anchor[r]] + independent_m)
 
 
 def code_params(code: CssCode, cross_check: bool = True) -> CodeParams:
     """n and k from the check-matrix ranks; k is cross-checked against the
     matching (relative) homology request when the source complex is known."""
-    k = code.n_qubits - rank(code.hx) - rank(code.hz)
+    hk = None
     if cross_check and code.source is not None and code.check_homology_by_labels:
+        # first: the cached RREFs live as long as the code, so building them
+        # after the homology's dense boundary matrices are freed keeps the
+        # two out of memory at the same time
         hk = homology_k(code)
-        if hk != k:
-            raise AssertionError(
-                f"k={k} from ranks but dim H_{code.grading} = {hk}; "
-                "code construction and homology disagree"
-            )
+    k = code.n_qubits - len(code.hx_rref[1]) - len(code.hz_rref[1])
+    if hk is not None and hk != k:
+        raise AssertionError(
+            f"k={k} from ranks but dim H_{code.grading} = {hk}; "
+            "code construction and homology disagree"
+        )
     return CodeParams(code.n_qubits, k)
 
 
@@ -223,8 +221,8 @@ def logical_basis(code: CssCode) -> tuple[list[PauliOperator], list[PauliOperato
     qubit ordering normalizes the pairing matrix to the identity, so the
     basis is deterministic.
     """
-    z_reps = _quotient_reps(code.hx, code.hz)
-    x_reps = _quotient_reps(code.hz, code.hx)
+    z_reps = _quotient_reps(code.hx_rref, code.hz_rref)
+    x_reps = _quotient_reps(code.hz_rref, code.hx_rref)
     assert len(z_reps) == len(x_reps)
     k = len(z_reps)
     if k == 0:
@@ -265,12 +263,13 @@ def logical_basis(code: CssCode) -> tuple[list[PauliOperator], list[PauliOperato
     )
 
 
-def _quotient_reps(h_check: Gf2Matrix, h_span: Gf2Matrix) -> list[Gf2Vector]:
-    """Representatives of ker(h_check) modulo rowspace(h_span)."""
-    span_rref, span_pivots = h_span.rref()
+def _quotient_reps(check, span) -> list[Gf2Vector]:
+    """Representatives of ker(A) modulo rowspace(B), given the (R, pivots)
+    eliminations `check` of A and `span` of B."""
+    span_rref, span_pivots = span
     chosen: list[Gf2Vector] = []
     chosen_rref: list[Gf2Vector] = []
-    for v in kernel_basis(h_check):
+    for v in _kernel_from_rref(*check):
         w = v.copy()
         for i, p in enumerate(span_pivots):
             if w.get(p):
@@ -294,21 +293,13 @@ def is_z_logical(code: CssCode, support: Gf2Vector) -> bool:
     """Syndrome-free against the X checks and outside the Z-stabilizer span."""
     if not code.hx.mul_vec(support).is_zero():
         return False
-    rz, pz = _cached_rref(code, "z")
-    return not in_rowspace(rz, pz, support)
+    return not in_rowspace(*code.hz_rref, support)
 
 
 def is_x_logical(code: CssCode, support: Gf2Vector) -> bool:
     if not code.hz.mul_vec(support).is_zero():
         return False
-    rx, px = _cached_rref(code, "x")
-    return not in_rowspace(rx, px, support)
-
-
-def _cached_rref(code: CssCode, which: str):
-    if which not in code._rrefs:
-        code._rrefs[which] = (code.hz if which == "z" else code.hx).rref()
-    return code._rrefs[which]
+    return not in_rowspace(*code.hx_rref, support)
 
 
 # -- serialization -----------------------------------------------------------
@@ -327,22 +318,32 @@ def code_to_text(code: CssCode) -> str:
 
 
 def code_from_text(text: str) -> CssCode:
+    """Parse a ``csscode v1`` file; malformed input raises ValueError."""
     from .gf2 import matrix_from_text
 
     lines = text.splitlines()
-    assert lines[0].strip() == "csscode v1"
-    toks = lines[1].split()
+    if not lines or lines[0].strip() != "csscode v1":
+        raise ValueError("not a csscode v1 file")
+    toks = lines[1].split() if len(lines) > 1 else []
+    if len(toks) != 4 or toks[0] != "nqubits" or toks[2] != "i":
+        raise ValueError("csscode v1 line 2 must read 'nqubits <n> i <i>'")
     n, i = int(toks[1]), int(toks[3])
     ix_hx = lines.index("HX")
     ix_hz = lines.index("HZ")
     ix_map = lines.index("qubitmap")
     hx = matrix_from_text("\n".join(lines[ix_hx + 1 : ix_hz]))
     hz = matrix_from_text("\n".join(lines[ix_hz + 1 : ix_map]))
+    if not hx.cols == n == hz.cols:
+        raise ValueError(f"HX and HZ have {hx.cols} and {hz.cols} columns for {n} qubits")
     qubit_cells = []
     for ln in lines[ix_map + 1 :]:
         if ln.strip():
             toks = ln.split()
+            if len(toks) != 5 or toks[0] != "q" or toks[2:4] != ["->", "cell"]:
+                raise ValueError(f"bad qubitmap line {ln!r}")
             qubit_cells.append(int(toks[4]))
+    if len(qubit_cells) != n:
+        raise ValueError(f"qubitmap has {len(qubit_cells)} lines for {n} qubits")
     return CssCode(
         n_qubits=n,
         hx=hx,

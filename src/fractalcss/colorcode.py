@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .code import CssCode, logical_basis
+from .code import CssCode, _rows_matrix, logical_basis
 from .complexes import BULK, Cell, CellComplex, _mod2
 from .gates import ConditionResult, GateCheckReport
-from .gf2 import Gf2Matrix, in_rowspace
+from .gf2 import in_rowspace
 
 
 @dataclass
@@ -106,10 +106,7 @@ def build_color_code_2d(L: int = 1) -> ColorCode2D:
     assert boundary_colors == {1, 2}, "both open boundaries must miss color 0"
 
     n = len(verts)
-    h = Gf2Matrix(len(faces), n)
-    for r, vs in enumerate(faces):
-        for v in vs:
-            h.set(r, v, 1)
+    h = _rows_matrix(n, faces)
     code = CssCode(
         n_qubits=n, hx=h, hz=h.copy(), grading=1,
         qubit_cells=list(range(n)), x_anchor_cells=[], z_anchor_cells=[],
@@ -231,10 +228,9 @@ def check_transversal_s_colorcode(
         bad.append(("Xbar0", "Xbar1", cross))
     # the induced Z part must land back in the stabilizer group together
     # with the dual logical: Z^{supp X1} ~ Zbar2 (and vice versa)
-    rref, pivots = cc.code.hz.rref()
     for i, s in enumerate(supports):
         leftover = s ^ zs[1 - i].z_support
-        if not in_rowspace(rref, pivots, leftover):
+        if not in_rowspace(*cc.code.hz_rref, leftover):
             bad.append((f"Xbar{i}", f"Zbar{1 - i}", "image-not-stabilizer"))
     conds.append(ConditionResult("S-logical-map", not bad, tuple(bad[:8])))
     return GateCheckReport(tuple(conds))

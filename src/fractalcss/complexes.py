@@ -342,50 +342,56 @@ class CellComplex:
 
     @classmethod
     def from_text(cls, text: str) -> "CellComplex":
+        """Parse a ``cellcomplex v1`` file; malformed input raises ValueError."""
         lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
-        if lines[0] != "cellcomplex v1":
+        if not lines or lines[0] != "cellcomplex v1":
             raise ValueError("not a cellcomplex v1 file")
-        head = lines[1].split()
-        dim = int(head[1])
-        background = head[3]
-        style, periods, holes = "plain", (None,) * dim, []
-        pos = 2
-        if lines[pos].startswith("meta "):
-            toks = lines[pos].split()
-            style = toks[2]
-            periods = tuple(None if t == "-" else int(t) for t in toks[4 : 4 + dim])
-            hole_tok = toks[5 + dim]
-            if hole_tok != "-":
-                for part in hole_tok.split(";"):
-                    fields = part.split(",")
-                    hid, kind, level = int(fields[0]), fields[1], int(fields[2])
-                    box = tuple(
-                        (int(t.split(":")[0]), int(t.split(":")[1])) for t in fields[3:]
-                    )
-                    holes.append(Hole(hid, box, kind, level))
-            pos += 1
-        counts = []
-        for k in range(dim + 1):
-            toks = lines[pos].split()
-            assert toks[0] == "grade" and int(toks[1]) == k
-            counts.append(int(toks[3]))
-            pos += 1
-        cells: list[list[Cell]] = [[] for _ in range(dim + 1)]
-        faces: list[list[tuple[int, ...]]] = [[] for _ in range(dim + 1)]
-        for k in range(dim + 1):
-            for i in range(counts[k]):
+        try:
+            head = lines[1].split()
+            dim = int(head[1])
+            background = head[3]
+            style, periods, holes = "plain", (None,) * dim, []
+            pos = 2
+            if lines[pos].startswith("meta "):
                 toks = lines[pos].split()
+                style = toks[2]
+                periods = tuple(None if t == "-" else int(t) for t in toks[4 : 4 + dim])
+                hole_tok = toks[5 + dim]
+                if hole_tok != "-":
+                    for part in hole_tok.split(";"):
+                        fields = part.split(",")
+                        hid, kind, level = int(fields[0]), fields[1], int(fields[2])
+                        box = tuple(
+                            (int(t.split(":")[0]), int(t.split(":")[1])) for t in fields[3:]
+                        )
+                        holes.append(Hole(hid, box, kind, level))
                 pos += 1
-                assert toks[0] == "cell" and int(toks[1]) == k and int(toks[2]) == i
-                label = toks[3]
-                sep = toks.index(":")
-                nums = [int(t) for t in toks[4:sep]]
-                box = tuple((nums[2 * a], nums[2 * a + 1]) for a in range(dim))
-                cells[k].append(Cell(box, label))
-                fs = _mod2(int(r) for r in toks[sep + 1 :])
-                if fs and (k == 0 or fs[0] < 0 or fs[-1] >= counts[k - 1]):
-                    raise ValueError(f"cell {k} {i} has a face index out of range")
-                faces[k].append(fs)
+            counts = []
+            for k in range(dim + 1):
+                toks = lines[pos].split()
+                if toks[0] != "grade" or int(toks[1]) != k:
+                    raise ValueError(f"expected 'grade {k} count <n>', got {lines[pos]!r}")
+                counts.append(int(toks[3]))
+                pos += 1
+            cells: list[list[Cell]] = [[] for _ in range(dim + 1)]
+            faces: list[list[tuple[int, ...]]] = [[] for _ in range(dim + 1)]
+            for k in range(dim + 1):
+                for i in range(counts[k]):
+                    toks = lines[pos].split()
+                    pos += 1
+                    if toks[0] != "cell" or int(toks[1]) != k or int(toks[2]) != i:
+                        raise ValueError(f"expected cell {k} {i}, got {lines[pos - 1]!r}")
+                    label = toks[3]
+                    sep = toks.index(":")
+                    nums = [int(t) for t in toks[4:sep]]
+                    box = tuple((nums[2 * a], nums[2 * a + 1]) for a in range(dim))
+                    cells[k].append(Cell(box, label))
+                    fs = _mod2(int(r) for r in toks[sep + 1 :])
+                    if fs and (k == 0 or fs[0] < 0 or fs[-1] >= counts[k - 1]):
+                        raise ValueError(f"cell {k} {i} has a face index out of range")
+                    faces[k].append(fs)
+        except IndexError as err:
+            raise ValueError("cellcomplex v1 file is truncated or has a short line") from err
         return cls(dim, cells, faces, background, style, periods, holes)
 
 

@@ -212,7 +212,8 @@ class _Dinic:
         self.to.append(u)
         self.cap.append(1)
 
-    def bfs_level(self, s: int, t: int):
+    def levels(self, s: int) -> list[int]:
+        """BFS distance from s in the residual graph, -1 where unreachable."""
         level = [-1] * self.n
         level[s] = 0
         dq = deque([s])
@@ -223,7 +224,7 @@ class _Dinic:
                 if self.cap[a] > 0 and level[v] < 0:
                     level[v] = level[u] + 1
                     dq.append(v)
-        return level if level[t] >= 0 else None
+        return level
 
     def dfs(self, u: int, t: int, level, it):
         if u == t:
@@ -241,25 +242,12 @@ class _Dinic:
     def max_flow(self, s: int, t: int) -> int:
         flow = 0
         while True:
-            level = self.bfs_level(s, t)
-            if level is None:
+            level = self.levels(s)
+            if level[t] < 0:
                 return flow
             it = [0] * self.n
             while self.dfs(s, t, level, it):
                 flow += 1
-
-    def reachable(self, s: int):
-        seen = [False] * self.n
-        seen[s] = True
-        dq = deque([s])
-        while dq:
-            u = dq.popleft()
-            for a in self.head[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and not seen[v]:
-                    seen[v] = True
-                    dq.append(v)
-        return seen
 
 
 def dx_min_cut(code: CssCode) -> DistanceResult:
@@ -286,7 +274,8 @@ def dx_min_cut(code: CssCode) -> DistanceResult:
         if u != v:
             net.add_edge(u, v)
     value = net.max_flow(s, t)
-    seen = net.reachable(s)
+    # the source side of the final residual graph: the canonical min cut
+    seen = [lv >= 0 for lv in net.levels(s)]
     cut = [
         q for q, (u, v) in enumerate(g.edges) if u != v and seen[u] != seen[v]
     ]

@@ -27,7 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .code import CssCode, PauliOperator, css_from_complex, is_x_logical, logical_basis
+from .code import (
+    CssCode, PauliOperator, _rows_matrix, css_from_complex, is_x_logical, logical_basis,
+)
 from .complexes import (
     Box, CellComplex, Hole, _faces_of_box, _mod2, code_lattice, punch_holes,
 )
@@ -334,16 +336,8 @@ def build_vasmer_browne_stack(
                                         z_rows.append(
                                             sorted(qubit_of_box[b] for b in tri)
                                         )
-        hx = Gf2Matrix(len(x_rows), n)
-        for r, sup in enumerate(x_rows):
-            for q in sup:
-                hx.set(r, q, 1)
-        hz = Gf2Matrix(len(z_rows), n)
-        for r, sup in enumerate(z_rows):
-            for q in sup:
-                hz.set(r, q, 1)
         return CssCode(
-            n_qubits=n, hx=hx, hz=hz, grading=1,
+            n_qubits=n, hx=_rows_matrix(n, x_rows), hz=_rows_matrix(n, z_rows), grading=1,
             qubit_cells=list(copy1.qubit_cells),
             x_anchor_cells=[], z_anchor_cells=[], source=cx,
             check_homology_by_labels=False,

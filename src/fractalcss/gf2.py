@@ -355,12 +355,16 @@ def kernel_basis(m: Gf2Matrix) -> list[Gf2Vector]:
     for every pivot row whose RREF has a 1 in that free column, a bit at the
     pivot column.
     """
-    R, pivots = m.rref()
+    return _kernel_from_rref(*m.rref())
+
+
+def _kernel_from_rref(R: Gf2Matrix, pivots: list[int]) -> list[Gf2Vector]:
+    """The kernel basis of :func:`kernel_basis`, read off a computed RREF."""
     pivot_set = set(pivots)
-    free_cols = [c for c in range(m.cols) if c not in pivot_set]
+    free_cols = [c for c in range(R.cols) if c not in pivot_set]
     basis = []
     for f in free_cols:
-        v = Gf2Vector(m.cols)
+        v = Gf2Vector(R.cols)
         v.set(f, 1)
         fw, fb = f >> 6, np.uint64(f & 63)
         for i, p in enumerate(pivots):

@@ -3,8 +3,9 @@
 Relative homology is always computed through the quotient construction:
 ``H_i(L, B) = H_i(L/B)`` for i > 0, where the labeled boundary subcomplex B
 collapses to a single point.  At i = 0 the quotient-complex value differs
-from the reduced relative group; the result carries a flag instead of
-papering over the distinction (no code parameter depends on i = 0).
+from the reduced relative group; :func:`betti_with_caveat` returns a flag
+instead of papering over the distinction (no code parameter depends on
+i = 0).
 """
 
 from __future__ import annotations
@@ -15,41 +16,23 @@ from .complexes import CellComplex, dual_with_boundary, label_is_e, label_is_m
 from .gf2 import rank
 
 
-@dataclass(frozen=True)
-class HomologyRequest:
-    complex: CellComplex
-    grade: int
-    relative_labels: frozenset[str] = frozenset()
-
-    def __post_init__(self):
-        if not 0 <= self.grade <= self.complex.dim:
-            raise ValueError(f"grade {self.grade} out of range 0..{self.complex.dim}")
-
-
-@dataclass(frozen=True)
-class HomologyResult:
-    value: int
-    reduced_caveat: bool = False
-
-
-def _betti_absolute(cx: CellComplex, i: int) -> int:
-    d_i = cx.boundary_matrix(i)
-    d_up = cx.boundary_matrix(i + 1)
-    ker = d_i.cols - rank(d_i)
-    return ker - rank(d_up)
-
-
-def compute(req: HomologyRequest) -> HomologyResult:
-    cx = req.complex
-    if req.relative_labels:
-        cx = cx.quotient_to_point(set(req.relative_labels))
-        return HomologyResult(_betti_absolute(cx, req.grade), req.grade == 0)
-    return HomologyResult(_betti_absolute(cx, req.grade))
-
-
 def betti(cx: CellComplex, grade: int, relative_labels=frozenset()) -> int:
     """dim H_i(L; Z2), or dim H_i(L, B; Z2) for a labeled subcomplex B."""
-    return compute(HomologyRequest(cx, grade, frozenset(relative_labels))).value
+    return betti_with_caveat(cx, grade, relative_labels)[0]
+
+
+def betti_with_caveat(
+    cx: CellComplex, grade: int, relative_labels=frozenset()
+) -> tuple[int, bool]:
+    """:func:`betti` and the reduced caveat: True for relative homology at
+    grade 0, where the quotient-complex value is not the reduced group."""
+    if not 0 <= grade <= cx.dim:
+        raise ValueError(f"grade {grade} out of range 0..{cx.dim}")
+    if relative_labels:
+        cx = cx.quotient_to_point(set(relative_labels))
+    # one dense boundary matrix at a time: each is built for its rank only
+    ranks = [rank(cx.boundary_matrix(k)) for k in (grade, grade + 1)]
+    return cx.n_cells(grade) - sum(ranks), grade == 0 and bool(relative_labels)
 
 
 def cobetti(cx: CellComplex, grade: int, relative_labels=frozenset()) -> int:

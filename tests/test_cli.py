@@ -153,3 +153,75 @@ def test_budget_exit3(capsys, monkeypatch):
 def test_hausdorff_huge_p():
     assert abs(hausdorff_exponent(10**80, 10**80 - 2, 3) - 2.0097) < 1e-3
     assert abs(hausdorff_exponent(10**80, 10**80 - 2, 2) - 1.0075) < 2e-3
+
+
+def _cut(text: str, last_line: str) -> str:
+    """The text up to and including the first line that starts with last_line."""
+    lines = text.splitlines(keepends=True)
+    end = next(i for i, ln in enumerate(lines) if ln.startswith(last_line))
+    return "".join(lines[: end + 1])
+
+
+def _replace_line(text: str, prefix: str, new: str) -> str:
+    return "".join(
+        new + "\n" if ln.startswith(prefix) else ln for ln in text.splitlines(keepends=True)
+    )
+
+
+def test_malformed_files_exit2(capsys, tmp_path):
+    cx_path = tmp_path / "cx.txt"
+    code_path = tmp_path / "code.txt"
+    assert run(["gen", "--dim", "2", "--level", "1", "--style", "code",
+                "--out", str(cx_path)], capsys)[0] == 0
+    assert run(["code", "--complex", str(cx_path), "--out", str(code_path)], capsys)[0] == 0
+    cx_text, code_text = cx_path.read_text(), code_path.read_text()
+    bad_complexes = {
+        "empty": "",
+        "after-grade0": _cut(cx_text, "grade 0"),
+        "after-grade1": _cut(cx_text, "grade 1"),
+        "mid-cells": _cut(cx_text, "cell 1 3 "),
+        "short-head": _cut(cx_text, "cellcomplex v1") + "dim 2\n",
+        "grade-order": _replace_line(cx_text, "grade 1", "grade 2 count 0"),
+        "cell-order": _replace_line(cx_text, "cell 0 1 ", "cell 0 7 bulk 0 0 0 0 :"),
+        "short-cell": _replace_line(cx_text, "cell 0 1 ", "cell 0 1"),
+    }
+    for name, text in bad_complexes.items():
+        path = tmp_path / f"{name}.cx"
+        path.write_text(text)
+        for argv in (["code", "--complex", str(path)], ["homology", "--complex", str(path)]):
+            rc, _, err = run(argv, capsys)
+            assert rc == 2 and err.startswith("error:"), (name, argv, rc, err)
+    n = code_text.splitlines()[1].split()[1]
+    bad_codes = {
+        "empty": "",
+        "v2": code_text.replace("csscode v1", "csscode v2", 1),
+        "header-only": "csscode v1\n",
+        "short-head": _replace_line(code_text, "nqubits", f"nqubits {n}"),
+        "head-words": _replace_line(code_text, "nqubits", f"qubits {n} i 1"),
+        "no-qubitmap": _cut(code_text, "HZ"),
+        "cut-qubitmap": _cut(code_text, "q 3 -> "),
+        "short-map-line": _replace_line(code_text, "q 3 -> ", "q 3 ->"),
+        "width": _replace_line(code_text, "nqubits", f"nqubits {int(n) + 1} i 1"),
+    }
+    for name, text in bad_codes.items():
+        path = tmp_path / f"{name}.code"
+        path.write_text(text)
+        for argv in (["params", "--code", str(path)], ["export", "--code", str(path)]):
+            rc, _, err = run(argv, capsys)
+            assert rc == 2 and err.startswith("error:"), (name, argv, rc, err)
+
+
+def test_homology_relative_e_m(capsys):
+    from fractalcss.complexes import FractalSpec, fractal_complex, label_is_e, label_is_m
+    from fractalcss.homology import betti, cobetti
+
+    # the m-labels of the open cube are not a subcomplex (E wins at corners),
+    # so the m case runs on the torus, whose only labels are the hole's
+    for kind, is_kind, background in (("e", label_is_e, "open"), ("m", label_is_m, "torus")):
+        cx = fractal_complex(FractalSpec(3, 3, 1, 1, background=background))
+        rel = {lb for lb in cx.labels_present() if is_kind(lb)}
+        assert rel
+        rc, stdout, _ = run(["homology", "--level", "1", "--background", background,
+                             "--relative", kind], capsys)
+        assert rc == 0
+        assert stdout == f"betti[1]={betti(cx, 1, rel)} cobetti[1]={cobetti(cx, 1, rel)}\n"

@@ -10,10 +10,9 @@ from fractalcss.complexes import (
     punch_fractal,
 )
 from fractalcss.homology import (
-    HomologyRequest,
     betti,
+    betti_with_caveat,
     cobetti,
-    compute,
     default_label_split,
     verify_lefschetz,
 )
@@ -110,8 +109,10 @@ def test_alexander_duality_consequence_4d_level2():
 
 def test_reduced_caveat_flag_at_grade0():
     cx = build_lattice(2, 2, "open")
-    res = compute(HomologyRequest(cx, 0, frozenset(_e_labels(cx))))
-    assert res.reduced_caveat
+    value, reduced_caveat = betti_with_caveat(cx, 0, _e_labels(cx))
+    assert reduced_caveat and value == betti(cx, 0, _e_labels(cx))
+    assert not betti_with_caveat(cx, 0)[1]
+    assert not betti_with_caveat(cx, 1, _e_labels(cx))[1]
 
 
 def test_lefschetz_no_hole_square():
@@ -141,3 +142,10 @@ def test_lefschetz_overlap_rejected():
     e, m = default_label_split(cx)
     with pytest.raises(ValueError):
         verify_lefschetz(cx, 1, e | {next(iter(m))}, m)
+
+
+def test_betti_grade_out_of_range():
+    cx = build_lattice(2, 2, "open")
+    for grade in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            betti(cx, grade)
