@@ -2,9 +2,13 @@
 
 Matrices are stored row-major with 64 bits per machine word (numpy uint64,
 LSB-first within each word).  Padding bits past the last column are kept at
-zero.  Elimination always runs a full forward+backward pass with
-first-nonzero pivoting, so reduced forms, kernels and particular solutions
-are canonical: the same input reproduces the same output bit for bit.
+zero.  Elimination returns the reduced row-echelon form, which is unique for
+a given matrix, so reduced forms, kernels and particular solutions are
+canonical: they do not depend on which row the kernel picks as a pivot.
+The kernel (`_rref_inplace`) works one 64-column word at a time: it reads
+the word column once, keeps the words of the rows with bits in it as a
+small vector, jumps to the next pivot by the lowest set bit of the non-pivot
+rows' OR, and XORs each pivot row into the other rows from that word on.
 
 This module is the workhorse under every homology and code-parameter
 computation in the package; everything here is pure and safe to call from
@@ -34,6 +38,20 @@ def _popcount(a: np.ndarray) -> int:
     return int(np.bitwise_count(a).sum())
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Pack 0/1 values along the last axis into LSB-first uint64 words."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out = np.zeros(bits.shape[:-1] + (8 * _n_words(bits.shape[-1]),), dtype=np.uint8)
+    out[..., : packed.shape[-1]] = packed
+    return out.view("<u8")
+
+
+def _unpack(words: np.ndarray, nbits: int) -> np.ndarray:
+    """The first `nbits` bits of each row of LSB-first words, as 0/1 uint8."""
+    bytes_le = words.astype("<u8").view(np.uint8)
+    return np.unpackbits(bytes_le, axis=-1, count=nbits, bitorder="little")
+
+
 class Gf2Vector:
     """A length-`n` bit vector over GF(2), packed into uint64 words."""
 
@@ -45,23 +63,24 @@ class Gf2Vector:
             self.data = np.zeros(_n_words(self.n), dtype=np.uint64)
         else:
             data = np.ascontiguousarray(data, dtype=np.uint64)
-            assert data.shape == (_n_words(self.n),)
+            if data.shape != (_n_words(self.n),):
+                raise ValueError(f"vector data of shape {data.shape} for length {self.n}")
             self.data = data
 
     @classmethod
     def from_indices(cls, n: int, indices) -> "Gf2Vector":
         v = cls(n)
-        for i in indices:
-            v.set(int(i), 1)
+        idx = np.fromiter(indices, dtype=np.int64)
+        bad = idx[(idx < 0) | (idx >= v.n)]
+        if bad.size:
+            raise IndexError(f"bit {bad[0]} out of range for length {v.n}")
+        np.bitwise_or.at(v.data, idx >> 6, np.uint64(1) << (idx & 63).astype(np.uint64))
         return v
 
     @classmethod
     def from_dense(cls, bits) -> "Gf2Vector":
         bits = np.asarray(bits, dtype=np.uint8) & 1
-        v = cls(len(bits))
-        for i in np.nonzero(bits)[0]:
-            v.set(int(i), 1)
-        return v
+        return cls(len(bits), _pack(bits))
 
     def copy(self) -> "Gf2Vector":
         return Gf2Vector(self.n, self.data.copy())
@@ -96,11 +115,13 @@ class Gf2Vector:
 
     def dot(self, other: "Gf2Vector") -> int:
         """Parity of the overlap ``<self, other>`` over GF(2)."""
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError(f"lengths differ: {self.n} and {other.n}")
         return _popcount(self.data & other.data) & 1
 
     def __xor__(self, other: "Gf2Vector") -> "Gf2Vector":
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError(f"lengths differ: {self.n} and {other.n}")
         return Gf2Vector(self.n, self.data ^ other.data)
 
     def __ixor__(self, other: "Gf2Vector") -> "Gf2Vector":
@@ -118,10 +139,7 @@ class Gf2Vector:
         return hash((self.n, self.data.tobytes()))
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.n, dtype=np.uint8)
-        for i in self.indices():
-            out[i] = 1
-        return out
+        return _unpack(self.data, self.n)
 
     def __repr__(self):
         return f"Gf2Vector({self.n}, weight={self.weight()})"
@@ -140,7 +158,10 @@ class Gf2Matrix:
             self.data = np.zeros((self.rows, w), dtype=np.uint64)
         else:
             data = np.ascontiguousarray(data, dtype=np.uint64)
-            assert data.shape == (self.rows, w), (data.shape, (self.rows, w))
+            if data.shape != (self.rows, w):
+                raise ValueError(
+                    f"matrix data of shape {data.shape} for {self.rows} x {self.cols}"
+                )
             self.data = data
 
     # -- constructors -------------------------------------------------
@@ -190,7 +211,8 @@ class Gf2Matrix:
             cols = vecs[0].n
         m = cls(len(vecs), cols)
         for i, v in enumerate(vecs):
-            assert v.n == cols
+            if v.n != cols:
+                raise ValueError(f"row {i} has length {v.n}, expected {cols}")
             m.data[i, :] = v.data
         return m
 
@@ -274,7 +296,8 @@ class Gf2Matrix:
         return out
 
     def vstack(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        assert self.cols == other.cols
+        if self.cols != other.cols:
+            raise ValueError(f"column counts differ: {self.cols} and {other.cols}")
         return Gf2Matrix(
             self.rows + other.rows, self.cols, np.vstack([self.data, other.data])
         )
@@ -282,17 +305,15 @@ class Gf2Matrix:
     # -- arithmetic -----------------------------------------------------
 
     def mul_vec(self, v: Gf2Vector) -> Gf2Vector:
-        assert v.n == self.cols
-        out = Gf2Vector(self.rows)
-        prod = np.bitwise_count(self.data & v.data).sum(axis=1) & 1
-        for r in np.nonzero(prod)[0]:
-            out.set(int(r), 1)
-        return out
+        if v.n != self.cols:
+            raise ValueError(f"vector length {v.n} for {self.cols} columns")
+        return Gf2Vector.from_dense(np.bitwise_count(self.data & v.data).sum(axis=1) & 1)
 
     def matmul_t(self, other: "Gf2Matrix") -> "Gf2Matrix":
         """Return ``self @ other^T`` over GF(2): entry (i, j) is the parity of
         the overlap between row i of self and row j of other."""
-        assert self.cols == other.cols
+        if self.cols != other.cols:
+            raise ValueError(f"column counts differ: {self.cols} and {other.cols}")
         out = Gf2Matrix(self.rows, other.rows)
         for i in range(self.rows):
             par = np.bitwise_count(self.data[i] & other.data).sum(axis=1) & 1
@@ -301,17 +322,16 @@ class Gf2Matrix:
         return out
 
     def matmul(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        assert self.cols == other.rows
+        if self.cols != other.rows:
+            raise ValueError(f"inner sizes differ: {self.cols} and {other.rows}")
         return self.matmul_t(other.transpose())
 
     # -- elimination ----------------------------------------------------
 
     def rref(self) -> tuple["Gf2Matrix", list[int]]:
-        """Reduced row-echelon form with first-nonzero pivoting.
-
-        Returns (R, pivot_cols).  Both the forward and backward passes run,
-        so R is the canonical RREF and downstream kernels/solutions are
-        deterministic.
+        """Reduced row-echelon form: (R, pivot_cols), with the pivot rows
+        first and zero rows after them.  The RREF is unique, so R and the
+        pivots are canonical and downstream kernels/solutions deterministic.
         """
         R = self.copy()
         pivots = _rref_inplace(R.data, R.rows, R.cols)
@@ -319,33 +339,58 @@ class Gf2Matrix:
 
 
 def _rref_inplace(data: np.ndarray, rows: int, cols: int) -> list[int]:
+    """Reduce ``data`` to its RREF in place; return the pivot columns.
+
+    Word by word as the module docstring says: empty columns cost nothing,
+    and a pivot row's words before the current one are zero.  Rows are not
+    swapped while eliminating; the pivot rows move into place at the end.
+    The padding bits past `cols` are zero, so no pivot lands there.
+    """
     pivots: list[int] = []
-    r = 0
-    one = np.uint64(1)
-    for c in range(cols):
-        if r >= rows:
+    order: list[int] = []  # row i of R is row order[i] of data
+    is_pivot = np.zeros(rows, dtype=bool)
+    for w in range(data.shape[1]):
+        if len(pivots) == rows:
             break
-        w, b = c >> 6, np.uint64(c & 63)
-        col_bits = (data[r:, w] >> b) & one
-        nz = np.nonzero(col_bits)[0]
-        if nz.size == 0:
+        idx = np.flatnonzero(data[:, w])
+        words = data[idx, w]
+        free = ~is_pivot[idx]
+        while acc := int(np.bitwise_or.reduce(words, where=free, initial=0)):
+            low = acc & -acc
+            hit = words & np.uint64(low) != 0
+            p = int((hit & free).argmax())
+            hit[p] = free[p] = False
+            row, targets = int(idx[p]), idx[hit]
+            if targets.size:
+                data[targets, w:] ^= data[row, w:]
+                words[hit] ^= words[p]
+            is_pivot[row] = True
+            pivots.append((w << 6) + low.bit_length() - 1)
+            order.append(row)
+    # The non-pivot rows are zero by now and go last.  Follow each cycle of
+    # the permutation with one spare row, marking placed rows as fixed.
+    order += np.flatnonzero(~is_pivot).tolist()
+    for start in range(rows):
+        if order[start] == start:
             continue
-        p = r + int(nz[0])
-        if p != r:
-            data[[r, p]] = data[[p, r]]
-        mask = ((data[:, w] >> b) & one).astype(bool)
-        mask[r] = False
-        if mask.any():
-            data[mask] ^= data[r]
-        pivots.append(c)
-        r += 1
+        first, j = data[start].copy(), start
+        while order[j] != start:
+            data[j] = data[order[j]]
+            order[j], j = j, order[j]
+        data[j] = first
+        order[j] = j
     return pivots
 
 
 def rank(m: Gf2Matrix) -> int:
     """GF(2) row rank; equals rank of the transpose."""
-    data = m.data.copy()
-    return len(_rref_inplace(data, m.rows, m.cols))
+    return _rank_in_place(m.copy())
+
+
+def _rank_in_place(m: Gf2Matrix) -> int:
+    """:func:`rank` of a matrix built for its rank only: it is eliminated
+    without a copy and left in its reduced form."""
+    return len(_rref_inplace(m.data, m.rows, m.cols))
 
 
 def kernel_basis(m: Gf2Matrix) -> list[Gf2Vector]:
@@ -360,17 +405,14 @@ def kernel_basis(m: Gf2Matrix) -> list[Gf2Vector]:
 
 def _kernel_from_rref(R: Gf2Matrix, pivots: list[int]) -> list[Gf2Vector]:
     """The kernel basis of :func:`kernel_basis`, read off a computed RREF."""
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(R.cols) if c not in pivot_set]
+    piv = np.asarray(pivots, dtype=np.int64)
+    free = np.ones(R.cols, dtype=bool)
+    free[piv] = False
+    reduced = R.data[: len(piv)]
     basis = []
-    for f in free_cols:
-        v = Gf2Vector(R.cols)
-        v.set(f, 1)
-        fw, fb = f >> 6, np.uint64(f & 63)
-        for i, p in enumerate(pivots):
-            if (R.data[i, fw] >> fb) & np.uint64(1):
-                v.set(p, 1)
-        basis.append(v)
+    for f in np.flatnonzero(free).tolist():
+        at = (reduced[:, f >> 6] >> np.uint64(f & 63)) & np.uint64(1) != 0
+        basis.append(Gf2Vector.from_indices(R.cols, np.append(piv[at], f)))
     return basis
 
 
@@ -384,17 +426,13 @@ def solve(m: Gf2Matrix, b: Gf2Vector) -> Gf2Vector | None:
         raise ValueError(f"dimension mismatch: rhs {b.n} != rows {m.rows}")
     aug = Gf2Matrix(m.rows, m.cols + 1)
     aug.data[:, : m.data.shape[1]] = m.data
-    for r in range(m.rows):
-        if b.get(r):
-            aug.set(r, m.cols, 1)
-    R, pivots = aug.rref()
+    w, bit = m.cols >> 6, np.uint64(m.cols & 63)
+    aug.data[:, w] |= b.to_dense().astype(np.uint64) << bit
+    pivots = _rref_inplace(aug.data, aug.rows, aug.cols)
     if pivots and pivots[-1] == m.cols:
         return None
-    x = Gf2Vector(m.cols)
-    for i, p in enumerate(pivots):
-        if R.get(i, m.cols):
-            x.set(p, 1)
-    return x
+    rhs = (aug.data[: len(pivots), w] >> bit) & np.uint64(1) != 0
+    return Gf2Vector.from_indices(m.cols, np.asarray(pivots, dtype=np.int64)[rhs])
 
 
 def in_rowspace(rref_matrix: Gf2Matrix, pivots: list[int], v: Gf2Vector) -> bool:
@@ -435,10 +473,8 @@ def quotient_dim(space: Gf2Matrix, subspace: Gf2Matrix) -> int:
 
 def matrix_to_text(m: Gf2Matrix) -> str:
     """Serialize in the ``gf2matrix v1`` text format."""
-    bytes_le = m.data.astype("<u8").view(np.uint8)
-    bits = np.unpackbits(bytes_le, axis=1, count=m.cols, bitorder="little")
     body = np.full((m.rows, m.cols + 1), ord("\n"), dtype=np.uint8)
-    body[:, : m.cols] = bits + ord("0")
+    body[:, : m.cols] = _unpack(m.data, m.cols) + ord("0")
     return f"gf2matrix v1\n{m.rows} {m.cols}\n" + body.tobytes().decode("ascii")
 
 
@@ -457,7 +493,4 @@ def matrix_from_text(text: str) -> Gf2Matrix:
             ch = next(ch for ch in line if ch not in "01")
             raise ValueError(f"bad character {ch!r} in row {r}")
     bits = np.frombuffer("".join(body).encode("ascii"), dtype=np.uint8).reshape(rows, cols)
-    packed = np.packbits(bits - ord("0"), axis=1, bitorder="little")
-    bytes_le = np.zeros((rows, 8 * _n_words(cols)), dtype=np.uint8)
-    bytes_le[:, : packed.shape[1]] = packed
-    return Gf2Matrix(rows, cols, bytes_le.view("<u8"))
+    return Gf2Matrix(rows, cols, _pack(bits - ord("0")))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complexes import CellComplex, dual_with_boundary, label_is_e, label_is_m
-from .gf2 import rank
+from .gf2 import _rank_in_place
 
 
 def betti(cx: CellComplex, grade: int, relative_labels=frozenset()) -> int:
@@ -31,7 +31,7 @@ def betti_with_caveat(
     if relative_labels:
         cx = cx.quotient_to_point(set(relative_labels))
     # one dense boundary matrix at a time: each is built for its rank only
-    ranks = [rank(cx.boundary_matrix(k)) for k in (grade, grade + 1)]
+    ranks = [_rank_in_place(cx.boundary_matrix(k)) for k in (grade, grade + 1)]
     return cx.n_cells(grade) - sum(ranks), grade == 0 and bool(relative_labels)
 
 
@@ -39,9 +39,9 @@ def cobetti(cx: CellComplex, grade: int, relative_labels=frozenset()) -> int:
     """dim H^i via transposed boundary maps; equals betti at the same grade."""
     if relative_labels:
         cx = cx.quotient_to_point(set(relative_labels))
-    delta_i = cx.boundary_matrix(grade + 1).transpose()
-    delta_dn = cx.boundary_matrix(grade).transpose()
-    return (delta_i.cols - rank(delta_i)) - rank(delta_dn)
+    rank_i = _rank_in_place(cx.boundary_matrix(grade + 1).transpose())
+    rank_dn = _rank_in_place(cx.boundary_matrix(grade).transpose())
+    return cx.n_cells(grade) - rank_i - rank_dn
 
 
 @dataclass(frozen=True)

@@ -140,10 +140,11 @@ def test_criterion_03_theorem3_distances():
 
 @pytest.mark.slow
 def test_criterion_03_level3_distances():
-    # FC(3,1) level 3 (L = 27): the third point of the d_X exponent fit;
-    # k at this size waits for a homology reduction, so no code_params
+    # FC(3,1) level 3 (L = 27): k with the homology cross-check, and the
+    # third point of the d_X exponent fit
     t0 = time.perf_counter()
     code = _fc_code(3, 1, 3)
+    assert code_params(code).k == 1
     dz = dz_shortest_path(code)
     assert (dz.value, dz.kind) == (27, "exact")
     assert dz.witness.weight() == 27 and is_z_logical(code, dz.witness.z_support)
@@ -153,7 +154,7 @@ def test_criterion_03_level3_distances():
     fit = fit_scaling([(3, 8), (9, 64), (27, dx.value)])
     assert abs(fit.exponent - np.log(8) / np.log(3)) < 5e-3
     elapsed = _budget(t0, 600.0)
-    report(3, True, f"level 3: d_Z 27, d_X 512, exponent {fit.exponent:.4f}, {elapsed:.1f}s")
+    report(3, True, f"level 3: k 1, d_Z 27, d_X 512, exponent {fit.exponent:.4f}, {elapsed:.1f}s")
 
 
 def test_criterion_04_no_go_2d():
