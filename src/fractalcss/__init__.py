@@ -10,7 +10,6 @@ from .code import (
     logical_basis,
 )
 from .complexes import (
-    Cell,
     CellComplex,
     FractalSpec,
     Hole,
@@ -39,7 +38,6 @@ __all__ = [
     "kernel_basis",
     "solve",
     "quotient_dim",
-    "Cell",
     "CellComplex",
     "FractalSpec",
     "Hole",

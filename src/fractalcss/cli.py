@@ -106,13 +106,16 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def cmd_code(args) -> int:
+def _complex_from_args(args, style: str) -> CellComplex:
+    """The --complex file if given, else the fractal of the spec flags."""
     if args.complex:
         with open(args.complex) as fh:
-            cx = CellComplex.from_text(fh.read())
-    else:
-        cx = fractal_complex(_spec_from_args(args), style=args.style)
-    code = css_from_complex(cx, args.i)
+            return CellComplex.from_text(fh.read())
+    return fractal_complex(_spec_from_args(args), style=style)
+
+
+def cmd_code(args) -> int:
+    code = css_from_complex(_complex_from_args(args, args.style), args.i)
     _write(args.out, code_to_text(code))
     return 0
 
@@ -126,11 +129,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_homology(args) -> int:
-    if args.complex:
-        with open(args.complex) as fh:
-            cx = CellComplex.from_text(fh.read())
-    else:
-        cx = fractal_complex(_spec_from_args(args), style=args.style)
+    cx = _complex_from_args(args, args.style)
     rel: set[str] = set()
     if args.relative == "e":
         rel = {lb for lb in cx.labels_present() if label_is_e(lb)}
@@ -172,14 +171,7 @@ def _distances(code, methods: str, w_max: int):
 
 
 def cmd_distance(args) -> int:
-    if args.complex:
-        with open(args.complex) as fh:
-            cx = CellComplex.from_text(fh.read())
-        code = css_from_complex(cx, args.i)
-    else:
-        code = css_from_complex(
-            fractal_complex(_spec_from_args(args), style="code"), args.i
-        )
+    code = css_from_complex(_complex_from_args(args, "code"), args.i)
     dz, dx = _distances(code, args.methods, args.wmax)
     print(f"dz={dz.value} dz_kind={dz.kind} dx={dx.value} dx_kind={dx.kind}")
     return 0

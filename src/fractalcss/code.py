@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .complexes import CellComplex, label_is_e, label_is_m
+from .complexes import CellComplex, Faces, label_is_e, label_is_m
 from .gf2 import Gf2Matrix, Gf2Vector, _kernel_from_rref, _rref_inplace, in_rowspace
 from .homology import betti
 
@@ -87,9 +87,6 @@ class CssCode:
         if not _checks_commute(self.hx, self.hz):
             raise AssertionError("H_X H_Z^T != 0: X and Z checks do not commute")
 
-    def qubit_box(self, q: int):
-        return self.source.cells[self.grading][self.qubit_cells[q]].box
-
     # The one elimination of each check matrix: k, the logical tests and the
     # logical basis all read these.
     @cached_property
@@ -130,49 +127,54 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
     if not 1 <= i <= n - 1:
         raise ValueError(f"grading {i} out of range 1..{n - 1}")
 
-    qubits = [j for j, c in enumerate(cx.cells[i]) if not label_is_e(c.label)]
-    x_anchors = [j for j, c in enumerate(cx.cells[i - 1]) if not label_is_e(c.label)]
-    z_anchors = [j for j, c in enumerate(cx.cells[i + 1]) if not label_is_e(c.label)]
-    m_anchor = [label_is_m(cx.cells[i + 1][j].label) for j in z_anchors]
-    qubit_of = {cell: q for q, cell in enumerate(qubits)}
-    up = cx.cofaces(i - 1)
-    x_rows = [[qubit_of[j] for j in up[a] if j in qubit_of] for a in x_anchors]
-    z_rows = [[qubit_of[j] for j in cx.faces[i + 1][b] if j in qubit_of] for b in z_anchors]
+    x_anchor, qubit, z_anchor = (~cx.label_mask(k, label_is_e) for k in (i - 1, i, i + 1))
+    qubit_of = np.cumsum(qubit) - 1
+    x_r, x_c = _support(cx.cofaces(i - 1), x_anchor, qubit, qubit_of)
+    z_r, z_c = _support(cx.faces[i + 1], z_anchor, qubit, qubit_of)
+    n_qubits, n_x, n_z = int(qubit.sum()), int(x_anchor.sum()), int(z_anchor.sum())
 
     # Smooth-patch rule: a Z stabilizer anchored on an M-labeled (i+1)-cell
     # is dropped when it is a product of the kept ones, so m-condensation is
     # manifest in the generating set while the stabilizer group (and k) is
     # unchanged.  An independent M-anchored plaquette stays.
-    keep_z = _drop_redundant_m_rows(_rows_matrix(len(qubits), z_rows), m_anchor)
-    keep_x = [r for r, sup in enumerate(x_rows) if sup]
-    keep_z = [r for r in keep_z if z_rows[r]]
-    x_rows = [x_rows[r] for r in keep_x]
-    z_rows = [z_rows[r] for r in keep_z]
-
-    covered = [False] * len(qubits)
-    for sup in x_rows + z_rows:
-        for q in sup:
-            covered[q] = True
-    isolated = [q for q, seen in enumerate(covered) if not seen]
+    m_anchor = cx.label_mask(i + 1, label_is_m)[z_anchor]
+    keep_x = np.bincount(x_r, minlength=n_x) > 0
+    keep_z = np.bincount(z_r, minlength=n_z) > 0
+    if m_anchor.any():  # the dense H_Z only when some row may be redundant
+        all_z = Gf2Matrix.from_entries(n_z, n_qubits, np.column_stack((z_r, z_c)))
+        keep_z &= np.isin(np.arange(n_z), _drop_redundant_m_rows(all_z, m_anchor))
+    hx, x_cols = _kept_rows(x_r, x_c, keep_x, n_qubits)
+    hz, z_cols = _kept_rows(z_r, z_c, keep_z, n_qubits)
+    covered = np.zeros(n_qubits, dtype=bool)
+    covered[x_cols] = covered[z_cols] = True
 
     return CssCode(
-        n_qubits=len(qubits),
-        hx=_rows_matrix(len(qubits), x_rows),
-        hz=_rows_matrix(len(qubits), z_rows),
+        n_qubits=n_qubits,
+        hx=hx,
+        hz=hz,
         grading=i,
-        qubit_cells=qubits,
-        x_anchor_cells=[x_anchors[r] for r in keep_x],
-        z_anchor_cells=[z_anchors[r] for r in keep_z],
+        qubit_cells=np.flatnonzero(qubit).tolist(),
+        x_anchor_cells=np.flatnonzero(x_anchor)[keep_x].tolist(),
+        z_anchor_cells=np.flatnonzero(z_anchor)[keep_z].tolist(),
         source=cx,
-        isolated_qubits=isolated,
+        isolated_qubits=np.flatnonzero(~covered).tolist(),
     )
 
 
-def _rows_matrix(cols: int, rows: list[list[int]]) -> Gf2Matrix:
-    """Check matrix whose row r has its ones at the columns in rows[r]."""
-    return Gf2Matrix.from_entries(
-        len(rows), cols, ((r, c) for r, sup in enumerate(rows) for c in sup)
-    )
+def _support(lists: Faces, anchor, qubit, qubit_of) -> tuple[np.ndarray, np.ndarray]:
+    """(row, qubit) entries of the checks: row r is the r-th anchor cell,
+    its support the qubit cells among its lists entry."""
+    own = lists.owners()
+    sel = anchor[own] & qubit[lists.idx]
+    return (np.cumsum(anchor) - 1)[own[sel]], qubit_of[lists.idx[sel]]
+
+
+def _kept_rows(rows, cols, keep, n_cols) -> tuple[Gf2Matrix, np.ndarray]:
+    """The check matrix of the kept rows, renumbered in order, and the
+    columns of its entries."""
+    sel = keep[rows]
+    entries = np.column_stack(((np.cumsum(keep) - 1)[rows[sel]], cols[sel]))
+    return Gf2Matrix.from_entries(int(keep.sum()), n_cols, entries), cols[sel]
 
 
 def _drop_redundant_m_rows(hz: Gf2Matrix, m_anchor: list[bool]) -> list[int]:
@@ -223,7 +225,10 @@ def logical_basis(code: CssCode) -> tuple[list[PauliOperator], list[PauliOperato
     """
     z_reps = _quotient_reps(code.hx_rref, code.hz_rref)
     x_reps = _quotient_reps(code.hz_rref, code.hx_rref)
-    assert len(z_reps) == len(x_reps)
+    if len(z_reps) != len(x_reps):
+        raise AssertionError(
+            f"{len(z_reps)} Z-logicals but {len(x_reps)} X-logicals: the checks are inconsistent"
+        )
     k = len(z_reps)
     if k == 0:
         return [], []
@@ -238,7 +243,8 @@ def logical_basis(code: CssCode) -> tuple[list[PauliOperator], list[PauliOperato
                     break
             if found:
                 break
-        assert found is not None, "symplectic pairing is singular"
+        if found is None:
+            raise AssertionError("symplectic pairing is singular")
         r, c = found
         z_reps[t], z_reps[r] = z_reps[r], z_reps[t]
         pair[t], pair[r] = pair[r], pair[t]
@@ -254,9 +260,8 @@ def logical_basis(code: CssCode) -> tuple[list[PauliOperator], list[PauliOperato
                 x_reps[c2] = x_reps[c2] ^ x_reps[t]
                 for row in pair:
                     row[c2] ^= row[t]
-    for a in range(k):
-        for b in range(k):
-            assert pair[a][b] == (1 if a == b else 0)
+    if any(pair[a][b] != (a == b) for a in range(k) for b in range(k)):
+        raise AssertionError("symplectic pairing did not reduce to the identity")
     return (
         [PauliOperator.z_type(z) for z in z_reps],
         [PauliOperator.x_type(x) for x in x_reps],

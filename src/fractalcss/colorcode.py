@@ -24,10 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .code import CssCode, _rows_matrix, logical_basis
-from .complexes import BULK, Cell, CellComplex, _mod2
+import numpy as np
+
+from .code import CssCode, logical_basis
+from .complexes import BULK, CellComplex, Faces
 from .gates import ConditionResult, GateCheckReport
-from .gf2 import in_rowspace
+from .gf2 import Gf2Matrix, in_rowspace
 
 
 @dataclass
@@ -103,10 +105,11 @@ def build_color_code_2d(L: int = 1) -> ColorCode2D:
         for v in vs:
             if verts[v][0] in (0, W):
                 boundary_colors.add(colors[f])
-    assert boundary_colors == {1, 2}, "both open boundaries must miss color 0"
+    if boundary_colors != {1, 2}:
+        raise AssertionError("both open boundaries must miss color 0")
 
     n = len(verts)
-    h = _rows_matrix(n, faces)
+    h = Gf2Matrix.from_entries(len(faces), n, [(f, v) for f, vs in enumerate(faces) for v in vs])
     code = CssCode(
         n_qubits=n, hx=h, hz=h.copy(), grading=1,
         qubit_cells=list(range(n)), x_anchor_cells=[], z_anchor_cells=[],
@@ -175,17 +178,16 @@ def _shrink(cc: ColorCode2D, color: int) -> CellComplex:
         new_faces.append(f)
         face_faces.append(tuple(edge_pos[e] for e in boundary_edges))
 
-    cells = [
-        [Cell(((f, f), (0, 0)), BULK) for f in new_vertices],
-        [Cell(((e, e), (1, 1)), BULK) for e in keep_edges],
-        [Cell(((f, f), (2, 2)), BULK) for f in new_faces],
-    ]
+    # cell boxes ((index, index), (grade, grade)): a record, not a geometry
+    cells = [np.array([((j, j), (k, k)) for j in ids], dtype=np.int64).reshape(-1, 2, 2)
+             for k, ids in enumerate((new_vertices, keep_edges, new_faces))]
     faces = [
-        [()] * len(new_vertices),
-        [_mod2(endpoint_vertices(e)) for e in keep_edges],
-        face_faces,
+        Faces.empty(len(new_vertices)),
+        Faces.from_lists([endpoint_vertices(e) for e in keep_edges]),
+        Faces.from_lists(face_faces),
     ]
-    return CellComplex(2, cells, faces, "open", "shrunk", (None, None))
+    labels = [np.zeros(len(c), dtype=np.int64) for c in cells]
+    return CellComplex(2, cells, labels, (BULK,), faces, "open", "shrunk", (None, None))
 
 
 def check_transversal_s_colorcode(

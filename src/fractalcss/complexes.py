@@ -4,10 +4,9 @@ Geometry convention
 -------------------
 Every cell is an axis-aligned box stored in *doubled* integer coordinates so
 that half-integer positions stay exact: a unit interval of the physical
-lattice spans 2 doubled units.  A cell's box is a tuple of per-axis
-``(lo, hi)`` pairs; an axis with ``lo == hi`` is degenerate, an extended
-axis always spans exactly 2 doubled units.  The grade of a cell is the
-number of extended axes.
+lattice spans 2 doubled units.  A cell's box holds one ``(lo, hi)`` pair per
+axis; an axis with ``lo == hi`` is degenerate, an extended axis always spans
+exactly 2 doubled units.  The grade of a cell is the number of extended axes.
 
 Two lattice styles are built from per-axis 1D factors:
 
@@ -24,9 +23,16 @@ Two lattice styles are built from per-axis 1D factors:
   and the minimum-area logical branes reproduce the Sierpinski-carpet
   areas exactly.
 
-Boundaries are stored sparse, as the sorted face list of every cell (see
-:class:`CellComplex`); dense GF(2) boundary matrices are built on demand,
-only for the eliminations of the homology module.
+Storage
+-------
+Per grade k a complex holds a box array, label codes into a per-complex
+table of label strings, and the face lists in CSR form (see
+:class:`CellComplex` and :class:`Faces`).  A lattice computes its faces by
+index arithmetic: the cells with one set of extended axes form a C-ordered
+block, and a face is the same multi-index in the matching (k-1)-block with
+the dropped axis at j or j + 1 (mod the vertex count on a periodic axis).
+Cofaces and dense GF(2) boundary matrices are derived on demand, the
+latter only for the eliminations of the homology module.
 
 Boundary labels are short strings: ``bulk``, ``oE<k>``/``oM<k>`` for outer
 hypersurface patches (patch id ``2*axis + side``), ``hE<k>``/``hM<k>`` for
@@ -52,11 +58,14 @@ strictly inside when ``2a < m < 2b``; it touches the closed box when
 degenerate ones; it lies within the closed box when ``2a + 2 <= m <=
 2b - 2`` on extended axes and ``2a <= m <= 2b`` on degenerate ones.  On a
 periodic axis ``m +- 2 * period`` is tried as well.  :func:`punch_holes`
-runs these tests over per-grade coordinate arrays, one hole at a time.
+sorts the cells once by their halved midpoints and runs these tests, one
+hole at a time, only on the cells whose midpoints lie in the hole's slab
+of that grid.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -69,25 +78,12 @@ Box = tuple[tuple[int, int], ...]
 BULK = "bulk"
 
 
-def label_kind(label: str) -> str:
-    """One of 'bulk', 'outer_e', 'outer_m', 'hole_e', 'hole_m'."""
-    if label == BULK:
-        return "bulk"
-    return {"oE": "outer_e", "oM": "outer_m", "hE": "hole_e", "hM": "hole_m"}[label[:2]]
-
-
 def label_is_e(label: str) -> bool:
     return label.startswith("oE") or label.startswith("hE")
 
 
 def label_is_m(label: str) -> bool:
     return label.startswith("oM") or label.startswith("hM")
-
-
-@dataclass(frozen=True)
-class Cell:
-    box: Box
-    label: str = BULK
 
 
 @dataclass(frozen=True)
@@ -137,22 +133,114 @@ class FractalSpec:
         return self.holes.get(hole_id, "m")
 
 
+class BoundaryError(ValueError, AssertionError):
+    """The boundary of a boundary is nonzero.  A ValueError for the text
+    reader (malformed input, CLI exit 2) and an AssertionError for callers
+    that treat it as a broken invariant."""
+
+
+def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(starts[i], stops[i])`` over i."""
+    counts = stops - starts
+    ends = np.cumsum(counts)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
+
+
+class Faces:
+    """The face lists of one grade in CSR form: the faces of cell i are
+    ``idx[ptr[i]:ptr[i + 1]]``, sorted, with repeats cancelled mod 2."""
+
+    __slots__ = ("ptr", "idx")
+
+    def __init__(self, ptr: np.ndarray, idx: np.ndarray):
+        self.ptr = ptr
+        self.idx = idx
+
+    @classmethod
+    def empty(cls, n: int) -> "Faces":
+        return cls(np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+    @classmethod
+    def from_pairs(cls, n: int, rows, cols) -> "Faces":
+        """Faces of n cells from (cell, face) incidences in any order; a
+        pair that occurs an even number of times cancels."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        order = np.lexsort((cols, rows))
+        rows, cols = rows[order], cols[order]
+        run = np.ones(len(rows) + 1, dtype=bool)
+        run[1:-1] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+        starts = np.flatnonzero(run)
+        odd = starts[:-1][np.diff(starts) & 1 == 1]
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows[odd], minlength=n), out=ptr[1:])
+        return cls(ptr, cols[odd])
+
+    @classmethod
+    def from_lists(cls, lists) -> "Faces":
+        counts = [len(fs) for fs in lists]
+        cols = np.fromiter(itertools.chain.from_iterable(lists), np.int64, sum(counts))
+        return cls.from_pairs(len(lists), np.repeat(np.arange(len(lists)), counts), cols)
+
+    @classmethod
+    def from_table(cls, table: np.ndarray) -> "Faces":
+        """Faces from an (n, m) array of m face indices per cell (repeats
+        cancel mod 2)."""
+        n, m = table.shape
+        table = np.sort(table, axis=1)
+        if (table[:, 1:] == table[:, :-1]).any():
+            return cls.from_pairs(n, np.repeat(np.arange(n), m), table.ravel())
+        return cls(np.arange(0, n * m + 1, m, dtype=np.int64), table.ravel())
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.idx[self.ptr[i] : self.ptr[i + 1]]
+
+    def counts(self) -> np.ndarray:
+        return np.diff(self.ptr)
+
+    def owners(self) -> np.ndarray:
+        """The cell of every entry of ``idx``."""
+        return np.repeat(np.arange(len(self)), self.counts())
+
+    def transpose(self, n: int) -> "Faces":
+        """The cofaces: per cell of the grade below (n of them), the sorted
+        cells whose faces contain it."""
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.idx, minlength=n), out=ptr[1:])
+        return Faces(ptr, self.owners()[np.argsort(self.idx, kind="stable")])
+
+    def restrict(self, keep: np.ndarray, keep_below: np.ndarray) -> "Faces":
+        """The kept cells' faces among the kept faces, both renumbered."""
+        own = self.owners()
+        sel = keep[own] & keep_below[self.idx]
+        ptr = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(own[sel], minlength=len(self))[keep], out=ptr[1:])
+        return Faces(ptr, (np.cumsum(keep_below) - 1)[self.idx[sel]])
+
+
 class CellComplex:
-    """Graded cells with Z2 boundaries stored as per-cell face lists.
+    """Graded cells with Z2 boundaries, stored as arrays per grade k.
+
+    * ``cells[k]``: the (N_k, dim, 2) boxes, one ``(lo, hi)`` row per axis;
+    * ``labels[k]``: (N_k,) codes into ``label_names``, whose code 0 is bulk;
+    * ``faces[k]``: :class:`Faces`, the sorted (k-1)-cell indices in the
+      boundary of each k-cell (none at grade 0).
 
     Immutable after construction; every operation returns a new complex.
-    ``faces[k][i]`` is the sorted tuple of (k-1)-cell indices in the
-    boundary of k-cell i, with repeated incidences cancelled mod 2
-    (``faces[0]`` holds empty tuples).  Cofaces and the dense boundary
-    matrices are derived on demand.  The identity ``d d = 0`` is checked
-    bit-exact at construction time.
+    The identity ``d d = 0`` is checked bit-exact at construction time.
     """
 
     def __init__(
         self,
         dim: int,
-        cells: list[list[Cell]],
-        faces: list[list[tuple[int, ...]]],
+        cells: list[np.ndarray],
+        labels: list[np.ndarray],
+        label_names,
+        faces: list[Faces],
         background: str = "open",
         style: str = "plain",
         periods: tuple[int | None, ...] | None = None,
@@ -160,15 +248,30 @@ class CellComplex:
     ):
         self.dim = dim
         self.cells = cells
+        self.labels = labels
+        self.label_names = tuple(label_names)
         self.faces = faces
         self.background = background
         self.style = style
-        self.periods = periods if periods is not None else (None,) * dim
+        self.periods = tuple(periods) if periods is not None else (None,) * dim
         self.holes = holes or []
-        assert len(cells) == dim + 1
-        assert len(faces) == dim + 1
+        if not len(cells) == len(labels) == len(faces) == dim + 1:
+            raise ValueError(f"a {dim}-complex needs boxes, labels and faces for {dim + 1} grades")
+        if len(self.periods) != dim:
+            raise ValueError(f"{len(self.periods)} periods for dimension {dim}")
+        if not self.label_names or self.label_names[0] != BULK:
+            raise ValueError(f"label code 0 must be {BULK!r}")
         for k in range(dim + 1):
-            assert len(faces[k]) == len(cells[k])
+            n = len(cells[k])
+            if cells[k].shape != (n, dim, 2) or labels[k].shape != (n,) or len(faces[k]) != n:
+                raise ValueError(f"grade {k}: boxes, labels and faces disagree on the cell count")
+            if n and not 0 <= labels[k].min() <= labels[k].max() < len(self.label_names):
+                raise ValueError(f"grade {k} has a label code outside the label table")
+            idx = faces[k].idx
+            bad = np.flatnonzero((idx < 0) | (idx >= self.n_cells(k - 1)))
+            if bad.size:
+                i = int(np.searchsorted(faces[k].ptr, bad[0], "right")) - 1
+                raise ValueError(f"cell {k} {i} has a face index out of range")
         self.assert_dd_zero()
 
     # -- basic accessors ------------------------------------------------
@@ -178,14 +281,16 @@ class CellComplex:
             return len(self.cells[k])
         return 0
 
-    def cofaces(self, k: int) -> list[list[int]]:
+    def label_mask(self, k: int, select) -> np.ndarray:
+        """Per k-cell, whether ``select(label)`` holds."""
+        table = np.fromiter(map(select, self.label_names), bool, len(self.label_names))
+        return table[self.labels[k]]
+
+    def cofaces(self, k: int) -> Faces:
         """Per k-cell, the sorted (k+1)-cells whose boundary contains it."""
-        out: list[list[int]] = [[] for _ in range(self.n_cells(k))]
         if k < self.dim:
-            for j, fs in enumerate(self.faces[k + 1]):
-                for i in fs:
-                    out[i].append(j)
-        return out
+            return self.faces[k + 1].transpose(self.n_cells(k))
+        return Faces.empty(self.n_cells(k))
 
     def boundary_matrix(self, k: int) -> Gf2Matrix:
         """Dense boundary map C_k -> C_{k-1}; degenerate sizes outside 1..dim."""
@@ -193,65 +298,65 @@ class CellComplex:
             return Gf2Matrix.zeros(0, self.n_cells(0))
         if not 1 <= k <= self.dim:
             return Gf2Matrix.zeros(self.n_cells(self.dim), 0)
+        fs = self.faces[k]
         return Gf2Matrix.from_entries(
-            self.n_cells(k - 1), self.n_cells(k),
-            ((r, i) for i, fs in enumerate(self.faces[k]) for r in fs),
+            self.n_cells(k - 1), self.n_cells(k), np.column_stack((fs.idx, fs.owners()))
         )
 
-    def euler_characteristic(self) -> int:
-        return sum((-1) ** k * self.n_cells(k) for k in range(self.dim + 1))
-
     def labels_present(self) -> set[str]:
-        return {c.label for grade in self.cells for c in grade if c.label != BULK}
+        codes = np.unique(np.concatenate(self.labels)).tolist()
+        return {self.label_names[c] for c in codes} - {BULK}
 
-    def cells_with_labels(self, labels: set[str]) -> list[list[int]]:
-        return [
-            [i for i, c in enumerate(grade) if c.label in labels]
-            for grade in self.cells
-        ]
+    def cells_with_labels(self, labels: set[str]) -> list[np.ndarray]:
+        return [np.flatnonzero(self.label_mask(k, labels.__contains__))
+                for k in range(self.dim + 1)]
 
     def assert_dd_zero(self) -> None:
         """Every (k-2)-cell is reached an even number of times from each k-cell."""
         for k in range(2, self.dim + 1):
-            below = self.faces[k - 1]
-            for fs in self.faces[k]:
-                odd: set[int] = set()
-                for j in fs:
-                    odd.symmetric_difference_update(below[j])
-                if odd:
-                    raise AssertionError(f"boundary of boundary nonzero at grade {k}")
+            up, below = self.faces[k], self.faces[k - 1]
+            # in blocks of k-cells, so the temporaries stay small
+            for first in range(0, len(up), 1 << 16):
+                ptr = up.ptr[first : first + (1 << 16) + 1]
+                block = Faces(ptr - ptr[0], up.idx[ptr[0] : ptr[-1]])
+                starts, stops = below.ptr[block.idx], below.ptr[block.idx + 1]
+                reach = np.repeat(block.owners() * self.n_cells(k - 2), stops - starts)
+                reach += below.idx[_ranges(starts, stops)]
+                reach.sort()
+                # sorted, every value occurs an even number of times iff the
+                # entries pair up
+                if len(reach) % 2 or (reach[0::2] != reach[1::2]).any():
+                    raise BoundaryError(f"boundary of boundary nonzero at grade {k}")
 
     # -- derived complexes ------------------------------------------------
 
-    def delete(self, doomed: list[set[int]], holes_add: list[Hole] | None = None,
+    def delete(self, doomed, holes_add: list[Hole] | None = None,
                relabel: dict[tuple[int, int], str] | None = None) -> "CellComplex":
-        """Restrict to the complement of `doomed` (per-grade index sets).
+        """Restrict to the complement of `doomed` (per grade, an iterable of
+        cell indices), after giving the cells in `relabel` their new labels.
 
         The doomed set must be closed upward or downward so the restricted
-        boundary maps still square to zero (asserted).
+        boundary maps still square to zero (checked).
         """
-        keep = [
-            [i for i in range(self.n_cells(k)) if i not in doomed[k]]
-            for k in range(self.dim + 1)
+        keep = [np.ones(self.n_cells(k), dtype=bool) for k in range(self.dim + 1)]
+        for k, d in enumerate(doomed):
+            keep[k][np.fromiter(d, np.int64)] = False
+        names, labels = list(self.label_names), self.labels
+        if relabel:
+            labels = [lab.copy() for lab in labels]
+            code = {name: c for c, name in enumerate(names)}
+            for (k, i), name in relabel.items():
+                if name not in code:
+                    code[name] = len(names)
+                    names.append(name)
+                labels[k][i] = code[name]
+        faces = [Faces.empty(int(keep[0].sum()))] + [
+            self.faces[k].restrict(keep[k], keep[k - 1]) for k in range(1, self.dim + 1)
         ]
-        cells = []
-        for k in range(self.dim + 1):
-            grade = []
-            for i in keep[k]:
-                c = self.cells[k][i]
-                if relabel and (k, i) in relabel:
-                    c = Cell(c.box, relabel[(k, i)])
-                grade.append(c)
-            cells.append(grade)
-        faces = [[()] * len(keep[0])]
-        for k in range(1, self.dim + 1):
-            pos = {old: new for new, old in enumerate(keep[k - 1])}
-            faces.append([
-                tuple(pos[r] for r in self.faces[k][i] if r in pos) for i in keep[k]
-            ])
         return CellComplex(
-            self.dim, cells, faces, self.background, self.style, self.periods,
-            self.holes + (holes_add or []),
+            self.dim, [c[kp] for c, kp in zip(self.cells, keep)],
+            [lab[kp] for lab, kp in zip(labels, keep)], names, faces,
+            self.background, self.style, self.periods, self.holes + (holes_add or []),
         )
 
     def transpose_dual(self) -> "CellComplex":
@@ -262,12 +367,10 @@ class CellComplex:
         :func:`dual_with_boundary`.
         """
         n = self.dim
-        cells = [list(self.cells[n - j]) for j in range(n + 1)]
-        faces = [[()] * len(cells[0])]
-        for j in range(1, n + 1):
-            faces.append([tuple(up) for up in self.cofaces(n - j)])
+        faces = [Faces.empty(self.n_cells(n))] + [self.cofaces(n - j) for j in range(1, n + 1)]
         return CellComplex(
-            n, cells, faces, self.background, "dual", self.periods, self.holes
+            n, self.cells[::-1], self.labels[::-1], self.label_names, faces,
+            self.background, "dual", self.periods, self.holes,
         )
 
     def quotient_to_point(self, labels: set[str]) -> "CellComplex":
@@ -278,50 +381,43 @@ class CellComplex:
         to the new vertex mod 2, and incidences onto deleted higher cells
         are dropped.
         """
-        selected = [set(ix) for ix in self.cells_with_labels(labels)]
-        if not any(selected):
+        selected = [self.label_mask(k, labels.__contains__) for k in range(self.dim + 1)]
+        if not any(s.any() for s in selected):
             raise ValueError(f"labels {sorted(labels)} select no cells")
-        self._check_downward_closed(selected)
-        sentinel = tuple((-1, -1) for _ in range(self.dim))
-        keep = [
-            [i for i in range(self.n_cells(k)) if i not in selected[k]]
-            for k in range(self.dim + 1)
-        ]
-        new_cells: list[list[Cell]] = []
-        new_cells.append([self.cells[0][i] for i in keep[0]] + [Cell(sentinel, BULK)])
         for k in range(1, self.dim + 1):
-            new_cells.append([self.cells[k][i] for i in keep[k]])
-        star = len(keep[0])  # index of the new vertex, after every kept one
-
-        faces = [[()] * len(new_cells[0])]
+            fs = self.faces[k]
+            own = fs.owners()
+            bad = np.flatnonzero(selected[k][own] & ~selected[k - 1][fs.idx])
+            if bad.size:
+                raise ValueError(
+                    f"selected subcomplex is not closed under the boundary: "
+                    f"grade-{k} cell {own[bad[0]]} has unselected face {fs.idx[bad[0]]}"
+                )
+        keep = [~s for s in selected]
+        cells = [c[kp] for c, kp in zip(self.cells, keep)]
+        new_labels = [lab[kp] for lab, kp in zip(self.labels, keep)]
+        star = len(cells[0])  # index of the new vertex, after every kept one
+        cells[0] = np.concatenate([cells[0], np.full((1, self.dim, 2), -1, dtype=np.int64)])
+        new_labels[0] = np.append(new_labels[0], 0)
+        faces = [Faces.empty(star + 1)]
         for k in range(1, self.dim + 1):
-            pos = {old: new for new, old in enumerate(keep[k - 1])}
-            grade = []
-            for i in keep[k]:
-                fs = [pos[r] for r in self.faces[k][i] if r in pos]
-                if k == 1 and (len(self.faces[1][i]) - len(fs)) % 2:
-                    fs.append(star)
-                grade.append(tuple(fs))
-            faces.append(grade)
+            fs = self.faces[k].restrict(keep[k], keep[k - 1])
+            if k == 1:
+                rerouted = np.flatnonzero((self.faces[1].counts()[keep[1]] - fs.counts()) % 2)
+                fs = Faces.from_pairs(
+                    len(fs), np.concatenate([fs.owners(), rerouted]),
+                    np.concatenate([fs.idx, np.full(len(rerouted), star)]),
+                )
+            faces.append(fs)
         background = self.background
         if labels and all(lb.startswith("o") for lb in labels):
             rest = self.labels_present() - labels
             if not any(lb.startswith("o") for lb in rest):
                 background = "sphere"
         return CellComplex(
-            self.dim, new_cells, faces, background, self.style, self.periods,
-            [h for h in self.holes if h.label not in labels],
+            self.dim, cells, new_labels, self.label_names, faces, background, self.style,
+            self.periods, [h for h in self.holes if h.label not in labels],
         )
-
-    def _check_downward_closed(self, selected: list[set[int]]) -> None:
-        for k in range(1, self.dim + 1):
-            for i in selected[k]:
-                for r in self.faces[k][i]:
-                    if r not in selected[k - 1]:
-                        raise ValueError(
-                            f"selected subcomplex is not closed under the boundary: "
-                            f"grade-{k} cell {i} has unselected face {r}"
-                        )
 
     # -- serialization ----------------------------------------------------
 
@@ -334,16 +430,21 @@ class CellComplex:
         for k in range(self.dim + 1):
             lines.append(f"grade {k} count {self.n_cells(k)}")
         for k in range(self.dim + 1):
-            for i, c in enumerate(self.cells[k]):
-                coords = " ".join(f"{lo} {hi}" for lo, hi in c.box)
-                faces = " ".join(map(str, self.faces[k][i]))
-                lines.append(f"cell {k} {i} {c.label} {coords} : {faces}".rstrip())
+            n = self.n_cells(k)
+            names = [self.label_names[c] for c in self.labels[k].tolist()]
+            boxes = self.cells[k].reshape(n, 2 * self.dim).tolist()
+            ptr = self.faces[k].ptr.tolist()
+            idx = list(map(str, self.faces[k].idx.tolist()))
+            for i in range(n):
+                coords = " ".join(map(str, boxes[i]))
+                faces = " ".join(idx[ptr[i] : ptr[i + 1]])
+                lines.append(f"cell {k} {i} {names[i]} {coords} : {faces}".rstrip())
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_text(cls, text: str) -> "CellComplex":
         """Parse a ``cellcomplex v1`` file; malformed input raises ValueError."""
-        lines = [ln.rstrip("\n") for ln in text.splitlines() if ln.strip()]
+        lines = [ln for ln in text.splitlines() if ln.strip()]
         if not lines or lines[0] != "cellcomplex v1":
             raise ValueError("not a cellcomplex v1 file")
         try:
@@ -369,66 +470,52 @@ class CellComplex:
             counts = []
             for k in range(dim + 1):
                 toks = lines[pos].split()
-                if toks[0] != "grade" or int(toks[1]) != k:
+                if toks[:3] != ["grade", str(k), "count"] or int(toks[3]) < 0:
                     raise ValueError(f"expected 'grade {k} count <n>', got {lines[pos]!r}")
                 counts.append(int(toks[3]))
                 pos += 1
-            cells: list[list[Cell]] = [[] for _ in range(dim + 1)]
-            faces: list[list[tuple[int, ...]]] = [[] for _ in range(dim + 1)]
+            code = {BULK: 0}  # label -> code, in order of first use
+            cells, labels, faces = [], [], []
             for k in range(dim + 1):
+                coords, codes, rows, cols = [], [], [], []
                 for i in range(counts[k]):
                     toks = lines[pos].split()
                     pos += 1
-                    if toks[0] != "cell" or int(toks[1]) != k or int(toks[2]) != i:
-                        raise ValueError(f"expected cell {k} {i}, got {lines[pos - 1]!r}")
-                    label = toks[3]
-                    sep = toks.index(":")
-                    nums = [int(t) for t in toks[4:sep]]
-                    box = tuple((nums[2 * a], nums[2 * a + 1]) for a in range(dim))
-                    cells[k].append(Cell(box, label))
-                    fs = _mod2(int(r) for r in toks[sep + 1 :])
-                    if fs and (k == 0 or fs[0] < 0 or fs[-1] >= counts[k - 1]):
-                        raise ValueError(f"cell {k} {i} has a face index out of range")
-                    faces[k].append(fs)
-        except IndexError as err:
+                    if toks[:3] != ["cell", str(k), str(i)] or toks[4 + 2 * dim] != ":":
+                        raise ValueError(f"expected 'cell {k} {i} <label> <{2 * dim} "
+                                         f"coordinates> : <faces>', got {lines[pos - 1]!r}")
+                    coords.extend(map(int, toks[4 : 4 + 2 * dim]))
+                    codes.append(code.setdefault(toks[3], len(code)))
+                    fs = toks[5 + 2 * dim :]
+                    cols.extend(map(int, fs))
+                    rows.extend([i] * len(fs))
+                n = counts[k]
+                cells.append(np.array(coords, dtype=np.int64).reshape(n, dim, 2))
+                labels.append(np.array(codes, dtype=np.int64))
+                faces.append(Faces.from_pairs(n, rows, cols))
+            if pos != len(lines):
+                raise ValueError(f"{len(lines) - pos} lines after the last cell")
+        except (IndexError, OverflowError) as err:
             raise ValueError("cellcomplex v1 file is truncated or has a short line") from err
-        return cls(dim, cells, faces, background, style, periods, holes)
-
-
-def _mod2(indices) -> tuple[int, ...]:
-    """Sorted indices that occur an odd number of times: a chain over Z2."""
-    odd: set[int] = set()
-    for i in indices:
-        odd.symmetric_difference_update((i,))
-    return tuple(sorted(odd))
+        return cls(dim, cells, labels, list(code), faces, background, style, periods, holes)
 
 
 # -- lattice construction ---------------------------------------------------
 
 
-def _axis_elements(kind: str, L: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """(vertex positions, edge spans) of a 1D factor, doubled coordinates."""
+def _axis_elements(kind: str, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """(vertex positions, edge spans) of a 1D factor as (count, 2) arrays of
+    (lo, hi), doubled coordinates."""
+    j = np.arange(L + 1, dtype=np.int64)
     if kind == "interval":
-        return [(2 * j, 2 * j) for j in range(L + 1)], [(2 * j, 2 * j + 2) for j in range(L)]
-    if kind == "centered":
-        return (
-            [(2 * j + 1, 2 * j + 1) for j in range(L)],
-            [(2 * j + 1, 2 * j + 3) for j in range(L - 1)],
-        )
-    if kind == "circle":
-        return [(2 * j, 2 * j) for j in range(L)], [(2 * j, 2 * j + 2) for j in range(L)]
-    raise ValueError(f"unknown axis kind {kind}")
-
-
-def _faces_of_box(box: Box, periods) -> list[Box]:
-    out = []
-    for d, (lo, hi) in enumerate(box):
-        if lo == hi:
-            continue
-        h = hi % periods[d] if periods[d] else hi
-        out.append(box[:d] + ((lo, lo),) + box[d + 1 :])
-        out.append(box[:d] + ((h, h),) + box[d + 1 :])
-    return out
+        vertices, edges = 2 * j, 2 * j[:L]
+    elif kind == "centered":
+        vertices, edges = 2 * j[:L] + 1, 2 * j[: L - 1] + 1
+    elif kind == "circle":
+        vertices, edges = 2 * j[:L], 2 * j[:L]
+    else:
+        raise ValueError(f"unknown axis kind {kind}")
+    return np.stack([vertices, vertices], 1), np.stack([edges, edges + 2], 1)
 
 
 def _build_from_axes(
@@ -437,52 +524,48 @@ def _build_from_axes(
     L: int,
     background: str,
     style: str,
-    labeler=None,
+    rules: tuple[tuple[int, int, str], ...] = (),
 ) -> CellComplex:
+    """The product complex of the 1D factors.  `rules` are (axis,
+    coordinate, label) in priority order: a cell degenerate at `coordinate`
+    on `axis` takes the label of the first rule it meets."""
     elements = [_axis_elements(kind, L) for kind in axis_kinds]
-    periods = tuple(2 * L if kind == "circle" else None for kind in axis_kinds)
-    cells: list[list[Cell]] = [[] for _ in range(dim + 1)]
+    periodic = [kind == "circle" for kind in axis_kinds]
+    cells, faces = [], []
+    blocks_below: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
     for k in range(dim + 1):
-        for ext_axes in itertools.combinations(range(dim), k):
-            per_axis = [
-                elements[d][1] if d in ext_axes else elements[d][0] for d in range(dim)
-            ]
-            for combo in itertools.product(*per_axis):
-                box = tuple(combo)
-                label = labeler(box) if labeler else BULK
-                cells[k].append(Cell(box, label))
-    grade_index = [{c.box: i for i, c in enumerate(cells[k])} for k in range(dim + 1)]
-    faces = [[()] * len(cells[0])]
-    for k in range(1, dim + 1):
-        below = grade_index[k - 1]
-        faces.append([
-            _mod2(below[fb] for fb in _faces_of_box(c.box, periods)) for c in cells[k]
-        ])
-    return CellComplex(dim, cells, faces, background, style, periods)
-
-
-def _outer_labeler(dim: int, L: int, e_axes: tuple[int, ...]):
-    """E-priority labeling of the open-cube outer hypersurface patches."""
-
-    def patches_of(box: Box) -> list[int]:
-        pids = []
-        for d, (lo, hi) in enumerate(box):
-            if lo == hi == 0:
-                pids.append(2 * d)
-            if lo == hi == 2 * L:
-                pids.append(2 * d + 1)
-        return pids
-
-    def labeler(box: Box) -> str:
-        pids = patches_of(box)
-        e_pids = [p for p in pids if (p // 2) in e_axes]
-        if e_pids:
-            return f"oE{e_pids[0]}"
-        if pids:
-            return f"oM{pids[0]}"
-        return BULK
-
-    return labeler
+        boxes, tables, blocks, start = [], [], {}, 0
+        for ext in itertools.combinations(range(dim), k):
+            per_axis = [elements[d][1 if d in ext else 0] for d in range(dim)]
+            shape = tuple(len(e) for e in per_axis)
+            ix = np.indices(shape).reshape(dim, -1)
+            boxes.append(np.stack([per_axis[d][ix[d]] for d in range(dim)], axis=1))
+            blocks[ext] = (start, shape)
+            start += ix.shape[1]
+            cols = []
+            for d in ext:
+                # the faces across axis d: the same multi-index in the block
+                # without d, at vertex j or j + 1 on that axis
+                base, base_shape = blocks_below[tuple(a for a in ext if a != d)]
+                for step in (0, 1):
+                    at = list(ix)
+                    at[d] = (ix[d] + step) % base_shape[d] if periodic[d] else ix[d] + step
+                    cols.append(base + np.ravel_multi_index(at, base_shape))
+            if k:
+                tables.append(np.stack(cols, axis=1))
+        blocks_below = blocks
+        cells.append(np.concatenate(boxes))
+        faces.append(Faces.from_table(np.concatenate(tables)) if k else Faces.empty(start))
+    labels = []
+    for box in cells:
+        codes = np.zeros(len(box), dtype=np.int64)
+        for r in range(len(rules) - 1, -1, -1):
+            d, c, _ = rules[r]
+            codes[(box[:, d, 0] == c) & (box[:, d, 1] == c)] = r + 1
+        labels.append(codes)
+    names = [BULK] + [label for _, _, label in rules]
+    periods = tuple(2 * L if p else None for p in periodic)
+    return CellComplex(dim, cells, labels, names, faces, background, style, periods)
 
 
 def build_lattice(
@@ -505,9 +588,15 @@ def build_lattice(
     if background in ("open", "sphere"):
         if e_axes is None:
             e_axes = (n - 1,)
-        cx = _build_from_axes(
-            n, ["interval"] * n, L, "open", "plain", _outer_labeler(n, L, e_axes)
+        # E-priority: a cell on several outer patches takes the first
+        # e-patch in patch order, else the first m-patch
+        rules = tuple(
+            (d, side * 2 * L, f"{kind}{2 * d + side}")
+            for kind, on_e in (("oE", True), ("oM", False))
+            for d in range(n) if (d in e_axes) == on_e
+            for side in (0, 1)
         )
+        cx = _build_from_axes(n, ["interval"] * n, L, "open", "plain", rules)
         if background == "sphere":
             outer = {lb for lb in cx.labels_present() if lb.startswith("o")}
             return cx.quotient_to_point(outer)
@@ -532,43 +621,72 @@ def code_lattice(
     if e_axes is None:
         e_axes = (n - 1,)
     kinds = ["interval" if d in e_axes else "centered" for d in range(n)]
-
-    def labeler(box: Box) -> str:
-        for d in e_axes:
-            lo, hi = box[d]
-            if lo == hi == 0:
-                return f"oE{2 * d}"
-            if lo == hi == 2 * L:
-                return f"oE{2 * d + 1}"
-        return BULK
-
-    return _build_from_axes(n, kinds, L, "open", "code", labeler)
+    rules = tuple((d, side * 2 * L, f"oE{2 * d + side}") for d in e_axes for side in (0, 1))
+    return _build_from_axes(n, kinds, L, "open", "code", rules)
 
 
 # -- hole punching ----------------------------------------------------------
 
 
-def _hits(m, margin, box: Box, periods) -> np.ndarray:
-    """Indices i with ``2a + margin[d, i] <= m[d, i] <= 2b - margin[d, i]``
-    on every axis d of the hole box, on periodic axes also after shifting
-    m by one period either way (2 * period in these units)."""
-    idx = slice(None)
-    for d, (a, b) in enumerate(box):
-        md, gd = m[d, idx], margin[d, idx]
-        lo, hi = 2 * a + gd, 2 * b - gd
-        hit = (lo <= md) & (md <= hi)
-        if periods[d]:
-            for shift in (-2 * periods[d], 2 * periods[d]):
-                hit |= (lo <= md + shift) & (md + shift <= hi)
-        idx = np.flatnonzero(hit) if d == 0 else idx[hit]
-    return idx
+def _hits(m: np.ndarray, margin: np.ndarray, box: Box, periods) -> np.ndarray:
+    """Mask of the rows of m (cells x axes) with ``2a + margin <= m <=
+    2b - margin`` on every axis of the hole box, on periodic axes also after
+    shifting m by one period either way (2 * period in these units)."""
+    lo = 2 * np.array([a for a, _ in box]) + margin
+    hi = 2 * np.array([b for _, b in box]) - margin
+    hit = (lo <= m) & (m <= hi)
+    for d, period in enumerate(periods):
+        if period:
+            for shift in (-2 * period, 2 * period):
+                md = m[:, d] + shift
+                hit[:, d] |= (lo[:, d] <= md) & (md <= hi[:, d])
+    return hit.all(axis=1)
 
 
-def _downward_close(cx: CellComplex, doomed: list[set[int]]) -> list[set[int]]:
+class _MidpointGrid:
+    """Cells sorted by their halved midpoints ``(m - min) // 2``, so the
+    cells near a hole come from one searchsorted over the hole's slab."""
+
+    def __init__(self, m: np.ndarray, w: np.ndarray, periods):
+        self.periods = periods
+        self.reach = int(w.max()) if w.size else 0
+        self.low = m.min(axis=0).tolist() if len(m) else [0] * m.shape[1]
+        self.high = m.max(axis=0).tolist() if len(m) else [-1] * m.shape[1]
+        shape = [(h - lo) // 2 + 1 for lo, h in zip(self.low, self.high)]
+        self.stride = [int(np.prod(shape[d + 1 :])) for d in range(len(shape))]
+        key = ((m - np.array(self.low, dtype=np.int64)) >> 1) @ np.array(self.stride)
+        self.order = np.argsort(key, kind="stable")
+        self.keys = key[self.order]
+
+    def near(self, box: Box) -> np.ndarray:
+        """The cells whose midpoints could meet the box under any of the
+        three relations, in key order."""
+        axes = []
+        for d, (a, b) in enumerate(box):
+            period = self.periods[d]
+            buckets: set[int] = set()
+            for shift in (0, -2 * period, 2 * period) if period else (0,):
+                lo = max(2 * a - self.reach - shift, self.low[d]) - self.low[d]
+                hi = min(2 * b + self.reach - shift, self.high[d]) - self.low[d]
+                if lo <= hi:
+                    buckets.update(range(lo >> 1, (hi >> 1) + 1))
+            if not buckets:
+                return np.zeros(0, dtype=np.int64)
+            axes.append(np.array(sorted(buckets), dtype=np.int64) * self.stride[d])
+        keys = functools.reduce(np.add.outer, axes).ravel()
+        first = np.searchsorted(self.keys, keys, "left")
+        return self.order[_ranges(first, np.searchsorted(self.keys, keys, "right"))]
+
+
+def _close_down(cx: CellComplex, cells: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """`cells` (indices into all grades, grade k from start[k]) with all
+    their faces, faces of faces, and so on."""
+    per_grade = [cells[(cells >= start[k]) & (cells < start[k + 1])] - start[k]
+                 for k in range(cx.dim + 1)]
     for k in range(cx.dim, 0, -1):
-        for i in doomed[k]:
-            doomed[k - 1].update(cx.faces[k][i])
-    return doomed
+        fs, c = cx.faces[k], per_grade[k]
+        per_grade[k - 1] = np.union1d(per_grade[k - 1], fs.idx[_ranges(fs.ptr[c], fs.ptr[c + 1])])
+    return np.concatenate([ix + start[k] for k, ix in enumerate(per_grade)])
 
 
 def punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
@@ -579,40 +697,36 @@ def punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
     restricted complex still satisfies dd = 0.  Holes apply in order; a
     cell relabeled by several holes takes the last one's label.
     """
-    grades = range(cx.dim + 1)
-    m, w = [], []  # per grade, (dim, N_k): lo + hi and hi - lo of each cell
-    for grade in cx.cells:
-        box = np.array([c.box for c in grade], dtype=np.int64).reshape(-1, cx.dim, 2)
-        m.append((box[..., 0] + box[..., 1]).T)
-        w.append((box[..., 1] - box[..., 0]).T)
-    inside = [np.maximum(wk, 1) for wk in w]  # strict on degenerate axes
-    touch = [-wk for wk in w]
-    doomed = [np.zeros(cx.n_cells(k), dtype=bool) for k in grades]
-    tag = [np.full(cx.n_cells(k), -1) for k in grades]  # index of the relabeling hole
-    bulk = [np.array([c.label == BULK for c in grade], dtype=bool) for grade in cx.cells]
+    # every grade in one array: cell c of grade k is row start[k] + c
+    start = np.cumsum([0] + [cx.n_cells(k) for k in range(cx.dim + 1)])
+    m = np.concatenate([c[..., 0] + c[..., 1] for c in cx.cells])
+    w = np.concatenate([c[..., 1] - c[..., 0] for c in cx.cells])
+    grid = _MidpointGrid(m, w, cx.periods)
+    doomed = np.zeros(len(m), dtype=bool)
+    tag = np.full(len(m), -1)  # index of the relabeling hole
+    bulk = np.concatenate(cx.labels) == 0
     for j, hole in enumerate(holes):
+        near = grid.near(hole.box)
+        mh, wh = m[near], w[near]
         if cx.style == "code" and hole.kind == "m":
             # measured-out region: closed star of the hole box
-            for k in grades:
-                doomed[k][_hits(m[k], touch[k], hole.box, cx.periods)] = True
+            doomed[near[_hits(mh, -wh, hole.box, cx.periods)]] = True
         elif cx.style == "code" and hole.kind == "e":
             # rough hole: mark the interior and its faces as an e-patch; the
             # code module deletes the patch, leaving dangling edges
-            marked = [set(_hits(m[k], inside[k], hole.box, cx.periods).tolist())
-                      for k in grades]
-            _downward_close(cx, marked)
-            for k in grades:
-                tag[k][list(marked[k])] = j
+            inside = near[_hits(mh, np.maximum(wh, 1), hole.box, cx.periods)]
+            tag[_close_down(cx, inside, start)] = j
         else:
-            for k in grades:
-                doomed[k][_hits(m[k], inside[k], hole.box, cx.periods)] = True
-            for k in grades:
-                i = _hits(m[k], w[k], hole.box, cx.periods)
-                tag[k][i[~doomed[k][i] & bulk[k][i]]] = j
+            doomed[near[_hits(mh, np.maximum(wh, 1), hole.box, cx.periods)]] = True
+            i = near[_hits(mh, wh, hole.box, cx.periods)]
+            tag[i[~doomed[i] & bulk[i]]] = j
+    tagged = np.flatnonzero(tag >= 0)
+    grade = np.searchsorted(start, tagged, "right") - 1
     relabel = {
-        (k, int(i)): holes[tag[k][i]].label for k in grades for i in np.flatnonzero(tag[k] >= 0)
+        (k, i - int(start[k])): holes[t].label
+        for k, i, t in zip(grade.tolist(), tagged.tolist(), tag[tagged].tolist())
     }
-    return cx.delete([set(np.flatnonzero(d).tolist()) for d in doomed],
+    return cx.delete([np.flatnonzero(doomed[start[k] : start[k + 1]]) for k in range(cx.dim + 1)],
                      holes_add=holes, relabel=relabel)
 
 
@@ -626,28 +740,18 @@ def punch_box(cx: CellComplex, origin: tuple[int, ...], side: int, kind: str,
 
 def fractal_holes(spec: FractalSpec) -> list[Hole]:
     """Hole list of the recursive construction, in deterministic order."""
-    L = spec.side
+    lo = (spec.p - spec.q) // 2  # the hole's first step in units of sub-blocks
+    # the steps of the sub-blocks around the hole, in itertools.product order
+    steps = np.array([s for s in itertools.product(range(spec.p), repeat=spec.n)
+                      if not all(lo <= x < lo + spec.q for x in s)])
     holes: list[Hole] = []
-    blocks: list[tuple[int, ...]] = [(0,) * spec.n]
-    block_side = L
-    hid = 0
+    blocks, sub = np.zeros((1, spec.n), dtype=np.int64), spec.side
     for level in range(1, spec.level + 1):
-        sub = block_side // spec.p
-        offset = (spec.p - spec.q) // 2 * sub
-        new_blocks: list[tuple[int, ...]] = []
-        for origin in blocks:
-            hole_lo = tuple(o + offset for o in origin)
-            hole_box = tuple((2 * lo, 2 * (lo + spec.q * sub)) for lo in hole_lo)
-            holes.append(Hole(hid, hole_box, spec.hole_kind(hid), level))
-            hid += 1
-            for steps in itertools.product(range(spec.p), repeat=spec.n):
-                sub_origin = tuple(o + s * sub for o, s in zip(origin, steps))
-                sub_box = tuple((2 * so, 2 * (so + sub)) for so in sub_origin)
-                if not all(a <= lo and hi <= b
-                           for (lo, hi), (a, b) in zip(sub_box, hole_box)):
-                    new_blocks.append(sub_origin)
-        blocks = new_blocks
-        block_side = sub
+        sub //= spec.p
+        for origin in (blocks + lo * sub).tolist():
+            box = tuple((2 * o, 2 * (o + spec.q * sub)) for o in origin)
+            holes.append(Hole(len(holes), box, spec.hole_kind(len(holes)), level))
+        blocks = (blocks[:, None, :] + steps * sub).reshape(-1, spec.n)
     return holes
 
 
@@ -670,14 +774,8 @@ def punch_fractal(base: CellComplex, spec: FractalSpec) -> CellComplex:
 
 
 def _side_of(cx: CellComplex) -> int:
-    top = 0
-    for grade in cx.cells:
-        for c in grade:
-            for lo, hi in c.box:
-                top = max(top, hi)
-    for p in cx.periods:
-        if p:
-            top = max(top, p)
+    top = max([0] + [int(c[..., 1].max()) for c in cx.cells if c.size])
+    top = max([top] + [p for p in cx.periods if p])
     return top // 2
 
 
@@ -710,35 +808,36 @@ def dual_with_boundary(cx: CellComplex) -> CellComplex:
 
     Boundary dual cells inherit the primal label (this is what a relative
     homology computation on the dual quotients); interior duals are bulk.
+    In dual grade g the D cells of the primal (n-g)-cells come first, in
+    primal order, then the Db cells of the labeled primal (n-1-g)-cells.
     """
     n = cx.dim
-    cells: list[list[Cell]] = [[] for _ in range(n + 1)]
-    pos: dict[tuple[str, int, int], int] = {}
-    for k in range(n + 1):
-        for i, c in enumerate(cx.cells[k]):
-            grade = n - k
-            pos[("D", k, i)] = len(cells[grade])
-            cells[grade].append(Cell(c.box, BULK))
-    for k in range(n):
-        for i, c in enumerate(cx.cells[k]):
-            if c.label == BULK:
-                continue
-            grade = n - 1 - k
-            pos[("B", k, i)] = len(cells[grade])
-            cells[grade].append(Cell(c.box, c.label))
-
-    faces: list[list[tuple[int, ...]]] = [[()] * len(grade) for grade in cells]
-    for k in range(n + 1):
-        up = cx.cofaces(k)
-        for i, c in enumerate(cx.cells[k]):
-            if n - k >= 1:
-                fs = [pos[("D", k + 1, j)] for j in up[i]]
-                if c.label != BULK:
-                    fs.append(pos[("B", k, i)])
-                faces[n - k][pos[("D", k, i)]] = _mod2(fs)
-            if c.label != BULK and n - 1 - k >= 1:
-                faces[n - 1 - k][pos[("B", k, i)]] = _mod2(
-                    pos[("B", k + 1, j)] for j in up[i]
-                    if cx.cells[k + 1][j].label != BULK
-                )
-    return CellComplex(n, cells, faces, cx.background, "dual", cx.periods, cx.holes)
+    count = [cx.n_cells(k) for k in range(n + 2)]
+    labeled = [lab != 0 for lab in cx.labels]
+    rank = [np.cumsum(lab) - 1 for lab in labeled]  # index among labeled cells
+    up = [cx.cofaces(k) for k in range(n)]
+    cells, labels, faces = [], [], []
+    for g in range(n + 1):
+        k, kb = n - g, n - 1 - g  # D cells of primal grade k, Db cells of grade kb
+        boxes, codes = [cx.cells[k]], [np.zeros(count[k], dtype=np.int64)]
+        if kb >= 0:
+            boxes.append(cx.cells[kb][labeled[kb]])
+            codes.append(cx.labels[kb][labeled[kb]])
+        cells.append(np.concatenate(boxes))
+        labels.append(np.concatenate(codes))
+        if g == 0:
+            faces.append(Faces.empty(len(cells[0])))
+            continue
+        # d D(c): the D cells of the cofaces of c, then Db(c) if c is labeled
+        lab = np.flatnonzero(labeled[k])
+        rows = [up[k].owners(), lab]
+        cols = [up[k].idx, count[k + 1] + rank[k][lab]]
+        if kb >= 0:
+            # d Db(c): the Db cells of the labeled cofaces of c
+            own = up[kb].owners()
+            sel = labeled[kb][own] & labeled[k][up[kb].idx]
+            rows.append(count[k] + rank[kb][own[sel]])
+            cols.append(count[k + 1] + rank[k][up[kb].idx[sel]])
+        faces.append(Faces.from_pairs(len(cells[g]), np.concatenate(rows), np.concatenate(cols)))
+    return CellComplex(n, cells, labels, cx.label_names, faces, cx.background, "dual",
+                       cx.periods, cx.holes)

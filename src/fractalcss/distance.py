@@ -78,34 +78,32 @@ class _QubitGraph:
             raise PreconditionError("qubit-graph distances need grading i = 1")
         cx = code.source
         self.code = code
-        node_of_cell: dict[int, int] = {}
+        # node per 0-cell: bulk vertices in order, then one per e-label
+        is_e = cx.label_mask(0, label_is_e)
+        codes = cx.labels[0][is_e]
         self.terminal_labels: list[str] = sorted(
-            {c.label for c in cx.cells[0] if label_is_e(c.label)}
+            {cx.label_names[c] for c in np.unique(codes).tolist()}
         )
-        term_index = {lb: t for t, lb in enumerate(self.terminal_labels)}
-        n_bulk = 0
-        for j, c in enumerate(cx.cells[0]):
-            if not label_is_e(c.label):
-                node_of_cell[j] = n_bulk
-                n_bulk += 1
-        self.n_bulk = n_bulk
-        self.n_nodes = n_bulk + len(self.terminal_labels)
-        for j, c in enumerate(cx.cells[0]):
-            if label_is_e(c.label):
-                node_of_cell[j] = n_bulk + term_index[c.label]
-        self.edges: list[tuple[int, int]] = []
-        for q, cell in enumerate(code.qubit_cells):
-            ends = [node_of_cell[r] for r in cx.faces[1][cell]]
-            if len(ends) == 1:
-                ends = ends * 2  # wrap edge collapsed mod 2; treat as loop
-            if len(ends) == 0:
-                ends = [0, 0]
-            self.edges.append((ends[0], ends[1]))
+        self.n_bulk = int(len(is_e) - is_e.sum())
+        self.n_nodes = self.n_bulk + len(self.terminal_labels)
+        terminal = {label: self.n_bulk + t for t, label in enumerate(self.terminal_labels)}
+        node = np.cumsum(~is_e) - 1
+        node[is_e] = np.array([terminal.get(name, 0) for name in cx.label_names])[codes]
+        # edge ends: the first two faces of each qubit edge; an edge with one
+        # face (a wrap edge collapsed mod 2) is a loop, one with none (0, 0)
+        ends = cx.faces[1]
+        first = ends.ptr[code.qubit_cells]
+        count = ends.counts()[code.qubit_cells]
+        node_at = np.append(node[ends.idx], 0)  # the 0 past the end: no face
+        last = len(ends.idx)
+        u = np.where(count >= 1, node_at[np.minimum(first, last)], 0)
+        v = np.where(count >= 2, node_at[np.minimum(first + 1, last)], u)
+        self.edges: list[tuple[int, int]] = list(zip(u.tolist(), v.tolist()))
         self.adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_nodes)]
-        for q, (u, v) in enumerate(self.edges):
-            if u != v:
-                self.adj[u].append((v, q))
-                self.adj[v].append((u, q))
+        for q, (a, b) in enumerate(self.edges):
+            if a != b:
+                self.adj[a].append((b, q))
+                self.adj[b].append((a, q))
 
     def terminal_node(self, label: str) -> int:
         return self.n_bulk + self.terminal_labels.index(label)
@@ -161,11 +159,7 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
     if all(p is not None for p in cx.periods):
         for axis in range(cx.dim):
             period = cx.periods[axis]
-            seam = [
-                q
-                for q, cell in enumerate(code.qubit_cells)
-                if cx.cells[1][cell].box[axis][1] == period
-            ]
+            seam = np.flatnonzero(cx.cells[1][code.qubit_cells, axis, 1] == period).tolist()
             cut = set(seam)
             adj_cut: list[list[tuple[int, int]]] = [[] for _ in range(g.n_nodes)]
             for q, (u, v) in enumerate(g.edges):
@@ -189,8 +183,11 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
         )
     value, edges = best
     witness = PauliOperator.z_type(Gf2Vector.from_indices(code.n_qubits, edges))
-    assert is_z_logical(code, witness.z_support), "shortest-path witness not logical"
-    assert witness.z_support.weight() == value
+    if not is_z_logical(code, witness.z_support):
+        raise AssertionError("shortest-path witness is not a Z-logical")
+    if witness.z_support.weight() != value:
+        raise AssertionError(f"shortest-path witness has weight "
+                             f"{witness.z_support.weight()}, not {value}")
     return DistanceResult(value, "exact", witness)
 
 
@@ -279,9 +276,11 @@ def dx_min_cut(code: CssCode) -> DistanceResult:
     cut = [
         q for q, (u, v) in enumerate(g.edges) if u != v and seen[u] != seen[v]
     ]
-    assert len(cut) == value, (len(cut), value)
+    if len(cut) != value:
+        raise AssertionError(f"min cut has {len(cut)} edges for flow {value}")
     witness = PauliOperator.x_type(Gf2Vector.from_indices(code.n_qubits, cut))
-    assert is_x_logical(code, witness.x_support), "min-cut witness not logical"
+    if not is_x_logical(code, witness.x_support):
+        raise AssertionError("min-cut witness is not an X-logical")
     return DistanceResult(value, "exact", witness)
 
 

@@ -25,14 +25,13 @@ part and compares the leftover signs and linear-Z terms.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
-from .code import (
-    CssCode, PauliOperator, _rows_matrix, css_from_complex, is_x_logical, logical_basis,
-)
-from .complexes import (
-    Box, CellComplex, Hole, _faces_of_box, _mod2, code_lattice, punch_holes,
-)
+import numpy as np
+
+from .code import CssCode, PauliOperator, css_from_complex, is_x_logical, logical_basis
+from .complexes import Box, CellComplex, Faces, Hole, code_lattice, punch_holes
 from .gf2 import Gf2Matrix, Gf2Vector, in_rowspace
 
 
@@ -74,8 +73,8 @@ class StackAlignment:
 def align_identical(codes: list[CssCode], x_logicals=None) -> StackAlignment:
     """Alignment for codes living on the same qubit set (site = qubit index)."""
     n = codes[0].n_qubits
-    for c in codes:
-        assert c.n_qubits == n
+    if any(c.n_qubits != n for c in codes):
+        raise ValueError(f"codes of {[c.n_qubits for c in codes]} qubits cannot share sites")
     return StackAlignment(
         codes, n, [list(range(n)) for _ in codes], list(x_logicals or [])
     )
@@ -86,14 +85,10 @@ def align_by_boxes(codes: list[CssCode], x_logicals=None) -> StackAlignment:
     site_index: dict[tuple, int] = {}
     qubit_site: list[list[int]] = []
     for code in codes:
-        sites = []
-        for q in range(code.n_qubits):
-            box = code.qubit_box(q)
-            mid = tuple(lo + hi for lo, hi in box)  # doubled midpoint
-            if mid not in site_index:
-                site_index[mid] = len(site_index)
-            sites.append(site_index[mid])
-        qubit_site.append(sites)
+        mids = code.source.cells[code.grading][code.qubit_cells].sum(axis=2)  # doubled
+        qubit_site.append(
+            [site_index.setdefault(mid, len(site_index)) for mid in map(tuple, mids.tolist())]
+        )
     counts = {len(s) for s in qubit_site}
     if len(counts) != 1 or len(site_index) != counts.pop():
         raise ValueError("codes do not share a common site set")
@@ -260,32 +255,12 @@ def check_transversal_ccz(
 # -- the three-copy stack ------------------------------------------------------
 
 
-def _cube_edges(jx: int, jy: int, k: int) -> list[Box]:
-    """The 12 edge boxes of the cube with x-window [2jx-1, 2jx+1],
-    y-window [2jy-1, 2jy+1], z-window [2k, 2k+2] (doubled coordinates)."""
-    xs = (2 * jx - 1, 2 * jx + 1)
-    ys = (2 * jy - 1, 2 * jy + 1)
-    zw = (2 * k, 2 * k + 2)
-    out: list[Box] = []
-    for x in xs:
-        for y in ys:
-            out.append(((x, x), (y, y), zw))
-    for y in ys:
-        for z in zw:
-            out.append(((2 * jx - 1, 2 * jx + 1), (y, y), (z, z)))
-    for x in xs:
-        for z in zw:
-            out.append(((x, x), (2 * jy - 1, 2 * jy + 1), (z, z)))
-    return out
-
-
-def _corner_triple(jx: int, jy: int, k: int, cx_: int, cy: int, cz: int) -> list[Box]:
-    """The 3 edges of cube (jx, jy, k) meeting at corner (cx_, cy, cz)."""
-    return [
-        ((2 * jx - 1, 2 * jx + 1), (cy, cy), (cz, cz)),
-        ((cx_, cx_), (2 * jy - 1, 2 * jy + 1), (cz, cz)),
-        ((cx_, cx_), (cy, cy), (2 * k, 2 * k + 2)),
-    ]
+# Offsets from a cube's doubled midpoint (lo + hi per axis) to the
+# midpoints of its 12 edges, and per corner (x slowest) of its 3 edges there.
+_CUBE_EDGES = np.array([p for p in itertools.product((-2, 0, 2), repeat=3)
+                        if sorted(map(abs, p)) == [0, 2, 2]])
+_CORNER_TRIPLES = np.array([[c * (1 - np.eye(3, dtype=np.int64)[d]) for d in range(3)]
+                            for c in itertools.product((-2, 2), repeat=3)])
 
 
 def build_vasmer_browne_stack(
@@ -309,35 +284,34 @@ def build_vasmer_browne_stack(
     if holes:
         cx = punch_holes(cx, list(holes))
     copy1 = css_from_complex(cx, 1)
-    qubit_of_box = {cx.cells[1][cell].box: q for q, cell in enumerate(copy1.qubit_cells)}
     n = copy1.n_qubits
+    # the qubit at each doubled midpoint, shifted by 2 so that the edges of
+    # the cubes on the lattice's rim index the grid too (and find none)
+    grid = np.full((4 * L + 6,) * 3, -1)
+    grid[tuple(cx.cells[1][copy1.qubit_cells].sum(axis=2).T + 2)] = np.arange(n)
+
+    def at(mids) -> np.ndarray:
+        return grid[tuple(np.moveaxis(mids, -1, 0) + 2)]
+
+    def checks(support: np.ndarray) -> Gf2Matrix:  # one row per row of qubits, -1 for none
+        r, c = np.nonzero(support >= 0)
+        return Gf2Matrix.from_entries(len(support), n, np.column_stack((r, support[r, c])))
+
+    # cube (jx, jy, k): x-window [2jx-1, 2jx+1], y-window [2jy-1, 2jy+1],
+    # z-window [2k, 2k+2], in the order jx, jy, k
+    jx, jy, k = (a.ravel() for a in np.meshgrid(
+        np.arange(L + 1), np.arange(L + 1), np.arange(L), indexing="ij"))
+    centers = np.stack([4 * jx, 4 * jy, 4 * k + 2], axis=1)
 
     def build_cube_code(x_parity: int, rough_axis: int) -> CssCode:
-        x_rows, z_rows = [], []
-        for jx in range(0, L + 1):
-            for jy in range(0, L + 1):
-                for k in range(0, L):
-                    if rough_axis == 0 and not 1 <= jx <= L - 1:
-                        continue
-                    if rough_axis == 1 and not 1 <= jy <= L - 1:
-                        continue
-                    parity = (jx + jy + k) % 2
-                    boxes = _cube_edges(jx, jy, k)
-                    if parity == x_parity:
-                        support = [qubit_of_box[b] for b in boxes if b in qubit_of_box]
-                        if support:
-                            x_rows.append(sorted(support))
-                    else:
-                        for cxc in (2 * jx - 1, 2 * jx + 1):
-                            for cyc in (2 * jy - 1, 2 * jy + 1):
-                                for czc in (2 * k, 2 * k + 2):
-                                    tri = _corner_triple(jx, jy, k, cxc, cyc, czc)
-                                    if all(b in qubit_of_box for b in tri):
-                                        z_rows.append(
-                                            sorted(qubit_of_box[b] for b in tri)
-                                        )
+        j = (jx, jy)[rough_axis]
+        inner = (1 <= j) & (j <= L - 1)
+        is_x = (jx + jy + k) % 2 == x_parity
+        x_sup = at(centers[inner & is_x, None] + _CUBE_EDGES)
+        z_sup = at(centers[inner & ~is_x, None, None] + _CORNER_TRIPLES).reshape(-1, 3)
         return CssCode(
-            n_qubits=n, hx=_rows_matrix(n, x_rows), hz=_rows_matrix(n, z_rows), grading=1,
+            n_qubits=n, hx=checks(x_sup[(x_sup >= 0).any(axis=1)]),
+            hz=checks(z_sup[(z_sup >= 0).all(axis=1)]), grading=1,
             qubit_cells=list(copy1.qubit_cells),
             x_anchor_cells=[], z_anchor_cells=[], source=cx,
             check_homology_by_labels=False,
@@ -347,32 +321,23 @@ def build_vasmer_browne_stack(
     copy3 = build_cube_code(x_parity=1, rough_axis=1)
 
     # logical branes, pairwise perpendicular: z-layer for copy 1, planes
-    # x = 1 and y = 1 (doubled odd coordinates) for copies 2 and 3
-    def sup(boxes: list[Box]) -> Gf2Vector:
-        return Gf2Vector.from_indices(
-            n, sorted(qubit_of_box[b] for b in boxes if b in qubit_of_box)
-        )
+    # x = 1 and y = 1 (doubled odd coordinates) for copies 2 and 3; each
+    # given by the midpoints lo + hi of its edges
+    def brane(*planes) -> Gf2Vector:
+        q = np.concatenate([at(np.stack(np.broadcast_arrays(*p), -1)).ravel() for p in planes])
+        return Gf2Vector.from_indices(n, q[q >= 0])
 
-    brane1 = sup(
-        [((2 * i + 1, 2 * i + 1), (2 * j + 1, 2 * j + 1), (0, 2))
-         for i in range(L) for j in range(L)]
-    )
-    brane2 = sup(
-        [((1, 1), (2 * j + 1, 2 * j + 1), (2 * k, 2 * k + 2))
-         for j in range(L) for k in range(L)]
-        + [((1, 1), (2 * j - 1, 2 * j + 1), (2 * k, 2 * k))
-           for j in range(1, L) for k in range(1, L)]
-    )
-    brane3 = sup(
-        [((2 * i + 1, 2 * i + 1), (1, 1), (2 * k, 2 * k + 2))
-         for i in range(L) for k in range(L)]
-        + [((2 * i - 1, 2 * i + 1), (1, 1), (2 * k, 2 * k))
-           for i in range(1, L) for k in range(1, L)]
-    )
+    a, b = np.arange(L)[:, None], np.arange(L)
+    c, d = np.arange(1, L)[:, None], np.arange(1, L)
+    branes = [
+        brane((4 * a + 2, 4 * b + 2, 2)),
+        brane((2, 4 * a + 2, 4 * b + 2), (2, 4 * c, 4 * d)),
+        brane((4 * a + 2, 2, 4 * b + 2), (4 * c, 2, 4 * d)),
+    ]
     codes = [copy1, copy2, copy3]
-    branes = [brane1, brane2, brane3]
-    for code, brane in zip(codes, branes):
-        assert is_x_logical(code, brane), "constructed brane is not a logical"
+    for code, support in zip(codes, branes):
+        if not is_x_logical(code, support):
+            raise AssertionError("constructed brane is not a logical")
     logicals = [PauliOperator.x_type(b) for b in branes]
     return codes, align_identical(codes, logicals)
 
@@ -383,19 +348,13 @@ def stabilizer_tags_near_holes(align: StackAlignment) -> set[str]:
     gate-check witnesses."""
     holes = align.codes[0].source.holes
     near: set[str] = set()
+    grown = [np.array(h.box) + [-2, 2] for h in holes]
     for copy, code in enumerate(align.codes):
-        cx = code.source
-        for r in range(code.hx.rows):
-            boxes = [cx.cells[code.grading][code.qubit_cells[q]].box
-                     for q in code.hx.row_indices(r)]
-            for h in holes:
-                grown = tuple((lo - 2, hi + 2) for lo, hi in h.box)
-                if any(
-                    all(max(lo, a) <= min(hi, b) for (lo, hi), (a, b) in zip(box, grown))
-                    for box in boxes
-                ):
-                    near.add(f"{copy}:X{r}")
-                    break
+        boxes = code.source.cells[code.grading][code.qubit_cells]
+        rows, cols = code.hx.entries()
+        for g in grown:
+            meets = (np.maximum(boxes[..., 0], g[:, 0]) <= np.minimum(boxes[..., 1], g[:, 1]))
+            near.update(f"{copy}:X{r}" for r in np.unique(rows[meets.all(axis=1)[cols]]).tolist())
     return near
 
 
@@ -529,74 +488,78 @@ def merge_rough(a: CssCode, b: CssCode) -> MergeResult:
     if axis_a != axis_b:
         raise ValueError("interface mismatch: rough axes differ")
     axis = axis_a
-    height_b = max(hi for c in cb.cells[0] for (lo, hi) in [c.box[axis]])
+    height_b = int(cb.cells[0][:, axis, 1].max())
+    lift = np.zeros((ca.dim, 2), dtype=np.int64)
+    lift[axis] = height_b  # block a's shift onto block b
 
-    def shift_a(box: Box) -> Box:
-        return tuple(
-            (lo + height_b, hi + height_b) if d == axis else (lo, hi)
-            for d, (lo, hi) in enumerate(box)
-        )
+    def plane(cx: CellComplex, k: int, h: int) -> np.ndarray:
+        return (cx.cells[k][:, axis, 0] == h) & (cx.cells[k][:, axis, 1] == h)
 
-    patch_a = {shift_a(c.box) for grade in ca.cells for c in grade
-               if c.box[axis] == (0, 0)}
-    patch_b = {c.box for grade in cb.cells for c in grade
-               if c.box[axis] == (height_b, height_b)}
-    if not patch_a or patch_a != patch_b:
+    grades = range(ca.dim + 1)
+    patch_a = [plane(ca, k, 0) for k in grades]
+    patch_b = [plane(cb, k, height_b) for k in grades]
+    index_b = {_box(box): i for k in grades
+               for i, box in zip(np.flatnonzero(patch_b[k]).tolist(),
+                                 cb.cells[k][patch_b[k]].tolist())}
+    lifted_a = [list(map(_box, (ca.cells[k][patch_a[k]] + lift).tolist())) for k in grades]
+    if not index_b or set().union(*lifted_a) != set(index_b):
         raise ValueError("interface mismatch: rough patches are not congruent")
 
-    dim = ca.dim
-    cells = []
+    # b's cells keep their indices and labels (the interface plane returns
+    # to the bulk); a's cells off the plane follow, lifted, with their hole
+    # labels shifted past b's; a's plane cells are b's
     hole_shift = max((h.hole_id for h in cb.holes), default=-1) + 1
-    for k in range(dim + 1):
-        grade = []
-        for c in cb.cells[k]:
-            label = "bulk" if c.box in patch_b else _shift_hole_label(c.label, 0)
-            grade.append(type(c)(c.box, label))
-        for c in ca.cells[k]:
-            box = shift_a(c.box)
-            if box in patch_a:
-                continue
-            grade.append(type(c)(box, _shift_hole_label(c.label, hole_shift)))
-        cells.append(grade)
-    faces = [[()] * len(cells[0])]
-    for k in range(1, dim + 1):
-        below = {c.box: i for i, c in enumerate(cells[k - 1])}
-        faces.append([
-            _mod2(below[fb] for fb in _faces_of_box(c.box, ca.periods) if fb in below)
-            for c in cells[k]
-        ])
+    shifted = [_shift_hole_label(name, hole_shift) for name in ca.label_names]
+    names = list(cb.label_names)
+    names += [name for name in dict.fromkeys(shifted) if name not in names]
+    code_a = np.array([names.index(name) for name in shifted], dtype=np.int64)
+    cells, labels, faces, into = [], [], [], []
+    for k in grades:
+        keep_a = ~patch_a[k]
+        target = np.cumsum(keep_a) - 1 + cb.n_cells(k)
+        target[patch_a[k]] = [index_b[box] for box in lifted_a[k]]
+        into.append(target)
+        cells.append(np.concatenate([cb.cells[k], ca.cells[k][keep_a] + lift]))
+        labels.append(np.concatenate([np.where(patch_b[k], 0, cb.labels[k]),
+                                      code_a[ca.labels[k][keep_a]]]))
+        if k == 0:
+            faces.append(Faces.empty(len(cells[0])))
+            continue
+        fb, fa = cb.faces[k], ca.faces[k]
+        own = fa.owners()
+        sel = keep_a[own]
+        faces.append(Faces.from_pairs(
+            len(cells[k]), np.concatenate([fb.owners(), target[own[sel]]]),
+            np.concatenate([fb.idx, into[k - 1][fa.idx[sel]]]),
+        ))
     merged_cx = CellComplex(
-        dim, cells, faces, "open", ca.style, ca.periods,
-        cb.holes + [Hole(h.hole_id + hole_shift, shift_a(h.box), h.kind, h.level)
-                    for h in ca.holes],
+        ca.dim, cells, labels, names, faces, "open", ca.style, ca.periods,
+        cb.holes + [Hole(h.hole_id + hole_shift, _box((np.array(h.box) + lift).tolist()),
+                         h.kind, h.level) for h in ca.holes],
     )
     merged = css_from_complex(merged_cx, a.grading)
 
-    interface_rows = tuple(
-        r for r, cell in enumerate(merged.x_anchor_cells)
-        if merged_cx.cells[a.grading - 1][cell].box[axis] == (height_b, height_b)
-    )
+    anchors = merged_cx.cells[a.grading - 1][merged.x_anchor_cells, axis]
+    interface_rows = tuple(np.flatnonzero((anchors == height_b).all(axis=1)).tolist())
     from .code import code_params
 
     k_merged = code_params(merged).k
 
     # embed the old logical-X representatives and old X stabilizers
-    qpos = {merged_cx.cells[a.grading][cell].box: q
-            for q, cell in enumerate(merged.qubit_cells)}
+    qpos = {_box(box): q for q, box in
+            enumerate(merged_cx.cells[a.grading][merged.qubit_cells].tolist())}
 
-    def embed(code: CssCode, cxc: CellComplex, vec: Gf2Vector, shift) -> Gf2Vector:
-        out = Gf2Vector(merged.n_qubits)
-        for q in vec.indices():
-            box = cxc.cells[code.grading][code.qubit_cells[q]].box
-            out.set(qpos[shift(box)], 1)
-        return out
+    def embed(code: CssCode, vec: Gf2Vector, shift) -> Gf2Vector:
+        cells = np.asarray(code.qubit_cells)[vec.indices()]
+        boxes = code.source.cells[code.grading][cells] + shift
+        return Gf2Vector.from_indices(merged.n_qubits, [qpos[_box(b)] for b in boxes.tolist()])
 
     _, xs_a = logical_basis(a)
     _, xs_b = logical_basis(b)
     if not xs_a or not xs_b:
         raise ValueError("merge needs one logical-X representative per block")
-    xa = embed(a, ca, xs_a[0].x_support, shift_a)
-    xb = embed(b, cb, xs_b[0].x_support, lambda box: box)
+    xa = embed(a, xs_a[0].x_support, lift)
+    xb = embed(b, xs_b[0].x_support, 0)
 
     total = Gf2Vector(merged.n_qubits)
     for r in interface_rows:
@@ -615,6 +578,11 @@ def _rough_axis(cx: CellComplex) -> int:
     if len(axes) != 1:
         raise ValueError("merge expects exactly one rough axis per block")
     return axes.pop()
+
+
+def _box(rows) -> Box:
+    """A box as a hashable tuple of (lo, hi) pairs."""
+    return tuple(map(tuple, rows))
 
 
 def _shift_hole_label(label: str, shift: int) -> str:

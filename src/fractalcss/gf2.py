@@ -26,14 +26,6 @@ def _n_words(nbits: int) -> int:
     return max(1, (nbits + _WORD - 1) // _WORD)
 
 
-def _pad_mask(nbits: int) -> np.uint64:
-    """Mask selecting the valid bits of the last word."""
-    r = nbits % _WORD
-    if r == 0:
-        return np.uint64(0xFFFFFFFFFFFFFFFF)
-    return np.uint64((1 << r) - 1)
-
-
 def _popcount(a: np.ndarray) -> int:
     return int(np.bitwise_count(a).sum())
 
@@ -195,25 +187,14 @@ class Gf2Matrix:
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "Gf2Matrix":
-        """Build from an iterable of (row, col) positions (an odd number of
-        repeats of a position sets the bit)."""
+        """Build from (row, col) positions, an iterable of pairs or an (m, 2)
+        array (an odd number of repeats of a position sets the bit)."""
         m = cls(rows, cols)
-        rc = np.array(list(entries), dtype=np.int64).reshape(-1, 2)
+        if not isinstance(entries, np.ndarray):
+            entries = list(entries)
+        rc = np.asarray(entries, dtype=np.int64).reshape(-1, 2)
         r, c = rc[:, 0], rc[:, 1]
         np.bitwise_xor.at(m.data, (r, c >> 6), np.uint64(1) << (c & 63).astype(np.uint64))
-        return m
-
-    @classmethod
-    def from_row_vectors(cls, vecs: list[Gf2Vector], cols: int | None = None) -> "Gf2Matrix":
-        if cols is None:
-            if not vecs:
-                raise ValueError("need cols when the row list is empty")
-            cols = vecs[0].n
-        m = cls(len(vecs), cols)
-        for i, v in enumerate(vecs):
-            if v.n != cols:
-                raise ValueError(f"row {i} has length {v.n}, expected {cols}")
-            m.data[i, :] = v.data
         return m
 
     # -- element access -----------------------------------------------
@@ -232,9 +213,6 @@ class Gf2Matrix:
 
     def row(self, r: int) -> Gf2Vector:
         return Gf2Vector(self.cols, self.data[r].copy())
-
-    def row_weight(self, r: int) -> int:
-        return _popcount(self.data[r])
 
     def row_indices(self, r: int) -> list[int]:
         return self.row(r).indices()
@@ -277,23 +255,9 @@ class Gf2Matrix:
 
     def submatrix(self, row_idx, col_idx) -> "Gf2Matrix":
         """Select rows and columns (each a list of indices, order kept)."""
-        row_idx = list(row_idx)
-        col_idx = list(col_idx)
-        sub = self.data[row_idx, :] if row_idx else np.zeros((0, self.data.shape[1]), np.uint64)
-        out = Gf2Matrix(len(row_idx), len(col_idx))
-        if not row_idx or not col_idx:
-            return out
-        col_idx_arr = np.asarray(col_idx)
-        words = col_idx_arr >> 6
-        shifts = (col_idx_arr & 63).astype(np.uint64)
-        bits = ((sub[:, words] >> shifts) & np.uint64(1)).astype(np.uint64)
-        new_pos = np.arange(len(col_idx))
-        shifted = bits << (new_pos & 63).astype(np.uint64)
-        for w in range(out.data.shape[1]):
-            sel = (new_pos >> 6) == w
-            if sel.any():
-                out.data[:, w] = np.bitwise_xor.reduce(shifted[:, sel], axis=1)
-        return out
+        rows, cols = list(row_idx), list(col_idx)
+        bits = _unpack(self.data[rows], self.cols)[:, cols]
+        return Gf2Matrix(len(rows), len(cols), _pack(bits))
 
     def vstack(self, other: "Gf2Matrix") -> "Gf2Matrix":
         if self.cols != other.cols:

@@ -24,6 +24,8 @@ from fractalcss.complexes import (
 from fractalcss.gates import build_vasmer_browne_stack, merge_rough
 from fractalcss.gf2 import Gf2Matrix, kernel_basis
 
+from complex_oracles import row_weight
+
 
 def test_toric_code_2d():
     code = css_from_complex(build_lattice(2, 3, "torus"), 1)
@@ -53,8 +55,8 @@ def test_surface_code_3d_k1():
 def test_boundary_stabilizer_weights_2d():
     # rough boundary: 3-body Z checks; smooth boundary: 3-body X checks
     code = css_from_complex(code_lattice(2, 3), 1)
-    z_weights = sorted(code.hz.row_weight(r) for r in range(code.hz.rows))
-    x_weights = sorted(code.hx.row_weight(r) for r in range(code.hx.rows))
+    z_weights = sorted(row_weight(code.hz, r) for r in range(code.hz.rows))
+    x_weights = sorted(row_weight(code.hx, r) for r in range(code.hx.rows))
     assert set(z_weights) == {3, 4}
     assert set(x_weights) == {3, 4}
 

@@ -13,6 +13,8 @@ from fractalcss.complexes import (
     punch_fractal,
 )
 
+from complex_oracles import cells, euler_characteristic
+
 
 def test_open_square_counts():
     cx = build_lattice(2, 2, "open-cube")
@@ -22,18 +24,18 @@ def test_open_square_counts():
 def test_torus_counts_and_euler():
     cx = build_lattice(2, 2, "torus")
     assert [cx.n_cells(k) for k in range(3)] == [4, 8, 4]
-    assert cx.euler_characteristic() == 0
+    assert euler_characteristic(cx) == 0
 
 
 def test_torus_3d_counts():
     cx = build_lattice(3, 3, "torus")
     assert [cx.n_cells(k) for k in range(4)] == [27, 81, 81, 27]
-    assert cx.euler_characteristic() == 0
+    assert euler_characteristic(cx) == 0
 
 
 def test_torus_euler_zero_several_sizes():
     for n, L in [(2, 3), (2, 4), (3, 2)]:
-        assert build_lattice(n, L, "torus").euler_characteristic() == 0
+        assert euler_characteristic(build_lattice(n, L, "torus")) == 0
 
 
 def test_dd_zero_is_asserted_everywhere():
@@ -50,7 +52,7 @@ def test_dd_zero_is_asserted_everywhere():
 def test_outer_labels_cover_boundary_and_are_closed():
     cx = build_lattice(3, 2, "open")
     for k in range(3):
-        for i, c in enumerate(cx.cells[k]):
+        for i, c in enumerate(cells(cx, k)):
             on_surface = any(
                 lo == hi and (lo == 0 or lo == 4) for lo, hi in c.box
             )
@@ -106,7 +108,7 @@ def test_quotient_empty_selection_is_error():
 def test_quotient_non_closed_selection_reports_witness():
     cx = build_lattice(2, 2, "torus")
     # hand-label one edge only: an edge without its endpoints is not closed
-    cx.cells[1][0] = type(cx.cells[1][0])(cx.cells[1][0].box, "oE0")
+    cx = cx.delete([set(), set(), set()], relabel={(1, 0): "oE0"})
     with pytest.raises(ValueError, match="not closed"):
         cx.quotient_to_point({"oE0"})
 
@@ -114,7 +116,7 @@ def test_quotient_non_closed_selection_reports_witness():
 def test_sphere_background_via_quotient():
     cx = build_lattice(3, 2, "sphere")
     assert cx.background == "sphere"
-    assert cx.euler_characteristic() == 0  # collapsing the boundary of B^3 gives S^3
+    assert euler_characteristic(cx) == 0  # collapsing the boundary of B^3 gives S^3
 
 
 def test_dual_involution_counts():
@@ -138,8 +140,8 @@ def test_dual_transpose_bit_exact():
 def test_dual_label_transfer():
     cx = build_lattice(2, 2, "open")
     dual = cx.transpose_dual()
-    primal_labels = sorted(c.label for c in cx.cells[0])
-    dual_labels = sorted(c.label for c in dual.cells[2])
+    primal_labels = sorted(c.label for c in cells(cx, 0))
+    dual_labels = sorted(c.label for c in cells(dual, 2))
     assert primal_labels == dual_labels
 
 
@@ -190,5 +192,32 @@ def test_text_roundtrip_bit_exact():
         assert again.to_text() == cx.to_text()
         for k in range(cx.dim + 1):
             assert again.boundary_matrix(k) == cx.boundary_matrix(k)
-            assert [c.box for c in again.cells[k]] == [c.box for c in cx.cells[k]]
-            assert [c.label for c in again.cells[k]] == [c.label for c in cx.cells[k]]
+            assert [c.box for c in cells(again, k)] == [c.box for c in cells(cx, k)]
+            assert [c.label for c in cells(again, k)] == [c.label for c in cells(cx, k)]
+
+
+# per-grade cell counts of FC(3,1) in code style with m-holes; the level
+# 1-3 counts are those of the tuple-and-dict implementation
+FC31_M_COUNTS = {
+    1: [34, 64, 32, 0],
+    2: [722, 1744, 1240, 192],
+    3: [17314, 45272, 35832, 7240],
+    4: [437042, 1174048, 963304, 210000],
+}
+
+
+@pytest.mark.slow
+def test_fc31_level4_build():
+    import complex_oracles as oracle
+    from fractalcss.complexes import fractal_holes
+    from test_punch import reference_punch_holes
+
+    for level, counts in FC31_M_COUNTS.items():
+        spec = FractalSpec(3, 3, 1, level, holes="m")
+        cx = fractal_complex(spec, "code")
+        cx.assert_dd_zero()
+        assert [cx.n_cells(k) for k in range(4)] == counts
+        assert len(cx.holes) == sum(26**j for j in range(level))  # 18,279 at level 4
+        if level <= 2:  # the oracle builder and per-cell punch, live
+            ref = reference_punch_holes(oracle.code_lattice(3, spec.side), fractal_holes(spec))
+            assert ref.to_text() == cx.to_text()

@@ -1,7 +1,13 @@
 """Distance computations against independent small-instance oracles."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
+import fractalcss
 from fractalcss.code import css_from_complex, is_x_logical, is_z_logical
 from fractalcss.complexes import FractalSpec, build_lattice, code_lattice, fractal_complex
 from fractalcss.distance import (
@@ -150,3 +156,34 @@ def test_fit_scaling_degenerate_points():
 def test_fit_scaling_rejects_nonpositive():
     with pytest.raises(ValueError):
         fit_scaling([(0, 1), (2, 3)])
+
+
+# A d_Z witness with its last qubit dropped, and a stack of codes of
+# different sizes; both must raise with and without -O.
+_CHECKS_UNDER_O = textwrap.dedent("""
+    import fractalcss.distance as distance
+    from fractalcss.code import css_from_complex
+    from fractalcss.complexes import FractalSpec, fractal_complex
+    from fractalcss.gates import align_identical
+    code = css_from_complex(fractal_complex(FractalSpec(3, 3, 1, 1), "code"), 1)
+    other = css_from_complex(fractal_complex(FractalSpec(2, 3, 1, 1), "code"), 1)
+    real_path = distance._path
+    distance._path = lambda via, end: real_path(via, end)[:-1]
+    raised = []
+    for case in (lambda: distance.dz_shortest_path(code),
+                 lambda: align_identical([code, other])):
+        try:
+            case()
+        except (AssertionError, ValueError) as exc:
+            raised.append(type(exc).__name__)
+    print(" ".join(raised))
+""")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_witness_and_stack_checks_raise_under_optimize(flags):
+    src = os.path.dirname(os.path.dirname(fractalcss.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, *flags, "-c", _CHECKS_UNDER_O], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["AssertionError", "ValueError"]

@@ -26,6 +26,8 @@ from fractalcss.complexes import (
 )
 from fractalcss.gates import merge_rough
 
+from complex_oracles import faces
+
 
 def _dense_dd_zero(cx: CellComplex) -> bool:
     return all(
@@ -210,7 +212,7 @@ def test_from_text_rejects_nonzero_dd():
 def test_from_text_cancels_repeated_faces_mod_2():
     doubled = BAD_COMPLEX.replace(": 0 1 2\n", ": 3 0 1 2 1 1\n")
     cx = CellComplex.from_text(doubled)
-    assert cx.faces[2] == [(0, 1, 2, 3)]
+    assert faces(cx, 2) == [(0, 1, 2, 3)]
 
 
 def test_from_text_rejects_face_index_out_of_range():

@@ -199,6 +199,8 @@ def test_quotient_dim_torus_homology_example():
     from fractalcss.gf2 import Gf2Matrix, kernel_basis, quotient_dim
 
     cx = build_lattice(2, 3, "torus")
-    cycles = Gf2Matrix.from_row_vectors(kernel_basis(cx.boundary_matrix(1)), 18)
+    from complex_oracles import from_row_vectors
+
+    cycles = from_row_vectors(kernel_basis(cx.boundary_matrix(1)), 18)
     boundaries = cx.boundary_matrix(2).transpose()
     assert quotient_dim(cycles, boundaries) == 2

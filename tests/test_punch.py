@@ -22,6 +22,8 @@ from fractalcss.complexes import (
     punch_holes,
 )
 
+from complex_oracles import cells
+
 # -- oracle: the per-cell implementation ------------------------------------
 
 
@@ -80,7 +82,7 @@ def reference_punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
         if cx.style == "code" and hole.kind == "m":
             # measured-out region: closed star of the hole box
             for k in range(cx.dim + 1):
-                for i, c in enumerate(cx.cells[k]):
+                for i, c in enumerate(cells(cx, k)):
                     if _box_touches(c.box, hole.box, cx.periods):
                         doomed[k].add(i)
         elif cx.style == "code" and hole.kind == "e":
@@ -88,7 +90,7 @@ def reference_punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
             # code module deletes the patch, leaving dangling edges
             marked: list[set[int]] = [set() for _ in range(cx.dim + 1)]
             for k in range(cx.dim + 1):
-                for i, c in enumerate(cx.cells[k]):
+                for i, c in enumerate(cells(cx, k)):
                     if _box_strictly_inside(c.box, hole.box, cx.periods):
                         marked[k].add(i)
             _downward_close(cx, marked)
@@ -97,11 +99,11 @@ def reference_punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
                     relabel[(k, i)] = hole.label
         else:
             for k in range(cx.dim + 1):
-                for i, c in enumerate(cx.cells[k]):
+                for i, c in enumerate(cells(cx, k)):
                     if _box_strictly_inside(c.box, hole.box, cx.periods):
                         doomed[k].add(i)
             for k in range(cx.dim + 1):
-                for i, c in enumerate(cx.cells[k]):
+                for i, c in enumerate(cells(cx, k)):
                     if i in doomed[k] or c.label != BULK:
                         continue
                     if _box_within_closed(c.box, hole.box, cx.periods):

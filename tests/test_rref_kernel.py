@@ -214,7 +214,7 @@ _SHAPE_GUARDS = textwrap.dedent("""
         lambda: Gf2Matrix(2, 3, np.zeros((3, 1), dtype=np.uint64)),
         lambda: v2.dot(v3),
         lambda: v2 ^ v3,
-        lambda: Gf2Matrix.from_row_vectors([v3, v2]),
+        lambda: Gf2Matrix.from_dense([1, 0]),
         lambda: m23.vstack(Gf2Matrix(1, 2)),
         lambda: m23.mul_vec(v2),
         lambda: m23.matmul_t(Gf2Matrix(2, 2)),
