@@ -162,8 +162,9 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
 
 
 def _support(lists: Faces, anchor, qubit, qubit_of) -> tuple[np.ndarray, np.ndarray]:
-    """(row, qubit) entries of the checks: row r is the r-th anchor cell,
-    its support the qubit cells among its lists entry."""
+    """(row, qubit) entries of the checks: row r belongs to the r-th anchor
+    cell, its support is the qubit cells among that cell's entries of
+    `lists` (its cofaces for X checks, its faces for Z checks)."""
     own = lists.owners()
     sel = anchor[own] & qubit[lists.idx]
     return (np.cumsum(anchor) - 1)[own[sel]], qubit_of[lists.idx[sel]]

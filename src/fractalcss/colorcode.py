@@ -128,64 +128,36 @@ def shrunk_lattices(cc: ColorCode2D) -> tuple[CellComplex, CellComplex]:
 
 
 def _shrink(cc: ColorCode2D, color: int) -> CellComplex:
-    face_of_vertex: list[dict[int, int]] = [dict() for _ in cc.vertices]
+    colors = np.array(cc.face_colors)
+    # the face of each colour at each vertex (-1 where there is none)
+    face_at = np.full((len(cc.vertices), 3), -1)
     for f, vs in enumerate(cc.faces):
-        for v in vs:
-            face_of_vertex[v][cc.face_colors[f]] = f
-
-    edge_faces: list[list[int]] = [[] for _ in cc.edges]
-    face_edge_set = []
-    for f, vs in enumerate(cc.faces):
-        vset = set(vs)
-        face_edge_set.append(
-            {e for e, (u, v) in enumerate(cc.edges) if u in vset and v in vset}
-        )
-        for e in face_edge_set[-1]:
-            edge_faces[e].append(f)
-
-    new_vertices = [f for f in range(len(cc.faces)) if cc.face_colors[f] == color]
-    vertex_pos = {f: i for i, f in enumerate(new_vertices)}
-
-    keep_edges = []
-    for e, fs in enumerate(edge_faces):
-        cols = {cc.face_colors[f] for f in fs}
-        if len(fs) == 2 and color not in cols:
-            keep_edges.append(e)
-    edge_pos = {e: i for i, e in enumerate(keep_edges)}
-
-    def endpoint_vertices(e: int) -> list[int]:
-        out = []
-        for v in cc.edges[e]:
-            f = face_of_vertex[v].get(color)
-            if f is not None:
-                out.append(vertex_pos[f])
-        return out
-
-    new_faces = []
-    face_faces = []
-    for f in range(len(cc.faces)):
-        if cc.face_colors[f] == color:
-            continue
-        boundary_edges = sorted(e for e in face_edge_set[f] if e in edge_pos)
-        if not boundary_edges:
-            continue
-        chain: dict[int, int] = {}
-        for e in boundary_edges:
-            for r in endpoint_vertices(e):
-                chain[r] = chain.get(r, 0) ^ 1
-        if any(chain.values()):
-            continue  # open chain: boundary face of the shrunk lattice
-        new_faces.append(f)
-        face_faces.append(tuple(edge_pos[e] for e in boundary_edges))
+        face_at[vs, colors[f]] = f
+    u, v = np.array(cc.edges).reshape(-1, 2).T
+    # per edge and colour, whether the face of that colour holds the edge
+    inside = (face_at[u] == face_at[v]) & (face_at[u] >= 0)
+    keep_edges = np.flatnonzero((inside.sum(axis=1) == 2) & ~inside[:, color])
+    new_vertices = np.flatnonzero(colors == color)
+    vertex = np.cumsum(colors == color) - 1  # shrunk vertex of each face of the colour
+    ends = face_at[np.stack([u, v], axis=1)[keep_edges], color]  # -1: no such vertex
+    r, c = np.nonzero(ends >= 0)
+    edges = Faces.from_pairs(len(keep_edges), r, vertex[ends[r, c]])
+    # each other-coloured face bounded by its kept edges; faces whose edge
+    # chain is open sit on the shrunk lattice's own boundary and drop out
+    rows, cols = np.nonzero(inside[keep_edges])
+    owner = face_at[u[keep_edges[rows]], cols]
+    bounded = np.flatnonzero(np.bincount(owner, minlength=len(colors)))
+    reach = Faces.from_pairs(len(colors), np.repeat(owner, edges.counts()[rows]),
+                             edges.take(rows))
+    new_faces = bounded[reach.counts()[bounded] == 0]
+    mine = np.isin(owner, new_faces)
+    face_faces = Faces.from_pairs(len(new_faces), np.searchsorted(new_faces, owner[mine]),
+                                  rows[mine])
 
     # cell boxes ((index, index), (grade, grade)): a record, not a geometry
     cells = [np.array([((j, j), (k, k)) for j in ids], dtype=np.int64).reshape(-1, 2, 2)
              for k, ids in enumerate((new_vertices, keep_edges, new_faces))]
-    faces = [
-        Faces.empty(len(new_vertices)),
-        Faces.from_lists([endpoint_vertices(e) for e in keep_edges]),
-        Faces.from_lists(face_faces),
-    ]
+    faces = [Faces.empty(len(new_vertices)), edges, face_faces]
     labels = [np.zeros(len(c), dtype=np.int64) for c in cells]
     return CellComplex(2, cells, labels, (BULK,), faces, "open", "shrunk", (None, None))
 

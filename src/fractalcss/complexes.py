@@ -178,12 +178,6 @@ class Faces:
         return cls(ptr, cols[odd])
 
     @classmethod
-    def from_lists(cls, lists) -> "Faces":
-        counts = [len(fs) for fs in lists]
-        cols = np.fromiter(itertools.chain.from_iterable(lists), np.int64, sum(counts))
-        return cls.from_pairs(len(lists), np.repeat(np.arange(len(lists)), counts), cols)
-
-    @classmethod
     def from_table(cls, table: np.ndarray) -> "Faces":
         """Faces from an (n, m) array of m face indices per cell (repeats
         cancel mod 2)."""
@@ -205,6 +199,10 @@ class Faces:
     def owners(self) -> np.ndarray:
         """The cell of every entry of ``idx``."""
         return np.repeat(np.arange(len(self)), self.counts())
+
+    def take(self, cells: np.ndarray) -> np.ndarray:
+        """The faces of `cells`, concatenated."""
+        return self.idx[_ranges(self.ptr[cells], self.ptr[cells + 1])]
 
     def transpose(self, n: int) -> "Faces":
         """The cofaces: per cell of the grade below (n of them), the sorted
@@ -684,8 +682,7 @@ def _close_down(cx: CellComplex, cells: np.ndarray, start: np.ndarray) -> np.nda
     per_grade = [cells[(cells >= start[k]) & (cells < start[k + 1])] - start[k]
                  for k in range(cx.dim + 1)]
     for k in range(cx.dim, 0, -1):
-        fs, c = cx.faces[k], per_grade[k]
-        per_grade[k - 1] = np.union1d(per_grade[k - 1], fs.idx[_ranges(fs.ptr[c], fs.ptr[c + 1])])
+        per_grade[k - 1] = np.union1d(per_grade[k - 1], cx.faces[k].take(per_grade[k]))
     return np.concatenate([ix + start[k] for k, ix in enumerate(per_grade)])
 
 
@@ -720,6 +717,7 @@ def punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
             doomed[near[_hits(mh, np.maximum(wh, 1), hole.box, cx.periods)]] = True
             i = near[_hits(mh, wh, hole.box, cx.periods)]
             tag[i[~doomed[i] & bulk[i]]] = j
+    del m, w, grid  # free the midpoint index before the restricted copy is built
     tagged = np.flatnonzero(tag >= 0)
     grade = np.searchsorted(start, tagged, "right") - 1
     relabel = {

@@ -293,7 +293,7 @@ def build_vasmer_browne_stack(
     def at(mids) -> np.ndarray:
         return grid[tuple(np.moveaxis(mids, -1, 0) + 2)]
 
-    def checks(support: np.ndarray) -> Gf2Matrix:  # one row per row of qubits, -1 for none
+    def checks(support: np.ndarray) -> Gf2Matrix:  # a row of qubits per check, -1 for none
         r, c = np.nonzero(support >= 0)
         return Gf2Matrix.from_entries(len(support), n, np.column_stack((r, support[r, c])))
 
