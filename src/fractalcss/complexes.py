@@ -473,18 +473,19 @@ class CellComplex:
                 counts.append(int(toks[3]))
                 pos += 1
             code = {BULK: 0}  # label -> code, in order of first use
+            sep = 4 + 2 * dim  # the ':' after the label and the coordinates
             cells, labels, faces = [], [], []
             for k in range(dim + 1):
                 coords, codes, rows, cols = [], [], [], []
                 for i in range(counts[k]):
                     toks = lines[pos].split()
                     pos += 1
-                    if toks[:3] != ["cell", str(k), str(i)] or toks[4 + 2 * dim] != ":":
+                    if toks[:3] != ["cell", str(k), str(i)] or toks[sep : sep + 1] != [":"]:
                         raise ValueError(f"expected 'cell {k} {i} <label> <{2 * dim} "
                                          f"coordinates> : <faces>', got {lines[pos - 1]!r}")
-                    coords.extend(map(int, toks[4 : 4 + 2 * dim]))
+                    coords.extend(map(int, toks[4:sep]))
                     codes.append(code.setdefault(toks[3], len(code)))
-                    fs = toks[5 + 2 * dim :]
+                    fs = toks[sep + 1 :]
                     cols.extend(map(int, fs))
                     rows.extend([i] * len(fs))
                 n = counts[k]

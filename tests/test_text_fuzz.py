@@ -114,3 +114,24 @@ def test_cli_exits_2_on_nonzero_boundary_of_boundary(tmp_path, capsys, faces, rc
     assert main(["homology", "--complex", str(path)]) == rc
     if rc:
         assert "boundary of boundary nonzero" in capsys.readouterr().err
+
+
+def _drop_token(text: str, prefix: str, at: int) -> str:
+    lines = text.splitlines()
+    i = next(i for i, ln in enumerate(lines) if ln.startswith(prefix))
+    toks = lines[i].split(" ")
+    del toks[at]
+    lines[i] = " ".join(toks)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_drop_token(BASE, "cell 0 0 ", 4), "4 coordinates"),
+    (_drop_token(BASE, "cell 1 2 ", 8), "4 coordinates"),
+    (BASE + "cell 3 0 bulk 0 0 0 0 :\n", "1 lines after the last cell"),
+    (BASE.replace("grade 1 count", "grade 1 counts"), "expected 'grade 1 count <n>'"),
+    (BASE.replace("grade 2 count 6", "grade 2 count -1"), "expected 'grade 2 count <n>'"),
+], ids=["short-box", "no-colon", "trailing-line", "grade-word", "negative-count"])
+def test_from_text_rejects_malformed_cells(text, message):
+    with pytest.raises(ValueError, match=message):
+        CellComplex.from_text(text)
