@@ -32,7 +32,8 @@ index arithmetic: the cells with one set of extended axes form a C-ordered
 block, and a face is the same multi-index in the matching (k-1)-block with
 the dropped axis at j or j + 1 (mod the vertex count on a periodic axis).
 Cofaces and dense GF(2) boundary matrices are derived on demand, the
-latter only for the eliminations of the homology module.
+latter only for eliminations: ``cobetti`` and the small residue that
+``betti`` ranks after collapsing the complex.
 
 Boundary labels are short strings: ``bulk``, ``oE<k>``/``oM<k>`` for outer
 hypersurface patches (patch id ``2*axis + side``), ``hE<k>``/``hM<k>`` for
@@ -219,6 +220,28 @@ class Faces:
         np.cumsum(np.bincount(own[sel], minlength=len(self))[keep], out=ptr[1:])
         return Faces(ptr, (np.cumsum(keep_below) - 1)[self.idx[sel]])
 
+    def matrix(self, rows: int) -> Gf2Matrix:
+        """The dense boundary map: one column per cell, `rows` rows for the
+        grade below."""
+        return Gf2Matrix.from_entries(rows, len(self), np.column_stack((self.idx, self.owners())))
+
+    def composes_to_zero(self, below: "Faces", n: int) -> bool:
+        """Whether every cell of the grade two down (n of them) is reached
+        an even number of times from each cell through `below`."""
+        # in blocks of cells, so the temporaries stay small
+        for first in range(0, len(self), 1 << 16):
+            ptr = self.ptr[first : first + (1 << 16) + 1]
+            block = Faces(ptr - ptr[0], self.idx[ptr[0] : ptr[-1]])
+            starts, stops = below.ptr[block.idx], below.ptr[block.idx + 1]
+            reach = np.repeat(block.owners() * n, stops - starts)
+            reach += below.idx[_ranges(starts, stops)]
+            reach.sort()
+            # sorted, every value occurs an even number of times iff the
+            # entries pair up
+            if len(reach) % 2 or (reach[0::2] != reach[1::2]).any():
+                return False
+        return True
+
 
 class CellComplex:
     """Graded cells with Z2 boundaries, stored as arrays per grade k.
@@ -296,10 +319,7 @@ class CellComplex:
             return Gf2Matrix.zeros(0, self.n_cells(0))
         if not 1 <= k <= self.dim:
             return Gf2Matrix.zeros(self.n_cells(self.dim), 0)
-        fs = self.faces[k]
-        return Gf2Matrix.from_entries(
-            self.n_cells(k - 1), self.n_cells(k), np.column_stack((fs.idx, fs.owners()))
-        )
+        return self.faces[k].matrix(self.n_cells(k - 1))
 
     def labels_present(self) -> set[str]:
         codes = np.unique(np.concatenate(self.labels)).tolist()
@@ -312,19 +332,8 @@ class CellComplex:
     def assert_dd_zero(self) -> None:
         """Every (k-2)-cell is reached an even number of times from each k-cell."""
         for k in range(2, self.dim + 1):
-            up, below = self.faces[k], self.faces[k - 1]
-            # in blocks of k-cells, so the temporaries stay small
-            for first in range(0, len(up), 1 << 16):
-                ptr = up.ptr[first : first + (1 << 16) + 1]
-                block = Faces(ptr - ptr[0], up.idx[ptr[0] : ptr[-1]])
-                starts, stops = below.ptr[block.idx], below.ptr[block.idx + 1]
-                reach = np.repeat(block.owners() * self.n_cells(k - 2), stops - starts)
-                reach += below.idx[_ranges(starts, stops)]
-                reach.sort()
-                # sorted, every value occurs an even number of times iff the
-                # entries pair up
-                if len(reach) % 2 or (reach[0::2] != reach[1::2]).any():
-                    raise BoundaryError(f"boundary of boundary nonzero at grade {k}")
+            if not self.faces[k].composes_to_zero(self.faces[k - 1], self.n_cells(k - 2)):
+                raise BoundaryError(f"boundary of boundary nonzero at grade {k}")
 
     # -- derived complexes ------------------------------------------------
 
@@ -459,10 +468,11 @@ class CellComplex:
                 if hole_tok != "-":
                     for part in hole_tok.split(";"):
                         fields = part.split(",")
+                        pairs = [t.split(":") for t in fields[3:]]
+                        if len(pairs) != dim or any(len(p) != 2 for p in pairs):
+                            raise ValueError(f"hole {part!r} needs {dim} lo:hi pairs")
                         hid, kind, level = int(fields[0]), fields[1], int(fields[2])
-                        box = tuple(
-                            (int(t.split(":")[0]), int(t.split(":")[1])) for t in fields[3:]
-                        )
+                        box = tuple((int(lo), int(hi)) for lo, hi in pairs)
                         holes.append(Hole(hid, box, kind, level))
                 pos += 1
             counts = []
@@ -693,7 +703,9 @@ def punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
     The deleted set stays closed under the boundary (rough bites take their
     faces along) or the coboundary (smooth bites are closed stars), so the
     restricted complex still satisfies dd = 0.  Holes apply in order; a
-    cell relabeled by several holes takes the last one's label.
+    cell relabeled by several holes takes the last one's label.  A layout
+    that leaves an e-labelled patch not closed under the boundary raises
+    ValueError.
     """
     # every grade in one array: cell c of grade k is row start[k] + c
     start = np.cumsum([0] + [cx.n_cells(k) for k in range(cx.dim + 1)])
@@ -725,8 +737,30 @@ def punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
         (k, i - int(start[k])): holes[t].label
         for k, i, t in zip(grade.tolist(), tagged.tolist(), tag[tagged].tolist())
     }
-    return cx.delete([np.flatnonzero(doomed[start[k] : start[k + 1]]) for k in range(cx.dim + 1)],
-                     holes_add=holes, relabel=relabel)
+    gone = [np.flatnonzero(doomed[start[k] : start[k + 1]]) for k in range(cx.dim + 1)]
+    punched = cx.delete(gone, holes_add=holes, relabel=relabel)
+    _check_e_patches(punched)
+    return punched
+
+
+def _check_e_patches(cx: CellComplex) -> None:
+    """The e-labelled cells must be closed under the boundary, as the code
+    and the relative homology remove them: raise ValueError naming the patch
+    of the first e-labelled cell with a face that is not e-labelled (a
+    plain-style e-hole cut by the outer boundary or by a later m-hole)."""
+    e = [cx.label_mask(k, label_is_e) for k in range(cx.dim + 1)]
+    for k in range(1, cx.dim + 1):
+        cells = np.flatnonzero(e[k])
+        faces = cx.faces[k].take(cells)
+        bad = np.flatnonzero(~e[k - 1][faces])
+        if bad.size:
+            i = np.repeat(cells, cx.faces[k].counts()[cells])[bad[0]]
+            f = faces[bad[0]]
+            raise ValueError(
+                f"e-labelled patch {cx.label_names[cx.labels[k][i]]} is not closed under "
+                f"the boundary: grade-{k} cell {i} has face {f} labelled "
+                f"{cx.label_names[cx.labels[k - 1][f]]}"
+            )
 
 
 def punch_box(cx: CellComplex, origin: tuple[int, ...], side: int, kind: str,

@@ -6,13 +6,29 @@ collapses to a single point.  At i = 0 the quotient-complex value differs
 from the reduced relative group; :func:`betti_with_caveat` returns a flag
 instead of papering over the distinction (no code parameter depends on
 i = 0).
+
+:func:`betti` shrinks the complex before it ranks anything, round by round
+on the CSR face arrays: elementary collapses (a (k-1)-cell with exactly
+one live coface goes with that coface), then coreductions (Mrozek & Batko,
+"Coreduction homology algorithm", DCG 2009: a k-cell with exactly one live
+face goes with that face), seeding one vertex per connected component when
+grade-1 coreductions stall.  No such removal changes a surviving cell's
+boundary, so the residue is the original boundary maps restricted to the
+surviving cells; only its two boundaries at the requested grade become
+dense GF(2) matrices (for FC(4,2) level 2 relative to the e-labels, 132 of
+7,440 edges and 180 of 5,232 faces survive).  It reads only the face
+arrays, so it stays a cross-check independent of H_X and H_Z.
+:func:`cobetti` stays dense on purpose: it is the independent route the CLI
+prints beside :func:`betti`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .complexes import CellComplex, dual_with_boundary, label_is_e, label_is_m
+import numpy as np
+
+from .complexes import BoundaryError, CellComplex, dual_with_boundary, label_is_e, label_is_m
 from .gf2 import _rank_in_place
 
 
@@ -30,9 +46,90 @@ def betti_with_caveat(
         raise ValueError(f"grade {grade} out of range 0..{cx.dim}")
     if relative_labels:
         cx = cx.quotient_to_point(set(relative_labels))
-    # one dense boundary matrix at a time: each is built for its rank only
-    ranks = [_rank_in_place(cx.boundary_matrix(k)) for k in (grade, grade + 1)]
-    return cx.n_cells(grade) - sum(ranks), grade == 0 and bool(relative_labels)
+    live, seeds = _Reduction(cx).run()
+    sizes = [int(keep.sum()) for keep in live]
+    # the residue's boundaries into and out of the grade
+    d = {k: cx.faces[k].restrict(live[k], live[k - 1])
+         for k in (grade, grade + 1) if 1 <= k <= cx.dim}
+    if len(d) == 2 and not d[grade + 1].composes_to_zero(d[grade], sizes[grade - 1]):
+        raise BoundaryError(f"reduced complex: boundary of boundary nonzero at grade {grade + 1}")
+    ranks = sum(_rank_in_place(fs.matrix(sizes[k - 1])) for k, fs in d.items())
+    value = sizes[grade] - ranks + (seeds if grade == 0 else 0)
+    return value, grade == 0 and bool(relative_labels)
+
+
+class _Reduction:
+    """The live cells of a complex under collapses and coreductions.
+
+    ``down[k]`` / ``up[k]`` are the faces / cofaces of the k-cells in CSR
+    form, ``n_down[k]`` / ``n_up[k]`` how many of them are live.
+    """
+
+    def __init__(self, cx: CellComplex):
+        self.down = cx.faces
+        self.up = [cx.cofaces(k) for k in range(cx.dim + 1)]
+        self.live = [np.ones(cx.n_cells(k), dtype=bool) for k in range(cx.dim + 1)]
+        self.n_down = [fs.counts() for fs in self.down]
+        self.n_up = [fs.counts() for fs in self.up]
+
+    def run(self) -> tuple[list[np.ndarray], int]:
+        """Reduce until a full sweep removes nothing; return the live masks
+        and the number of vertices removed as seeds."""
+        top, seeds = len(self.live) - 1, 0
+        while True:
+            removed = sum(self._pair_off(k - 1, k) for k in range(top, 0, -1))
+            for k in range(1, top + 1):
+                removed += self._pair_off(k, k - 1)
+                while k == 1 and self._can_seed():
+                    # the live vertex with the most live edges: in a quotient
+                    # the collapsed point, from which the coreductions spread
+                    # along the whole collapsed boundary at once
+                    self._remove(0, np.argmax(np.where(self.live[0], self.n_up[0], -1))[None])
+                    seeds += 1
+                    removed += 1 + self._pair_off(1, 0)
+            if not removed:
+                return self.live, seeds
+
+    def _can_seed(self) -> bool:
+        """Whether a live vertex is left and every live edge has an even
+        number of live vertices: then no boundary reaches a single vertex
+        (the augmentation vanishes on boundaries), so removing one lowers
+        H_0 by one and leaves every other grade as it was."""
+        return bool(self.live[0].any()) and not (self.n_down[1][self.live[1]] & 1).any()
+
+    def _remove(self, k: int, cells: np.ndarray) -> None:
+        self.live[k][cells] = False
+        if k:
+            np.subtract.at(self.n_up[k - 1], self.down[k].take(cells), 1)
+        if k + 1 < len(self.live):
+            np.subtract.at(self.n_down[k + 1], self.up[k].take(cells), 1)
+
+    def _pair_off(self, g: int, h: int) -> int:
+        """Remove each live g-cell with exactly one live neighbour in grade
+        h = g +- 1 together with that neighbour, round by round until none
+        is left; return the number of pairs.  A collapse has h = g + 1, a
+        coreduction h = g - 1."""
+        if h > g:
+            near, count, back = self.up, self.n_up, self.down
+        else:
+            near, count, back = self.down, self.n_down, self.up
+        live_g, live_h = self.live[g], self.live[h]
+        cand = np.flatnonzero(live_g & (count[g] == 1))
+        pairs = 0
+        while cand.size:
+            x = cand[live_g[cand] & (count[g][cand] == 1)]
+            y = near[g].take(x)
+            y = y[live_h[y]]  # the one live neighbour of each x, in order
+            if len(y) != len(x):
+                raise AssertionError(f"grade {g}: live-neighbour counts out of date")
+            y, first = np.unique(y, return_index=True)  # one pair per neighbour
+            x = x[first]
+            self._remove(g, x)
+            self._remove(h, y)
+            pairs += len(x)
+            # the g-cells whose count fell: the other neighbours of y
+            cand = back[h].take(y)
+        return pairs
 
 
 def cobetti(cx: CellComplex, grade: int, relative_labels=frozenset()) -> int:

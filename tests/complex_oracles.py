@@ -9,6 +9,10 @@ kept verbatim; the array implementation must write the same
 ``cellcomplex v1`` bytes.  ``from_arrays`` reads any complex into the
 oracle representation through that text.
 
+The dense Betti numbers are the oracle of ``homology.betti``: they rank
+the boundary matrices of the whole (quotient) complex, as ``betti`` did
+before it reduced the complex first.
+
 The remaining helpers have no caller in the package: the Euler
 characteristic, a matrix from row vectors and a row weight.
 """
@@ -22,7 +26,7 @@ import numpy as np
 
 from fractalcss.complexes import BULK, Box, Hole
 from fractalcss.complexes import CellComplex as ArrayComplex
-from fractalcss.gf2 import Gf2Matrix, Gf2Vector
+from fractalcss.gf2 import Gf2Matrix, Gf2Vector, _rank_in_place
 
 # -- reads of the array representation ---------------------------------------
 
@@ -43,6 +47,20 @@ def faces(cx, k: int) -> list[tuple[int, ...]]:
     fs = cx.faces[k]
     ptr, idx = fs.ptr.tolist(), fs.idx.tolist()
     return [tuple(idx[ptr[i]:ptr[i + 1]]) for i in range(len(fs))]
+
+
+def betti_numbers(cx: ArrayComplex, relative_labels=frozenset()) -> list[int]:
+    """Every dim H_i(L), or H_i(L/B) of the labeled subcomplex B, from the
+    ranks of the dense boundary matrices of the whole complex."""
+    if relative_labels:
+        cx = cx.quotient_to_point(set(relative_labels))
+    ranks = [0] + [_rank_in_place(cx.boundary_matrix(k)) for k in range(1, cx.dim + 1)] + [0]
+    return [cx.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(cx.dim + 1)]
+
+
+def betti(cx: ArrayComplex, grade: int, relative_labels=frozenset()) -> int:
+    """The dense dim H_i at one grade."""
+    return betti_numbers(cx, relative_labels)[grade]
 
 
 def euler_characteristic(cx) -> int:

@@ -42,6 +42,19 @@ def test_gen_odd_gap_exit2(capsys):
     assert rc == 2 and "even" in err
 
 
+def test_gen_plain_e_hole_across_outer_boundary_exit2(capsys, monkeypatch):
+    # fractal holes lie inside the lattice; this layout moves the one hole
+    # across the face x = 0, so its e-patch is cut by the oM0 patch
+    from fractalcss import complexes
+
+    hole = complexes.Hole(0, ((-2, 2), (2, 4)), "e", 1)
+    monkeypatch.setattr(complexes, "fractal_holes", lambda spec: [hole])
+    rc, _, err = run(["gen", "--dim", "2", "--p", "3", "--q", "1", "--level", "1",
+                      "--holes", "e", "--style", "plain"], capsys)
+    assert rc == 2
+    assert "patch hE0 is not closed under the boundary" in err
+
+
 def test_pipeline_gen_code_params(capsys, tmp_path):
     cx = tmp_path / "cx.txt"
     code = tmp_path / "code.txt"
