@@ -143,8 +143,8 @@ def _two_columns():
     (lambda: dual_with_boundary(fractal_complex(FractalSpec(3, 3, 1, 1))), "m", (1, True)),
 ], ids=["columns", "columns-oE0", "columns-both", "square-e", "sc31-e-holes", "dual-m"])
 def test_grade0_relative_caveat_values(build, labels, want):
-    # the value is H_0 of the quotient complex, one more than the reduced
-    # relative group; the flag is set exactly when labels are given
+    # with labels the value is H_0 of the quotient complex, one more than
+    # the reduced relative group, and the flag is set
     cx = build()
     if isinstance(labels, str):
         labels = default_label_split(cx)["em".index(labels)]
