@@ -30,7 +30,9 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import CellComplex, Faces, label_is_e, label_is_m
-from .gf2 import Gf2Matrix, Gf2Vector, _kernel_from_rref, _rref_inplace, in_rowspace
+from .gf2 import (
+    _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _reduce, _rref_inplace, in_rowspace,
+)
 from .homology import betti
 
 
@@ -271,28 +273,44 @@ def logical_basis(code: CssCode) -> tuple[list[PauliOperator], list[PauliOperato
 
 def _quotient_reps(check, span) -> list[Gf2Vector]:
     """Representatives of ker(A) modulo rowspace(B), given the (R, pivots)
-    eliminations `check` of A and `span` of B."""
+    eliminations `check` of A and `span` of B.
+
+    Each kernel vector in turn is reduced by the RREF of B and then by the
+    representatives chosen so far; it is chosen when it stays nonzero.
+    Both reductions XOR the rows picked by the vector's bits at pivot
+    columns (see `gf2._reduce`), the first for all kernel vectors at once;
+    the chosen ones are kept reduced at their lowest bits for the second.
+    The result is the one vector of its coset with no bit at any pivot.
+    """
     span_rref, span_pivots = span
+    K = _kernel_rows(*check)
+    pivot_row = np.full(K.cols, -1)
+    pivot_row[span_pivots] = np.arange(len(span_pivots))
+    t, c = K.entries()
+    at = pivot_row[c] >= 0
+    t, i = t[at], pivot_row[c[at]]
+    step = max(1, _CHUNK_WORDS // K.data.shape[1])
+    for s in range(0, len(t), step):
+        np.bitwise_xor.at(K.data, t[s : s + step], span_rref.data[i[s : s + step]])
     chosen: list[Gf2Vector] = []
-    chosen_rref: list[Gf2Vector] = []
-    for v in _kernel_from_rref(*check):
-        w = v.copy()
-        for i, p in enumerate(span_pivots):
-            if w.get(p):
-                w.data ^= span_rref.data[i, : len(w.data)]
-        for u in chosen_rref:
-            lead = _leading_bit(u)
-            if lead is not None and w.get(lead):
-                w ^= u
-        if not w.is_zero():
-            chosen.append(w.copy())
-            chosen_rref.append(w)
+    basis = np.zeros((0, K.data.shape[1]), dtype=np.uint64)
+    leads = np.zeros(0, dtype=np.int64)
+    for w in K.data[K.data.any(axis=1)]:
+        w = _reduce(basis, leads, w)
+        if w.any():
+            lead = _leading_bit(w)
+            basis[(basis[:, lead >> 6] >> np.uint64(lead & 63)) & np.uint64(1) != 0] ^= w
+            basis = np.vstack([basis, w])
+            leads = np.append(leads, lead)
+            chosen.append(Gf2Vector(K.cols, w))
     return chosen
 
 
-def _leading_bit(v: Gf2Vector) -> int | None:
-    idx = v.indices()
-    return idx[0] if idx else None
+def _leading_bit(words: np.ndarray) -> int:
+    """The lowest set bit of a nonzero packed vector."""
+    first = int(np.flatnonzero(words)[0])
+    word = int(words[first])
+    return (first << 6) + (word & -word).bit_length() - 1
 
 
 def is_z_logical(code: CssCode, support: Gf2Vector) -> bool:
@@ -350,13 +368,16 @@ def code_from_text(text: str) -> CssCode:
             qubit_cells.append(int(toks[4]))
     if len(qubit_cells) != n:
         raise ValueError(f"qubitmap has {len(qubit_cells)} lines for {n} qubits")
-    return CssCode(
-        n_qubits=n,
-        hx=hx,
-        hz=hz,
-        grading=i,
-        qubit_cells=qubit_cells,
-        x_anchor_cells=[],
-        z_anchor_cells=[],
-        source=None,
-    )
+    try:
+        return CssCode(
+            n_qubits=n,
+            hx=hx,
+            hz=hz,
+            grading=i,
+            qubit_cells=qubit_cells,
+            x_anchor_cells=[],
+            z_anchor_cells=[],
+            source=None,
+        )
+    except AssertionError as err:  # the checks do not commute
+        raise ValueError(str(err)) from err

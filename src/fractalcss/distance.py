@@ -12,6 +12,10 @@ bounded weight.  Two qubits count as connected when they share a check of
 either type; a minimum-weight logical operator cannot split into
 check-disjoint parts (each part would be syndrome-free on its own, and one
 of them a lighter logical), so the search is complete for the minimum.
+Weights 1 and 2 are screened as arrays on the sparse check entries (an
+empty syndrome column, a pair of equal ones) with the search's node count
+in closed form; the depth-first search runs from weight 3.  A search that
+runs out of its node budget reports the weight it had certified.
 
 Every exact result's witness is re-verified independently: zero syndrome
 against the opposite-type checks and membership outside the stabilizer
@@ -34,7 +38,20 @@ DEFAULT_NODE_BUDGET = 5_000_000
 
 
 class BudgetError(RuntimeError):
-    """Raised when a search exceeds its node budget (see FRACTALCSS_BUDGET)."""
+    """Raised when a search exceeds its node budget (see FRACTALCSS_BUDGET).
+
+    The search had finished every weight up to `certified_above`: no
+    logical has that weight or less.
+    """
+
+    def __init__(self, budget: int, certified_above: int):
+        self.budget = budget
+        self.certified_above = certified_above
+        super().__init__(
+            f"exhaustive search exceeded the node budget ({budget}) at weight "
+            f"{certified_above + 1}; no logical has weight <= {certified_above} "
+            f"(certified_above={certified_above}); raise FRACTALCSS_BUDGET to continue"
+        )
 
 
 class PreconditionError(ValueError):
@@ -294,7 +311,16 @@ def exhaustive_low_weight(
     logical is found, else certified_above(w_max).
 
     op_type is "X" or "Z".  Aborts with BudgetError past the node budget
-    (env FRACTALCSS_BUDGET overrides the default).
+    (env FRACTALCSS_BUDGET overrides the default); the error carries the
+    weight the search had certified by then.
+
+    Weights 1 and 2 are tested as arrays: a qubit is a candidate when its
+    syndrome column is empty, an adjacent pair when its two columns are
+    equal.  Candidates are tried in the search's order (roots ascending,
+    then neighbours ascending), and the nodes the search would have visited
+    up to each one are counted in closed form, so the witness and the
+    budget cut-off are those of the search.  Weights 3 and up run the
+    search itself.
     """
     if w_max < 1:
         raise ValueError("w_max must be >= 1")
@@ -303,58 +329,108 @@ def exhaustive_low_weight(
     budget = budget if budget is not None else search_budget()
     n = code.n_qubits
     syndrome_checks = code.hz if op_type == "X" else code.hx
+    is_logical = is_x_logical if op_type == "X" else is_z_logical
 
-    checks_of_qubit: list[list[int]] = [[] for _ in range(n)]
-    row_lists = []
-    for m, tag in ((code.hx, 0), (code.hz, 1)):
-        for r in range(m.rows):
-            sup = m.row_indices(r)
-            row_lists.append(sup)
-            for q in sup:
-                checks_of_qubit[q].append(len(row_lists) - 1)
-    syn_of_qubit: list[list[int]] = [[] for _ in range(n)]
-    for r in range(syndrome_checks.rows):
-        for q in syndrome_checks.row_indices(r):
-            syn_of_qubit[q].append(r)
+    def logical_at(support: tuple[int, ...], visited: int) -> bool:
+        """Whether `support` is a logical, tested as the `visited`-th node."""
+        if visited > budget:
+            raise BudgetError(budget, len(support) - 1)
+        return is_logical(code, Gf2Vector.from_indices(n, support))
 
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    seen_pairs = set()
-    for sup in row_lists:
-        for a in range(len(sup)):
-            for b in range(a + 1, len(sup)):
-                pair = (sup[a], sup[b])
-                if pair not in seen_pairs:
-                    seen_pairs.add(pair)
-                    neighbors[pair[0]].append(pair[1])
-                    neighbors[pair[1]].append(pair[0])
-    neighbors = [sorted(set(ns)) for ns in neighbors]
+    # syndrome columns: the checks of qubit q are checks[ptr[q]:ptr[q + 1]],
+    # ascending
+    rows, cols = syndrome_checks.entries()
+    checks = rows[np.argsort(cols, kind="stable")]
+    size = np.bincount(cols, minlength=n)
+    ptr = np.concatenate(([0], np.cumsum(size)))
 
-    nodes_visited = 0
+    # weight 1: root r is the (r + 1)-th node visited
+    for r in np.flatnonzero(size == 0).tolist():
+        if logical_at((r,), r + 1):
+            return _exact_result(code, op_type, (r,))
+    if n > budget:
+        raise BudgetError(budget, 0)
+    if w_max == 1:
+        return DistanceResult(1, "certified_above", None)
 
-    def is_logical(support: tuple[int, ...]) -> bool:
+    # weight 2: each root is visited, then each of its greater neighbours;
+    # the pair of edge e (edges sorted) at root a is node n + a + e + 2
+    a, b = _adjacent_pairs(code)
+    for e in np.flatnonzero(_same_columns(checks, ptr, a, b)).tolist():
+        support = (int(a[e]), int(b[e]))
+        if logical_at(support, n + support[0] + e + 2):
+            return _exact_result(code, op_type, support)
+    visited = 2 * n + len(a)
+    if visited > budget:
+        raise BudgetError(budget, 1)
+    if w_max == 2:
+        return DistanceResult(2, "certified_above", None)
+
+    syn_of_qubit = [checks[ptr[q] : ptr[q + 1]].tolist() for q in range(n)]
+
+    def logical(support: list[int]) -> bool:
         syn = set()
         for q in support:
             syn.symmetric_difference_update(syn_of_qubit[q])
-        if syn:
-            return False
-        v = Gf2Vector.from_indices(n, support)
-        return is_x_logical(code, v) if op_type == "X" else is_z_logical(code, v)
+        return not syn and is_logical(code, Gf2Vector.from_indices(n, support))
+
+    support = _search(n, a, b, logical, w_max, budget, visited)
+    if support is not None:
+        return _exact_result(code, op_type, support)
+    return DistanceResult(w_max, "certified_above", None)
+
+
+def _adjacent_pairs(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
+    """The qubit pairs a < b that share a check of either type, sorted.
+
+    Each check's entries are joined with the later entries of its row, as
+    `code._checks_commute` joins the two matrices on the column."""
+    keys = []
+    for m in (code.hx, code.hz):
+        r, c = m.entries()  # row-major: the columns of a row ascend
+        count = np.searchsorted(r, r, "right") - np.arange(len(r)) - 1
+        at = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        later = np.repeat(np.arange(len(r)) + 1, count) + at
+        keys.append(np.repeat(c, count) * code.n_qubits + c[later])
+    return np.divmod(np.unique(np.concatenate(keys)), code.n_qubits)
+
+
+def _same_columns(checks, ptr, a, b) -> np.ndarray:
+    """Per pair e, whether qubits a[e] and b[e] have the same syndrome
+    column (`checks[ptr[q]:ptr[q + 1]]` for qubit q)."""
+    size = np.diff(ptr)
+    same = size[a] == size[b]
+    ea, eb = a[same], b[same]
+    d = size[ea]
+    pair = np.repeat(np.arange(len(ea)), d)
+    at = np.arange(d.sum()) - np.repeat(np.cumsum(d) - d, d)
+    differ = checks[ptr[ea][pair] + at] != checks[ptr[eb][pair] + at]
+    same[same] = np.bincount(pair[differ], minlength=len(ea)) == 0
+    return same
+
+
+def _search(n, a, b, logical, w_max, budget, visited):
+    """The depth-first search over connected supports of weight 3..w_max
+    on n qubits with the adjacent pairs (a, b), its node count starting at
+    `visited`: the first support that is `logical`, or None.
+    """
+    neighbors: list[list[int]] = [[] for _ in range(n)]
+    for u, v in zip(a.tolist(), b.tolist()):
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    for ns in neighbors:
+        ns.sort()
 
     def extend(sub: list[int], extension: list[int], target: int):
-        nonlocal nodes_visited
+        nonlocal visited
         if len(sub) == target:
-            if is_logical(tuple(sub)):
-                return tuple(sub)
-            return None
+            return tuple(sub) if logical(sub) else None
         ext = list(extension)
         while ext:
             u = ext.pop(0)
-            nodes_visited += 1
-            if nodes_visited > budget:
-                raise BudgetError(
-                    f"exhaustive search exceeded the node budget ({budget}); "
-                    "raise FRACTALCSS_BUDGET to continue"
-                )
+            visited += 1
+            if visited > budget:
+                raise BudgetError(budget, target - 1)
             grown = ext + [
                 w
                 for w in neighbors[u]
@@ -365,23 +441,15 @@ def exhaustive_low_weight(
                 return found
         return None
 
-    for w in range(1, w_max + 1):
+    for w in range(3, w_max + 1):
         for root in range(n):
-            nodes_visited += 1
-            if nodes_visited > budget:
-                raise BudgetError(
-                    f"exhaustive search exceeded the node budget ({budget}); "
-                    "raise FRACTALCSS_BUDGET to continue"
-                )
-            if w == 1:
-                if is_logical((root,)):
-                    return _exact_result(code, op_type, (root,))
-            else:
-                ext = [u for u in neighbors[root] if u > root]
-                found = extend([root], ext, w)
-                if found:
-                    return _exact_result(code, op_type, found)
-    return DistanceResult(w_max, "certified_above", None)
+            visited += 1
+            if visited > budget:
+                raise BudgetError(budget, w - 1)
+            found = extend([root], [u for u in neighbors[root] if u > root], w)
+            if found:
+                return found
+    return None
 
 
 def _exact_result(code, op_type, support) -> DistanceResult:

@@ -4,7 +4,9 @@ The CZ/CCZ checks are pure intersection-parity tests over aligned code
 blocks: every pair (triple) built from X stabilizers must overlap on an
 even number of sites, pairs (triples) mixing stabilizers with logical-X
 representatives must be even, and the all-logical pair (triple) must be
-odd.  Failures always carry a witness.
+odd.  Failures always carry a witness.  The stabilizers and logicals are
+packed site sets (bit-packed rows), and a pair or triple is tested by the
+popcount parity of its AND, whole arrays of pairs at a time.
 
 The three-copy stack follows the asymmetric cubic construction: copy 1 is
 the standard surface code on the lattice (weight-6 bulk vertex stabilizers,
@@ -32,7 +34,7 @@ import numpy as np
 
 from .code import CssCode, PauliOperator, css_from_complex, is_x_logical, logical_basis
 from .complexes import Box, CellComplex, Faces, Hole, code_lattice, punch_holes
-from .gf2 import Gf2Matrix, Gf2Vector, in_rowspace
+from .gf2 import _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _popcount, in_rowspace
 
 
 # -- alignment ----------------------------------------------------------------
@@ -57,17 +59,6 @@ class StackAlignment:
     def sites_of(self, copy: int, support: Gf2Vector) -> frozenset[int]:
         mapping = self.qubit_site[copy]
         return frozenset(mapping[q] for q in support.indices())
-
-    def x_stab_sites(self, copy: int) -> list[frozenset[int]]:
-        code = self.codes[copy]
-        return [
-            self.sites_of(copy, code.hx.row(r)) for r in range(code.hx.rows)
-        ]
-
-    def logical_sites(self, copy: int) -> frozenset[int] | None:
-        if copy < len(self.x_logicals) and self.x_logicals[copy] is not None:
-            return self.sites_of(copy, self.x_logicals[copy].x_support)
-        return None
 
 
 def align_identical(codes: list[CssCode], x_logicals=None) -> StackAlignment:
@@ -130,11 +121,52 @@ class GateCheckReport:
         return "\n".join(lines) + "\n"
 
 
-def _parity(*site_sets: frozenset[int]) -> int:
-    inter = site_sets[0]
-    for s in site_sets[1:]:
-        inter = inter & s
-    return len(inter) & 1
+def _site_row(align: StackAlignment, copy: int, support: Gf2Vector) -> np.ndarray:
+    """A support of one copy as a packed set of sites."""
+    sites = np.asarray(align.qubit_site[copy], dtype=np.int64)[support.indices()]
+    return Gf2Vector.from_indices(align.n_sites, sites).data
+
+
+def _stab_rows(align: StackAlignment, copy: int) -> np.ndarray:
+    """The X stabilizers of one copy as packed site sets, one row each."""
+    hx = align.codes[copy].hx
+    r, q = hx.entries()
+    sites = np.asarray(align.qubit_site[copy], dtype=np.int64)[q]
+    return Gf2Matrix.from_entries(hx.rows, align.n_sites, np.column_stack((r, sites))).data
+
+
+def _logical_row(align: StackAlignment, copy: int) -> np.ndarray | None:
+    """The copy's logical X as packed sites: the alignment's, else the first
+    of its logical basis; None when the code has none."""
+    x = align.x_logicals[copy] if copy < len(align.x_logicals) else None
+    if x is None:
+        xs = logical_basis(align.codes[copy])[1]
+        if not xs:
+            return None
+        x = xs[0]
+    return _site_row(align, copy, x.x_support)
+
+
+def _meeting(a: np.ndarray, b: np.ndarray, odd: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs (i, j) of packed rows a[i], b[j] that share an odd number
+    of sites (with `odd` False: any site), in row-major order.  Rows of a
+    are taken in chunks, so at most _CHUNK_WORDS words are ANDed at once."""
+    step = max(1, _CHUNK_WORDS // max(1, b.size))
+    out_i, out_j = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
+    for s in range(0, len(a), step):
+        meet = a[s : s + step, None, :] & b
+        if odd:
+            i, j = np.nonzero(np.bitwise_count(np.bitwise_xor.reduce(meet, axis=2)) & 1)
+        else:
+            i, j = np.nonzero(meet.any(axis=2))
+        out_i.append(i + s)
+        out_j.append(j)
+    return np.concatenate(out_i), np.concatenate(out_j)
+
+
+def _odd_rows(a: np.ndarray, v: np.ndarray) -> list[int]:
+    """The rows of a that share an odd number of sites with the row v."""
+    return _meeting(a, v[None])[0].tolist()
 
 
 def check_transversal_cz(
@@ -144,31 +176,19 @@ def check_transversal_cz(
     aligned blocks: stabilizer pairs even, stabilizer/logical pairs even,
     logical/logical odd."""
     ia, ib = align.codes.index(a), align.codes.index(b)
-    stabs = {ia: align.x_stab_sites(ia), ib: align.x_stab_sites(ib)}
-    logicals = {ia: align.logical_sites(ia), ib: align.logical_sites(ib)}
-    for copy in (ia, ib):
-        if logicals[copy] is None:
-            zs, xs = logical_basis(align.codes[copy])
-            logicals[copy] = (
-                align.sites_of(copy, xs[0].x_support) if xs else None
-            )
+    stabs = {copy: _stab_rows(align, copy) for copy in (ia, ib)}
+    logicals = {copy: _logical_row(align, copy) for copy in {ia, ib}}
 
     conds = []
-    bad = [
-        (f"X{i}", f"X{j}", 1)
-        for i, si in enumerate(stabs[ia])
-        for j, sj in enumerate(stabs[ib])
-        if _parity(si, sj)
-    ]
-    conds.append(ConditionResult("CZ1-stab-stab", not bad, tuple(bad[:8])))
+    si, sj = _meeting(stabs[ia], stabs[ib])
+    bad = [(f"X{i}", f"X{j}", 1) for i, j in zip(si[:8].tolist(), sj[:8].tolist())]
+    conds.append(ConditionResult("CZ1-stab-stab", not bad, tuple(bad)))
 
     bad = []
     for src, dst in ((ia, ib), (ib, ia)):
-        if logicals[dst] is None:
-            continue
-        for i, si in enumerate(stabs[src]):
-            if _parity(si, logicals[dst]):
-                bad.append((f"copy{src}:X{i}", f"copy{dst}:Xbar", 1))
+        if logicals[dst] is not None:
+            bad += [(f"copy{src}:X{i}", f"copy{dst}:Xbar", 1)
+                    for i in _odd_rows(stabs[src], logicals[dst])]
     conds.append(ConditionResult("CZ1-stab-logical", not bad, tuple(bad[:8])))
 
     if logicals[ia] is None or logicals[ib] is None:
@@ -176,7 +196,7 @@ def check_transversal_cz(
             ConditionResult("CZ2-logical-logical", True, (), "not applicable: k = 0")
         )
     else:
-        p = _parity(logicals[ia], logicals[ib])
+        p = _popcount(logicals[ia] & logicals[ib]) & 1
         conds.append(
             ConditionResult(
                 "CZ2-logical-logical", p == 1, () if p == 1 else (("Xbar", "Xbar", p),)
@@ -188,53 +208,39 @@ def check_transversal_cz(
 def check_transversal_ccz(
     a: CssCode, b: CssCode, c: CssCode, align: StackAlignment
 ) -> GateCheckReport:
-    """Triple intersection-parity conditions for a transversal CCZ."""
+    """Triple intersection-parity conditions for a transversal CCZ.
+
+    Each copy's stabilizers and logical are packed site sets; a pair or
+    triple is tested by the parity of the popcount of its AND."""
     idx = [align.codes.index(x) for x in (a, b, c)]
-    stabs = [align.x_stab_sites(i) for i in idx]
-    logicals = []
-    for i in idx:
-        ls = align.logical_sites(i)
-        if ls is None:
-            zs, xs = logical_basis(align.codes[i])
-            ls = align.sites_of(i, xs[0].x_support) if xs else None
-        logicals.append(ls)
+    stabs = [_stab_rows(align, i) for i in idx]
+    logicals = [_logical_row(align, i) for i in idx]
+    bars = [f"{i}:Xbar" for i in idx]
 
     conds = []
-    bad = [
-        (f"{idx[0]}:X{i}", f"{idx[1]}:X{j}", f"{idx[2]}:X{k}", 1)
-        for i, si in enumerate(stabs[0])
-        for j, sj in enumerate(stabs[1])
-        if si & sj
-        for k, sk in enumerate(stabs[2])
-        if _parity(si, sj, sk)
-    ]
+    si, sj = _meeting(stabs[0], stabs[1], odd=False)
+    pair, sk = _meeting(stabs[0][si] & stabs[1][sj], stabs[2])
+    bad = [(f"{idx[0]}:X{si[p]}", f"{idx[1]}:X{sj[p]}", f"{idx[2]}:X{k}", 1)
+           for p, k in zip(pair.tolist(), sk.tolist())]
     conds.append(ConditionResult("CCZ1-stab-stab-stab", not bad, tuple(bad)))
 
     bad = []
     for which in range(3):
         if logicals[which] is None:
             continue
-        others = [t for t in range(3) if t != which]
-        for i, si in enumerate(stabs[others[0]]):
-            for j, sj in enumerate(stabs[others[1]]):
-                if _parity(si, sj, logicals[which]):
-                    bad.append(
-                        (f"{idx[others[0]]}:X{i}", f"{idx[others[1]]}:X{j}",
-                         f"{idx[which]}:Xbar", 1)
-                    )
+        o0, o1 = [t for t in range(3) if t != which]
+        si, sj = _meeting(stabs[o0] & logicals[which], stabs[o1])
+        bad += [(f"{idx[o0]}:X{i}", f"{idx[o1]}:X{j}", bars[which], 1)
+                for i, j in zip(si.tolist(), sj.tolist())]
     conds.append(ConditionResult("CCZ1-stab-stab-logical", not bad, tuple(bad)))
 
     bad = []
     for which in range(3):
-        others = [t for t in range(3) if t != which]
-        if logicals[others[0]] is None or logicals[others[1]] is None:
+        o0, o1 = [t for t in range(3) if t != which]
+        if logicals[o0] is None or logicals[o1] is None:
             continue
-        for i, si in enumerate(stabs[which]):
-            if _parity(si, logicals[others[0]], logicals[others[1]]):
-                bad.append(
-                    (f"{idx[which]}:X{i}", f"{idx[others[0]]}:Xbar",
-                     f"{idx[others[1]]}:Xbar", 1)
-                )
+        bad += [(f"{idx[which]}:X{i}", bars[o0], bars[o1], 1)
+                for i in _odd_rows(stabs[which], logicals[o0] & logicals[o1])]
     conds.append(ConditionResult("CCZ1-stab-logical-logical", not bad, tuple(bad)))
 
     if any(l is None for l in logicals):
@@ -242,7 +248,7 @@ def check_transversal_ccz(
             ConditionResult("CCZ2-logical-triple", True, (), "not applicable: k = 0")
         )
     else:
-        p = _parity(*logicals)
+        p = _popcount(logicals[0] & logicals[1] & logicals[2]) & 1
         conds.append(
             ConditionResult(
                 "CCZ2-logical-triple", p == 1,
@@ -428,21 +434,13 @@ def _cz_part_is_identity(
     """Parity test restricted to `sites`: the CZ brane is a logical identity
     iff every stabilizer/logical pair of the two target copies meets it
     evenly."""
-    b, c = copies
-    stabs_b = align.x_stab_sites(b)
-    stabs_c = align.x_stab_sites(c)
-    lb = align.logical_sites(b)
-    lc = align.logical_sites(c)
-    sets_b = stabs_b + ([lb] if lb is not None else [])
-    sets_c = stabs_c + ([lc] if lc is not None else [])
-    for sb in sets_b:
-        cut = sites & sb
-        if not cut:
-            continue
-        for sc in sets_c:
-            if len(cut & sc) & 1:
-                return False
-    return True
+    rows = []
+    for copy in copies:
+        x = align.x_logicals[copy] if copy < len(align.x_logicals) else None
+        logical = [] if x is None else [_site_row(align, copy, x.x_support)]
+        rows.append(np.vstack([_stab_rows(align, copy), *logical]))
+    cut = Gf2Vector.from_indices(align.n_sites, sites).data
+    return not _meeting(rows[0] & cut, rows[1])[0].size
 
 
 def phase_polys_commute(o1: PhasePolyOperator, o2: PhasePolyOperator) -> bool:

@@ -10,6 +10,11 @@ the word column once, keeps the words of the rows with bits in it as a
 small vector, jumps to the next pivot by the lowest set bit of the non-pivot
 rows' OR, and XORs each pivot row into the other rows from that word on.
 
+A pivot column of an RREF is a unit column, so reducing a vector by an
+RREF XORs exactly the pivot rows at whose pivot columns the vector has a
+bit: `_reduce` reads them off at once, and `in_rowspace` is one such XOR.
+Kernel bases are read off the free columns a chunk of words at a time.
+
 This module is the workhorse under every homology and code-parameter
 computation in the package; everything here is pure and safe to call from
 multiple threads.
@@ -20,6 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 _WORD = 64
+# Whole-array steps that could grow with rows x columns work on chunks of
+# at most this many words.
+_CHUNK_WORDS = 1 << 17
 
 
 def _n_words(nbits: int) -> int:
@@ -96,14 +104,7 @@ class Gf2Vector:
         return not self.data.any()
 
     def indices(self) -> list[int]:
-        out = []
-        for w in range(len(self.data)):
-            word = int(self.data[w])
-            while word:
-                b = word & -word
-                out.append((w << 6) + b.bit_length() - 1)
-                word ^= b
-        return out
+        return np.flatnonzero(_unpack(self.data, self.n)).tolist()
 
     def dot(self, other: "Gf2Vector") -> int:
         """Parity of the overlap ``<self, other>`` over GF(2)."""
@@ -213,9 +214,6 @@ class Gf2Matrix:
 
     def row(self, r: int) -> Gf2Vector:
         return Gf2Vector(self.cols, self.data[r].copy())
-
-    def row_indices(self, r: int) -> list[int]:
-        return self.row(r).indices()
 
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
         """(row, col) index arrays of the set bits, in row-major order; only
@@ -369,15 +367,27 @@ def kernel_basis(m: Gf2Matrix) -> list[Gf2Vector]:
 
 def _kernel_from_rref(R: Gf2Matrix, pivots: list[int]) -> list[Gf2Vector]:
     """The kernel basis of :func:`kernel_basis`, read off a computed RREF."""
+    K = _kernel_rows(R, pivots)
+    return [Gf2Vector(K.cols, row) for row in K.data]
+
+
+def _kernel_rows(R: Gf2Matrix, pivots: list[int]) -> Gf2Matrix:
+    """:func:`_kernel_from_rref` as the rows of a matrix.  The free columns
+    of the RREF are read `_CHUNK_WORDS` words at a time."""
     piv = np.asarray(pivots, dtype=np.int64)
     free = np.ones(R.cols, dtype=bool)
     free[piv] = False
+    free = np.flatnonzero(free)
     reduced = R.data[: len(piv)]
-    basis = []
-    for f in np.flatnonzero(free).tolist():
-        at = (reduced[:, f >> 6] >> np.uint64(f & 63)) & np.uint64(1) != 0
-        basis.append(Gf2Vector.from_indices(R.cols, np.append(piv[at], f)))
-    return basis
+    rows, cols = [np.arange(len(free))], [free]
+    step = max(1, _CHUNK_WORDS // max(1, len(piv)))
+    for s in range(0, len(free), step):
+        f = free[s : s + step]
+        i, t = np.nonzero((reduced[:, f >> 6] >> (f & 63).astype(np.uint64)) & np.uint64(1))
+        rows.append(t + s)
+        cols.append(piv[i])
+    entries = np.column_stack((np.concatenate(rows), np.concatenate(cols)))
+    return Gf2Matrix.from_entries(len(free), R.cols, entries)
 
 
 def solve(m: Gf2Matrix, b: Gf2Vector) -> Gf2Vector | None:
@@ -401,11 +411,22 @@ def solve(m: Gf2Matrix, b: Gf2Vector) -> Gf2Vector | None:
 
 def in_rowspace(rref_matrix: Gf2Matrix, pivots: list[int], v: Gf2Vector) -> bool:
     """Membership test against a precomputed RREF (see :meth:`Gf2Matrix.rref`)."""
-    w = v.copy()
-    for i, p in enumerate(pivots):
-        if w.get(p):
-            w.data ^= rref_matrix.data[i, : len(w.data)]
-    return w.is_zero()
+    return not _reduce(rref_matrix.data, np.asarray(pivots, dtype=np.int64), v.data).any()
+
+
+def _reduce(reduced: np.ndarray, pivots: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The packed vector `words` with the pivot rows of an RREF (`reduced`,
+    pivot row i first set at column ``pivots[i]``) XORed out, one row for
+    each pivot column where `words` has a bit.
+
+    A pivot column is a unit column of the RREF, so XORing one pivot row
+    changes no bit of `words` at another pivot: the rows to XOR are read
+    off `words` once, and the result is zero exactly when `words` lies in
+    the row space.
+    """
+    at = (words[pivots >> 6] >> (pivots & 63).astype(np.uint64)) & np.uint64(1) != 0
+    rows = reduced[: len(pivots)][at, : len(words)]
+    return words ^ np.bitwise_xor.reduce(rows, axis=0)
 
 
 class ContainmentError(ValueError):
@@ -446,7 +467,10 @@ def matrix_from_text(text: str) -> Gf2Matrix:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0].strip() != "gf2matrix v1":
         raise ValueError("not a gf2matrix v1 file")
-    rows, cols = (int(t) for t in lines[1].split())
+    shape = lines[1].split() if len(lines) > 1 else []
+    if len(shape) != 2 or not all(t.isdigit() for t in shape):
+        raise ValueError("gf2matrix v1 line 2 must read '<rows> <cols>'")
+    rows, cols = map(int, shape)
     if len(lines) != 2 + rows:
         raise ValueError(f"expected {rows} data lines, got {len(lines) - 2}")
     body = [ln.strip() for ln in lines[2:]]

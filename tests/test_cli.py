@@ -160,7 +160,7 @@ def test_budget_exit3(capsys, monkeypatch):
          "--holes", "e", "--methods", "none", "--wmax", "4"], capsys,
     )
     assert rc == 3
-    assert "budget" in err
+    assert "budget" in err and "certified_above=0" in err
 
 
 def test_hausdorff_huge_p():
@@ -179,6 +179,18 @@ def _replace_line(text: str, prefix: str, new: str) -> str:
     return "".join(
         new + "\n" if ln.startswith(prefix) else ln for ln in text.splitlines(keepends=True)
     )
+
+
+def _with_odd_z_check(code_text: str) -> str:
+    """The code text with a Z check added on the first qubit of X check 0,
+    so that the two checks share one qubit."""
+    lines = code_text.splitlines(keepends=True)
+    q = lines[lines.index("HX\n") + 3].index("1")
+    at = lines.index("HZ\n") + 2
+    rows, cols = map(int, lines[at].split())
+    lines[at] = f"{rows + 1} {cols}\n"
+    lines.insert(at + 1, "0" * q + "1" + "0" * (cols - q - 1) + "\n")
+    return "".join(lines)
 
 
 def test_malformed_files_exit2(capsys, tmp_path):
@@ -215,6 +227,8 @@ def test_malformed_files_exit2(capsys, tmp_path):
         "cut-qubitmap": _cut(code_text, "q 3 -> "),
         "short-map-line": _replace_line(code_text, "q 3 -> ", "q 3 ->"),
         "width": _replace_line(code_text, "nqubits", f"nqubits {int(n) + 1} i 1"),
+        "hx-header-only": _cut(code_text, "gf2matrix v1") + code_text[code_text.index("HZ"):],
+        "noncommuting": _with_odd_z_check(code_text),
     }
     for name, text in bad_codes.items():
         path = tmp_path / f"{name}.code"

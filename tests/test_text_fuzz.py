@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fractalcss.cli import main
 from fractalcss.code import code_from_text, code_to_text, css_from_complex
 from fractalcss.complexes import CellComplex, Hole, build_lattice, code_lattice, punch_holes
+from fractalcss.gf2 import matrix_from_text, matrix_to_text
 
 
 @st.composite
@@ -51,14 +52,21 @@ def test_code_text_round_trip(cx, data):
     assert code_to_text(code_from_text(text)) == text
 
 
-BASE = punch_holes(code_lattice(2, 3), [Hole(0, ((2, 4), (2, 4)), "e")]).to_text()
+BASE_COMPLEX = punch_holes(code_lattice(2, 3), [Hole(0, ((2, 4), (2, 4)), "e")])
+BASE = BASE_COMPLEX.to_text()
 TOKENS = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(
     ["cell", "grade", ":", "-", "bulk", "hE0", "oE3", "x", "1:2", "0,e,0,2:4,2:4", ""]))
+BASE_CODE = css_from_complex(BASE_COMPLEX, 1)
+CODE_TEXT = code_to_text(BASE_CODE)
+MATRIX_TEXT = matrix_to_text(BASE_CODE.hz)
+CODE_TOKENS = st.one_of(st.integers(-3, 40).map(str), st.sampled_from(
+    ["csscode", "v1", "nqubits", "i", "HX", "HZ", "qubitmap", "gf2matrix v1", "q", "->",
+     "cell", "0", "1", "0110", "2", "x", ""]))
 
 
 @st.composite
-def mutated(draw):
-    lines = BASE.splitlines()
+def mutated(draw, base=BASE, tokens=TOKENS):
+    lines = base.splitlines()
     at = draw(st.integers(0, len(lines) - 1))
     op = draw(st.sampled_from(("drop", "copy", "swap", "token", "cut")))
     if op == "drop":
@@ -73,9 +81,9 @@ def mutated(draw):
         j = draw(st.integers(0, len(toks)))
         how = draw(st.sampled_from(("set", "insert", "delete")))
         if how == "insert" or j == len(toks):
-            toks.insert(j, draw(TOKENS))
+            toks.insert(j, draw(tokens))
         elif how == "set":
-            toks[j] = draw(TOKENS)
+            toks[j] = draw(tokens)
         else:
             del toks[j]
         lines[at] = " ".join(toks)
@@ -92,6 +100,26 @@ def test_mutated_complex_raises_value_error_or_reads_canonically(text):
     except ValueError:
         return
     assert CellComplex.from_text(written).to_text() == written
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated(CODE_TEXT, CODE_TOKENS))
+def test_mutated_code_raises_value_error_or_reads_canonically(text):
+    try:
+        written = code_to_text(code_from_text(text))
+    except ValueError:
+        return
+    assert code_to_text(code_from_text(written)) == written
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated(MATRIX_TEXT, CODE_TOKENS))
+def test_mutated_matrix_raises_value_error_or_reads_canonically(text):
+    try:
+        written = matrix_to_text(matrix_from_text(text))
+    except ValueError:
+        return
+    assert matrix_to_text(matrix_from_text(written)) == written
 
 
 @pytest.mark.parametrize("faces, rc", [(": 0 1 2 3\n", 0), (": 0 1 2\n", 2)])
