@@ -180,11 +180,11 @@ def _merged(L):
 @pytest.mark.parametrize("name", ["merge-L2", "merge-L3", "merge-fc31-l1", "colour-L1",
                                   "colour-L2", "colour-L3", "fc31-l1-e", "torus4d-m"])
 def test_logical_basis_matches_oracle(name, monkeypatch):
-    builders = {"merge-L2": lambda: _merged(2), "merge-L3": lambda: _merged(3),
+    makers = {"merge-L2": lambda: _merged(2), "merge-L3": lambda: _merged(3),
                 "merge-fc31-l1": lambda: _merged(None), **CODES}
     for L in (1, 2, 3):
-        builders[f"colour-L{L}"] = lambda L=L: build_color_code_2d(L).code
-    code = builders[name]()
+        makers[f"colour-L{L}"] = lambda L=L: build_color_code_2d(L).code
+    code = makers[name]()
     got = _basis_bits(code)
     monkeypatch.setattr(code_mod, "_quotient_reps", oracle.quotient_reps)
     assert got == _basis_bits(code)
