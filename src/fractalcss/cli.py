@@ -73,7 +73,10 @@ def _holes_arg(value: str):
                     continue
                 if toks[0] != "hole" or len(toks) != 3 or toks[2] not in ("e", "m"):
                     raise ValidationError(f"bad mixed-assignment line: {line!r}")
-                mapping[int(toks[1])] = toks[2]
+                hole = int(toks[1])
+                if hole < 0 or hole in mapping:
+                    raise ValidationError(f"negative or repeated hole id: {line!r}")
+                mapping[hole] = toks[2]
         return mapping
     raise ValidationError(f"--holes must be m, e or mixed:<file>, not {value!r}")
 
@@ -81,7 +84,7 @@ def _holes_arg(value: str):
 def _spec_from_args(args) -> FractalSpec:
     return FractalSpec(
         n=args.dim, p=args.p, q=args.q, level=args.level,
-        background=args.background, holes=_holes_arg(args.holes), i=args.i,
+        background=args.background, holes=_holes_arg(args.holes),
     )
 
 
@@ -187,7 +190,7 @@ def cmd_scan(args) -> int:
         t0 = time.perf_counter()
         spec = FractalSpec(
             n=args.dim, p=args.p, q=args.q, level=level,
-            background=args.background, holes=holes, i=args.i,
+            background=args.background, holes=holes,
         )
         code = css_from_complex(fractal_complex(spec, style="code"), args.i)
         k = code_params(code).k
@@ -248,9 +251,7 @@ def cmd_gate_check(args) -> int:
     if args.which == "ccz":
         if not args.vb:
             raise ValidationError("ccz checks run on the --vb stack")
-        codes, align = build_vasmer_browne_stack(
-            args.L, "center" if args.hole == "center" else None
-        )
+        codes, align = build_vasmer_browne_stack(args.L, args.hole)
         report = check_transversal_ccz(*codes, align)
     elif args.which == "cz":
         a = css_from_complex(code_lattice(2, args.L, e_axes=(1,)), 1)
@@ -365,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vb", action="store_true")
     p.add_argument("--colorcode", action="store_true")
     p.add_argument("--L", type=int, default=2)
-    p.add_argument("--hole", default=None)
+    p.add_argument("--hole", choices=["center"], default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gate_check)
 

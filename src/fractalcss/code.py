@@ -24,7 +24,7 @@ even number of times.  No dense product is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,7 +75,6 @@ class CssCode:
     x_anchor_cells: list[int]
     z_anchor_cells: list[int]
     source: CellComplex | None = None
-    isolated_qubits: list[int] = field(default_factory=list)
     # False when the checks are not the label-driven code of `source`, so
     # the homology cross-check of code_params does not apply
     check_homology_by_labels: bool = True
@@ -145,21 +144,15 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
     if m_anchor.any():  # the dense H_Z only when some row may be redundant
         all_z = Gf2Matrix.from_entries(n_z, n_qubits, np.column_stack((z_r, z_c)))
         keep_z &= np.isin(np.arange(n_z), _drop_redundant_m_rows(all_z, m_anchor))
-    hx, x_cols = _kept_rows(x_r, x_c, keep_x, n_qubits)
-    hz, z_cols = _kept_rows(z_r, z_c, keep_z, n_qubits)
-    covered = np.zeros(n_qubits, dtype=bool)
-    covered[x_cols] = covered[z_cols] = True
-
     return CssCode(
         n_qubits=n_qubits,
-        hx=hx,
-        hz=hz,
+        hx=_kept_rows(x_r, x_c, keep_x, n_qubits),
+        hz=_kept_rows(z_r, z_c, keep_z, n_qubits),
         grading=i,
         qubit_cells=np.flatnonzero(qubit).tolist(),
         x_anchor_cells=np.flatnonzero(x_anchor)[keep_x].tolist(),
         z_anchor_cells=np.flatnonzero(z_anchor)[keep_z].tolist(),
         source=cx,
-        isolated_qubits=np.flatnonzero(~covered).tolist(),
     )
 
 
@@ -172,12 +165,11 @@ def _support(lists: Faces, anchor, qubit, qubit_of) -> tuple[np.ndarray, np.ndar
     return (np.cumsum(anchor) - 1)[own[sel]], qubit_of[lists.idx[sel]]
 
 
-def _kept_rows(rows, cols, keep, n_cols) -> tuple[Gf2Matrix, np.ndarray]:
-    """The check matrix of the kept rows, renumbered in order, and the
-    columns of its entries."""
+def _kept_rows(rows, cols, keep, n_cols) -> Gf2Matrix:
+    """The check matrix of the kept rows, renumbered in order."""
     sel = keep[rows]
     entries = np.column_stack(((np.cumsum(keep) - 1)[rows[sel]], cols[sel]))
-    return Gf2Matrix.from_entries(int(keep.sum()), n_cols, entries), cols[sel]
+    return Gf2Matrix.from_entries(int(keep.sum()), n_cols, entries)
 
 
 def _drop_redundant_m_rows(hz: Gf2Matrix, m_anchor: list[bool]) -> list[int]:

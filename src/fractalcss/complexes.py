@@ -109,7 +109,6 @@ class FractalSpec:
     level: int
     background: str = "open"
     holes: str | dict[int, str] = "m"  # uniform "e"/"m" or per-hole map
-    i: int = 1
     u: int = 1
 
     def __post_init__(self):
@@ -798,8 +797,8 @@ def punch_fractal(base: CellComplex, spec: FractalSpec) -> CellComplex:
             f"side {L} is not divisible by p^level = {spec.p ** spec.level}"
         )
     spec = FractalSpec(
-        spec.n, spec.p, spec.q, spec.level, spec.background, spec.holes, spec.i,
-        L // spec.p**spec.level,
+        spec.n, spec.p, spec.q, spec.level, spec.background, spec.holes,
+        u=L // spec.p**spec.level,
     )
     if spec.level == 0:
         return base

@@ -1,11 +1,18 @@
 """Exact code distances where the geometry permits, certified bounds elsewhere.
 
 For grading i=1 the Z-distance is a shortest-path problem on the qubit
-graph (vertices = surviving 0-cells, edges = qubit 1-cells, every e-boundary
-component contracted to a terminal) and the X-distance of the two-terminal
+graph (nodes = surviving 0-cells with every e-boundary component contracted
+to a terminal, edges = qubit 1-cells) and the X-distance of the two-terminal
 open-cube geometry is the minimum edge cut between the e-components,
-computed by unit-capacity max-flow with deterministic edge ordering so the
-witness cut is reproducible.
+computed by Dinic's unit-capacity max-flow.
+
+The graph is built once, as CSR arrays: arcs 2j and 2j + 1 run both ways
+along the j-th non-loop qubit, so the reverse of arc a is a ^ 1, and each
+node lists its out-arcs in ascending qubit order.  One breadth-first search
+with an optional per-arc filter serves the terminal-to-terminal paths, the
+torus seams (the seam's qubits masked), Dinic's level graph (residual
+capacity > 0) and the source side of the min cut; the fixed arc order makes
+the path and cut witnesses reproducible.
 
 The general-grading fallback enumerates connected candidate supports of
 bounded weight.  Two qubits count as connected when they share a check of
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import CssCode, PauliOperator, is_x_logical, is_z_logical
-from .complexes import label_is_e
+from .complexes import Faces, label_is_e
 from .gf2 import Gf2Vector
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -88,13 +95,18 @@ class ScalingFit:
 
 
 class _QubitGraph:
-    """Vertices: bulk 0-cells plus one contracted node per e-component."""
+    """Nodes: bulk 0-cells plus one contracted node per e-component.
+
+    Qubit q joins nodes u[q] and v[q] (equal for a loop).  Arcs 2j and
+    2j + 1 run both ways along the j-th non-loop qubit, `qubit[j]`, so the
+    reverse of arc a is a ^ 1 and it ends at `head[a]`.  The out-arcs of
+    node x are `arcs[ptr[x]:ptr[x + 1]]`, in ascending qubit order.
+    """
 
     def __init__(self, code: CssCode):
         if code.grading != 1:
             raise PreconditionError("qubit-graph distances need grading i = 1")
         cx = code.source
-        self.code = code
         # node per 0-cell: bulk vertices in order, then one per e-label
         is_e = cx.label_mask(0, label_is_e)
         codes = cx.labels[0][is_e]
@@ -113,44 +125,49 @@ class _QubitGraph:
         count = ends.counts()[code.qubit_cells]
         node_at = np.append(node[ends.idx], 0)  # the 0 past the end: no face
         last = len(ends.idx)
-        u = np.where(count >= 1, node_at[np.minimum(first, last)], 0)
-        v = np.where(count >= 2, node_at[np.minimum(first + 1, last)], u)
-        self.edges: list[tuple[int, int]] = list(zip(u.tolist(), v.tolist()))
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(self.n_nodes)]
-        for q, (a, b) in enumerate(self.edges):
-            if a != b:
-                self.adj[a].append((b, q))
-                self.adj[b].append((a, q))
+        self.u = np.where(count >= 1, node_at[np.minimum(first, last)], 0)
+        self.v = np.where(count >= 2, node_at[np.minimum(first + 1, last)], self.u)
+        qubit = np.flatnonzero(self.u != self.v)
+        tail = np.column_stack((self.u[qubit], self.v[qubit]))
+        out = Faces.from_pairs(self.n_nodes, tail.ravel(), np.arange(tail.size))
+        self.qubit = qubit.tolist()
+        self.head = tail[:, ::-1].ravel().tolist()
+        self.ptr, self.arcs = out.ptr.tolist(), out.idx.tolist()
 
     def terminal_node(self, label: str) -> int:
         return self.n_bulk + self.terminal_labels.index(label)
 
-
-def _bfs(adj: list[list[tuple[int, int]]], source: int):
-    """Breadth-first search over (neighbor, qubit) adjacency lists, visiting
-    neighbors in list order: (distance, (previous node, qubit) per node)."""
-    dist = [-1] * len(adj)
-    via: list[tuple[int, int] | None] = [None] * len(adj)
-    dq = deque([source])
-    dist[source] = 0
-    while dq:
-        u = dq.popleft()
-        for v, q in adj[u]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                via[v] = (u, q)
-                dq.append(v)
-    return dist, via
+    def bfs(self, source: int, usable=None) -> tuple[list[int], list[int]]:
+        """Breadth-first search from `source` along the arcs a with a true
+        `usable[a]` (every arc when None), each node's arcs in order: the
+        distance per node, -1 where unreachable, and the arc that reached
+        each node, -1 at the source and where unreachable."""
+        ptr, arcs, head = self.ptr, self.arcs, self.head
+        dist = [-1] * self.n_nodes
+        via = [-1] * self.n_nodes
+        dist[source] = 0
+        dq = deque([source])
+        while dq:
+            x = dq.popleft()
+            d = dist[x] + 1
+            for a in arcs[ptr[x] : ptr[x + 1]]:
+                y = head[a]
+                if dist[y] < 0 and (usable is None or usable[a]):
+                    dist[y] = d
+                    via[y] = a
+                    dq.append(y)
+        return dist, via
 
 
 def _path(via, end: int) -> list[int]:
-    """Qubits of the BFS-tree path from the source to `end`, source first."""
+    """Qubits of the BFS-tree path from the source to `end`, source first;
+    `via` is the graph and the arc into each node that its `bfs` returned."""
+    g, into = via
     out = []
-    node = end
-    while via[node] is not None:
-        prev, q = via[node]
-        out.append(q)
-        node = prev
+    a = into[end]
+    while a >= 0:
+        out.append(g.qubit[a >> 1])
+        a = into[g.head[a ^ 1]]
     return out[::-1]
 
 
@@ -167,33 +184,27 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
     best: tuple[int, list[int]] | None = None
 
     if len(g.terminal_labels) >= 2:
-        for t, label in enumerate(g.terminal_labels):
-            dist, via = _bfs(g.adj, g.n_bulk + t)
+        for t in range(len(g.terminal_labels)):
+            dist, via = g.bfs(g.n_bulk + t)
             for t2 in range(t + 1, len(g.terminal_labels)):
                 node = g.n_bulk + t2
                 if dist[node] >= 0 and (best is None or dist[node] < best[0]):
-                    best = (dist[node], _path(via, node))
+                    best = (dist[node], _path((g, via), node))
     if all(p is not None for p in cx.periods):
         for axis in range(cx.dim):
-            period = cx.periods[axis]
-            seam = np.flatnonzero(cx.cells[1][code.qubit_cells, axis, 1] == period).tolist()
-            cut = set(seam)
-            adj_cut: list[list[tuple[int, int]]] = [[] for _ in range(g.n_nodes)]
-            for q, (u, v) in enumerate(g.edges):
-                if q not in cut and u != v:
-                    adj_cut[u].append((v, q))
-                    adj_cut[v].append((u, q))
-            for q in seam:
-                u, v = g.edges[q]
+            in_seam = cx.cells[1][code.qubit_cells, axis, 1] == cx.periods[axis]
+            off_seam = np.repeat(~in_seam[g.qubit], 2).tolist()
+            for q in np.flatnonzero(in_seam).tolist():
+                u, v = int(g.u[q]), int(g.v[q])
                 if u == v:
                     if best is None or 1 < best[0]:
                         best = (1, [q])
                     continue
-                dist, via = _bfs(adj_cut, u)
+                dist, via = g.bfs(u, off_seam)
                 if dist[v] >= 0:
                     total = dist[v] + 1
                     if best is None or total < best[0]:
-                        best = (total, _path(via, v) + [q])
+                        best = (total, _path((g, via), v) + [q])
     if best is None:
         raise PreconditionError(
             "need at least two e-boundary components or a torus background"
@@ -211,57 +222,39 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
 # -- min cut -----------------------------------------------------------------
 
 
-class _Dinic:
-    def __init__(self, n: int):
-        self.n = n
-        self.to: list[int] = []
-        self.cap: list[int] = []
-        self.head: list[list[int]] = [[] for _ in range(n)]
-
-    def add_edge(self, u: int, v: int):
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(1)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(1)
-
-    def levels(self, s: int) -> list[int]:
-        """BFS distance from s in the residual graph, -1 where unreachable."""
-        level = [-1] * self.n
-        level[s] = 0
-        dq = deque([s])
-        while dq:
-            u = dq.popleft()
-            for a in self.head[u]:
-                v = self.to[a]
-                if self.cap[a] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    dq.append(v)
-        return level
-
-    def dfs(self, u: int, t: int, level, it):
-        if u == t:
-            return True
-        while it[u] < len(self.head[u]):
-            a = self.head[u][it[u]]
-            v = self.to[a]
-            if self.cap[a] > 0 and level[v] == level[u] + 1 and self.dfs(v, t, level, it):
-                self.cap[a] -= 1
-                self.cap[a ^ 1] += 1
-                return True
-            it[u] += 1
-        return False
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = self.levels(s)
-            if level[t] < 0:
-                return flow
-            it = [0] * self.n
-            while self.dfs(s, t, level, it):
+def _max_flow(g: _QubitGraph, s: int, t: int) -> tuple[int, bytearray]:
+    """Dinic's max-flow from s to t with capacity 1 along each qubit, either
+    way: the flow value and the final residual capacity per arc."""
+    ptr, arcs, head = g.ptr, g.arcs, g.head
+    cap = bytearray(b"\x01") * len(head)
+    flow = 0
+    while True:
+        level = g.bfs(s, cap)[0]
+        if level[t] < 0:
+            return flow, cap
+        at = ptr[:-1]  # the next out-arc position to try, per node
+        nodes, path = [s], []
+        while nodes:
+            x = nodes[-1]
+            if x == t:  # augment along the path, then start again from s
+                for a in path:
+                    cap[a] -= 1
+                    cap[a ^ 1] += 1
                 flow += 1
+                nodes, path = [s], []
+                continue
+            while at[x] < ptr[x + 1]:
+                a = arcs[at[x]]
+                if cap[a] and level[head[a]] == level[x] + 1:
+                    nodes.append(head[a])
+                    path.append(a)
+                    break
+                at[x] += 1
+            else:  # a dead end: retreat, and its parent skips the arc to it
+                nodes.pop()
+                if path:
+                    path.pop()
+                    at[nodes[-1]] += 1
 
 
 def dx_min_cut(code: CssCode) -> DistanceResult:
@@ -282,17 +275,10 @@ def dx_min_cut(code: CssCode) -> DistanceResult:
             "m-boundaries elsewhere; run exhaustive_low_weight instead"
         )
     s = g.terminal_node(outer_e[0])
-    t = g.terminal_node(outer_e[1])
-    net = _Dinic(g.n_nodes)
-    for u, v in g.edges:
-        if u != v:
-            net.add_edge(u, v)
-    value = net.max_flow(s, t)
+    value, cap = _max_flow(g, s, g.terminal_node(outer_e[1]))
     # the source side of the final residual graph: the canonical min cut
-    seen = [lv >= 0 for lv in net.levels(s)]
-    cut = [
-        q for q, (u, v) in enumerate(g.edges) if u != v and seen[u] != seen[v]
-    ]
+    seen = np.array(g.bfs(s, cap)[0]) >= 0
+    cut = np.flatnonzero(seen[g.u] != seen[g.v])
     if len(cut) != value:
         raise AssertionError(f"min cut has {len(cut)} edges for flow {value}")
     witness = PauliOperator.x_type(Gf2Vector.from_indices(code.n_qubits, cut))
@@ -414,12 +400,9 @@ def _search(n, a, b, logical, w_max, budget, visited):
     on n qubits with the adjacent pairs (a, b), its node count starting at
     `visited`: the first support that is `logical`, or None.
     """
-    neighbors: list[list[int]] = [[] for _ in range(n)]
-    for u, v in zip(a.tolist(), b.tolist()):
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    for ns in neighbors:
-        ns.sort()
+    nb = Faces.from_pairs(n, np.concatenate((a, b)), np.concatenate((b, a)))
+    ptr, idx = nb.ptr.tolist(), nb.idx.tolist()
+    neighbors = [idx[ptr[q] : ptr[q + 1]] for q in range(n)]  # ascending
 
     def extend(sub: list[int], extension: list[int], target: int):
         nonlocal visited

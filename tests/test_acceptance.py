@@ -85,7 +85,7 @@ def _budget(t0: float, seconds: float) -> float:
 
 
 def _fc_code(p, q, level, holes="m", background="open", n=3, i=1):
-    spec = FractalSpec(n, p, q, level, background=background, holes=holes, i=i)
+    spec = FractalSpec(n, p, q, level, background=background, holes=holes)
     return css_from_complex(fractal_complex(spec, "code"), i)
 
 

@@ -1,6 +1,6 @@
 """CLI surface: subcommands, file formats, exit codes, determinism."""
 
-
+import pytest
 
 from fractalcss.cli import hausdorff_exponent, main
 
@@ -135,6 +135,28 @@ def test_gate_check_ccz_hole_exit4(capsys, tmp_path):
     )
     assert rc == 4
     assert "FAIL" in out.read_text()
+
+
+def test_gate_check_unknown_hole_exit2(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["gate-check", "ccz", "--vb", "--L", "3", "--hole", "edge",
+              "--out", str(tmp_path / "r.txt")])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("lines, rc", [
+    ("hole 0 e\nhole 30 m\n", 0),  # an id past the last hole is allowed
+    ("hole -1 e\n", 2),
+    ("hole 0 e\nhole 0 m\n", 2),
+])
+def test_mixed_holes_file(capsys, tmp_path, lines, rc):
+    path = tmp_path / "holes.txt"
+    path.write_text(lines)
+    got, _, err = run(["gen", "--dim", "2", "--level", "1", "--style", "code",
+                       "--holes", f"mixed:{path}"], capsys)
+    assert got == rc
+    assert ("negative or repeated" in err) == (rc == 2)
 
 
 def test_gate_check_s_colorcode(capsys):

@@ -158,19 +158,35 @@ def test_fit_scaling_rejects_nonpositive():
         fit_scaling([(0, 1), (2, 3)])
 
 
-# A d_Z witness with its last qubit dropped, and a stack of codes of
-# different sizes; both must raise with and without -O.
+# A d_Z witness with its last qubit dropped, a d_X cut with its first qubit
+# dropped, and a stack of codes of different sizes; all must raise with and
+# without -O.
 _CHECKS_UNDER_O = textwrap.dedent("""
     import fractalcss.distance as distance
     from fractalcss.code import css_from_complex
     from fractalcss.complexes import FractalSpec, fractal_complex
     from fractalcss.gates import align_identical
+    from fractalcss.gf2 import Gf2Vector
     code = css_from_complex(fractal_complex(FractalSpec(3, 3, 1, 1), "code"), 1)
     other = css_from_complex(fractal_complex(FractalSpec(2, 3, 1, 1), "code"), 1)
     real_path = distance._path
     distance._path = lambda via, end: real_path(via, end)[:-1]
+
+    class CutMinusOne(Gf2Vector):
+        @classmethod
+        def from_indices(cls, n, indices):
+            return Gf2Vector.from_indices(n, list(indices)[1:])
+
+    def dx_without_a_cut_qubit():
+        distance.Gf2Vector = CutMinusOne
+        try:
+            distance.dx_min_cut(code)
+        finally:
+            distance.Gf2Vector = Gf2Vector
+
     raised = []
     for case in (lambda: distance.dz_shortest_path(code),
+                 dx_without_a_cut_qubit,
                  lambda: align_identical([code, other])):
         try:
             case()
@@ -186,4 +202,4 @@ def test_witness_and_stack_checks_raise_under_optimize(flags):
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, *flags, "-c", _CHECKS_UNDER_O], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["AssertionError", "ValueError"]
+    assert out.split() == ["AssertionError", "AssertionError", "ValueError"]
