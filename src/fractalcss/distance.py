@@ -233,28 +233,25 @@ def _max_flow(g: _QubitGraph, s: int, t: int) -> tuple[int, bytearray]:
         if level[t] < 0:
             return flow, cap
         at = ptr[:-1]  # the next out-arc position to try, per node
-        nodes, path = [s], []
-        while nodes:
-            x = nodes[-1]
-            if x == t:  # augment along the path, then start again from s
+        path = []  # the arcs from s, searched depth first
+        while True:
+            x = head[path[-1]] if path else s
+            if x == t:  # augment, then search again from s
                 for a in path:
                     cap[a] -= 1
                     cap[a ^ 1] += 1
                 flow += 1
-                nodes, path = [s], []
-                continue
-            while at[x] < ptr[x + 1]:
+                path = []
+            elif at[x] == ptr[x + 1]:  # a dead end: its parent skips the arc to it
+                if not path:
+                    break
+                at[head[path.pop() ^ 1]] += 1
+            else:
                 a = arcs[at[x]]
                 if cap[a] and level[head[a]] == level[x] + 1:
-                    nodes.append(head[a])
                     path.append(a)
-                    break
-                at[x] += 1
-            else:  # a dead end: retreat, and its parent skips the arc to it
-                nodes.pop()
-                if path:
-                    path.pop()
-                    at[nodes[-1]] += 1
+                else:
+                    at[x] += 1
 
 
 def dx_min_cut(code: CssCode) -> DistanceResult:
