@@ -4,8 +4,12 @@ Qubits sit on the i-cells.  Each surviving (i-1)-cell anchors an X
 stabilizer on its cofaces; each surviving (i+1)-cell anchors a Z
 stabilizer on its faces.  The check matrices are the only dense GF(2)
 objects of a code: their rows come straight from the complex's face and
-coface lists, and each is eliminated at most once (`CssCode.hx_rref`,
-`CssCode.hz_rref`) for k, the logical tests and the logical basis.
+coface lists.  k and the logical tests read one reduction of the code's
+own chain complex, Z checks -(H_Z^T)-> qubits -(H_X)-> X checks, by the
+collapses and coreductions of `homology` (`CssCode.reduction`): only its
+small residue is eliminated.  The logical basis and the colour-code S
+check eliminate each check matrix at most once (`CssCode.hx_rref`,
+`CssCode.hz_rref`).
 Boundary conditions are label-driven:
 
 * every cell of an E-labeled (rough) patch is dropped from the code -
@@ -33,7 +37,7 @@ from .complexes import CellComplex, Faces, label_is_e, label_is_m
 from .gf2 import (
     _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _reduce, _rref_inplace, in_rowspace,
 )
-from .homology import betti
+from .homology import _Reduction, betti
 
 
 @dataclass(frozen=True)
@@ -88,8 +92,14 @@ class CssCode:
         if not _checks_commute(self.hx, self.hz):
             raise AssertionError("H_X H_Z^T != 0: X and Z checks do not commute")
 
-    # The one elimination of each check matrix: k, the logical tests and the
-    # logical basis all read these.
+    # The one reduction of the code's chain complex: k and the logical tests
+    # read it.
+    @cached_property
+    def reduction(self) -> "_ChainReduction":
+        return _ChainReduction(self.hx, self.hz)
+
+    # The one elimination of each check matrix, for the logical basis and
+    # the colour-code S check.
     @cached_property
     def hx_rref(self) -> tuple[Gf2Matrix, list[int]]:
         return self.hx.rref()
@@ -97,6 +107,75 @@ class CssCode:
     @cached_property
     def hz_rref(self) -> tuple[Gf2Matrix, list[int]]:
         return self.hz.rref()
+
+
+class _ChainReduction:
+    """The code as the chain complex C_2 = Z checks -(H_Z^T)-> C_1 = qubits
+    -(H_X)-> C_0 = X checks, reduced once by `homology._Reduction`.
+
+    No reduction pair changes the boundary of a cell that stays, so the
+    residue's check matrices are H_X and H_Z restricted to the live checks
+    and qubits; k is dim H_1 of the residue, read off their RREFs.  A
+    Z-cycle z (H_X z = 0) is carried into the residue by the chain
+    equivalence of the pairs (Kaczynski, Mrozek & Slusarek, Comput. Math.
+    Appl. 1998): each grade-1/2 collapse of qubit a with Z check b adds the
+    qubits of b live in that round when z holds a; every other pair, and
+    every seeded X check, only drops cells from grade 1.  Dually an X-cocycle
+    is carried through the grade-1/0 coreductions by the qubits of the
+    paired X check.  The replay adds all qubits of the check: the bit of a
+    qubit removed in an earlier round is never read again.  z is a product
+    of Z checks iff its image is in the row space of the residue's H_Z, and
+    x one of X checks iff its image is in that of the residue's H_X.
+    """
+
+    def __init__(self, hx: Gf2Matrix, hz: Gf2Matrix):
+        n = hx.cols
+        self.x_rows, self.z_rows = _row_lists(hx), _row_lists(hz)
+        red = _Reduction([Faces.empty(hx.rows), self.x_rows.transpose(n), self.z_rows])
+        live_x, self.live, live_z = red.run()[0]
+        # (qubits, their checks) per round of grade-1/2 collapses and of
+        # grade-1/0 coreductions
+        self.z_rounds = [(q, c) for g, h, q, c in red.rounds if (g, h) == (1, 2)]
+        self.x_rounds = [(q, c) for g, h, q, c in red.rounds if (g, h) == (1, 0)]
+        self.hx_rref = _residue_rref(self.x_rows, live_x, self.live)
+        self.hz_rref = _residue_rref(self.z_rows, live_z, self.live)
+        self.k = int(self.live.sum()) - len(self.hx_rref[1]) - len(self.hz_rref[1])
+
+    def _image(self, v: Gf2Vector, rounds, rows: Faces) -> Gf2Vector:
+        """v carried through the recorded rounds into the residue: the
+        qubits of a check are added where v holds its paired qubit."""
+        bits = v.to_dense()
+        for qubits, checks in rounds:
+            held = bits[qubits] != 0
+            if held.any():
+                np.bitwise_xor.at(bits, rows.take(checks[held]), 1)
+        return Gf2Vector.from_dense(bits[self.live])
+
+    def is_z_stabilizer(self, z: Gf2Vector) -> bool:
+        """Whether a Z-cycle (H_X z = 0) is a product of Z checks."""
+        return in_rowspace(*self.hz_rref, self._image(z, self.z_rounds, self.z_rows))
+
+    def is_x_stabilizer(self, x: Gf2Vector) -> bool:
+        """Whether an X-cocycle (H_Z x = 0) is a product of X checks."""
+        return in_rowspace(*self.hx_rref, self._image(x, self.x_rounds, self.x_rows))
+
+
+def _row_lists(m: Gf2Matrix) -> Faces:
+    """The set columns of each row of m in CSR form, read off its
+    row-major entries."""
+    r, c = m.entries()
+    ptr = np.zeros(m.rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(r, minlength=m.rows), out=ptr[1:])
+    return Faces(ptr, c)
+
+
+def _residue_rref(rows: Faces, keep_rows, keep_cols) -> tuple[Gf2Matrix, list[int]]:
+    """The RREF of the check matrix `rows` restricted to the kept rows and
+    columns."""
+    kept = rows.restrict(keep_rows, keep_cols)
+    m = Gf2Matrix.from_entries(len(kept), int(keep_cols.sum()),
+                               np.column_stack((kept.owners(), kept.idx)))
+    return m, _rref_inplace(m.data, m.rows, m.cols)
 
 
 def _checks_commute(hx: Gf2Matrix, hz: Gf2Matrix) -> bool:
@@ -186,15 +265,13 @@ def _drop_redundant_m_rows(hz: Gf2Matrix, m_anchor: list[bool]) -> list[int]:
 
 
 def code_params(code: CssCode, cross_check: bool = True) -> CodeParams:
-    """n and k from the check-matrix ranks; k is cross-checked against the
-    matching (relative) homology request when the source complex is known."""
+    """n and k = dim H_1 of the code's reduced chain complex; k is
+    cross-checked against the matching (relative) homology of the labelled
+    complex when the source complex is known."""
     hk = None
     if cross_check and code.source is not None and code.check_homology_by_labels:
-        # first: the cached RREFs live as long as the code, so building them
-        # after the homology's dense boundary matrices are freed keeps the
-        # two out of memory at the same time
         hk = homology_k(code)
-    k = code.n_qubits - len(code.hx_rref[1]) - len(code.hz_rref[1])
+    k = code.reduction.k
     if hk is not None and hk != k:
         raise AssertionError(
             f"k={k} from ranks but dim H_{code.grading} = {hk}; "
@@ -309,13 +386,14 @@ def is_z_logical(code: CssCode, support: Gf2Vector) -> bool:
     """Syndrome-free against the X checks and outside the Z-stabilizer span."""
     if not code.hx.mul_vec(support).is_zero():
         return False
-    return not in_rowspace(*code.hz_rref, support)
+    return not code.reduction.is_z_stabilizer(support)
 
 
 def is_x_logical(code: CssCode, support: Gf2Vector) -> bool:
+    """Syndrome-free against the Z checks and outside the X-stabilizer span."""
     if not code.hz.mul_vec(support).is_zero():
         return False
-    return not in_rowspace(*code.hx_rref, support)
+    return not code.reduction.is_x_stabilizer(support)
 
 
 # -- serialization -----------------------------------------------------------

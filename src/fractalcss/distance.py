@@ -24,6 +24,10 @@ empty syndrome column, a pair of equal ones) with the search's node count
 in closed form; the depth-first search runs from weight 3.  A search that
 runs out of its node budget reports the weight it had certified.
 
+Both exact methods refuse with `PreconditionError` when two e-labels
+share one connected e-component (contracted per label, a path between them
+may be a stabilizer), and the min cut when its two terminals are
+disconnected (flow 0, k = 0); callers then fall back to the search.
 Every exact result's witness is re-verified independently: zero syndrome
 against the opposite-type checks and membership outside the stabilizer
 row-space.
@@ -118,9 +122,16 @@ class _QubitGraph:
         terminal = {label: self.n_bulk + t for t, label in enumerate(self.terminal_labels)}
         node = np.cumsum(~is_e) - 1
         node[is_e] = np.array([terminal.get(name, 0) for name in cx.label_names])[codes]
+        # the labels at the ends of the first e-edge that joins two labels
+        # into one e-component, if any
+        ends = cx.faces[1]
+        e_edge = np.flatnonzero(cx.label_mask(1, label_is_e) & (ends.counts() == 2))
+        a, b = (node[ends.idx[ends.ptr[e_edge] + i]] for i in (0, 1))
+        j = np.flatnonzero((a >= self.n_bulk) & (b >= self.n_bulk) & (a != b))[:1]
+        self.shared = sorted(self.terminal_labels[t - self.n_bulk]
+                             for t in np.concatenate((a[j], b[j])).tolist())
         # edge ends: the first two faces of each qubit edge; an edge with one
         # face (a wrap edge collapsed mod 2) is a loop, one with none (0, 0)
-        ends = cx.faces[1]
         first = ends.ptr[code.qubit_cells]
         count = ends.counts()[code.qubit_cells]
         node_at = np.append(node[ends.idx], 0)  # the 0 past the end: no face
@@ -133,6 +144,16 @@ class _QubitGraph:
         self.qubit = qubit.tolist()
         self.head = tail[:, ::-1].ravel().tolist()
         self.ptr, self.arcs = out.ptr.tolist(), out.idx.tolist()
+
+    def require_separate_terminals(self) -> None:
+        """Refuse a graph in which two e-labels share one connected
+        e-component: contracted per label, a path between them may be a
+        stabilizer, and a min cut between them no logical."""
+        if self.shared:
+            raise PreconditionError(
+                f"e-labels {' and '.join(self.shared)} share one connected e-component; "
+                "run exhaustive_low_weight instead"
+            )
 
     def terminal_node(self, label: str) -> int:
         return self.n_bulk + self.terminal_labels.index(label)
@@ -180,6 +201,7 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
     shortest non-contractible cycle per generator.
     """
     g = _QubitGraph(code)
+    g.require_separate_terminals()
     cx = code.source
     best: tuple[int, list[int]] | None = None
 
@@ -271,8 +293,12 @@ def dx_min_cut(code: CssCode) -> DistanceResult:
             "min-cut distance needs exactly two OuterE components and uniform "
             "m-boundaries elsewhere; run exhaustive_low_weight instead"
         )
+    g.require_separate_terminals()
     s = g.terminal_node(outer_e[0])
     value, cap = _max_flow(g, s, g.terminal_node(outer_e[1]))
+    if not value:
+        raise PreconditionError("the two OuterE components are disconnected (flow 0): "
+                                "no X-logical crosses between them")
     # the source side of the final residual graph: the canonical min cut
     seen = np.array(g.bfs(s, cap)[0]) >= 0
     cut = np.flatnonzero(seen[g.u] != seen[g.v])

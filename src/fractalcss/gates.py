@@ -29,12 +29,17 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .code import CssCode, PauliOperator, css_from_complex, is_x_logical, logical_basis
+from .code import CssCode, PauliOperator, css_from_complex, logical_basis
 from .complexes import Box, CellComplex, Faces, Hole, code_lattice, punch_holes
 from .gf2 import _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _popcount, in_rowspace
+
+
+class CertificateError(AssertionError):
+    """A constructed logical operator failed its certificate."""
 
 
 # -- alignment ----------------------------------------------------------------
@@ -55,6 +60,21 @@ class StackAlignment:
                 raise ValueError("alignment size mismatch")
             if len(set(sites)) != len(sites):
                 raise ValueError("alignment must be injective per code")
+
+    @cached_property
+    def x_rows(self) -> list[np.ndarray]:
+        """Per copy, its X stabilizers as packed site sets, one row each,
+        then its logical X of `x_logicals` when it has one; built once."""
+        rows = []
+        for copy in range(len(self.codes)):
+            x = self.x_logicals[copy] if copy < len(self.x_logicals) else None
+            logical = [] if x is None else [_site_row(self, copy, x.x_support)]
+            rows.append(np.vstack([_stab_rows(self, copy), *logical]))
+        return rows
+
+    def stab_rows(self, copy: int) -> np.ndarray:
+        """The X stabilizers of one copy as packed site sets."""
+        return self.x_rows[copy][: self.codes[copy].hx.rows]
 
     def sites_of(self, copy: int, support: Gf2Vector) -> frozenset[int]:
         mapping = self.qubit_site[copy]
@@ -176,7 +196,7 @@ def check_transversal_cz(
     aligned blocks: stabilizer pairs even, stabilizer/logical pairs even,
     logical/logical odd."""
     ia, ib = align.codes.index(a), align.codes.index(b)
-    stabs = {copy: _stab_rows(align, copy) for copy in (ia, ib)}
+    stabs = {copy: align.stab_rows(copy) for copy in (ia, ib)}
     logicals = {copy: _logical_row(align, copy) for copy in {ia, ib}}
 
     conds = []
@@ -213,7 +233,7 @@ def check_transversal_ccz(
     Each copy's stabilizers and logical are packed site sets; a pair or
     triple is tested by the parity of the popcount of its AND."""
     idx = [align.codes.index(x) for x in (a, b, c)]
-    stabs = [_stab_rows(align, i) for i in idx]
+    stabs = [align.stab_rows(i) for i in idx]
     logicals = [_logical_row(align, i) for i in idx]
     bars = [f"{i}:Xbar" for i in idx]
 
@@ -273,6 +293,11 @@ def build_vasmer_browne_stack(
     L: int, holes: str | list[Hole] | None = None
 ) -> tuple[list[CssCode], StackAlignment]:
     """Three aligned 3D codes on a shared cubic qubit set.
+
+    Each copy's logical-X brane x is certified without eliminating a check
+    matrix: H_Z x = 0, and x meets a Z string z of the same copy with
+    H_X z = 0 an odd number of times.  Every product of X checks meets z
+    evenly, so x is not one, and likewise z is no product of Z checks.
 
     Copy 1: standard surface code, e-boundaries perpendicular to z.
     Copy 2: X stabilizers on even cubes (rough along x), Z stabilizers on
@@ -340,12 +365,21 @@ def build_vasmer_browne_stack(
         brane((2, 4 * a + 2, 4 * b + 2), (2, 4 * c, 4 * d)),
         brane((4 * a + 2, 2, 4 * b + 2), (4 * c, 2, 4 * d)),
     ]
+    # each brane's partner: the qubits along the axis of that copy's Z
+    # logical, at doubled midpoint 2 on the other two axes
+    partners = [brane((2, 2, 4 * b + 2)), brane((4 * b + 2, 2, 2)), brane((2, 4 * b + 2, 2))]
     codes = [copy1, copy2, copy3]
-    for code, support in zip(codes, branes):
-        if not is_x_logical(code, support):
-            raise AssertionError("constructed brane is not a logical")
+    for copy, (code, x, z) in enumerate(zip(codes, branes, partners)):
+        if not _certified(code, x, z):
+            raise CertificateError(f"the brane of copy {copy + 1} is not certified as a logical")
     logicals = [PauliOperator.x_type(b) for b in branes]
     return codes, align_identical(codes, logicals)
+
+
+def _certified(code: CssCode, x: Gf2Vector, z: Gf2Vector) -> bool:
+    """Whether x is an X-logical by the partner z: H_Z x = 0, H_X z = 0 and
+    an odd overlap, which no product of X checks has with z."""
+    return code.hz.mul_vec(x).is_zero() and code.hx.mul_vec(z).is_zero() and bool(x.dot(z))
 
 
 def stabilizer_tags_near_holes(align: StackAlignment) -> set[str]:
@@ -434,13 +468,8 @@ def _cz_part_is_identity(
     """Parity test restricted to `sites`: the CZ brane is a logical identity
     iff every stabilizer/logical pair of the two target copies meets it
     evenly."""
-    rows = []
-    for copy in copies:
-        x = align.x_logicals[copy] if copy < len(align.x_logicals) else None
-        logical = [] if x is None else [_site_row(align, copy, x.x_support)]
-        rows.append(np.vstack([_stab_rows(align, copy), *logical]))
     cut = Gf2Vector.from_indices(align.n_sites, sites).data
-    return not _meeting(rows[0] & cut, rows[1])[0].size
+    return not _meeting(align.x_rows[copies[0]] & cut, align.x_rows[copies[1]])[0].size
 
 
 def phase_polys_commute(o1: PhasePolyOperator, o2: PhasePolyOperator) -> bool:

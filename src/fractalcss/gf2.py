@@ -267,9 +267,15 @@ class Gf2Matrix:
     # -- arithmetic -----------------------------------------------------
 
     def mul_vec(self, v: Gf2Vector) -> Gf2Vector:
+        """The syndrome ``self v``, ANDed in row blocks of at most
+        _CHUNK_WORDS words, so no temporary as large as the matrix."""
         if v.n != self.cols:
             raise ValueError(f"vector length {v.n} for {self.cols} columns")
-        return Gf2Vector.from_dense(np.bitwise_count(self.data & v.data).sum(axis=1) & 1)
+        step = max(1, _CHUNK_WORDS // self.data.shape[1])
+        parity = np.zeros(self.rows, dtype=np.uint8)
+        for s in range(0, self.rows, step):
+            parity[s : s + step] = np.bitwise_count(self.data[s : s + step] & v.data).sum(axis=1) & 1
+        return Gf2Vector.from_dense(parity)
 
     def matmul_t(self, other: "Gf2Matrix") -> "Gf2Matrix":
         """Return ``self @ other^T`` over GF(2): entry (i, j) is the parity of

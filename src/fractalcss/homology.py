@@ -7,16 +7,21 @@ from the reduced relative group; :func:`betti_with_caveat` returns a flag
 instead of papering over the distinction (no code parameter depends on
 i = 0).
 
-:func:`betti` shrinks the complex before it ranks anything, round by round
-on the CSR face arrays: elementary collapses (a (k-1)-cell with exactly
-one live coface goes with that coface), then coreductions (Mrozek & Batko,
-"Coreduction homology algorithm", DCG 2009: a k-cell with exactly one live
-face goes with that face), seeding one vertex per connected component when
-grade-1 coreductions stall.  No such removal changes a surviving cell's
-boundary, so the residue is the original boundary maps restricted to the
-surviving cells; only its two boundaries at the requested grade become
-dense GF(2) matrices (for FC(4,2) level 2 relative to the e-labels, 132 of
-7,440 edges and 180 of 5,232 faces survive).  It reads only the face
+One reduction engine, `_Reduction`, has two readers.  :func:`betti`
+reduces the face arrays of a cell complex; `code.CssCode.reduction`
+reduces the chain complex of a CSS code (Z checks -> qubits -> X checks,
+from the check matrices' entries) and replays its recorded rounds to
+carry a cycle or cocycle into the residue.  The engine shrinks the complex
+before anything is ranked, round by round on CSR face arrays: elementary
+collapses (a (k-1)-cell with exactly one live coface goes with that
+coface), then coreductions (Mrozek & Batko, "Coreduction homology
+algorithm", DCG 2009: a k-cell with exactly one live face goes with that
+face), seeding one vertex per connected component when grade-1
+coreductions stall.  No such removal changes a surviving cell's boundary,
+so the residue is the original boundary maps restricted to the surviving
+cells; only its two boundaries at the requested grade become dense GF(2)
+matrices (for FC(4,2) level 2 relative to the e-labels, 132 of 7,440
+edges and 180 of 5,232 faces survive).  `betti` reads only the face
 arrays, so it stays a cross-check independent of H_X and H_Z.
 :func:`cobetti` stays dense on purpose: it is the independent route the CLI
 prints beside :func:`betti`.
@@ -28,7 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import BoundaryError, CellComplex, dual_with_boundary, label_is_e, label_is_m
+from .complexes import (
+    BoundaryError, CellComplex, Faces, dual_with_boundary, label_is_e, label_is_m,
+)
 from .gf2 import _rank_in_place
 
 
@@ -46,7 +53,7 @@ def betti_with_caveat(
         raise ValueError(f"grade {grade} out of range 0..{cx.dim}")
     if relative_labels:
         cx = cx.quotient_to_point(set(relative_labels))
-    live, seeds = _Reduction(cx).run()
+    live, seeds = _Reduction(cx.faces).run()
     sizes = [int(keep.sum()) for keep in live]
     # the residue's boundaries into and out of the grade
     d = {k: cx.faces[k].restrict(live[k], live[k - 1])
@@ -59,18 +66,22 @@ def betti_with_caveat(
 
 
 class _Reduction:
-    """The live cells of a complex under collapses and coreductions.
+    """The live cells of a chain complex under collapses and coreductions.
 
-    ``down[k]`` / ``up[k]`` are the faces / cofaces of the k-cells in CSR
-    form, ``n_down[k]`` / ``n_up[k]`` how many of them are live.
+    The complex is given in CSR form: ``down[k]`` lists the faces of each
+    k-cell (``down[0]`` is empty); ``up[k]`` lists its cofaces, and
+    ``n_down[k]`` / ``n_up[k]`` count the live ones.  Every round of pairs is recorded in ``rounds`` as (g, h, x, y):
+    the g-cells x went with the h-cells y, x[i] with y[i].
     """
 
-    def __init__(self, cx: CellComplex):
-        self.down = cx.faces
-        self.up = [cx.cofaces(k) for k in range(cx.dim + 1)]
-        self.live = [np.ones(cx.n_cells(k), dtype=bool) for k in range(cx.dim + 1)]
+    def __init__(self, down: list[Faces]):
+        self.down = down
+        self.up = [fs.transpose(len(below)) for below, fs in zip(down, down[1:])]
+        self.up.append(Faces.empty(len(down[-1])))
+        self.live = [np.ones(len(fs), dtype=bool) for fs in down]
         self.n_down = [fs.counts() for fs in self.down]
         self.n_up = [fs.counts() for fs in self.up]
+        self.rounds: list[tuple[int, int, np.ndarray, np.ndarray]] = []
 
     def run(self) -> tuple[list[np.ndarray], int]:
         """Reduce until a full sweep removes nothing; return the live masks
@@ -126,6 +137,7 @@ class _Reduction:
             x = x[first]
             self._remove(g, x)
             self._remove(h, y)
+            self.rounds.append((g, h, x, y))
             pairs += len(x)
             # the g-cells whose count fell: the other neighbours of y
             cand = back[h].take(y)

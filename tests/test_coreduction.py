@@ -209,7 +209,7 @@ def test_residue_is_small():
     cx = fractal_complex(FractalSpec(3, 4, 2, 2, holes="m"), "code")
     e, _ = default_label_split(cx)
     quotient = cx.quotient_to_point(e)
-    live, seeds = _Reduction(quotient).run()
+    live, seeds = _Reduction(quotient.faces).run()
     sizes = [int(keep.sum()) for keep in live]
     assert seeds == 1 and sizes[0] == sizes[3] == 0
     assert sizes[1] < quotient.n_cells(1) // 20 and sizes[2] < quotient.n_cells(2) // 20

@@ -234,3 +234,61 @@ def test_ccz_missing_logical_reported_not_applicable():
     report = check_transversal_ccz(*stack, align2)
     final = [c for c in report.conditions if c.condition_id == "CCZ2-logical-triple"][0]
     assert final.passed and "not applicable" in final.note
+
+
+@pytest.mark.parametrize("L", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("holes", [None, "center"])
+def test_brane_certificate_agrees_with_the_logical_test(L, holes):
+    """Every certified brane is an X-logical by the full test as well."""
+    from fractalcss.code import is_x_logical
+
+    codes, align = build_vasmer_browne_stack(L, holes)
+    for code, x in zip(codes, align.x_logicals):
+        assert is_x_logical(code, x.x_support)
+
+
+def test_uncertified_brane_raises(monkeypatch):
+    """A brane (and partner) missing its first qubit fails the
+    certificate with a typed error, not an assert."""
+    import fractalcss.gates as gates
+
+    class FirstDropped(Gf2Vector):
+        @classmethod
+        def from_indices(cls, n, indices):
+            return Gf2Vector.from_indices(n, list(indices)[1:])
+
+    monkeypatch.setattr(gates, "Gf2Vector", FirstDropped)
+    with pytest.raises(gates.CertificateError, match="copy 1 is not certified"):
+        build_vasmer_browne_stack(3)
+
+
+def test_certificate_needs_each_part():
+    """A stabilizer, a brane with a syndrome, or a partner with one is not
+    certified; the brane with its partner is."""
+    from fractalcss.gates import _certified
+
+    codes, align = build_vasmer_browne_stack(3)
+    code, x = codes[0], align.x_logicals[0].x_support
+    z = logical_basis(code)[0][0].z_support
+    assert _certified(code, x, z) and _certified(code, x ^ code.hx.row(0), z)
+    single = Gf2Vector.from_indices(code.n_qubits, [x.indices()[0]])
+    assert not _certified(code, single, z)  # H_Z x != 0
+    assert not _certified(code, x, single)  # H_X z != 0
+    stab = code.hx.row(0)
+    assert code.hz.mul_vec(stab).is_zero() and not _certified(code, stab, z)  # even overlap
+
+
+def test_stack_rows_packed_once_per_alignment(monkeypatch):
+    """The CCZ conjugations of the 40 X stabilizers of the holed L = 3 stack
+    pack each copy's stabilizer rows once."""
+    import fractalcss.gates as gates
+
+    codes, align = build_vasmer_browne_stack(3, "center")
+    packed = []
+    real = gates._stab_rows
+    monkeypatch.setattr(gates, "_stab_rows", lambda a, c: packed.append(c) or real(a, c))
+    for copy, code in enumerate(codes):
+        for r in range(code.hx.rows):
+            conjugate_by_ccz(PauliOperator.x_type(code.hx.row(r)), copy, align)
+    check_transversal_ccz(*codes, align)
+    assert sorted(packed) == [0, 1, 2]

@@ -132,6 +132,21 @@ def test_entries_dense_and_transpose_match_numpy(rows, cols):
     assert np.array_equal(t.to_dense(), dense.T.astype(np.uint8))
 
 
+@pytest.mark.parametrize("chunk", [1, 3, 40, 1 << 17])
+def test_mul_vec_matches_whole_matrix_product(monkeypatch, chunk):
+    """The row-block syndrome against the whole-matrix AND it replaced."""
+    import fractalcss.gf2 as gf2
+
+    monkeypatch.setattr(gf2, "_CHUNK_WORDS", chunk)
+    rng = np.random.default_rng(chunk)
+    for rows, cols in [(0, 5), (1, 1), (7, 64), (33, 65), (130, 200), (300, 1000)]:
+        for density in (0.02, 0.5):
+            m = _random_matrix(rng, rows, cols, density)
+            v = Gf2Vector.from_dense(rng.random(cols) < density)
+            want = Gf2Vector.from_dense(np.bitwise_count(m.data & v.data).sum(axis=1) & 1)
+            assert m.mul_vec(v) == want
+
+
 def test_submatrix_and_stack():
     rng = np.random.default_rng(5)
     m = _random_matrix(rng, 9, 70)

@@ -1,7 +1,9 @@
 """The CSR qubit graph against the graph code it replaced
 (``distance_oracles``): d_Z by shortest path and d_X by min cut must agree
 in value, kind and witness bits, and raise ``PreconditionError`` on the
-same codes.  The geometries cover parallel qubits (the 2x2 torus, several
+same codes, except where the graph code failed its own witness check or
+answered though two e-labels share one connected e-component (REFUSALS).
+The geometries cover parallel qubits (the 2x2 torus, several
 qubits from one bulk vertex to a contracted terminal), torus seams with and
 without e-holes, and the seeded mixed hole layouts.
 """
@@ -17,7 +19,13 @@ from fractalcss.complexes import (
     fractal_complex,
     punch_holes,
 )
-from fractalcss.distance import PreconditionError, dx_min_cut, dz_shortest_path
+from fractalcss import cli
+from fractalcss.distance import (
+    PreconditionError,
+    dx_min_cut,
+    dz_shortest_path,
+    exhaustive_low_weight,
+)
 from test_arrays import seeded_layout
 
 
@@ -64,10 +72,46 @@ def _outcome(fn, code):
     return res.value, res.kind, w.x_support.indices(), w.z_support.indices()
 
 
+_SHARED = "share one connected e-component; run exhaustive_low_weight instead"
+
+# (layout, distance) -> (the graph code's outcome, the refusal that replaces
+# it).  Layouts 9 and 28 contract two e-labels of one component (hE0 and hE4
+# share an edge; hE2 crosses the outer boundary) into two terminals, and the
+# path between them is a stabilizer; layouts 5 and 23 do the same, and the
+# path found there is a logical only by chance.  Layout 22's four m-holes
+# cut the patch in two, so the OuterE terminals are disconnected (k = 0).
+REFUSALS = {
+    ("layout5", "dz"): ((1, "exact", [], [17]),
+                        ("PreconditionError", f"e-labels hE1 and hE2 {_SHARED}")),
+    ("layout9", "dz"): (("AssertionError", "shortest-path witness is not a Z-logical"),
+                        ("PreconditionError", f"e-labels hE0 and hE4 {_SHARED}")),
+    ("layout23", "dz"): ((1, "exact", [], [36]),
+                         ("PreconditionError", f"e-labels hE2 and oE5 {_SHARED}")),
+    ("layout28", "dz"): (("AssertionError", "shortest-path witness is not a Z-logical"),
+                         ("PreconditionError", f"e-labels hE2 and oE4 {_SHARED}")),
+    ("layout22", "dx"): (("AssertionError", "min-cut witness is not an X-logical"),
+                         ("PreconditionError", "the two OuterE components are disconnected "
+                                               "(flow 0): no X-logical crosses between them")),
+}
+
+
 @pytest.mark.parametrize("name", sorted(CODES))
 def test_distances_match_oracle(name):
     code = CODES[name]()
-    for new, old in ((dz_shortest_path, oracle.dz_shortest_path),
-                     (dx_min_cut, oracle.dx_min_cut)):
-        assert _outcome(new, code) == _outcome(old, code)
+    for which, new, old in (("dz", dz_shortest_path, oracle.dz_shortest_path),
+                            ("dx", dx_min_cut, oracle.dx_min_cut)):
+        if (name, which) in REFUSALS:
+            was, now = REFUSALS[name, which]
+            assert _outcome(old, code) == was
+            assert _outcome(new, code) == now
+        else:
+            assert _outcome(new, code) == _outcome(old, code)
 
+
+@pytest.mark.parametrize("name, which", sorted(REFUSALS))
+def test_cli_falls_back_to_the_search_on_a_refusal(name, which):
+    code = CODES[name]()
+    dz, dx = cli._distances(code, "bfs,mincut", 3)
+    got = dz if which == "dz" else dx
+    want = exhaustive_low_weight(code, "Z" if which == "dz" else "X", 3)
+    assert (got.value, got.kind) == (want.value, want.kind)
