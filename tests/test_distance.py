@@ -159,8 +159,8 @@ def test_fit_scaling_rejects_nonpositive():
 
 
 # A d_Z witness with its last qubit dropped, a d_X cut with its first qubit
-# dropped, and a stack of codes of different sizes; all must raise with and
-# without -O.
+# dropped, a stack of codes of different sizes, and a d_Z witness that is a
+# Z check; all must raise with and without -O.
 _CHECKS_UNDER_O = textwrap.dedent("""
     import fractalcss.distance as distance
     from fractalcss.code import css_from_complex
@@ -184,10 +184,15 @@ _CHECKS_UNDER_O = textwrap.dedent("""
         finally:
             distance.Gf2Vector = Gf2Vector
 
+    def dz_with_a_stabilizer():  # syndrome-free, so the residue test decides
+        distance._path = lambda via, end: code.hz.row(0).indices()
+        distance.dz_shortest_path(code)
+
     raised = []
     for case in (lambda: distance.dz_shortest_path(code),
                  dx_without_a_cut_qubit,
-                 lambda: align_identical([code, other])):
+                 lambda: align_identical([code, other]),
+                 dz_with_a_stabilizer):
         try:
             case()
         except (AssertionError, ValueError) as exc:
@@ -202,4 +207,4 @@ def test_witness_and_stack_checks_raise_under_optimize(flags):
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, *flags, "-c", _CHECKS_UNDER_O], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["AssertionError", "AssertionError", "ValueError"]
+    assert out.split() == ["AssertionError", "AssertionError", "ValueError", "AssertionError"]
