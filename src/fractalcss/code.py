@@ -2,14 +2,16 @@
 
 Qubits sit on the i-cells.  Each surviving (i-1)-cell anchors an X
 stabilizer on its cofaces; each surviving (i+1)-cell anchors a Z
-stabilizer on its faces.  The check matrices are the only dense GF(2)
-objects of a code: their rows come straight from the complex's face and
-coface lists.  k and the logical tests read one reduction of the code's
-own chain complex, Z checks -(H_Z^T)-> qubits -(H_X)-> X checks, by the
-collapses and coreductions of `homology` (`CssCode.reduction`): only its
-small residue is eliminated.  The logical basis and the colour-code S
-check eliminate each check matrix at most once (`CssCode.hx_rref`,
-`CssCode.hz_rref`).
+stabilizer on its faces.  A code stores its checks once, in CSR form
+(`CssCode.x_checks` / `z_checks`, restricted straight from the complex's
+coface and face lists); syndromes are parities over those rows.  k and
+the logical tests read one reduction of the code's own chain complex,
+Z checks -(H_Z^T)-> qubits -(H_X)-> X checks, by the collapses and
+coreductions of `homology` (`CssCode.reduction`): only its small residue
+is eliminated.  The dense H_X / H_Z (`CssCode.hx` / `hz`) are views built
+on first use, for what eliminates a whole check matrix (the logical
+basis, the colour-code S check and the merge, through `CssCode.hx_rref` /
+`hz_rref`) and for the text format.
 Boundary conditions are label-driven:
 
 * every cell of an E-labeled (rough) patch is dropped from the code -
@@ -21,9 +23,9 @@ Boundary conditions are label-driven:
   bulk stabilizers, so the group is unchanged).
 
 H_X H_Z^T = 0 is checked for every constructed code, truncations
-included, from the sparse supports: the set bits of both matrices are
-joined on the qubit column, and every (X row, Z row) pair must meet an
-even number of times.  No dense product is formed.
+included, on the CSR rows: every X entry is joined with the Z checks of
+its qubit, and every (X row, Z row) pair must meet an even number of
+times.  No dense product is formed.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 from .complexes import CellComplex, Faces, label_is_e, label_is_m
 from .gf2 import (
     _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _reduce, _rref_inplace, in_rowspace,
+    matrix_from_text, matrix_to_text,
 )
 from .homology import _Reduction, betti
 
@@ -71,9 +74,12 @@ class PauliOperator:
 
 @dataclass
 class CssCode:
+    """The checks in CSR form: row r of `x_checks` (`z_checks`) lists the
+    qubits of the r-th X (Z) check, ascending."""
+
     n_qubits: int
-    hx: Gf2Matrix
-    hz: Gf2Matrix
+    x_checks: Faces
+    z_checks: Faces
     grading: int
     qubit_cells: list[int]
     x_anchor_cells: list[int]
@@ -84,19 +90,27 @@ class CssCode:
     check_homology_by_labels: bool = True
 
     def __post_init__(self):
-        if not self.hx.cols == self.n_qubits == self.hz.cols:
-            raise AssertionError(
-                f"check matrices have {self.hx.cols} and {self.hz.cols} columns "
-                f"for {self.n_qubits} qubits"
-            )
-        if not _checks_commute(self.hx, self.hz):
+        for checks in (self.x_checks, self.z_checks):
+            if checks.idx.size and not 0 <= checks.idx.min() <= checks.idx.max() < self.n_qubits:
+                raise AssertionError(f"check columns outside the {self.n_qubits} qubits")
+        if not _checks_commute(self.x_checks, self.z_checks, self.n_qubits):
             raise AssertionError("H_X H_Z^T != 0: X and Z checks do not commute")
+
+    # The dense check matrices, built on first use: for the eliminations
+    # below, the merge and the text writer.
+    @cached_property
+    def hx(self) -> Gf2Matrix:
+        return self.x_checks.matrix(self.n_qubits)
+
+    @cached_property
+    def hz(self) -> Gf2Matrix:
+        return self.z_checks.matrix(self.n_qubits)
 
     # The one reduction of the code's chain complex: k and the logical tests
     # read it.
     @cached_property
     def reduction(self) -> "_ChainReduction":
-        return _ChainReduction(self.hx, self.hz)
+        return _ChainReduction(self.x_checks, self.z_checks, self.n_qubits)
 
     # The one elimination of each check matrix, for the logical basis and
     # the colour-code S check.
@@ -123,15 +137,16 @@ class _ChainReduction:
     every seeded X check, only drops cells from grade 1.  Dually an X-cocycle
     is carried through the grade-1/0 coreductions by the qubits of the
     paired X check.  The replay adds all qubits of the check: the bit of a
-    qubit removed in an earlier round is never read again.  z is a product
-    of Z checks iff its image is in the row space of the residue's H_Z, and
-    x one of X checks iff its image is in that of the residue's H_X.
+    qubit removed in an earlier round is never read again.  A seeded check
+    is the sum of the other live checks of its type on the live qubits, so
+    no row space changes.  z is a product of Z checks iff its image is in
+    the row space of the residue's H_Z, and x one of X checks iff its image
+    is in that of the residue's H_X.
     """
 
-    def __init__(self, hx: Gf2Matrix, hz: Gf2Matrix):
-        n = hx.cols
-        self.x_rows, self.z_rows = _row_lists(hx), _row_lists(hz)
-        red = _Reduction([Faces.empty(hx.rows), self.x_rows.transpose(n), self.z_rows])
+    def __init__(self, x_rows: Faces, z_rows: Faces, n: int):
+        self.x_rows, self.z_rows = x_rows, z_rows
+        red = _Reduction([Faces.empty(len(x_rows)), x_rows.transpose(n), z_rows])
         live_x, self.live, live_z = red.run()[0]
         # (qubits, their checks) per round of grade-1/2 collapses and of
         # grade-1/0 coreductions
@@ -160,37 +175,19 @@ class _ChainReduction:
         return in_rowspace(*self.hx_rref, self._image(x, self.x_rounds, self.x_rows))
 
 
-def _row_lists(m: Gf2Matrix) -> Faces:
-    """The set columns of each row of m in CSR form, read off its
-    row-major entries."""
-    r, c = m.entries()
-    ptr = np.zeros(m.rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(r, minlength=m.rows), out=ptr[1:])
-    return Faces(ptr, c)
-
-
 def _residue_rref(rows: Faces, keep_rows, keep_cols) -> tuple[Gf2Matrix, list[int]]:
     """The RREF of the check matrix `rows` restricted to the kept rows and
     columns."""
-    kept = rows.restrict(keep_rows, keep_cols)
-    m = Gf2Matrix.from_entries(len(kept), int(keep_cols.sum()),
-                               np.column_stack((kept.owners(), kept.idx)))
+    m = rows.restrict(keep_rows, keep_cols).matrix(int(keep_cols.sum()))
     return m, _rref_inplace(m.data, m.rows, m.cols)
 
 
-def _checks_commute(hx: Gf2Matrix, hz: Gf2Matrix) -> bool:
+def _checks_commute(x: Faces, z: Faces, n: int) -> bool:
     """H_X H_Z^T = 0: every (X row, Z row) pair shares an even number of
-    columns.  Joins the two entry lists on the column, so time and memory
-    grow with the number of such pairs, not with rows x rows."""
-    xr, xc = hx.entries()
-    zr, zc = hz.entries()
-    by_col = np.argsort(zc, kind="stable")
-    zr, zc = zr[by_col], zc[by_col]
-    first = np.searchsorted(zc, xc, "left")
-    count = np.searchsorted(zc, xc, "right") - first
-    # pair each X entry with every Z entry of its column
-    offset = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    pairs = np.repeat(xr, count) * hz.rows + zr[np.repeat(first, count) + offset]
+    qubits.  Each X entry is paired with the Z checks of its qubit, so time
+    and memory grow with the number of such pairs, not with rows x rows."""
+    z_of = z.transpose(n)
+    pairs = np.repeat(x.owners(), z_of.counts()[x.idx]) * len(z) + z_of.take(x.idx)
     _, times = np.unique(pairs, return_counts=True)
     return not (times & 1).any()
 
@@ -208,25 +205,25 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
         raise ValueError(f"grading {i} out of range 1..{n - 1}")
 
     x_anchor, qubit, z_anchor = (~cx.label_mask(k, label_is_e) for k in (i - 1, i, i + 1))
-    qubit_of = np.cumsum(qubit) - 1
-    x_r, x_c = _support(cx.cofaces(i - 1), x_anchor, qubit, qubit_of)
-    z_r, z_c = _support(cx.faces[i + 1], z_anchor, qubit, qubit_of)
-    n_qubits, n_x, n_z = int(qubit.sum()), int(x_anchor.sum()), int(z_anchor.sum())
+    n_qubits = int(qubit.sum())
+    # row r: the qubit cells among the cofaces (X) or faces (Z) of the r-th
+    # anchor cell
+    x_checks = cx.cofaces(i - 1).restrict(x_anchor, qubit)
+    z_checks = cx.faces[i + 1].restrict(z_anchor, qubit)
 
     # Smooth-patch rule: a Z stabilizer anchored on an M-labeled (i+1)-cell
     # is dropped when it is a product of the kept ones, so m-condensation is
     # manifest in the generating set while the stabilizer group (and k) is
     # unchanged.  An independent M-anchored plaquette stays.
     m_anchor = cx.label_mask(i + 1, label_is_m)[z_anchor]
-    keep_x = np.bincount(x_r, minlength=n_x) > 0
-    keep_z = np.bincount(z_r, minlength=n_z) > 0
-    if m_anchor.any():  # the dense H_Z only when some row may be redundant
-        all_z = Gf2Matrix.from_entries(n_z, n_qubits, np.column_stack((z_r, z_c)))
-        keep_z &= np.isin(np.arange(n_z), _drop_redundant_m_rows(all_z, m_anchor))
+    keep_x, keep_z = x_checks.counts() > 0, z_checks.counts() > 0
+    if m_anchor.any():  # the dense H_Z^T only when some row may be redundant
+        keep_z &= _drop_redundant_m_rows(z_checks, m_anchor, n_qubits)
+    every = np.ones(n_qubits, dtype=bool)
     return CssCode(
         n_qubits=n_qubits,
-        hx=_kept_rows(x_r, x_c, keep_x, n_qubits),
-        hz=_kept_rows(z_r, z_c, keep_z, n_qubits),
+        x_checks=x_checks.restrict(keep_x, every),
+        z_checks=z_checks.restrict(keep_z, every),
         grading=i,
         qubit_cells=np.flatnonzero(qubit).tolist(),
         x_anchor_cells=np.flatnonzero(x_anchor)[keep_x].tolist(),
@@ -235,33 +232,16 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
     )
 
 
-def _support(lists: Faces, anchor, qubit, qubit_of) -> tuple[np.ndarray, np.ndarray]:
-    """(row, qubit) entries of the checks: row r belongs to the r-th anchor
-    cell, its support is the qubit cells among that cell's entries of
-    `lists` (its cofaces for X checks, its faces for Z checks)."""
-    own = lists.owners()
-    sel = anchor[own] & qubit[lists.idx]
-    return (np.cumsum(anchor) - 1)[own[sel]], qubit_of[lists.idx[sel]]
-
-
-def _kept_rows(rows, cols, keep, n_cols) -> Gf2Matrix:
-    """The check matrix of the kept rows, renumbered in order."""
-    sel = keep[rows]
-    entries = np.column_stack(((np.cumsum(keep) - 1)[rows[sel]], cols[sel]))
-    return Gf2Matrix.from_entries(int(keep.sum()), n_cols, entries)
-
-
-def _drop_redundant_m_rows(hz: Gf2Matrix, m_anchor: list[bool]) -> list[int]:
-    """Row indices to keep: all non-M rows, plus every M row independent of
-    the rows before it when the non-M rows come first.  Such a row is a
-    pivot column of the transpose in that row order."""
-    if not any(m_anchor):
-        return list(range(hz.rows))
-    order = sorted(range(hz.rows), key=lambda r: m_anchor[r])
-    t = Gf2Matrix(hz.rows, hz.cols, hz.data[order]).transpose()
-    pivots = _rref_inplace(t.data, t.rows, t.cols)
-    independent_m = [order[p] for p in pivots if m_anchor[order[p]]]
-    return sorted([r for r in range(hz.rows) if not m_anchor[r]] + independent_m)
+def _drop_redundant_m_rows(z: Faces, m_anchor: np.ndarray, n: int) -> np.ndarray:
+    """Per row of the Z checks z on n qubits, whether to keep it: all non-M
+    rows, plus every M row independent of the rows before it when the
+    non-M rows come first.  Such a row is a pivot column of H_Z^T with its
+    columns in that order."""
+    order = np.argsort(m_anchor, kind="stable")
+    t = Faces.from_pairs(n, z.idx, np.argsort(order)[z.owners()]).matrix(len(z))
+    keep = ~m_anchor
+    keep[order[_rref_inplace(t.data, t.rows, t.cols)]] = True
+    return keep
 
 
 def code_params(code: CssCode, cross_check: bool = True) -> CodeParams:
@@ -382,16 +362,21 @@ def _leading_bit(words: np.ndarray) -> int:
     return (first << 6) + (word & -word).bit_length() - 1
 
 
+def _syndrome_free(checks: Faces, support: Gf2Vector) -> bool:
+    """Whether every check meets the support an even number of times."""
+    return not checks.parity(support.to_dense()).any()
+
+
 def is_z_logical(code: CssCode, support: Gf2Vector) -> bool:
     """Syndrome-free against the X checks and outside the Z-stabilizer span."""
-    if not code.hx.mul_vec(support).is_zero():
+    if not _syndrome_free(code.x_checks, support):
         return False
     return not code.reduction.is_z_stabilizer(support)
 
 
 def is_x_logical(code: CssCode, support: Gf2Vector) -> bool:
     """Syndrome-free against the Z checks and outside the X-stabilizer span."""
-    if not code.hz.mul_vec(support).is_zero():
+    if not _syndrome_free(code.z_checks, support):
         return False
     return not code.reduction.is_x_stabilizer(support)
 
@@ -399,8 +384,6 @@ def is_x_logical(code: CssCode, support: Gf2Vector) -> bool:
 # -- serialization -----------------------------------------------------------
 
 def code_to_text(code: CssCode) -> str:
-    from .gf2 import matrix_to_text
-
     lines = [f"csscode v1", f"nqubits {code.n_qubits} i {code.grading}", "HX"]
     lines.append(matrix_to_text(code.hx).rstrip("\n"))
     lines.append("HZ")
@@ -413,8 +396,6 @@ def code_to_text(code: CssCode) -> str:
 
 def code_from_text(text: str) -> CssCode:
     """Parse a ``csscode v1`` file; malformed input raises ValueError."""
-    from .gf2 import matrix_from_text
-
     lines = text.splitlines()
     if not lines or lines[0].strip() != "csscode v1":
         raise ValueError("not a csscode v1 file")
@@ -429,6 +410,7 @@ def code_from_text(text: str) -> CssCode:
     hz = matrix_from_text("\n".join(lines[ix_hz + 1 : ix_map]))
     if not hx.cols == n == hz.cols:
         raise ValueError(f"HX and HZ have {hx.cols} and {hz.cols} columns for {n} qubits")
+    x_checks, z_checks = (Faces.from_pairs(m.rows, *m.entries()) for m in (hx, hz))
     qubit_cells = []
     for ln in lines[ix_map + 1 :]:
         if ln.strip():
@@ -441,8 +423,8 @@ def code_from_text(text: str) -> CssCode:
     try:
         return CssCode(
             n_qubits=n,
-            hx=hx,
-            hz=hz,
+            x_checks=x_checks,
+            z_checks=z_checks,
             grading=i,
             qubit_cells=qubit_cells,
             x_anchor_cells=[],

@@ -29,7 +29,7 @@ import numpy as np
 from .code import CssCode, logical_basis
 from .complexes import BULK, CellComplex, Faces
 from .gates import ConditionResult, GateCheckReport
-from .gf2 import Gf2Matrix, in_rowspace
+from .gf2 import in_rowspace
 
 
 @dataclass
@@ -109,9 +109,10 @@ def build_color_code_2d(L: int = 1) -> ColorCode2D:
         raise AssertionError("both open boundaries must miss color 0")
 
     n = len(verts)
-    h = Gf2Matrix.from_entries(len(faces), n, [(f, v) for f, vs in enumerate(faces) for v in vs])
+    h = Faces.from_pairs(len(faces), np.repeat(np.arange(len(faces)), [len(vs) for vs in faces]),
+                         np.concatenate(faces))
     code = CssCode(
-        n_qubits=n, hx=h, hz=h.copy(), grading=1,
+        n_qubits=n, x_checks=h, z_checks=h, grading=1,
         qubit_cells=list(range(n)), x_anchor_cells=[], z_anchor_cells=[],
         source=None,
     )

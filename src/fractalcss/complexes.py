@@ -31,9 +31,9 @@ table of label strings, and the face lists in CSR form (see
 index arithmetic: the cells with one set of extended axes form a C-ordered
 block, and a face is the same multi-index in the matching (k-1)-block with
 the dropped axis at j or j + 1 (mod the vertex count on a periodic axis).
-Cofaces and dense GF(2) boundary matrices are derived on demand, the
-latter only for eliminations: ``cobetti`` and the small residue that
-``betti`` ranks after collapsing the complex.
+Cofaces and dense GF(2) incidence matrices are derived on demand, the
+latter only for eliminations: the small residues that ``betti`` and
+``cobetti`` rank after collapsing the complex, and a code's checks.
 
 Boundary labels are short strings: ``bulk``, ``oE<k>``/``oM<k>`` for outer
 hypersurface patches (patch id ``2*axis + side``), ``hE<k>``/``hM<k>`` for
@@ -219,10 +219,17 @@ class Faces:
         np.cumsum(np.bincount(own[sel], minlength=len(self))[keep], out=ptr[1:])
         return Faces(ptr, (np.cumsum(keep_below) - 1)[self.idx[sel]])
 
-    def matrix(self, rows: int) -> Gf2Matrix:
-        """The dense boundary map: one column per cell, `rows` rows for the
-        grade below."""
-        return Gf2Matrix.from_entries(rows, len(self), np.column_stack((self.idx, self.owners())))
+    def matrix(self, cols: int) -> Gf2Matrix:
+        """The dense incidence matrix: one row per cell, `cols` columns for
+        the grade below (the transpose of the boundary map)."""
+        return Gf2Matrix.from_entries(len(self), cols, np.column_stack((self.owners(), self.idx)))
+
+    def parity(self, bits: np.ndarray) -> np.ndarray:
+        """Per cell, the parity (0 or 1) of the 0/1 `bits` at its faces: a
+        syndrome, when the cells are checks and the faces qubits."""
+        # acc[i]: the parity of the bits at the first i entries
+        acc = np.insert(np.bitwise_xor.accumulate(bits[self.idx]), 0, 0)
+        return acc[self.ptr[1:]] ^ acc[self.ptr[:-1]]
 
     def composes_to_zero(self, below: "Faces", n: int) -> bool:
         """Whether every cell of the grade two down (n of them) is reached
@@ -318,7 +325,7 @@ class CellComplex:
             return Gf2Matrix.zeros(0, self.n_cells(0))
         if not 1 <= k <= self.dim:
             return Gf2Matrix.zeros(self.n_cells(self.dim), 0)
-        return self.faces[k].matrix(self.n_cells(k - 1))
+        return self.cofaces(k - 1).matrix(self.n_cells(k))
 
     def labels_present(self) -> set[str]:
         codes = np.unique(np.concatenate(self.labels)).tolist()

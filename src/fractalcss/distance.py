@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .code import CssCode, PauliOperator, is_x_logical, is_z_logical
-from .complexes import Faces, label_is_e
+from .complexes import Faces, _ranges, label_is_e
 from .gf2 import Gf2Vector
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -337,7 +337,6 @@ def exhaustive_low_weight(
         raise ValueError(f"op_type must be 'X' or 'Z', not {op_type!r}")
     budget = budget if budget is not None else search_budget()
     n = code.n_qubits
-    syndrome_checks = code.hz if op_type == "X" else code.hx
     is_logical = is_x_logical if op_type == "X" else is_z_logical
 
     def logical_at(support: tuple[int, ...], visited: int) -> bool:
@@ -346,15 +345,11 @@ def exhaustive_low_weight(
             raise BudgetError(budget, len(support) - 1)
         return is_logical(code, Gf2Vector.from_indices(n, support))
 
-    # syndrome columns: the checks of qubit q are checks[ptr[q]:ptr[q + 1]],
-    # ascending
-    rows, cols = syndrome_checks.entries()
-    checks = rows[np.argsort(cols, kind="stable")]
-    size = np.bincount(cols, minlength=n)
-    ptr = np.concatenate(([0], np.cumsum(size)))
+    # syndrome columns: the checks of each qubit, ascending
+    columns = (code.z_checks if op_type == "X" else code.x_checks).transpose(n)
 
     # weight 1: root r is the (r + 1)-th node visited
-    for r in np.flatnonzero(size == 0).tolist():
+    for r in np.flatnonzero(columns.counts() == 0).tolist():
         if logical_at((r,), r + 1):
             return _exact_result(code, op_type, (r,))
     if n > budget:
@@ -365,7 +360,7 @@ def exhaustive_low_weight(
     # weight 2: each root is visited, then each of its greater neighbours;
     # the pair of edge e (edges sorted) at root a is node n + a + e + 2
     a, b = _adjacent_pairs(code)
-    for e in np.flatnonzero(_same_columns(checks, ptr, a, b)).tolist():
+    for e in np.flatnonzero(_same_columns(columns, a, b)).tolist():
         support = (int(a[e]), int(b[e]))
         if logical_at(support, n + support[0] + e + 2):
             return _exact_result(code, op_type, support)
@@ -375,76 +370,79 @@ def exhaustive_low_weight(
     if w_max == 2:
         return DistanceResult(2, "certified_above", None)
 
-    syn_of_qubit = [checks[ptr[q] : ptr[q + 1]].tolist() for q in range(n)]
-
-    def logical(support: list[int]) -> bool:
-        syn = set()
-        for q in support:
-            syn.symmetric_difference_update(syn_of_qubit[q])
-        return not syn and is_logical(code, Gf2Vector.from_indices(n, support))
-
-    support = _search(n, a, b, logical, w_max, budget, visited)
+    syndrome = [frozenset(columns[q].tolist()) for q in range(n)]
+    support = _search(syndrome, a, b, lambda s: is_logical(code, Gf2Vector.from_indices(n, s)),
+                      w_max, budget, visited)
     if support is not None:
         return _exact_result(code, op_type, support)
     return DistanceResult(w_max, "certified_above", None)
 
 
 def _adjacent_pairs(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
-    """The qubit pairs a < b that share a check of either type, sorted.
-
-    Each check's entries are joined with the later entries of its row, as
-    `code._checks_commute` joins the two matrices on the column."""
+    """The qubit pairs a < b that share a check of either type, sorted:
+    each check's entries joined with the later entries of its row."""
     keys = []
-    for m in (code.hx, code.hz):
-        r, c = m.entries()  # row-major: the columns of a row ascend
-        count = np.searchsorted(r, r, "right") - np.arange(len(r)) - 1
-        at = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        later = np.repeat(np.arange(len(r)) + 1, count) + at
-        keys.append(np.repeat(c, count) * code.n_qubits + c[later])
+    for checks in (code.x_checks, code.z_checks):
+        c = checks.idx  # the columns of a row ascend
+        later, end = np.arange(1, len(c) + 1), np.repeat(checks.ptr[1:], checks.counts())
+        keys.append(np.repeat(c, end - later) * code.n_qubits + c[_ranges(later, end)])
     return np.divmod(np.unique(np.concatenate(keys)), code.n_qubits)
 
 
-def _same_columns(checks, ptr, a, b) -> np.ndarray:
+def _same_columns(columns: Faces, a, b) -> np.ndarray:
     """Per pair e, whether qubits a[e] and b[e] have the same syndrome
-    column (`checks[ptr[q]:ptr[q + 1]]` for qubit q)."""
-    size = np.diff(ptr)
+    column (`columns[q]` for qubit q)."""
+    size = columns.counts()
     same = size[a] == size[b]
     ea, eb = a[same], b[same]
-    d = size[ea]
-    pair = np.repeat(np.arange(len(ea)), d)
-    at = np.arange(d.sum()) - np.repeat(np.cumsum(d) - d, d)
-    differ = checks[ptr[ea][pair] + at] != checks[ptr[eb][pair] + at]
+    pair = np.repeat(np.arange(len(ea)), size[ea])
+    differ = columns.take(ea) != columns.take(eb)
     same[same] = np.bincount(pair[differ], minlength=len(ea)) == 0
     return same
 
 
-def _search(n, a, b, logical, w_max, budget, visited):
+def _search(syndrome, a, b, logical, w_max, budget, visited):
     """The depth-first search over connected supports of weight 3..w_max
-    on n qubits with the adjacent pairs (a, b), its node count starting at
-    `visited`: the first support that is `logical`, or None.
+    with the adjacent pairs (a, b), its node count starting at `visited`:
+    the first syndrome-free support (by the per-qubit check sets
+    `syndrome`) that is `logical`, or None.
+
+    A node grows the support `sub` by the head u of its extension list ext
+    and passes on the rest of ext plus the neighbours w > root of u that
+    are neither in sub nor in ext; `mark` holds exactly sub and ext.
     """
+    n = len(syndrome)
     nb = Faces.from_pairs(n, np.concatenate((a, b)), np.concatenate((b, a)))
     ptr, idx = nb.ptr.tolist(), nb.idx.tolist()
     neighbors = [idx[ptr[q] : ptr[q + 1]] for q in range(n)]  # ascending
+    mark = bytearray(n)
 
-    def extend(sub: list[int], extension: list[int], target: int):
+    def extend(sub: list[int], syn: frozenset, ext: list[int], target: int):
+        """The nodes below `sub`, whose syndrome is `syn`."""
         nonlocal visited
-        if len(sub) == target:
-            return tuple(sub) if logical(sub) else None
-        ext = list(extension)
-        while ext:
-            u = ext.pop(0)
+        if len(sub) + 1 == target:  # the leaves: sub + [u] is syndrome-free iff
+            for u in ext:           # u has the syndrome of sub
+                visited += 1
+                if visited > budget:
+                    raise BudgetError(budget, target - 1)
+                if syndrome[u] == syn and logical(sub + [u]):
+                    return tuple(sub + [u])
+            return None
+        for i, u in enumerate(ext):
             visited += 1
             if visited > budget:
                 raise BudgetError(budget, target - 1)
-            grown = ext + [
-                w
-                for w in neighbors[u]
-                if w > sub[0] and w not in sub and w not in ext and w != u
-            ]
-            found = extend(sub + [u], grown, target)
+            new = [w for w in neighbors[u] if w > sub[0] and not mark[w]]
+            for w in new:
+                mark[w] = 1
+            found = extend(sub + [u], syn ^ syndrome[u], ext[i + 1 :] + new, target)
+            for w in new:
+                mark[w] = 0
+            mark[u] = 0  # u leaves ext
             if found:
                 return found
+        for u in ext:
+            mark[u] = 1
         return None
 
     for w in range(3, w_max + 1):
@@ -452,7 +450,12 @@ def _search(n, a, b, logical, w_max, budget, visited):
             visited += 1
             if visited > budget:
                 raise BudgetError(budget, w - 1)
-            found = extend([root], [u for u in neighbors[root] if u > root], w)
+            ext = [u for u in neighbors[root] if u > root]
+            for u in [root] + ext:
+                mark[u] = 1
+            found = extend([root], syndrome[root], ext, w)
+            for u in [root] + ext:
+                mark[u] = 0
             if found:
                 return found
     return None

@@ -33,9 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .code import CssCode, PauliOperator, css_from_complex, logical_basis
+from .code import CssCode, PauliOperator, _syndrome_free, css_from_complex, logical_basis
 from .complexes import Box, CellComplex, Faces, Hole, code_lattice, punch_holes
-from .gf2 import _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _popcount, in_rowspace
+from .gf2 import _CHUNK_WORDS, Gf2Vector, _popcount, in_rowspace
 
 
 class CertificateError(AssertionError):
@@ -74,7 +74,7 @@ class StackAlignment:
 
     def stab_rows(self, copy: int) -> np.ndarray:
         """The X stabilizers of one copy as packed site sets."""
-        return self.x_rows[copy][: self.codes[copy].hx.rows]
+        return self.x_rows[copy][: len(self.codes[copy].x_checks)]
 
     def sites_of(self, copy: int, support: Gf2Vector) -> frozenset[int]:
         mapping = self.qubit_site[copy]
@@ -149,10 +149,9 @@ def _site_row(align: StackAlignment, copy: int, support: Gf2Vector) -> np.ndarra
 
 def _stab_rows(align: StackAlignment, copy: int) -> np.ndarray:
     """The X stabilizers of one copy as packed site sets, one row each."""
-    hx = align.codes[copy].hx
-    r, q = hx.entries()
-    sites = np.asarray(align.qubit_site[copy], dtype=np.int64)[q]
-    return Gf2Matrix.from_entries(hx.rows, align.n_sites, np.column_stack((r, sites))).data
+    checks = align.codes[copy].x_checks
+    sites = np.asarray(align.qubit_site[copy], dtype=np.int64)[checks.idx]
+    return Faces(checks.ptr, sites).matrix(align.n_sites).data
 
 
 def _logical_row(align: StackAlignment, copy: int) -> np.ndarray | None:
@@ -184,11 +183,6 @@ def _meeting(a: np.ndarray, b: np.ndarray, odd: bool = True) -> tuple[np.ndarray
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
-def _odd_rows(a: np.ndarray, v: np.ndarray) -> list[int]:
-    """The rows of a that share an odd number of sites with the row v."""
-    return _meeting(a, v[None])[0].tolist()
-
-
 def check_transversal_cz(
     a: CssCode, b: CssCode, align: StackAlignment
 ) -> GateCheckReport:
@@ -208,7 +202,7 @@ def check_transversal_cz(
     for src, dst in ((ia, ib), (ib, ia)):
         if logicals[dst] is not None:
             bad += [(f"copy{src}:X{i}", f"copy{dst}:Xbar", 1)
-                    for i in _odd_rows(stabs[src], logicals[dst])]
+                    for i in _meeting(stabs[src], logicals[dst][None])[0].tolist()]
     conds.append(ConditionResult("CZ1-stab-logical", not bad, tuple(bad[:8])))
 
     if logicals[ia] is None or logicals[ib] is None:
@@ -260,7 +254,7 @@ def check_transversal_ccz(
         if logicals[o0] is None or logicals[o1] is None:
             continue
         bad += [(f"{idx[which]}:X{i}", bars[o0], bars[o1], 1)
-                for i in _odd_rows(stabs[which], logicals[o0] & logicals[o1])]
+                for i in _meeting(stabs[which], (logicals[o0] & logicals[o1])[None])[0].tolist()]
     conds.append(ConditionResult("CCZ1-stab-logical-logical", not bad, tuple(bad)))
 
     if any(l is None for l in logicals):
@@ -324,9 +318,9 @@ def build_vasmer_browne_stack(
     def at(mids) -> np.ndarray:
         return grid[tuple(np.moveaxis(mids, -1, 0) + 2)]
 
-    def checks(support: np.ndarray) -> Gf2Matrix:  # a row of qubits per check, -1 for none
+    def checks(support: np.ndarray) -> Faces:  # a row of qubits per check, -1 for none
         r, c = np.nonzero(support >= 0)
-        return Gf2Matrix.from_entries(len(support), n, np.column_stack((r, support[r, c])))
+        return Faces.from_pairs(len(support), r, support[r, c])
 
     # cube (jx, jy, k): x-window [2jx-1, 2jx+1], y-window [2jy-1, 2jy+1],
     # z-window [2k, 2k+2], in the order jx, jy, k
@@ -341,8 +335,8 @@ def build_vasmer_browne_stack(
         x_sup = at(centers[inner & is_x, None] + _CUBE_EDGES)
         z_sup = at(centers[inner & ~is_x, None, None] + _CORNER_TRIPLES).reshape(-1, 3)
         return CssCode(
-            n_qubits=n, hx=checks(x_sup[(x_sup >= 0).any(axis=1)]),
-            hz=checks(z_sup[(z_sup >= 0).all(axis=1)]), grading=1,
+            n_qubits=n, x_checks=checks(x_sup[(x_sup >= 0).any(axis=1)]),
+            z_checks=checks(z_sup[(z_sup >= 0).all(axis=1)]), grading=1,
             qubit_cells=list(copy1.qubit_cells),
             x_anchor_cells=[], z_anchor_cells=[], source=cx,
             check_homology_by_labels=False,
@@ -379,7 +373,8 @@ def build_vasmer_browne_stack(
 def _certified(code: CssCode, x: Gf2Vector, z: Gf2Vector) -> bool:
     """Whether x is an X-logical by the partner z: H_Z x = 0, H_X z = 0 and
     an odd overlap, which no product of X checks has with z."""
-    return code.hz.mul_vec(x).is_zero() and code.hx.mul_vec(z).is_zero() and bool(x.dot(z))
+    return (_syndrome_free(code.z_checks, x) and _syndrome_free(code.x_checks, z)
+            and bool(x.dot(z)))
 
 
 def stabilizer_tags_near_holes(align: StackAlignment) -> set[str]:
@@ -391,7 +386,7 @@ def stabilizer_tags_near_holes(align: StackAlignment) -> set[str]:
     grown = [np.array(h.box) + [-2, 2] for h in holes]
     for copy, code in enumerate(align.codes):
         boxes = code.source.cells[code.grading][code.qubit_cells]
-        rows, cols = code.hx.entries()
+        rows, cols = code.x_checks.owners(), code.x_checks.idx
         for g in grown:
             meets = (np.maximum(boxes[..., 0], g[:, 0]) <= np.minimum(boxes[..., 1], g[:, 1]))
             near.update(f"{copy}:X{r}" for r in np.unique(rows[meets.all(axis=1)[cols]]).tolist())

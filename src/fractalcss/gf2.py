@@ -165,26 +165,14 @@ class Gf2Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Gf2Matrix":
-        m = cls(n, n)
-        for i in range(n):
-            m.set(i, i, 1)
-        return m
+        return cls.from_entries(n, n, np.repeat(np.arange(n), 2))
 
     @classmethod
     def from_dense(cls, arr) -> "Gf2Matrix":
         arr = np.asarray(arr, dtype=np.uint8) & 1
         if arr.ndim != 2:
             raise ValueError("expected a 2D array")
-        rows, cols = arr.shape
-        m = cls(rows, cols)
-        rr, cc = np.nonzero(arr)
-        if len(rr):
-            np.bitwise_or.at(
-                m.data,
-                (rr, cc >> 6),
-                np.uint64(1) << (cc & 63).astype(np.uint64),
-            )
-        return m
+        return cls(*arr.shape, _pack(arr))
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "Gf2Matrix":
@@ -241,15 +229,12 @@ class Gf2Matrix:
         return hash((self.rows, self.cols, self.data.tobytes()))
 
     def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.rows, self.cols), dtype=np.uint8)
-        out[self.entries()] = 1
-        return out
+        return _unpack(self.data, self.cols)
 
     # -- structural ops -----------------------------------------------
 
     def transpose(self) -> "Gf2Matrix":
-        r, c = self.entries()
-        return Gf2Matrix.from_entries(self.cols, self.rows, zip(c.tolist(), r.tolist()))
+        return Gf2Matrix.from_entries(self.cols, self.rows, np.column_stack(self.entries()[::-1]))
 
     def submatrix(self, row_idx, col_idx) -> "Gf2Matrix":
         """Select rows and columns (each a list of indices, order kept)."""

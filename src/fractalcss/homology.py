@@ -7,24 +7,26 @@ from the reduced relative group; :func:`betti_with_caveat` returns a flag
 instead of papering over the distinction (no code parameter depends on
 i = 0).
 
-One reduction engine, `_Reduction`, has two readers.  :func:`betti`
-reduces the face arrays of a cell complex; `code.CssCode.reduction`
-reduces the chain complex of a CSS code (Z checks -> qubits -> X checks,
-from the check matrices' entries) and replays its recorded rounds to
-carry a cycle or cocycle into the residue.  The engine shrinks the complex
-before anything is ranked, round by round on CSR face arrays: elementary
-collapses (a (k-1)-cell with exactly one live coface goes with that
-coface), then coreductions (Mrozek & Batko, "Coreduction homology
-algorithm", DCG 2009: a k-cell with exactly one live face goes with that
-face), seeding one vertex per connected component when grade-1
-coreductions stall.  No such removal changes a surviving cell's boundary,
-so the residue is the original boundary maps restricted to the surviving
-cells; only its two boundaries at the requested grade become dense GF(2)
+One reduction engine, `_Reduction`, has three readers.  :func:`betti`
+reduces the face arrays of a cell complex and :func:`cobetti` its
+cochain complex (the coface arrays, grades reversed), both through
+`_reduced_betti`; `code.CssCode.reduction` reduces the chain complex of a
+CSS code (Z checks -> qubits -> X checks, from its CSR checks) and replays
+its recorded rounds to carry a cycle or cocycle into the residue.  The
+engine shrinks the complex before anything is ranked, round by round on
+CSR face arrays: elementary collapses (a (k-1)-cell with exactly one live
+coface goes with that coface), then coreductions (Mrozek & Batko,
+"Coreduction homology algorithm", DCG 2009: a k-cell with exactly one
+live face goes with that face), seeding one vertex per connected
+component when grade-1 coreductions stall, and dually one top cell when
+the live top cells sum to a cycle (in a reversed cochain complex, the
+collapsed point of a quotient).  No pair changes a surviving cell's
+boundary, so the residue is the original boundary maps restricted to the
+surviving cells; only its two boundaries at the requested grade become dense GF(2)
 matrices (for FC(4,2) level 2 relative to the e-labels, 132 of 7,440
 edges and 180 of 5,232 faces survive).  `betti` reads only the face
-arrays, so it stays a cross-check independent of H_X and H_Z.
-:func:`cobetti` stays dense on purpose: it is the independent route the CLI
-prints beside :func:`betti`.
+arrays, so it stays a cross-check independent of H_X and H_Z.  `cobetti`
+pairs other cells than `betti` does, so the CLI still prints two routes.
 """
 
 from __future__ import annotations
@@ -53,16 +55,22 @@ def betti_with_caveat(
         raise ValueError(f"grade {grade} out of range 0..{cx.dim}")
     if relative_labels:
         cx = cx.quotient_to_point(set(relative_labels))
-    live, seeds = _Reduction(cx.faces).run()
+    return _reduced_betti(cx.faces, grade), grade == 0 and bool(relative_labels)
+
+
+def _reduced_betti(down: list[Faces], grade: int) -> int:
+    """dim H_grade of the chain complex whose k-cells have the faces
+    down[k]: reduced by `_Reduction`, then the residue's two boundaries at
+    the grade are ranked."""
+    live, seeds = _Reduction(down).run()
     sizes = [int(keep.sum()) for keep in live]
     # the residue's boundaries into and out of the grade
-    d = {k: cx.faces[k].restrict(live[k], live[k - 1])
-         for k in (grade, grade + 1) if 1 <= k <= cx.dim}
+    d = {k: down[k].restrict(live[k], live[k - 1])
+         for k in (grade, grade + 1) if 1 <= k < len(down)}
     if len(d) == 2 and not d[grade + 1].composes_to_zero(d[grade], sizes[grade - 1]):
         raise BoundaryError(f"reduced complex: boundary of boundary nonzero at grade {grade + 1}")
     ranks = sum(_rank_in_place(fs.matrix(sizes[k - 1])) for k, fs in d.items())
-    value = sizes[grade] - ranks + (seeds if grade == 0 else 0)
-    return value, grade == 0 and bool(relative_labels)
+    return sizes[grade] - ranks + seeds[grade]
 
 
 class _Reduction:
@@ -70,8 +78,9 @@ class _Reduction:
 
     The complex is given in CSR form: ``down[k]`` lists the faces of each
     k-cell (``down[0]`` is empty); ``up[k]`` lists its cofaces, and
-    ``n_down[k]`` / ``n_up[k]`` count the live ones.  Every round of pairs is recorded in ``rounds`` as (g, h, x, y):
-    the g-cells x went with the h-cells y, x[i] with y[i].
+    ``n_down[k]`` / ``n_up[k]`` count the live ones.  Every round of pairs
+    is recorded in ``rounds`` as (g, h, x, y): the g-cells x went with the
+    h-cells y, x[i] with y[i].
     """
 
     def __init__(self, down: list[Faces]):
@@ -83,30 +92,39 @@ class _Reduction:
         self.n_up = [fs.counts() for fs in self.up]
         self.rounds: list[tuple[int, int, np.ndarray, np.ndarray]] = []
 
-    def run(self) -> tuple[list[np.ndarray], int]:
+    def run(self) -> tuple[list[np.ndarray], list[int]]:
         """Reduce until a full sweep removes nothing; return the live masks
-        and the number of vertices removed as seeds."""
-        top, seeds = len(self.live) - 1, 0
+        and the number of cells removed as seeds per grade."""
+        top = len(self.live) - 1
+        seeds = [0] * (top + 1)
         while True:
-            removed = sum(self._pair_off(k - 1, k) for k in range(top, 0, -1))
+            removed = 0
+            for k in range(top, 0, -1):
+                removed += self._pair_off(k - 1, k)
+                while k == top and self._seed(top, top - 1, seeds):
+                    removed += 1 + self._pair_off(k - 1, k)
             for k in range(1, top + 1):
                 removed += self._pair_off(k, k - 1)
-                while k == 1 and self._can_seed():
-                    # the live vertex with the most live edges: in a quotient
-                    # the collapsed point, from which the coreductions spread
-                    # along the whole collapsed boundary at once
-                    self._remove(0, np.argmax(np.where(self.live[0], self.n_up[0], -1))[None])
-                    seeds += 1
+                while k == 1 and self._seed(0, 1, seeds):
                     removed += 1 + self._pair_off(1, 0)
             if not removed:
                 return self.live, seeds
 
-    def _can_seed(self) -> bool:
-        """Whether a live vertex is left and every live edge has an even
-        number of live vertices: then no boundary reaches a single vertex
-        (the augmentation vanishes on boundaries), so removing one lowers
-        H_0 by one and leaves every other grade as it was."""
-        return bool(self.live[0].any()) and not (self.n_down[1][self.live[1]] & 1).any()
+    def _seed(self, g: int, h: int, seeds: list[int]) -> bool:
+        """Remove one live g-cell as a seed, g = 0 or the top grade, if every
+        live cell of the next grade h has an even number of live neighbours
+        in grade g; return whether one went.  At g = 0 no boundary then
+        reaches a single vertex (the augmentation vanishes on boundaries),
+        at the top the live top cells sum to a cycle through the seed: H_g
+        drops by one and every other grade stays.  The seed has the most
+        live neighbours: in a quotient, the collapsed point, from which the
+        pairs spread along the whole collapsed boundary at once."""
+        count, pick = (self.n_down, self.n_up) if g < h else (self.n_up, self.n_down)
+        if not self.live[g].any() or (count[h][self.live[h]] & 1).any():
+            return False
+        self._remove(g, np.argmax(np.where(self.live[g], pick[g], -1))[None])
+        seeds[g] += 1
+        return True
 
     def _remove(self, k: int, cells: np.ndarray) -> None:
         self.live[k][cells] = False
@@ -145,12 +163,14 @@ class _Reduction:
 
 
 def cobetti(cx: CellComplex, grade: int, relative_labels=frozenset()) -> int:
-    """dim H^i via transposed boundary maps; equals betti at the same grade."""
+    """dim H^i from the cochain complex (the cofaces, grades reversed),
+    reduced like :func:`betti`; equals betti at the same grade."""
+    if not 0 <= grade <= cx.dim:
+        raise ValueError(f"grade {grade} out of range 0..{cx.dim}")
     if relative_labels:
         cx = cx.quotient_to_point(set(relative_labels))
-    rank_i = _rank_in_place(cx.boundary_matrix(grade + 1).transpose())
-    rank_dn = _rank_in_place(cx.boundary_matrix(grade).transpose())
-    return cx.n_cells(grade) - rank_i - rank_dn
+    cochains = [Faces.empty(cx.n_cells(cx.dim))] + [cx.cofaces(k) for k in range(cx.dim)][::-1]
+    return _reduced_betti(cochains, cx.dim - grade)
 
 
 @dataclass(frozen=True)

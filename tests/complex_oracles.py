@@ -11,7 +11,9 @@ oracle representation through that text.
 
 The dense Betti numbers are the oracle of ``homology.betti``: they rank
 the boundary matrices of the whole (quotient) complex, as ``betti`` did
-before it reduced the complex first.
+before it reduced the complex first.  The dense ``cobetti`` is the oracle
+of ``homology.cobetti``, verbatim from before it reduced the cochain
+complex.
 
 The remaining helpers have no caller in the package: the Euler
 characteristic, a matrix from row vectors and a row weight.
@@ -61,6 +63,15 @@ def betti_numbers(cx: ArrayComplex, relative_labels=frozenset()) -> list[int]:
 def betti(cx: ArrayComplex, grade: int, relative_labels=frozenset()) -> int:
     """The dense dim H_i at one grade."""
     return betti_numbers(cx, relative_labels)[grade]
+
+
+def cobetti(cx: ArrayComplex, grade: int, relative_labels=frozenset()) -> int:
+    """dim H^i via transposed boundary maps; equals betti at the same grade."""
+    if relative_labels:
+        cx = cx.quotient_to_point(set(relative_labels))
+    rank_i = _rank_in_place(cx.boundary_matrix(grade + 1).transpose())
+    rank_dn = _rank_in_place(cx.boundary_matrix(grade).transpose())
+    return cx.n_cells(grade) - rank_i - rank_dn
 
 
 def euler_characteristic(cx) -> int:

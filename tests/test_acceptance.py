@@ -157,6 +157,25 @@ def test_criterion_03_level3_distances():
     report(3, True, f"level 3: k 1, d_Z 27, d_X 512, exponent {fit.exponent:.4f}, {elapsed:.1f}s")
 
 
+@pytest.mark.slow
+def test_criterion_03_level4_distances():
+    # FC(3,1) level 4 (L = 81, 1,148,128 qubits): the fourth point of the
+    # d_X exponent fit; about 18 s and 1.0 GB peak RSS on 2 cores
+    t0 = time.perf_counter()
+    code = _fc_code(3, 1, 4)
+    assert code_params(code).k == 1
+    dz = dz_shortest_path(code)
+    assert (dz.value, dz.kind) == (81, "exact")
+    assert dz.witness.weight() == 81 and is_z_logical(code, dz.witness.z_support)
+    dx = dx_min_cut(code)
+    assert (dx.value, dx.kind) == (4096, "exact")
+    assert dx.witness.weight() == 4096 and is_x_logical(code, dx.witness.x_support)
+    fit = fit_scaling([(3, 8), (9, 64), (27, 512), (81, dx.value)])
+    assert abs(fit.exponent - np.log(8) / np.log(3)) < 5e-3
+    elapsed = _budget(t0, 600.0)
+    report(3, True, f"level 4: k 1, d_Z 81, d_X 4096, exponent {fit.exponent:.4f}, {elapsed:.1f}s")
+
+
 def test_criterion_04_no_go_2d():
     t0 = time.perf_counter()
     points = []

@@ -22,8 +22,10 @@ from fractalcss.complexes import (
     fractal_complex,
 )
 from fractalcss.gates import build_vasmer_browne_stack, merge_rough
-from fractalcss.gf2 import Gf2Matrix, kernel_basis
+from fractalcss.cli import main
+from fractalcss.gf2 import Gf2Matrix, Gf2Vector, kernel_basis
 
+from code_oracles import checks_of
 from complex_oracles import row_weight
 
 
@@ -121,7 +123,7 @@ def test_commutation_for_all_shipped_geometries():
     ] + _shipped_codes()
     for code in geoms:
         # the sparse check of __post_init__ against the dense product
-        assert _checks_commute(code.hx, code.hz)
+        assert _checks_commute(code.x_checks, code.z_checks, code.n_qubits)
         assert _dense_commute(code.hx, code.hz)
 
 
@@ -203,7 +205,7 @@ def test_sparse_commutation_check_after_one_flip(seed):
         code = css_from_complex(cx.delete([set(), set(), faces, cubes]), 1)
         hx, hz = code.hx, code.hz
     n = hx.cols
-    CssCode(n, hx, hz, 1, list(range(n)), [], [])
+    CssCode(n, checks_of(hx), checks_of(hz), 1, list(range(n)), [], [])
     outcomes = set()
     for _ in range(30):
         x, z = hx.copy(), hz.copy()
@@ -211,7 +213,7 @@ def test_sparse_commutation_check_after_one_flip(seed):
         r, c = int(rng.integers(m.rows)), int(rng.integers(n))
         m.set(r, c, 1 - m.get(r, c))
         try:
-            CssCode(n, x, z, 1, list(range(n)), [], [])
+            CssCode(n, checks_of(x), checks_of(z), 1, list(range(n)), [], [])
             raised = False
         except AssertionError as exc:
             assert "do not commute" in str(exc)
@@ -222,6 +224,60 @@ def test_sparse_commutation_check_after_one_flip(seed):
 
 
 def test_check_width_mismatch_raises():
-    hx, hz = Gf2Matrix.zeros(1, 4), Gf2Matrix.zeros(1, 5)
+    # a Z check on qubit 4 of a 4-qubit code
+    hx, hz = Gf2Matrix.zeros(1, 4), Gf2Matrix.from_entries(1, 5, [(0, 4)])
     with pytest.raises(AssertionError, match="columns"):
-        CssCode(4, hx, hz, 1, list(range(4)), [], [])
+        CssCode(4, checks_of(hx), checks_of(hz), 1, list(range(4)), [], [])
+
+
+# -- a csscode v1 file with empty check rows ------------------------------------
+
+_FOUR_QUBITS = """csscode v1
+nqubits 4 i 1
+HX
+gf2matrix v1
+5 4
+0000
+1100
+0000
+0011
+0000
+HZ
+gf2matrix v1
+2 4
+{hz}
+0000
+qubitmap
+q 0 -> cell 0
+q 1 -> cell 1
+q 2 -> cell 2
+q 3 -> cell 3
+"""
+
+
+def test_csr_syndrome_of_empty_check_rows():
+    """All-zero rows first, between and last (`np.add.reduceat` would give
+    an empty segment the element at its start, not 0): the CSR syndrome is
+    `mul_vec` for every support, and the file reads back byte for byte."""
+    text = _FOUR_QUBITS.format(hz="1111")
+    code = code_from_text(text)
+    assert code_to_text(code) == text
+    assert code.x_checks.counts().tolist() == [0, 2, 0, 2, 0]
+    assert code.z_checks.counts().tolist() == [4, 0]
+    for bits in range(16):
+        v = Gf2Vector.from_indices(4, [q for q in range(4) if bits >> q & 1])
+        for checks, m in ((code.x_checks, code.hx), (code.z_checks, code.hz)):
+            assert np.array_equal(checks.parity(v.to_dense()), m.mul_vec(v).to_dense())
+    assert is_z_logical(code, Gf2Vector.from_indices(4, [0, 1]))  # k = 1
+    assert not is_z_logical(code, Gf2Vector.from_indices(4, [0]))
+
+
+def test_planted_non_commuting_pair_exits_2(tmp_path, capsys):
+    # X row 0011 meets Z row 1110 once
+    text = _FOUR_QUBITS.format(hz="1110")
+    with pytest.raises(ValueError, match="do not commute"):
+        code_from_text(text)
+    path = tmp_path / "bad.code"
+    path.write_text(text)
+    assert main(["params", "--code", str(path)]) == 2
+    assert "do not commute" in capsys.readouterr().err

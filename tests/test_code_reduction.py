@@ -8,12 +8,17 @@ k = n - |pivots(hx_rref)| - |pivots(hz_rref)| and membership by
 `in_rowspace` on the RREFs of the whole check matrices.
 """
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fractalcss.code import CssCode, css_from_complex, is_x_logical, is_z_logical
+from fractalcss.code import (
+    CssCode, css_from_complex, is_x_logical, is_z_logical, logical_basis,
+)
 from fractalcss.colorcode import build_color_code_2d, shrunk_lattices
 from fractalcss.complexes import (
     FractalSpec,
@@ -25,6 +30,7 @@ from fractalcss.complexes import (
 )
 from fractalcss.gates import build_vasmer_browne_stack
 from fractalcss.gf2 import Gf2Matrix, Gf2Vector, _kernel_rows, in_rowspace
+from code_oracles import check_matrices, checks_of
 from test_arrays import seeded_layout
 from test_text_fuzz import punched
 
@@ -95,19 +101,25 @@ def _combos(rows: np.ndarray, n: int, rng, count: int) -> list[Gf2Vector]:
 
 
 def _assert_matches_dense(code, rng, count=12):
+    """The reduction's k and logical tests against the dense RREFs, on
+    random stabilizers, random cycles (plus the code's logical basis, so a
+    nontrivial cycle is always among them when k > 0) and random vectors."""
     n = code.n_qubits
     red = code.reduction
     assert red.k == n - len(code.hx_rref[1]) - len(code.hz_rref[1])
+    zs, xs = logical_basis(code)
     outcomes = set()
-    for checks, rref, cycle_checks, cycle_rref, is_stabilizer, is_logical in (
-        (code.hz, code.hz_rref, code.hx, code.hx_rref, red.is_z_stabilizer, is_z_logical),
-        (code.hx, code.hx_rref, code.hz, code.hz_rref, red.is_x_stabilizer, is_x_logical),
+    for checks, rref, cycle_checks, cycle_rref, is_stabilizer, is_logical, reps in (
+        (code.hz, code.hz_rref, code.hx, code.hx_rref, red.is_z_stabilizer, is_z_logical,
+         [op.z_support for op in zs]),
+        (code.hx, code.hx_rref, code.hz, code.hz_rref, red.is_x_stabilizer, is_x_logical,
+         [op.x_support for op in xs]),
     ):
         stabilizers = _combos(checks.data, n, rng, count)
-        cycles = _combos(_kernel_rows(*cycle_rref).data, n, rng, count)
+        cycles = _combos(_kernel_rows(*cycle_rref).data, n, rng, count) + reps
         for v in stabilizers:
             assert is_stabilizer(v) and not is_logical(code, v)
-        for v, s in zip(cycles, stabilizers):
+        for v, s in zip(cycles, itertools.cycle(stabilizers)):
             for w in (v, v ^ s):
                 want = in_rowspace(*rref, w)
                 assert is_stabilizer(w) == want
@@ -118,6 +130,54 @@ def _assert_matches_dense(code, rng, count=12):
             assert is_logical(code, v) == want
     if red.k:  # the stabilizers above are the other outcome
         assert False in outcomes
+
+
+# sha256 of the shapes and packed words of H_X and H_Z of copies 2 and 3 of
+# the CCZ stack, as the stack built them while codes stored dense checks
+STACK_CHECKS_SHA256 = {
+    (2, None): "9d9b04db9dfd322fff951d01f3688bf48eed09e1ba8f804b891dea02d5179224",
+    (2, "center"): "df6a4e82bd4a3ffcc8130c9571fd1b912e7d0aadb9b542f05407dca0c59ef11e",
+    (3, None): "c7b304aa4249177e7eb3481f26f76f006710f28be4c12bd65a73f5ea33f5632b",
+    (3, "center"): "ed304b4614dee0fdacaa534740422a00acad0c1147fc64b756c4e22fb645f5d0",
+    (4, None): "9ae429483207da8d8cd92e60ac0ce5d72608cb2911fb41e4e351b6312b14fe38",
+    (4, "center"): "cee006a01381be7c0f631849cba83fd6937b0549178079f0316251f69ac460ca",
+    (5, None): "d256bc6c572f2e770a6a9cee9d532888fb9a7d5c568748e456da5bc062a37836",
+    (5, "center"): "493d11442fb97aefb9a06c2670439831242cd04fefb9ffa7759bfae1fc16e5e3",
+}
+
+
+def _stack_sha256(codes) -> str:
+    h = hashlib.sha256()
+    for code in codes:
+        for m in (code.hx, code.hz):
+            h.update(f"{m.rows} {m.cols};".encode())
+            h.update(m.data.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_check_views_match_dense_construction(name):
+    """The dense views of the CSR checks are the matrices of the dense
+    construction (the label-driven codes, the stack's cube copies, the
+    colour code), and the CSR syndrome is `mul_vec`."""
+    rng = np.random.default_rng(sorted(CODES).index(name))
+    codes = CODES[name]()
+    for code in codes:
+        if code.source is not None and code.check_homology_by_labels:
+            assert (code.hx, code.hz) == check_matrices(code.source, code.grading)
+        for checks, m in ((code.x_checks, code.hx), (code.z_checks, code.hz)):
+            for density in (0.05, 0.5):
+                v = Gf2Vector.from_dense(rng.random(code.n_qubits) < density)
+                assert np.array_equal(checks.parity(v.to_dense()), m.mul_vec(v).to_dense())
+    if name.startswith("ccz-"):
+        L, holes = name.split("-")[1:]
+        key = (int(L[1:]), None if holes == "None" else holes)
+        assert _stack_sha256(codes[1:]) == STACK_CHECKS_SHA256[key]
+    if name.startswith("colorcode-"):
+        cc = build_color_code_2d(int(name[len("colorcode-L"):]))
+        faces = Gf2Matrix.from_entries(len(cc.faces), cc.n_qubits,
+                                       [(f, v) for f, vs in enumerate(cc.faces) for v in vs])
+        assert codes[0].hx == faces == codes[0].hz
 
 
 @pytest.mark.parametrize("name", sorted(CODES))
@@ -164,9 +224,29 @@ def test_reduction_matches_dense_on_random_codes(n, rank, seed):
     dual = _kernel_rows(*hz.rref())
     rows = _combos(dual.data, n, rng, min(rank, dual.rows))
     hx = Gf2Matrix.from_dense(np.array([v.to_dense() for v in rows]).reshape(len(rows), n))
-    code = CssCode(n_qubits=n, hx=hx, hz=hz, grading=1, qubit_cells=list(range(n)),
+    code = CssCode(n_qubits=n, x_checks=checks_of(hx), z_checks=checks_of(hz), grading=1,
+                   qubit_cells=list(range(n)),
                    x_anchor_cells=[], z_anchor_cells=[], source=None)
     _assert_matches_dense(code, rng, count=4)
+
+
+def test_no_dense_check_matrix_built(monkeypatch):
+    """FC(4,2) level 2: k with the homology cross-check, both exact
+    distances and both witness checks read the CSR checks only; the dense
+    H_X / H_Z views are never built."""
+    from fractalcss.code import code_params
+    from fractalcss.distance import dx_min_cut, dz_shortest_path
+
+    def refuse(self):
+        raise AssertionError("the dense view of a check matrix was built")
+
+    monkeypatch.setattr(CssCode, "hx", property(refuse))
+    monkeypatch.setattr(CssCode, "hz", property(refuse))
+    code = _fc(3, 4, 2, 2, "m")
+    assert code_params(code).k == 1
+    dz, dx = dz_shortest_path(code), dx_min_cut(code)
+    assert (dz.value, dx.value) == (16, 144)
+    assert is_z_logical(code, dz.witness.z_support) and is_x_logical(code, dx.witness.x_support)
 
 
 def test_no_dense_elimination_of_the_check_matrices(monkeypatch):

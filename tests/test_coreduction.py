@@ -5,7 +5,9 @@ and ranks only the residue; ``complex_oracles.betti_numbers`` ranks the
 dense boundary matrices of the whole (quotient) complex.  They must agree
 at every grade, absolute and relative, on the ladder geometries, the
 torus, the sphere, both sides of the Lefschetz geometries, the seeded
-layouts of ``test_arrays`` and random punched complexes.
+layouts of ``test_arrays`` and random punched complexes.  So must
+``homology.cobetti``, which reduces the cochain complex, and the dense
+``complex_oracles.cobetti`` it replaced.
 """
 
 import os
@@ -35,6 +37,7 @@ from fractalcss.homology import (
     _Reduction,
     betti,
     betti_with_caveat,
+    cobetti,
     default_label_split,
     verify_lefschetz,
 )
@@ -48,9 +51,9 @@ def _label_sets(cx):
 
 
 def _assert_matches_oracle(cx):
-    """betti equals the dense oracle at every grade, absolute and relative
-    to each label set whose cells form a subcomplex (a quotient that the
-    oracle cannot build must be refused by betti too)."""
+    """betti and cobetti equal the dense oracles at every grade, absolute
+    and relative to each label set whose cells form a subcomplex (a
+    quotient that the oracle cannot build must be refused by betti too)."""
     for labels in _label_sets(cx):
         try:
             want = oracle.betti_numbers(cx, labels)
@@ -60,6 +63,8 @@ def _assert_matches_oracle(cx):
             assert "not closed under the boundary" in str(exc)
             continue
         assert [betti(cx, g, labels) for g in range(cx.dim + 1)] == want, sorted(labels)
+        want = [oracle.cobetti(cx, g, labels) for g in range(cx.dim + 1)]
+        assert [cobetti(cx, g, labels) for g in range(cx.dim + 1)] == want, sorted(labels)
 
 
 LADDER = [
@@ -112,6 +117,8 @@ def test_lefschetz_sides_match_dense(name):
     for side, labels in ((cx, e), (dual, m)):
         want = oracle.betti_numbers(side, frozenset(labels))
         assert [betti(side, g, labels) for g in range(cx.dim + 1)] == want
+        want = [oracle.cobetti(side, g, frozenset(labels)) for g in range(cx.dim + 1)]
+        assert [cobetti(side, g, labels) for g in range(cx.dim + 1)] == want
     rep = verify_lefschetz(cx, 1, e, m)
     assert rep.equal and rep.dim_relative_e == oracle.betti(cx, 1, frozenset(e))
 
@@ -175,6 +182,18 @@ def test_betti_never_builds_a_full_boundary_matrix(monkeypatch):
     assert verify_lefschetz(plain, 1, *default_label_split(plain)).equal
 
 
+def test_cobetti_never_builds_a_full_boundary_matrix(monkeypatch):
+    def refuse(self, k):
+        raise AssertionError("cobetti built a dense boundary matrix of the full complex")
+
+    monkeypatch.setattr(CellComplex, "boundary_matrix", refuse)
+    cx = fractal_complex(FractalSpec(3, 3, 1, 2, holes="m"), "code")
+    e, _ = default_label_split(cx)
+    assert [cobetti(cx, g, e) for g in range(4)] == [1, 1, 25, 0]
+    with pytest.raises(ValueError, match="out of range"):
+        cobetti(cx, 4)
+
+
 # A reduction that drops one edge of a square without its partner: the
 # residue's boundaries no longer square to zero, with and without -O.
 _GUARD_UNDER_O = textwrap.dedent("""
@@ -211,8 +230,13 @@ def test_residue_is_small():
     quotient = cx.quotient_to_point(e)
     live, seeds = _Reduction(quotient.faces).run()
     sizes = [int(keep.sum()) for keep in live]
-    assert seeds == 1 and sizes[0] == sizes[3] == 0
+    assert seeds == [1, 0, 0, 0] and sizes[0] == sizes[3] == 0
     assert sizes[1] < quotient.n_cells(1) // 20 and sizes[2] < quotient.n_cells(2) // 20
+    # its cochain complex (cofaces, grades reversed) seeds the collapsed
+    # point at the top grade instead and leaves the mirrored residue
+    cochains = [Faces.empty(quotient.n_cells(3))] + [quotient.cofaces(3 - j) for j in (1, 2, 3)]
+    live, seeds = _Reduction(cochains).run()
+    assert seeds == [0, 0, 0, 1] and [int(keep.sum()) for keep in live] == sizes[::-1]
 
 
 # -- scale (slow) ---------------------------------------------------------------

@@ -9,7 +9,7 @@ from fractalcss.code import (
     css_from_complex,
     logical_basis,
 )
-from fractalcss.complexes import FractalSpec, code_lattice, fractal_complex
+from fractalcss.complexes import Faces, FractalSpec, code_lattice, fractal_complex
 from fractalcss.gates import (
     align_by_boxes,
     align_identical,
@@ -24,6 +24,7 @@ from fractalcss.gates import (
 from fractalcss.code import CssCode
 from fractalcss.gf2 import Gf2Matrix, Gf2Vector
 
+from code_oracles import checks_of
 from complex_oracles import row_weight
 
 
@@ -47,7 +48,7 @@ def test_cz_identical_copies_fail_with_witness():
 def test_cz_trivial_code_vacuous():
     n = 4
     trivial = CssCode(
-        n_qubits=n, hx=Gf2Matrix.zeros(0, n), hz=Gf2Matrix.zeros(0, n),
+        n_qubits=n, x_checks=Faces.empty(0), z_checks=Faces.empty(0),
         grading=1, qubit_cells=list(range(n)), x_anchor_cells=[],
         z_anchor_cells=[], source=None,
     )
@@ -224,7 +225,7 @@ def test_ccz_missing_logical_reported_not_applicable():
     codes, align = build_vasmer_browne_stack(2)
     n = codes[0].n_qubits
     frozen = CssCode(
-        n_qubits=n, hx=Gf2Matrix.identity(n), hz=Gf2Matrix.zeros(0, n),
+        n_qubits=n, x_checks=checks_of(Gf2Matrix.identity(n)), z_checks=Faces.empty(0),
         grading=1, qubit_cells=list(codes[0].qubit_cells),
         x_anchor_cells=[], z_anchor_cells=[], source=codes[0].source,
     )
