@@ -20,8 +20,6 @@ from .complexes import (
     FractalSpec,
     build_lattice,
     fractal_complex,
-    label_is_e,
-    label_is_m,
 )
 from .distance import (
     BudgetError,
@@ -133,18 +131,15 @@ def cmd_params(args) -> int:
 
 def cmd_homology(args) -> int:
     cx = _complex_from_args(args, args.style)
-    rel: set[str] = set()
-    if args.relative == "e":
-        rel = {lb for lb in cx.labels_present() if label_is_e(lb)}
-    elif args.relative == "m":
-        rel = {lb for lb in cx.labels_present() if label_is_m(lb)}
-    elif args.relative:
-        rel = set(args.relative.split(","))
+    e_labels, m_labels = default_label_split(cx)
+    if args.relative in ("e", "m"):
+        rel = e_labels if args.relative == "e" else m_labels
+    else:
+        rel = set(args.relative.split(",")) if args.relative else set()
     b = betti(cx, args.grade, rel)
     cb = cobetti(cx, args.grade, rel)
     print(f"betti[{args.grade}]={b} cobetti[{args.grade}]={cb}")
     if args.lefschetz:
-        e_labels, m_labels = default_label_split(cx)
         rep = verify_lefschetz(cx, args.grade, e_labels, m_labels)
         print(
             f"lefschetz H_{args.grade}(L,Be)={rep.dim_relative_e} "

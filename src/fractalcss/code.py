@@ -40,7 +40,7 @@ from .gf2 import (
     _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _reduce, _rref_inplace, in_rowspace,
     matrix_from_text, matrix_to_text,
 )
-from .homology import _Reduction, betti
+from .homology import _Reduction, betti, default_label_split
 
 
 @dataclass(frozen=True)
@@ -262,9 +262,8 @@ def code_params(code: CssCode, cross_check: bool = True) -> CodeParams:
 
 def homology_k(code: CssCode) -> int:
     """dim of the homology group matching the code's boundary conditions."""
-    cx = code.source
-    e_labels = {lb for lb in cx.labels_present() if label_is_e(lb)}
-    return betti(cx, code.grading, e_labels)
+    e_labels, _ = default_label_split(code.source)
+    return betti(code.source, code.grading, e_labels)
 
 
 def logical_basis(code: CssCode) -> tuple[list[PauliOperator], list[PauliOperator]]:

@@ -31,9 +31,11 @@ table of label strings, and the face lists in CSR form (see
 index arithmetic: the cells with one set of extended axes form a C-ordered
 block, and a face is the same multi-index in the matching (k-1)-block with
 the dropped axis at j or j + 1 (mod the vertex count on a periodic axis).
-Cofaces and dense GF(2) incidence matrices are derived on demand, the
-latter only for eliminations: the small residues that ``betti`` and
-``cobetti`` rank after collapsing the complex, and a code's checks.
+Cofaces, the face arrays of a relative chain complex (the unlabelled
+cells, :meth:`CellComplex.relative_faces`) and dense GF(2) incidence
+matrices are derived on demand, the last only for eliminations: the small
+residues that ``betti`` and ``cobetti`` rank after collapsing the
+complex, and a code's checks.
 
 Boundary labels are short strings: ``bulk``, ``oE<k>``/``oM<k>`` for outer
 hypersurface patches (patch id ``2*axis + side``), ``hE<k>``/``hM<k>`` for
@@ -319,14 +321,6 @@ class CellComplex:
             return self.faces[k + 1].transpose(self.n_cells(k))
         return Faces.empty(self.n_cells(k))
 
-    def boundary_matrix(self, k: int) -> Gf2Matrix:
-        """Dense boundary map C_k -> C_{k-1}; degenerate sizes outside 1..dim."""
-        if k == 0:
-            return Gf2Matrix.zeros(0, self.n_cells(0))
-        if not 1 <= k <= self.dim:
-            return Gf2Matrix.zeros(self.n_cells(self.dim), 0)
-        return self.cofaces(k - 1).matrix(self.n_cells(k))
-
     def labels_present(self) -> set[str]:
         codes = np.unique(np.concatenate(self.labels)).tolist()
         return {self.label_names[c] for c in codes} - {BULK}
@@ -386,49 +380,47 @@ class CellComplex:
             self.background, "dual", self.periods, self.holes,
         )
 
+    def relative_faces(self, labels: set[str]) -> list[Faces]:
+        """The face arrays of the relative chain complex C(L)/C(B), B the
+        cells carrying `labels`: the faces of the unlabelled cells among the
+        unlabelled cells, each grade renumbered in its original order.  B
+        must be a nonempty subcomplex (ValueError otherwise)."""
+        keep = [~self.label_mask(k, labels.__contains__) for k in range(self.dim + 1)]
+        if all(kp.all() for kp in keep):
+            raise ValueError(f"labels {sorted(labels)} select no cells")
+        if open_face := _first_open_face(self.faces, [~kp for kp in keep]):
+            raise ValueError("selected subcomplex is not closed under the boundary: "
+                             "grade-{} cell {} has unselected face {}".format(*open_face))
+        return [Faces.empty(int(keep[0].sum()))] + [
+            self.faces[k].restrict(keep[k], keep[k - 1]) for k in range(1, self.dim + 1)
+        ]
+
     def quotient_to_point(self, labels: set[str]) -> "CellComplex":
         """Collapse the labeled boundary subcomplex to a single point.
 
-        All selected cells disappear; one new vertex replaces the selected
-        vertices; boundary incidences onto collapsed vertices are rerouted
-        to the new vertex mod 2, and incidences onto deleted higher cells
-        are dropped.
+        The relative chain complex (:meth:`relative_faces`) plus one new
+        vertex that replaces the selected vertices: an edge with an odd
+        number of collapsed endpoints gets it as a face.
         """
-        selected = [self.label_mask(k, labels.__contains__) for k in range(self.dim + 1)]
-        if not any(s.any() for s in selected):
-            raise ValueError(f"labels {sorted(labels)} select no cells")
-        for k in range(1, self.dim + 1):
-            fs = self.faces[k]
-            own = fs.owners()
-            bad = np.flatnonzero(selected[k][own] & ~selected[k - 1][fs.idx])
-            if bad.size:
-                raise ValueError(
-                    f"selected subcomplex is not closed under the boundary: "
-                    f"grade-{k} cell {own[bad[0]]} has unselected face {fs.idx[bad[0]]}"
-                )
-        keep = [~s for s in selected]
+        faces = self.relative_faces(labels)
+        keep = [~self.label_mask(k, labels.__contains__) for k in range(self.dim + 1)]
         cells = [c[kp] for c, kp in zip(self.cells, keep)]
         new_labels = [lab[kp] for lab, kp in zip(self.labels, keep)]
         star = len(cells[0])  # index of the new vertex, after every kept one
         cells[0] = np.concatenate([cells[0], np.full((1, self.dim, 2), -1, dtype=np.int64)])
         new_labels[0] = np.append(new_labels[0], 0)
-        faces = [Faces.empty(star + 1)]
-        for k in range(1, self.dim + 1):
-            fs = self.faces[k].restrict(keep[k], keep[k - 1])
-            if k == 1:
-                rerouted = np.flatnonzero((self.faces[1].counts()[keep[1]] - fs.counts()) % 2)
-                fs = Faces.from_pairs(
-                    len(fs), np.concatenate([fs.owners(), rerouted]),
-                    np.concatenate([fs.idx, np.full(len(rerouted), star)]),
-                )
-            faces.append(fs)
-        background = self.background
-        if labels and all(lb.startswith("o") for lb in labels):
-            rest = self.labels_present() - labels
-            if not any(lb.startswith("o") for lb in rest):
-                background = "sphere"
+        faces[0] = Faces.empty(star + 1)
+        fs = faces[1]
+        rerouted = np.flatnonzero((self.faces[1].counts()[keep[1]] - fs.counts()) % 2)
+        faces[1] = Faces.from_pairs(
+            len(fs), np.concatenate([fs.owners(), rerouted]),
+            np.concatenate([fs.idx, np.full(len(rerouted), star)]),
+        )
+        # every outer patch collapsed, and nothing else: a sphere
+        outer = {lb for lb in self.labels_present() | labels if lb.startswith("o")}
         return CellComplex(
-            self.dim, cells, new_labels, self.label_names, faces, background, self.style,
+            self.dim, cells, new_labels, self.label_names, faces,
+            "sphere" if outer == labels else self.background, self.style,
             self.periods, [h for h in self.holes if h.label not in labels],
         )
 
@@ -749,24 +741,31 @@ def punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
     return punched
 
 
+def _first_open_face(faces: list[Faces], selected: list[np.ndarray]) -> tuple[int, ...] | None:
+    """The first (grade k, selected k-cell, unselected face) by which the
+    selected cells (a mask per grade) fail to be closed under the boundary,
+    in order of grade, cell and face; None if they are closed."""
+    for k in range(1, len(faces)):
+        own, idx = faces[k].owners(), faces[k].idx
+        bad = np.flatnonzero(selected[k][own] & ~selected[k - 1][idx])
+        if bad.size:
+            return k, int(own[bad[0]]), int(idx[bad[0]])
+    return None
+
+
 def _check_e_patches(cx: CellComplex) -> None:
     """The e-labelled cells must be closed under the boundary, as the code
     and the relative homology remove them: raise ValueError naming the patch
     of the first e-labelled cell with a face that is not e-labelled (a
     plain-style e-hole cut by the outer boundary or by a later m-hole)."""
     e = [cx.label_mask(k, label_is_e) for k in range(cx.dim + 1)]
-    for k in range(1, cx.dim + 1):
-        cells = np.flatnonzero(e[k])
-        faces = cx.faces[k].take(cells)
-        bad = np.flatnonzero(~e[k - 1][faces])
-        if bad.size:
-            i = np.repeat(cells, cx.faces[k].counts()[cells])[bad[0]]
-            f = faces[bad[0]]
-            raise ValueError(
-                f"e-labelled patch {cx.label_names[cx.labels[k][i]]} is not closed under "
-                f"the boundary: grade-{k} cell {i} has face {f} labelled "
-                f"{cx.label_names[cx.labels[k - 1][f]]}"
-            )
+    if open_face := _first_open_face(cx.faces, e):
+        k, i, f = open_face
+        raise ValueError(
+            f"e-labelled patch {cx.label_names[cx.labels[k][i]]} is not closed under "
+            f"the boundary: grade-{k} cell {i} has face {f} labelled "
+            f"{cx.label_names[cx.labels[k - 1][f]]}"
+        )
 
 
 def punch_box(cx: CellComplex, origin: tuple[int, ...], side: int, kind: str,
@@ -845,8 +844,8 @@ def dual_with_boundary(cx: CellComplex) -> CellComplex:
         d D(c)  = sum of D(c') over cofaces c' of c, plus Db(c) if labeled
         d Db(c) = sum of Db(c') over labeled cofaces c' of c
 
-    Boundary dual cells inherit the primal label (this is what a relative
-    homology computation on the dual quotients); interior duals are bulk.
+    Boundary dual cells inherit the primal label (a relative homology
+    computation on the dual removes them); interior duals are bulk.
     In dual grade g the D cells of the primal (n-g)-cells come first, in
     primal order, then the Db cells of the labeled primal (n-1-g)-cells.
     """

@@ -1,11 +1,11 @@
 """Z2 cellular homology, absolute and relative, plus duality checks.
 
-Relative homology is always computed through the quotient construction:
-``H_i(L, B) = H_i(L/B)`` for i > 0, where the labeled boundary subcomplex B
-collapses to a single point.  At i = 0 the quotient-complex value differs
-from the reduced relative group; :func:`betti_with_caveat` returns a flag
-instead of papering over the distinction (no code parameter depends on
-i = 0).
+Relative homology is the homology of the relative chain complex C(L)/C(B)
+(`CellComplex.relative_faces`, the labeled boundary subcomplex B removed):
+``H_i(L, B) = H_i(L/B)`` for i > 0.  At i = 0 the functions here return
+the value of the quotient L/B, where B is one more point: one more than the
+reduced relative group.  :func:`betti_with_caveat` flags it instead of
+papering over the distinction (no code parameter depends on i = 0).
 
 One reduction engine, `_Reduction`, has three readers.  :func:`betti`
 reduces the face arrays of a cell complex and :func:`cobetti` its
@@ -19,8 +19,7 @@ coface goes with that coface), then coreductions (Mrozek & Batko,
 "Coreduction homology algorithm", DCG 2009: a k-cell with exactly one
 live face goes with that face), seeding one vertex per connected
 component when grade-1 coreductions stall, and dually one top cell when
-the live top cells sum to a cycle (in a reversed cochain complex, the
-collapsed point of a quotient).  No pair changes a surviving cell's
+the live top cells sum to a cycle.  No pair changes a surviving cell's
 boundary, so the residue is the original boundary maps restricted to the
 surviving cells; only its two boundaries at the requested grade become dense GF(2)
 matrices (for FC(4,2) level 2 relative to the e-labels, 132 of 7,440
@@ -51,11 +50,19 @@ def betti_with_caveat(
 ) -> tuple[int, bool]:
     """:func:`betti` and the reduced caveat: True for relative homology at
     grade 0, where the quotient-complex value is not the reduced group."""
+    down, point = _chains(cx, grade, relative_labels)
+    return _reduced_betti(down, grade) + point, point
+
+
+def _chains(cx: CellComplex, grade: int, relative_labels) -> tuple[list[Faces], bool]:
+    """The face arrays of C(L), or of C(L)/C(B) for the cells B carrying
+    `relative_labels`, and whether the grade is 0 with labels: there the
+    quotient L/B counts the collapsed B as one more component."""
     if not 0 <= grade <= cx.dim:
         raise ValueError(f"grade {grade} out of range 0..{cx.dim}")
-    if relative_labels:
-        cx = cx.quotient_to_point(set(relative_labels))
-    return _reduced_betti(cx.faces, grade), grade == 0 and bool(relative_labels)
+    if not relative_labels:
+        return cx.faces, False
+    return cx.relative_faces(set(relative_labels)), grade == 0
 
 
 def _reduced_betti(down: list[Faces], grade: int) -> int:
@@ -117,8 +124,7 @@ class _Reduction:
         reaches a single vertex (the augmentation vanishes on boundaries),
         at the top the live top cells sum to a cycle through the seed: H_g
         drops by one and every other grade stays.  The seed has the most
-        live neighbours: in a quotient, the collapsed point, from which the
-        pairs spread along the whole collapsed boundary at once."""
+        live neighbours, so the pairs spread fastest from it."""
         count, pick = (self.n_down, self.n_up) if g < h else (self.n_up, self.n_down)
         if not self.live[g].any() or (count[h][self.live[h]] & 1).any():
             return False
@@ -165,12 +171,10 @@ class _Reduction:
 def cobetti(cx: CellComplex, grade: int, relative_labels=frozenset()) -> int:
     """dim H^i from the cochain complex (the cofaces, grades reversed),
     reduced like :func:`betti`; equals betti at the same grade."""
-    if not 0 <= grade <= cx.dim:
-        raise ValueError(f"grade {grade} out of range 0..{cx.dim}")
-    if relative_labels:
-        cx = cx.quotient_to_point(set(relative_labels))
-    cochains = [Faces.empty(cx.n_cells(cx.dim))] + [cx.cofaces(k) for k in range(cx.dim)][::-1]
-    return _reduced_betti(cochains, cx.dim - grade)
+    down, point = _chains(cx, grade, relative_labels)
+    n = cx.dim
+    up = [down[k + 1].transpose(len(down[k])) for k in range(n)]
+    return _reduced_betti([Faces.empty(len(down[n]))] + up[::-1], n - grade) + point
 
 
 @dataclass(frozen=True)
@@ -191,20 +195,16 @@ def verify_lefschetz(
 
     `labels_e` and `labels_m` must be disjoint and together cover every
     boundary label of the complex.  The dual side runs on the honest dual
-    cellulation (interior duals plus boundary duals), quotienting the
+    cellulation (interior duals plus boundary duals), relative to the
     boundary duals of the m-part.
     """
     if labels_e & labels_m:
         raise ValueError(f"overlapping label sets: {sorted(labels_e & labels_m)}")
-    present = cx.labels_present()
-    uncovered = present - labels_e - labels_m
+    uncovered = cx.labels_present() - labels_e - labels_m
     if uncovered:
         raise ValueError(f"boundary labels not covered: {sorted(uncovered)}")
-    lhs = betti(cx, i, labels_e) if labels_e else betti(cx, i)
-    dual = dual_with_boundary(cx)
-    n = cx.dim
-    rhs = betti(dual, n - i, labels_m) if labels_m else betti(dual, n - i)
-    return LefschetzReport(i, lhs, rhs)
+    lhs = betti(cx, i, labels_e)
+    return LefschetzReport(i, lhs, betti(dual_with_boundary(cx), cx.dim - i, labels_m))
 
 
 def default_label_split(cx: CellComplex) -> tuple[set[str], set[str]]:

@@ -15,8 +15,9 @@ before it reduced the complex first.  The dense ``cobetti`` is the oracle
 of ``homology.cobetti``, verbatim from before it reduced the cochain
 complex.
 
-The remaining helpers have no caller in the package: the Euler
-characteristic, a matrix from row vectors and a row weight.
+The remaining helpers have no caller in the package: the dense boundary
+matrix of an array-backed complex, the Euler characteristic, a matrix
+from row vectors and a row weight.
 """
 
 from __future__ import annotations
@@ -51,12 +52,21 @@ def faces(cx, k: int) -> list[tuple[int, ...]]:
     return [tuple(idx[ptr[i]:ptr[i + 1]]) for i in range(len(fs))]
 
 
+def boundary_matrix(cx: ArrayComplex, k: int) -> Gf2Matrix:
+    """Dense boundary map C_k -> C_{k-1}; degenerate sizes outside 1..dim."""
+    if k == 0:
+        return Gf2Matrix.zeros(0, cx.n_cells(0))
+    if not 1 <= k <= cx.dim:
+        return Gf2Matrix.zeros(cx.n_cells(cx.dim), 0)
+    return cx.cofaces(k - 1).matrix(cx.n_cells(k))
+
+
 def betti_numbers(cx: ArrayComplex, relative_labels=frozenset()) -> list[int]:
     """Every dim H_i(L), or H_i(L/B) of the labeled subcomplex B, from the
     ranks of the dense boundary matrices of the whole complex."""
     if relative_labels:
         cx = cx.quotient_to_point(set(relative_labels))
-    ranks = [0] + [_rank_in_place(cx.boundary_matrix(k)) for k in range(1, cx.dim + 1)] + [0]
+    ranks = [0] + [_rank_in_place(boundary_matrix(cx, k)) for k in range(1, cx.dim + 1)] + [0]
     return [cx.n_cells(k) - ranks[k] - ranks[k + 1] for k in range(cx.dim + 1)]
 
 
@@ -69,8 +79,8 @@ def cobetti(cx: ArrayComplex, grade: int, relative_labels=frozenset()) -> int:
     """dim H^i via transposed boundary maps; equals betti at the same grade."""
     if relative_labels:
         cx = cx.quotient_to_point(set(relative_labels))
-    rank_i = _rank_in_place(cx.boundary_matrix(grade + 1).transpose())
-    rank_dn = _rank_in_place(cx.boundary_matrix(grade).transpose())
+    rank_i = _rank_in_place(boundary_matrix(cx, grade + 1).transpose())
+    rank_dn = _rank_in_place(boundary_matrix(cx, grade).transpose())
     return cx.n_cells(grade) - rank_i - rank_dn
 
 

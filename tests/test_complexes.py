@@ -13,7 +13,7 @@ from fractalcss.complexes import (
     punch_fractal,
 )
 
-from complex_oracles import cells, euler_characteristic
+from complex_oracles import boundary_matrix, cells, euler_characteristic
 
 
 def test_open_square_counts():
@@ -134,7 +134,7 @@ def test_dual_transpose_bit_exact():
     cx = build_lattice(3, 2, "torus")
     dual = cx.transpose_dual()
     for k in range(1, 4):
-        assert dual.boundary_matrix(k) == cx.boundary_matrix(3 - k + 1).transpose()
+        assert boundary_matrix(dual, k) == boundary_matrix(cx, 3 - k + 1).transpose()
 
 
 def test_dual_label_transfer():
@@ -191,7 +191,7 @@ def test_text_roundtrip_bit_exact():
         again = CellComplex.from_text(cx.to_text())
         assert again.to_text() == cx.to_text()
         for k in range(cx.dim + 1):
-            assert again.boundary_matrix(k) == cx.boundary_matrix(k)
+            assert boundary_matrix(again, k) == boundary_matrix(cx, k)
             assert [c.box for c in cells(again, k)] == [c.box for c in cells(cx, k)]
             assert [c.label for c in cells(again, k)] == [c.label for c in cells(cx, k)]
 

@@ -1,9 +1,10 @@
 """Betti numbers by coreduction against the dense oracle.
 
 ``homology.betti`` collapses and coreduces the complex on its face arrays
-and ranks only the residue; ``complex_oracles.betti_numbers`` ranks the
-dense boundary matrices of the whole (quotient) complex.  They must agree
-at every grade, absolute and relative, on the ladder geometries, the
+(relative homology: those of the relative chain complex) and ranks only
+the residue; ``complex_oracles.betti_numbers`` ranks the dense boundary
+matrices of the whole complex, or of the quotient complex L/B.  They must
+agree at every grade, absolute and relative, on the ladder geometries, the
 torus, the sphere, both sides of the Lefschetz geometries, the seeded
 layouts of ``test_arrays`` and random punched complexes.  So must
 ``homology.cobetti``, which reduces the cochain complex, and the dense
@@ -23,6 +24,7 @@ from hypothesis import given, settings
 
 import complex_oracles as oracle
 import fractalcss
+from fractalcss import cli
 from fractalcss.code import code_params, css_from_complex, homology_k
 from fractalcss.complexes import (
     CellComplex,
@@ -60,6 +62,8 @@ def _assert_matches_oracle(cx):
         except ValueError as exc:
             with pytest.raises(ValueError, match="not closed under the boundary"):
                 betti(cx, 1, labels)
+            with pytest.raises(ValueError, match="not closed under the boundary"):
+                cobetti(cx, 1, labels)
             assert "not closed under the boundary" in str(exc)
             continue
         assert [betti(cx, g, labels) for g in range(cx.dim + 1)] == want, sorted(labels)
@@ -170,28 +174,60 @@ def test_no_seed_while_an_edge_has_an_odd_vertex_count():
     assert [betti(cx, 0), betti(cx, 1)] == oracle.betti_numbers(cx) == [2, 1]
 
 
-def test_betti_never_builds_a_full_boundary_matrix(monkeypatch):
-    def refuse(self, k):
-        raise AssertionError("betti built a dense boundary matrix of the full complex")
+def _refuse_dense_grades(monkeypatch, *sides):
+    """Make `Faces.matrix` raise on a matrix with as many rows or columns as
+    a whole grade of a (complex, labels) side, absolute or relative: only
+    reduced residues may become dense."""
+    whole = set()
+    for cx, labels in sides:
+        whole |= {cx.n_cells(k) for k in range(cx.dim + 1)}
+        whole |= {len(fs) for fs in cx.relative_faces(labels)}
+    whole.discard(0)
+    matrix = Faces.matrix
 
-    monkeypatch.setattr(CellComplex, "boundary_matrix", refuse)
+    def guarded(self, cols):
+        if {len(self), cols} & whole:
+            raise AssertionError(f"a whole grade became dense: {len(self)} x {cols}")
+        return matrix(self, cols)
+
+    monkeypatch.setattr(Faces, "matrix", guarded)
+
+
+def test_betti_never_builds_a_full_boundary_matrix(monkeypatch):
     cx = fractal_complex(FractalSpec(3, 3, 1, 2, holes="m"), "code")
     e, _ = default_label_split(cx)
-    assert [betti(cx, g, e) for g in range(4)] == [1, 1, 25, 0]
     plain = fractal_complex(FractalSpec(3, 3, 1, 1))
-    assert verify_lefschetz(plain, 1, *default_label_split(plain)).equal
+    plain_e, plain_m = default_label_split(plain)
+    _refuse_dense_grades(monkeypatch, (cx, e), (plain, plain_e),
+                         (dual_with_boundary(plain), plain_m))
+    assert [betti(cx, g, e) for g in range(4)] == [1, 1, 25, 0]
+    assert [betti(cx, g) for g in range(4)] == [1, 0, 25, 0]
+    assert verify_lefschetz(plain, 1, plain_e, plain_m).equal
 
 
 def test_cobetti_never_builds_a_full_boundary_matrix(monkeypatch):
-    def refuse(self, k):
-        raise AssertionError("cobetti built a dense boundary matrix of the full complex")
-
-    monkeypatch.setattr(CellComplex, "boundary_matrix", refuse)
     cx = fractal_complex(FractalSpec(3, 3, 1, 2, holes="m"), "code")
     e, _ = default_label_split(cx)
+    _refuse_dense_grades(monkeypatch, (cx, e))
     assert [cobetti(cx, g, e) for g in range(4)] == [1, 1, 25, 0]
+    assert [cobetti(cx, g) for g in range(4)] == [1, 0, 25, 0]
     with pytest.raises(ValueError, match="out of range"):
         cobetti(cx, 4)
+
+
+def test_homology_routes_never_build_the_quotient(monkeypatch, capsys):
+    def refuse(self, labels):
+        raise AssertionError("a homology route built the quotient complex")
+
+    monkeypatch.setattr(CellComplex, "quotient_to_point", refuse)
+    cx = fractal_complex(FractalSpec(3, 3, 1, 2, holes="m"), "code")
+    e, _ = default_label_split(cx)
+    assert [betti(cx, g, e) for g in range(4)] == [cobetti(cx, g, e) for g in range(4)]
+    plain = fractal_complex(FractalSpec(3, 3, 1, 1))
+    assert verify_lefschetz(plain, 1, *default_label_split(plain)).equal
+    assert code_params(css_from_complex(cx, 1)).k == 1
+    assert cli.main(["homology", "--level", "2", "--relative", "e"]) == 0
+    assert capsys.readouterr().out == "betti[1]=1 cobetti[1]=1\n"
 
 
 # A reduction that drops one edge of a square without its partner: the
@@ -224,19 +260,19 @@ def test_residue_guard_raises_under_optimize(flags):
 
 def test_residue_is_small():
     # FC(4,2) level 2, relative to the e-labels: 6,480 edges and 4,782
-    # faces after the quotient, a residue of a few hundred
+    # faces in the relative chain complex, a residue of a few hundred
     cx = fractal_complex(FractalSpec(3, 4, 2, 2, holes="m"), "code")
     e, _ = default_label_split(cx)
-    quotient = cx.quotient_to_point(e)
-    live, seeds = _Reduction(quotient.faces).run()
-    sizes = [int(keep.sum()) for keep in live]
-    assert seeds == [1, 0, 0, 0] and sizes[0] == sizes[3] == 0
-    assert sizes[1] < quotient.n_cells(1) // 20 and sizes[2] < quotient.n_cells(2) // 20
-    # its cochain complex (cofaces, grades reversed) seeds the collapsed
-    # point at the top grade instead and leaves the mirrored residue
-    cochains = [Faces.empty(quotient.n_cells(3))] + [quotient.cofaces(3 - j) for j in (1, 2, 3)]
+    down = cx.relative_faces(e)
+    assert [len(fs) for fs in down] == [2592, 6480, 4782, 846]
+    live, seeds = _Reduction(down).run()
+    assert seeds == [0, 0, 0, 0] and [int(keep.sum()) for keep in live] == [0, 132, 180, 0]
+    # its cochain complex (cofaces, grades reversed) leaves the mirrored
+    # residue
+    up = [down[k + 1].transpose(len(down[k])) for k in (2, 1, 0)]
+    cochains = [Faces.empty(len(down[3]))] + up
     live, seeds = _Reduction(cochains).run()
-    assert seeds == [0, 0, 0, 1] and [int(keep.sum()) for keep in live] == sizes[::-1]
+    assert seeds == [0, 0, 0, 0] and [int(keep.sum()) for keep in live] == [0, 180, 132, 0]
 
 
 # -- scale (slow) ---------------------------------------------------------------
@@ -249,9 +285,9 @@ def _peak_rss_mb() -> float:
 @pytest.mark.slow
 def test_fc31_level4_relative_h1():
     # FC(3,1) level 4 (L = 81, 18,279 m-holes), code style: about 6 s to
-    # build, 0.9 s to quotient, 0.9 s to reduce to 3,440 edges and 19,736
-    # faces, 0.2 s to rank them; in a process of its own no RSS above the
-    # build's 775 MB (2 cores)
+    # build, 0.2-0.3 s to restrict to the relative chain complex, 0.8-1.0 s
+    # to reduce it to 3,440 edges and 19,736 faces, 0.2 s to rank them; in
+    # a process of its own no RSS above the build's 775 MB (2 cores)
     t0 = time.perf_counter()
     cx = fractal_complex(FractalSpec(3, 3, 1, 4, holes="m"), "code")
     t1 = time.perf_counter()

@@ -149,3 +149,23 @@ def test_betti_grade_out_of_range():
     for grade in (-1, 3):
         with pytest.raises(ValueError, match="out of range"):
             betti(cx, grade)
+
+
+# (p, q, level) -> H_2 in the code style, H_2 in the plain style, as measured
+H2_BY_STYLE = {
+    (3, 1, 1): (1, 1), (3, 1, 2): (25, 27),
+    (4, 2, 1): (1, 1), (4, 2, 2): (49, 57),
+}
+
+
+@pytest.mark.parametrize("p, q, level", sorted(H2_BY_STYLE))
+def test_styles_agree_except_h2(p, q, level):
+    # H_0, H_1, H_1(L, B_e) and H_3 agree between the code and plain
+    # styles; H_2 differs from level 2 on (pinned here, as observed)
+    spec = FractalSpec(3, p, q, level, holes="m")
+    code, plain = (fractal_complex(spec, style) for style in ("code", "plain"))
+    for g in (0, 1, 3):
+        assert betti(code, g) == betti(plain, g)
+    e_code, e_plain = (default_label_split(cx)[0] for cx in (code, plain))
+    assert betti(code, 1, e_code) == betti(plain, 1, e_plain)
+    assert (betti(code, 2), betti(plain, 2)) == H2_BY_STYLE[p, q, level]
