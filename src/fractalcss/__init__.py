@@ -28,7 +28,7 @@ from .distance import (
     exhaustive_low_weight,
     fit_scaling,
 )
-from .gf2 import Gf2Matrix, Gf2Vector, kernel_basis, quotient_dim, rank, solve
+from .gf2 import Gf2Matrix, Gf2Vector, kernel_basis, rank
 from .homology import betti, cobetti, verify_lefschetz
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "Gf2Vector",
     "rank",
     "kernel_basis",
-    "solve",
-    "quotient_dim",
     "CellComplex",
     "FractalSpec",
     "Hole",

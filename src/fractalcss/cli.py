@@ -295,16 +295,23 @@ def cmd_export(args) -> int:
     return 0
 
 
-def _add_spec_flags(p):
+# the flags a command adds to the geometry flags when it reads them
+_OPTIONAL_FLAGS = {
+    "level": dict(type=int, default=1),
+    "i": dict(type=int, default=1),
+    "style": dict(default="plain", choices=["plain", "code"]),
+    "out": dict(default=None),
+}
+
+
+def _add_spec_flags(p, *optional):
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--p", type=int, default=3)
     p.add_argument("--q", type=int, default=1)
-    p.add_argument("--level", type=int, default=1)
     p.add_argument("--background", default="open", choices=["open", "torus", "sphere"])
     p.add_argument("--holes", default="m")
-    p.add_argument("--i", type=int, default=1)
-    p.add_argument("--style", default="plain", choices=["plain", "code"])
-    p.add_argument("--out", default=None)
+    for name in optional:
+        p.add_argument(f"--{name}", **_OPTIONAL_FLAGS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -315,11 +322,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a fractal cell complex")
-    _add_spec_flags(p)
+    _add_spec_flags(p, "level", "style", "out")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("code", help="build a CSS code from a complex")
-    _add_spec_flags(p)
+    _add_spec_flags(p, "level", "i", "style", "out")
     p.add_argument("--complex", default=None)
     p.set_defaults(func=cmd_code)
 
@@ -328,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_params)
 
     p = sub.add_parser("homology", help="Betti numbers of a complex")
-    _add_spec_flags(p)
+    _add_spec_flags(p, "level", "style")
     p.add_argument("--complex", default=None)
     p.add_argument("--grade", type=int, default=1)
     p.add_argument("--relative", default="")
@@ -336,14 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_homology)
 
     p = sub.add_parser("distance", help="code distances")
-    _add_spec_flags(p)
+    _add_spec_flags(p, "level", "i")
     p.add_argument("--complex", default=None)
     p.add_argument("--methods", default="bfs,mincut")
     p.add_argument("--wmax", type=int, default=2)
     p.set_defaults(func=cmd_distance)
 
     p = sub.add_parser("scan", help="parameter/distance scan across levels")
-    _add_spec_flags(p)
+    _add_spec_flags(p, "i", "out")
     p.add_argument("--level-min", type=int, default=1)
     p.add_argument("--level-max", type=int, default=2)
     p.add_argument("--methods", default="bfs,mincut")

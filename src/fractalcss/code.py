@@ -23,9 +23,9 @@ Boundary conditions are label-driven:
   bulk stabilizers, so the group is unchanged).
 
 H_X H_Z^T = 0 is checked for every constructed code, truncations
-included, on the CSR rows: every X entry is joined with the Z checks of
-its qubit, and every (X row, Z row) pair must meet an even number of
-times.  No dense product is formed.
+included, by the blocked product test of dd = 0 (`Faces.composes_to_zero`):
+each X check reaches the Z checks through its qubits, and must reach each
+one an even number of times.  No dense product is formed.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ class CssCode:
     grading: int
     qubit_cells: list[int]
     x_anchor_cells: list[int]
-    z_anchor_cells: list[int]
     source: CellComplex | None = None
     # False when the checks are not the label-driven code of `source`, so
     # the homology cross-check of code_params does not apply
@@ -93,7 +92,8 @@ class CssCode:
         for checks in (self.x_checks, self.z_checks):
             if checks.idx.size and not 0 <= checks.idx.min() <= checks.idx.max() < self.n_qubits:
                 raise AssertionError(f"check columns outside the {self.n_qubits} qubits")
-        if not _checks_commute(self.x_checks, self.z_checks, self.n_qubits):
+        if not self.x_checks.composes_to_zero(self.z_checks.transpose(self.n_qubits),
+                                              len(self.z_checks)):
             raise AssertionError("H_X H_Z^T != 0: X and Z checks do not commute")
 
     # The dense check matrices, built on first use: for the eliminations
@@ -182,16 +182,6 @@ def _residue_rref(rows: Faces, keep_rows, keep_cols) -> tuple[Gf2Matrix, list[in
     return m, _rref_inplace(m.data, m.rows, m.cols)
 
 
-def _checks_commute(x: Faces, z: Faces, n: int) -> bool:
-    """H_X H_Z^T = 0: every (X row, Z row) pair shares an even number of
-    qubits.  Each X entry is paired with the Z checks of its qubit, so time
-    and memory grow with the number of such pairs, not with rows x rows."""
-    z_of = z.transpose(n)
-    pairs = np.repeat(x.owners(), z_of.counts()[x.idx]) * len(z) + z_of.take(x.idx)
-    _, times = np.unique(pairs, return_counts=True)
-    return not (times & 1).any()
-
-
 @dataclass(frozen=True)
 class CodeParams:
     n_qubits: int
@@ -227,7 +217,6 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
         grading=i,
         qubit_cells=np.flatnonzero(qubit).tolist(),
         x_anchor_cells=np.flatnonzero(x_anchor)[keep_x].tolist(),
-        z_anchor_cells=np.flatnonzero(z_anchor)[keep_z].tolist(),
         source=cx,
     )
 
@@ -427,7 +416,6 @@ def code_from_text(text: str) -> CssCode:
             grading=i,
             qubit_cells=qubit_cells,
             x_anchor_cells=[],
-            z_anchor_cells=[],
             source=None,
         )
     except AssertionError as err:  # the checks do not commute

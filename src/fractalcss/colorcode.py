@@ -113,8 +113,7 @@ def build_color_code_2d(L: int = 1) -> ColorCode2D:
                          np.concatenate(faces))
     code = CssCode(
         n_qubits=n, x_checks=h, z_checks=h, grading=1,
-        qubit_cells=list(range(n)), x_anchor_cells=[], z_anchor_cells=[],
-        source=None,
+        qubit_cells=list(range(n)), x_anchor_cells=[], source=None,
     )
     return ColorCode2D(code, verts, faces, colors, bipartition, edges)
 

@@ -234,8 +234,11 @@ class Faces:
         return acc[self.ptr[1:]] ^ acc[self.ptr[:-1]]
 
     def composes_to_zero(self, below: "Faces", n: int) -> bool:
-        """Whether every cell of the grade two down (n of them) is reached
-        an even number of times from each cell through `below`."""
+        """Whether the product of two CSR maps is zero over GF(2): each cell
+        here reaches each of the n cells that `below` lists an even number
+        of times through `below`.  On the faces of consecutive grades this
+        is dd = 0; on a code's X checks and the Z checks of each qubit it
+        is H_X H_Z^T = 0."""
         # in blocks of cells, so the temporaries stay small
         for first in range(0, len(self), 1 << 16):
             ptr = self.ptr[first : first + (1 << 16) + 1]
@@ -324,10 +327,6 @@ class CellComplex:
     def labels_present(self) -> set[str]:
         codes = np.unique(np.concatenate(self.labels)).tolist()
         return {self.label_names[c] for c in codes} - {BULK}
-
-    def cells_with_labels(self, labels: set[str]) -> list[np.ndarray]:
-        return [np.flatnonzero(self.label_mask(k, labels.__contains__))
-                for k in range(self.dim + 1)]
 
     def assert_dd_zero(self) -> None:
         """Every (k-2)-cell is reached an even number of times from each k-cell."""
@@ -768,12 +767,11 @@ def _check_e_patches(cx: CellComplex) -> None:
         )
 
 
-def punch_box(cx: CellComplex, origin: tuple[int, ...], side: int, kind: str,
-              level: int = 0) -> CellComplex:
+def punch_box(cx: CellComplex, origin: tuple[int, ...], side: int, kind: str) -> CellComplex:
     """Punch one hole: `origin` and `side` in cell (undoubled) coordinates."""
     hid = max((h.hole_id for h in cx.holes), default=-1) + 1
     box = tuple((2 * o, 2 * (o + side)) for o in origin)
-    return punch_holes(cx, [Hole(hid, box, kind, level)])
+    return punch_holes(cx, [Hole(hid, box, kind)])
 
 
 def fractal_holes(spec: FractalSpec) -> list[Hole]:
@@ -817,17 +815,16 @@ def _side_of(cx: CellComplex) -> int:
     return top // 2
 
 
-def fractal_complex(spec: FractalSpec, style: str = "plain",
-                    e_axes: tuple[int, ...] | None = None) -> CellComplex:
+def fractal_complex(spec: FractalSpec, style: str = "plain") -> CellComplex:
     """Build the lattice for `spec` and punch its holes.
 
     style "plain" backs homology computations; style "code" backs code and
     distance computations.
     """
     if style == "code":
-        base = code_lattice(spec.n, spec.side, spec.background, e_axes)
+        base = code_lattice(spec.n, spec.side, spec.background)
     else:
-        base = build_lattice(spec.n, spec.side, spec.background, e_axes)
+        base = build_lattice(spec.n, spec.side, spec.background)
     return punch_fractal(base, spec)
 
 

@@ -27,7 +27,9 @@ runs out of its node budget reports the weight it had certified.
 Both exact methods refuse with `PreconditionError` when two e-labels
 share one connected e-component (contracted per label, a path between them
 may be a stabilizer), and the min cut when its two terminals are
-disconnected (flow 0, k = 0); callers then fall back to the search.
+disconnected (flow 0) or when k != 1 (the cut is the lightest X-logical of
+one class only; the m-holes of a 2D fractal add classes with a lighter
+one); callers then fall back to the search.
 Every exact result's witness is re-verified independently: zero syndrome
 against the opposite-type checks and membership outside the stabilizer
 row-space.
@@ -277,7 +279,8 @@ def _max_flow(g: _QubitGraph, s: int, t: int) -> tuple[int, bytearray]:
 
 
 def dx_min_cut(code: CssCode) -> DistanceResult:
-    """Exact d_X for the (1, n-1) open-cube geometry with two e-components.
+    """Exact d_X for the (1, n-1) open-cube geometry with two e-components
+    and k = 1.
 
     The minimum-weight X-logical equals the minimum number of qubit edges
     separating the two e-components; the witness is the canonical
@@ -299,6 +302,9 @@ def dx_min_cut(code: CssCode) -> DistanceResult:
     if not value:
         raise PreconditionError("the two OuterE components are disconnected (flow 0): "
                                 "no X-logical crosses between them")
+    if code.reduction.k != 1:
+        raise PreconditionError(f"min-cut distance searches one logical class, but k = "
+                                f"{code.reduction.k}; run exhaustive_low_weight instead")
     # the source side of the final residual graph: the canonical min cut
     seen = np.array(g.bfs(s, cap)[0]) >= 0
     cut = np.flatnonzero(seen[g.u] != seen[g.v])

@@ -91,7 +91,7 @@ def align_identical(codes: list[CssCode], x_logicals=None) -> StackAlignment:
     )
 
 
-def align_by_boxes(codes: list[CssCode], x_logicals=None) -> StackAlignment:
+def align_by_boxes(codes: list[CssCode]) -> StackAlignment:
     """Align codes whose qubit cells occupy the same geometric midpoints."""
     site_index: dict[tuple, int] = {}
     qubit_site: list[list[int]] = []
@@ -103,7 +103,7 @@ def align_by_boxes(codes: list[CssCode], x_logicals=None) -> StackAlignment:
     counts = {len(s) for s in qubit_site}
     if len(counts) != 1 or len(site_index) != counts.pop():
         raise ValueError("codes do not share a common site set")
-    return StackAlignment(codes, len(site_index), qubit_site, list(x_logicals or []))
+    return StackAlignment(codes, len(site_index), qubit_site)
 
 
 # -- condition reports ---------------------------------------------------------
@@ -338,7 +338,7 @@ def build_vasmer_browne_stack(
             n_qubits=n, x_checks=checks(x_sup[(x_sup >= 0).any(axis=1)]),
             z_checks=checks(z_sup[(z_sup >= 0).all(axis=1)]), grading=1,
             qubit_cells=list(copy1.qubit_cells),
-            x_anchor_cells=[], z_anchor_cells=[], source=cx,
+            x_anchor_cells=[], source=cx,
             check_homology_by_labels=False,
         )
 

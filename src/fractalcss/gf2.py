@@ -3,8 +3,8 @@
 Matrices are stored row-major with 64 bits per machine word (numpy uint64,
 LSB-first within each word).  Padding bits past the last column are kept at
 zero.  Elimination returns the reduced row-echelon form, which is unique for
-a given matrix, so reduced forms, kernels and particular solutions are
-canonical: they do not depend on which row the kernel picks as a pivot.
+a given matrix, so reduced forms and kernel bases are canonical: they do
+not depend on which row the kernel picks as a pivot.
 The kernel (`_rref_inplace`) works one 64-column word at a time: it reads
 the word column once, keeps the words of the rows with bits in it as a
 small vector, jumps to the next pivot by the lowest set bit of the non-pivot
@@ -284,7 +284,7 @@ class Gf2Matrix:
     def rref(self) -> tuple["Gf2Matrix", list[int]]:
         """Reduced row-echelon form: (R, pivot_cols), with the pivot rows
         first and zero rows after them.  The RREF is unique, so R and the
-        pivots are canonical and downstream kernels/solutions deterministic.
+        pivots are canonical and downstream kernels deterministic.
         """
         R = self.copy()
         pivots = _rref_inplace(R.data, R.rows, R.cols)
@@ -353,18 +353,14 @@ def kernel_basis(m: Gf2Matrix) -> list[Gf2Vector]:
     for every pivot row whose RREF has a 1 in that free column, a bit at the
     pivot column.
     """
-    return _kernel_from_rref(*m.rref())
-
-
-def _kernel_from_rref(R: Gf2Matrix, pivots: list[int]) -> list[Gf2Vector]:
-    """The kernel basis of :func:`kernel_basis`, read off a computed RREF."""
-    K = _kernel_rows(R, pivots)
+    K = _kernel_rows(*m.rref())
     return [Gf2Vector(K.cols, row) for row in K.data]
 
 
 def _kernel_rows(R: Gf2Matrix, pivots: list[int]) -> Gf2Matrix:
-    """:func:`_kernel_from_rref` as the rows of a matrix.  The free columns
-    of the RREF are read `_CHUNK_WORDS` words at a time."""
+    """The kernel basis of :func:`kernel_basis`, read off a computed RREF
+    as the rows of a matrix.  The free columns of the RREF are read
+    `_CHUNK_WORDS` words at a time."""
     piv = np.asarray(pivots, dtype=np.int64)
     free = np.ones(R.cols, dtype=bool)
     free[piv] = False
@@ -379,25 +375,6 @@ def _kernel_rows(R: Gf2Matrix, pivots: list[int]) -> Gf2Matrix:
         cols.append(piv[i])
     entries = np.column_stack((np.concatenate(rows), np.concatenate(cols)))
     return Gf2Matrix.from_entries(len(free), R.cols, entries)
-
-
-def solve(m: Gf2Matrix, b: Gf2Vector) -> Gf2Vector | None:
-    """Solve ``m x = b``; None when unsolvable.
-
-    The returned x is the canonical one from fixed-pivot-order
-    back-substitution (free variables zero).
-    """
-    if b.n != m.rows:
-        raise ValueError(f"dimension mismatch: rhs {b.n} != rows {m.rows}")
-    aug = Gf2Matrix(m.rows, m.cols + 1)
-    aug.data[:, : m.data.shape[1]] = m.data
-    w, bit = m.cols >> 6, np.uint64(m.cols & 63)
-    aug.data[:, w] |= b.to_dense().astype(np.uint64) << bit
-    pivots = _rref_inplace(aug.data, aug.rows, aug.cols)
-    if pivots and pivots[-1] == m.cols:
-        return None
-    rhs = (aug.data[: len(pivots), w] >> bit) & np.uint64(1) != 0
-    return Gf2Vector.from_indices(m.cols, np.asarray(pivots, dtype=np.int64)[rhs])
 
 
 def in_rowspace(rref_matrix: Gf2Matrix, pivots: list[int], v: Gf2Vector) -> bool:
@@ -418,31 +395,6 @@ def _reduce(reduced: np.ndarray, pivots: np.ndarray, words: np.ndarray) -> np.nd
     at = (words[pivots >> 6] >> (pivots & 63).astype(np.uint64)) & np.uint64(1) != 0
     rows = reduced[: len(pivots)][at, : len(words)]
     return words ^ np.bitwise_xor.reduce(rows, axis=0)
-
-
-class ContainmentError(ValueError):
-    """Row-span containment violated; carries a witness row index."""
-
-    def __init__(self, witness_row: int):
-        self.witness_row = witness_row
-        super().__init__(
-            f"subspace row {witness_row} is not contained in the span of the space"
-        )
-
-
-def quotient_dim(space: Gf2Matrix, subspace: Gf2Matrix) -> int:
-    """dim(rowspan(space) / rowspan(subspace)), checking containment.
-
-    Raises :class:`ContainmentError` naming a witness row of `subspace`
-    outside span(space).
-    """
-    if space.cols != subspace.cols:
-        raise ValueError("column counts differ")
-    R, pivots = space.rref()
-    for r in range(subspace.rows):
-        if not in_rowspace(R, pivots, subspace.row(r)):
-            raise ContainmentError(r)
-    return len(pivots) - rank(subspace)
 
 
 # -- text format ------------------------------------------------------

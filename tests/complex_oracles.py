@@ -88,19 +88,6 @@ def euler_characteristic(cx) -> int:
     return sum((-1) ** k * cx.n_cells(k) for k in range(cx.dim + 1))
 
 
-def from_row_vectors(vecs: list[Gf2Vector], cols: int | None = None) -> Gf2Matrix:
-    if cols is None:
-        if not vecs:
-            raise ValueError("need cols when the row list is empty")
-        cols = vecs[0].n
-    m = Gf2Matrix(len(vecs), cols)
-    for i, v in enumerate(vecs):
-        if v.n != cols:
-            raise ValueError(f"row {i} has length {v.n}, expected {cols}")
-        m.data[i, :] = v.data
-    return m
-
-
 def row_weight(m: Gf2Matrix, r: int) -> int:
     return int(np.bitwise_count(m.data[r]).sum())
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractalcss.code import CssCode, PauliOperator, is_x_logical, is_z_logical, logical_basis
 from fractalcss.distance import BudgetError, DistanceResult, search_budget
 from fractalcss.gates import ConditionResult, GateCheckReport, StackAlignment
-from fractalcss.gf2 import Gf2Matrix, Gf2Vector, _kernel_from_rref
+from fractalcss.gf2 import Gf2Matrix, Gf2Vector, _kernel_rows
 
 # -- per-bit accessors ------------------------------------------------------------
 
@@ -52,8 +52,9 @@ def quotient_reps(check, span) -> list[Gf2Vector]:
     span_rref, span_pivots = span
     chosen: list[Gf2Vector] = []
     chosen_rref: list[Gf2Vector] = []
-    for v in _kernel_from_rref(*check):
-        w = v.copy()
+    K = _kernel_rows(*check)
+    for row in K.data:
+        w = Gf2Vector(K.cols, row.copy())
         for i, p in enumerate(span_pivots):
             if w.get(p):
                 w.data ^= span_rref.data[i, : len(w.data)]

@@ -82,6 +82,30 @@ def test_distance_command(capsys):
     assert "dz=3" in stdout and "dx=8" in stdout
 
 
+def test_distance_2d_carpet_falls_back_to_the_search(capsys):
+    # k = 8: the min cut of the OuterE class (4) is not d_X, a loop around
+    # an m-hole crosses one qubit
+    rc, stdout, _ = run(["distance", "--dim", "2", "--level", "2"], capsys)
+    assert rc == 0
+    assert "dx=1 dx_kind=exact" in stdout
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("gen", "--i", "1"),
+    ("homology", "--i", "1"),
+    ("homology", "--out", "h.txt"),
+    ("distance", "--out", "d.txt"),
+    ("distance", "--style", "plain"),
+    ("scan", "--style", "code"),
+    ("scan", "--level", "2"),
+])
+def test_unread_flag_exit2(capsys, command, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--dim", "2", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err  # unrecognized, or an ambiguous prefix
+
+
 def test_scan_csv_schema_and_determinism(capsys, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     argv = ["scan", "--dim", "3", "--p", "3", "--q", "1",

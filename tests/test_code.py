@@ -5,7 +5,6 @@ import pytest
 
 from fractalcss.code import (
     CssCode,
-    _checks_commute,
     code_from_text,
     code_params,
     code_to_text,
@@ -123,7 +122,8 @@ def test_commutation_for_all_shipped_geometries():
     ] + _shipped_codes()
     for code in geoms:
         # the sparse check of __post_init__ against the dense product
-        assert _checks_commute(code.x_checks, code.z_checks, code.n_qubits)
+        assert code.x_checks.composes_to_zero(code.z_checks.transpose(code.n_qubits),
+                                              len(code.z_checks))
         assert _dense_commute(code.hx, code.hz)
 
 

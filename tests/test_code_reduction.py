@@ -225,8 +225,7 @@ def test_reduction_matches_dense_on_random_codes(n, rank, seed):
     rows = _combos(dual.data, n, rng, min(rank, dual.rows))
     hx = Gf2Matrix.from_dense(np.array([v.to_dense() for v in rows]).reshape(len(rows), n))
     code = CssCode(n_qubits=n, x_checks=checks_of(hx), z_checks=checks_of(hz), grading=1,
-                   qubit_cells=list(range(n)),
-                   x_anchor_cells=[], z_anchor_cells=[], source=None)
+                   qubit_cells=list(range(n)), x_anchor_cells=[], source=None)
     _assert_matches_dense(code, rng, count=4)
 
 

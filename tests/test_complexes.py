@@ -159,9 +159,9 @@ def test_code_lattice_counts():
     assert cx.n_cells(0) == 12
     assert cx.n_cells(1) == 17
     assert cx.n_cells(2) == 6
-    e_cells = cx.cells_with_labels({lb for lb in cx.labels_present()})
-    assert len(e_cells[0]) == 6 and len(e_cells[1]) == 4
-    assert cx.n_cells(1) - len(e_cells[1]) == 13
+    e_cells = [cx.label_mask(k, cx.labels_present().__contains__).sum() for k in (0, 1)]
+    assert e_cells == [6, 4]
+    assert cx.n_cells(1) - e_cells[1] == 13
 
 
 def test_code_lattice_hole_m_removes_column():
@@ -177,8 +177,8 @@ def test_code_lattice_hole_e_marks_rough_patch():
     # the rough hole keeps all cells; the interior edge and its endpoints
     # carry the hole label for the code module to consume
     assert punched.n_cells(1) == cx.n_cells(1)
-    marked = punched.cells_with_labels({"hE0"})
-    assert len(marked[0]) == 2 and len(marked[1]) == 1
+    marked = [punched.label_mask(k, "hE0".__eq__).sum() for k in (0, 1)]
+    assert marked == [2, 1]
     punched.assert_dd_zero()
 
 

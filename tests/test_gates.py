@@ -49,8 +49,7 @@ def test_cz_trivial_code_vacuous():
     n = 4
     trivial = CssCode(
         n_qubits=n, x_checks=Faces.empty(0), z_checks=Faces.empty(0),
-        grading=1, qubit_cells=list(range(n)), x_anchor_cells=[],
-        z_anchor_cells=[], source=None,
+        grading=1, qubit_cells=list(range(n)), x_anchor_cells=[], source=None,
     )
     align = align_identical([trivial, trivial])
     report = check_transversal_cz(trivial, trivial, align)
@@ -227,7 +226,7 @@ def test_ccz_missing_logical_reported_not_applicable():
     frozen = CssCode(
         n_qubits=n, x_checks=checks_of(Gf2Matrix.identity(n)), z_checks=Faces.empty(0),
         grading=1, qubit_cells=list(codes[0].qubit_cells),
-        x_anchor_cells=[], z_anchor_cells=[], source=codes[0].source,
+        x_anchor_cells=[], source=codes[0].source,
     )
     frozen.check_homology_by_labels = False
     stack = [codes[0], codes[1], frozen]

@@ -6,15 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalcss.gf2 import (
-    ContainmentError,
     Gf2Matrix,
     Gf2Vector,
     kernel_basis,
     matrix_from_text,
     matrix_to_text,
-    quotient_dim,
     rank,
-    solve,
 )
 
 
@@ -41,42 +38,6 @@ def test_kernel_of_identity_is_trivial():
     assert kernel_basis(Gf2Matrix.identity(3)) == []
 
 
-def test_solve_identity():
-    b = Gf2Vector.from_indices(3, [1])
-    x = solve(Gf2Matrix.identity(3), b)
-    assert x.indices() == [1]
-
-
-def test_solve_first_pivot_tiebreak():
-    x = solve(Gf2Matrix.from_dense([[1, 1]]), Gf2Vector.from_indices(1, [0]))
-    assert x.indices() == [0]
-
-
-def test_solve_unsolvable():
-    m = Gf2Matrix.zeros(2, 2)
-    assert solve(m, Gf2Vector.from_indices(2, [0])) is None
-
-
-def test_solve_dimension_mismatch():
-    with pytest.raises(ValueError):
-        solve(Gf2Matrix.identity(2), Gf2Vector(3))
-
-
-def test_quotient_dim_trivial_cases():
-    space = Gf2Matrix.identity(3)
-    sub = space.submatrix([0], range(3))
-    assert quotient_dim(space, sub) == 2
-    assert quotient_dim(space, space) == 0
-
-
-def test_quotient_dim_containment_witness():
-    space = Gf2Matrix.from_dense([[1, 0, 0]])
-    sub = Gf2Matrix.from_dense([[1, 0, 0], [0, 1, 0]])
-    with pytest.raises(ContainmentError) as err:
-        quotient_dim(space, sub)
-    assert err.value.witness_row == 1
-
-
 def test_rank_nullity_and_transpose_on_200_random_matrices():
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -94,19 +55,6 @@ def test_rank_transpose_large():
     rng = np.random.default_rng(11)
     m = _random_matrix(rng, 256, 256, density=0.1)
     assert rank(m) == rank(m.transpose())
-
-
-def test_solve_roundtrip_random():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        rows = int(rng.integers(1, 30))
-        cols = int(rng.integers(1, 30))
-        m = _random_matrix(rng, rows, cols)
-        x_true = Gf2Vector.from_dense(rng.integers(0, 2, cols))
-        b = m.mul_vec(x_true)
-        x = solve(m, b)
-        assert x is not None
-        assert m.mul_vec(x) == b
 
 
 @settings(max_examples=60, deadline=None)
@@ -208,16 +156,3 @@ def test_torus_boundary_rank_example():
     assert (d1.rows, d1.cols) == (9, 18)
     assert rank(d1) == 8
     assert len(kernel_basis(d1)) == 10
-
-
-def test_quotient_dim_torus_homology_example():
-    # cycles modulo boundaries of the 2-torus at L=3 in degree 1: dim = 2
-    from fractalcss.complexes import build_lattice
-    from fractalcss.gf2 import Gf2Matrix, kernel_basis, quotient_dim
-
-    cx = build_lattice(2, 3, "torus")
-    from complex_oracles import boundary_matrix, from_row_vectors
-
-    cycles = from_row_vectors(kernel_basis(boundary_matrix(cx, 1)), 18)
-    boundaries = boundary_matrix(cx, 2).transpose()
-    assert quotient_dim(cycles, boundaries) == 2

@@ -1,8 +1,9 @@
 """The CSR qubit graph against the graph code it replaced
 (``distance_oracles``): d_Z by shortest path and d_X by min cut must agree
 in value, kind and witness bits, and raise ``PreconditionError`` on the
-same codes, except where the graph code failed its own witness check or
-answered though two e-labels share one connected e-component (REFUSALS).
+same codes, except where the graph code failed its own witness check,
+answered though two e-labels share one connected e-component, or answered
+with the min cut of one class where k != 1 (REFUSALS).
 The geometries cover parallel qubits (the 2x2 torus, several
 qubits from one bulk vertex to a contracted terminal), torus seams with and
 without e-holes, and the seeded mixed hole layouts.
@@ -80,6 +81,10 @@ _SHARED = "share one connected e-component; run exhaustive_low_weight instead"
 # path between them is a stabilizer; layouts 5 and 23 do the same, and the
 # path found there is a logical only by chance.  Layout 22's four m-holes
 # cut the patch in two, so the OuterE terminals are disconnected (k = 0).
+# The 2D SC(3,1) m-hole codes and layouts 25 and 37 have k > 1, and the cut
+# of the OuterE class is heavier than the weight-1 X-logical of another.
+_ONE_CLASS = ("min-cut distance searches one logical class, but k = {}; "
+              "run exhaustive_low_weight instead")
 REFUSALS = {
     ("layout5", "dz"): ((1, "exact", [], [17]),
                         ("PreconditionError", f"e-labels hE1 and hE2 {_SHARED}")),
@@ -92,6 +97,14 @@ REFUSALS = {
     ("layout22", "dx"): (("AssertionError", "min-cut witness is not an X-logical"),
                          ("PreconditionError", "the two OuterE components are disconnected "
                                                "(flow 0): no X-logical crosses between them")),
+    ("sc31-l1", "dx"): ((2, "exact", [0, 3], []), ("PreconditionError", _ONE_CLASS.format(2))),
+    ("sc31-l2", "dx"): ((4, "exact", [16, 27, 44, 51], []),
+                        ("PreconditionError", _ONE_CLASS.format(8))),
+    ("sc31-l3", "dx"): ((8, "exact", [192, 221, 276, 305, 408, 433, 480, 505], []),
+                        ("PreconditionError", _ONE_CLASS.format(52))),
+    ("layout25", "dx"): ((3, "exact", [2, 4, 6], []), ("PreconditionError", _ONE_CLASS.format(2))),
+    ("layout37", "dx"): ((4, "exact", [17, 25, 30, 35], []),
+                         ("PreconditionError", _ONE_CLASS.format(2))),
 }
 
 
