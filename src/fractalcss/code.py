@@ -8,10 +8,10 @@ coface and face lists); syndromes are parities over those rows.  k and
 the logical tests read one reduction of the code's own chain complex,
 Z checks -(H_Z^T)-> qubits -(H_X)-> X checks, by the collapses and
 coreductions of `homology` (`CssCode.reduction`): only its small residue
-is eliminated.  The dense H_X / H_Z (`CssCode.hx` / `hz`) are views built
-on first use, for what eliminates a whole check matrix (the logical
-basis, the colour-code S check and the merge, through `CssCode.hx_rref` /
-`hz_rref`) and for the text format.
+is eliminated; the merge's parity identity and the colour-code S check
+ask such a reduction whether a vector is a product of checks.  The dense
+H_X / H_Z (`CssCode.hx` / `hz`) are views built on first use, only for the
+logical basis, which eliminates both, and for the text format.
 Boundary conditions are label-driven:
 
 * every cell of an E-labeled (rough) patch is dropped from the code -
@@ -96,8 +96,8 @@ class CssCode:
                                               len(self.z_checks)):
             raise AssertionError("H_X H_Z^T != 0: X and Z checks do not commute")
 
-    # The dense check matrices, built on first use: for the eliminations
-    # below, the merge and the text writer.
+    # The dense check matrices, built on first use: for the logical basis
+    # and the text writer.
     @cached_property
     def hx(self) -> Gf2Matrix:
         return self.x_checks.matrix(self.n_qubits)
@@ -106,21 +106,11 @@ class CssCode:
     def hz(self) -> Gf2Matrix:
         return self.z_checks.matrix(self.n_qubits)
 
-    # The one reduction of the code's chain complex: k and the logical tests
-    # read it.
+    # The one reduction of the code's chain complex: k, the logical tests
+    # and the colour-code S check read it.
     @cached_property
     def reduction(self) -> "_ChainReduction":
         return _ChainReduction(self.x_checks, self.z_checks, self.n_qubits)
-
-    # The one elimination of each check matrix, for the logical basis and
-    # the colour-code S check.
-    @cached_property
-    def hx_rref(self) -> tuple[Gf2Matrix, list[int]]:
-        return self.hx.rref()
-
-    @cached_property
-    def hz_rref(self) -> tuple[Gf2Matrix, list[int]]:
-        return self.hz.rref()
 
 
 class _ChainReduction:
@@ -261,10 +251,12 @@ def logical_basis(code: CssCode) -> tuple[list[PauliOperator], list[PauliOperato
     Z-logicals span ker(H_X) / rowspace(H_Z), X-logicals span
     ker(H_Z) / rowspace(H_X); a greedy symplectic Gram-Schmidt with fixed
     qubit ordering normalizes the pairing matrix to the identity, so the
-    basis is deterministic.
+    basis is deterministic.  H_X and H_Z are eliminated on each call; the
+    code keeps no RREF.
     """
-    z_reps = _quotient_reps(code.hx_rref, code.hz_rref)
-    x_reps = _quotient_reps(code.hz_rref, code.hx_rref)
+    hx, hz = code.hx.rref(), code.hz.rref()
+    z_reps = _quotient_reps(hx, hz)
+    x_reps = _quotient_reps(hz, hx)
     if len(z_reps) != len(x_reps):
         raise AssertionError(
             f"{len(z_reps)} Z-logicals but {len(x_reps)} X-logicals: the checks are inconsistent"

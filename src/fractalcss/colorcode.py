@@ -26,10 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .code import CssCode, logical_basis
+from .code import CssCode, _syndrome_free, logical_basis
 from .complexes import BULK, CellComplex, Faces
 from .gates import ConditionResult, GateCheckReport
-from .gf2 import in_rowspace
 
 
 @dataclass
@@ -201,10 +200,12 @@ def check_transversal_s_colorcode(
     if cross != 1:
         bad.append(("Xbar0", "Xbar1", cross))
     # the induced Z part must land back in the stabilizer group together
-    # with the dual logical: Z^{supp X1} ~ Zbar2 (and vice versa)
+    # with the dual logical: Z^{supp X1} ~ Zbar2 (and vice versa); the
+    # reduction tests a leftover free of syndromes
     for i, s in enumerate(supports):
         leftover = s ^ zs[1 - i].z_support
-        if not in_rowspace(*cc.code.hz_rref, leftover):
+        if not (_syndrome_free(cc.code.x_checks, leftover)
+                and cc.code.reduction.is_z_stabilizer(leftover)):
             bad.append((f"Xbar{i}", f"Zbar{1 - i}", "image-not-stabilizer"))
     conds.append(ConditionResult("S-logical-map", not bad, tuple(bad[:8])))
     return GateCheckReport(tuple(conds))

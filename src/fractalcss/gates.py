@@ -33,9 +33,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .code import CssCode, PauliOperator, _syndrome_free, css_from_complex, logical_basis
-from .complexes import Box, CellComplex, Faces, Hole, code_lattice, punch_holes
-from .gf2 import _CHUNK_WORDS, Gf2Vector, _popcount, in_rowspace
+from .code import (
+    CssCode, PauliOperator, _ChainReduction, _syndrome_free, code_params, css_from_complex,
+    logical_basis,
+)
+from .complexes import CellComplex, Faces, Hole, code_lattice, punch_holes
+from .gf2 import _CHUNK_WORDS, Gf2Vector, _popcount
 
 
 class CertificateError(AssertionError):
@@ -498,7 +501,8 @@ def merge_rough(a: CssCode, b: CssCode) -> MergeResult:
     anchor fresh interface X stabilizers and its in-plane cells become the
     fresh interface qubits completing the old truncated Z checks.  The
     merged block encodes k(a) + k(b) - 1 and the product of the new
-    interface X stabilizers equals X̄_a X̄_b up to old stabilizers.
+    interface X stabilizers equals X̄_a X̄_b up to old stabilizers, by the
+    chain reduction of the old X checks (no dense check matrix is built).
     """
     if a is b:
         raise ValueError("cannot merge a code block with itself (empty interface)")
@@ -514,17 +518,17 @@ def merge_rough(a: CssCode, b: CssCode) -> MergeResult:
     lift = np.zeros((ca.dim, 2), dtype=np.int64)
     lift[axis] = height_b  # block a's shift onto block b
 
-    def plane(cx: CellComplex, k: int, h: int) -> np.ndarray:
-        return (cx.cells[k][:, axis, 0] == h) & (cx.cells[k][:, axis, 1] == h)
+    def plane(cx: CellComplex, k: int, h: int) -> np.ndarray:  # the cells, ordered by box
+        at = np.flatnonzero((cx.cells[k][:, axis] == h).all(axis=1))
+        return at[np.lexsort(cx.cells[k][at].reshape(len(at), 2 * cx.dim).T)]
 
+    # the lift moves all of a's patch by one offset and keeps its order, so
+    # the patches are congruent iff they agree cell by cell
     grades = range(ca.dim + 1)
     patch_a = [plane(ca, k, 0) for k in grades]
     patch_b = [plane(cb, k, height_b) for k in grades]
-    index_b = {_box(box): i for k in grades
-               for i, box in zip(np.flatnonzero(patch_b[k]).tolist(),
-                                 cb.cells[k][patch_b[k]].tolist())}
-    lifted_a = [list(map(_box, (ca.cells[k][patch_a[k]] + lift).tolist())) for k in grades]
-    if not index_b or set().union(*lifted_a) != set(index_b):
+    if not any(map(len, patch_b)) or not all(np.array_equal(
+            ca.cells[k][patch_a[k]] + lift, cb.cells[k][patch_b[k]]) for k in grades):
         raise ValueError("interface mismatch: rough patches are not congruent")
 
     # b's cells keep their indices and labels (the interface plane returns
@@ -537,13 +541,13 @@ def merge_rough(a: CssCode, b: CssCode) -> MergeResult:
     code_a = np.array([names.index(name) for name in shifted], dtype=np.int64)
     cells, labels, faces, into = [], [], [], []
     for k in grades:
-        keep_a = ~patch_a[k]
+        keep_a = np.bincount(patch_a[k], minlength=ca.n_cells(k)) == 0
         target = np.cumsum(keep_a) - 1 + cb.n_cells(k)
-        target[patch_a[k]] = [index_b[box] for box in lifted_a[k]]
+        target[patch_a[k]] = patch_b[k]
         into.append(target)
         cells.append(np.concatenate([cb.cells[k], ca.cells[k][keep_a] + lift]))
-        labels.append(np.concatenate([np.where(patch_b[k], 0, cb.labels[k]),
-                                      code_a[ca.labels[k][keep_a]]]))
+        labels.append(np.concatenate([cb.labels[k], code_a[ca.labels[k][keep_a]]]))
+        labels[k][patch_b[k]] = 0
         if k == 0:
             faces.append(Faces.empty(len(cells[0])))
             continue
@@ -556,43 +560,37 @@ def merge_rough(a: CssCode, b: CssCode) -> MergeResult:
         ))
     merged_cx = CellComplex(
         ca.dim, cells, labels, names, faces, "open", ca.style, ca.periods,
-        cb.holes + [Hole(h.hole_id + hole_shift, _box((np.array(h.box) + lift).tolist()),
+        cb.holes + [Hole(h.hole_id + hole_shift, tuple(map(tuple, (h.box + lift).tolist())),
                          h.kind, h.level) for h in ca.holes],
     )
     merged = css_from_complex(merged_cx, a.grading)
 
     anchors = merged_cx.cells[a.grading - 1][merged.x_anchor_cells, axis]
-    interface_rows = tuple(np.flatnonzero((anchors == height_b).all(axis=1)).tolist())
-    from .code import code_params
-
+    interface_rows = np.flatnonzero((anchors == height_b).all(axis=1))
     k_merged = code_params(merged).k
 
-    # embed the old logical-X representatives and old X stabilizers
-    qpos = {_box(box): q for q, box in
-            enumerate(merged_cx.cells[a.grading][merged.qubit_cells].tolist())}
-
-    def embed(code: CssCode, vec: Gf2Vector, shift) -> Gf2Vector:
-        cells = np.asarray(code.qubit_cells)[vec.indices()]
-        boxes = code.source.cells[code.grading][cells] + shift
-        return Gf2Vector.from_indices(merged.n_qubits, [qpos[_box(b)] for b in boxes.tolist()])
-
+    # the qubits of the blocks' logical X in the merged code: a's cells map
+    # through `into`, b's keep their indices
     _, xs_a = logical_basis(a)
     _, xs_b = logical_basis(b)
     if not xs_a or not xs_b:
         raise ValueError("merge needs one logical-X representative per block")
-    xa = embed(a, xs_a[0].x_support, lift)
-    xb = embed(b, xs_b[0].x_support, 0)
+    cells_a = into[a.grading][np.asarray(a.qubit_cells)[xs_a[0].x_support.indices()]]
+    cells_b = np.asarray(b.qubit_cells)[xs_b[0].x_support.indices()]
+    logical = np.searchsorted(merged.qubit_cells, np.concatenate([cells_a, cells_b]))
+    hits = np.concatenate([merged.x_checks.take(interface_rows), logical])
+    total = Gf2Vector.from_dense(np.bincount(hits, minlength=merged.n_qubits) & 1)
+    parity_ok = _old_x_stabilizer(merged, interface_rows, total)
+    return MergeResult(merged, k_merged, parity_ok, tuple(interface_rows.tolist()))
 
-    total = Gf2Vector(merged.n_qubits)
-    for r in interface_rows:
-        total ^= merged.hx.row(r)
-    total ^= xa
-    total ^= xb
-    old_rows = [r for r in range(merged.hx.rows) if r not in set(interface_rows)]
-    old_hx = merged.hx.submatrix(old_rows, range(merged.hx.cols))
-    rref, pivots = old_hx.rref()
-    parity_ok = in_rowspace(rref, pivots, total)
-    return MergeResult(merged, k_merged, parity_ok, interface_rows)
+
+def _old_x_stabilizer(merged: CssCode, interface_rows, x: Gf2Vector) -> bool:
+    """Whether x is a product of the merged code's non-interface X checks:
+    never with a syndrome, else as their chain reduction says."""
+    old = np.bincount(interface_rows, minlength=len(merged.x_checks)) == 0
+    x_checks = merged.x_checks.restrict(old, np.ones(merged.n_qubits, dtype=bool))
+    return (_syndrome_free(merged.z_checks, x)
+            and _ChainReduction(x_checks, merged.z_checks, merged.n_qubits).is_x_stabilizer(x))
 
 
 def _rough_axis(cx: CellComplex) -> int:
@@ -600,11 +598,6 @@ def _rough_axis(cx: CellComplex) -> int:
     if len(axes) != 1:
         raise ValueError("merge expects exactly one rough axis per block")
     return axes.pop()
-
-
-def _box(rows) -> Box:
-    """A box as a hashable tuple of (lo, hi) pairs."""
-    return tuple(map(tuple, rows))
 
 
 def _shift_hole_label(label: str, shift: int) -> str:

@@ -118,6 +118,8 @@ class Gf2Vector:
         return Gf2Vector(self.n, self.data ^ other.data)
 
     def __ixor__(self, other: "Gf2Vector") -> "Gf2Vector":
+        if self.n != other.n:
+            raise ValueError(f"lengths differ: {self.n} and {other.n}")
         self.data ^= other.data
         return self
 
@@ -177,12 +179,15 @@ class Gf2Matrix:
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries) -> "Gf2Matrix":
         """Build from (row, col) positions, an iterable of pairs or an (m, 2)
-        array (an odd number of repeats of a position sets the bit)."""
+        array (an odd number of repeats of a position sets the bit, one
+        outside the matrix raises IndexError)."""
         m = cls(rows, cols)
         if not isinstance(entries, np.ndarray):
             entries = list(entries)
         rc = np.asarray(entries, dtype=np.int64).reshape(-1, 2)
         r, c = rc[:, 0], rc[:, 1]
+        if r.size and (rc.min() < 0 or r.max() >= m.rows or c.max() >= m.cols):
+            raise IndexError(f"an entry out of range for {m.rows} x {m.cols}")
         np.bitwise_xor.at(m.data, (r, c >> 6), np.uint64(1) << (c & 63).astype(np.uint64))
         return m
 

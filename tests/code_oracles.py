@@ -9,14 +9,22 @@ verbatim; the CSR checks of a code must give the same matrices bit for
 bit.
 
 ``checks_of`` turns a dense matrix into the CSR rows `CssCode` takes.
+
+``merge_total`` and ``merge_parity`` are the dense parity identity of
+`gates.merge_rough` as it ran before it asked the chain reduction: the
+interface rows of the dense H_X, the blocks' logical X embedded through a
+dict of boxes, and membership by `submatrix` + `rref` + `in_rowspace` of
+the other rows.  ``is_z_stabilizer`` is the dense membership the colour-code
+S check ran on the whole H_Z.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from fractalcss.code import CssCode, logical_basis
 from fractalcss.complexes import CellComplex, Faces, label_is_e, label_is_m
-from fractalcss.gf2 import Gf2Matrix, _rref_inplace
+from fractalcss.gf2 import Gf2Matrix, Gf2Vector, _rref_inplace, in_rowspace
 
 
 def checks_of(m: Gf2Matrix) -> Faces:
@@ -67,3 +75,41 @@ def _kept_rows(rows, cols, keep, n_cols) -> Gf2Matrix:
     sel = keep[rows]
     entries = np.column_stack(((np.cumsum(keep) - 1)[rows[sel]], cols[sel]))
     return Gf2Matrix.from_entries(int(keep.sum()), n_cols, entries)
+
+
+def _box(rows) -> tuple:
+    return tuple(map(tuple, rows))
+
+
+def merge_total(a: CssCode, b: CssCode, merged: CssCode, interface_rows) -> Gf2Vector:
+    """The product of the merged code's interface X rows and the first
+    logical X of each block: b's qubits found by their boxes, a's by their
+    boxes lifted onto b along the rough axis."""
+    axis = {int(lb[2:]) // 2 for lb in b.source.labels_present() if lb.startswith("oE")}.pop()
+    lift = np.zeros((b.source.dim, 2), dtype=np.int64)
+    lift[axis] = int(b.source.cells[0][:, axis, 1].max())
+    g = merged.grading
+    qpos = {_box(box): q for q, box in
+            enumerate(merged.source.cells[g][merged.qubit_cells].tolist())}
+    total = Gf2Vector(merged.n_qubits)
+    for r in interface_rows:
+        total ^= merged.hx.row(r)
+    for code, shift in ((a, lift), (b, 0)):
+        x = logical_basis(code)[1][0].x_support
+        boxes = code.source.cells[g][np.asarray(code.qubit_cells)[x.indices()]] + shift
+        total ^= Gf2Vector.from_indices(merged.n_qubits, [qpos[_box(bx)] for bx in boxes.tolist()])
+    return total
+
+
+def merge_parity(merged: CssCode, interface_rows, total: Gf2Vector) -> bool:
+    """Whether `total` is in the row space of the merged H_X without the
+    interface rows."""
+    old_rows = [r for r in range(merged.hx.rows) if r not in set(interface_rows)]
+    old_hx = merged.hx.submatrix(old_rows, range(merged.hx.cols))
+    rref, pivots = old_hx.rref()
+    return in_rowspace(rref, pivots, total)
+
+
+def is_z_stabilizer(code: CssCode, support: Gf2Vector) -> bool:
+    """Whether the support is in the row space of the whole H_Z."""
+    return in_rowspace(*code.hz.rref(), support)

@@ -4,8 +4,8 @@
 checks once.  k is dim H_1 of the residue, and a Z-cycle (X-cocycle) is a
 product of Z (X) checks iff its image in the residue lies in the row space
 of the residue's H_Z (H_X).  The oracle is the dense route this replaced:
-k = n - |pivots(hx_rref)| - |pivots(hz_rref)| and membership by
-`in_rowspace` on the RREFs of the whole check matrices.
+k = n minus the pivot counts of `code.hx.rref()` and `code.hz.rref()`, and
+membership by `in_rowspace` on those RREFs of the whole check matrices.
 """
 
 import hashlib
@@ -106,13 +106,14 @@ def _assert_matches_dense(code, rng, count=12):
     nontrivial cycle is always among them when k > 0) and random vectors."""
     n = code.n_qubits
     red = code.reduction
-    assert red.k == n - len(code.hx_rref[1]) - len(code.hz_rref[1])
+    hx_rref, hz_rref = code.hx.rref(), code.hz.rref()
+    assert red.k == n - len(hx_rref[1]) - len(hz_rref[1])
     zs, xs = logical_basis(code)
     outcomes = set()
     for checks, rref, cycle_checks, cycle_rref, is_stabilizer, is_logical, reps in (
-        (code.hz, code.hz_rref, code.hx, code.hx_rref, red.is_z_stabilizer, is_z_logical,
+        (code.hz, hz_rref, code.hx, hx_rref, red.is_z_stabilizer, is_z_logical,
          [op.z_support for op in zs]),
-        (code.hx, code.hx_rref, code.hz, code.hz_rref, red.is_x_stabilizer, is_x_logical,
+        (code.hx, hx_rref, code.hz, hz_rref, red.is_x_stabilizer, is_x_logical,
          [op.x_support for op in xs]),
     ):
         stabilizers = _combos(checks.data, n, rng, count)

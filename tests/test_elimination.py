@@ -2,9 +2,10 @@
 
 `_drop_redundant_m_rows` reads the kept M rows off the pivot columns of one
 elimination of H_Z^T; the row-by-row loop it replaced is kept here verbatim
-as the oracle.  The logical basis reads the cached eliminations
-`CssCode.hx_rref` / `hz_rref`; k and the logical tests read only the
-residue of the code's reduced chain complex.
+as the oracle.  The logical basis eliminates H_X and H_Z once per call and
+keeps no RREF on the code; k, the logical tests, the merge's parity
+identity and the colour-code S check read only the residue of a reduced
+chain complex.
 """
 
 import hashlib

@@ -114,6 +114,30 @@ def test_vector_ops():
     assert Gf2Vector(10).weight() == 0
 
 
+@pytest.mark.parametrize("entries", [
+    [(0, 5), (1, 1)],  # a column past the last: a padding bit
+    [(0, 3)],
+    [(2, 0)],
+    [(-1, 0)],  # would wrap to the last row
+    [(0, -1)],
+])
+def test_from_entries_rejects_entries_outside_the_matrix(entries):
+    with pytest.raises(IndexError, match="out of range for 2 x 3"):
+        Gf2Matrix.from_entries(2, 3, entries)
+    with pytest.raises(IndexError):
+        Gf2Matrix.from_entries(2, 3, np.array(entries))
+
+
+def test_ixor_rejects_a_vector_of_another_length():
+    v = Gf2Vector(60)
+    w = Gf2Vector.from_indices(64, [63])
+    with pytest.raises(ValueError, match="lengths differ: 60 and 64"):
+        v ^= w
+    assert v.weight() == 0
+    v ^= Gf2Vector.from_indices(60, [59])
+    assert v.indices() == [59]
+
+
 def test_text_roundtrip():
     rng = np.random.default_rng(9)
     m = _random_matrix(rng, 6, 13)

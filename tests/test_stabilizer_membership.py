@@ -1,0 +1,138 @@
+"""Stabilizer membership of the merge's parity identity and of the
+colour-code S check, through the chain reduction.
+
+`merge_rough` asks the reduction of the merged code's old X checks whether
+the product of the interface rows and the two embedded logical X is a
+product of old checks; the S check asks `code.reduction` whether each
+leftover is a product of Z checks.  Each first tests the syndrome, since a
+vector with a syndrome lies in no span of checks.  The oracles are the
+dense routes they replaced (`code_oracles.merge_total` / `merge_parity`,
+`code_oracles.is_z_stabilizer`).
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import fractalcss.code as code_mod
+import fractalcss.gf2 as gf2
+from fractalcss.code import CssCode, _syndrome_free, code_to_text, css_from_complex, logical_basis
+from fractalcss.colorcode import build_color_code_2d, check_transversal_s_colorcode
+from fractalcss.complexes import FractalSpec, code_lattice, fractal_complex
+from fractalcss.gates import _old_x_stabilizer, merge_rough
+from fractalcss.gf2 import Gf2Vector
+from code_oracles import is_z_stabilizer, merge_parity, merge_total
+
+
+def _fc(p, q, level):
+    return css_from_complex(fractal_complex(FractalSpec(3, p, q, level, holes="m"), "code"), 1)
+
+
+def _lattice(dim, L):
+    return css_from_complex(code_lattice(dim, L), 1)
+
+
+MERGES = {
+    "3d-L2": lambda: _lattice(3, 2),
+    "3d-L3": lambda: _lattice(3, 3),
+    "3d-L4": lambda: _lattice(3, 4),
+    "fc31-l1": lambda: _fc(3, 1, 1),
+    "fc42-l1": lambda: _fc(4, 2, 1),
+    "fc31-l2": lambda: _fc(3, 1, 2),
+    "4d-L2": lambda: _lattice(4, 2),
+}
+
+# (interface rows, sha256 prefix of the merged code's csscode v1 text, its
+# holes and its cells' boxes and labels), as the box-dict matching of the
+# patches built them
+MERGED_SHA256 = {
+    "3d-L2": (4, "1130aa8727b2b7ab"),
+    "3d-L3": (9, "95bdc143176fe38a"),
+    "3d-L4": (16, "a94af720a6f81a99"),
+    "fc31-l1": (9, "839a4c07ee235fd9"),
+    "fc42-l1": (16, "855d2dba719694f0"),
+    "fc31-l2": (81, "bec734d32cf7c012"),
+    "4d-L2": (8, "cd9448186ba2ba8b"),
+}
+
+
+def _merged_digest(merged: CssCode) -> str:
+    h = hashlib.sha256(code_to_text(merged).encode())
+    holes = merged.source.holes
+    h.update(repr([(x.hole_id, x.box, x.kind, x.level) for x in holes]).encode())
+    for cells, labels in zip(merged.source.cells, merged.source.labels):
+        h.update(cells.tobytes())
+        h.update(labels.tobytes())
+    return h.hexdigest()[:16]
+
+
+@pytest.mark.parametrize("name", sorted(MERGES))
+def test_merge_parity_matches_dense_oracle(name):
+    a, b = MERGES[name](), MERGES[name]()
+    result = merge_rough(a, b)
+    merged, rows = result.merged, result.interface_x_rows
+    assert (len(rows), _merged_digest(merged)) == MERGED_SHA256[name]
+    assert result.k_merged == 1
+
+    total = merge_total(a, b, merged, rows)
+    assert merge_parity(merged, rows, total) is True
+    assert result.parity_identity is True
+    assert _old_x_stabilizer(merged, rows, total) is True
+    # one interface row too many: no product of old checks, by both routes
+    probe = total ^ Gf2Vector.from_indices(merged.n_qubits, merged.x_checks[rows[0]])
+    assert merge_parity(merged, rows, probe) is False
+    assert _old_x_stabilizer(merged, rows, probe) is False
+
+
+@pytest.mark.parametrize("L", [1, 2, 3, 4])
+def test_s_check_membership_matches_dense_oracle(L):
+    cc = build_color_code_2d(L)
+    code = cc.code
+    assert check_transversal_s_colorcode(cc).all_pass
+    zs, xs = logical_basis(code)
+
+    def route(v):
+        return _syndrome_free(code.x_checks, v) and code.reduction.is_z_stabilizer(v)
+
+    for i in range(2):
+        leftover = xs[i].x_support ^ zs[1 - i].z_support
+        flipped = leftover ^ Gf2Vector.from_indices(code.n_qubits, [L])
+        # syndrome-free, but a logical Z away from the stabilizers
+        shifted = leftover ^ zs[i].z_support
+        for v, want in ((leftover, True), (flipped, False), (shifted, False)):
+            assert is_z_stabilizer(code, v) is want
+            assert route(v) is want
+
+
+def test_merge_builds_no_dense_merged_checks(monkeypatch):
+    """FC(3,1) level 2: the merge never builds the merged code's dense H_X
+    or H_Z and eliminates no matrix over all its qubits; only the blocks'
+    logical bases eliminate their own check matrices."""
+    built = []
+    for name in ("hx", "hz"):
+        view = CssCode.__dict__[name]
+
+        def spy(self, view=view):
+            built.append(self)
+            return view.func(self)
+
+        monkeypatch.setattr(CssCode, name, property(spy))
+    shapes = []
+    real = gf2._rref_inplace
+
+    def spy_rref(data, rows, cols):
+        shapes.append((rows, cols))
+        return real(data, rows, cols)
+
+    monkeypatch.setattr(gf2, "_rref_inplace", spy_rref)
+    monkeypatch.setattr(code_mod, "_rref_inplace", spy_rref)
+    a, b = _fc(3, 1, 2), _fc(3, 1, 2)
+    shapes.clear()
+    result = merge_rough(a, b)
+    merged = result.merged
+    assert result.parity_identity and result.k_merged == 1
+    assert built and all(code is a or code is b for code in built)
+    assert shapes and all(cols < merged.n_qubits for _, cols in shapes)
+    assert all(rows != len(merged.x_checks) - len(result.interface_x_rows) for rows, _ in shapes)
+    assert np.isin(np.array(shapes)[:, 1], [a.n_qubits, b.n_qubits]).sum() == 4
