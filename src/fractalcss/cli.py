@@ -10,6 +10,7 @@ byte-identical).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -314,6 +315,8 @@ def _add_spec_flags(p, *optional):
         p.add_argument(f"--{name}", **_OPTIONAL_FLAGS[name])
 
 
+# Built once per process: parse_args reads the parser and changes nothing in it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="fractalcss",

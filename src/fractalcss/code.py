@@ -11,7 +11,8 @@ coreductions of `homology` (`CssCode.reduction`): only its small residue
 is eliminated; the merge's parity identity and the colour-code S check
 ask such a reduction whether a vector is a product of checks.  The dense
 H_X / H_Z (`CssCode.hx` / `hz`) are views built on first use, only for the
-logical basis, which eliminates both, and for the text format.
+logical basis, which eliminates both, and for the text writer; the reader
+builds the CSR rows straight from the 0/1 rows of the file.
 Boundary conditions are label-driven:
 
 * every cell of an E-labeled (rough) patch is dropped from the code -
@@ -30,15 +31,17 @@ one an even number of times.  No dense product is formed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .complexes import CellComplex, Faces, label_is_e, label_is_m
+from ._text import first_false, int64s, line_tokens, nth_tokens, with_newlines
 from .gf2 import (
-    _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _reduce, _rref_inplace, in_rowspace,
-    matrix_from_text, matrix_to_text,
+    _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _rows_from_text, _kernel_rows, _reduce, _rref_inplace,
+    in_rowspace, matrix_to_text,
 )
 from .homology import _Reduction, betti, default_label_split
 
@@ -137,14 +140,26 @@ class _ChainReduction:
     def __init__(self, x_rows: Faces, z_rows: Faces, n: int):
         self.x_rows, self.z_rows = x_rows, z_rows
         red = _Reduction([Faces.empty(len(x_rows)), x_rows.transpose(n), z_rows])
-        live_x, self.live, live_z = red.run()[0]
+        self.live_x, self.live, self.live_z = red.run()[0]
         # (qubits, their checks) per round of grade-1/2 collapses and of
         # grade-1/0 coreductions
         self.z_rounds = [(q, c) for g, h, q, c in red.rounds if (g, h) == (1, 2)]
         self.x_rounds = [(q, c) for g, h, q, c in red.rounds if (g, h) == (1, 0)]
-        self.hx_rref = _residue_rref(self.x_rows, live_x, self.live)
-        self.hz_rref = _residue_rref(self.z_rows, live_z, self.live)
-        self.k = int(self.live.sum()) - len(self.hx_rref[1]) - len(self.hz_rref[1])
+
+    # Each residue is eliminated on first use: an X-only query (the merge's
+    # parity identity) never eliminates the Z residue, a Z-only query (the
+    # colour-code S check) never the X residue; k needs both.
+    @cached_property
+    def hx_rref(self) -> tuple[Gf2Matrix, list[int]]:
+        return _residue_rref(self.x_rows, self.live_x, self.live)
+
+    @cached_property
+    def hz_rref(self) -> tuple[Gf2Matrix, list[int]]:
+        return _residue_rref(self.z_rows, self.live_z, self.live)
+
+    @cached_property
+    def k(self) -> int:
+        return int(self.live.sum()) - len(self.hx_rref[1]) - len(self.hz_rref[1])
 
     def _image(self, v: Gf2Vector, rounds, rows: Faces) -> Gf2Vector:
         """v carried through the recorded rounds into the residue: the
@@ -376,39 +391,77 @@ def code_to_text(code: CssCode) -> str:
 
 def code_from_text(text: str) -> CssCode:
     """Parse a ``csscode v1`` file; malformed input raises ValueError."""
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "csscode v1":
+    text = with_newlines(text)
+    head = _HEAD.match(text)
+    if head[1].strip() != "csscode v1":
         raise ValueError("not a csscode v1 file")
-    toks = lines[1].split() if len(lines) > 1 else []
+    toks = head[2].split()
     if len(toks) != 4 or toks[0] != "nqubits" or toks[2] != "i":
         raise ValueError("csscode v1 line 2 must read 'nqubits <n> i <i>'")
     n, i = int(toks[1]), int(toks[3])
-    ix_hx = lines.index("HX")
-    ix_hz = lines.index("HZ")
-    ix_map = lines.index("qubitmap")
-    hx = matrix_from_text("\n".join(lines[ix_hx + 1 : ix_hz]))
-    hz = matrix_from_text("\n".join(lines[ix_hz + 1 : ix_map]))
-    if not hx.cols == n == hz.cols:
-        raise ValueError(f"HX and HZ have {hx.cols} and {hz.cols} columns for {n} qubits")
-    x_checks, z_checks = (Faces.from_pairs(m.rows, *m.entries()) for m in (hx, hz))
-    qubit_cells = []
-    for ln in lines[ix_map + 1 :]:
-        if ln.strip():
-            toks = ln.split()
-            if len(toks) != 5 or toks[0] != "q" or toks[2:4] != ["->", "cell"]:
-                raise ValueError(f"bad qubitmap line {ln!r}")
-            qubit_cells.append(int(toks[4]))
-    if len(qubit_cells) != n:
-        raise ValueError(f"qubitmap has {len(qubit_cells)} lines for {n} qubits")
+    at_hx, at_hz, at_map = (_line_at(text, word) for word in ("HX", "HZ", "qubitmap"))
+    hx = _rows_from_text(text[at_hx + len("HX\n") : at_hz])
+    hz = _rows_from_text(text[at_hz + len("HZ\n") : at_map])
+    if not hx.shape[1] - 1 == n == hz.shape[1] - 1:
+        raise ValueError(f"HX and HZ have {hx.shape[1] - 1} and {hz.shape[1] - 1} columns "
+                         f"for {n} qubits")
+    # the (row, column) of each 1, row by row: the CSR rows come out sorted
+    x_checks, z_checks = (Faces.from_pairs(len(m), *np.divmod(np.flatnonzero(m == ord("1")), n + 1))
+                          for m in (hx, hz))
     try:
         return CssCode(
             n_qubits=n,
             x_checks=x_checks,
             z_checks=z_checks,
             grading=i,
-            qubit_cells=qubit_cells,
+            qubit_cells=_read_qubitmap(text[at_map + len("qubitmap\n") :], n),
             x_anchor_cells=[],
             source=None,
         )
     except AssertionError as err:  # the checks do not commute
         raise ValueError(str(err)) from err
+
+
+# the first two lines of a text whose line breaks are all "\n"
+_HEAD = re.compile(r"([^\n]*)\n?([^\n]*)")
+
+
+def _line_at(text: str, word: str) -> int:
+    """Where the first line that reads exactly `word` starts, after line 0."""
+    # found by its first letter, which str.find scans for fastest and
+    # which no 0/1 row of a check matrix holds
+    at = text.find(word[0], 1)
+    while at >= 0 and not (text[at - 1] == "\n" and text.startswith(word, at)
+                           and text[at + len(word) : at + len(word) + 1] in ("\n", "")):
+        at = text.find(word[0], at + 1)
+    if at < 0:
+        raise ValueError(f"{word!r} is not in list")
+    return at
+
+
+def _read_qubitmap(text: str, n: int) -> list[int]:
+    """The cells of the lines ``q <j> -> cell <c>``, the j-th non-blank line
+    naming qubit j; malformed input raises ValueError."""
+    words, counts, first = line_tokens(text)
+    toks = np.array(words, dtype=object)
+    lines = len(counts)
+    ok = ((counts == 5) & (nth_tokens(toks, first, 0) == "q")
+          & (nth_tokens(toks, first, 2) == "->") & (nth_tokens(toks, first, 3) == "cell"))
+    bad = first_false(ok)
+    try:
+        cells = int64s(toks[first[:bad] + 4].tolist())
+    except OverflowError as err:
+        raise ValueError(f"qubitmap cell {err}") from err
+    if bad < lines:
+        raise ValueError(f"bad qubitmap line {_nonblank(text, bad)!r}")
+    if lines != n:
+        raise ValueError(f"qubitmap has {lines} lines for {n} qubits")
+    index = first_false(toks[first + 1] == np.array(list(map(str, range(n))), dtype=object))
+    if index < n:
+        raise ValueError(f"expected 'q {index} -> cell <c>', got {_nonblank(text, index)!r}")
+    return cells.tolist()
+
+
+def _nonblank(text: str, j: int) -> str:
+    """The j-th non-blank line of `text`."""
+    return list(filter(str.strip, text.split("\n")))[j]

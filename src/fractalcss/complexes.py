@@ -68,12 +68,14 @@ of that grid.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._text import first_false, int64s, line_tokens, nth_tokens
 from .gf2 import Gf2Matrix
 
 Box = tuple[tuple[int, int], ...]
@@ -168,16 +170,19 @@ class Faces:
         """Faces of n cells from (cell, face) incidences in any order; a
         pair that occurs an even number of times cancels."""
         rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        order = np.lexsort((cols, rows))
-        rows, cols = rows[order], cols[order]
-        run = np.ones(len(rows) + 1, dtype=bool)
-        run[1:-1] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-        starts = np.flatnonzero(run)
-        odd = starts[:-1][np.diff(starts) & 1 == 1]
+        cols = np.array(cols, dtype=np.int64)  # a copy: the faces own their indices
+        up = (rows[1:] > rows[:-1]) | ((rows[1:] == rows[:-1]) & (cols[1:] > cols[:-1]))
+        if not up.all():  # not sorted without repeats already, as a text file usually is
+            order = np.lexsort((cols, rows))
+            rows, cols = rows[order], cols[order]
+            run = np.ones(len(rows) + 1, dtype=bool)
+            run[1:-1] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
+            starts = np.flatnonzero(run)
+            odd = starts[:-1][np.diff(starts) & 1 == 1]
+            rows, cols = rows[odd], cols[odd]
         ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows[odd], minlength=n), out=ptr[1:])
-        return cls(ptr, cols[odd])
+        np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
+        return cls(ptr, cols)
 
     @classmethod
     def from_table(cls, table: np.ndarray) -> "Faces":
@@ -448,13 +453,15 @@ class CellComplex:
     @classmethod
     def from_text(cls, text: str) -> "CellComplex":
         """Parse a ``cellcomplex v1`` file; malformed input raises ValueError."""
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        lines = list(filter(str.strip, text.splitlines()))
         if not lines or lines[0] != "cellcomplex v1":
             raise ValueError("not a cellcomplex v1 file")
         try:
             head = lines[1].split()
             dim = int(head[1])
             background = head[3]
+            if dim >= len(lines):  # fewer lines than its dim + 1 grade lines
+                raise IndexError(f"dimension {dim}")
             style, periods, holes = "plain", (None,) * dim, []
             pos = 2
             if lines[pos].startswith("meta "):
@@ -479,31 +486,52 @@ class CellComplex:
                     raise ValueError(f"expected 'grade {k} count <n>', got {lines[pos]!r}")
                 counts.append(int(toks[3]))
                 pos += 1
-            code = {BULK: 0}  # label -> code, in order of first use
-            sep = 4 + 2 * dim  # the ':' after the label and the coordinates
+            # label -> code, in order of first use
+            code = collections.defaultdict(lambda: len(code), {BULK: 0})
             cells, labels, faces = [], [], []
             for k in range(dim + 1):
-                coords, codes, rows, cols = [], [], [], []
-                for i in range(counts[k]):
-                    toks = lines[pos].split()
-                    pos += 1
-                    if toks[:3] != ["cell", str(k), str(i)] or toks[sep : sep + 1] != [":"]:
-                        raise ValueError(f"expected 'cell {k} {i} <label> <{2 * dim} "
-                                         f"coordinates> : <faces>', got {lines[pos - 1]!r}")
-                    coords.extend(map(int, toks[4:sep]))
-                    codes.append(code.setdefault(toks[3], len(code)))
-                    fs = toks[sep + 1 :]
-                    cols.extend(map(int, fs))
-                    rows.extend([i] * len(fs))
-                n = counts[k]
-                cells.append(np.array(coords, dtype=np.int64).reshape(n, dim, 2))
-                labels.append(np.array(codes, dtype=np.int64))
-                faces.append(Faces.from_pairs(n, rows, cols))
+                block = lines[pos : pos + counts[k]]
+                names, boxes, grade_faces = _read_cells(block, k, dim)
+                if len(block) < counts[k]:
+                    raise IndexError(f"grade {k} has {len(block)} of {counts[k]} cells")
+                pos += counts[k]
+                cells.append(boxes)
+                labels.append(np.fromiter(map(code.__getitem__, names), np.int64, len(names)))
+                faces.append(grade_faces)
             if pos != len(lines):
                 raise ValueError(f"{len(lines) - pos} lines after the last cell")
         except (IndexError, OverflowError) as err:
             raise ValueError("cellcomplex v1 file is truncated or has a short line") from err
         return cls(dim, cells, labels, list(code), faces, background, style, periods, holes)
+
+
+def _read_cells(block: list[str], k: int, dim: int) -> tuple[np.ndarray, np.ndarray, Faces]:
+    """The labels (an object array), (n, dim, 2) boxes and faces of the n
+    lines ``cell k i <label> <2 dim coordinates> : <faces>`` of grade k.
+
+    The lines before the first malformed one are parsed, so that a bad
+    integer there is reported first, as a line-by-line reader would."""
+    n, sep = len(block), 4 + 2 * dim  # sep: the ':' after the label and the coordinates
+    words, counts, first = line_tokens("\n".join(block))
+    toks = np.array(words, dtype=object)
+    index = np.array(list(map(str, range(n))), dtype=object)
+    column = functools.partial(nth_tokens, toks, first)
+    ok = ((counts > sep) & (column(0) == "cell") & (column(1) == str(k))
+          & (column(2) == index) & (column(sep) == ":"))
+    bad = first_false(ok)
+    names = column(3)
+    # the integer tokens of the lines before `bad`, with "cell", the label
+    # and the ':' set to 0, so that values and tokens share their indices
+    for j in (0, 3, sep):
+        toks[first[:bad] + j] = "0"
+    values = int64s(toks[: first[bad] if bad < n else len(toks)].tolist())
+    if bad < n:
+        raise ValueError(f"expected 'cell {k} {bad} <label> <{2 * dim} coordinates> : "
+                         f"<faces>', got {block[bad]!r}")
+    boxes = values[first[:, None] + np.arange(4, sep)].reshape(n, dim, 2)
+    rows = np.repeat(np.arange(n), counts - sep - 1)
+    cols = values[_ranges(first + sep + 1, first + counts)]
+    return names, boxes, Faces.from_pairs(n, rows, cols)
 
 
 # -- lattice construction ---------------------------------------------------

@@ -22,7 +22,11 @@ multiple threads.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
+
+from ._text import first_false, with_newlines
 
 _WORD = 64
 # Whole-array steps that could grow with rows x columns work on chunks of
@@ -412,21 +416,59 @@ def matrix_to_text(m: Gf2Matrix) -> str:
 
 
 def matrix_from_text(text: str) -> Gf2Matrix:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0].strip() != "gf2matrix v1":
+    """Parse a ``gf2matrix v1`` file; malformed input raises ValueError."""
+    grid = _rows_from_text(with_newlines(text))
+    cols = grid.shape[1] - 1
+    return Gf2Matrix(len(grid), cols, _pack(grid[:, :cols] == ord("1")))
+
+
+# the first two non-blank lines, without the whitespace before them
+_MATRIX_HEAD = re.compile(r"\s*([^\n]*)\n?\s*([^\n]*)\n?")
+
+
+def _rows_from_text(text: str) -> np.ndarray:
+    """The rows of a ``gf2matrix v1`` text whose line breaks are all "\\n",
+    as a (rows, cols + 1) array of character codes: cols of ``0`` or ``1``,
+    then the line break.  The body is validated as one array; malformed
+    input raises ValueError."""
+    head = _MATRIX_HEAD.match(text)
+    if head[1].strip() != "gf2matrix v1":
         raise ValueError("not a gf2matrix v1 file")
-    shape = lines[1].split() if len(lines) > 1 else []
+    shape = head[2].split()
     if len(shape) != 2 or not all(t.isdigit() for t in shape):
         raise ValueError("gf2matrix v1 line 2 must read '<rows> <cols>'")
     rows, cols = map(int, shape)
-    if len(lines) != 2 + rows:
-        raise ValueError(f"expected {rows} data lines, got {len(lines) - 2}")
-    body = [ln.strip() for ln in lines[2:]]
-    for r, line in enumerate(body):
-        if len(line) != cols:
-            raise ValueError(f"row {r} has length {len(line)}, expected {cols}")
-        if line.count("0") + line.count("1") != cols:
-            ch = next(ch for ch in line if ch not in "01")
-            raise ValueError(f"bad character {ch!r} in row {r}")
-    bits = np.frombuffer("".join(body).encode("ascii"), dtype=np.uint8).reshape(rows, cols)
-    return Gf2Matrix(rows, cols, _pack(bits - ord("0")))
+    body = text[head.end() :]
+    b = _chars(body)
+    if not (cols and _is_rows(b, rows, cols)):
+        # rows are read stripped, and blank lines skipped
+        body = "\n".join(filter(None, map(str.strip, body.split("\n"))))
+        body += "\n" if body else ""
+        got = body.count("\n")
+        if got != rows:
+            raise ValueError(f"expected {rows} data lines, got {got}")
+        b = _chars(body)
+        if not _is_rows(b, rows, cols):
+            ends = np.flatnonzero(b == 10)
+            length = np.diff(ends, prepend=-1) - 1
+            short = first_false(length == cols)
+            at = first_false((b == 48) | (b == 49) | (b == 10))  # not 0, 1 or a line end
+            row = int(np.searchsorted(ends, at))
+            if short <= row:
+                raise ValueError(f"row {short} has length {length[short]}, expected {cols}")
+            raise ValueError(f"bad character {body[at]!r} in row {row}")
+    return b.reshape(rows, cols + 1)
+
+
+def _chars(text: str) -> np.ndarray:
+    """One byte per character: ``?`` for each that is not ASCII."""
+    return np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)
+
+
+def _is_rows(b: np.ndarray, rows: int, cols: int) -> bool:
+    """Whether the characters b are `rows` lines of `cols` 0s and 1s, each
+    ending in a line break."""
+    if b.size != rows * (cols + 1):
+        return False
+    bits = np.count_nonzero(b == 48) + np.count_nonzero(b == 49)
+    return bits == rows * cols and bool((b.reshape(rows, cols + 1)[:, cols] == 10).all())

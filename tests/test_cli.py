@@ -239,6 +239,14 @@ def _with_odd_z_check(code_text: str) -> str:
     return "".join(lines)
 
 
+def _swap_lines(text: str, first: str, second: str) -> str:
+    """The text with the lines that start with `first` and `second` swapped."""
+    lines = text.splitlines(keepends=True)
+    i, j = (next(i for i, ln in enumerate(lines) if ln.startswith(p)) for p in (first, second))
+    lines[i], lines[j] = lines[j], lines[i]
+    return "".join(lines)
+
+
 def test_malformed_files_exit2(capsys, tmp_path):
     cx_path = tmp_path / "cx.txt"
     code_path = tmp_path / "code.txt"
@@ -275,6 +283,8 @@ def test_malformed_files_exit2(capsys, tmp_path):
         "width": _replace_line(code_text, "nqubits", f"nqubits {int(n) + 1} i 1"),
         "hx-header-only": _cut(code_text, "gf2matrix v1") + code_text[code_text.index("HZ"):],
         "noncommuting": _with_odd_z_check(code_text),
+        "qubit-order": _swap_lines(code_text, "q 2 -> ", "q 3 -> "),
+        "qubit-index": _replace_line(code_text, "q 0 -> ", "q 999 -> cell 0"),
     }
     for name, text in bad_codes.items():
         path = tmp_path / f"{name}.code"
@@ -298,3 +308,32 @@ def test_homology_relative_e_m(capsys):
                              "--relative", kind], capsys)
         assert rc == 0
         assert stdout == f"betti[1]={betti(cx, 1, rel)} cobetti[1]={cobetti(cx, 1, rel)}\n"
+
+
+def test_consecutive_main_calls_share_no_state(capsys, tmp_path):
+    """The parser is built once per process, and no flag or default of one
+    `main` call reaches the next: `code --out f` and then `code` writes to
+    stdout, `export --what hz` and then `export` exports H_X, and `gen`
+    without --level builds level 1 after a level-2 call."""
+    from fractalcss import cli
+    from fractalcss.code import code_from_text
+    from fractalcss.gf2 import matrix_to_text
+
+    assert cli.build_parser() is cli.build_parser()
+    cx_path, code_path = tmp_path / "cx.txt", tmp_path / "code.txt"
+    gen = ["gen", "--dim", "2", "--style", "code"]
+    level1 = run(gen, capsys)
+    assert level1[0] == 0
+    assert run(gen + ["--level", "2", "--out", str(cx_path)], capsys)[0] == 0
+    assert run(gen, capsys) == level1
+    assert run(["code", "--complex", str(cx_path), "--out", str(code_path)], capsys) == (0, "", "")
+    rc, stdout, _ = run(["code", "--complex", str(cx_path)], capsys)
+    assert rc == 0 and stdout == code_path.read_text()
+    code = code_from_text(code_path.read_text())
+    assert run(["export", "--code", str(code_path), "--what", "hz"], capsys) == (
+        0, matrix_to_text(code.hz), "")
+    assert run(["export", "--code", str(code_path)], capsys) == (0, matrix_to_text(code.hx), "")
+    with pytest.raises(SystemExit):  # argparse rejects the flag, after the parser was built
+        main(["export", "--code", str(code_path), "--what", "hy"])
+    capsys.readouterr()
+    assert run(["export", "--code", str(code_path)], capsys) == (0, matrix_to_text(code.hx), "")

@@ -17,7 +17,9 @@ import pytest
 
 import fractalcss.code as code_mod
 import fractalcss.gf2 as gf2
-from fractalcss.code import CssCode, _syndrome_free, code_to_text, css_from_complex, logical_basis
+from fractalcss.code import (
+    CssCode, _ChainReduction, _syndrome_free, code_to_text, css_from_complex, logical_basis,
+)
 from fractalcss.colorcode import build_color_code_2d, check_transversal_s_colorcode
 from fractalcss.complexes import FractalSpec, code_lattice, fractal_complex
 from fractalcss.gates import _old_x_stabilizer, merge_rough
@@ -105,6 +107,25 @@ def test_s_check_membership_matches_dense_oracle(L):
             assert route(v) is want
 
 
+def _rref_shapes(monkeypatch) -> list[tuple[int, int]]:
+    """The (rows, cols) of every elimination from now on."""
+    shapes = []
+    real = gf2._rref_inplace
+
+    def spy(data, rows, cols):
+        shapes.append((rows, cols))
+        return real(data, rows, cols)
+
+    monkeypatch.setattr(gf2, "_rref_inplace", spy)
+    monkeypatch.setattr(code_mod, "_rref_inplace", spy)
+    return shapes
+
+
+def _residue_shapes(red: _ChainReduction) -> tuple[tuple[int, int], tuple[int, int]]:
+    live = int(red.live.sum())
+    return (int(red.live_x.sum()), live), (int(red.live_z.sum()), live)
+
+
 def test_merge_builds_no_dense_merged_checks(monkeypatch):
     """FC(3,1) level 2: the merge never builds the merged code's dense H_X
     or H_Z and eliminates no matrix over all its qubits; only the blocks'
@@ -118,15 +139,7 @@ def test_merge_builds_no_dense_merged_checks(monkeypatch):
             return view.func(self)
 
         monkeypatch.setattr(CssCode, name, property(spy))
-    shapes = []
-    real = gf2._rref_inplace
-
-    def spy_rref(data, rows, cols):
-        shapes.append((rows, cols))
-        return real(data, rows, cols)
-
-    monkeypatch.setattr(gf2, "_rref_inplace", spy_rref)
-    monkeypatch.setattr(code_mod, "_rref_inplace", spy_rref)
+    shapes = _rref_shapes(monkeypatch)
     a, b = _fc(3, 1, 2), _fc(3, 1, 2)
     shapes.clear()
     result = merge_rough(a, b)
@@ -136,3 +149,37 @@ def test_merge_builds_no_dense_merged_checks(monkeypatch):
     assert shapes and all(cols < merged.n_qubits for _, cols in shapes)
     assert all(rows != len(merged.x_checks) - len(result.interface_x_rows) for rows, _ in shapes)
     assert np.isin(np.array(shapes)[:, 1], [a.n_qubits, b.n_qubits]).sum() == 4
+
+
+def test_merge_eliminates_no_z_residue(monkeypatch):
+    """FC(3,1) level 2: the merge's parity identity asks only whether a
+    vector is a product of the old X checks, so its chain reduction
+    eliminates the X residue and never the Z residue (1456 x 1104)."""
+    a, b = _fc(3, 1, 2), _fc(3, 1, 2)
+    shapes = _rref_shapes(monkeypatch)
+    result = merge_rough(a, b)
+    merged = result.merged
+    old = np.bincount(result.interface_x_rows, minlength=len(merged.x_checks)) == 0
+    x_checks = merged.x_checks.restrict(old, np.ones(merged.n_qubits, dtype=bool))
+    x_shape, z_shape = _residue_shapes(
+        _ChainReduction(x_checks, merged.z_checks, merged.n_qubits))
+    assert x_shape in shapes and z_shape not in shapes
+    assert z_shape[0] > 0
+
+
+@pytest.mark.parametrize("query, kind", [("is_x_stabilizer", "X"), ("is_z_stabilizer", "Z")])
+def test_chain_reduction_eliminates_only_the_residue_asked(monkeypatch, query, kind):
+    """An X-only query eliminates the X residue alone, a Z-only query the Z
+    residue alone, and k then eliminates the other one once."""
+    code = _fc(3, 1, 2)
+    shapes = _rref_shapes(monkeypatch)
+    red = _ChainReduction(code.x_checks, code.z_checks, code.n_qubits)
+    assert shapes == []
+    x_shape, z_shape = _residue_shapes(red)
+    assert x_shape != z_shape
+    asked, other = (x_shape, z_shape) if kind == "X" else (z_shape, x_shape)
+    for _ in range(2):
+        assert getattr(red, query)(Gf2Vector(code.n_qubits))
+    assert shapes == [asked]
+    assert red.k == 1
+    assert shapes == [asked, other]

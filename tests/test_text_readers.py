@@ -1,0 +1,231 @@
+"""The array text readers against the line-by-line readers they replaced.
+
+`CellComplex.from_text`, `code_from_text` and `matrix_from_text` parse
+arrays; `text_oracles` holds the readers they replaced, verbatim.  On every
+input both raise ValueError, or both return the same object: for a complex
+the boxes, label codes and table, faces, holes and periods; for a code the
+checks and qubit cells; for a matrix the packed words.  The inputs are the
+punched complexes of the fuzz tests and their codes and check matrices,
+the fuzz tests' mutated corpora of all three formats, the same texts with
+their whitespace and line breaks loosened, and the benchmark's FC(3,1)
+level-2 files (m-holes, and the seeded e/m layout 7).
+
+Three intended differences, each an input the old readers accepted or
+crashed on: `code_from_text` rejects a qubitmap line ``q <j> -> cell <c>``
+whose j is not the line's position, which the old reader never read, and
+a cell c outside int64; every reader rejects an integer token that `int`
+reads but that is not ASCII digits after an optional sign (``1_0``, other
+scripts' digits); and `CellComplex.from_text` rejects a dimension that
+needs more grade lines than the file has, where the old reader ran out of
+memory on one near 2**63.
+"""
+
+import random
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import text_oracles
+from fractalcss.code import code_from_text, code_to_text, css_from_complex
+from fractalcss.complexes import CellComplex, FractalSpec, fractal_complex
+from fractalcss.gf2 import matrix_from_text, matrix_to_text
+from test_text_fuzz import (
+    BASE, CODE_TEXT, CODE_TOKENS, MATRIX_TEXT, mutated, punched,
+)
+
+
+def _complex_fields(cx: CellComplex):
+    return (cx.dim, cx.background, cx.style, cx.periods, cx.holes, cx.label_names,
+            [(c.dtype.str, c.tolist()) for c in cx.cells],
+            [(lb.dtype.str, lb.tolist()) for lb in cx.labels],
+            [(f.ptr.tolist(), f.idx.tolist()) for f in cx.faces])
+
+
+def _code_fields(code):
+    return (code.n_qubits, code.grading, code.qubit_cells,
+            [(f.ptr.tolist(), f.idx.tolist()) for f in (code.x_checks, code.z_checks)])
+
+
+def _matrix_fields(m):
+    return m.rows, m.cols, m.data.dtype.str, m.data.tolist()
+
+
+READERS = {
+    "complex": (CellComplex.from_text, text_oracles.complex_from_text, _complex_fields),
+    "code": (code_from_text, text_oracles.code_from_text, _code_fields),
+    "matrix": (matrix_from_text, text_oracles.matrix_from_text, _matrix_fields),
+}
+
+
+def _outcome(read, fields, text):
+    try:
+        return fields(read(text))
+    except ValueError as err:
+        return ValueError, str(err)
+    except MemoryError:  # the old reader, on a dimension near 2**63; the new one refuses it
+        assert read is text_oracles.complex_from_text
+        return ValueError, "out of memory"
+
+
+def _misnumbered_qubitmap(text: str) -> bool:
+    """Whether some non-blank line after the qubitmap line does not name
+    the qubit of its position."""
+    lines = text.splitlines()
+    rows = [ln.split() for ln in lines[lines.index("qubitmap") + 1 :] if ln.strip()]
+    return any(row[1] != str(q) for q, row in enumerate(rows))
+
+
+def assert_readers_agree(kind: str, text: str, messages: bool = True) -> None:
+    new, old, fields = READERS[kind]
+    got, want = _outcome(new, fields, text), _outcome(old, fields, text)
+    if kind == "code" and got[0] is ValueError and want[0] is not ValueError:
+        assert (got[1].startswith("expected 'q ") and _misnumbered_qubitmap(text)
+                or got[1].startswith("qubitmap cell ") and "outside int64" in got[1]), got
+        return
+    if messages or got[0] is not ValueError:
+        assert got == want
+    else:
+        assert want[0] is ValueError, (got, want)
+
+
+# -- generated texts ---------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(punched(), st.data())
+def test_punched_complexes_codes_and_matrices(cx, data):
+    assert_readers_agree("complex", cx.to_text())
+    code = css_from_complex(cx, data.draw(st.integers(1, cx.dim - 1)))
+    assert_readers_agree("code", code_to_text(code))
+    assert_readers_agree("matrix", matrix_to_text(data.draw(st.sampled_from((code.hx, code.hz)))))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated())
+def test_mutated_complexes(text):
+    assert_readers_agree("complex", text)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated(CODE_TEXT, CODE_TOKENS))
+def test_mutated_codes(text):
+    assert_readers_agree("code", text)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated(MATRIX_TEXT, CODE_TOKENS))
+def test_mutated_matrices(text):
+    assert_readers_agree("matrix", text)
+
+
+# whitespace that str.split and str.strip skip, and the line breaks of
+# str.splitlines
+SPACES = st.text(st.sampled_from(" \t\x1f\xa0\u3000"), min_size=1, max_size=3)
+BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1e", "\x85", "\u2028"])
+
+
+@st.composite
+def loosened(draw, text):
+    """The text with runs of whitespace for its single spaces, whitespace
+    around its lines, blank lines between them and any line breaks.  Where
+    a format reads its lines exactly (the first line of a complex, the
+    section words of a code), the readers must still agree."""
+    out = []
+    for line in text.splitlines():
+        if draw(st.booleans()):
+            line = line.replace(" ", draw(SPACES))
+        if draw(st.integers(0, 4)) == 0:
+            line = draw(SPACES) + line + draw(SPACES)
+        if draw(st.integers(0, 6)) == 0:
+            out.append(draw(SPACES) if draw(st.booleans()) else "")
+        out.append(line)
+    return "".join(line + draw(BREAKS) for line in out)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.data())
+def test_loosened_texts(data):
+    kind, base = data.draw(st.sampled_from(
+        [("complex", BASE), ("code", CODE_TEXT), ("matrix", MATRIX_TEXT)]))
+    assert_readers_agree(kind, data.draw(loosened(base)))
+
+
+INTEGERS = st.sampled_from(["+5", "-0", "007", "-", "+", "- 1", "9223372036854775807",
+                            "9223372036854775808", "-9223372036854775809", "1e3", "0x1"])
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated(BASE, INTEGERS))
+def test_complexes_with_odd_integers(text):
+    """Signs, leading zeros, lone signs and values past int64: the messages
+    may differ where a line has two faults, the outcome may not."""
+    assert_readers_agree("complex", text, messages=False)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated(CODE_TEXT, INTEGERS))
+def test_codes_with_odd_integers(text):
+    assert_readers_agree("code", text, messages=False)
+
+
+# -- the benchmark's files ----------------------------------------------------
+
+
+def _benchmark_texts(holes) -> dict[str, str]:
+    cx = fractal_complex(FractalSpec(3, 3, 1, 2, holes=holes), "code")
+    code = css_from_complex(cx, 1)
+    return {"complex": cx.to_text(), "code": code_to_text(code), "matrix": matrix_to_text(code.hz)}
+
+
+@pytest.fixture(scope="module", params=["fixed", "seeded-7"])
+def level2_texts(request):
+    if request.param == "fixed":
+        return _benchmark_texts("m")
+    # the benchmark's seeded layout: 14 of the 26 level-2 holes are e-holes
+    e_holes = set(random.Random(7).sample(range(1, 27), 14))
+    return _benchmark_texts({hid: "e" if hid in e_holes else "m" for hid in range(27)})
+
+
+@pytest.mark.parametrize("kind", READERS)
+def test_level2_benchmark_files(level2_texts, kind):
+    text = level2_texts[kind]
+    assert_readers_agree(kind, text)
+    new, _, _ = READERS[kind]
+    writer = {"complex": CellComplex.to_text, "code": code_to_text, "matrix": matrix_to_text}
+    assert writer[kind](new(text)) == text
+
+
+# -- the intended differences and the parser the readers rely on ---------------
+
+
+def test_intended_differences():
+    """Only the new code reader reads the qubit index; only int() reads
+    underscores between digits; only the new complex reader checks the
+    dimension against the file's length."""
+    lines = CODE_TEXT.splitlines(keepends=True)
+    at = lines.index("qubitmap\n") + 1
+    lines[at], lines[at + 1] = lines[at + 1], lines[at]
+    swapped = "".join(lines)
+    text_oracles.code_from_text(swapped)
+    with pytest.raises(ValueError, match="expected 'q 0 -> cell <c>', got 'q 1 -> cell"):
+        code_from_text(swapped)
+    underscored = BASE.replace("cell 0 0 oE2 1 1 0 0 :", "cell 0 0 oE2 0_1 1 0 0 :", 1)
+    assert underscored != BASE
+    assert _complex_fields(text_oracles.complex_from_text(underscored)) == _complex_fields(
+        CellComplex.from_text(BASE))
+    with pytest.raises(ValueError, match="'0_1' is not an integer in ASCII digits"):
+        CellComplex.from_text(underscored)
+    huge = BASE.replace("dim 2 ", f"dim {2**63 - 1} ", 1)
+    with pytest.raises(ValueError, match="truncated"):
+        CellComplex.from_text(huge)
+
+
+@pytest.mark.parametrize("token", ["x", "1.5", "1e3", "0x10", "1_0", "--1", "1-2", "\u0663"])
+def test_fromstring_rejects_a_non_integer_token(token):
+    """The readers parse integer tokens with np.fromstring, which must
+    raise on any token that is not a base-10 integer (a lone sign it reads
+    as 0 is screened before the call)."""
+    with pytest.raises(ValueError):
+        np.fromstring(f"1 {token} 2", dtype=np.int64, sep=" ")
