@@ -60,15 +60,31 @@ def int64s(tokens: list[str]) -> np.ndarray:
         values = np.fromstring(text, dtype=np.int64, sep=" ")
     except ValueError:
         for tok in tokens:
-            if not _PLAIN_INT.fullmatch(tok):
-                int(tok)  # int's own ValueError, where int rejects the token
-                raise ValueError(f"{tok!r} is not an integer in ASCII digits") from None
+            _require_plain(tok)
         raise
     # np.fromstring saturates a value outside int64 at the nearer limit
     for j in np.flatnonzero((values == _INT64.max) | (values == _INT64.min)).tolist():
         if int(tokens[j]) != int(values[j]):
             raise OverflowError(f"{tokens[j]} is outside int64")
     return values
+
+
+def int64(token: str) -> int:
+    """One token by the rule of `int64s`; a value outside int64 raises
+    ValueError here."""
+    _require_plain(token)
+    value = int(token)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ValueError(f"{token} is outside int64")
+    return value
+
+
+def _require_plain(tok: str) -> None:
+    """Raise ValueError unless `tok` is ASCII digits after an optional sign:
+    int's own ValueError where int rejects the token."""
+    if not _PLAIN_INT.fullmatch(tok):
+        int(tok)
+        raise ValueError(f"{tok!r} is not an integer in ASCII digits") from None
 
 
 def nth_tokens(toks: np.ndarray, first: np.ndarray, j: int) -> np.ndarray:

@@ -15,6 +15,7 @@ import math
 import sys
 import time
 
+from ._text import int64
 from .code import code_from_text, code_params, code_to_text, css_from_complex
 from .complexes import (
     CellComplex,
@@ -72,7 +73,7 @@ def _holes_arg(value: str):
                     continue
                 if toks[0] != "hole" or len(toks) != 3 or toks[2] not in ("e", "m"):
                     raise ValidationError(f"bad mixed-assignment line: {line!r}")
-                hole = int(toks[1])
+                hole = int64(toks[1])
                 if hole < 0 or hole in mapping:
                     raise ValidationError(f"negative or repeated hole id: {line!r}")
                 mapping[hole] = toks[2]

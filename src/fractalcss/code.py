@@ -38,7 +38,7 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import CellComplex, Faces, label_is_e, label_is_m
-from ._text import first_false, int64s, line_tokens, nth_tokens, with_newlines
+from ._text import first_false, int64, int64s, line_tokens, nth_tokens, with_newlines
 from .gf2 import (
     _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _rows_from_text, _kernel_rows, _reduce, _rref_inplace,
     in_rowspace, matrix_to_text,
@@ -398,7 +398,7 @@ def code_from_text(text: str) -> CssCode:
     toks = head[2].split()
     if len(toks) != 4 or toks[0] != "nqubits" or toks[2] != "i":
         raise ValueError("csscode v1 line 2 must read 'nqubits <n> i <i>'")
-    n, i = int(toks[1]), int(toks[3])
+    n, i = int64(toks[1]), int64(toks[3])
     at_hx, at_hz, at_map = (_line_at(text, word) for word in ("HX", "HZ", "qubitmap"))
     hx = _rows_from_text(text[at_hx + len("HX\n") : at_hz])
     hz = _rows_from_text(text[at_hz + len("HZ\n") : at_map])

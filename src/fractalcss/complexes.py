@@ -75,7 +75,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import first_false, int64s, line_tokens, nth_tokens
+from ._text import first_false, int64, int64s, line_tokens, nth_tokens
 from .gf2 import Gf2Matrix
 
 Box = tuple[tuple[int, int], ...]
@@ -458,7 +458,7 @@ class CellComplex:
             raise ValueError("not a cellcomplex v1 file")
         try:
             head = lines[1].split()
-            dim = int(head[1])
+            dim = int64(head[1])
             background = head[3]
             if dim >= len(lines):  # fewer lines than its dim + 1 grade lines
                 raise IndexError(f"dimension {dim}")
@@ -467,7 +467,7 @@ class CellComplex:
             if lines[pos].startswith("meta "):
                 toks = lines[pos].split()
                 style = toks[2]
-                periods = tuple(None if t == "-" else int(t) for t in toks[4 : 4 + dim])
+                periods = tuple(None if t == "-" else int64(t) for t in toks[4 : 4 + dim])
                 hole_tok = toks[5 + dim]
                 if hole_tok != "-":
                     for part in hole_tok.split(";"):
@@ -475,16 +475,16 @@ class CellComplex:
                         pairs = [t.split(":") for t in fields[3:]]
                         if len(pairs) != dim or any(len(p) != 2 for p in pairs):
                             raise ValueError(f"hole {part!r} needs {dim} lo:hi pairs")
-                        hid, kind, level = int(fields[0]), fields[1], int(fields[2])
-                        box = tuple((int(lo), int(hi)) for lo, hi in pairs)
+                        hid, kind, level = int64(fields[0]), fields[1], int64(fields[2])
+                        box = tuple((int64(lo), int64(hi)) for lo, hi in pairs)
                         holes.append(Hole(hid, box, kind, level))
                 pos += 1
             counts = []
             for k in range(dim + 1):
                 toks = lines[pos].split()
-                if toks[:3] != ["grade", str(k), "count"] or int(toks[3]) < 0:
+                if toks[:3] != ["grade", str(k), "count"] or int64(toks[3]) < 0:
                     raise ValueError(f"expected 'grade {k} count <n>', got {lines[pos]!r}")
-                counts.append(int(toks[3]))
+                counts.append(int64(toks[3]))
                 pos += 1
             # label -> code, in order of first use
             code = collections.defaultdict(lambda: len(code), {BULK: 0})
@@ -712,16 +712,6 @@ class _MidpointGrid:
         return self.order[_ranges(first, np.searchsorted(self.keys, keys, "right"))]
 
 
-def _close_down(cx: CellComplex, cells: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """`cells` (indices into all grades, grade k from start[k]) with all
-    their faces, faces of faces, and so on."""
-    per_grade = [cells[(cells >= start[k]) & (cells < start[k + 1])] - start[k]
-                 for k in range(cx.dim + 1)]
-    for k in range(cx.dim, 0, -1):
-        per_grade[k - 1] = np.union1d(per_grade[k - 1], cx.faces[k].take(per_grade[k]))
-    return np.concatenate([ix + start[k] for k, ix in enumerate(per_grade)])
-
-
 def punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
     """Apply a batch of holes to a complex, per the style conventions.
 
@@ -747,15 +737,18 @@ def punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
             # measured-out region: closed star of the hole box
             doomed[near[_hits(mh, -wh, hole.box, cx.periods)]] = True
         elif cx.style == "code" and hole.kind == "e":
-            # rough hole: mark the interior and its faces as an e-patch; the
-            # code module deletes the patch, leaving dangling edges
-            inside = near[_hits(mh, np.maximum(wh, 1), hole.box, cx.periods)]
-            tag[_close_down(cx, inside, start)] = j
+            # rough hole: tag the interior, whose faces join its e-patch
+            # below; the code module deletes the patch, leaving dangling edges
+            tag[near[_hits(mh, np.maximum(wh, 1), hole.box, cx.periods)]] = j
         else:
             doomed[near[_hits(mh, np.maximum(wh, 1), hole.box, cx.periods)]] = True
             i = near[_hits(mh, wh, hole.box, cx.periods)]
             tag[i[~doomed[i] & bulk[i]]] = j
     del m, w, grid  # free the midpoint index before the restricted copy is built
+    if cx.style == "code":  # e-patches close down: a face takes its cofaces' last e-hole
+        for k in range(cx.dim, 0, -1):
+            f = cx.faces[k]
+            np.maximum.at(tag, start[k - 1] + f.idx, tag[start[k] + f.owners()])
     tagged = np.flatnonzero(tag >= 0)
     grade = np.searchsorted(start, tagged, "right") - 1
     relabel = {

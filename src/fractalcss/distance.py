@@ -208,7 +208,7 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
     best: tuple[int, list[int]] | None = None
 
     if len(g.terminal_labels) >= 2:
-        for t in range(len(g.terminal_labels)):
+        for t in range(len(g.terminal_labels) - 1):  # the last has no later terminal
             dist, via = g.bfs(g.n_bulk + t)
             for t2 in range(t + 1, len(g.terminal_labels)):
                 node = g.n_bulk + t2

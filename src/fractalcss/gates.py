@@ -408,7 +408,6 @@ class PhasePolyOperator:
     x_support: frozenset[Coord]
     linear_z: frozenset[Coord] = frozenset()
     quadratic_cz: frozenset[frozenset[Coord]] = frozenset()
-    sign: int = 1
     cz_identity: bool | None = None  # set when the stack's logicals are known
 
     def diagonal_conjugated_by_x(self, x_support: frozenset[Coord]):
@@ -447,17 +446,13 @@ def conjugate_by_ccz(
     others = tuple(t for t in range(3) if t != copy)
     if s.is_z_type():
         sites = align.sites_of(copy, s.z_support)
-        return PhasePolyOperator(
-            frozenset(), frozenset((t, copy) for t in sites), frozenset(), 1
-        )
+        return PhasePolyOperator(frozenset(), frozenset((t, copy) for t in sites))
     sites = align.sites_of(copy, s.x_support)
     quad = frozenset(
         frozenset(((t, others[0]), (t, others[1]))) for t in sites
     )
     flag = _cz_part_is_identity(sites, others, align)
-    return PhasePolyOperator(
-        frozenset((t, copy) for t in sites), frozenset(), quad, 1, flag
-    )
+    return PhasePolyOperator(frozenset((t, copy) for t in sites), frozenset(), quad, flag)
 
 
 def _cz_part_is_identity(

@@ -26,7 +26,7 @@ import re
 
 import numpy as np
 
-from ._text import first_false, with_newlines
+from ._text import first_false, int64, with_newlines
 
 _WORD = 64
 # Whole-array steps that could grow with rows x columns work on chunks of
@@ -434,10 +434,12 @@ def _rows_from_text(text: str) -> np.ndarray:
     head = _MATRIX_HEAD.match(text)
     if head[1].strip() != "gf2matrix v1":
         raise ValueError("not a gf2matrix v1 file")
-    shape = head[2].split()
-    if len(shape) != 2 or not all(t.isdigit() for t in shape):
-        raise ValueError("gf2matrix v1 line 2 must read '<rows> <cols>'")
-    rows, cols = map(int, shape)
+    try:
+        rows, cols = map(int64, head[2].split())
+        if rows < 0 or cols < 0:
+            raise ValueError
+    except ValueError:
+        raise ValueError("gf2matrix v1 line 2 must read '<rows> <cols>'") from None
     body = text[head.end() :]
     b = _chars(body)
     if not (cols and _is_rows(b, rows, cols)):

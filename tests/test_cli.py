@@ -1,5 +1,7 @@
 """CLI surface: subcommands, file formats, exit codes, determinism."""
 
+import re
+
 import pytest
 
 from fractalcss.cli import hausdorff_exponent, main
@@ -173,6 +175,7 @@ def test_gate_check_unknown_hole_exit2(capsys, tmp_path):
     ("hole 0 e\nhole 30 m\n", 0),  # an id past the last hole is allowed
     ("hole -1 e\n", 2),
     ("hole 0 e\nhole 0 m\n", 2),
+    ("hole 1_0 e\n", 2),  # the integer rule of the text formats
 ])
 def test_mixed_holes_file(capsys, tmp_path, lines, rc):
     path = tmp_path / "holes.txt"
@@ -180,7 +183,8 @@ def test_mixed_holes_file(capsys, tmp_path, lines, rc):
     got, _, err = run(["gen", "--dim", "2", "--level", "1", "--style", "code",
                        "--holes", f"mixed:{path}"], capsys)
     assert got == rc
-    assert ("negative or repeated" in err) == (rc == 2)
+    message = "not an integer in ASCII digits" if "_" in lines else "negative or repeated"
+    assert (message in err) == (rc == 2)
 
 
 def test_gate_check_s_colorcode(capsys):
@@ -263,6 +267,10 @@ def test_malformed_files_exit2(capsys, tmp_path):
         "grade-order": _replace_line(cx_text, "grade 1", "grade 2 count 0"),
         "cell-order": _replace_line(cx_text, "cell 0 1 ", "cell 0 7 bulk 0 0 0 0 :"),
         "short-cell": _replace_line(cx_text, "cell 0 1 ", "cell 0 1"),
+        # header integers follow the cell lines' rule: ASCII digits after an optional sign
+        "dim-underscore": cx_text.replace("dim 2 ", "dim 0_2 ", 1),
+        "count-underscore": re.sub(r"grade 1 count (\d+)", r"grade 1 count 0_\1", cx_text),
+        "hole-underscore": cx_text.replace(" holes 0,", " holes 0_0,", 1),
     }
     for name, text in bad_complexes.items():
         path = tmp_path / f"{name}.cx"
@@ -285,6 +293,7 @@ def test_malformed_files_exit2(capsys, tmp_path):
         "noncommuting": _with_odd_z_check(code_text),
         "qubit-order": _swap_lines(code_text, "q 2 -> ", "q 3 -> "),
         "qubit-index": _replace_line(code_text, "q 0 -> ", "q 999 -> cell 0"),
+        "head-underscore": _replace_line(code_text, "nqubits", f"nqubits 0_{n} i 0_1"),
     }
     for name, text in bad_codes.items():
         path = tmp_path / f"{name}.code"

@@ -2,8 +2,11 @@
 
 from collections import Counter
 
+import numpy as np
+import pytest
 
-from fractalcss.code import code_params, css_from_complex, logical_basis
+import colorcode_oracles
+from fractalcss.code import code_params, code_to_text, css_from_complex, logical_basis
 from fractalcss.colorcode import (
     build_color_code_2d,
     check_transversal_s_colorcode,
@@ -77,3 +80,28 @@ def test_logical_mapping_contains_dual_logical():
     assert xs[0].x_support.dot(xs[1].x_support) == 1
     assert xs[0].x_support.weight() % 2 == 0
     assert xs[1].x_support.weight() % 2 == 0
+
+
+@pytest.mark.parametrize("L", range(1, 7))
+def test_arrays_match_the_dict_construction(L):
+    """The array construction against the per-vertex dict one it replaced:
+    the same code text, edges, colours, bipartition, face lists, shrunk
+    lattices and S reports, for the given bipartition and for broken ones
+    (one flipped vertex, and a random one, which breaks more faces than a
+    report lists)."""
+    old, new = colorcode_oracles.build_color_code_2d(L), build_color_code_2d(L)
+    assert code_to_text(new.code) == code_to_text(old.code)
+    assert new.edges.tolist() == [list(e) for e in old.edges]
+    assert new.face_colors.tolist() == old.face_colors
+    assert new.bipartition.tolist() == old.bipartition
+    assert [f.tolist() for f in new.faces] == [sorted(f) for f in old.faces]
+    assert new.n_qubits == old.n_qubits
+    for got, want in zip(shrunk_lattices(new), colorcode_oracles.shrunk_lattices(old)):
+        assert got.to_text() == want.to_text()
+    one = list(old.bipartition)
+    one[L] ^= 1
+    noise = np.random.default_rng(L).integers(0, 2, old.n_qubits).tolist()
+    for part in (None, one, noise):
+        got = check_transversal_s_colorcode(new, part).to_text()
+        assert got == colorcode_oracles.check_transversal_s_colorcode(old, part).to_text()
+        assert ("FAIL" in got) == (part is not None)

@@ -167,10 +167,10 @@ def test_phase_poly_anticommuting_example():
     # X x CZ against a bare Z on an overlapping site must not commute
     from fractalcss.gates import PhasePolyOperator
 
-    o1 = PhasePolyOperator(frozenset({(0, 0)}), frozenset(), frozenset(), 1)
-    o2 = PhasePolyOperator(frozenset(), frozenset({(0, 0)}), frozenset(), 1)
+    o1 = PhasePolyOperator(frozenset({(0, 0)}), frozenset(), frozenset())
+    o2 = PhasePolyOperator(frozenset(), frozenset({(0, 0)}), frozenset())
     assert not phase_polys_commute(o1, o2)
-    o3 = PhasePolyOperator(frozenset(), frozenset({(1, 0)}), frozenset(), 1)
+    o3 = PhasePolyOperator(frozenset(), frozenset({(1, 0)}), frozenset())
     assert phase_polys_commute(o1, o3)
 
 

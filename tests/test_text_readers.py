@@ -10,14 +10,16 @@ the fuzz tests' mutated corpora of all three formats, the same texts with
 their whitespace and line breaks loosened, and the benchmark's FC(3,1)
 level-2 files (m-holes, and the seeded e/m layout 7).
 
-Three intended differences, each an input the old readers accepted or
-crashed on: `code_from_text` rejects a qubitmap line ``q <j> -> cell <c>``
-whose j is not the line's position, which the old reader never read, and
-a cell c outside int64; every reader rejects an integer token that `int`
-reads but that is not ASCII digits after an optional sign (``1_0``, other
-scripts' digits); and `CellComplex.from_text` rejects a dimension that
-needs more grade lines than the file has, where the old reader ran out of
-memory on one near 2**63.
+Four intended differences, the first three on inputs the old readers
+accepted or crashed on: `code_from_text` rejects a qubitmap line
+``q <j> -> cell <c>`` whose j is not the line's position, which the old
+reader never read; every reader rejects an integer token, in a header as
+in a cell or qubitmap line, that `int` reads but that is not ASCII digits
+after an optional sign (``1_0``, other scripts' digits) or that lies
+outside int64; and `CellComplex.from_text` rejects a dimension that needs
+more grade lines than the file has, where the old reader ran out of memory
+on one near 2**63.  By the same integer rule `matrix_from_text` reads a
+sign in its shape line (``+2``), which the old reader refused.
 """
 
 import random
@@ -80,9 +82,9 @@ def _misnumbered_qubitmap(text: str) -> bool:
 def assert_readers_agree(kind: str, text: str, messages: bool = True) -> None:
     new, old, fields = READERS[kind]
     got, want = _outcome(new, fields, text), _outcome(old, fields, text)
-    if kind == "code" and got[0] is ValueError and want[0] is not ValueError:
-        assert (got[1].startswith("expected 'q ") and _misnumbered_qubitmap(text)
-                or got[1].startswith("qubitmap cell ") and "outside int64" in got[1]), got
+    if got[0] is ValueError and want[0] is not ValueError:
+        assert ("outside int64" in got[1] or kind == "code"
+                and got[1].startswith("expected 'q ") and _misnumbered_qubitmap(text)), got
         return
     if messages or got[0] is not ValueError:
         assert got == want
@@ -220,6 +222,39 @@ def test_intended_differences():
     huge = BASE.replace("dim 2 ", f"dim {2**63 - 1} ", 1)
     with pytest.raises(ValueError, match="truncated"):
         CellComplex.from_text(huge)
+
+
+@pytest.mark.parametrize("kind, old, new", [
+    ("complex", "dim 2 ", "dim 0_2 "),
+    ("complex", "periods - -", "periods - 0_4"),
+    ("complex", "holes 0,e,0,2:4,2:4", "holes 0,e,0_0,2:4,2:0_4"),
+    ("complex", "grade 1 count 17", "grade 1 count 0_17"),
+    ("code", "nqubits 12 i 1", "nqubits 0_12 i 0_1"),
+    ("matrix", "\n6 12\n", "\n\uff16 \uff11\uff12\n"),  # full-width digits
+    ("complex", "periods - -", f"periods - {2**63}"),
+    ("code", "nqubits 12 i 1", f"nqubits 12 i {2**63}"),
+])
+def test_header_integers_follow_the_cell_rule(kind, old, new):
+    """A header integer that `int` reads but that is not ASCII digits after
+    an optional sign, or that lies outside int64, is refused, as it is in a
+    cell line; the old readers read it."""
+    base = {"complex": BASE, "code": CODE_TEXT, "matrix": MATRIX_TEXT}[kind]
+    text = base.replace(old, new, 1)
+    assert text != base
+    read, oracle, _ = READERS[kind]
+    oracle(text)
+    with pytest.raises(ValueError, match="not an integer in ASCII digits|outside int64|line 2 must read"):
+        read(text)
+
+
+def test_matrix_shape_reads_a_sign():
+    text = MATRIX_TEXT.replace("\n6 12\n", "\n+6 12\n", 1)
+    with pytest.raises(ValueError, match="line 2 must read"):
+        text_oracles.matrix_from_text(text)
+    assert _matrix_fields(matrix_from_text(text)) == _matrix_fields(matrix_from_text(MATRIX_TEXT))
+    for shape in ("-6 12", "6 -0_1", "6", "6 12 1", "6 99999999999999999999"):
+        with pytest.raises(ValueError, match="line 2 must read"):
+            matrix_from_text(MATRIX_TEXT.replace("\n6 12\n", f"\n{shape}\n", 1))
 
 
 @pytest.mark.parametrize("token", ["x", "1.5", "1e3", "0x10", "1_0", "--1", "1-2", "\u0663"])
