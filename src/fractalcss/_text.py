@@ -51,8 +51,8 @@ def line_tokens(text: str) -> tuple[list[str], np.ndarray, np.ndarray]:
 def int64s(tokens: list[str]) -> np.ndarray:
     """The tokens as int64.  A token that `int` rejects raises its
     ValueError; one it reads but that is not ASCII digits after an optional
-    sign (``1_0``, other scripts' digits) raises ValueError as well, and a
-    value outside int64 raises OverflowError."""
+    sign (``1_0``, other scripts' digits), or whose value lies outside
+    int64, raises ValueError as well."""
     text = " ".join(tokens)
     try:
         if ("-" in text or "+" in text) and _LONE_SIGN.search(text):
@@ -65,13 +65,12 @@ def int64s(tokens: list[str]) -> np.ndarray:
     # np.fromstring saturates a value outside int64 at the nearer limit
     for j in np.flatnonzero((values == _INT64.max) | (values == _INT64.min)).tolist():
         if int(tokens[j]) != int(values[j]):
-            raise OverflowError(f"{tokens[j]} is outside int64")
+            raise ValueError(f"{tokens[j]} is outside int64")
     return values
 
 
 def int64(token: str) -> int:
-    """One token by the rule of `int64s`; a value outside int64 raises
-    ValueError here."""
+    """One token by the rule of `int64s`."""
     _require_plain(token)
     value = int(token)
     if not _INT64.min <= value <= _INT64.max:

@@ -280,38 +280,27 @@ def logical_basis(code: CssCode) -> tuple[list[PauliOperator], list[PauliOperato
     if k == 0:
         return [], []
 
-    pair = [[z.dot(x) for x in x_reps] for z in z_reps]
+    # the reps' packed rows and their pairing parities z_a . x_b
+    z, x = np.array([v.data for v in z_reps]), np.array([v.data for v in x_reps])
+    pair = np.array([np.bitwise_count(x & row).sum(axis=1) & 1 for row in z], dtype=np.uint8)
     for t in range(k):
-        found = None
-        for r in range(t, k):
-            for c in range(t, k):
-                if pair[r][c]:
-                    found = (r, c)
-                    break
-            if found:
-                break
-        if found is None:
+        odd = np.argwhere(pair[t:, t:])  # in row-major order
+        if not len(odd):
             raise AssertionError("symplectic pairing is singular")
-        r, c = found
-        z_reps[t], z_reps[r] = z_reps[r], z_reps[t]
-        pair[t], pair[r] = pair[r], pair[t]
-        x_reps[t], x_reps[c] = x_reps[c], x_reps[t]
-        for row in pair:
-            row[t], row[c] = row[c], row[t]
-        for r2 in range(k):
-            if r2 != t and pair[r2][t]:
-                z_reps[r2] = z_reps[r2] ^ z_reps[t]
-                pair[r2] = [a ^ b for a, b in zip(pair[r2], pair[t])]
-        for c2 in range(k):
-            if c2 != t and pair[t][c2]:
-                x_reps[c2] = x_reps[c2] ^ x_reps[t]
-                for row in pair:
-                    row[c2] ^= row[t]
-    if any(pair[a][b] != (a == b) for a in range(k) for b in range(k)):
+        r, c = odd[0] + t
+        z[[t, r]], pair[[t, r]] = z[[r, t]], pair[[r, t]]
+        x[[t, c]], pair[:, [t, c]] = x[[c, t]], pair[:, [c, t]]
+        rows, cols = pair[:, t] == 1, pair[t] == 1
+        rows[t] = cols[t] = False
+        z[rows] ^= z[t]
+        pair[rows] ^= pair[t]
+        x[cols] ^= x[t]
+        pair[:, cols] ^= pair[:, [t]]
+    if (pair != np.eye(k, dtype=np.uint8)).any():
         raise AssertionError("symplectic pairing did not reduce to the identity")
     return (
-        [PauliOperator.z_type(z) for z in z_reps],
-        [PauliOperator.x_type(x) for x in x_reps],
+        [PauliOperator.z_type(Gf2Vector(code.n_qubits, row)) for row in z],
+        [PauliOperator.x_type(Gf2Vector(code.n_qubits, row)) for row in x],
     )
 
 
@@ -448,10 +437,7 @@ def _read_qubitmap(text: str, n: int) -> list[int]:
     ok = ((counts == 5) & (nth_tokens(toks, first, 0) == "q")
           & (nth_tokens(toks, first, 2) == "->") & (nth_tokens(toks, first, 3) == "cell"))
     bad = first_false(ok)
-    try:
-        cells = int64s(toks[first[:bad] + 4].tolist())
-    except OverflowError as err:
-        raise ValueError(f"qubitmap cell {err}") from err
+    cells = int64s(toks[first[:bad] + 4].tolist())
     if bad < lines:
         raise ValueError(f"bad qubitmap line {_nonblank(text, bad)!r}")
     if lines != n:

@@ -60,10 +60,13 @@ strictly inside when ``2a < m < 2b``; it touches the closed box when
 ``2a - 2 <= m <= 2b + 2`` on extended axes and ``2a <= m <= 2b`` on
 degenerate ones; it lies within the closed box when ``2a + 2 <= m <=
 2b - 2`` on extended axes and ``2a <= m <= 2b`` on degenerate ones.  On a
-periodic axis ``m +- 2 * period`` is tried as well.  :func:`punch_holes`
-sorts the cells once by their halved midpoints and runs these tests, one
-hole at a time, only on the cells whose midpoints lie in the hole's slab
-of that grid.
+periodic axis ``m +- 2 * period`` is tried as well.  Every cell of a
+lattice has its own midpoint, so :func:`punch_holes` places each cell's
+row in a dense grid over the halved midpoints ``m >> 1`` (modulo the
+period on a periodic axis) and runs these tests, one hole at a time, only
+on the cells of the grid block around the hole.  It marks the deleted
+cells and the new label codes in one array each and hands them to
+:meth:`CellComplex.delete` as masks.
 """
 
 from __future__ import annotations
@@ -341,34 +344,30 @@ class CellComplex:
 
     # -- derived complexes ------------------------------------------------
 
-    def delete(self, doomed, holes_add: list[Hole] | None = None,
-               relabel: dict[tuple[int, int], str] | None = None) -> "CellComplex":
-        """Restrict to the complement of `doomed` (per grade, an iterable of
-        cell indices), after giving the cells in `relabel` their new labels.
+    def delete(self, gone: list[np.ndarray], labels: list[np.ndarray] | None = None,
+               label_names=None, holes_add: list[Hole] | None = None) -> "CellComplex":
+        """Restrict to the cells outside `gone` (a mask per grade), which
+        take the codes `labels` (per grade, one per cell before the
+        deletion) into `label_names` when given.
 
-        The doomed set must be closed upward or downward so the restricted
-        boundary maps still square to zero (checked).
+        The deleted cells must be closed upward or downward so the
+        restricted boundary maps still square to zero (checked).
         """
-        keep = [np.ones(self.n_cells(k), dtype=bool) for k in range(self.dim + 1)]
-        for k, d in enumerate(doomed):
-            keep[k][np.fromiter(d, np.int64)] = False
-        names, labels = list(self.label_names), self.labels
-        if relabel:
-            labels = [lab.copy() for lab in labels]
-            code = {name: c for c, name in enumerate(names)}
-            for (k, i), name in relabel.items():
-                if name not in code:
-                    code[name] = len(names)
-                    names.append(name)
-                labels[k][i] = code[name]
-        faces = [Faces.empty(int(keep[0].sum()))] + [
-            self.faces[k].restrict(keep[k], keep[k - 1]) for k in range(1, self.dim + 1)
-        ]
+        keep = [~g for g in gone]
+        faces = self._restrict_faces(keep)
         return CellComplex(
             self.dim, [c[kp] for c, kp in zip(self.cells, keep)],
-            [lab[kp] for lab, kp in zip(labels, keep)], names, faces,
+            [lab[kp] for lab, kp in zip(labels or self.labels, keep)],
+            label_names or self.label_names, faces,
             self.background, self.style, self.periods, self.holes + (holes_add or []),
         )
+
+    def _restrict_faces(self, keep: list[np.ndarray]) -> list[Faces]:
+        """The face arrays of the kept cells (a mask per grade) among the
+        kept cells, each grade renumbered in its original order."""
+        return [Faces.empty(int(keep[0].sum()))] + [
+            self.faces[k].restrict(keep[k], keep[k - 1]) for k in range(1, self.dim + 1)
+        ]
 
     def transpose_dual(self) -> "CellComplex":
         """The plain dual: k-cells become (n-k)-cells, cofaces become faces.
@@ -395,9 +394,7 @@ class CellComplex:
         if open_face := _first_open_face(self.faces, [~kp for kp in keep]):
             raise ValueError("selected subcomplex is not closed under the boundary: "
                              "grade-{} cell {} has unselected face {}".format(*open_face))
-        return [Faces.empty(int(keep[0].sum()))] + [
-            self.faces[k].restrict(keep[k], keep[k - 1]) for k in range(1, self.dim + 1)
-        ]
+        return self._restrict_faces(keep)
 
     def quotient_to_point(self, labels: set[str]) -> "CellComplex":
         """Collapse the labeled boundary subcomplex to a single point.
@@ -500,7 +497,7 @@ class CellComplex:
                 faces.append(grade_faces)
             if pos != len(lines):
                 raise ValueError(f"{len(lines) - pos} lines after the last cell")
-        except (IndexError, OverflowError) as err:
+        except IndexError as err:
             raise ValueError("cellcomplex v1 file is truncated or has a short line") from err
         return cls(dim, cells, labels, list(code), faces, background, style, periods, holes)
 
@@ -678,38 +675,43 @@ def _hits(m: np.ndarray, margin: np.ndarray, box: Box, periods) -> np.ndarray:
 
 
 class _MidpointGrid:
-    """Cells sorted by their halved midpoints ``(m - min) // 2``, so the
-    cells near a hole come from one searchsorted over the hole's slab."""
+    """The row of each cell at its halved midpoint ``m >> 1`` in a dense
+    int32 array, -1 where no cell lies; on a periodic axis the index is
+    taken modulo the period, on the others it counts from the lowest
+    midpoint.  Cells that share a midpoint raise ValueError."""
 
     def __init__(self, m: np.ndarray, w: np.ndarray, periods):
         self.periods = periods
         self.reach = int(w.max()) if w.size else 0
-        self.low = m.min(axis=0).tolist() if len(m) else [0] * m.shape[1]
-        self.high = m.max(axis=0).tolist() if len(m) else [-1] * m.shape[1]
-        shape = [(h - lo) // 2 + 1 for lo, h in zip(self.low, self.high)]
-        self.stride = [int(np.prod(shape[d + 1 :])) for d in range(len(shape))]
-        key = ((m - np.array(self.low, dtype=np.int64)) >> 1) @ np.array(self.stride)
-        self.order = np.argsort(key, kind="stable")
-        self.keys = key[self.order]
+        lo, hi = (m.min(axis=0) >> 1, m.max(axis=0) >> 1) if len(m) else ([0] * len(periods),) * 2
+        self.low = [0 if p else int(a) for p, a in zip(periods, lo)]
+        shape = [p or int(b) - a + 1 for p, a, b in zip(periods, self.low, hi)]
+        flat = np.zeros(len(m), dtype=np.int64)  # the cells' grid positions, axis by axis
+        for d, period in enumerate(periods):
+            h = m[:, d] >> 1
+            h -= self.low[d]
+            if period:
+                h %= period
+            flat *= shape[d]
+            flat += h
+        self.rows = np.full(shape, -1, dtype=np.int32)
+        self.rows.flat[flat] = np.arange(len(m), dtype=np.int32)
+        if np.count_nonzero(self.rows >= 0) < len(m):
+            raise ValueError("cells share a midpoint; holes need one cell per midpoint")
 
     def near(self, box: Box) -> np.ndarray:
         """The cells whose midpoints could meet the box under any of the
-        three relations, in key order."""
+        three relations."""
         axes = []
         for d, (a, b) in enumerate(box):
-            period = self.periods[d]
-            buckets: set[int] = set()
-            for shift in (0, -2 * period, 2 * period) if period else (0,):
-                lo = max(2 * a - self.reach - shift, self.low[d]) - self.low[d]
-                hi = min(2 * b + self.reach - shift, self.high[d]) - self.low[d]
-                if lo <= hi:
-                    buckets.update(range(lo >> 1, (hi >> 1) + 1))
-            if not buckets:
-                return np.zeros(0, dtype=np.int64)
-            axes.append(np.array(sorted(buckets), dtype=np.int64) * self.stride[d])
-        keys = functools.reduce(np.add.outer, axes).ravel()
-        first = np.searchsorted(self.keys, keys, "left")
-        return self.order[_ranges(first, np.searchsorted(self.keys, keys, "right"))]
+            lo, hi = (2 * a - self.reach) >> 1, (2 * b + self.reach) >> 1
+            if period := self.periods[d]:
+                axes.append(np.arange(lo, min(hi, lo + period - 1) + 1) % period)
+            else:
+                size = self.rows.shape[d]
+                axes.append(np.arange(max(lo - self.low[d], 0), min(hi - self.low[d] + 1, size)))
+        rows = self.rows[np.ix_(*axes)].ravel()
+        return rows[rows >= 0]
 
 
 def punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
@@ -720,7 +722,7 @@ def punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
     restricted complex still satisfies dd = 0.  Holes apply in order; a
     cell relabeled by several holes takes the last one's label.  A layout
     that leaves an e-labelled patch not closed under the boundary raises
-    ValueError.
+    ValueError, and so does a complex whose cells share a midpoint.
     """
     # every grade in one array: cell c of grade k is row start[k] + c
     start = np.cumsum([0] + [cx.n_cells(k) for k in range(cx.dim + 1)])
@@ -749,14 +751,21 @@ def punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
         for k in range(cx.dim, 0, -1):
             f = cx.faces[k]
             np.maximum.at(tag, start[k - 1] + f.idx, tag[start[k] + f.owners()])
+    labels = names = None
     tagged = np.flatnonzero(tag >= 0)
-    grade = np.searchsorted(start, tagged, "right") - 1
-    relabel = {
-        (k, i - int(start[k])): holes[t].label
-        for k, i, t in zip(grade.tolist(), tagged.tolist(), tag[tagged].tolist())
-    }
-    gone = [np.flatnonzero(doomed[start[k] : start[k + 1]]) for k in range(cx.dim + 1)]
-    punched = cx.delete(gone, holes_add=holes, relabel=relabel)
+    if tagged.size:
+        # the holes' labels join the table in order of their first tagged cell
+        used, first = np.unique(tag[tagged], return_index=True)
+        code = collections.defaultdict(lambda: len(code),
+                                       {name: c for c, name in enumerate(cx.label_names)})
+        hole_code = np.zeros(len(holes), dtype=np.int64)
+        for j in used[np.argsort(first)].tolist():
+            hole_code[j] = code[holes[j].label]
+        codes = np.concatenate(cx.labels)
+        codes[tagged] = hole_code[tag[tagged]]
+        labels, names = np.split(codes, start[1:-1]), list(code)
+    gone = np.split(doomed, start[1:-1])
+    punched = cx.delete(gone, labels, names, holes_add=holes)
     _check_e_patches(punched)
     return punched
 

@@ -17,7 +17,8 @@ complex.
 
 The remaining helpers have no caller in the package: the dense boundary
 matrix of an array-backed complex, the Euler characteristic, a matrix
-from row vectors and a row weight.
+from row vectors, a row weight, and ``delete_indexed``, which gives the
+array ``delete`` the oracle's arguments (index sets and a relabel dict).
 """
 
 from __future__ import annotations
@@ -95,6 +96,28 @@ def row_weight(m: Gf2Matrix, r: int) -> int:
 def from_arrays(cx: ArrayComplex) -> "CellComplex":
     """The oracle representation of an array-backed complex."""
     return CellComplex.from_text(cx.to_text())
+
+
+def delete_indexed(cx, doomed, holes_add: list[Hole] | None = None,
+                   relabel: dict[tuple[int, int], str] | None = None):
+    """``cx.delete`` with the oracle's arguments: per grade an iterable of
+    doomed cell indices, and the new label of each ``(grade, index)`` in
+    `relabel`, whose new names join the label table in the dict's order."""
+    if not isinstance(cx, ArrayComplex):
+        return cx.delete(doomed, holes_add, relabel)
+    gone = [np.zeros(cx.n_cells(k), dtype=bool) for k in range(cx.dim + 1)]
+    for k, d in enumerate(doomed):
+        gone[k][np.fromiter(d, np.int64)] = True
+    labels = names = None
+    if relabel:
+        labels, names = [lab.copy() for lab in cx.labels], list(cx.label_names)
+        code = {name: c for c, name in enumerate(names)}
+        for (k, i), name in relabel.items():
+            if name not in code:
+                code[name] = len(names)
+                names.append(name)
+            labels[k][i] = code[name]
+    return cx.delete(gone, labels, names, holes_add)
 
 
 # -- oracle: the tuple-and-dict implementation, verbatim ----------------------

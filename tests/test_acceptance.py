@@ -49,6 +49,8 @@ from fractalcss.gates import (
 from fractalcss.gf2 import Gf2Matrix, kernel_basis, rank
 from fractalcss.homology import betti, cobetti, default_label_split, verify_lefschetz
 
+from complex_oracles import delete_indexed
+
 # paper Table-1 rows: (p, q) -> (D_H of the 3D fractal, d_X exponent)
 TABLE1_EXPECTED = {
     (3, 1): (2.965, 1.893),
@@ -332,7 +334,7 @@ def test_criterion_12_structural_suite():
             int(i) for i in rng.choice(n_top, size=int(rng.integers(0, n_top // 2 + 1)),
                                         replace=False)
         )
-        sub = cx.delete(doomed)
+        sub = delete_indexed(cx, doomed)
         sub.assert_dd_zero()
         code = css_from_complex(sub, 1)
         assert code.hx.matmul_t(code.hz).is_zero()

@@ -271,6 +271,7 @@ def test_malformed_files_exit2(capsys, tmp_path):
         "dim-underscore": cx_text.replace("dim 2 ", "dim 0_2 ", 1),
         "count-underscore": re.sub(r"grade 1 count (\d+)", r"grade 1 count 0_\1", cx_text),
         "hole-underscore": cx_text.replace(" holes 0,", " holes 0_0,", 1),
+        "cell-overflow": _replace_line(cx_text, "cell 0 1 ", f"cell 0 1 bulk 1 1 2 {2**63} :"),
     }
     for name, text in bad_complexes.items():
         path = tmp_path / f"{name}.cx"

@@ -25,7 +25,7 @@ from fractalcss.cli import main
 from fractalcss.gf2 import Gf2Matrix, Gf2Vector, kernel_basis
 
 from code_oracles import checks_of
-from complex_oracles import row_weight
+from complex_oracles import delete_indexed, row_weight
 
 
 def test_toric_code_2d():
@@ -202,7 +202,7 @@ def test_sparse_commutation_check_after_one_flip(seed):
         faces = set(rng.choice(cx.n_cells(2), size=6, replace=False).tolist())
         up = cx.cofaces(2)
         cubes = {j for f in faces for j in up[f]}
-        code = css_from_complex(cx.delete([set(), set(), faces, cubes]), 1)
+        code = css_from_complex(delete_indexed(cx, [set(), set(), faces, cubes]), 1)
         hx, hz = code.hx, code.hz
     n = hx.cols
     CssCode(n, checks_of(hx), checks_of(hz), 1, list(range(n)), [], [])

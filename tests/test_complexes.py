@@ -13,7 +13,7 @@ from fractalcss.complexes import (
     punch_fractal,
 )
 
-from complex_oracles import boundary_matrix, cells, euler_characteristic
+from complex_oracles import boundary_matrix, cells, delete_indexed, euler_characteristic
 
 
 def test_open_square_counts():
@@ -108,7 +108,7 @@ def test_quotient_empty_selection_is_error():
 def test_quotient_non_closed_selection_reports_witness():
     cx = build_lattice(2, 2, "torus")
     # hand-label one edge only: an edge without its endpoints is not closed
-    cx = cx.delete([set(), set(), set()], relabel={(1, 0): "oE0"})
+    cx = delete_indexed(cx, [set(), set(), set()], relabel={(1, 0): "oE0"})
     with pytest.raises(ValueError, match="not closed"):
         cx.quotient_to_point({"oE0"})
 

@@ -142,7 +142,7 @@ def _two_columns():
     """The 2D plain L = 3 square with e-columns oE0 (x = 0) and oE1 (x = 6),
     cut down to those two columns: two components."""
     cx = build_lattice(2, 3, "open", e_axes=(0,))
-    return cx.delete([np.flatnonzero((c[:, 0, 0] <= 4) & (c[:, 0, 1] >= 2)) for c in cx.cells])
+    return cx.delete([(c[:, 0, 0] <= 4) & (c[:, 0, 1] >= 2) for c in cx.cells])
 
 
 @pytest.mark.parametrize("build, labels, want", [

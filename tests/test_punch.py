@@ -6,11 +6,14 @@ here verbatim and compared byte for byte (``to_text()``) with the array
 implementation on random hole layouts, overlapping holes, holes on or
 past the outer boundary, and holes that wrap around periodic axes.  A
 layout whose oracle result leaves an e-labelled patch not closed under
-the boundary must raise ValueError instead.
+the boundary must raise ValueError instead, and so must a complex whose
+cells share a midpoint.  The oracle hands its index sets and relabel dict
+to the array ``delete`` through ``complex_oracles.delete_indexed``.
 """
 
 import random
 
+import numpy as np
 import pytest
 
 from fractalcss.code import css_from_complex
@@ -21,12 +24,13 @@ from fractalcss.complexes import (
     Hole,
     build_lattice,
     code_lattice,
+    dual_with_boundary,
     label_is_e,
     punch_box,
     punch_holes,
 )
 
-from complex_oracles import cells, faces
+from complex_oracles import cells, delete_indexed, faces
 
 # -- oracle: the per-cell implementation ------------------------------------
 
@@ -112,7 +116,7 @@ def reference_punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
                         continue
                     if _box_within_closed(c.box, hole.box, cx.periods):
                         relabel[(k, i)] = hole.label
-    return cx.delete(doomed, holes_add=holes, relabel=relabel)
+    return delete_indexed(cx, doomed, holes_add=holes, relabel=relabel)
 
 
 # -- comparison ---------------------------------------------------------------
@@ -230,6 +234,37 @@ def test_punch_box_sequence_matches_oracle():
         hid = max((h.hole_id for h in ref.holes), default=-1) + 1
         ref = reference_punch_holes(ref, [_hole(hid, origin, side, kind)])
     _assert_text_equal(cx.to_text(), ref.to_text())
+
+
+@pytest.mark.parametrize("style", ("plain", "code"))
+@pytest.mark.parametrize("kind", "em")
+def test_punch_box_after_emptied_lowest_plane_matches_oracle(style, kind):
+    """The first hole empties the lowest midpoint planes of the periodic
+    axis 0 (a slab over the whole of the other axes), so the cells left on
+    that axis span less than the period; the punch_box holes after it wrap
+    around axis 0 at its low end, where an index taken modulo that span
+    instead of the period would miss the cells past the wrap."""
+    L = 6
+    # the slab empties the halved midpoints 11, 0, 1, 2 and 3 of axis 0: code
+    # style deletes the closed star of the hole, plain style its interior
+    slab = Hole(0, ((0, 2) if style == "code" else (-2, 4),) + ((-2, 2 * L + 2),) * 2, "m")
+    cx = punch_holes(_base(style, 3, L, "torus"), [slab])
+    ref = reference_punch_holes(_base(style, 3, L, "torus"), [slab])
+    half = np.concatenate([(c[:, 0, 0] + c[:, 0, 1]) >> 1 for c in cx.cells])
+    assert (half.min(), half.max()) == (4, 2 * L - 2)
+    for origin, side, hole_kind in (((-1, 1, 1), 1, kind), ((-1, 3, 0), 2, kind),
+                                    ((L - 1, 2, 4), 1, "m")):
+        cx = punch_box(cx, origin, side, hole_kind)
+        hid = max(h.hole_id for h in ref.holes) + 1
+        ref = reference_punch_holes(ref, [_hole(hid, origin, side, hole_kind)])
+        _assert_text_equal(cx.to_text(), ref.to_text())
+
+
+def test_punch_refuses_cells_that_share_a_midpoint():
+    # D(c) and Db(c) of a labelled cell c reuse the box of c
+    dual = dual_with_boundary(build_lattice(2, 2, "open"))
+    with pytest.raises(ValueError, match="share a midpoint"):
+        punch_holes(dual, [_hole(0, (0, 0), 1, "m")])
 
 
 def test_e_hole_then_adjacent_m_hole_is_rejected():

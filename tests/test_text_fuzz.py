@@ -156,7 +156,10 @@ def _drop_token(text: str, prefix: str, at: int) -> str:
     (BASE.replace("grade 1 count", "grade 1 counts"), "expected 'grade 1 count <n>'"),
     (BASE.replace("grade 2 count 6", "grade 2 count -1"), "expected 'grade 2 count <n>'"),
     (BASE.replace("holes 0,e,0,2:4,2:4", "holes 0,e,0"), "needs 2 lo:hi pairs"),
-], ids=["short-box", "no-colon", "trailing-line", "grade-word", "negative-count", "boxless-hole"])
+    (BASE.replace("cell 0 1 bulk 1 1 2 2 :", f"cell 0 1 bulk 1 1 2 {2**63} :"),
+     f"^{2**63} is outside int64$"),
+], ids=["short-box", "no-colon", "trailing-line", "grade-word", "negative-count", "boxless-hole",
+        "int64-overflow"])
 def test_from_text_rejects_malformed_cells(text, message):
     with pytest.raises(ValueError, match=message):
         CellComplex.from_text(text)
