@@ -1,8 +1,9 @@
 """Command-line driver: generate geometries and codes, run scans, reproduce
 the Hausdorff-dimension table, and run the gate-condition checks.
 
-Exit codes: 0 success, 2 validation error, 3 search budget exceeded,
-4 gate-condition failure.  All outputs are deterministic; pass --timings to
+Exit codes: 0 success, 2 validation error (bad input, or a file that
+cannot be read or written), 3 search budget exceeded, 4 gate-condition
+failure.  All outputs are deterministic; pass --timings to
 record wall-clock seconds in scan CSVs (off by default so reruns are
 byte-identical).
 """
@@ -16,7 +17,7 @@ import sys
 import time
 
 from ._text import int64
-from .code import code_from_text, code_params, code_to_text, css_from_complex
+from .code import check_matrix_text, code_from_text, code_params, code_to_text, css_from_complex
 from .complexes import (
     CellComplex,
     FractalSpec,
@@ -31,7 +32,6 @@ from .distance import (
     exhaustive_low_weight,
     fit_scaling,
 )
-from .gf2 import matrix_to_text
 from .homology import betti, cobetti, default_label_split, verify_lefschetz
 
 
@@ -292,8 +292,7 @@ def cmd_merge(args) -> int:
 def cmd_export(args) -> int:
     with open(args.code) as fh:
         code = code_from_text(fh.read())
-    m = code.hx if args.what == "hx" else code.hz
-    _write(args.out, matrix_to_text(m))
+    _write(args.out, check_matrix_text(code, args.what))
     return 0
 
 
@@ -403,7 +402,7 @@ def main(argv=None) -> int:
         return 3
     except GateConditionFailure:
         return 4
-    except (ValidationError, ValueError, FileNotFoundError) as err:
+    except (ValidationError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

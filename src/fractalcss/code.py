@@ -11,8 +11,9 @@ coreductions of `homology` (`CssCode.reduction`): only its small residue
 is eliminated; the merge's parity identity and the colour-code S check
 ask such a reduction whether a vector is a product of checks.  The dense
 H_X / H_Z (`CssCode.hx` / `hz`) are views built on first use, only for the
-logical basis, which eliminates both, and for the text writer; the reader
-builds the CSR rows straight from the 0/1 rows of the file.
+logical basis, which eliminates both.  The text writer writes the 0/1 rows
+of a ``csscode v1`` file straight from the CSR rows, and the reader builds
+the CSR rows straight from them.
 Boundary conditions are label-driven:
 
 * every cell of an E-labeled (rough) patch is dropped from the code -
@@ -38,10 +39,10 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import CellComplex, Faces, label_is_e, label_is_m
-from ._text import first_false, int64, int64s, line_tokens, nth_tokens, with_newlines
+from ._text import Tokens, decode, encode, first_false, int64, with_newlines, write_lines
 from .gf2 import (
-    _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _rows_from_text, _kernel_rows, _reduce, _rref_inplace,
-    in_rowspace, matrix_to_text,
+    _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _reduce, _rows_from_text, _rows_to_text,
+    _rref_inplace, in_rowspace,
 )
 from .homology import _Reduction, betti, default_label_split
 
@@ -99,8 +100,7 @@ class CssCode:
                                               len(self.z_checks)):
             raise AssertionError("H_X H_Z^T != 0: X and Z checks do not commute")
 
-    # The dense check matrices, built on first use: for the logical basis
-    # and the text writer.
+    # The dense check matrices, built on first use: for the logical basis.
     @cached_property
     def hx(self) -> Gf2Matrix:
         return self.x_checks.matrix(self.n_qubits)
@@ -367,30 +367,50 @@ def is_x_logical(code: CssCode, support: Gf2Vector) -> bool:
 
 # -- serialization -----------------------------------------------------------
 
+def _check_rows(checks: Faces, n: int) -> np.ndarray:
+    """H_X or H_Z as the rows of its ``gf2matrix v1`` text, written
+    straight from the CSR checks: per check, n ``0`` / ``1`` and a line
+    break, as character codes."""
+    rows = np.full((len(checks), n + 1), ord("0"), dtype=np.uint8)
+    rows[:, n] = ord("\n")
+    rows[checks.owners(), checks.idx] = ord("1")
+    return rows
+
+
+def check_matrix_text(code: CssCode, which: str) -> str:
+    """H_X (`which` "hx") or H_Z ("hz") as a ``gf2matrix v1`` file."""
+    checks = code.x_checks if which == "hx" else code.z_checks
+    return _rows_to_text(_check_rows(checks, code.n_qubits))
+
+
 def code_to_text(code: CssCode) -> str:
-    lines = [f"csscode v1", f"nqubits {code.n_qubits} i {code.grading}", "HX"]
-    lines.append(matrix_to_text(code.hx).rstrip("\n"))
-    lines.append("HZ")
-    lines.append(matrix_to_text(code.hz).rstrip("\n"))
-    lines.append("qubitmap")
-    for q, cell in enumerate(code.qubit_cells):
-        lines.append(f"q {q} -> cell {cell}")
-    return "\n".join(lines) + "\n"
+    n, cells = code.n_qubits, np.asarray(code.qubit_cells, dtype=np.int64)
+    parts = [f"csscode v1\nnqubits {n} i {code.grading}\n".encode()]
+    for word, checks in (("HX", code.x_checks), ("HZ", code.z_checks)):
+        parts.append(f"{word}\ngf2matrix v1\n{len(checks)} {n}\n".encode())
+        if n:  # rows of no columns are bare line breaks, which a section drops
+            parts.append(_check_rows(checks, n))
+    # the qubit map's lines: the word "q", j, the word "-> cell", the cell
+    fixed = np.column_stack((np.zeros_like(cells), np.arange(len(cells)), np.ones_like(cells), cells))
+    parts += [b"qubitmap\n", write_lines(["q", "-> cell"], fixed, np.array([True, False, True, False]))]
+    return b"".join(parts).decode()
 
 
 def code_from_text(text: str) -> CssCode:
     """Parse a ``csscode v1`` file; malformed input raises ValueError."""
-    text = with_newlines(text)
-    head = _HEAD.match(text)
-    if head[1].strip() != "csscode v1":
+    raw = encode(with_newlines(text))
+    head = _HEAD.match(raw)
+    if decode(head[1]).strip() != "csscode v1":
         raise ValueError("not a csscode v1 file")
-    toks = head[2].split()
+    toks = decode(head[2]).split()
     if len(toks) != 4 or toks[0] != "nqubits" or toks[2] != "i":
         raise ValueError("csscode v1 line 2 must read 'nqubits <n> i <i>'")
     n, i = int64(toks[1]), int64(toks[3])
-    at_hx, at_hz, at_map = (_line_at(text, word) for word in ("HX", "HZ", "qubitmap"))
-    hx = _rows_from_text(text[at_hx + len("HX\n") : at_hz])
-    hz = _rows_from_text(text[at_hz + len("HZ\n") : at_map])
+    at_hx, at_hz, at_map = (_line_at(raw, word) for word in ("HX", "HZ", "qubitmap"))
+    # the two bodies are views of `raw`
+    view = memoryview(raw)
+    hx = _rows_from_text(view[at_hx + len("HX\n") : at_hz])
+    hz = _rows_from_text(view[at_hz + len("HZ\n") : at_map])
     if not hx.shape[1] - 1 == n == hz.shape[1] - 1:
         raise ValueError(f"HX and HZ have {hx.shape[1] - 1} and {hz.shape[1] - 1} columns "
                          f"for {n} qubits")
@@ -403,7 +423,7 @@ def code_from_text(text: str) -> CssCode:
             x_checks=x_checks,
             z_checks=z_checks,
             grading=i,
-            qubit_cells=_read_qubitmap(text[at_map + len("qubitmap\n") :], n),
+            qubit_cells=_read_qubitmap(raw[at_map + len("qubitmap\n") :], n),
             x_anchor_cells=[],
             source=None,
         )
@@ -412,42 +432,37 @@ def code_from_text(text: str) -> CssCode:
 
 
 # the first two lines of a text whose line breaks are all "\n"
-_HEAD = re.compile(r"([^\n]*)\n?([^\n]*)")
+_HEAD = re.compile(rb"([^\n]*)\n?([^\n]*)")
 
 
-def _line_at(text: str, word: str) -> int:
-    """Where the first line that reads exactly `word` starts, after line 0."""
-    # found by its first letter, which str.find scans for fastest and
+def _line_at(raw: bytes, word: str) -> int:
+    """Where the first line that reads exactly `word` starts, after byte 0."""
+    # found by its first letter, which bytes.find scans for fastest and
     # which no 0/1 row of a check matrix holds
-    at = text.find(word[0], 1)
-    while at >= 0 and not (text[at - 1] == "\n" and text.startswith(word, at)
-                           and text[at + len(word) : at + len(word) + 1] in ("\n", "")):
-        at = text.find(word[0], at + 1)
+    w = word.encode()
+    at = raw.find(w[:1], 1)
+    while at >= 0 and not (raw[at - 1] == 10 and raw.startswith(w, at)
+                           and raw[at + len(w) : at + len(w) + 1] in (b"\n", b"")):
+        at = raw.find(w[:1], at + 1)
     if at < 0:
         raise ValueError(f"{word!r} is not in list")
     return at
 
 
-def _read_qubitmap(text: str, n: int) -> list[int]:
+def _read_qubitmap(raw: bytes, n: int) -> list[int]:
     """The cells of the lines ``q <j> -> cell <c>``, the j-th non-blank line
     naming qubit j; malformed input raises ValueError."""
-    words, counts, first = line_tokens(text)
-    toks = np.array(words, dtype=object)
-    lines = len(counts)
-    ok = ((counts == 5) & (nth_tokens(toks, first, 0) == "q")
-          & (nth_tokens(toks, first, 2) == "->") & (nth_tokens(toks, first, 3) == "cell"))
+    tok = Tokens(raw)
+    lines = len(tok.first)
+    ok = ((tok.count == 5) & tok.is_word(tok.column(0), b"q") & tok.is_word(tok.column(2), b"->")
+          & tok.is_word(tok.column(3), b"cell"))
     bad = first_false(ok)
-    cells = int64s(toks[first[:bad] + 4].tolist())
+    cells = tok.ints(tok.first[:bad] + 4)
     if bad < lines:
-        raise ValueError(f"bad qubitmap line {_nonblank(text, bad)!r}")
+        raise ValueError(f"bad qubitmap line {tok.line_text(bad)!r}")
     if lines != n:
         raise ValueError(f"qubitmap has {lines} lines for {n} qubits")
-    index = first_false(toks[first + 1] == np.array(list(map(str, range(n))), dtype=object))
+    index = first_false(tok.is_int(tok.column(1), np.arange(n)))
     if index < n:
-        raise ValueError(f"expected 'q {index} -> cell <c>', got {_nonblank(text, index)!r}")
+        raise ValueError(f"expected 'q {index} -> cell <c>', got {tok.line_text(index)!r}")
     return cells.tolist()
-
-
-def _nonblank(text: str, j: int) -> str:
-    """The j-th non-blank line of `text`."""
-    return list(filter(str.strip, text.split("\n")))[j]

@@ -72,13 +72,13 @@ cells and the new label codes in one array each and hands them to
 from __future__ import annotations
 
 import collections
-import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._text import first_false, int64, int64s, line_tokens, nth_tokens
+from ._text import Tokens, decode, encode, first_false, int64, with_newlines, write_lines
 from .gf2 import Gf2Matrix
 
 Box = tuple[tuple[int, int], ...]
@@ -435,34 +435,37 @@ class CellComplex:
         lines.append(f"meta style {self.style} periods {per} holes {holes if holes else '-'}")
         for k in range(self.dim + 1):
             lines.append(f"grade {k} count {self.n_cells(k)}")
-        for k in range(self.dim + 1):
-            n = self.n_cells(k)
-            names = [self.label_names[c] for c in self.labels[k].tolist()]
-            boxes = self.cells[k].reshape(n, 2 * self.dim).tolist()
-            ptr = self.faces[k].ptr.tolist()
-            idx = list(map(str, self.faces[k].idx.tolist()))
-            for i in range(n):
-                coords = " ".join(map(str, boxes[i]))
-                faces = " ".join(idx[ptr[i] : ptr[i + 1]])
-                lines.append(f"cell {k} {i} {names[i]} {coords} : {faces}".rstrip())
-        return "\n".join(lines) + "\n"
+        # the cell lines of every grade: the word "cell k", i, the label
+        # word, the box, the word ":", the faces
+        d, n = self.dim, [self.n_cells(k) for k in range(self.dim + 1)]
+        grade = np.repeat(np.arange(d + 1), n)
+        fixed = np.column_stack((
+            grade, np.arange(len(grade)) - np.repeat(np.cumsum(n) - n, n),
+            np.concatenate(self.labels) + d + 2,
+            np.concatenate(self.cells).reshape(len(grade), 2 * d), np.full(len(grade), d + 1)))
+        # with no coordinates, the line keeps both spaces around them
+        words = [f"cell {k}" for k in range(d + 1)] + [":" if d else " :", *self.label_names]
+        cells = write_lines(words, fixed, np.array([True, False, True] + [False] * 2 * d + [True]),
+                            np.concatenate([f.counts() for f in self.faces]),
+                            np.concatenate([f.idx for f in self.faces]))
+        return "\n".join(lines) + "\n" + decode(cells)
 
     @classmethod
     def from_text(cls, text: str) -> "CellComplex":
         """Parse a ``cellcomplex v1`` file; malformed input raises ValueError."""
-        lines = list(filter(str.strip, text.splitlines()))
-        if not lines or lines[0] != "cellcomplex v1":
+        tok = Tokens(encode(with_newlines(text)))
+        if not len(tok.first) or tok.line_text(0) != "cellcomplex v1":
             raise ValueError("not a cellcomplex v1 file")
         try:
-            head = lines[1].split()
+            head = tok.line_text(1).split()
             dim = int64(head[1])
             background = head[3]
-            if dim >= len(lines):  # fewer lines than its dim + 1 grade lines
+            if dim >= len(tok.first):  # fewer lines than its dim + 1 grade lines
                 raise IndexError(f"dimension {dim}")
             style, periods, holes = "plain", (None,) * dim, []
             pos = 2
-            if lines[pos].startswith("meta "):
-                toks = lines[pos].split()
+            if tok.line_text(pos).startswith("meta "):
+                toks = tok.line_text(pos).split()
                 style = toks[2]
                 periods = tuple(None if t == "-" else int64(t) for t in toks[4 : 4 + dim])
                 hole_tok = toks[5 + dim]
@@ -478,57 +481,67 @@ class CellComplex:
                 pos += 1
             counts = []
             for k in range(dim + 1):
-                toks = lines[pos].split()
+                line = tok.line_text(pos)
+                toks = line.split()
                 if toks[:3] != ["grade", str(k), "count"] or int64(toks[3]) < 0:
-                    raise ValueError(f"expected 'grade {k} count <n>', got {lines[pos]!r}")
+                    raise ValueError(f"expected 'grade {k} count <n>', got {line!r}")
                 counts.append(int64(toks[3]))
                 pos += 1
-            # label -> code, in order of first use
-            code = collections.defaultdict(lambda: len(code), {BULK: 0})
-            cells, labels, faces = [], [], []
-            for k in range(dim + 1):
-                block = lines[pos : pos + counts[k]]
-                names, boxes, grade_faces = _read_cells(block, k, dim)
-                if len(block) < counts[k]:
-                    raise IndexError(f"grade {k} has {len(block)} of {counts[k]} cells")
-                pos += counts[k]
-                cells.append(boxes)
-                labels.append(np.fromiter(map(code.__getitem__, names), np.int64, len(names)))
-                faces.append(grade_faces)
-            if pos != len(lines):
-                raise ValueError(f"{len(lines) - pos} lines after the last cell")
+            cells, labels, names, faces = _read_cells(tok, pos, counts, dim)
         except IndexError as err:
             raise ValueError("cellcomplex v1 file is truncated or has a short line") from err
-        return cls(dim, cells, labels, list(code), faces, background, style, periods, holes)
+        return cls(dim, cells, labels, names, faces, background, style, periods, holes)
 
 
-def _read_cells(block: list[str], k: int, dim: int) -> tuple[np.ndarray, np.ndarray, Faces]:
-    """The labels (an object array), (n, dim, 2) boxes and faces of the n
-    lines ``cell k i <label> <2 dim coordinates> : <faces>`` of grade k.
+def _read_cells(tok: Tokens, pos: int, counts: list[int], dim: int):
+    """The (n, dim, 2) boxes, the label codes and the faces of each grade,
+    and the label table, from the non-blank lines ``cell k i <label> <2 dim
+    coordinates> : <faces>`` that follow line `pos`, counts[k] of grade k.
 
-    The lines before the first malformed one are parsed, so that a bad
-    integer there is reported first, as a line-by-line reader would."""
-    n, sep = len(block), 4 + 2 * dim  # sep: the ':' after the label and the coordinates
-    words, counts, first = line_tokens("\n".join(block))
-    toks = np.array(words, dtype=object)
-    index = np.array(list(map(str, range(n))), dtype=object)
-    column = functools.partial(nth_tokens, toks, first)
-    ok = ((counts > sep) & (column(0) == "cell") & (column(1) == str(k))
-          & (column(2) == index) & (column(sep) == ":"))
+    All grades are read as one block.  The lines before the first malformed
+    one are parsed, so that a bad integer there is reported first, as a
+    reader that parses one line, or one grade, at a time would."""
+    left = len(tok.first) - pos  # the lines after the grade lines
+    bounds = np.array([min(c, left) for c in itertools.accumulate([0] + counts)])
+    n, sep = int(bounds[-1]), 4 + 2 * dim  # sep: the ':' after the label and the coordinates
+    lines = slice(pos, pos + n)
+    grade = np.repeat(np.arange(dim + 1), np.diff(bounds))
+    index = np.arange(n) - bounds[grade]
+    count = tok.count[lines]
+    ok = ((count > sep) & tok.is_word(tok.column(0, lines), b"cell")
+          & tok.is_int(tok.column(1, lines), grade) & tok.is_int(tok.column(2, lines), index)
+          & tok.is_word(tok.column(sep, lines), b":"))
     bad = first_false(ok)
-    names = column(3)
-    # the integer tokens of the lines before `bad`, with "cell", the label
-    # and the ':' set to 0, so that values and tokens share their indices
-    for j in (0, 3, sep):
-        toks[first[:bad] + j] = "0"
-    values = int64s(toks[: first[bad] if bad < n else len(toks)].tolist())
+    # the integer tokens of the lines before `bad`: the coordinates and the faces
+    first, count = tok.first[pos : pos + bad], count[:bad]
+    lo = int(first[0]) if bad else 0
+    is_int = np.ones(int(count.sum()), dtype=bool)
+    for j in (0, 1, 2, 3, sep):
+        is_int[first - lo + j] = False
+    values = tok.ints(lo + np.flatnonzero(is_int), np.repeat(grade[:bad], count)[is_int])
     if bad < n:
-        raise ValueError(f"expected 'cell {k} {bad} <label> <{2 * dim} coordinates> : "
-                         f"<faces>', got {block[bad]!r}")
-    boxes = values[first[:, None] + np.arange(4, sep)].reshape(n, dim, 2)
-    rows = np.repeat(np.arange(n), counts - sep - 1)
-    cols = values[_ranges(first + sep + 1, first + counts)]
-    return names, boxes, Faces.from_pairs(n, rows, cols)
+        raise ValueError(f"expected 'cell {grade[bad]} {index[bad]} <label> <{2 * dim} "
+                         f"coordinates> : <faces>', got {tok.line_text(pos + bad)!r}")
+    if n < sum(counts):
+        raise IndexError(f"{n} of {sum(counts)} cell lines")
+    if left > n:
+        raise ValueError(f"{left - n} lines after the last cell")
+    # each line's values: 2 dim coordinates, then its faces
+    at = (np.cumsum(count - 5) - (count - 5))[:, None] + np.arange(2 * dim)
+    in_faces = np.ones(len(values), dtype=bool)
+    in_faces[at] = False
+    boxes, cols = values[at], values[in_faces]
+    rows = np.repeat(np.arange(n), count - sep - 1)
+    ends = np.searchsorted(rows, bounds)  # each grade's first face entry
+    codes, names = tok.codes(tok.column(3, lines), [BULK])
+    cells, labels, faces = [], [], []
+    for k in range(dim + 1):
+        a, b = bounds[k], bounds[k + 1]
+        cells.append(boxes[a:b].reshape(b - a, dim, 2))
+        labels.append(codes[a:b])
+        faces.append(Faces.from_pairs(b - a, rows[ends[k] : ends[k + 1]] - a,
+                                      cols[ends[k] : ends[k + 1]]))
+    return cells, labels, names, faces
 
 
 # -- lattice construction ---------------------------------------------------
@@ -674,11 +687,20 @@ def _hits(m: np.ndarray, margin: np.ndarray, box: Box, periods) -> np.ndarray:
     return hit.all(axis=1)
 
 
+# The most grid slots per cell a punch allocates: the lattices fill their
+# grid (1 slot per cell) except the spheres, whose star vertex at -1 widens
+# it by a layer no other cell fills (40.5 at the 4D L = 1 sphere, 7.6 at
+# L = 2; the ladder's largest is 2.7, the FC(3,1) level-1 sphere).
+_SLOTS_PER_CELL = 64
+
+
 class _MidpointGrid:
     """The row of each cell at its halved midpoint ``m >> 1`` in a dense
     int32 array, -1 where no cell lies; on a periodic axis the index is
     taken modulo the period, on the others it counts from the lowest
-    midpoint.  Cells that share a midpoint raise ValueError."""
+    midpoint.  Cells that share a midpoint raise ValueError, and so do
+    cells spread over more than `_SLOTS_PER_CELL` slots each, before the
+    grid is allocated."""
 
     def __init__(self, m: np.ndarray, w: np.ndarray, periods):
         self.periods = periods
@@ -686,6 +708,9 @@ class _MidpointGrid:
         lo, hi = (m.min(axis=0) >> 1, m.max(axis=0) >> 1) if len(m) else ([0] * len(periods),) * 2
         self.low = [0 if p else int(a) for p, a in zip(periods, lo)]
         shape = [p or int(b) - a + 1 for p, a, b in zip(periods, self.low, hi)]
+        if math.prod(shape) > _SLOTS_PER_CELL * max(len(m), 1):
+            raise ValueError(f"{len(m)} cells spread over a grid of {math.prod(shape)} midpoints; "
+                             f"holes need at most {_SLOTS_PER_CELL} per cell")
         flat = np.zeros(len(m), dtype=np.int64)  # the cells' grid positions, axis by axis
         for d, period in enumerate(periods):
             h = m[:, d] >> 1
@@ -722,7 +747,8 @@ def punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
     restricted complex still satisfies dd = 0.  Holes apply in order; a
     cell relabeled by several holes takes the last one's label.  A layout
     that leaves an e-labelled patch not closed under the boundary raises
-    ValueError, and so does a complex whose cells share a midpoint.
+    ValueError, and so does a complex whose cells share a midpoint or lie
+    too sparse for `_MidpointGrid`.
     """
     # every grade in one array: cell c of grade k is row start[k] + c
     start = np.cumsum([0] + [cx.n_cells(k) for k in range(cx.dim + 1)])

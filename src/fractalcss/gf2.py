@@ -26,7 +26,7 @@ import re
 
 import numpy as np
 
-from ._text import first_false, int64, with_newlines
+from ._text import decode, encode, first_false, int64, with_newlines
 
 _WORD = 64
 # Whole-array steps that could grow with rows x columns work on chunks of
@@ -410,27 +410,47 @@ def _reduce(reduced: np.ndarray, pivots: np.ndarray, words: np.ndarray) -> np.nd
 
 def matrix_to_text(m: Gf2Matrix) -> str:
     """Serialize in the ``gf2matrix v1`` text format."""
-    body = np.full((m.rows, m.cols + 1), ord("\n"), dtype=np.uint8)
-    body[:, : m.cols] = _unpack(m.data, m.cols) + ord("0")
-    return f"gf2matrix v1\n{m.rows} {m.cols}\n" + body.tobytes().decode("ascii")
+    rows = np.full((m.rows, m.cols + 1), ord("\n"), dtype=np.uint8)
+    rows[:, : m.cols] = _unpack(m.data, m.cols) + ord("0")
+    return _rows_to_text(rows)
+
+
+def _rows_to_text(rows: np.ndarray) -> str:
+    """The ``gf2matrix v1`` text of a (rows, cols + 1) array of character
+    codes: cols of ``0`` or ``1``, then the line break."""
+    return f"gf2matrix v1\n{len(rows)} {rows.shape[1] - 1}\n" + rows.tobytes().decode("ascii")
 
 
 def matrix_from_text(text: str) -> Gf2Matrix:
     """Parse a ``gf2matrix v1`` file; malformed input raises ValueError."""
-    grid = _rows_from_text(with_newlines(text))
+    grid = _rows_from_text(encode(with_newlines(text)))
     cols = grid.shape[1] - 1
     return Gf2Matrix(len(grid), cols, _pack(grid[:, :cols] == ord("1")))
 
 
+# the head of a gf2matrix v1 text as the writers write it
+_WRITTEN_HEAD = re.compile(rb"gf2matrix v1\n([0-9]{1,18}) ([0-9]{1,18})\n")
 # the first two non-blank lines, without the whitespace before them
 _MATRIX_HEAD = re.compile(r"\s*([^\n]*)\n?\s*([^\n]*)\n?")
 
 
-def _rows_from_text(text: str) -> np.ndarray:
-    """The rows of a ``gf2matrix v1`` text whose line breaks are all "\\n",
-    as a (rows, cols + 1) array of character codes: cols of ``0`` or ``1``,
-    then the line break.  The body is validated as one array; malformed
-    input raises ValueError."""
+def _rows_from_text(raw) -> np.ndarray:
+    """The rows of a ``gf2matrix v1`` text given as UTF-8 bytes, or a view
+    of them, whose line breaks are all "\\n": a (rows, cols + 1) array of
+    character codes, cols of ``0`` or ``1``, then the line break.  Text as
+    the writers write it is validated as one view of `raw`; other text is
+    read as `_rows_from_str` reads it.  Malformed input raises ValueError."""
+    head = _WRITTEN_HEAD.match(raw)
+    if head:
+        rows, cols = int(head[1]), int(head[2])
+        b = np.frombuffer(raw, dtype=np.uint8)[head.end() :]
+        if cols and _is_rows(b, rows, cols):
+            return b.reshape(rows, cols + 1)
+    return _rows_from_str(decode(bytes(raw)))
+
+
+def _rows_from_str(text: str) -> np.ndarray:
+    """`_rows_from_text` for a text given as str."""
     head = _MATRIX_HEAD.match(text)
     if head[1].strip() != "gf2matrix v1":
         raise ValueError("not a gf2matrix v1 file")
@@ -472,5 +492,6 @@ def _is_rows(b: np.ndarray, rows: int, cols: int) -> bool:
     ending in a line break."""
     if b.size != rows * (cols + 1):
         return False
-    bits = np.count_nonzero(b == 48) + np.count_nonzero(b == 49)
-    return bits == rows * cols and bool((b.reshape(rows, cols + 1)[:, cols] == 10).all())
+    grid = b.reshape(rows, cols + 1)
+    bits = grid[:, :cols]
+    return not rows or bool(bits.min() >= 48 and bits.max() <= 49 and (grid[:, cols] == 10).all())

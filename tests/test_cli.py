@@ -304,6 +304,23 @@ def test_malformed_files_exit2(capsys, tmp_path):
             assert rc == 2 and err.startswith("error:"), (name, argv, rc, err)
 
 
+@pytest.mark.parametrize("argv", [
+    ["params", "--code", "{dir}"],
+    ["export", "--code", "{dir}"],
+    ["code", "--complex", "{dir}"],
+    ["homology", "--complex", "{dir}"],
+    ["distance", "--complex", "{dir}"],
+    ["gen", "--dim", "2", "--level", "1", "--out", "{dir}"],
+    ["code", "--dim", "2", "--level", "1", "--out", "{dir}"],
+    ["table1", "--out", "{dir}"],
+], ids=lambda argv: "-".join(a.strip("-") for a in argv if a != "{dir}"))
+def test_directory_paths_exit2(capsys, tmp_path, argv):
+    """A file argument that names a directory is bad input: exit 2 with an
+    error line, not a traceback."""
+    rc, _, err = run([a.format(dir=tmp_path) for a in argv], capsys)
+    assert rc == 2 and err.startswith("error:"), (rc, err)
+
+
 def test_homology_relative_e_m(capsys):
     from fractalcss.complexes import FractalSpec, fractal_complex, label_is_e, label_is_m
     from fractalcss.homology import betti, cobetti

@@ -7,15 +7,19 @@ implementation on random hole layouts, overlapping holes, holes on or
 past the outer boundary, and holes that wrap around periodic axes.  A
 layout whose oracle result leaves an e-labelled patch not closed under
 the boundary must raise ValueError instead, and so must a complex whose
-cells share a midpoint.  The oracle hands its index sets and relabel dict
+cells share a midpoint or lie too sparse for the midpoint grid.  The oracle hands its index sets and relabel dict
 to the array ``delete`` through ``complex_oracles.delete_indexed``.
 """
 
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fractalcss
 from fractalcss.code import css_from_complex
 from fractalcss.complexes import (
     BULK,
@@ -276,3 +280,38 @@ def test_e_hole_then_adjacent_m_hole_is_rejected():
         punch_holes(cx, [e_hole, m_hole])
     # in the other order the e-hole relabels last and its patch stays closed
     css_from_complex(punch_holes(cx, [m_hole, e_hole]), 1)
+
+
+# two vertices at x = 0 and x = 2**33: a midpoint grid of 2**33 + 1 int32
+# slots (32 GiB) for 2 cells; under a 2 GiB address-space limit the grid
+# could not even be allocated, so a punch that tries fails with MemoryError
+_SPARSE = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+import numpy as np
+from fractalcss.complexes import CellComplex, Faces, Hole, punch_holes
+none = np.zeros((0, 2, 2), dtype=np.int64)
+cx = CellComplex(2, [np.array([[[0, 0], [0, 0]], [[2**33, 2**33], [0, 0]]]), none, none],
+                 [np.zeros(2, dtype=np.int64)] + [np.zeros(0, dtype=np.int64)] * 2, ["bulk"],
+                 [Faces.empty(2), Faces.empty(0), Faces.empty(0)])
+try:
+    punch_holes(cx, [Hole(0, ((0, 2), (0, 2)), "m")])
+except ValueError as err:
+    print(err)
+"""
+
+
+def test_punch_refuses_a_sparse_complex_before_allocating():
+    src = os.path.dirname(os.path.dirname(fractalcss.__file__))
+    out = subprocess.run([sys.executable, "-c", _SPARSE], env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == ("2 cells spread over a grid of 8589934593 midpoints; "
+                          "holes need at most 64 per cell\n")
+
+
+def test_punch_accepts_the_sparsest_lattice():
+    # the 4D L = 1 sphere: 2 cells on a grid of 81 midpoints
+    sphere = build_lattice(4, 1, "sphere")
+    assert sum(sphere.n_cells(k) for k in range(5)) == 2
+    punch_holes(sphere, [_hole(0, (0, 0, 0, 0), 1, "m")])

@@ -8,7 +8,9 @@ checks and qubit cells; for a matrix the packed words.  The inputs are the
 punched complexes of the fuzz tests and their codes and check matrices,
 the fuzz tests' mutated corpora of all three formats, the same texts with
 their whitespace and line breaks loosened, and the benchmark's FC(3,1)
-level-2 files (m-holes, and the seeded e/m layout 7).
+level-2 files (m-holes, and the seeded e/m layout 7).  Fixed cases pin
+what the fuzzing may miss: signs without digits, every kind of space
+between tokens, and which fault is reported when two grades have one.
 
 Four intended differences, the first three on inputs the old readers
 accepted or crashed on: `code_from_text` rejects a qubitmap line
@@ -264,3 +266,52 @@ def test_fromstring_rejects_a_non_integer_token(token):
     as 0 is screened before the call)."""
     with pytest.raises(ValueError):
         np.fromstring(f"1 {token} 2", dtype=np.int64, sep=" ")
+
+
+@pytest.mark.parametrize("cell_0_1, cell_1_1, message", [
+    (f"1 1 2 {2**63}", "1 3 2 2 : x", f"^{2**63} is outside int64$"),
+    ("1 1 2 x", f"1 3 2 {2**63} : 1 5", "invalid literal for int"),
+    (f"1 1 2 {2**63}", "1 3 2 2 : 1 5", f"^{2**63} is outside int64$"),
+], ids=["overflow-grade-0", "bad-token-grade-0", "overflow-only"])
+def test_first_fault_by_grade(cell_0_1, cell_1_1, message):
+    """All grades are parsed in one pass, but the faults are reported as
+    when each grade was parsed on its own, in turn: within a grade a token
+    that is not an integer before a value outside int64, then the next
+    grade."""
+    text = BASE.replace("cell 0 1 bulk 1 1 2 2 :", f"cell 0 1 bulk {cell_0_1} :", 1)
+    text = text.replace("cell 1 1 bulk 1 3 2 2 : 1 5", f"cell 1 1 bulk {cell_1_1}", 1)
+    with pytest.raises(ValueError, match=message):
+        CellComplex.from_text(text)
+
+
+def test_first_fault_within_a_grade():
+    # a bad token after a value outside int64 in the same grade is reported first
+    text = BASE.replace("cell 0 1 bulk 1 1 2 2 :", f"cell 0 1 bulk 1 1 2 {2**63} :", 1)
+    text = text.replace("cell 0 5 hE0 3 3 2 2 :", "cell 0 5 hE0 3 3 2 x :", 1)
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        CellComplex.from_text(text)
+
+
+@pytest.mark.parametrize("token", ["-", "+", "-1-", "5-", "+-1", "-+", "1+"])
+def test_a_sign_without_digits_names_its_token(token):
+    """np.fromstring would read a lone sign as 0 or join it to the next
+    token; the readers screen signs first and report the token itself."""
+    text = BASE.replace("cell 0 5 hE0 3 3 2 2 :", f"cell 0 5 hE0 3 3 2 {token} :", 1)
+    assert_readers_agree("complex", text)
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        CellComplex.from_text(text)
+    code = CODE_TEXT.replace("q 3 -> cell ", f"q 3 -> cell {token} ", 1)
+    assert_readers_agree("code", code)
+
+
+@pytest.mark.parametrize("space", ["\t", "\x1f", "\t\x1f ", "\xa0", "　"])
+def test_every_kind_of_space_separates_tokens(space):
+    """ASCII text too: tab and the unit separator are whitespace to
+    str.split, as the non-ASCII spaces are."""
+    text = BASE.replace(" : ", f"{space}:{space}").replace("bulk ", f"bulk{space}")
+    assert_readers_agree("complex", text)
+    assert _complex_fields(CellComplex.from_text(text)) == _complex_fields(
+        CellComplex.from_text(BASE))
+    code = CODE_TEXT.replace(" -> ", f"{space}->{space}")
+    assert_readers_agree("code", code)
+    assert _code_fields(code_from_text(code)) == _code_fields(code_from_text(CODE_TEXT))

@@ -1,6 +1,6 @@
-"""Test-only oracles of the three text readers.
+"""Test-only oracles of the three text readers and of the two writers.
 
-These are the line-by-line readers that `CellComplex.from_text`,
+The readers are the line-by-line readers that `CellComplex.from_text`,
 `code.code_from_text` and `gf2.matrix_from_text` ran before they parsed
 arrays: every line split in Python, every token passed to ``int``, the
 faces of a complex and the checks of a code built through
@@ -9,6 +9,12 @@ readers must raise ValueError where these do, or return the same object,
 with one intended difference: `code_from_text` now rejects a qubitmap
 line ``q <j> -> cell <c>`` whose j is not the line's position, which
 ``code_from_text`` here never checked.
+
+The writers, `complex_to_text` and `code_to_text`, are the per-line
+writers that `CellComplex.to_text` and `code.code_to_text` ran before
+they rendered byte buffers: one f-string per cell or qubit, and the check
+matrices written from the dense `CssCode.hx` / `hz` by `matrix_to_text`.
+They are kept verbatim; the array writers must write the same bytes.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from fractalcss.code import CssCode
 from fractalcss.complexes import BULK, CellComplex, Faces, Hole
-from fractalcss.gf2 import Gf2Matrix, _pack
+from fractalcss.gf2 import Gf2Matrix, _pack, matrix_to_text
 
 
 def complex_from_text(text: str) -> CellComplex:
@@ -139,3 +145,35 @@ def code_from_text(text: str) -> CssCode:
         )
     except AssertionError as err:  # the checks do not commute
         raise ValueError(str(err)) from err
+
+
+def complex_to_text(self: CellComplex) -> str:
+    lines = ["cellcomplex v1", f"dim {self.dim} background {self.background}"]
+    per = " ".join("-" if p is None else str(p) for p in self.periods)
+    holes = ";".join(f"{h.hole_id},{h.kind},{h.level}," +
+                     ",".join(f"{lo}:{hi}" for lo, hi in h.box) for h in self.holes)
+    lines.append(f"meta style {self.style} periods {per} holes {holes if holes else '-'}")
+    for k in range(self.dim + 1):
+        lines.append(f"grade {k} count {self.n_cells(k)}")
+    for k in range(self.dim + 1):
+        n = self.n_cells(k)
+        names = [self.label_names[c] for c in self.labels[k].tolist()]
+        boxes = self.cells[k].reshape(n, 2 * self.dim).tolist()
+        ptr = self.faces[k].ptr.tolist()
+        idx = list(map(str, self.faces[k].idx.tolist()))
+        for i in range(n):
+            coords = " ".join(map(str, boxes[i]))
+            faces = " ".join(idx[ptr[i] : ptr[i + 1]])
+            lines.append(f"cell {k} {i} {names[i]} {coords} : {faces}".rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def code_to_text(code: CssCode) -> str:
+    lines = [f"csscode v1", f"nqubits {code.n_qubits} i {code.grading}", "HX"]
+    lines.append(matrix_to_text(code.hx).rstrip("\n"))
+    lines.append("HZ")
+    lines.append(matrix_to_text(code.hz).rstrip("\n"))
+    lines.append("qubitmap")
+    for q, cell in enumerate(code.qubit_cells):
+        lines.append(f"q {q} -> cell {cell}")
+    return "\n".join(lines) + "\n"
