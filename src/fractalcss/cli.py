@@ -17,7 +17,7 @@ import sys
 import time
 
 from ._text import int64
-from .code import check_matrix_text, code_from_text, code_params, code_to_text, css_from_complex
+from .code import check_matrix_blocks, code_blocks, code_from_text, code_params, css_from_complex
 from .complexes import (
     CellComplex,
     FractalSpec,
@@ -96,6 +96,16 @@ def _write(path: str | None, text: str) -> None:
         sys.stdout.write(text)
 
 
+def _write_blocks(path: str | None, blocks) -> None:
+    """`_write` of a text given as UTF-8 blocks: a file takes them one by
+    one, so the whole text is never held."""
+    if path:
+        with open(path, "wb") as fh:
+            fh.writelines(blocks)
+    else:
+        sys.stdout.write(b"".join(blocks).decode())
+
+
 def cmd_gen(args) -> int:
     spec = _spec_from_args(args)
     cx = fractal_complex(spec, style=args.style)
@@ -119,7 +129,7 @@ def _complex_from_args(args, style: str) -> CellComplex:
 
 def cmd_code(args) -> int:
     code = css_from_complex(_complex_from_args(args, args.style), args.i)
-    _write(args.out, code_to_text(code))
+    _write_blocks(args.out, code_blocks(code))
     return 0
 
 
@@ -285,14 +295,14 @@ def cmd_merge(args) -> int:
         f"interface_x={len(result.interface_x_rows)}"
     )
     if args.out:
-        _write(args.out, code_to_text(result.merged))
+        _write_blocks(args.out, code_blocks(result.merged))
     return 0
 
 
 def cmd_export(args) -> int:
     with open(args.code) as fh:
         code = code_from_text(fh.read())
-    _write(args.out, check_matrix_text(code, args.what))
+    _write_blocks(args.out, check_matrix_blocks(code, args.what))
     return 0
 
 

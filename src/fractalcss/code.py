@@ -12,8 +12,9 @@ is eliminated; the merge's parity identity and the colour-code S check
 ask such a reduction whether a vector is a product of checks.  The dense
 H_X / H_Z (`CssCode.hx` / `hz`) are views built on first use, only for the
 logical basis, which eliminates both.  The text writer writes the 0/1 rows
-of a ``csscode v1`` file straight from the CSR rows, and the reader builds
-the CSR rows straight from them.
+of a ``csscode v1`` file straight from the CSR rows, a few MB of rows at a
+time (so a file is written block by block), and the reader builds the CSR
+rows straight from them.
 Boundary conditions are label-driven:
 
 * every cell of an E-labeled (rough) patch is dropped from the code -
@@ -32,7 +33,9 @@ one an even number of times.  No dense product is formed.
 
 from __future__ import annotations
 
+import contextlib
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,8 +44,8 @@ import numpy as np
 from .complexes import CellComplex, Faces, label_is_e, label_is_m
 from ._text import Tokens, decode, encode, first_false, int64, with_newlines, write_lines
 from .gf2 import (
-    _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _reduce, _rows_from_text, _rows_to_text,
-    _rref_inplace, in_rowspace,
+    _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _reduce, _rows_from_text, _rref_inplace,
+    _written_rows, in_rowspace,
 )
 from .homology import _Reduction, betti, default_label_split
 
@@ -367,50 +370,68 @@ def is_x_logical(code: CssCode, support: Gf2Vector) -> bool:
 
 # -- serialization -----------------------------------------------------------
 
-def _check_rows(checks: Faces, n: int) -> np.ndarray:
+# the bytes of 0/1 rows a writer renders at a time
+_BLOCK_BYTES = 1 << 22
+
+
+def _check_rows(checks: Faces, n: int) -> Iterator[memoryview]:
     """H_X or H_Z as the rows of its ``gf2matrix v1`` text, written
     straight from the CSR checks: per check, n ``0`` / ``1`` and a line
-    break, as character codes."""
-    rows = np.full((len(checks), n + 1), ord("0"), dtype=np.uint8)
-    rows[:, n] = ord("\n")
-    rows[checks.owners(), checks.idx] = ord("1")
-    return rows
+    break, in blocks of whole rows of about `_BLOCK_BYTES`, each a view of
+    the array it was written in."""
+    step = max(1, _BLOCK_BYTES // (n + 1))
+    for first in range(0, len(checks), step):
+        ptr = checks.ptr[first : first + step + 1]
+        rows = np.full((len(ptr) - 1, n + 1), ord("0"), dtype=np.uint8)
+        rows[:, n] = ord("\n")
+        rows[np.repeat(np.arange(len(rows)), np.diff(ptr)), checks.idx[ptr[0] : ptr[-1]]] = ord("1")
+        yield rows.reshape(-1).data
+
+
+def check_matrix_blocks(code: CssCode, which: str) -> Iterator[bytes | memoryview]:
+    """`check_matrix_text` as UTF-8 blocks, the 0/1 rows a few MB at a time."""
+    checks = code.x_checks if which == "hx" else code.z_checks
+    yield f"gf2matrix v1\n{len(checks)} {code.n_qubits}\n".encode()
+    yield from _check_rows(checks, code.n_qubits)
 
 
 def check_matrix_text(code: CssCode, which: str) -> str:
     """H_X (`which` "hx") or H_Z ("hz") as a ``gf2matrix v1`` file."""
-    checks = code.x_checks if which == "hx" else code.z_checks
-    return _rows_to_text(_check_rows(checks, code.n_qubits))
+    return b"".join(check_matrix_blocks(code, which)).decode()
+
+
+def code_blocks(code: CssCode) -> Iterator[bytes | memoryview]:
+    """`code_to_text` as UTF-8 blocks, the 0/1 rows a few MB at a time."""
+    n, cells = code.n_qubits, np.asarray(code.qubit_cells, dtype=np.int64)
+    yield f"csscode v1\nnqubits {n} i {code.grading}\n".encode()
+    for word, checks in (("HX", code.x_checks), ("HZ", code.z_checks)):
+        yield f"{word}\ngf2matrix v1\n{len(checks)} {n}\n".encode()
+        if n:  # rows of no columns are bare line breaks, which a section drops
+            yield from _check_rows(checks, n)
+    # the qubit map's lines: the word "q", j, the word "-> cell", the cell
+    fixed = np.column_stack((np.zeros_like(cells), np.arange(len(cells)), np.ones_like(cells), cells))
+    yield b"qubitmap\n" + write_lines(["q", "-> cell"], fixed, np.array([True, False, True, False]))
 
 
 def code_to_text(code: CssCode) -> str:
-    n, cells = code.n_qubits, np.asarray(code.qubit_cells, dtype=np.int64)
-    parts = [f"csscode v1\nnqubits {n} i {code.grading}\n".encode()]
-    for word, checks in (("HX", code.x_checks), ("HZ", code.z_checks)):
-        parts.append(f"{word}\ngf2matrix v1\n{len(checks)} {n}\n".encode())
-        if n:  # rows of no columns are bare line breaks, which a section drops
-            parts.append(_check_rows(checks, n))
-    # the qubit map's lines: the word "q", j, the word "-> cell", the cell
-    fixed = np.column_stack((np.zeros_like(cells), np.arange(len(cells)), np.ones_like(cells), cells))
-    parts += [b"qubitmap\n", write_lines(["q", "-> cell"], fixed, np.array([True, False, True, False]))]
-    return b"".join(parts).decode()
+    return b"".join(code_blocks(code)).decode()
 
 
 def code_from_text(text: str) -> CssCode:
-    """Parse a ``csscode v1`` file; malformed input raises ValueError."""
-    raw = encode(with_newlines(text))
-    head = _HEAD.match(raw)
-    if decode(head[1]).strip() != "csscode v1":
-        raise ValueError("not a csscode v1 file")
-    toks = decode(head[2]).split()
-    if len(toks) != 4 or toks[0] != "nqubits" or toks[2] != "i":
-        raise ValueError("csscode v1 line 2 must read 'nqubits <n> i <i>'")
-    n, i = int64(toks[1]), int64(toks[3])
-    at_hx, at_hz, at_map = (_line_at(raw, word) for word in ("HX", "HZ", "qubitmap"))
-    # the two bodies are views of `raw`
-    view = memoryview(raw)
-    hx = _rows_from_text(view[at_hx + len("HX\n") : at_hz])
-    hz = _rows_from_text(view[at_hz + len("HZ\n") : at_map])
+    """Parse a ``csscode v1`` file; malformed input raises ValueError.
+
+    Lines are read as `str.splitlines` reads them.  A text whose lines all
+    end in "\\n" where lines are parsed (the head, the section words and
+    the qubit map) and whose two bodies are 0/1 rows as the writer writes
+    them is read as it is; any other text is first given "\\n" line breaks
+    (`with_newlines`), which would leave such a text unchanged."""
+    parts = None
+    if text.isascii():
+        with contextlib.suppress(ValueError):
+            parts = _code_parts(encode(text), _written_rows)
+    if parts is None:
+        parts = _code_parts(encode(with_newlines(text)), _rows_from_text)
+    n, i, hx, hz, raw_map = parts
     if not hx.shape[1] - 1 == n == hz.shape[1] - 1:
         raise ValueError(f"HX and HZ have {hx.shape[1] - 1} and {hz.shape[1] - 1} columns "
                          f"for {n} qubits")
@@ -423,7 +444,7 @@ def code_from_text(text: str) -> CssCode:
             x_checks=x_checks,
             z_checks=z_checks,
             grading=i,
-            qubit_cells=_read_qubitmap(raw[at_map + len("qubitmap\n") :], n),
+            qubit_cells=_read_qubitmap(raw_map, n),
             x_anchor_cells=[],
             source=None,
         )
@@ -433,6 +454,30 @@ def code_from_text(text: str) -> CssCode:
 
 # the first two lines of a text whose line breaks are all "\n"
 _HEAD = re.compile(rb"([^\n]*)\n?([^\n]*)")
+# the ASCII line breaks of str.splitlines other than "\n"
+_ODD_BREAK = re.compile(rb"[\r\x0b\x0c\x1c\x1d\x1e]")
+
+
+def _code_parts(raw: bytes, read_rows):
+    """The qubit count, the grading, the HX and HZ rows (`read_rows` of
+    each body, a view of `raw`) and the qubit map's bytes of the encoded
+    ``csscode v1`` text `raw`.  None when `read_rows` returns None for a
+    body, or when a line break other than "\\n" lies outside the bodies;
+    malformed input raises ValueError."""
+    head = _HEAD.match(raw)
+    if decode(head[1]).strip() != "csscode v1":
+        raise ValueError("not a csscode v1 file")
+    toks = decode(head[2]).split()
+    if len(toks) != 4 or toks[0] != "nqubits" or toks[2] != "i":
+        raise ValueError("csscode v1 line 2 must read 'nqubits <n> i <i>'")
+    n, i = int64(toks[1]), int64(toks[3])
+    at_hx, at_hz, at_map = (_line_at(raw, word) for word in ("HX", "HZ", "qubitmap"))
+    view = memoryview(raw)
+    hx = read_rows(view[at_hx + len("HX\n") : at_hz])
+    hz = read_rows(view[at_hz + len("HZ\n") : at_map])
+    if hx is None or hz is None or _ODD_BREAK.search(raw, 0, at_hx) or _ODD_BREAK.search(raw, at_map):
+        return None
+    return n, i, hx, hz, raw[at_map + len("qubitmap\n") :]
 
 
 def _line_at(raw: bytes, word: str) -> int:

@@ -27,10 +27,23 @@ Storage
 -------
 Per grade k a complex holds a box array, label codes into a per-complex
 table of label strings, and the face lists in CSR form (see
-:class:`CellComplex` and :class:`Faces`).  A lattice computes its faces by
-index arithmetic: the cells with one set of extended axes form a C-ordered
-block, and a face is the same multi-index in the matching (k-1)-block with
-the dropped axis at j or j + 1 (mod the vertex count on a periodic axis).
+:class:`CellComplex` and :class:`Faces`).  A built lattice stores int16
+boxes (int32, then int64, when its coordinates need them) and int32 label
+codes, face indices and row pointers; every midpoint, width and key that
+can outgrow them is computed wider.  A complex read from text keeps the
+int64 arrays it was parsed into.
+
+A lattice on the open cube or the torus, punched or not, is one
+construction (:func:`_lattice_complex`): the boxes and label codes of all
+its cells are built as arrays, the holes mark the cells they delete and
+relabel, the faces are computed for the kept cells only, by index
+arithmetic, and renumbered, and the one :class:`CellComplex` checks
+dd = 0.  The cells with one set of extended axes form a C-ordered block,
+and a face is the same multi-index in the matching (k-1)-block with the
+dropped axis at j or j + 1 (mod the vertex count on a periodic axis).
+The unpunched lattice is never a complex.  A sphere is the quotient of
+the open cube, which :func:`punch_holes` punches.
+
 Cofaces, the face arrays of a relative chain complex (the unlabelled
 cells, :meth:`CellComplex.relative_faces`) and dense GF(2) incidence
 matrices are derived on demand, the last only for eliminations: the small
@@ -61,12 +74,14 @@ strictly inside when ``2a < m < 2b``; it touches the closed box when
 degenerate ones; it lies within the closed box when ``2a + 2 <= m <=
 2b - 2`` on extended axes and ``2a <= m <= 2b`` on degenerate ones.  On a
 periodic axis ``m +- 2 * period`` is tried as well.  Every cell of a
-lattice has its own midpoint, so :func:`punch_holes` places each cell's
-row in a dense grid over the halved midpoints ``m >> 1`` (modulo the
-period on a periodic axis) and runs these tests, one hole at a time, only
-on the cells of the grid block around the hole.  It marks the deleted
-cells and the new label codes in one array each and hands them to
-:meth:`CellComplex.delete` as masks.
+lattice has its own midpoint, so the punch places each cell's row in a
+dense grid over the halved midpoints ``m >> 1`` (modulo the period on a
+periodic axis) and runs these tests only on the cells of the grid block
+around each hole: the blocks of all holes of one box shape come from one
+gather.  It marks the deleted cells and the new label codes in one array
+each; the lattice construction builds only the kept cells, and
+:func:`punch_holes`, which punches a complex that exists, hands the masks
+to :meth:`CellComplex.delete`.
 """
 
 from __future__ import annotations
@@ -146,6 +161,13 @@ class BoundaryError(ValueError, AssertionError):
     that treat it as a broken invariant."""
 
 
+def _width(lo: int, hi: int, widths=(np.int16, np.int32, np.int64)) -> type:
+    """The first of the integer `widths` that holds every value from lo to
+    hi (the last when none does)."""
+    return next((t for t in widths if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max),
+                widths[-1])
+
+
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """The concatenation of ``arange(starts[i], stops[i])`` over i."""
     counts = stops - starts
@@ -166,7 +188,7 @@ class Faces:
 
     @classmethod
     def empty(cls, n: int) -> "Faces":
-        return cls(np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        return cls(np.zeros(n + 1, dtype=np.int32), np.zeros(0, dtype=np.int32))
 
     @classmethod
     def from_pairs(cls, n: int, rows, cols) -> "Faces":
@@ -187,16 +209,6 @@ class Faces:
         np.cumsum(np.bincount(rows, minlength=n), out=ptr[1:])
         return cls(ptr, cols)
 
-    @classmethod
-    def from_table(cls, table: np.ndarray) -> "Faces":
-        """Faces from an (n, m) array of m face indices per cell (repeats
-        cancel mod 2)."""
-        n, m = table.shape
-        table = np.sort(table, axis=1)
-        if (table[:, 1:] == table[:, :-1]).any():
-            return cls.from_pairs(n, np.repeat(np.arange(n), m), table.ravel())
-        return cls(np.arange(0, n * m + 1, m, dtype=np.int64), table.ravel())
-
     def __len__(self) -> int:
         return len(self.ptr) - 1
 
@@ -204,7 +216,10 @@ class Faces:
         return self.idx[self.ptr[i] : self.ptr[i + 1]]
 
     def counts(self) -> np.ndarray:
-        return np.diff(self.ptr)
+        """The number of faces of each cell, as int64 whatever the width of
+        `ptr`: ``np.subtract.at`` and its kind take the fast path only where
+        the counts and the values they add have one type."""
+        return np.diff(self.ptr).astype(np.int64, copy=False)
 
     def owners(self) -> np.ndarray:
         """The cell of every entry of ``idx``."""
@@ -222,12 +237,13 @@ class Faces:
         return Faces(ptr, self.owners()[np.argsort(self.idx, kind="stable")])
 
     def restrict(self, keep: np.ndarray, keep_below: np.ndarray) -> "Faces":
-        """The kept cells' faces among the kept faces, both renumbered."""
+        """The kept cells' faces among the kept faces, both renumbered, in
+        the integer widths of these faces."""
         own = self.owners()
         sel = keep[own] & keep_below[self.idx]
-        ptr = np.zeros(int(keep.sum()) + 1, dtype=np.int64)
+        ptr = np.zeros(int(keep.sum()) + 1, dtype=self.ptr.dtype)
         np.cumsum(np.bincount(own[sel], minlength=len(self))[keep], out=ptr[1:])
-        return Faces(ptr, (np.cumsum(keep_below) - 1)[self.idx[sel]])
+        return Faces(ptr, (np.cumsum(keep_below, dtype=self.idx.dtype) - 1)[self.idx[sel]])
 
     def matrix(self, cols: int) -> Gf2Matrix:
         """The dense incidence matrix: one row per cell, `cols` columns for
@@ -252,12 +268,20 @@ class Faces:
             ptr = self.ptr[first : first + (1 << 16) + 1]
             block = Faces(ptr - ptr[0], self.idx[ptr[0] : ptr[-1]])
             starts, stops = below.ptr[block.idx], below.ptr[block.idx + 1]
-            reach = np.repeat(block.owners() * n, stops - starts)
-            reach += below.idx[_ranges(starts, stops)]
-            reach.sort()
+            reach = below.idx[_ranges(starts, stops)]
+            ends = np.zeros(len(block.idx) + 1, dtype=np.int64)  # where each cell's reach ends
+            np.cumsum(stops - starts, out=ends[1:])
+            ends = ends[block.ptr[1:]]
+            if (ends == np.arange(1, len(block) + 1) * ends[0]).all():
+                # every cell reaches as many cells: sort the rows one by one
+                reach = reach.reshape(len(block), int(ends[0]))
+                reach.sort(axis=1)
+            else:  # the key cell * n + reached cell, sorted as one
+                reach = np.repeat(block.owners() * n, stops - starts) + reach
+                reach.sort()
             # sorted, every value occurs an even number of times iff the
             # entries pair up
-            if len(reach) % 2 or (reach[0::2] != reach[1::2]).any():
+            if reach.shape[-1] % 2 or (reach[..., 0::2] != reach[..., 1::2]).any():
                 return False
         return True
 
@@ -408,7 +432,7 @@ class CellComplex:
         cells = [c[kp] for c, kp in zip(self.cells, keep)]
         new_labels = [lab[kp] for lab, kp in zip(self.labels, keep)]
         star = len(cells[0])  # index of the new vertex, after every kept one
-        cells[0] = np.concatenate([cells[0], np.full((1, self.dim, 2), -1, dtype=np.int64)])
+        cells[0] = np.concatenate([cells[0], np.full((1, self.dim, 2), -1, dtype=cells[0].dtype)])
         new_labels[0] = np.append(new_labels[0], 0)
         faces[0] = Faces.empty(star + 1)
         fs = faces[1]
@@ -562,54 +586,125 @@ def _axis_elements(kind: str, L: int) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([vertices, vertices], 1), np.stack([edges, edges + 2], 1)
 
 
-def _build_from_axes(
-    dim: int,
-    axis_kinds: list[str],
-    L: int,
-    background: str,
-    style: str,
-    rules: tuple[tuple[int, int, str], ...] = (),
-) -> CellComplex:
-    """The product complex of the 1D factors.  `rules` are (axis,
-    coordinate, label) in priority order: a cell degenerate at `coordinate`
-    on `axis` takes the label of the first rule it meets."""
-    elements = [_axis_elements(kind, L) for kind in axis_kinds]
-    periodic = [kind == "circle" for kind in axis_kinds]
-    cells, faces = [], []
-    blocks_below: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
-    for k in range(dim + 1):
-        boxes, tables, blocks, start = [], [], {}, 0
-        for ext in itertools.combinations(range(dim), k):
-            per_axis = [elements[d][1 if d in ext else 0] for d in range(dim)]
-            shape = tuple(len(e) for e in per_axis)
-            ix = np.indices(shape).reshape(dim, -1)
-            boxes.append(np.stack([per_axis[d][ix[d]] for d in range(dim)], axis=1))
-            blocks[ext] = (start, shape)
-            start += ix.shape[1]
-            cols = []
-            for d in ext:
-                # the faces across axis d: the same multi-index in the block
-                # without d, at vertex j or j + 1 on that axis
-                base, base_shape = blocks_below[tuple(a for a in ext if a != d)]
-                for step in (0, 1):
-                    at = list(ix)
-                    at[d] = (ix[d] + step) % base_shape[d] if periodic[d] else ix[d] + step
-                    cols.append(base + np.ravel_multi_index(at, base_shape))
-            if k:
-                tables.append(np.stack(cols, axis=1))
-        blocks_below = blocks
-        cells.append(np.concatenate(boxes))
-        faces.append(Faces.from_table(np.concatenate(tables)) if k else Faces.empty(start))
-    labels = []
-    for box in cells:
-        codes = np.zeros(len(box), dtype=np.int64)
-        for r in range(len(rules) - 1, -1, -1):
-            d, c, _ = rules[r]
-            codes[(box[:, d, 0] == c) & (box[:, d, 1] == c)] = r + 1
-        labels.append(codes)
+class _Lattice:
+    """The product complex of 1D factors as index arithmetic.
+
+    The k-cells with one set of extended axes `ext` form a C-ordered block,
+    the blocks of a grade in ``itertools.combinations`` order, and the
+    grades follow each other: k-cell i is row ``start[k] + i`` of the
+    arrays of all cells.  A face of a cell across axis d is the same
+    multi-index in the block without d, at vertex j or j + 1 on that axis
+    (mod the vertex count on a periodic axis)."""
+
+    def __init__(self, axis_kinds: list[str], L: int):
+        self.dim = len(axis_kinds)
+        self.width = _width(0, 2 * L)  # of the boxes: int16 when the coordinates fit
+        self.elements = [_axis_elements(kind, L) for kind in axis_kinds]
+        self.periods = tuple(2 * L if kind == "circle" else None for kind in axis_kinds)
+        # per grade: {ext: (first cell, block shape)}, in block order
+        self.blocks, counts = [], []
+        for k in range(self.dim + 1):
+            blocks, first = {}, 0
+            for ext in itertools.combinations(range(self.dim), k):
+                blocks[ext] = (first, tuple(len(self.elements[d][d in ext]) for d in range(self.dim)))
+                first += math.prod(blocks[ext][1])
+            self.blocks.append(blocks)
+            counts.append(first)
+        self.start = np.cumsum([0] + counts)
+        self.index = _width(0, int(self.start[-1]), (np.int32, np.int64))
+
+    def boxes(self) -> np.ndarray:
+        """The (N, dim, 2) boxes of all cells."""
+        out = np.empty((self.start[-1], self.dim, 2), dtype=self.width)
+        for k, blocks in enumerate(self.blocks):
+            for ext, (first, shape) in blocks.items():
+                at = self.start[k] + first
+                block = out[at : at + math.prod(shape)].reshape(*shape, self.dim, 2)
+                for d in range(self.dim):
+                    along = [1] * self.dim
+                    along[d] = shape[d]
+                    for side in (0, 1):
+                        block[..., d, side] = self.elements[d][d in ext][:, side].reshape(along)
+        return out
+
+    def faces(self, k: int, cells: np.ndarray) -> np.ndarray:
+        """The (len(cells), 2k) table of the faces of the ascending k-cells
+        `cells`, each row ascending: across the extended axes from the last
+        to the first, whose blocks below ascend, and on each axis the lower
+        index first.  A face that a row holds twice (on an axis of period
+        1) is in both columns of its pair."""
+        table = np.empty((len(cells), 2 * k), dtype=np.int64)
+        blocks, below = self.blocks[k].items(), self.blocks[k - 1]
+        bounds = np.searchsorted(cells, [first for _, (first, _) in blocks] + [self.start[k + 1]])
+        for (ext, (first, shape)), a, b in zip(blocks, bounds, bounds[1:]):
+            c = cells[a:b] - first
+            for col, d in enumerate(reversed(ext)):
+                # c = (outer * shape[d] + j) * inner + rest; the block below
+                # has base_shape[d] = shape[d] + 1 vertices on axis d (as many
+                # on a circle), and the same multi-index there lies `outer`
+                # rows of `inner` cells further on
+                base, base_shape = below[tuple(x for x in ext if x != d)]
+                inner = math.prod(shape[d + 1 :])
+                lower = base + c + c // (shape[d] * inner) * ((base_shape[d] - shape[d]) * inner)
+                upper = lower + inner
+                if self.periods[d]:
+                    upper[c // inner % shape[d] == shape[d] - 1] -= shape[d] * inner
+                np.minimum(lower, upper, out=table[a:b, 2 * col])
+                np.maximum(lower, upper, out=table[a:b, 2 * col + 1])
+        return table
+
+    def kept_faces(self, k: int, keep: np.ndarray, keep_below: np.ndarray) -> Faces:
+        """The faces of the kept k-cells among the kept (k-1)-cells (a mask
+        each), both renumbered; a face held twice cancels."""
+        table = self.faces(k, np.flatnonzero(keep))
+        sel = keep_below[table]
+        twice = table[:, 0::2] == table[:, 1::2]
+        sel[:, 0::2] &= ~twice
+        sel[:, 1::2] &= ~twice
+        new = np.cumsum(keep_below, dtype=self.index) - 1
+        if sel.all():  # every row keeps its faces
+            return Faces(np.arange(0, table.size + 1, 2 * k, dtype=self.index), new[table.ravel()])
+        ptr = np.zeros(len(table) + 1, dtype=self.index)
+        np.cumsum(sel.sum(axis=1), out=ptr[1:])
+        return Faces(ptr, new[table[sel]])
+
+
+def _lattice_complex(axis_kinds: list[str], L: int, background: str, style: str,
+                     rules: tuple[tuple[int, int, str], ...] = (),
+                     holes: list[Hole] | tuple = ()) -> CellComplex:
+    """The product complex of the 1D factors with `holes` punched, in one
+    construction.  `rules` are (axis, coordinate, label) in priority order:
+    a cell degenerate at `coordinate` on `axis` takes the label of the
+    first rule it meets.
+
+    The boxes and label codes of every cell are built as arrays, the holes
+    mark the cells they delete and relabel (`_punch_masks`), the faces are
+    computed for the kept cells only and renumbered, and the one
+    CellComplex checks dd = 0; a punched complex's e-patches must be
+    closed (`_check_e_patches`)."""
+    lat = _Lattice(axis_kinds, L)
+    boxes = lat.boxes()
+    codes = np.zeros(len(boxes), dtype=np.int32)
+    for r in range(len(rules) - 1, -1, -1):
+        d, c, _ = rules[r]
+        codes[(boxes[:, d, 0] == c) & (boxes[:, d, 1] == c)] = r + 1
     names = [BULK] + [label for _, _, label in rules]
-    periods = tuple(2 * L if p else None for p in periodic)
-    return CellComplex(dim, cells, labels, names, faces, background, style, periods)
+    gone = np.zeros(len(boxes), dtype=bool)
+    if holes:
+        gone, codes, names = _punch_masks(
+            boxes, codes, names, lat.start, lat.periods, style, holes,
+            lambda k, cells: (2 * k, lat.faces(k, cells).ravel()))
+    keep = np.split(~gone, lat.start[1:-1])
+    cells = [np.compress(kp, b, axis=0) for b, kp in zip(np.split(boxes, lat.start[1:-1]), keep)]
+    labels = [c[kp] for c, kp in zip(np.split(codes, lat.start[1:-1]), keep)]
+    del boxes, codes, gone  # nothing holds the whole lattice while the faces are built
+    faces = [Faces.empty(len(cells[0]))] + [
+        lat.kept_faces(k, keep[k], keep[k - 1]) for k in range(1, lat.dim + 1)]
+    cx = CellComplex(lat.dim, cells, labels, names, faces, background, style, lat.periods,
+                     list(holes))
+    if holes:
+        _check_e_patches(cx)
+    return cx
 
 
 def build_lattice(
@@ -622,30 +717,7 @@ def build_lattice(
     torus: opposite faces identified, L**n vertices.
     sphere: open cube with the entire outer boundary collapsed to a point.
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
-    if not 2 <= n <= 4:
-        raise ValueError(f"dimension {n} unsupported (need 2..4)")
-    background = {"open-cube": "open"}.get(background, background)
-    if background == "torus":
-        return _build_from_axes(n, ["circle"] * n, L, "torus", "plain")
-    if background in ("open", "sphere"):
-        if e_axes is None:
-            e_axes = (n - 1,)
-        # E-priority: a cell on several outer patches takes the first
-        # e-patch in patch order, else the first m-patch
-        rules = tuple(
-            (d, side * 2 * L, f"{kind}{2 * d + side}")
-            for kind, on_e in (("oE", True), ("oM", False))
-            for d in range(n) if (d in e_axes) == on_e
-            for side in (0, 1)
-        )
-        cx = _build_from_axes(n, ["interval"] * n, L, "open", "plain", rules)
-        if background == "sphere":
-            outer = {lb for lb in cx.labels_present() if lb.startswith("o")}
-            return cx.quotient_to_point(outer)
-        return cx
-    raise ValueError(f"unknown background {background!r}")
+    return _lattice(n, L, background, e_axes, "plain")
 
 
 def code_lattice(
@@ -657,34 +729,46 @@ def code_lattice(
     cell-centered paths, so the i=1 code built on it is the standard
     (1, n-1) surface code with d_Z = L and d_X = L**(n-1).
     """
-    if L < 2:
-        raise ValueError("code lattice needs L >= 2")
+    return _lattice(n, L, background, e_axes, "code")
+
+
+def _lattice(n: int, L: int, background: str, e_axes: tuple[int, ...] | None, style: str,
+             holes: list[Hole] | tuple = ()) -> CellComplex:
+    """`build_lattice` (style "plain") or `code_lattice` (style "code")
+    with `holes` punched.  On the sphere the holes are punched into the
+    quotient of the open cube; every other lattice is one construction."""
     background = {"open-cube": "open"}.get(background, background)
+    e_axes = (n - 1,) if e_axes is None else e_axes
+    if style == "code" and L < 2:
+        raise ValueError("code lattice needs L >= 2")
+    if style == "plain" and L < 1:
+        raise ValueError("L must be >= 1")
+    if style == "plain" and not 2 <= n <= 4:
+        raise ValueError(f"dimension {n} unsupported (need 2..4)")
     if background == "torus":
-        return _build_from_axes(n, ["circle"] * n, L, "torus", "code")
-    if e_axes is None:
-        e_axes = (n - 1,)
-    kinds = ["interval" if d in e_axes else "centered" for d in range(n)]
-    rules = tuple((d, side * 2 * L, f"oE{2 * d + side}") for d in e_axes for side in (0, 1))
-    return _build_from_axes(n, kinds, L, "open", "code", rules)
+        return _lattice_complex(["circle"] * n, L, "torus", style, (), holes)
+    if style == "code":  # any other background is the open cube
+        kinds = ["interval" if d in e_axes else "centered" for d in range(n)]
+        rules = tuple((d, side * 2 * L, f"oE{2 * d + side}") for d in e_axes for side in (0, 1))
+        return _lattice_complex(kinds, L, "open", "code", rules, holes)
+    if background not in ("open", "sphere"):
+        raise ValueError(f"unknown background {background!r}")
+    # E-priority: a cell on several outer patches takes the first e-patch in
+    # patch order, else the first m-patch
+    rules = tuple(
+        (d, side * 2 * L, f"{kind}{2 * d + side}")
+        for kind, on_e in (("oE", True), ("oM", False))
+        for d in range(n) if (d in e_axes) == on_e
+        for side in (0, 1)
+    )
+    if background == "open":
+        return _lattice_complex(["interval"] * n, L, "open", "plain", rules, holes)
+    cx = _lattice_complex(["interval"] * n, L, "open", "plain", rules)
+    sphere = cx.quotient_to_point({lb for lb in cx.labels_present() if lb.startswith("o")})
+    return punch_holes(sphere, holes) if holes else sphere
 
 
 # -- hole punching ----------------------------------------------------------
-
-
-def _hits(m: np.ndarray, margin: np.ndarray, box: Box, periods) -> np.ndarray:
-    """Mask of the rows of m (cells x axes) with ``2a + margin <= m <=
-    2b - margin`` on every axis of the hole box, on periodic axes also after
-    shifting m by one period either way (2 * period in these units)."""
-    lo = 2 * np.array([a for a, _ in box]) + margin
-    hi = 2 * np.array([b for _, b in box]) - margin
-    hit = (lo <= m) & (m <= hi)
-    for d, period in enumerate(periods):
-        if period:
-            for shift in (-2 * period, 2 * period):
-                md = m[:, d] + shift
-                hit[:, d] |= (lo[:, d] <= md) & (md <= hi[:, d])
-    return hit.all(axis=1)
 
 
 # The most grid slots per cell a punch allocates: the lattices fill their
@@ -700,43 +784,173 @@ class _MidpointGrid:
     taken modulo the period, on the others it counts from the lowest
     midpoint.  Cells that share a midpoint raise ValueError, and so do
     cells spread over more than `_SLOTS_PER_CELL` slots each, before the
-    grid is allocated."""
+    grid is allocated.
 
-    def __init__(self, m: np.ndarray, w: np.ndarray, periods):
-        self.periods = periods
-        self.reach = int(w.max()) if w.size else 0
-        lo, hi = (m.min(axis=0) >> 1, m.max(axis=0) >> 1) if len(m) else ([0] * len(periods),) * 2
-        self.low = [0 if p else int(a) for p, a in zip(periods, lo)]
-        shape = [p or int(b) - a + 1 for p, a, b in zip(periods, self.low, hi)]
-        if math.prod(shape) > _SLOTS_PER_CELL * max(len(m), 1):
-            raise ValueError(f"{len(m)} cells spread over a grid of {math.prod(shape)} midpoints; "
-                             f"holes need at most {_SLOTS_PER_CELL} per cell")
-        flat = np.zeros(len(m), dtype=np.int64)  # the cells' grid positions, axis by axis
+    `boxes` holds the cells of every grade.  Midpoints and widths are
+    computed in twice the width of the boxes' integers, so that they
+    cannot overflow."""
+
+    def __init__(self, boxes: np.ndarray, periods):
+        self.boxes, self.periods = boxes, periods
+        self.wide = np.int32 if boxes.dtype == np.int16 else np.int64
+        half, self.reach = [], 0  # per axis, the halved midpoints
+        for d in range(len(periods)):
+            m, w = _midpoints(boxes[:, d], self.wide)
+            half.append(m >> 1)
+            self.reach = max(self.reach, int(w.max(initial=0)))
+        lo, hi = ([int(h.min()) for h in half], [int(h.max()) for h in half]) if len(boxes) \
+            else ([0] * len(periods),) * 2
+        self.low = [0 if p else a for p, a in zip(periods, lo)]
+        shape = [p or b - a + 1 for p, a, b in zip(periods, self.low, hi)]
+        if math.prod(shape) > _SLOTS_PER_CELL * max(len(boxes), 1):
+            raise ValueError(f"{len(boxes)} cells spread over a grid of {math.prod(shape)} "
+                             f"midpoints; holes need at most {_SLOTS_PER_CELL} per cell")
+        flat = np.zeros(len(boxes), dtype=np.int64)  # the cells' grid positions, axis by axis
         for d, period in enumerate(periods):
-            h = m[:, d] >> 1
+            h = half[d]
             h -= self.low[d]
             if period:
                 h %= period
             flat *= shape[d]
             flat += h
+        del half
         self.rows = np.full(shape, -1, dtype=np.int32)
-        self.rows.flat[flat] = np.arange(len(m), dtype=np.int32)
-        if np.count_nonzero(self.rows >= 0) < len(m):
+        self.rows.flat[flat] = np.arange(len(boxes), dtype=np.int32)
+        if np.count_nonzero(self.rows >= 0) < len(boxes):
             raise ValueError("cells share a midpoint; holes need one cell per midpoint")
 
-    def near(self, box: Box) -> np.ndarray:
-        """The cells whose midpoints could meet the box under any of the
-        three relations."""
-        axes = []
-        for d, (a, b) in enumerate(box):
-            lo, hi = (2 * a - self.reach) >> 1, (2 * b + self.reach) >> 1
-            if period := self.periods[d]:
-                axes.append(np.arange(lo, min(hi, lo + period - 1) + 1) % period)
+    def gather(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (hole, row) pairs of the cells whose midpoints could meet one
+        of the (h, dim, 2) hole `boxes`, all of one shape, under any of the
+        three relations: the grid block around every box, in one gather."""
+        at, valid = [], []
+        for d, period in enumerate(self.periods):
+            lo = (2 * boxes[:, d, 0] - self.reach) >> 1
+            hi = (2 * boxes[:, d, 1] + self.reach) >> 1
+            if period:  # the boxes share hi - lo; a block wider than the period wraps once
+                idx = (lo[:, None] + np.arange(min(int(hi[0] - lo[0]) + 1, period))) % period
+                ok = np.ones(idx.shape, dtype=bool)
             else:
                 size = self.rows.shape[d]
-                axes.append(np.arange(max(lo - self.low[d], 0), min(hi - self.low[d] + 1, size)))
-        rows = self.rows[np.ix_(*axes)].ravel()
-        return rows[rows >= 0]
+                first = np.clip(lo - self.low[d], 0, size)
+                stop = np.clip(hi - self.low[d] + 1, 0, size)
+                idx = first[:, None] + np.arange(int((stop - first).max()))
+                ok = idx < stop[:, None]
+                idx = np.minimum(idx, size - 1)
+            shape = [len(boxes)] + [1] * len(self.periods)
+            shape[d + 1] = -1
+            at.append(idx.reshape(shape))
+            valid.append(ok.reshape(shape))
+        rows = self.rows[tuple(at)]
+        hit = rows >= 0
+        for ok in valid:
+            hit &= ok
+        pair = np.flatnonzero(hit)
+        return pair // max(rows.size // len(boxes), 1), rows.ravel()[pair]
+
+    def hits(self, rows: np.ndarray, j: np.ndarray, ends: np.ndarray, margin) -> np.ndarray:
+        """Per pair of a cell row and a hole j whose box [a, b] has the
+        doubled ends ``ends[d, 0, j]`` = 2a and ``ends[d, 1, j]`` = 2b on
+        axis d, whether ``2a + g <= m <= 2b - g`` holds on every axis, m
+        the cell's doubled midpoint, w its width there and g = margin(w, j);
+        on a periodic axis also after shifting m by one period either way
+        (2 * period in these units).  The pairs are tested in blocks, so the
+        temporaries stay small."""
+        hit = np.ones(len(rows), dtype=bool)
+        for first in range(0, len(rows), 1 << 18):
+            part = slice(first, first + (1 << 18))
+            near, jp = np.take(self.boxes, rows[part], axis=0), j[part]
+            for d, period in enumerate(self.periods):
+                m, w = _midpoints(near[:, d], self.wide)
+                g = margin(w, jp)
+                lo, hi = ends[d, 0][jp] + g, ends[d, 1][jp] - g
+                ok = (lo <= m) & (m <= hi)
+                if period:
+                    for shift in (-2 * period, 2 * period):
+                        ok |= (lo <= m + shift) & (m + shift <= hi)
+                hit[part] &= ok
+        return hit
+
+
+def _midpoints(spans: np.ndarray, wide) -> tuple[np.ndarray, np.ndarray]:
+    """The doubled midpoints ``lo + hi`` and the widths ``hi - lo`` of the
+    (n, 2) `spans`, in the integer type `wide`."""
+    lo, hi = spans[:, 0], spans[:, 1]
+    return np.add(lo, hi, dtype=wide), np.subtract(hi, lo, dtype=wide)
+
+
+def _hole_hits(boxes: np.ndarray, bulk: np.ndarray, periods, style: str,
+               holes: list[Hole]) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell (the rows of `boxes`), whether a hole deletes it, and the
+    last hole that relabels it (-1 for none), before e-patches close down.
+    The holes of one box shape are tested together, on the cells of one
+    gather of the midpoint grid."""
+    grid = _MidpointGrid(boxes, periods)
+    hb = np.array([h.box for h in holes], dtype=np.int64).reshape(len(holes), len(periods), 2)
+    ends = 2 * hb.transpose(1, 2, 0)  # per axis, the doubled ends of every hole
+    is_m = np.array([h.kind == "m" for h in holes], dtype=bool)
+    doomed = np.zeros(len(boxes), dtype=bool)
+    tag = np.full(len(boxes), -1, dtype=np.int32)
+    if style != "code":  # the first hole that deletes each cell, and the cells on each hole
+        first_doom, within = np.full(len(boxes), len(holes), dtype=np.int32), []
+    shapes, shape = np.unique(hb[:, :, 1] - hb[:, :, 0], axis=0, return_inverse=True)
+    for s in range(len(shapes)):
+        js = np.flatnonzero(shape.ravel() == s)
+        j, r = grid.gather(hb[js])
+        j = js[j].astype(np.int32)  # the type of `tag`, for the fast ufunc.at
+        if style == "code":
+            # an m-hole measures out the closed star of its box; an e-hole
+            # tags the interior, whose faces join its e-patch below, and the
+            # code module deletes the patch, leaving dangling edges
+            hit = grid.hits(r, j, ends, lambda w, j: np.where(is_m[j], -w, np.maximum(w, 1)))
+            m = is_m[j]
+            doomed[r[hit & m]] = True
+            e = hit & ~m
+            np.maximum.at(tag, r[e], j[e])
+        else:
+            hit = grid.hits(r, j, ends, lambda w, j: np.maximum(w, 1))
+            doomed[r[hit]] = True
+            np.minimum.at(first_doom, r[hit], j[hit])
+            on = grid.hits(r, j, ends, lambda w, j: w)
+            within.append((j[on], r[on]))
+    if style != "code" and within:
+        # a hole labels the bulk cells within its closed box that neither it
+        # nor an earlier hole deleted
+        j, r = (np.concatenate(x) for x in zip(*within))
+        ok = bulk[r] & (j < first_doom[r])
+        np.maximum.at(tag, r[ok], j[ok])
+    return doomed, tag
+
+
+def _punch_masks(boxes: np.ndarray, codes: np.ndarray, names, start: np.ndarray, periods,
+                 style: str, holes: list[Hole], faces_of):
+    """The cells that `holes` delete, per the style conventions, as one mask
+    over the rows of `boxes`, and the label codes after the holes relabel
+    cells (`codes`, changed in place) with the label table they index.
+
+    The rows hold the cells of every grade, k-cell i at row start[k] + i;
+    ``faces_of(k, cells)`` gives the face counts of the ascending k-cells
+    `cells` and their faces, concatenated.  Holes apply in order; a cell
+    relabeled by several holes takes the last one's label."""
+    doomed, tag = _hole_hits(boxes, codes == 0, periods, style, holes)
+    if style == "code":  # e-patches close down: a face takes its cofaces' last e-hole
+        for k in range(len(start) - 2, 0, -1):
+            cells = np.flatnonzero(tag[start[k] : start[k + 1]] >= 0)
+            if cells.size:
+                counts, below = faces_of(k, cells)
+                np.maximum.at(tag, start[k - 1] + below, np.repeat(tag[start[k] + cells], counts))
+    tagged = np.flatnonzero(tag >= 0)
+    if tagged.size:
+        # the holes' labels join the table in order of their first tagged cell
+        used, first = np.unique(tag[tagged], return_index=True)
+        code = collections.defaultdict(lambda: len(code),
+                                       {name: c for c, name in enumerate(names)})
+        hole_code = np.zeros(len(holes), dtype=codes.dtype)
+        for j in used[np.argsort(first)].tolist():
+            hole_code[j] = code[holes[j].label]
+        codes[tagged] = hole_code[tag[tagged]]
+        names = list(code)
+    return doomed, codes, names
 
 
 def punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
@@ -750,48 +964,12 @@ def punch_holes(cx: CellComplex, holes: list[Hole]) -> CellComplex:
     ValueError, and so does a complex whose cells share a midpoint or lie
     too sparse for `_MidpointGrid`.
     """
-    # every grade in one array: cell c of grade k is row start[k] + c
     start = np.cumsum([0] + [cx.n_cells(k) for k in range(cx.dim + 1)])
-    m = np.concatenate([c[..., 0] + c[..., 1] for c in cx.cells])
-    w = np.concatenate([c[..., 1] - c[..., 0] for c in cx.cells])
-    grid = _MidpointGrid(m, w, cx.periods)
-    doomed = np.zeros(len(m), dtype=bool)
-    tag = np.full(len(m), -1)  # index of the relabeling hole
-    bulk = np.concatenate(cx.labels) == 0
-    for j, hole in enumerate(holes):
-        near = grid.near(hole.box)
-        mh, wh = m[near], w[near]
-        if cx.style == "code" and hole.kind == "m":
-            # measured-out region: closed star of the hole box
-            doomed[near[_hits(mh, -wh, hole.box, cx.periods)]] = True
-        elif cx.style == "code" and hole.kind == "e":
-            # rough hole: tag the interior, whose faces join its e-patch
-            # below; the code module deletes the patch, leaving dangling edges
-            tag[near[_hits(mh, np.maximum(wh, 1), hole.box, cx.periods)]] = j
-        else:
-            doomed[near[_hits(mh, np.maximum(wh, 1), hole.box, cx.periods)]] = True
-            i = near[_hits(mh, wh, hole.box, cx.periods)]
-            tag[i[~doomed[i] & bulk[i]]] = j
-    del m, w, grid  # free the midpoint index before the restricted copy is built
-    if cx.style == "code":  # e-patches close down: a face takes its cofaces' last e-hole
-        for k in range(cx.dim, 0, -1):
-            f = cx.faces[k]
-            np.maximum.at(tag, start[k - 1] + f.idx, tag[start[k] + f.owners()])
-    labels = names = None
-    tagged = np.flatnonzero(tag >= 0)
-    if tagged.size:
-        # the holes' labels join the table in order of their first tagged cell
-        used, first = np.unique(tag[tagged], return_index=True)
-        code = collections.defaultdict(lambda: len(code),
-                                       {name: c for c, name in enumerate(cx.label_names)})
-        hole_code = np.zeros(len(holes), dtype=np.int64)
-        for j in used[np.argsort(first)].tolist():
-            hole_code[j] = code[holes[j].label]
-        codes = np.concatenate(cx.labels)
-        codes[tagged] = hole_code[tag[tagged]]
-        labels, names = np.split(codes, start[1:-1]), list(code)
-    gone = np.split(doomed, start[1:-1])
-    punched = cx.delete(gone, labels, names, holes_add=holes)
+    gone, codes, names = _punch_masks(
+        np.concatenate(cx.cells), np.concatenate(cx.labels), cx.label_names, start, cx.periods,
+        cx.style, holes, lambda k, cells: (cx.faces[k].counts()[cells], cx.faces[k].take(cells)))
+    punched = cx.delete(np.split(gone, start[1:-1]), np.split(codes, start[1:-1]), names,
+                        holes_add=holes)
     _check_e_patches(punched)
     return punched
 
@@ -801,9 +979,11 @@ def _first_open_face(faces: list[Faces], selected: list[np.ndarray]) -> tuple[in
     selected cells (a mask per grade) fail to be closed under the boundary,
     in order of grade, cell and face; None if they are closed."""
     for k in range(1, len(faces)):
-        own, idx = faces[k].owners(), faces[k].idx
-        bad = np.flatnonzero(selected[k][own] & ~selected[k - 1][idx])
+        cells = np.flatnonzero(selected[k])
+        idx = faces[k].take(cells)
+        bad = np.flatnonzero(~selected[k - 1][idx])
         if bad.size:
+            own = np.repeat(cells, faces[k].counts()[cells])
             return k, int(own[bad[0]]), int(idx[bad[0]])
     return None
 
@@ -840,9 +1020,9 @@ def fractal_holes(spec: FractalSpec) -> list[Hole]:
     blocks, sub = np.zeros((1, spec.n), dtype=np.int64), spec.side
     for level in range(1, spec.level + 1):
         sub //= spec.p
-        for origin in (blocks + lo * sub).tolist():
-            box = tuple((2 * o, 2 * (o + spec.q * sub)) for o in origin)
-            holes.append(Hole(len(holes), box, spec.hole_kind(len(holes)), level))
+        origin, first = 2 * (blocks + lo * sub), len(holes)
+        holes += [Hole(first + i, tuple(map(tuple, box)), spec.hole_kind(first + i), level)
+                  for i, box in enumerate(np.stack([origin, origin + 2 * spec.q * sub], 2).tolist())]
         blocks = (blocks[:, None, :] + steps * sub).reshape(-1, spec.n)
     return holes
 
@@ -872,16 +1052,14 @@ def _side_of(cx: CellComplex) -> int:
 
 
 def fractal_complex(spec: FractalSpec, style: str = "plain") -> CellComplex:
-    """Build the lattice for `spec` and punch its holes.
+    """The lattice for `spec` with its holes punched, built in one
+    construction (on the sphere, punched into the quotient).
 
     style "plain" backs homology computations; style "code" backs code and
     distance computations.
     """
-    if style == "code":
-        base = code_lattice(spec.n, spec.side, spec.background)
-    else:
-        base = build_lattice(spec.n, spec.side, spec.background)
-    return punch_fractal(base, spec)
+    return _lattice(spec.n, spec.side, spec.background, None,
+                    "code" if style == "code" else "plain", fractal_holes(spec))
 
 
 # -- duals -------------------------------------------------------------------

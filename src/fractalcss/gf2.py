@@ -422,8 +422,12 @@ def _rows_to_text(rows: np.ndarray) -> str:
 
 
 def matrix_from_text(text: str) -> Gf2Matrix:
-    """Parse a ``gf2matrix v1`` file; malformed input raises ValueError."""
-    grid = _rows_from_text(encode(with_newlines(text)))
+    """Parse a ``gf2matrix v1`` file; malformed input raises ValueError.
+    Text as the writers write it holds no line break but "\\n" and is read
+    as it is; other text is first given "\\n" line breaks."""
+    grid = _written_rows(encode(text))
+    if grid is None:
+        grid = _rows_from_text(encode(with_newlines(text)))
     cols = grid.shape[1] - 1
     return Gf2Matrix(len(grid), cols, _pack(grid[:, :cols] == ord("1")))
 
@@ -440,13 +444,20 @@ def _rows_from_text(raw) -> np.ndarray:
     character codes, cols of ``0`` or ``1``, then the line break.  Text as
     the writers write it is validated as one view of `raw`; other text is
     read as `_rows_from_str` reads it.  Malformed input raises ValueError."""
+    rows = _written_rows(raw)
+    return _rows_from_str(decode(bytes(raw))) if rows is None else rows
+
+
+def _written_rows(raw) -> np.ndarray | None:
+    """`_rows_from_text` of a text as the writers write it, as one view of
+    `raw`; None for any other text."""
     head = _WRITTEN_HEAD.match(raw)
     if head:
         rows, cols = int(head[1]), int(head[2])
         b = np.frombuffer(raw, dtype=np.uint8)[head.end() :]
         if cols and _is_rows(b, rows, cols):
             return b.reshape(rows, cols + 1)
-    return _rows_from_str(decode(bytes(raw)))
+    return None
 
 
 def _rows_from_str(text: str) -> np.ndarray:

@@ -19,16 +19,35 @@ The remaining helpers have no caller in the package: the dense boundary
 matrix of an array-backed complex, the Euler characteristic, a matrix
 from row vectors, a row weight, and ``delete_indexed``, which gives the
 array ``delete`` the oracle's arguments (index sets and a relabel dict).
+
+The two-step build is the oracle of the one-construction
+``fractal_complex``: the whole lattice as an int64 ``CellComplex`` with
+its own dd = 0 check (``array_code_lattice`` / ``array_build_lattice``),
+then ``punch_per_hole``, which runs the midpoint tests one hole at a time
+on the cells of the grid block around each hole (``_MidpointGrid.near``)
+and hands the masks to ``CellComplex.delete``.  They are kept verbatim
+from the package before it built the punched complex in one construction;
+``Faces.from_table``, which only they use, is ``_faces_from_table`` here.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from fractalcss.complexes import BULK, Box, Hole
+from fractalcss.complexes import (
+    BULK,
+    Box,
+    Faces,
+    FractalSpec,
+    Hole,
+    _check_e_patches,
+    fractal_holes,
+)
 from fractalcss.complexes import CellComplex as ArrayComplex
 from fractalcss.gf2 import Gf2Matrix, Gf2Vector, _rank_in_place
 
@@ -578,3 +597,299 @@ def dual_with_boundary(cx: CellComplex) -> CellComplex:
                     if cx.cells[k + 1][j].label != BULK
                 )
     return CellComplex(n, cells, faces, cx.background, "dual", cx.periods, cx.holes)
+
+
+# -- oracle: the two-step build, verbatim -------------------------------------
+
+
+def _array_axis_elements(kind: str, L: int) -> tuple[np.ndarray, np.ndarray]:
+    """(vertex positions, edge spans) of a 1D factor as (count, 2) arrays of
+    (lo, hi), doubled coordinates."""
+    j = np.arange(L + 1, dtype=np.int64)
+    if kind == "interval":
+        vertices, edges = 2 * j, 2 * j[:L]
+    elif kind == "centered":
+        vertices, edges = 2 * j[:L] + 1, 2 * j[: L - 1] + 1
+    elif kind == "circle":
+        vertices, edges = 2 * j[:L], 2 * j[:L]
+    else:
+        raise ValueError(f"unknown axis kind {kind}")
+    return np.stack([vertices, vertices], 1), np.stack([edges, edges + 2], 1)
+
+
+def _faces_from_table(table: np.ndarray) -> Faces:
+    """Faces from an (n, m) array of m face indices per cell (repeats
+    cancel mod 2)."""
+    n, m = table.shape
+    table = np.sort(table, axis=1)
+    if (table[:, 1:] == table[:, :-1]).any():
+        return Faces.from_pairs(n, np.repeat(np.arange(n), m), table.ravel())
+    return Faces(np.arange(0, n * m + 1, m, dtype=np.int64), table.ravel())
+
+
+def _array_build_from_axes(
+    dim: int,
+    axis_kinds: list[str],
+    L: int,
+    background: str,
+    style: str,
+    rules: tuple[tuple[int, int, str], ...] = (),
+) -> ArrayComplex:
+    """The product complex of the 1D factors.  `rules` are (axis,
+    coordinate, label) in priority order: a cell degenerate at `coordinate`
+    on `axis` takes the label of the first rule it meets."""
+    elements = [_array_axis_elements(kind, L) for kind in axis_kinds]
+    periodic = [kind == "circle" for kind in axis_kinds]
+    cells, faces = [], []
+    blocks_below: dict[tuple[int, ...], tuple[int, tuple[int, ...]]] = {}
+    for k in range(dim + 1):
+        boxes, tables, blocks, start = [], [], {}, 0
+        for ext in itertools.combinations(range(dim), k):
+            per_axis = [elements[d][1 if d in ext else 0] for d in range(dim)]
+            shape = tuple(len(e) for e in per_axis)
+            ix = np.indices(shape).reshape(dim, -1)
+            boxes.append(np.stack([per_axis[d][ix[d]] for d in range(dim)], axis=1))
+            blocks[ext] = (start, shape)
+            start += ix.shape[1]
+            cols = []
+            for d in ext:
+                # the faces across axis d: the same multi-index in the block
+                # without d, at vertex j or j + 1 on that axis
+                base, base_shape = blocks_below[tuple(a for a in ext if a != d)]
+                for step in (0, 1):
+                    at = list(ix)
+                    at[d] = (ix[d] + step) % base_shape[d] if periodic[d] else ix[d] + step
+                    cols.append(base + np.ravel_multi_index(at, base_shape))
+            if k:
+                tables.append(np.stack(cols, axis=1))
+        blocks_below = blocks
+        cells.append(np.concatenate(boxes))
+        faces.append(_faces_from_table(np.concatenate(tables)) if k else Faces.empty(start))
+    labels = []
+    for box in cells:
+        codes = np.zeros(len(box), dtype=np.int64)
+        for r in range(len(rules) - 1, -1, -1):
+            d, c, _ = rules[r]
+            codes[(box[:, d, 0] == c) & (box[:, d, 1] == c)] = r + 1
+        labels.append(codes)
+    names = [BULK] + [label for _, _, label in rules]
+    periods = tuple(2 * L if p else None for p in periodic)
+    return ArrayComplex(dim, cells, labels, names, faces, background, style, periods)
+
+
+def array_build_lattice(
+    n: int, L: int, background: str = "open", e_axes: tuple[int, ...] | None = None
+) -> ArrayComplex:
+    """Full hypercubic complex: the universe other operations carve up.
+
+    open-cube: (L+1)**n vertices with outer patches labeled (default: the
+    last axis carries the two e-patches, all other patches are m).
+    torus: opposite faces identified, L**n vertices.
+    sphere: open cube with the entire outer boundary collapsed to a point.
+    """
+    if L < 1:
+        raise ValueError("L must be >= 1")
+    if not 2 <= n <= 4:
+        raise ValueError(f"dimension {n} unsupported (need 2..4)")
+    background = {"open-cube": "open"}.get(background, background)
+    if background == "torus":
+        return _array_build_from_axes(n, ["circle"] * n, L, "torus", "plain")
+    if background in ("open", "sphere"):
+        if e_axes is None:
+            e_axes = (n - 1,)
+        # E-priority: a cell on several outer patches takes the first
+        # e-patch in patch order, else the first m-patch
+        rules = tuple(
+            (d, side * 2 * L, f"{kind}{2 * d + side}")
+            for kind, on_e in (("oE", True), ("oM", False))
+            for d in range(n) if (d in e_axes) == on_e
+            for side in (0, 1)
+        )
+        cx = _array_build_from_axes(n, ["interval"] * n, L, "open", "plain", rules)
+        if background == "sphere":
+            outer = {lb for lb in cx.labels_present() if lb.startswith("o")}
+            return cx.quotient_to_point(outer)
+        return cx
+    raise ValueError(f"unknown background {background!r}")
+
+
+def array_code_lattice(
+    n: int, L: int, background: str = "open", e_axes: tuple[int, ...] | None = None
+) -> ArrayComplex:
+    """The boundary-adapted cellulation used to build codes.
+
+    Rough axes are full intervals with OuterE end planes; smooth axes are
+    cell-centered paths, so the i=1 code built on it is the standard
+    (1, n-1) surface code with d_Z = L and d_X = L**(n-1).
+    """
+    if L < 2:
+        raise ValueError("code lattice needs L >= 2")
+    background = {"open-cube": "open"}.get(background, background)
+    if background == "torus":
+        return _array_build_from_axes(n, ["circle"] * n, L, "torus", "code")
+    if e_axes is None:
+        e_axes = (n - 1,)
+    kinds = ["interval" if d in e_axes else "centered" for d in range(n)]
+    rules = tuple((d, side * 2 * L, f"oE{2 * d + side}") for d in e_axes for side in (0, 1))
+    return _array_build_from_axes(n, kinds, L, "open", "code", rules)
+
+
+def _hits(m: np.ndarray, margin: np.ndarray, box: Box, periods) -> np.ndarray:
+    """Mask of the rows of m (cells x axes) with ``2a + margin <= m <=
+    2b - margin`` on every axis of the hole box, on periodic axes also after
+    shifting m by one period either way (2 * period in these units)."""
+    lo = 2 * np.array([a for a, _ in box]) + margin
+    hi = 2 * np.array([b for _, b in box]) - margin
+    hit = (lo <= m) & (m <= hi)
+    for d, period in enumerate(periods):
+        if period:
+            for shift in (-2 * period, 2 * period):
+                md = m[:, d] + shift
+                hit[:, d] |= (lo[:, d] <= md) & (md <= hi[:, d])
+    return hit.all(axis=1)
+
+
+# The most grid slots per cell a punch allocates: the lattices fill their
+# grid (1 slot per cell) except the spheres, whose star vertex at -1 widens
+# it by a layer no other cell fills (40.5 at the 4D L = 1 sphere, 7.6 at
+# L = 2; the ladder's largest is 2.7, the FC(3,1) level-1 sphere).
+_SLOTS_PER_CELL = 64
+
+
+class _MidpointGrid:
+    """The row of each cell at its halved midpoint ``m >> 1`` in a dense
+    int32 array, -1 where no cell lies; on a periodic axis the index is
+    taken modulo the period, on the others it counts from the lowest
+    midpoint.  Cells that share a midpoint raise ValueError, and so do
+    cells spread over more than `_SLOTS_PER_CELL` slots each, before the
+    grid is allocated."""
+
+    def __init__(self, m: np.ndarray, w: np.ndarray, periods):
+        self.periods = periods
+        self.reach = int(w.max()) if w.size else 0
+        lo, hi = (m.min(axis=0) >> 1, m.max(axis=0) >> 1) if len(m) else ([0] * len(periods),) * 2
+        self.low = [0 if p else int(a) for p, a in zip(periods, lo)]
+        shape = [p or int(b) - a + 1 for p, a, b in zip(periods, self.low, hi)]
+        if math.prod(shape) > _SLOTS_PER_CELL * max(len(m), 1):
+            raise ValueError(f"{len(m)} cells spread over a grid of {math.prod(shape)} midpoints; "
+                             f"holes need at most {_SLOTS_PER_CELL} per cell")
+        flat = np.zeros(len(m), dtype=np.int64)  # the cells' grid positions, axis by axis
+        for d, period in enumerate(periods):
+            h = m[:, d] >> 1
+            h -= self.low[d]
+            if period:
+                h %= period
+            flat *= shape[d]
+            flat += h
+        self.rows = np.full(shape, -1, dtype=np.int32)
+        self.rows.flat[flat] = np.arange(len(m), dtype=np.int32)
+        if np.count_nonzero(self.rows >= 0) < len(m):
+            raise ValueError("cells share a midpoint; holes need one cell per midpoint")
+
+    def near(self, box: Box) -> np.ndarray:
+        """The cells whose midpoints could meet the box under any of the
+        three relations."""
+        axes = []
+        for d, (a, b) in enumerate(box):
+            lo, hi = (2 * a - self.reach) >> 1, (2 * b + self.reach) >> 1
+            if period := self.periods[d]:
+                axes.append(np.arange(lo, min(hi, lo + period - 1) + 1) % period)
+            else:
+                size = self.rows.shape[d]
+                axes.append(np.arange(max(lo - self.low[d], 0), min(hi - self.low[d] + 1, size)))
+        rows = self.rows[np.ix_(*axes)].ravel()
+        return rows[rows >= 0]
+
+
+def punch_per_hole(cx: ArrayComplex, holes: list[Hole]) -> ArrayComplex:
+    """Apply a batch of holes to a complex, per the style conventions.
+
+    The deleted set stays closed under the boundary (rough bites take their
+    faces along) or the coboundary (smooth bites are closed stars), so the
+    restricted complex still satisfies dd = 0.  Holes apply in order; a
+    cell relabeled by several holes takes the last one's label.  A layout
+    that leaves an e-labelled patch not closed under the boundary raises
+    ValueError, and so does a complex whose cells share a midpoint or lie
+    too sparse for `_MidpointGrid`.
+    """
+    # every grade in one array: cell c of grade k is row start[k] + c
+    start = np.cumsum([0] + [cx.n_cells(k) for k in range(cx.dim + 1)])
+    m = np.concatenate([c[..., 0] + c[..., 1] for c in cx.cells])
+    w = np.concatenate([c[..., 1] - c[..., 0] for c in cx.cells])
+    grid = _MidpointGrid(m, w, cx.periods)
+    doomed = np.zeros(len(m), dtype=bool)
+    tag = np.full(len(m), -1)  # index of the relabeling hole
+    bulk = np.concatenate(cx.labels) == 0
+    for j, hole in enumerate(holes):
+        near = grid.near(hole.box)
+        mh, wh = m[near], w[near]
+        if cx.style == "code" and hole.kind == "m":
+            # measured-out region: closed star of the hole box
+            doomed[near[_hits(mh, -wh, hole.box, cx.periods)]] = True
+        elif cx.style == "code" and hole.kind == "e":
+            # rough hole: tag the interior, whose faces join its e-patch
+            # below; the code module deletes the patch, leaving dangling edges
+            tag[near[_hits(mh, np.maximum(wh, 1), hole.box, cx.periods)]] = j
+        else:
+            doomed[near[_hits(mh, np.maximum(wh, 1), hole.box, cx.periods)]] = True
+            i = near[_hits(mh, wh, hole.box, cx.periods)]
+            tag[i[~doomed[i] & bulk[i]]] = j
+    del m, w, grid  # free the midpoint index before the restricted copy is built
+    if cx.style == "code":  # e-patches close down: a face takes its cofaces' last e-hole
+        for k in range(cx.dim, 0, -1):
+            f = cx.faces[k]
+            np.maximum.at(tag, start[k - 1] + f.idx, tag[start[k] + f.owners()])
+    labels = names = None
+    tagged = np.flatnonzero(tag >= 0)
+    if tagged.size:
+        # the holes' labels join the table in order of their first tagged cell
+        used, first = np.unique(tag[tagged], return_index=True)
+        code = collections.defaultdict(lambda: len(code),
+                                       {name: c for c, name in enumerate(cx.label_names)})
+        hole_code = np.zeros(len(holes), dtype=np.int64)
+        for j in used[np.argsort(first)].tolist():
+            hole_code[j] = code[holes[j].label]
+        codes = np.concatenate(cx.labels)
+        codes[tagged] = hole_code[tag[tagged]]
+        labels, names = np.split(codes, start[1:-1]), list(code)
+    gone = np.split(doomed, start[1:-1])
+    punched = cx.delete(gone, labels, names, holes_add=holes)
+    _check_e_patches(punched)
+    return punched
+
+
+def two_step_punch_fractal(base: ArrayComplex, spec: FractalSpec) -> ArrayComplex:
+    """Punch the recursive fractal holes of `spec` into a lattice."""
+    if spec.n != base.dim:
+        raise ValueError(f"spec dimension {spec.n} != complex dimension {base.dim}")
+    L = _side_of(base)
+    if L % spec.p**spec.level != 0:
+        raise ValueError(
+            f"side {L} is not divisible by p^level = {spec.p ** spec.level}"
+        )
+    spec = FractalSpec(
+        spec.n, spec.p, spec.q, spec.level, spec.background, spec.holes,
+        u=L // spec.p**spec.level,
+    )
+    if spec.level == 0:
+        return base
+    return punch_per_hole(base, fractal_holes(spec))
+
+
+def _side_of(cx: ArrayComplex) -> int:
+    top = max([0] + [int(c[..., 1].max()) for c in cx.cells if c.size])
+    top = max([top] + [p for p in cx.periods if p])
+    return top // 2
+
+
+def two_step_fractal_complex(spec: FractalSpec, style: str = "plain") -> ArrayComplex:
+    """Build the lattice for `spec` and punch its holes.
+
+    style "plain" backs homology computations; style "code" backs code and
+    distance computations.
+    """
+    if style == "code":
+        base = array_code_lattice(spec.n, spec.side, spec.background)
+    else:
+        base = array_build_lattice(spec.n, spec.side, spec.background)
+    return two_step_punch_fractal(base, spec)

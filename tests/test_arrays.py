@@ -67,15 +67,21 @@ def _random_holes(rng: random.Random, n: int, L: int) -> list[Hole]:
     return holes
 
 
-def seeded_layout(seed: int) -> tuple[CellComplex, list[Hole], oracle.CellComplex]:
-    """One of the 40 seeded mixed layouts: (lattice, holes, oracle lattice)."""
+def seeded_params(seed: int) -> tuple[str, int, int, str, list[Hole]]:
+    """One of the 40 seeded mixed layouts: (style, n, L, background, holes)."""
     rng = random.Random(1000 + seed)
     n = rng.choice((2, 3, 4))
     L = rng.randint(2, {2: 7, 3: 5, 4: 3}[n])
     style = rng.choice(("plain", "code"))
     background = rng.choice(("open", "torus") if style == "code" else ("open", "torus", "sphere"))
+    return style, n, L, background, _random_holes(rng, n, L)
+
+
+def seeded_layout(seed: int) -> tuple[CellComplex, list[Hole], oracle.CellComplex]:
+    """One of the 40 seeded mixed layouts: (lattice, holes, oracle lattice)."""
+    style, n, L, background, holes = seeded_params(seed)
     new, old = _builders(style)
-    return new(n, L, background), _random_holes(rng, n, L), old(n, L, background)
+    return new(n, L, background), holes, old(n, L, background)
 
 
 def punched(cx: CellComplex, holes: list[Hole], ref_base) -> CellComplex:
@@ -185,8 +191,10 @@ def test_faces_from_pairs_cancels_mod_2():
     fs = Faces.from_pairs(3, [2, 0, 2, 0, 0, 2, 1], [5, 4, 5, -3, 4, 1, 9])
     assert fs.ptr.tolist() == [0, 1, 2, 3]
     assert fs.idx.tolist() == [-3, 9, 1]
-    table = Faces.from_table(np.array([[3, 1], [2, 2], [0, 4]]))
-    assert [table[i].tolist() for i in range(3)] == [[1, 3], [], [0, 4]]
+    # on a torus of side 1 an edge's two ends are one vertex, and a square's
+    # two faces across an axis are one edge: each pair cancels
+    torus = build_lattice(2, 1, "torus")
+    assert [f.counts().tolist() for f in torus.faces] == [[0], [0, 0], [0]]
 
 
 @pytest.mark.parametrize("bad, message", [

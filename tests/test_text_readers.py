@@ -10,7 +10,10 @@ the fuzz tests' mutated corpora of all three formats, the same texts with
 their whitespace and line breaks loosened, and the benchmark's FC(3,1)
 level-2 files (m-holes, and the seeded e/m layout 7).  Fixed cases pin
 what the fuzzing may miss: signs without digits, every kind of space
-between tokens, and which fault is reported when two grades have one.
+between tokens, which fault is reported when two grades have one, and
+line breaks other than "\\n" (``\\r\\n``, ``\\x0b``, ``\\x1c``) inside a 0/1
+body, inside the qubit map and hiding a section word in a body, which the
+readers read as they read the text with "\\n" breaks.
 
 Four intended differences, the first three on inputs the old readers
 accepted or crashed on: `code_from_text` rejects a qubitmap line
@@ -32,6 +35,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import text_oracles
+from fractalcss._text import with_newlines
 from fractalcss.code import code_from_text, code_to_text, css_from_complex
 from fractalcss.complexes import CellComplex, FractalSpec, fractal_complex
 from fractalcss.gf2 import matrix_from_text, matrix_to_text
@@ -315,3 +319,30 @@ def test_every_kind_of_space_separates_tokens(space):
     code = CODE_TEXT.replace(" -> ", f"{space}->{space}")
     assert_readers_agree("code", code)
     assert _code_fields(code_from_text(code)) == _code_fields(code_from_text(CODE_TEXT))
+
+
+def _odd_break_cases():
+    """(name, kind, text): a code or matrix text with line breaks other than
+    "\\n" where the fast reads do not look for them."""
+    code, matrix = CODE_TEXT, MATRIX_TEXT
+    hx, hz, qmap = code.index("HX\n"), code.index("HZ\n"), code.index("qubitmap\n")
+    body = matrix.index("\n", matrix.index("\n") + 1) + 1
+    for brk in ("\r\n", "\x0b", "\x1c"):
+        yield f"hx-row-{brk!r}", "code", code[:hx + 40] + code[hx + 40:hz].replace("\n", brk, 1) + code[hz:]
+        yield f"hz-rows-{brk!r}", "code", code[:hz + 3] + code[hz + 3:qmap].replace("\n", brk) + code[qmap:]
+        yield f"qubitmap-{brk!r}", "code", code[:qmap] + code[qmap:].replace("\n", brk, 2)
+        yield f"head-{brk!r}", "code", code.replace("\n", brk, 1)
+        yield f"hidden-hz-{brk!r}", "code", code[:hx + 40] + f"{brk}HZ{brk}" + code[hx + 40:]
+        yield f"matrix-{brk!r}", "matrix", matrix[:body] + matrix[body:].replace("\n", brk, 1)
+        yield f"matrix-all-{brk!r}", "matrix", matrix.replace("\n", brk)
+
+
+ODD_BREAKS = {name: (kind, text) for name, kind, text in _odd_break_cases()}
+
+
+@pytest.mark.parametrize("name", ODD_BREAKS)
+def test_odd_line_breaks_read_as_newlines(name):
+    kind, text = ODD_BREAKS[name]
+    assert_readers_agree(kind, text)
+    new, _, fields = READERS[kind]
+    assert _outcome(new, fields, text) == _outcome(new, fields, with_newlines(text))

@@ -12,7 +12,11 @@ m-holes and at level 2 with e- and mixed holes; 2D SC(3,1) levels 1-3; the
 whose star vertex has box -1; `dual_with_boundary`; a code with no X check
 and one with no qubit; and complexes with no coordinates, with int64's
 extreme coordinates and with non-ASCII labels.  The writers never build
-the dense check matrices.
+the dense check matrices.  `fractalcss code --out` and `export --out`
+write the 0/1 bodies to their files a block of rows at a time; with the
+block forced down to 1-3 rows, the files still hold the bytes of
+`code_to_text` and `check_matrix_text`, on the ladder and on a code with
+no qubits.
 """
 
 import numpy as np
@@ -21,8 +25,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import text_oracles
-from fractalcss.cli import main
-from fractalcss.code import CssCode, check_matrix_text, code_to_text, css_from_complex
+from fractalcss.cli import _write_blocks, main
+import fractalcss.code
+from fractalcss.code import (
+    CssCode,
+    check_matrix_blocks,
+    check_matrix_text,
+    code_blocks,
+    code_to_text,
+    css_from_complex,
+)
 from fractalcss.complexes import (
     CellComplex,
     Faces,
@@ -183,3 +195,53 @@ def test_writers_build_no_dense_check_matrix(monkeypatch, tmp_path):
     monkeypatch.undo()
     assert text == text_oracles.code_to_text(code)
     assert exported == {"hx": matrix_to_text(code.hx), "hz": matrix_to_text(code.hz)}
+
+
+STREAMED = {
+    "fc31-l1-code": ["--dim", "3", "--level", "1", "--style", "code"],
+    "fc31-l1-plain": ["--dim", "3", "--level", "1", "--style", "plain"],
+    "fc31-l2-code": ["--dim", "3", "--level", "2", "--style", "code"],
+    "fc42-l1-code": ["--dim", "3", "--p", "4", "--q", "2", "--level", "1", "--style", "code"],
+    "sc31-l2-code": ["--dim", "2", "--level", "2", "--style", "code"],
+}
+
+
+@pytest.mark.parametrize("rows", (1, 2, 3))
+@pytest.mark.parametrize("name", STREAMED)
+def test_cli_writes_the_bodies_in_blocks(monkeypatch, tmp_path, name, rows):
+    path = tmp_path / "code.txt"
+    assert main(["code", *STREAMED[name], "--out", str(path)]) == 0
+    code = fractalcss.code.code_from_text(path.read_text())
+    text = code_to_text(code)
+    exported = {which: check_matrix_text(code, which) for which in ("hx", "hz")}
+    monkeypatch.setattr(fractalcss.code, "_BLOCK_BYTES", rows * (code.n_qubits + 1))
+    assert sum(1 for _ in code_blocks(code)) == (
+        4 + sum(-(-len(c) // rows) for c in (code.x_checks, code.z_checks)))
+    streamed = tmp_path / "streamed.txt"
+    assert main(["code", *STREAMED[name], "--out", str(streamed)]) == 0
+    assert streamed.read_bytes() == text.encode()
+    for which in ("hx", "hz"):
+        out = tmp_path / f"{which}.txt"
+        assert main(["export", "--code", str(path), "--what", which, "--out", str(out)]) == 0
+        assert out.read_bytes() == exported[which].encode()
+
+
+@pytest.mark.parametrize("rows", (1, 2, 3))
+def test_blocks_of_a_code_with_no_qubits(monkeypatch, tmp_path, rows):
+    """The CLI's file writer on a code that its reader cannot read back
+    (the code file drops the rows of no columns)."""
+    code = CssCode(n_qubits=0, x_checks=Faces.empty(3), z_checks=Faces.empty(2), grading=1,
+                   qubit_cells=[], x_anchor_cells=[])
+    text = code_to_text(code)
+    exported = {which: check_matrix_text(code, which) for which in ("hx", "hz")}
+    monkeypatch.setattr(fractalcss.code, "_BLOCK_BYTES", rows)
+    assert [len(b) for b in check_matrix_blocks(code, "hx")][1:] == [
+        len(r) for r in np.array_split(range(3), -(-3 // rows))]
+    path = tmp_path / "code.txt"
+    _write_blocks(str(path), code_blocks(code))
+    assert path.read_bytes() == text.encode()
+    for which in ("hx", "hz"):
+        out = tmp_path / f"{which}.txt"
+        _write_blocks(str(out), check_matrix_blocks(code, which))
+        assert out.read_bytes() == exported[which].encode()
+    assert exported["hx"] == "gf2matrix v1\n3 0\n\n\n\n"
