@@ -9,11 +9,11 @@ punch, then `delete`.  Both must write the same ``cellcomplex v1`` bytes,
 or raise the same ValueError, on FC(3,1) and FC(4,2) at levels 1-2, 2D
 SC(3,1) at levels 1-3 and 4D FC(3,1) at level 1, on the open, torus and
 sphere backgrounds, with m-, e- and mixed holes, in both styles; on the 40
-seeded layouts of `test_arrays` and Hypothesis's layouts (where
-`punch_holes` on the built lattice must agree too); on a code-style layout
-whose m-hole star deletes part of an e-hole's interior, so that the
-e-patch closes down through cofaces that are then deleted; and, slow, on
-FC(3,1) level 3 in both styles.
+seeded layouts of `test_arrays` and the Hypothesis layouts of
+`test_text_fuzz` (where `punch_holes` on the built lattice must agree
+too); on a code-style layout whose m-hole star deletes part of an
+e-hole's interior, so that the e-patch closes down through cofaces that
+are then deleted; and, slow, on FC(3,1) level 3 in both styles.
 
 Spy tests pin the one construction: one `CellComplex` and one dd = 0
 check per build, int16 boxes and int32 label codes and face arrays, and
@@ -29,7 +29,6 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import complex_oracles as oracle
 import fractalcss
@@ -45,6 +44,8 @@ from fractalcss.complexes import (
     punch_holes,
 )
 from test_arrays import seeded_params
+from test_punch import _hole
+from test_text_fuzz import layouts
 
 
 def _text(build) -> str:
@@ -105,31 +106,10 @@ def test_seeded_layouts_match_two_step(seed):
     _assert_same(*seeded_params(seed))
 
 
-@st.composite
-def layouts(draw):
-    """The layouts of `test_text_fuzz.punched`: (style, n, L, background,
-    holes)."""
-    n = draw(st.sampled_from((2, 3)))
-    L = draw(st.integers(2, 5 if n == 2 else 3))
-    style = draw(st.sampled_from(("plain", "code")))
-    background = draw(st.sampled_from(("open", "torus")))
-    holes = []
-    for hid in range(draw(st.integers(0, 3))):
-        side = draw(st.integers(1, L - 1))
-        origin = [draw(st.integers(-1, L - side + 1)) for _ in range(n)]
-        holes.append(Hole(hid, tuple((2 * o, 2 * (o + side)) for o in origin),
-                          draw(st.sampled_from("em"))))
-    return style, n, L, background, holes
-
-
 @settings(max_examples=60, deadline=None)
 @given(layouts())
 def test_hypothesis_layouts_match_two_step(layout):
     _assert_same(*layout)
-
-
-def _hole(hid, origin, side, kind):
-    return Hole(hid, tuple((2 * o, 2 * (o + side)) for o in origin), kind)
 
 
 @pytest.mark.parametrize("order", ("em", "me"))

@@ -19,7 +19,8 @@ from fractalcss.gf2 import matrix_from_text, matrix_to_text
 
 
 @st.composite
-def punched(draw):
+def layouts(draw):
+    """(style, n, L, background, holes): a lattice and random e/m holes."""
     n = draw(st.sampled_from((2, 3)))
     L = draw(st.integers(2, 5 if n == 2 else 3))
     style = draw(st.sampled_from(("plain", "code")))
@@ -30,6 +31,12 @@ def punched(draw):
         origin = [draw(st.integers(-1, L - side + 1)) for _ in range(n)]
         holes.append(Hole(hid, tuple((2 * o, 2 * (o + side)) for o in origin),
                           draw(st.sampled_from("em"))))
+    return style, n, L, background, holes
+
+
+@st.composite
+def punched(draw):
+    style, n, L, background, holes = draw(layouts())
     base = code_lattice(n, L, background) if style == "code" else build_lattice(n, L, background)
     try:
         return punch_holes(base, holes)
