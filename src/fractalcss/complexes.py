@@ -822,30 +822,25 @@ class _MidpointGrid:
     def gather(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The (hole, row) pairs of the cells whose midpoints could meet one
         of the (h, dim, 2) hole `boxes`, all of one shape, under any of the
-        three relations: the grid block around every box, in one gather."""
-        at, valid = [], []
+        three relations: the grid block around every box, in one gather.
+        Where the grid's edge clips a block, the block keeps its width and
+        takes in cells past its end, once or more; `hits` rejects them."""
+        at = []
         for d, period in enumerate(self.periods):
             lo = (2 * boxes[:, d, 0] - self.reach) >> 1
             hi = (2 * boxes[:, d, 1] + self.reach) >> 1
             if period:  # the boxes share hi - lo; a block wider than the period wraps once
                 idx = (lo[:, None] + np.arange(min(int(hi[0] - lo[0]) + 1, period))) % period
-                ok = np.ones(idx.shape, dtype=bool)
             else:
                 size = self.rows.shape[d]
                 first = np.clip(lo - self.low[d], 0, size)
                 stop = np.clip(hi - self.low[d] + 1, 0, size)
-                idx = first[:, None] + np.arange(int((stop - first).max()))
-                ok = idx < stop[:, None]
-                idx = np.minimum(idx, size - 1)
+                idx = np.minimum(first[:, None] + np.arange(int((stop - first).max())), size - 1)
             shape = [len(boxes)] + [1] * len(self.periods)
             shape[d + 1] = -1
             at.append(idx.reshape(shape))
-            valid.append(ok.reshape(shape))
         rows = self.rows[tuple(at)]
-        hit = rows >= 0
-        for ok in valid:
-            hit &= ok
-        pair = np.flatnonzero(hit)
+        pair = np.flatnonzero(rows >= 0)
         return pair // max(rows.size // len(boxes), 1), rows.ravel()[pair]
 
     def hits(self, rows: np.ndarray, j: np.ndarray, ends: np.ndarray, margin) -> np.ndarray:

@@ -5,10 +5,10 @@ punched complex in one construction: the lattice's boxes and labels as
 arrays, the hole masks of `_punch_masks`, faces for the kept cells only,
 and one `CellComplex`.  The oracle is the two-step build kept in
 `complex_oracles`: the whole lattice as a `CellComplex`, then the per-hole
-punch, then `delete`.  Both must write the same ``cellcomplex v1`` bytes,
-or raise the same ValueError, on FC(3,1) and FC(4,2) at levels 1-2, 2D
-SC(3,1) at levels 1-3 and 4D FC(3,1) at level 1, on the open, torus and
-sphere backgrounds, with m-, e- and mixed holes, in both styles; on the 40
+punch, then `delete`.  Both must write the same ``cellcomplex v1`` bytes
+and hold the same label tables and label codes, or raise the same
+ValueError, on FC(3,1) and FC(4,2) at levels 1-2, 2D SC(3,1) at levels 1-3
+and 4D FC(3,1) at level 1, on the open, torus and sphere backgrounds, with m-, e- and mixed holes, in both styles; on the 40
 seeded layouts of `test_arrays` and the Hypothesis layouts of
 `test_text_fuzz` (where `punch_holes` on the built lattice must agree
 too); on a code-style layout whose m-hole star deletes part of an
@@ -48,12 +48,14 @@ from test_punch import _hole
 from test_text_fuzz import layouts
 
 
-def _text(build) -> str:
-    """The text of the complex that `build()` returns, or its ValueError."""
+def _outcome(build):
+    """The text of the complex that `build()` returns with its label table
+    and label codes (which the text does not show), or its ValueError."""
     try:
-        return build().to_text()
+        cx = build()
     except ValueError as err:
         return f"ValueError: {err}"
+    return cx.to_text(), cx.label_names, [lab.tolist() for lab in cx.labels]
 
 
 def _two_step(style, n, L, background, holes):
@@ -62,13 +64,13 @@ def _two_step(style, n, L, background, holes):
     return oracle.punch_per_hole(base, holes) if holes else base
 
 
-def _assert_same(style, n, L, background, holes) -> str:
+def _assert_same(style, n, L, background, holes):
     """The one construction and `punch_holes` on the built lattice against
-    the two-step build; returns the text."""
-    want = _text(lambda: _two_step(style, n, L, background, holes))
-    assert _text(lambda: complexes._lattice(n, L, background, None, style, holes)) == want
+    the two-step build; returns the outcome."""
+    want = _outcome(lambda: _two_step(style, n, L, background, holes))
+    assert _outcome(lambda: complexes._lattice(n, L, background, None, style, holes)) == want
     lattice = complexes._lattice(n, L, background, None, style)
-    assert _text(lambda: punch_holes(lattice, holes)) == want
+    assert _outcome(lambda: punch_holes(lattice, holes)) == want
     return want
 
 
@@ -86,16 +88,16 @@ HOLES = {"m": "m", "e": "e", "mixed": {h: "em"[h % 3 == 1] for h in range(100)}}
 @pytest.mark.parametrize("name", FRACTALS)
 def test_fractal_ladder_matches_two_step(name, background, holes, style):
     spec = FractalSpec(*FRACTALS[name], background=background, holes=HOLES[holes])
-    want = _text(lambda: oracle.two_step_fractal_complex(spec, style))
-    assert _text(lambda: fractal_complex(spec, style)) == want
+    want = _outcome(lambda: oracle.two_step_fractal_complex(spec, style))
+    assert _outcome(lambda: fractal_complex(spec, style)) == want
 
 
 @pytest.mark.slow
 @pytest.mark.parametrize("style", ("plain", "code"))
 def test_fc31_level3_matches_two_step(style):
     spec = FractalSpec(3, 3, 1, 3, holes="m")
-    assert fractal_complex(spec, style).to_text() == \
-        oracle.two_step_fractal_complex(spec, style).to_text()
+    assert _outcome(lambda: fractal_complex(spec, style)) == \
+        _outcome(lambda: oracle.two_step_fractal_complex(spec, style))
 
 
 # -- hole layouts -------------------------------------------------------------
@@ -121,7 +123,7 @@ def test_e_patch_closes_down_through_deleted_cofaces(order):
     L, n = 6, 3
     e_hole, m_hole = _hole(0, (1, 1, 1), 3, "e"), _hole(1, (3, 2, 2), 1, "m")
     holes = [e_hole, m_hole] if order == "em" else [m_hole, e_hole]
-    text = _assert_same("code", n, L, "open", holes)
+    text = _assert_same("code", n, L, "open", holes)[0]
     assert "hE" in text
     # the layout does what the docstring says: closing down through the kept
     # cofaces only would label fewer faces
@@ -175,6 +177,8 @@ def test_built_complexes_store_narrow_arrays(build):
         assert cx.cells[k].dtype == np.int16
         assert cx.labels[k].dtype == np.int32
         assert cx.faces[k].ptr.dtype == cx.faces[k].idx.dtype == np.int32
+        # counts in the type of the values ufunc.at adds to them, for its fast path
+        assert cx.faces[k].counts().dtype == np.int64
 
 
 def test_punch_keeps_the_narrow_arrays():

@@ -12,8 +12,9 @@ level-2 files (m-holes, and the seeded e/m layout 7).  Fixed cases pin
 what the fuzzing may miss: signs without digits, every kind of space
 between tokens, which fault is reported when two grades have one, and
 line breaks other than "\\n" (``\\r\\n``, ``\\x0b``, ``\\x1c``) inside a 0/1
-body, inside the qubit map and hiding a section word in a body, which the
-readers read as they read the text with "\\n" breaks.
+body, inside the qubit map and the head (also splitting one of their
+lines) and hiding a section word in a body, which the readers read as
+they read the text with "\\n" breaks.
 
 Four intended differences, the first three on inputs the old readers
 accepted or crashed on: `code_from_text` rejects a qubitmap line
@@ -332,6 +333,10 @@ def _odd_break_cases():
         yield f"hz-rows-{brk!r}", "code", code[:hz + 3] + code[hz + 3:qmap].replace("\n", brk) + code[qmap:]
         yield f"qubitmap-{brk!r}", "code", code[:qmap] + code[qmap:].replace("\n", brk, 2)
         yield f"head-{brk!r}", "code", code.replace("\n", brk, 1)
+        # a break that splits a line the fast read would take as one
+        yield f"head-split-{brk!r}", "code", code.replace(" i ", f"{brk}i ", 1)
+        at = code.index("q 1 -> cell ")
+        yield f"qubitmap-split-{brk!r}", "code", code[:at] + code[at:].replace("cell ", f"cell{brk}", 1)
         yield f"hidden-hz-{brk!r}", "code", code[:hx + 40] + f"{brk}HZ{brk}" + code[hx + 40:]
         yield f"matrix-{brk!r}", "matrix", matrix[:body] + matrix[body:].replace("\n", brk, 1)
         yield f"matrix-all-{brk!r}", "matrix", matrix.replace("\n", brk)
