@@ -268,20 +268,13 @@ class Faces:
             ptr = self.ptr[first : first + (1 << 16) + 1]
             block = Faces(ptr - ptr[0], self.idx[ptr[0] : ptr[-1]])
             starts, stops = below.ptr[block.idx], below.ptr[block.idx + 1]
-            reach = below.idx[_ranges(starts, stops)]
-            ends = np.zeros(len(block.idx) + 1, dtype=np.int64)  # where each cell's reach ends
-            np.cumsum(stops - starts, out=ends[1:])
-            ends = ends[block.ptr[1:]]
-            if (ends == np.arange(1, len(block) + 1) * ends[0]).all():
-                # every cell reaches as many cells: sort the rows one by one
-                reach = reach.reshape(len(block), int(ends[0]))
-                reach.sort(axis=1)
-            else:  # the key cell * n + reached cell, sorted as one
-                reach = np.repeat(block.owners() * n, stops - starts) + reach
-                reach.sort()
+            # the key cell * n + reached cell, in int64 (owners() is)
+            reach = np.repeat(block.owners() * n, stops - starts)
+            reach += below.idx[_ranges(starts, stops)]
+            reach.sort()
             # sorted, every value occurs an even number of times iff the
             # entries pair up
-            if reach.shape[-1] % 2 or (reach[..., 0::2] != reach[..., 1::2]).any():
+            if len(reach) % 2 or (reach[0::2] != reach[1::2]).any():
                 return False
         return True
 
@@ -708,7 +701,8 @@ def _lattice_complex(axis_kinds: list[str], L: int, background: str, style: str,
 
 
 def build_lattice(
-    n: int, L: int, background: str = "open", e_axes: tuple[int, ...] | None = None
+    n: int, L: int, background: str = "open", e_axes: tuple[int, ...] | None = None,
+    holes: list[Hole] | tuple = (),
 ) -> CellComplex:
     """Full hypercubic complex: the universe other operations carve up.
 
@@ -716,43 +710,21 @@ def build_lattice(
     last axis carries the two e-patches, all other patches are m).
     torus: opposite faces identified, L**n vertices.
     sphere: open cube with the entire outer boundary collapsed to a point.
+
+    `holes` are punched in the same construction; on the sphere they are
+    punched into the quotient of the open cube.
     """
-    return _lattice(n, L, background, e_axes, "plain")
-
-
-def code_lattice(
-    n: int, L: int, background: str = "open", e_axes: tuple[int, ...] | None = None
-) -> CellComplex:
-    """The boundary-adapted cellulation used to build codes.
-
-    Rough axes are full intervals with OuterE end planes; smooth axes are
-    cell-centered paths, so the i=1 code built on it is the standard
-    (1, n-1) surface code with d_Z = L and d_X = L**(n-1).
-    """
-    return _lattice(n, L, background, e_axes, "code")
-
-
-def _lattice(n: int, L: int, background: str, e_axes: tuple[int, ...] | None, style: str,
-             holes: list[Hole] | tuple = ()) -> CellComplex:
-    """`build_lattice` (style "plain") or `code_lattice` (style "code")
-    with `holes` punched.  On the sphere the holes are punched into the
-    quotient of the open cube; every other lattice is one construction."""
-    background = {"open-cube": "open"}.get(background, background)
-    e_axes = (n - 1,) if e_axes is None else e_axes
-    if style == "code" and L < 2:
-        raise ValueError("code lattice needs L >= 2")
-    if style == "plain" and L < 1:
+    if L < 1:
         raise ValueError("L must be >= 1")
-    if style == "plain" and not 2 <= n <= 4:
+    if not 2 <= n <= 4:
         raise ValueError(f"dimension {n} unsupported (need 2..4)")
+    background = {"open-cube": "open"}.get(background, background)
     if background == "torus":
-        return _lattice_complex(["circle"] * n, L, "torus", style, (), holes)
-    if style == "code":  # any other background is the open cube
-        kinds = ["interval" if d in e_axes else "centered" for d in range(n)]
-        rules = tuple((d, side * 2 * L, f"oE{2 * d + side}") for d in e_axes for side in (0, 1))
-        return _lattice_complex(kinds, L, "open", "code", rules, holes)
+        return _lattice_complex(["circle"] * n, L, "torus", "plain", (), holes)
     if background not in ("open", "sphere"):
         raise ValueError(f"unknown background {background!r}")
+    if e_axes is None:
+        e_axes = (n - 1,)
     # E-priority: a cell on several outer patches takes the first e-patch in
     # patch order, else the first m-patch
     rules = tuple(
@@ -766,6 +738,29 @@ def _lattice(n: int, L: int, background: str, e_axes: tuple[int, ...] | None, st
     cx = _lattice_complex(["interval"] * n, L, "open", "plain", rules)
     sphere = cx.quotient_to_point({lb for lb in cx.labels_present() if lb.startswith("o")})
     return punch_holes(sphere, holes) if holes else sphere
+
+
+def code_lattice(
+    n: int, L: int, background: str = "open", e_axes: tuple[int, ...] | None = None,
+    holes: list[Hole] | tuple = (),
+) -> CellComplex:
+    """The boundary-adapted cellulation used to build codes, with `holes`
+    punched in the same construction.
+
+    Rough axes are full intervals with OuterE end planes; smooth axes are
+    cell-centered paths, so the i=1 code built on it is the standard
+    (1, n-1) surface code with d_Z = L and d_X = L**(n-1).
+    """
+    if L < 2:
+        raise ValueError("code lattice needs L >= 2")
+    background = {"open-cube": "open"}.get(background, background)
+    if background == "torus":
+        return _lattice_complex(["circle"] * n, L, "torus", "code", (), holes)
+    if e_axes is None:  # any other background is the open cube
+        e_axes = (n - 1,)
+    kinds = ["interval" if d in e_axes else "centered" for d in range(n)]
+    rules = tuple((d, side * 2 * L, f"oE{2 * d + side}") for d in e_axes for side in (0, 1))
+    return _lattice_complex(kinds, L, "open", "code", rules, holes)
 
 
 # -- hole punching ----------------------------------------------------------
@@ -1053,8 +1048,8 @@ def fractal_complex(spec: FractalSpec, style: str = "plain") -> CellComplex:
     style "plain" backs homology computations; style "code" backs code and
     distance computations.
     """
-    return _lattice(spec.n, spec.side, spec.background, None,
-                    "code" if style == "code" else "plain", fractal_holes(spec))
+    builder = code_lattice if style == "code" else build_lattice
+    return builder(spec.n, spec.side, spec.background, holes=fractal_holes(spec))
 
 
 # -- duals -------------------------------------------------------------------

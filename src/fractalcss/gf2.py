@@ -422,12 +422,8 @@ def _rows_to_text(rows: np.ndarray) -> str:
 
 
 def matrix_from_text(text: str) -> Gf2Matrix:
-    """Parse a ``gf2matrix v1`` file; malformed input raises ValueError.
-    Text as the writers write it holds no line break but "\\n" and is read
-    as it is; other text is first given "\\n" line breaks."""
-    grid = _written_rows(encode(text))
-    if grid is None:
-        grid = _rows_from_text(encode(with_newlines(text)))
+    """Parse a ``gf2matrix v1`` file; malformed input raises ValueError."""
+    grid = _rows_from_text(encode(text))
     cols = grid.shape[1] - 1
     return Gf2Matrix(len(grid), cols, _pack(grid[:, :cols] == ord("1")))
 
@@ -440,12 +436,13 @@ _MATRIX_HEAD = re.compile(r"\s*([^\n]*)\n?\s*([^\n]*)\n?")
 
 def _rows_from_text(raw) -> np.ndarray:
     """The rows of a ``gf2matrix v1`` text given as UTF-8 bytes, or a view
-    of them, whose line breaks are all "\\n": a (rows, cols + 1) array of
-    character codes, cols of ``0`` or ``1``, then the line break.  Text as
-    the writers write it is validated as one view of `raw`; other text is
-    read as `_rows_from_str` reads it.  Malformed input raises ValueError."""
+    of them: a (rows, cols + 1) array of character codes, cols of ``0`` or
+    ``1``, then the line break.  Text as the writers write it is validated
+    as one view of `raw`; other text is given "\\n" line breaks
+    (`with_newlines`, which leaves the writers' text unchanged) and read as
+    `_rows_from_str` reads it.  Malformed input raises ValueError."""
     rows = _written_rows(raw)
-    return _rows_from_str(decode(bytes(raw))) if rows is None else rows
+    return _rows_from_str(with_newlines(decode(bytes(raw)))) if rows is None else rows
 
 
 def _written_rows(raw) -> np.ndarray | None:

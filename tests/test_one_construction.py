@@ -1,9 +1,9 @@
 """The one-construction build against the two-step build it replaced.
 
-`fractal_complex`, and `complexes._lattice` for any hole layout, build the
-punched complex in one construction: the lattice's boxes and labels as
-arrays, the hole masks of `_punch_masks`, faces for the kept cells only,
-and one `CellComplex`.  The oracle is the two-step build kept in
+`fractal_complex`, and `build_lattice` and `code_lattice` for any hole
+layout, build the punched complex in one construction: the lattice's
+boxes and labels as arrays, the hole masks of `_punch_masks`, faces for
+the kept cells only, and one `CellComplex`.  The oracle is the two-step build kept in
 `complex_oracles`: the whole lattice as a `CellComplex`, then the per-hole
 punch, then `delete`.  Both must write the same ``cellcomplex v1`` bytes
 and hold the same label tables and label codes, or raise the same
@@ -38,6 +38,7 @@ from fractalcss.complexes import (
     Faces,
     FractalSpec,
     Hole,
+    build_lattice,
     code_lattice,
     fractal_complex,
     fractal_holes,
@@ -67,9 +68,10 @@ def _two_step(style, n, L, background, holes):
 def _assert_same(style, n, L, background, holes):
     """The one construction and `punch_holes` on the built lattice against
     the two-step build; returns the outcome."""
+    builder = code_lattice if style == "code" else build_lattice
     want = _outcome(lambda: _two_step(style, n, L, background, holes))
-    assert _outcome(lambda: complexes._lattice(n, L, background, None, style, holes)) == want
-    lattice = complexes._lattice(n, L, background, None, style)
+    assert _outcome(lambda: builder(n, L, background, holes=holes)) == want
+    lattice = builder(n, L, background)
     assert _outcome(lambda: punch_holes(lattice, holes)) == want
     return want
 
