@@ -8,8 +8,10 @@ coface and face lists); syndromes are parities over those rows.  k and
 the logical tests read one reduction of the code's own chain complex,
 Z checks -(H_Z^T)-> qubits -(H_X)-> X checks, by the collapses and
 coreductions of `homology` (`CssCode.reduction`): only its small residue
-is eliminated; the merge's parity identity and the colour-code S check
-ask such a reduction whether a vector is a product of checks.  The dense
+is ranked, by `homology._RowSpace`, which contracts the residue's weight-2
+rows and eliminates only the rows left folded onto their components; the
+merge's parity identity and the colour-code S check ask such a reduction
+whether a vector is a product of checks.  The dense
 H_X / H_Z (`CssCode.hx` / `hz`) are views built on first use, only for the
 logical basis, which eliminates both.  The text writer writes the 0/1 rows
 of a ``csscode v1`` file straight from the CSR rows, a few MB of rows at a
@@ -45,9 +47,9 @@ from .complexes import CellComplex, Faces, label_is_e, label_is_m
 from ._text import Tokens, decode, encode, first_false, int64, with_newlines, write_lines
 from .gf2 import (
     _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _reduce, _rows_from_text, _rref_inplace,
-    _written_rows, in_rowspace,
+    _written_rows,
 )
-from .homology import _Reduction, betti, default_label_split
+from .homology import _Reduction, _RowSpace, betti, default_label_split
 
 
 @dataclass(frozen=True)
@@ -125,7 +127,9 @@ class _ChainReduction:
 
     No reduction pair changes the boundary of a cell that stays, so the
     residue's check matrices are H_X and H_Z restricted to the live checks
-    and qubits; k is dim H_1 of the residue, read off their RREFs.  A
+    and qubits; k is dim H_1 of the residue, read off their ranks
+    (`homology._RowSpace`, which eliminates only the rows left after the
+    weight-2 rows are contracted).  A
     Z-cycle z (H_X z = 0) is carried into the residue by the chain
     equivalence of the pairs (Kaczynski, Mrozek & Slusarek, Comput. Math.
     Appl. 1998): each grade-1/2 collapse of qubit a with Z check b adds the
@@ -149,45 +153,39 @@ class _ChainReduction:
         self.z_rounds = [(q, c) for g, h, q, c in red.rounds if (g, h) == (1, 2)]
         self.x_rounds = [(q, c) for g, h, q, c in red.rounds if (g, h) == (1, 0)]
 
-    # Each residue is eliminated on first use: an X-only query (the merge's
-    # parity identity) never eliminates the Z residue, a Z-only query (the
-    # colour-code S check) never the X residue; k needs both.
+    # Each residue's row space is built on first use: an X-only query (the
+    # merge's parity identity) never builds the Z one, a Z-only query (the
+    # colour-code S check) never the X one; k needs both.
     @cached_property
-    def hx_rref(self) -> tuple[Gf2Matrix, list[int]]:
-        return _residue_rref(self.x_rows, self.live_x, self.live)
+    def x_space(self) -> _RowSpace:
+        return _RowSpace(self.x_rows.restrict(self.live_x, self.live), int(self.live.sum()))
 
     @cached_property
-    def hz_rref(self) -> tuple[Gf2Matrix, list[int]]:
-        return _residue_rref(self.z_rows, self.live_z, self.live)
+    def z_space(self) -> _RowSpace:
+        return _RowSpace(self.z_rows.restrict(self.live_z, self.live), int(self.live.sum()))
 
     @cached_property
     def k(self) -> int:
-        return int(self.live.sum()) - len(self.hx_rref[1]) - len(self.hz_rref[1])
+        return int(self.live.sum()) - self.x_space.rank - self.z_space.rank
 
-    def _image(self, v: Gf2Vector, rounds, rows: Faces) -> Gf2Vector:
-        """v carried through the recorded rounds into the residue: the
-        qubits of a check are added where v holds its paired qubit."""
+    def _image(self, v: Gf2Vector, rounds, rows: Faces) -> np.ndarray:
+        """v carried through the recorded rounds into the residue, as 0/1
+        bits over the live qubits: the qubits of a check are added where v
+        holds its paired qubit."""
         bits = v.to_dense()
         for qubits, checks in rounds:
             held = bits[qubits] != 0
             if held.any():
                 np.bitwise_xor.at(bits, rows.take(checks[held]), 1)
-        return Gf2Vector.from_dense(bits[self.live])
+        return bits[self.live]
 
     def is_z_stabilizer(self, z: Gf2Vector) -> bool:
         """Whether a Z-cycle (H_X z = 0) is a product of Z checks."""
-        return in_rowspace(*self.hz_rref, self._image(z, self.z_rounds, self.z_rows))
+        return self.z_space.contains(self._image(z, self.z_rounds, self.z_rows))
 
     def is_x_stabilizer(self, x: Gf2Vector) -> bool:
         """Whether an X-cocycle (H_Z x = 0) is a product of X checks."""
-        return in_rowspace(*self.hx_rref, self._image(x, self.x_rounds, self.x_rows))
-
-
-def _residue_rref(rows: Faces, keep_rows, keep_cols) -> tuple[Gf2Matrix, list[int]]:
-    """The RREF of the check matrix `rows` restricted to the kept rows and
-    columns."""
-    m = rows.restrict(keep_rows, keep_cols).matrix(int(keep_cols.sum()))
-    return m, _rref_inplace(m.data, m.rows, m.cols)
+        return self.x_space.contains(self._image(x, self.x_rounds, self.x_rows))
 
 
 @dataclass(frozen=True)

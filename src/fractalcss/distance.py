@@ -160,11 +160,13 @@ class _QubitGraph:
     def terminal_node(self, label: str) -> int:
         return self.n_bulk + self.terminal_labels.index(label)
 
-    def bfs(self, source: int, usable=None) -> tuple[list[int], list[int]]:
+    def bfs(self, source: int, usable=None, depth=None) -> tuple[list[int], list[int]]:
         """Breadth-first search from `source` along the arcs a with a true
         `usable[a]` (every arc when None), each node's arcs in order: the
         distance per node, -1 where unreachable, and the arc that reached
-        each node, -1 at the source and where unreachable."""
+        each node, -1 at the source and where unreachable.  With a `depth`
+        no node at that distance or past it is expanded, so only the nodes
+        within it are reached, each by the arc the full search takes."""
         ptr, arcs, head = self.ptr, self.arcs, self.head
         dist = [-1] * self.n_nodes
         via = [-1] * self.n_nodes
@@ -173,6 +175,8 @@ class _QubitGraph:
         while dq:
             x = dq.popleft()
             d = dist[x] + 1
+            if depth is not None and d > depth:
+                break  # the queue holds nodes in order of distance
             for a in arcs[ptr[x] : ptr[x + 1]]:
                 y = head[a]
                 if dist[y] < 0 and (usable is None or usable[a]):
@@ -209,7 +213,8 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
 
     if len(g.terminal_labels) >= 2:
         for t in range(len(g.terminal_labels) - 1):  # the last has no later terminal
-            dist, via = g.bfs(g.n_bulk + t)
+            # only a terminal nearer than the best path so far can replace it
+            dist, via = g.bfs(g.n_bulk + t, depth=None if best is None else best[0] - 1)
             for t2 in range(t + 1, len(g.terminal_labels)):
                 node = g.n_bulk + t2
                 if dist[node] >= 0 and (best is None or dist[node] < best[0]):
@@ -224,7 +229,7 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
                     if best is None or 1 < best[0]:
                         best = (1, [q])
                     continue
-                dist, via = g.bfs(u, off_seam)
+                dist, via = g.bfs(u, off_seam, None if best is None else best[0] - 2)
                 if dist[v] >= 0:
                     total = dist[v] + 1
                     if best is None or total < best[0]:

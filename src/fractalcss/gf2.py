@@ -473,6 +473,8 @@ def _rows_from_str(text: str) -> np.ndarray:
     if not (cols and _is_rows(b, rows, cols)):
         # rows are read stripped, and blank lines skipped
         body = "\n".join(filter(None, map(str.strip, body.split("\n"))))
+        if not (cols or body):  # rows of no columns: blank lines, or none at all
+            return np.full((rows, 1), ord("\n"), dtype=np.uint8)
         body += "\n" if body else ""
         got = body.count("\n")
         if got != rows:

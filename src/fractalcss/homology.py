@@ -21,11 +21,18 @@ live face goes with that face), seeding one vertex per connected
 component when grade-1 coreductions stall, and dually one top cell when
 the live top cells sum to a cycle.  No pair changes a surviving cell's
 boundary, so the residue is the original boundary maps restricted to the
-surviving cells; only its two boundaries at the requested grade become dense GF(2)
-matrices (for FC(4,2) level 2 relative to the e-labels, 132 of 7,440
-edges and 180 of 5,232 faces survive).  `betti` reads only the face
-arrays, so it stays a cross-check independent of H_X and H_Z.  `cobetti`
-pairs other cells than `betti` does, so the CLI still prints two routes.
+surviving cells (for FC(4,2) level 2 relative to the e-labels, 132 of
+7,440 edges and 180 of 5,232 faces survive).
+
+A residue's boundary or check matrix is ranked, and asked whether a vector
+lies in its row space, by `_RowSpace`: its weight-2 rows are contracted,
+as edges, into the connected components of the columns, the other rows
+are folded onto those components, and only the folded rows become a dense
+GF(2) matrix.  The residues are mostly empty and weight-2 rows: the
+1,038 x 144 Z residue of the FC(4,2) level-2 code folds to no row over one
+component.  `betti` reads only the face arrays, so it stays a cross-check
+independent of H_X and H_Z.  `cobetti` pairs other cells than `betti`
+does, so the CLI still prints two routes.
 """
 
 from __future__ import annotations
@@ -37,7 +44,7 @@ import numpy as np
 from .complexes import (
     BoundaryError, CellComplex, Faces, dual_with_boundary, label_is_e, label_is_m,
 )
-from .gf2 import _rank_in_place
+from .gf2 import Gf2Vector, _rref_inplace, in_rowspace
 
 
 def betti(cx: CellComplex, grade: int, relative_labels=frozenset()) -> int:
@@ -76,7 +83,7 @@ def _reduced_betti(down: list[Faces], grade: int) -> int:
          for k in (grade, grade + 1) if 1 <= k < len(down)}
     if len(d) == 2 and not d[grade + 1].composes_to_zero(d[grade], sizes[grade - 1]):
         raise BoundaryError(f"reduced complex: boundary of boundary nonzero at grade {grade + 1}")
-    ranks = sum(_rank_in_place(fs.matrix(sizes[k - 1])) for k, fs in d.items())
+    ranks = sum(_RowSpace(fs, sizes[k - 1]).rank for k, fs in d.items())
     return sizes[grade] - ranks + seeds[grade]
 
 
@@ -166,6 +173,67 @@ class _Reduction:
             # the g-cells whose count fell: the other neighbours of y
             cand = back[h].take(y)
         return pairs
+
+
+class _RowSpace:
+    """The row space of a residue's boundary or check matrix, given as CSR
+    rows over `cols` columns, with only a small matrix eliminated.
+
+    A weight-2 row is an edge between its two columns.  The edges span
+    exactly the kernel of the fold that sums a vector's bits over each
+    connected component of the edge graph (an isolated column is a
+    component of its own): each edge folds to zero, and a spanning forest
+    has cols - components independent edges, the kernel's dimension.  So
+    the rank is cols - components plus the rank of the other rows folded,
+    and a vector is in the row space iff its fold is in the span of the
+    folded rows.  This is the doubleton step of sparse presolve (Andersen &
+    Andersen, Math. Programming 1995).  Empty rows, and folded rows whose
+    bits cancel, are dropped before the folded rows are eliminated.
+    """
+
+    def __init__(self, rows: Faces, cols: int):
+        weight = rows.counts()
+        start = rows.ptr[:-1][weight == 2]
+        self.component, n = _components(cols, rows.idx[start], rows.idx[start + 1])
+        owner = rows.owners()
+        rest = weight[owner] != 2
+        # each other row folded onto the components, repeats cancelling
+        folded = Faces.from_pairs(len(rows), owner[rest], self.component[rows.idx[rest]])
+        folded = folded.restrict(folded.counts() > 0, np.ones(n, dtype=bool))
+        self.reduced = folded.matrix(n)
+        self.pivots = _rref_inplace(self.reduced.data, self.reduced.rows, n)
+        self.rank = cols - n + len(self.pivots)
+
+    def contains(self, bits: np.ndarray) -> bool:
+        """Whether the 0/1 vector `bits` over the columns is in the row
+        space."""
+        parity = np.bincount(self.component[np.flatnonzero(bits)], minlength=self.reduced.cols)
+        return in_rowspace(self.reduced, self.pivots, Gf2Vector.from_dense(parity & 1))
+
+
+def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """The connected component of each of n columns under the edges
+    (a[i], b[i]), numbered in the order of their least columns, and the
+    number of components.
+
+    Hook and compress, a whole edge list at a time: each root that an edge
+    joins to a smaller root takes the least such root as its parent, then
+    every column jumps to its tree's root; edges inside one tree drop out.
+    A root is the least column of its tree, so the numbering is canonical.
+    """
+    root = np.arange(n)
+    while True:
+        ra, rb = root[a], root[b]
+        cross = ra != rb
+        if not cross.any():
+            break
+        a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        up = root[root]
+        while not np.array_equal(up, root):
+            root, up = up, up[up]
+    is_root = root == np.arange(n)
+    return (np.cumsum(is_root) - 1)[root], int(is_root.sum())
 
 
 def cobetti(cx: CellComplex, grade: int, relative_labels=frozenset()) -> int:

@@ -10,6 +10,11 @@ bit.
 
 ``checks_of`` turns a dense matrix into the CSR rows `CssCode` takes.
 
+``residue_rref`` is the dense elimination `code._ChainReduction` ran on
+each residue of a code's reduced chain complex before
+`homology._RowSpace` contracted its weight-2 rows: the residue's rows as a
+`Gf2Matrix` over the live qubits, reduced by `_rref_inplace`.
+
 ``merge_total`` and ``merge_parity`` are the dense parity identity of
 `gates.merge_rough` as it ran before it asked the chain reduction: the
 interface rows of the dense H_X, the blocks' logical X embedded through a
@@ -30,6 +35,13 @@ from fractalcss.gf2 import Gf2Matrix, Gf2Vector, _rref_inplace, in_rowspace
 def checks_of(m: Gf2Matrix) -> Faces:
     """The set columns of each row of m."""
     return Faces.from_pairs(m.rows, *m.entries())
+
+
+def residue_rref(rows: Faces, keep_rows, keep_cols) -> tuple[Gf2Matrix, list[int]]:
+    """The RREF of the check matrix `rows` restricted to the kept rows and
+    columns."""
+    m = rows.restrict(keep_rows, keep_cols).matrix(int(keep_cols.sum()))
+    return m, _rref_inplace(m.data, m.rows, m.cols)
 
 
 def check_matrices(cx: CellComplex, i: int) -> tuple[Gf2Matrix, Gf2Matrix]:

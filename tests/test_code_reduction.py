@@ -199,12 +199,16 @@ def test_both_replays_run():
 
 def test_residue_is_small():
     # FC(4,2) level 2, m-holes: H_X 2,592 x 6,480 and H_Z 4,782 x 6,480
-    # reduce to 144 qubits, no X check and 1,038 Z checks
+    # reduce to 144 qubits, no X check and 1,038 Z checks; the Z residue's
+    # 192 weight-2 rows join the 144 qubits into one component, and its 846
+    # other rows are empty, so it folds to no row over that component
     code = _fc(3, 4, 2, 2, "m")
     red = code.reduction
     assert (code.hx.rows, code.hz.rows, code.n_qubits) == (2592, 4782, 6480)
-    assert red.live.sum() == red.hz_rref[0].cols == 144
-    assert (red.hx_rref[0].rows, red.hz_rref[0].rows, red.k) == (0, 1038, 1)
+    assert red.live.sum() == 144
+    assert (red.live_x.sum(), red.live_z.sum(), red.k) == (0, 1038, 1)
+    assert [(s.reduced.rows, s.reduced.cols, s.rank) for s in (red.x_space, red.z_space)] == [
+        (0, 144, 0), (0, 1, 143)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -252,9 +256,13 @@ def test_no_dense_check_matrix_built(monkeypatch):
 def test_no_dense_elimination_of_the_check_matrices(monkeypatch):
     """FC(4,2) level 2: k with the homology cross-check, both exact
     distances and both witness checks eliminate only small residues, never
-    H_X (2,592 x 6,480) or H_Z (4,782 x 6,480)."""
+    H_X (2,592 x 6,480) or H_Z (4,782 x 6,480): the rows left of the
+    cross-check's two boundaries (132 edges, 180 faces) and of the code's X
+    and Z residues (0 and 1,038 checks on 144 qubits) once their weight-2
+    rows are contracted, none of them a row."""
     import fractalcss.code as code_mod
     import fractalcss.gf2 as gf2
+    import fractalcss.homology as homology
     from fractalcss.code import code_params
     from fractalcss.distance import dx_min_cut, dz_shortest_path
 
@@ -265,13 +273,12 @@ def test_no_dense_elimination_of_the_check_matrices(monkeypatch):
         shapes.append((rows, cols))
         return real(data, rows, cols)
 
-    monkeypatch.setattr(gf2, "_rref_inplace", spy)
-    monkeypatch.setattr(code_mod, "_rref_inplace", spy)
+    for module in (gf2, code_mod, homology):
+        monkeypatch.setattr(module, "_rref_inplace", spy)
     code = _fc(3, 4, 2, 2, "m")
     shapes.clear()  # the smooth-patch pruning of the construction
     assert code_params(code).k == 1
     dz, dx = dz_shortest_path(code), dx_min_cut(code)
     assert (dz.value, dx.value) == (16, 144)
     assert is_z_logical(code, dz.witness.z_support) and is_x_logical(code, dx.witness.x_support)
-    assert shapes and max(r * c for r, c in shapes) <= 1038 * 144
-    assert max(c for _, c in shapes) < 6480 // 10
+    assert shapes == [(0, 0), (0, 1), (0, 144), (0, 1)]

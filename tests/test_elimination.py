@@ -15,6 +15,7 @@ import pytest
 
 import fractalcss.code as code_mod
 import fractalcss.gf2 as gf2
+import fractalcss.homology as homology
 from fractalcss.code import (
     _drop_redundant_m_rows,
     code_params,
@@ -124,11 +125,13 @@ def test_plain_fc31_level2_code_params_cross_checked():
 def test_one_elimination_per_check_matrix(monkeypatch):
     code = css_from_complex(fractal_complex(FractalSpec(3, 3, 1, 1), "code"), 1)
     calls = []  # (input bytes, inside the homology cross-check)
+    shapes = []  # (rows, cols) of each elimination
     in_cross_check = [False]
     real_rref, real_homology_k = gf2._rref_inplace, code_mod.homology_k
 
     def spy_rref(data, rows, cols):
         calls.append((data.tobytes(), in_cross_check[0]))
+        shapes.append((rows, cols))
         return real_rref(data, rows, cols)
 
     def spy_homology_k(c):
@@ -138,8 +141,8 @@ def test_one_elimination_per_check_matrix(monkeypatch):
         finally:
             in_cross_check[0] = False
 
-    monkeypatch.setattr(gf2, "_rref_inplace", spy_rref)
-    monkeypatch.setattr(code_mod, "_rref_inplace", spy_rref)
+    for module in (gf2, code_mod, homology):
+        monkeypatch.setattr(module, "_rref_inplace", spy_rref)
     monkeypatch.setattr(code_mod, "homology_k", spy_homology_k)
 
     assert code_params(code).k == 1
@@ -151,12 +154,14 @@ def test_one_elimination_per_check_matrix(monkeypatch):
     assert code_params(code, cross_check=False).k == 1
 
     # k and the logical tests eliminate the two residue matrices of the
-    # code's reduced chain complex once; only the logical basis eliminates
-    # H_X and H_Z, once each
+    # code's reduced chain complex once, each folded onto the components of
+    # its weight-2 rows (no row left over one component); only the logical
+    # basis eliminates H_X and H_Z, once each
     dense = [code.hx.data.tobytes(), code.hz.data.tobytes()]
     outside = [data for data, inside in calls if not inside]
     assert [data for data in outside if data in dense] == dense
     assert len(outside) == 4
+    assert [shape for shape, (_, inside) in zip(shapes, calls) if not inside][:2] == [(0, 1)] * 2
     assert not any(data in dense for data, _ in calls[:before_basis])
     assert any(inside for _, inside in calls)
 

@@ -151,7 +151,8 @@ def _text_bit_by_bit(m: Gf2Matrix) -> str:
     return "\n".join(["gf2matrix v1", f"{m.rows} {m.cols}", *rows]) + "\n"
 
 
-@pytest.mark.parametrize("rows,cols", [(0, 5), (1, 1), (3, 63), (4, 64), (5, 65), (7, 130)])
+@pytest.mark.parametrize("rows,cols", [(0, 5), (1, 1), (3, 63), (4, 64), (5, 65), (7, 130),
+                                       (0, 0), (3, 0)])
 def test_text_matches_bitwise_reference(rows, cols):
     m = _random_matrix(np.random.default_rng(rows * 1000 + cols), rows, cols)
     text = matrix_to_text(m)
@@ -163,10 +164,19 @@ def test_text_matches_bitwise_reference(rows, cols):
     ("gf2matrix v1\n2 3\n101\n1x1\n", "bad character 'x' in row 1"),
     ("gf2matrix v1\n2 3\n101\n11\n", "row 1 has length 2, expected 3"),
     ("gf2matrix v1\n3 3\n101\n110\n", "expected 3 data lines, got 2"),
+    ("gf2matrix v1\n3 0\n\n1\n\n", "expected 3 data lines, got 1"),
 ])
 def test_text_parser_rejects_malformed(text, message):
     with pytest.raises(ValueError, match=message):
         matrix_from_text(text)
+
+
+def test_rows_of_no_columns_read_from_blank_lines_or_none():
+    """A body of R rows of no columns is R bare line breaks as
+    `matrix_to_text` writes it; a code file drops them, so any blank body
+    reads as R rows."""
+    for body in ("\n\n\n", "", "\n", " \n\t\n\n\n\n"):
+        assert matrix_from_text("gf2matrix v1\n3 0\n" + body) == Gf2Matrix(3, 0)
 
 
 def test_torus_boundary_rank_example():

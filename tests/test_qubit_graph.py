@@ -128,3 +128,18 @@ def test_cli_falls_back_to_the_search_on_a_refusal(name, which):
     got = dz if which == "dz" else dx
     want = exhaustive_low_weight(code, "Z" if which == "dz" else "X", 3)
     assert (got.value, got.kind) == (want.value, want.kind)
+
+
+@pytest.mark.parametrize("name", ["fc31-l2-m", "fc31-l1-torus-e", "toric-L3", "layout7"])
+def test_bounded_search_is_the_full_search_cut_at_its_depth(name):
+    """A BFS given a depth reaches the nodes within it by the arcs of the
+    full search and no node past it; dz_shortest_path passes such depths."""
+    from fractalcss.distance import _QubitGraph
+
+    g = _QubitGraph(CODES[name]())
+    for source in (0, g.n_nodes - 1):
+        dist, via = g.bfs(source)
+        for depth in range(-1, max(dist) + 2):
+            near = [d if d <= max(depth, 0) else -1 for d in dist]  # the source is at 0
+            assert g.bfs(source, depth=depth) == (near, [a if d >= 0 else -1
+                                                        for a, d in zip(via, near)])

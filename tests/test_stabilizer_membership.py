@@ -17,6 +17,7 @@ import pytest
 
 import fractalcss.code as code_mod
 import fractalcss.gf2 as gf2
+import fractalcss.homology as homology
 from fractalcss.code import (
     CssCode, _ChainReduction, _syndrome_free, code_to_text, css_from_complex, logical_basis,
 )
@@ -116,14 +117,15 @@ def _rref_shapes(monkeypatch) -> list[tuple[int, int]]:
         shapes.append((rows, cols))
         return real(data, rows, cols)
 
-    monkeypatch.setattr(gf2, "_rref_inplace", spy)
-    monkeypatch.setattr(code_mod, "_rref_inplace", spy)
+    for module in (gf2, code_mod, homology):
+        monkeypatch.setattr(module, "_rref_inplace", spy)
     return shapes
 
 
 def _residue_shapes(red: _ChainReduction) -> tuple[tuple[int, int], tuple[int, int]]:
-    live = int(red.live.sum())
-    return (int(red.live_x.sum()), live), (int(red.live_z.sum()), live)
+    """The (rows, cols) that the X and the Z residue eliminate: their rows
+    folded onto the components of their weight-2 rows."""
+    return tuple((space.reduced.rows, space.reduced.cols) for space in (red.x_space, red.z_space))
 
 
 def test_merge_builds_no_dense_merged_checks(monkeypatch):
@@ -154,17 +156,20 @@ def test_merge_builds_no_dense_merged_checks(monkeypatch):
 def test_merge_eliminates_no_z_residue(monkeypatch):
     """FC(3,1) level 2: the merge's parity identity asks only whether a
     vector is a product of the old X checks, so its chain reduction
-    eliminates the X residue and never the Z residue (1456 x 1104)."""
+    eliminates the X residue (no X check left on 1,104 qubits) and never
+    the Z residue (1,456 x 1,104, which folds to 480 x 320)."""
     a, b = _fc(3, 1, 2), _fc(3, 1, 2)
     shapes = _rref_shapes(monkeypatch)
     result = merge_rough(a, b)
+    seen = list(shapes)
     merged = result.merged
     old = np.bincount(result.interface_x_rows, minlength=len(merged.x_checks)) == 0
     x_checks = merged.x_checks.restrict(old, np.ones(merged.n_qubits, dtype=bool))
-    x_shape, z_shape = _residue_shapes(
-        _ChainReduction(x_checks, merged.z_checks, merged.n_qubits))
-    assert x_shape in shapes and z_shape not in shapes
-    assert z_shape[0] > 0
+    red = _ChainReduction(x_checks, merged.z_checks, merged.n_qubits)
+    assert (int(red.live_x.sum()), int(red.live_z.sum()), int(red.live.sum())) == (0, 1456, 1104)
+    x_shape, z_shape = _residue_shapes(red)
+    assert (x_shape, z_shape) == ((0, 1104), (480, 320))
+    assert x_shape in seen and z_shape not in seen
 
 
 @pytest.mark.parametrize("query, kind", [("is_x_stabilizer", "X"), ("is_z_stabilizer", "Z")])
@@ -172,11 +177,14 @@ def test_chain_reduction_eliminates_only_the_residue_asked(monkeypatch, query, k
     """An X-only query eliminates the X residue alone, a Z-only query the Z
     residue alone, and k then eliminates the other one once."""
     code = _fc(3, 1, 2)
+    # the X residue has no check on 64 qubits; the Z residue's 280 checks
+    # fold to none over one component
+    x_shape, z_shape = _residue_shapes(
+        _ChainReduction(code.x_checks, code.z_checks, code.n_qubits))
+    assert (x_shape, z_shape) == ((0, 64), (0, 1))
     shapes = _rref_shapes(monkeypatch)
     red = _ChainReduction(code.x_checks, code.z_checks, code.n_qubits)
     assert shapes == []
-    x_shape, z_shape = _residue_shapes(red)
-    assert x_shape != z_shape
     asked, other = (x_shape, z_shape) if kind == "X" else (z_shape, x_shape)
     for _ in range(2):
         assert getattr(red, query)(Gf2Vector(code.n_qubits))

@@ -16,7 +16,7 @@ body, inside the qubit map and the head (also splitting one of their
 lines) and hiding a section word in a body, which the readers read as
 they read the text with "\\n" breaks.
 
-Four intended differences, the first three on inputs the old readers
+Five intended differences, the first three on inputs the old readers
 accepted or crashed on: `code_from_text` rejects a qubitmap line
 ``q <j> -> cell <c>`` whose j is not the line's position, which the old
 reader never read; every reader rejects an integer token, in a header as
@@ -25,7 +25,10 @@ after an optional sign (``1_0``, other scripts' digits) or that lies
 outside int64; and `CellComplex.from_text` rejects a dimension that needs
 more grade lines than the file has, where the old reader ran out of memory
 on one near 2**63.  By the same integer rule `matrix_from_text` reads a
-sign in its shape line (``+2``), which the old reader refused.
+sign in its shape line (``+2``), which the old reader refused.  And a
+matrix body of R rows of no columns, blank as the writers write it (R bare
+line breaks in a matrix file, none in a code file), reads as those R rows,
+where the old readers found no data line.
 """
 
 import random
@@ -89,6 +92,9 @@ def _misnumbered_qubitmap(text: str) -> bool:
 def assert_readers_agree(kind: str, text: str, messages: bool = True) -> None:
     new, old, fields = READERS[kind]
     got, want = _outcome(new, fields, text), _outcome(old, fields, text)
+    if want[0] is ValueError and want[1].endswith("data lines, got 0") and got[0] is not ValueError:
+        assert (got[1] if kind == "matrix" else got[0]) == 0, got  # no columns
+        return
     if got[0] is ValueError and want[0] is not ValueError:
         assert ("outside int64" in got[1] or kind == "code"
                 and got[1].startswith("expected 'q ") and _misnumbered_qubitmap(text)), got
@@ -252,6 +258,24 @@ def test_header_integers_follow_the_cell_rule(kind, old, new):
     oracle(text)
     with pytest.raises(ValueError, match="not an integer in ASCII digits|outside int64|line 2 must read"):
         read(text)
+
+
+_NO_COLUMNS = "csscode v1\nnqubits 0 i 1\nHX\ngf2matrix v1\n3 0\nHZ\ngf2matrix v1\n2 0\nqubitmap\n"
+
+
+@pytest.mark.parametrize("kind, text, written", [
+    ("matrix", "gf2matrix v1\n3 0\n\n\n\n", "gf2matrix v1\n3 0\n\n\n\n"),
+    ("matrix", "gf2matrix v1\n2 0\n", "gf2matrix v1\n2 0\n\n\n"),
+    ("code", _NO_COLUMNS, _NO_COLUMNS),
+])
+def test_rows_of_no_columns(kind, text, written):
+    """The old readers found no data line in a blank body of rows of no
+    columns; the new ones read it as those rows."""
+    read, oracle, _ = READERS[kind]
+    with pytest.raises(ValueError, match="data lines, got 0"):
+        oracle(text)
+    assert {"code": code_to_text, "matrix": matrix_to_text}[kind](read(text)) == written
+    assert_readers_agree(kind, text)
 
 
 def test_matrix_shape_reads_a_sign():

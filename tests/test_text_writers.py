@@ -32,6 +32,7 @@ from fractalcss.code import (
     check_matrix_blocks,
     check_matrix_text,
     code_blocks,
+    code_from_text,
     code_to_text,
     css_from_complex,
 )
@@ -45,7 +46,7 @@ from fractalcss.complexes import (
     punch_box,
     punch_holes,
 )
-from fractalcss.gf2 import matrix_to_text
+from fractalcss.gf2 import Gf2Matrix, matrix_from_text, matrix_to_text
 from test_arrays import punched as punched_layout
 from test_arrays import seeded_layout
 from test_text_fuzz import BASE, punched
@@ -151,6 +152,7 @@ def test_codes_without_x_checks_or_qubits():
     assert check_matrix_text(no_qubits, "hx") == "gf2matrix v1\n2 0\n\n\n"
     for code in (no_x, no_qubits):
         assert_code_bytes(code)
+        assert code_to_text(code_from_text(code_to_text(code))) == code_to_text(code)
 
 
 def _vertices(dim: int, boxes: list, names=("bulk",)) -> CellComplex:
@@ -228,8 +230,9 @@ def test_cli_writes_the_bodies_in_blocks(monkeypatch, tmp_path, name, rows):
 
 @pytest.mark.parametrize("rows", (1, 2, 3))
 def test_blocks_of_a_code_with_no_qubits(monkeypatch, tmp_path, rows):
-    """The CLI's file writer on a code that its reader cannot read back
-    (the code file drops the rows of no columns)."""
+    """The CLI's file writer on a code with no qubits: the code file drops
+    the rows of no columns, its reader reads the blank bodies back as those
+    rows, and `export` writes the matrix files with their blank rows."""
     code = CssCode(n_qubits=0, x_checks=Faces.empty(3), z_checks=Faces.empty(2), grading=1,
                    qubit_cells=[], x_anchor_cells=[])
     text = code_to_text(code)
@@ -244,4 +247,8 @@ def test_blocks_of_a_code_with_no_qubits(monkeypatch, tmp_path, rows):
         out = tmp_path / f"{which}.txt"
         _write_blocks(str(out), check_matrix_blocks(code, which))
         assert out.read_bytes() == exported[which].encode()
+        assert main(["export", "--code", str(path), "--what", which, "--out", str(out)]) == 0
+        assert out.read_bytes() == exported[which].encode()
+        assert matrix_from_text(out.read_text()) == Gf2Matrix({"hx": 3, "hz": 2}[which], 0)
     assert exported["hx"] == "gf2matrix v1\n3 0\n\n\n\n"
+    assert code_to_text(code_from_text(text)) == text
