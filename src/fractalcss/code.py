@@ -101,8 +101,9 @@ class CssCode:
         for checks in (self.x_checks, self.z_checks):
             if checks.idx.size and not 0 <= checks.idx.min() <= checks.idx.max() < self.n_qubits:
                 raise AssertionError(f"check columns outside the {self.n_qubits} qubits")
-        if not self.x_checks.composes_to_zero(self.z_checks.transpose(self.n_qubits),
-                                              len(self.z_checks)):
+        # the Z checks of each qubit, which the reduction takes over
+        self._qubit_z = self.z_checks.transpose(self.n_qubits)
+        if not self.x_checks.composes_to_zero(self._qubit_z, len(self.z_checks)):
             raise AssertionError("H_X H_Z^T != 0: X and Z checks do not commute")
 
     # The dense check matrices, built on first use: for the logical basis.
@@ -118,7 +119,8 @@ class CssCode:
     # and the colour-code S check read it.
     @cached_property
     def reduction(self) -> "_ChainReduction":
-        return _ChainReduction(self.x_checks, self.z_checks, self.n_qubits)
+        return _ChainReduction(self.x_checks, self.z_checks, self.n_qubits,
+                               self.__dict__.pop("_qubit_z", None))
 
 
 class _ChainReduction:
@@ -129,7 +131,8 @@ class _ChainReduction:
     residue's check matrices are H_X and H_Z restricted to the live checks
     and qubits; k is dim H_1 of the residue, read off their ranks
     (`homology._RowSpace`, which eliminates only the rows left after the
-    weight-2 rows are contracted).  A
+    weight-2 rows are contracted).  The cofaces are the X checks' rows and
+    the Z checks of each qubit (`qubit_z`, when the caller has them).  A
     Z-cycle z (H_X z = 0) is carried into the residue by the chain
     equivalence of the pairs (Kaczynski, Mrozek & Slusarek, Comput. Math.
     Appl. 1998): each grade-1/2 collapse of qubit a with Z check b adds the
@@ -144,9 +147,10 @@ class _ChainReduction:
     is in that of the residue's H_X.
     """
 
-    def __init__(self, x_rows: Faces, z_rows: Faces, n: int):
+    def __init__(self, x_rows: Faces, z_rows: Faces, n: int, qubit_z: Faces | None = None):
         self.x_rows, self.z_rows = x_rows, z_rows
-        red = _Reduction([Faces.empty(len(x_rows)), x_rows.transpose(n), z_rows])
+        red = _Reduction([Faces.empty(len(x_rows)), x_rows.transpose(n), z_rows],
+                         [x_rows, z_rows.transpose(n) if qubit_z is None else qubit_z])
         self.live_x, self.live, self.live_z = red.run()[0]
         # (qubits, their checks) per round of grade-1/2 collapses and of
         # grade-1/0 coreductions

@@ -171,9 +171,9 @@ def _width(lo: int, hi: int, widths=(np.int16, np.int32, np.int64)) -> type:
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """The concatenation of ``arange(starts[i], stops[i])`` over i."""
     counts = stops - starts
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
+    return np.arange(total) + (starts - (ends - counts)).repeat(counts)
 
 
 class Faces:
@@ -219,7 +219,7 @@ class Faces:
         """The number of faces of each cell, as int64 whatever the width of
         `ptr`: ``np.subtract.at`` and its kind take the fast path only where
         the counts and the values they add have one type."""
-        return np.diff(self.ptr).astype(np.int64, copy=False)
+        return np.subtract(self.ptr[1:], self.ptr[:-1], dtype=np.int64)
 
     def owners(self) -> np.ndarray:
         """The cell of every entry of ``idx``."""
@@ -227,7 +227,7 @@ class Faces:
 
     def take(self, cells: np.ndarray) -> np.ndarray:
         """The faces of `cells`, concatenated."""
-        return self.idx[_ranges(self.ptr[cells], self.ptr[cells + 1])]
+        return self.idx[_ranges(self.ptr[cells], self.ptr[1:][cells])]
 
     def transpose(self, n: int) -> "Faces":
         """The cofaces: per cell of the grade below (n of them), the sorted

@@ -432,6 +432,9 @@ def matrix_from_text(text: str) -> Gf2Matrix:
 _WRITTEN_HEAD = re.compile(rb"gf2matrix v1\n([0-9]{1,18}) ([0-9]{1,18})\n")
 # the first two non-blank lines, without the whitespace before them
 _MATRIX_HEAD = re.compile(r"\s*([^\n]*)\n?\s*([^\n]*)\n?")
+# The most rows of no columns a text may declare, as they take no byte of
+# it; no code the package builds has a check on no qubit.
+_MAX_EMPTY_ROWS = 1 << 20
 
 
 def _rows_from_text(raw) -> np.ndarray:
@@ -468,6 +471,8 @@ def _rows_from_str(text: str) -> np.ndarray:
             raise ValueError
     except ValueError:
         raise ValueError("gf2matrix v1 line 2 must read '<rows> <cols>'") from None
+    if not cols and rows > _MAX_EMPTY_ROWS:
+        raise ValueError(f"{rows} rows of no columns, more than {_MAX_EMPTY_ROWS}")
     body = text[head.end() :]
     b = _chars(body)
     if not (cols and _is_rows(b, rows, cols)):

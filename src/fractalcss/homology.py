@@ -7,22 +7,23 @@ the value of the quotient L/B, where B is one more point: one more than the
 reduced relative group.  :func:`betti_with_caveat` flags it instead of
 papering over the distinction (no code parameter depends on i = 0).
 
-One reduction engine, `_Reduction`, has three readers.  :func:`betti`
-reduces the face arrays of a cell complex and :func:`cobetti` its
-cochain complex (the coface arrays, grades reversed), both through
-`_reduced_betti`; `code.CssCode.reduction` reduces the chain complex of a
-CSS code (Z checks -> qubits -> X checks, from its CSR checks) and replays
-its recorded rounds to carry a cycle or cocycle into the residue.  The
-engine shrinks the complex before anything is ranked, round by round on
-CSR face arrays: elementary collapses (a (k-1)-cell with exactly one live
-coface goes with that coface), then coreductions (Mrozek & Batko,
-"Coreduction homology algorithm", DCG 2009: a k-cell with exactly one
-live face goes with that face), seeding one vertex per connected
-component when grade-1 coreductions stall, and dually one top cell when
-the live top cells sum to a cycle.  No pair changes a surviving cell's
-boundary, so the residue is the original boundary maps restricted to the
-surviving cells (for FC(4,2) level 2 relative to the e-labels, 132 of
-7,440 edges and 180 of 5,232 faces survive).
+One reduction engine, `_Reduction`, has three readers: :func:`betti`
+(the faces of a cell complex), :func:`cobetti` (its cochain complex, whose
+faces are the cofaces and cofaces the faces, grades reversed) and
+`code.CssCode.reduction` (a CSS code's chain complex Z checks -> qubits ->
+X checks, whose recorded rounds it replays to carry a cycle or cocycle
+into the residue).  The engine shrinks the complex round by round on CSR
+face and coface arrays, with a live mask and live-neighbour counts per
+grade, gathering only the lists whose counts change: elementary collapses
+(a (k-1)-cell with exactly one live coface goes with that coface), then
+coreductions (Mrozek & Batko, "Coreduction homology algorithm", DCG 2009:
+a k-cell with exactly one live face goes with that face), seeding one
+vertex per connected component when grade-1 coreductions stall, and
+dually one top cell when the live top cells sum to a cycle.  No pair
+changes a surviving cell's boundary, so the residue is the original
+boundary maps restricted to the surviving cells (for FC(4,2) level 2
+relative to the e-labels, 132 of 7,440 edges and 180 of 5,232 faces
+survive).
 
 A residue's boundary or check matrix is ranked, and asked whether a vector
 lies in its row space, by `_RowSpace`: its weight-2 rows are contracted,
@@ -44,7 +45,7 @@ import numpy as np
 from .complexes import (
     BoundaryError, CellComplex, Faces, dual_with_boundary, label_is_e, label_is_m,
 )
-from .gf2 import Gf2Vector, _rref_inplace, in_rowspace
+from .gf2 import Gf2Matrix, Gf2Vector, _rref_inplace, in_rowspace
 
 
 def betti(cx: CellComplex, grade: int, relative_labels=frozenset()) -> int:
@@ -72,11 +73,10 @@ def _chains(cx: CellComplex, grade: int, relative_labels) -> tuple[list[Faces], 
     return cx.relative_faces(set(relative_labels)), grade == 0
 
 
-def _reduced_betti(down: list[Faces], grade: int) -> int:
-    """dim H_grade of the chain complex whose k-cells have the faces
-    down[k]: reduced by `_Reduction`, then the residue's two boundaries at
-    the grade are ranked."""
-    live, seeds = _Reduction(down).run()
+def _reduced_betti(down: list[Faces], grade: int, up: list[Faces] | None = None) -> int:
+    """dim H_grade of the chain complex of faces down[k] (cofaces up[k], if
+    given): reduced by `_Reduction`, its residue's boundaries ranked."""
+    live, seeds = _Reduction(down, up).run()
     sizes = [int(keep.sum()) for keep in live]
     # the residue's boundaries into and out of the grade
     d = {k: down[k].restrict(live[k], live[k - 1])
@@ -91,37 +91,40 @@ class _Reduction:
     """The live cells of a chain complex under collapses and coreductions.
 
     The complex is given in CSR form: ``down[k]`` lists the faces of each
-    k-cell (``down[0]`` is empty); ``up[k]`` lists its cofaces, and
+    k-cell (``down[0]`` is empty) and ``up[k]``, k below the top grade, its
+    cofaces, sorted (the transposes of `down` when not given);
     ``n_down[k]`` / ``n_up[k]`` count the live ones.  Every round of pairs
-    is recorded in ``rounds`` as (g, h, x, y): the g-cells x went with the
-    h-cells y, x[i] with y[i].
+    is recorded in ``rounds`` as (g, h, x, y), none empty: the g-cells x
+    went with the h-cells y, x[i] with y[i].  A round gathers the
+    h-neighbours of the candidates x (to find their y), x's far side, and
+    y's g-side, once for its counts and as the next candidates.  The other
+    sides hold no live cell but y: a live cell on y's far side would make
+    dd nonzero on the live cells (through y, x's one live neighbour), and
+    no pair changes a surviving boundary.
     """
 
-    def __init__(self, down: list[Faces]):
+    def __init__(self, down: list[Faces], up: list[Faces] | None = None):
         self.down = down
-        self.up = [fs.transpose(len(below)) for below, fs in zip(down, down[1:])]
-        self.up.append(Faces.empty(len(down[-1])))
+        self.up = up or [fs.transpose(len(below)) for below, fs in zip(down, down[1:])]
         self.live = [np.ones(len(fs), dtype=bool) for fs in down]
-        self.n_down = [fs.counts() for fs in self.down]
+        self.n_down = [fs.counts() for fs in down]
         self.n_up = [fs.counts() for fs in self.up]
         self.rounds: list[tuple[int, int, np.ndarray, np.ndarray]] = []
 
     def run(self) -> tuple[list[np.ndarray], list[int]]:
-        """Reduce until a full sweep removes nothing; return the live masks
-        and the number of cells removed as seeds per grade."""
+        """Sweep (collapses from the top grade down, coreductions from grade
+        1 up, seeds at the end grades) until a sweep records no round and no
+        seed; return the live masks and the number of seeds per grade."""
         top = len(self.live) - 1
         seeds = [0] * (top + 1)
+        sweep = [(k - 1, k) for k in range(top, 0, -1)] + [(k, k - 1) for k in range(1, top + 1)]
         while True:
-            removed = 0
-            for k in range(top, 0, -1):
-                removed += self._pair_off(k - 1, k)
-                while k == top and self._seed(top, top - 1, seeds):
-                    removed += 1 + self._pair_off(k - 1, k)
-            for k in range(1, top + 1):
-                removed += self._pair_off(k, k - 1)
-                while k == 1 and self._seed(0, 1, seeds):
-                    removed += 1 + self._pair_off(1, 0)
-            if not removed:
+            done = len(self.rounds), sum(seeds)
+            for g, h in sweep:
+                self._pair_off(g, h)
+                while h in (0, top) and self._seed(h, g, seeds):
+                    self._pair_off(g, h)
+            if (len(self.rounds), sum(seeds)) == done:
                 return self.live, seeds
 
     def _seed(self, g: int, h: int, seeds: list[int]) -> bool:
@@ -135,44 +138,38 @@ class _Reduction:
         count, pick = (self.n_down, self.n_up) if g < h else (self.n_up, self.n_down)
         if not self.live[g].any() or (count[h][self.live[h]] & 1).any():
             return False
-        self._remove(g, np.argmax(np.where(self.live[g], pick[g], -1))[None])
+        self._remove(g, np.argmax(np.where(self.live[g], pick[g], -1))[None], h)
         seeds[g] += 1
         return True
 
-    def _remove(self, k: int, cells: np.ndarray) -> None:
+    def _remove(self, k: int, cells: np.ndarray, j: int) -> np.ndarray | None:
+        """Mark the k-cells dead and lower the live-neighbour counts of their
+        neighbours in grade j = k +- 1, if there is one; return them."""
         self.live[k][cells] = False
-        if k:
-            np.subtract.at(self.n_up[k - 1], self.down[k].take(cells), 1)
-        if k + 1 < len(self.live):
-            np.subtract.at(self.n_down[k + 1], self.up[k].take(cells), 1)
+        if not 0 <= j < len(self.live):
+            return None
+        near = (self.down if j < k else self.up)[k].take(cells)
+        np.subtract.at((self.n_up if j < k else self.n_down)[j], near, 1)
+        return near
 
-    def _pair_off(self, g: int, h: int) -> int:
+    def _pair_off(self, g: int, h: int) -> None:
         """Remove each live g-cell with exactly one live neighbour in grade
-        h = g +- 1 together with that neighbour, round by round until none
-        is left; return the number of pairs.  A collapse has h = g + 1, a
-        coreduction h = g - 1."""
-        if h > g:
-            near, count, back = self.up, self.n_up, self.down
-        else:
-            near, count, back = self.down, self.n_down, self.up
+        h = g +- 1 (g + 1: a collapse, g - 1: a coreduction) together with
+        that neighbour, round by round until a round finds none."""
+        near, count = (self.up[g], self.n_up[g]) if h > g else (self.down[g], self.n_down[g])
         live_g, live_h = self.live[g], self.live[h]
-        cand = np.flatnonzero(live_g & (count[g] == 1))
-        pairs = 0
-        while cand.size:
-            x = cand[live_g[cand] & (count[g][cand] == 1)]
-            y = near[g].take(x)
+        cand = np.flatnonzero(live_g & (count == 1))
+        while (x := cand[live_g[cand] & (count[cand] == 1)]).size:
+            y = near.take(x)
             y = y[live_h[y]]  # the one live neighbour of each x, in order
             if len(y) != len(x):
                 raise AssertionError(f"grade {g}: live-neighbour counts out of date")
-            y, first = np.unique(y, return_index=True)  # one pair per neighbour
-            x = x[first]
-            self._remove(g, x)
-            self._remove(h, y)
+            y = y[order := y.argsort(kind="stable")]  # one pair per neighbour, its first x
+            first = np.concatenate(([True], y[1:] != y[:-1]))
+            x, y = x[order[first]], y[first]
+            self._remove(g, x, 2 * g - h)
+            cand = self._remove(h, y, g)  # the g-cells whose count fell
             self.rounds.append((g, h, x, y))
-            pairs += len(x)
-            # the g-cells whose count fell: the other neighbours of y
-            cand = back[h].take(y)
-        return pairs
 
 
 class _RowSpace:
@@ -188,20 +185,23 @@ class _RowSpace:
     and a vector is in the row space iff its fold is in the span of the
     folded rows.  This is the doubleton step of sparse presolve (Andersen &
     Andersen, Math. Programming 1995).  Empty rows, and folded rows whose
-    bits cancel, are dropped before the folded rows are eliminated.
+    bits cancel, are dropped before the folded rows are eliminated; rows
+    without a bit (two thirds of the benchmark's residues) skip all of it.
     """
 
     def __init__(self, rows: Faces, cols: int):
-        weight = rows.counts()
-        start = rows.ptr[:-1][weight == 2]
-        self.component, n = _components(cols, rows.idx[start], rows.idx[start + 1])
-        owner = rows.owners()
-        rest = weight[owner] != 2
-        # each other row folded onto the components, repeats cancelling
-        folded = Faces.from_pairs(len(rows), owner[rest], self.component[rows.idx[rest]])
-        folded = folded.restrict(folded.counts() > 0, np.ones(n, dtype=bool))
-        self.reduced = folded.matrix(n)
-        self.pivots = _rref_inplace(self.reduced.data, self.reduced.rows, n)
+        self.component, n, self.reduced, self.pivots = np.arange(cols), cols, Gf2Matrix(0, cols), []
+        if rows.idx.size:
+            weight = rows.counts()
+            start = rows.ptr[:-1][weight == 2]
+            self.component, n = _components(cols, rows.idx[start], rows.idx[start + 1])
+            owner = rows.owners()
+            rest = weight[owner] != 2
+            # each other row folded onto the components, repeats cancelling
+            folded = Faces.from_pairs(len(rows), owner[rest], self.component[rows.idx[rest]])
+            folded = folded.restrict(folded.counts() > 0, np.ones(n, dtype=bool))
+            self.reduced = folded.matrix(n)
+            self.pivots = _rref_inplace(self.reduced.data, self.reduced.rows, n)
         self.rank = cols - n + len(self.pivots)
 
     def contains(self, bits: np.ndarray) -> bool:
@@ -237,12 +237,12 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def cobetti(cx: CellComplex, grade: int, relative_labels=frozenset()) -> int:
-    """dim H^i from the cochain complex (the cofaces, grades reversed),
-    reduced like :func:`betti`; equals betti at the same grade."""
+    """dim H^i from the cochain complex (faces and cofaces swapped, grades
+    reversed), reduced like :func:`betti`; equals betti at the same grade."""
     down, point = _chains(cx, grade, relative_labels)
     n = cx.dim
     up = [down[k + 1].transpose(len(down[k])) for k in range(n)]
-    return _reduced_betti([Faces.empty(len(down[n]))] + up[::-1], n - grade) + point
+    return _reduced_betti([Faces.empty(len(down[n]))] + up[::-1], n - grade, down[:0:-1]) + point
 
 
 @dataclass(frozen=True)

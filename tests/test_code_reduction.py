@@ -257,9 +257,11 @@ def test_no_dense_elimination_of_the_check_matrices(monkeypatch):
     """FC(4,2) level 2: k with the homology cross-check, both exact
     distances and both witness checks eliminate only small residues, never
     H_X (2,592 x 6,480) or H_Z (4,782 x 6,480): the rows left of the
-    cross-check's two boundaries (132 edges, 180 faces) and of the code's X
-    and Z residues (0 and 1,038 checks on 144 qubits) once their weight-2
-    rows are contracted, none of them a row."""
+    cross-check's grade-2 boundary (180 faces on 132 edges) and of the
+    code's Z residue (1,038 checks on 144 qubits) once their weight-2 rows
+    are contracted, none of them a row.  The grade-1 boundary (132 edges on
+    no vertex) and the X residue (no check on 144 qubits) have no bit, and
+    are not eliminated."""
     import fractalcss.code as code_mod
     import fractalcss.gf2 as gf2
     import fractalcss.homology as homology
@@ -281,4 +283,4 @@ def test_no_dense_elimination_of_the_check_matrices(monkeypatch):
     dz, dx = dz_shortest_path(code), dx_min_cut(code)
     assert (dz.value, dx.value) == (16, 144)
     assert is_z_logical(code, dz.witness.z_support) and is_x_logical(code, dx.witness.x_support)
-    assert shapes == [(0, 0), (0, 1), (0, 144), (0, 1)]
+    assert shapes == [(0, 1), (0, 1)]

@@ -153,15 +153,16 @@ def test_one_elimination_per_check_matrix(monkeypatch):
     assert is_z_logical(code, zs[0].z_support) and is_x_logical(code, xs[0].x_support)
     assert code_params(code, cross_check=False).k == 1
 
-    # k and the logical tests eliminate the two residue matrices of the
-    # code's reduced chain complex once, each folded onto the components of
-    # its weight-2 rows (no row left over one component); only the logical
-    # basis eliminates H_X and H_Z, once each
+    # the two residues of the code's reduced chain complex leave one qubit
+    # that no live check meets, so k and the logical tests eliminate
+    # nothing; only the logical basis eliminates H_X and H_Z, once each
+    red = code.reduction
+    assert int(red.live.sum()) == 1 and red.x_space.rank == red.z_space.rank == 0
     dense = [code.hx.data.tobytes(), code.hz.data.tobytes()]
     outside = [data for data, inside in calls if not inside]
-    assert [data for data in outside if data in dense] == dense
-    assert len(outside) == 4
-    assert [shape for shape, (_, inside) in zip(shapes, calls) if not inside][:2] == [(0, 1)] * 2
+    assert outside == dense
+    assert [shape for shape, (_, inside) in zip(shapes, calls) if not inside] == [
+        (code.hx.rows, code.n_qubits), (code.hz.rows, code.n_qubits)]
     assert not any(data in dense for data, _ in calls[:before_basis])
     assert any(inside for _, inside in calls)
 

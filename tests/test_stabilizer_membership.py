@@ -155,13 +155,22 @@ def test_merge_builds_no_dense_merged_checks(monkeypatch):
 
 def test_merge_eliminates_no_z_residue(monkeypatch):
     """FC(3,1) level 2: the merge's parity identity asks only whether a
-    vector is a product of the old X checks, so its chain reduction
-    eliminates the X residue (no X check left on 1,104 qubits) and never
-    the Z residue (1,456 x 1,104, which folds to 480 x 320)."""
+    vector is a product of the old X checks, so its chain reduction builds
+    the row space of the X residue (no X check left on 1,104 qubits, so
+    nothing to eliminate) and never that of the Z residue (1,456 x 1,104,
+    which folds to 480 x 320)."""
     a, b = _fc(3, 1, 2), _fc(3, 1, 2)
+    built = []  # (rows, cols) of each residue whose row space is built
+    init = homology._RowSpace.__init__
+
+    def spy(self, rows, cols):
+        built.append((len(rows), cols))
+        init(self, rows, cols)
+
+    monkeypatch.setattr(homology._RowSpace, "__init__", spy)
     shapes = _rref_shapes(monkeypatch)
     result = merge_rough(a, b)
-    seen = list(shapes)
+    seen, spaces = list(shapes), list(built)
     merged = result.merged
     old = np.bincount(result.interface_x_rows, minlength=len(merged.x_checks)) == 0
     x_checks = merged.x_checks.restrict(old, np.ones(merged.n_qubits, dtype=bool))
@@ -169,13 +178,15 @@ def test_merge_eliminates_no_z_residue(monkeypatch):
     assert (int(red.live_x.sum()), int(red.live_z.sum()), int(red.live.sum())) == (0, 1456, 1104)
     x_shape, z_shape = _residue_shapes(red)
     assert (x_shape, z_shape) == ((0, 1104), (480, 320))
-    assert x_shape in seen and z_shape not in seen
+    assert (0, 1104) in spaces and (1456, 1104) not in spaces
+    assert x_shape not in seen and z_shape not in seen
 
 
 @pytest.mark.parametrize("query, kind", [("is_x_stabilizer", "X"), ("is_z_stabilizer", "Z")])
 def test_chain_reduction_eliminates_only_the_residue_asked(monkeypatch, query, kind):
-    """An X-only query eliminates the X residue alone, a Z-only query the Z
-    residue alone, and k then eliminates the other one once."""
+    """An X-only query builds the row space of the X residue alone, a
+    Z-only query that of the Z residue alone, and k then builds the other
+    one once.  Only the Z residue has a bit to eliminate."""
     code = _fc(3, 1, 2)
     # the X residue has no check on 64 qubits; the Z residue's 280 checks
     # fold to none over one component
@@ -185,9 +196,10 @@ def test_chain_reduction_eliminates_only_the_residue_asked(monkeypatch, query, k
     shapes = _rref_shapes(monkeypatch)
     red = _ChainReduction(code.x_checks, code.z_checks, code.n_qubits)
     assert shapes == []
-    asked, other = (x_shape, z_shape) if kind == "X" else (z_shape, x_shape)
     for _ in range(2):
         assert getattr(red, query)(Gf2Vector(code.n_qubits))
-    assert shapes == [asked]
+    assert [name for name in ("x_space", "z_space") if name in vars(red)] == [f"{kind.lower()}_space"]
+    assert shapes == ([] if kind == "X" else [z_shape])
     assert red.k == 1
-    assert shapes == [asked, other]
+    assert "x_space" in vars(red) and "z_space" in vars(red)
+    assert shapes == [z_shape]

@@ -32,6 +32,7 @@ where the old readers found no data line.
 """
 
 import random
+import time
 
 import numpy as np
 import pytest
@@ -276,6 +277,34 @@ def test_rows_of_no_columns(kind, text, written):
         oracle(text)
     assert {"code": code_to_text, "matrix": matrix_to_text}[kind](read(text)) == written
     assert_readers_agree(kind, text)
+
+
+def _no_columns(rows: int) -> str:
+    return _NO_COLUMNS.replace("\n3 0\n", f"\n{rows} 0\n", 1)
+
+
+def test_rows_of_no_columns_are_bounded(tmp_path, capsys):
+    """Rows of no columns take no byte of the text, so their count is
+    capped: a header declaring 10^9 of them (or one more than the cap) is
+    refused at once, in both readers and through the CLI (exit 2), and
+    the cap itself still reads and writes back."""
+    from fractalcss import gf2
+    from fractalcss.cli import main
+
+    cap = gf2._MAX_EMPTY_ROWS
+    for rows in (10**9, cap + 1):
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="rows of no columns"):
+            matrix_from_text(f"gf2matrix v1\n{rows} 0\n")
+        with pytest.raises(ValueError, match="rows of no columns"):
+            code_from_text(_no_columns(rows))
+        assert time.perf_counter() - t0 < 1.0
+        path = tmp_path / f"{rows}.code"
+        path.write_text(_no_columns(rows))
+        assert main(["params", "--code", str(path)]) == 2
+        assert "rows of no columns" in capsys.readouterr().err
+    assert code_to_text(code_from_text(_no_columns(cap))) == _no_columns(cap)
+    assert matrix_from_text(f"gf2matrix v1\n{cap} 0\n").rows == cap
 
 
 def test_matrix_shape_reads_a_sign():
