@@ -18,7 +18,6 @@ from .complexes import (
     dual_with_boundary,
     fractal_complex,
     punch_box,
-    punch_fractal,
 )
 from .distance import (
     DistanceResult,
@@ -42,7 +41,6 @@ __all__ = [
     "build_lattice",
     "code_lattice",
     "fractal_complex",
-    "punch_fractal",
     "punch_box",
     "dual_with_boundary",
     "betti",

@@ -3,9 +3,10 @@ the Hausdorff-dimension table, and run the gate-condition checks.
 
 Exit codes: 0 success, 2 validation error (bad input, or a file that
 cannot be read or written), 3 search budget exceeded, 4 gate-condition
-failure.  All outputs are deterministic; pass --timings to
-record wall-clock seconds in scan CSVs (off by default so reruns are
-byte-identical).
+failure, 5 internal invariant failure (an AssertionError, such as a
+distance witness that fails its own check; a bug, reported in one line).
+All outputs are deterministic; pass --timings to record wall-clock seconds
+in scan CSVs (off by default so reruns are byte-identical).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .code import check_matrix_blocks, code_blocks, code_from_text, code_params,
 from .complexes import (
     CellComplex,
     FractalSpec,
-    build_lattice,
+    code_lattice,
     fractal_complex,
 )
 from .distance import (
@@ -88,17 +89,12 @@ def _spec_from_args(args) -> FractalSpec:
     )
 
 
-def _write(path: str | None, text: str) -> None:
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _write_blocks(path: str | None, blocks) -> None:
-    """`_write` of a text given as UTF-8 blocks: a file takes them one by
-    one, so the whole text is never held."""
+    """Write a text given as UTF-8 blocks, or as one str, to the file at
+    `path` or to stdout: a file takes the blocks one by one, so the whole
+    text is never held."""
+    if isinstance(blocks, str):
+        blocks = [blocks.encode()]
     if path:
         with open(path, "wb") as fh:
             fh.writelines(blocks)
@@ -115,7 +111,7 @@ def cmd_gen(args) -> int:
     print(f"holes {len(cx.holes)}")
     print(f"D_H={dh:.4f}")
     if args.out:
-        _write(args.out, cx.to_text())
+        _write_blocks(args.out, cx.to_text())
     return 0
 
 
@@ -210,7 +206,7 @@ def cmd_scan(args) -> int:
 
     rows = [scan_level(level) for level in levels]
     text = "n,p,q,level,L,k,dz,dz_kind,dx,dx_kind,seconds\n" + "\n".join(rows) + "\n"
-    _write(args.out, text)
+    _write_blocks(args.out, text)
     return 0
 
 
@@ -241,7 +237,7 @@ def cmd_table1(args) -> int:
                     ",".join(str(x) for x in row)
                     + f",{fitted:.4f},{closed:.4f},{abs(fitted - closed):.4f}"
                 )
-    _write(args.out, "\n".join(lines) + "\n")
+    _write_blocks(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -253,8 +249,6 @@ def cmd_gate_check(args) -> int:
         check_transversal_ccz,
         check_transversal_cz,
     )
-    from .complexes import code_lattice
-
     if args.which == "ccz":
         if not args.vb:
             raise ValidationError("ccz checks run on the --vb stack")
@@ -270,7 +264,7 @@ def cmd_gate_check(args) -> int:
         report = check_transversal_s_colorcode(build_color_code_2d(args.L))
     else:
         raise ValidationError(f"unknown gate check {args.which!r}")
-    _write(args.out, report.to_text())
+    _write_blocks(args.out, report.to_text())
     if not report.all_pass:
         raise GateConditionFailure(report.to_text())
     return 0
@@ -284,8 +278,6 @@ def cmd_merge(args) -> int:
         a = css_from_complex(fractal_complex(spec, style="code"), 1)
         b = css_from_complex(fractal_complex(spec, style="code"), 1)
     else:
-        from .complexes import code_lattice
-
         a = css_from_complex(code_lattice(args.dim, args.L), 1)
         b = css_from_complex(code_lattice(args.dim, args.L), 1)
     result = merge_rough(a, b)
@@ -415,6 +407,9 @@ def main(argv=None) -> int:
     except (ValidationError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    except AssertionError as err:  # after ValueError: a BoundaryError is bad input
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

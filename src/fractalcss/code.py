@@ -44,7 +44,9 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import CellComplex, Faces, label_is_e, label_is_m
-from ._text import Tokens, decode, encode, first_false, int64, with_newlines, write_lines
+from ._text import (
+    _ODD_BREAKS, Tokens, decode, encode, first_false, int64, with_newlines, write_lines,
+)
 from .gf2 import (
     _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _reduce, _rows_from_text, _rref_inplace,
     _written_rows,
@@ -66,13 +68,6 @@ class PauliOperator:
     @classmethod
     def z_type(cls, support: Gf2Vector) -> "PauliOperator":
         return cls(Gf2Vector(support.n), support)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.x_support.n
-
-    def weight(self) -> int:
-        return int(np.bitwise_count(self.x_support.data | self.z_support.data).sum())
 
     def is_x_type(self) -> bool:
         return self.z_support.is_zero()
@@ -271,10 +266,11 @@ def logical_basis(code: CssCode) -> tuple[list[PauliOperator], list[PauliOperato
     Z-logicals span ker(H_X) / rowspace(H_Z), X-logicals span
     ker(H_Z) / rowspace(H_X); a greedy symplectic Gram-Schmidt with fixed
     qubit ordering normalizes the pairing matrix to the identity, so the
-    basis is deterministic.  H_X and H_Z are eliminated on each call; the
-    code keeps no RREF.
+    basis is deterministic.  H_X and H_Z are built from the checks and
+    eliminated in place on each call; the code keeps neither.
     """
-    hx, hz = code.hx.rref(), code.hz.rref()
+    hx, hz = (checks.matrix(code.n_qubits) for checks in (code.x_checks, code.z_checks))
+    hx, hz = ((m, _rref_inplace(m.data, m.rows, m.cols)) for m in (hx, hz))
     z_reps = _quotient_reps(hx, hz)
     x_reps = _quotient_reps(hz, hx)
     if len(z_reps) != len(x_reps):
@@ -456,8 +452,7 @@ def code_from_text(text: str) -> CssCode:
 
 # the first two lines of a text whose line breaks are all "\n"
 _HEAD = re.compile(rb"([^\n]*)\n?([^\n]*)")
-# the ASCII line breaks of str.splitlines other than "\n"
-_ODD_BREAK = re.compile(rb"[\r\x0b\x0c\x1c\x1d\x1e]")
+_ODD_BREAK = re.compile(f"[{_ODD_BREAKS}]".encode())
 
 
 def _code_parts(raw: bytes, read_rows):

@@ -55,7 +55,9 @@ hypersurface patches (patch id ``2*axis + side``), ``hE<k>``/``hM<k>`` for
 hole surfaces.  Outer labels are assigned with E-priority at patch corners
 so every labeled patch is closed under the boundary map.
 
-Hole conventions (see :func:`punch_fractal`):
+Hole conventions (:func:`fractal_complex` builds a spec's lattice with its
+holes; ``punch_holes(base, fractal_holes(spec))`` punches them into an
+existing lattice of side ``spec.side``):
 
 * plain style: delete the cells strictly interior to the hole box and
   label the surviving surface cells; the number of surviving top cells
@@ -131,7 +133,6 @@ class FractalSpec:
     level: int
     background: str = "open"
     holes: str | dict[int, str] = "m"  # uniform "e"/"m" or per-hole map
-    u: int = 1
 
     def __post_init__(self):
         if not 2 <= self.n <= 4:
@@ -142,12 +143,10 @@ class FractalSpec:
             raise ValueError(f"(p - q) must be even to center holes, got {self.p - self.q}")
         if self.level < 0:
             raise ValueError("level must be >= 0")
-        if self.u < 1:
-            raise ValueError("unit must be >= 1")
 
     @property
     def side(self) -> int:
-        return self.p**self.level * self.u
+        return self.p**self.level
 
     def hole_kind(self, hole_id: int) -> str:
         if isinstance(self.holes, str):
@@ -1015,30 +1014,6 @@ def fractal_holes(spec: FractalSpec) -> list[Hole]:
                   for i, box in enumerate(np.stack([origin, origin + 2 * spec.q * sub], 2).tolist())]
         blocks = (blocks[:, None, :] + steps * sub).reshape(-1, spec.n)
     return holes
-
-
-def punch_fractal(base: CellComplex, spec: FractalSpec) -> CellComplex:
-    """Punch the recursive fractal holes of `spec` into a lattice."""
-    if spec.n != base.dim:
-        raise ValueError(f"spec dimension {spec.n} != complex dimension {base.dim}")
-    L = _side_of(base)
-    if L % spec.p**spec.level != 0:
-        raise ValueError(
-            f"side {L} is not divisible by p^level = {spec.p ** spec.level}"
-        )
-    spec = FractalSpec(
-        spec.n, spec.p, spec.q, spec.level, spec.background, spec.holes,
-        u=L // spec.p**spec.level,
-    )
-    if spec.level == 0:
-        return base
-    return punch_holes(base, fractal_holes(spec))
-
-
-def _side_of(cx: CellComplex) -> int:
-    top = max([0] + [int(c[..., 1].max()) for c in cx.cells if c.size])
-    top = max([top] + [p for p in cx.periods if p])
-    return top // 2
 
 
 def fractal_complex(spec: FractalSpec, style: str = "plain") -> CellComplex:

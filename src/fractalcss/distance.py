@@ -32,7 +32,7 @@ one class only; the m-holes of a 2D fractal add classes with a lighter
 one); callers then fall back to the search.
 Every exact result's witness is re-verified independently: zero syndrome
 against the opposite-type checks and membership outside the stabilizer
-row-space.
+row-space.  A witness that fails raises `WitnessError`.
 """
 
 from __future__ import annotations
@@ -70,6 +70,11 @@ class BudgetError(RuntimeError):
 class PreconditionError(ValueError):
     """Raised when an exact method's geometric preconditions fail; callers
     should fall back to exhaustive_low_weight explicitly."""
+
+
+class WitnessError(AssertionError):
+    """An exact method's witness failed its own check: an internal fault,
+    not a refusal (the CLI exits 5)."""
 
 
 def search_budget() -> int:
@@ -241,10 +246,10 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
     value, edges = best
     witness = PauliOperator.z_type(Gf2Vector.from_indices(code.n_qubits, edges))
     if not is_z_logical(code, witness.z_support):
-        raise AssertionError("shortest-path witness is not a Z-logical")
+        raise WitnessError("shortest-path witness is not a Z-logical")
     if witness.z_support.weight() != value:
-        raise AssertionError(f"shortest-path witness has weight "
-                             f"{witness.z_support.weight()}, not {value}")
+        raise WitnessError(f"shortest-path witness has weight "
+                           f"{witness.z_support.weight()}, not {value}")
     return DistanceResult(value, "exact", witness)
 
 
@@ -314,10 +319,10 @@ def dx_min_cut(code: CssCode) -> DistanceResult:
     seen = np.array(g.bfs(s, cap)[0]) >= 0
     cut = np.flatnonzero(seen[g.u] != seen[g.v])
     if len(cut) != value:
-        raise AssertionError(f"min cut has {len(cut)} edges for flow {value}")
+        raise WitnessError(f"min cut has {len(cut)} edges for flow {value}")
     witness = PauliOperator.x_type(Gf2Vector.from_indices(code.n_qubits, cut))
     if not is_x_logical(code, witness.x_support):
-        raise AssertionError("min-cut witness is not an X-logical")
+        raise WitnessError("min-cut witness is not an X-logical")
     return DistanceResult(value, "exact", witness)
 
 

@@ -37,7 +37,7 @@ from .code import (
     CssCode, PauliOperator, _ChainReduction, _syndrome_free, code_params, css_from_complex,
     logical_basis,
 )
-from .complexes import CellComplex, Faces, Hole, code_lattice, punch_holes
+from .complexes import CellComplex, Faces, Hole, code_lattice
 from .gf2 import _CHUNK_WORDS, Gf2Vector, _popcount
 
 
@@ -305,12 +305,10 @@ def build_vasmer_browne_stack(
     """
     if L < 2:
         raise ValueError("stack needs L >= 2")
-    cx = code_lattice(3, L, e_axes=(2,))
     if holes == "center":
         mid = L // 2
         holes = [Hole(0, tuple((2 * mid, 2 * mid + 2) for _ in range(3)), "m", 0)]
-    if holes:
-        cx = punch_holes(cx, list(holes))
+    cx = code_lattice(3, L, e_axes=(2,), holes=holes or ())
     copy1 = css_from_complex(cx, 1)
     n = copy1.n_qubits
     # the qubit at each doubled midpoint, shifted by 2 so that the edges of

@@ -412,13 +412,7 @@ def matrix_to_text(m: Gf2Matrix) -> str:
     """Serialize in the ``gf2matrix v1`` text format."""
     rows = np.full((m.rows, m.cols + 1), ord("\n"), dtype=np.uint8)
     rows[:, : m.cols] = _unpack(m.data, m.cols) + ord("0")
-    return _rows_to_text(rows)
-
-
-def _rows_to_text(rows: np.ndarray) -> str:
-    """The ``gf2matrix v1`` text of a (rows, cols + 1) array of character
-    codes: cols of ``0`` or ``1``, then the line break."""
-    return f"gf2matrix v1\n{len(rows)} {rows.shape[1] - 1}\n" + rows.tobytes().decode("ascii")
+    return f"gf2matrix v1\n{m.rows} {m.cols}\n" + rows.tobytes().decode("ascii")
 
 
 def matrix_from_text(text: str) -> Gf2Matrix:
@@ -461,7 +455,8 @@ def _written_rows(raw) -> np.ndarray | None:
 
 
 def _rows_from_str(text: str) -> np.ndarray:
-    """`_rows_from_text` for a text given as str."""
+    """`_rows_from_text` for a text given as str that is not in the
+    writers' form (`_written_rows` reads that)."""
     head = _MATRIX_HEAD.match(text)
     if head[1].strip() != "gf2matrix v1":
         raise ValueError("not a gf2matrix v1 file")
@@ -473,27 +468,24 @@ def _rows_from_str(text: str) -> np.ndarray:
         raise ValueError("gf2matrix v1 line 2 must read '<rows> <cols>'") from None
     if not cols and rows > _MAX_EMPTY_ROWS:
         raise ValueError(f"{rows} rows of no columns, more than {_MAX_EMPTY_ROWS}")
-    body = text[head.end() :]
+    # rows are read stripped, and blank lines skipped
+    body = "\n".join(filter(None, map(str.strip, text[head.end() :].split("\n"))))
+    if not (cols or body):  # rows of no columns: blank lines, or none at all
+        return np.full((rows, 1), ord("\n"), dtype=np.uint8)
+    body += "\n" if body else ""
+    got = body.count("\n")
+    if got != rows:
+        raise ValueError(f"expected {rows} data lines, got {got}")
     b = _chars(body)
-    if not (cols and _is_rows(b, rows, cols)):
-        # rows are read stripped, and blank lines skipped
-        body = "\n".join(filter(None, map(str.strip, body.split("\n"))))
-        if not (cols or body):  # rows of no columns: blank lines, or none at all
-            return np.full((rows, 1), ord("\n"), dtype=np.uint8)
-        body += "\n" if body else ""
-        got = body.count("\n")
-        if got != rows:
-            raise ValueError(f"expected {rows} data lines, got {got}")
-        b = _chars(body)
-        if not _is_rows(b, rows, cols):
-            ends = np.flatnonzero(b == 10)
-            length = np.diff(ends, prepend=-1) - 1
-            short = first_false(length == cols)
-            at = first_false((b == 48) | (b == 49) | (b == 10))  # not 0, 1 or a line end
-            row = int(np.searchsorted(ends, at))
-            if short <= row:
-                raise ValueError(f"row {short} has length {length[short]}, expected {cols}")
-            raise ValueError(f"bad character {body[at]!r} in row {row}")
+    if not _is_rows(b, rows, cols):
+        ends = np.flatnonzero(b == 10)
+        length = np.diff(ends, prepend=-1) - 1
+        short = first_false(length == cols)
+        at = first_false((b == 48) | (b == 49) | (b == 10))  # not 0, 1 or a line end
+        row = int(np.searchsorted(ends, at))
+        if short <= row:
+            raise ValueError(f"row {short} has length {length[short]}, expected {cols}")
+        raise ValueError(f"bad character {body[at]!r} in row {row}")
     return b.reshape(rows, cols + 1)
 
 

@@ -858,30 +858,6 @@ def punch_per_hole(cx: ArrayComplex, holes: list[Hole]) -> ArrayComplex:
     return punched
 
 
-def two_step_punch_fractal(base: ArrayComplex, spec: FractalSpec) -> ArrayComplex:
-    """Punch the recursive fractal holes of `spec` into a lattice."""
-    if spec.n != base.dim:
-        raise ValueError(f"spec dimension {spec.n} != complex dimension {base.dim}")
-    L = _side_of(base)
-    if L % spec.p**spec.level != 0:
-        raise ValueError(
-            f"side {L} is not divisible by p^level = {spec.p ** spec.level}"
-        )
-    spec = FractalSpec(
-        spec.n, spec.p, spec.q, spec.level, spec.background, spec.holes,
-        u=L // spec.p**spec.level,
-    )
-    if spec.level == 0:
-        return base
-    return punch_per_hole(base, fractal_holes(spec))
-
-
-def _side_of(cx: ArrayComplex) -> int:
-    top = max([0] + [int(c[..., 1].max()) for c in cx.cells if c.size])
-    top = max([top] + [p for p in cx.periods if p])
-    return top // 2
-
-
 def two_step_fractal_complex(spec: FractalSpec, style: str = "plain") -> ArrayComplex:
     """Build the lattice for `spec` and punch its holes.
 
@@ -892,4 +868,4 @@ def two_step_fractal_complex(spec: FractalSpec, style: str = "plain") -> ArrayCo
         base = array_code_lattice(spec.n, spec.side, spec.background)
     else:
         base = array_build_lattice(spec.n, spec.side, spec.background)
-    return two_step_punch_fractal(base, spec)
+    return punch_per_hole(base, fractal_holes(spec)) if spec.level else base

@@ -149,10 +149,12 @@ def test_criterion_03_level3_distances():
     assert code_params(code).k == 1
     dz = dz_shortest_path(code)
     assert (dz.value, dz.kind) == (27, "exact")
-    assert dz.witness.weight() == 27 and is_z_logical(code, dz.witness.z_support)
+    assert dz.witness.is_z_type() and dz.witness.z_support.weight() == 27
+    assert is_z_logical(code, dz.witness.z_support)
     dx = dx_min_cut(code)
     assert (dx.value, dx.kind) == (512, "exact")
-    assert dx.witness.weight() == 512 and is_x_logical(code, dx.witness.x_support)
+    assert dx.witness.is_x_type() and dx.witness.x_support.weight() == 512
+    assert is_x_logical(code, dx.witness.x_support)
     fit = fit_scaling([(3, 8), (9, 64), (27, dx.value)])
     assert abs(fit.exponent - np.log(8) / np.log(3)) < 5e-3
     elapsed = _budget(t0, 600.0)
@@ -168,10 +170,12 @@ def test_criterion_03_level4_distances():
     assert code_params(code).k == 1
     dz = dz_shortest_path(code)
     assert (dz.value, dz.kind) == (81, "exact")
-    assert dz.witness.weight() == 81 and is_z_logical(code, dz.witness.z_support)
+    assert dz.witness.is_z_type() and dz.witness.z_support.weight() == 81
+    assert is_z_logical(code, dz.witness.z_support)
     dx = dx_min_cut(code)
     assert (dx.value, dx.kind) == (4096, "exact")
-    assert dx.witness.weight() == 4096 and is_x_logical(code, dx.witness.x_support)
+    assert dx.witness.is_x_type() and dx.witness.x_support.weight() == 4096
+    assert is_x_logical(code, dx.witness.x_support)
     fit = fit_scaling([(3, 8), (9, 64), (27, 512), (81, dx.value)])
     assert abs(fit.exponent - np.log(8) / np.log(3)) < 5e-3
     elapsed = _budget(t0, 600.0)

@@ -203,6 +203,50 @@ def test_merge_command(capsys):
     assert "k_merged=1" in stdout and "parity_identity=PASS" in stdout
 
 
+def test_table1_verify_levels(capsys, tmp_path):
+    out = tmp_path / "t.csv"
+    rc, _, _ = run(["table1", "--verify-levels", "2", "--out", str(out)], capsys)
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert lines[-5:] == [
+        "p,q,level,L,k,dz,dx,fitted_dx_exponent,closed_form,deviation",
+        "3,1,1,3,1,3,8,1.8928,1.8928,0.0000",
+        "3,1,2,9,1,9,64,1.8928,1.8928,0.0000",
+        "4,2,1,4,1,4,12,1.7925,1.7925,0.0000",
+        "4,2,2,16,1,16,144,1.7925,1.7925,0.0000",
+    ]
+
+
+def test_merge_level_writes_a_code(capsys, tmp_path):
+    out = tmp_path / "merged.code"
+    rc, stdout, _ = run(["merge", "--level", "1", "--out", str(out)], capsys)
+    assert rc == 0
+    assert stdout == "k_merged=1 parity_identity=PASS interface_x=9\n"
+    rc, stdout, _ = run(["params", "--code", str(out)], capsys)
+    assert (rc, stdout) == (0, "n=92 k=1\n")
+
+
+def test_witness_failure_exit5(capsys, tmp_path):
+    """Seed 49 of the exact-distance audit (a 2D L = 4 torus whose e-hole
+    crosses the periodic seam): d_Z's witness fails its own check, an
+    internal fault that the CLI reports in one line with exit code 5."""
+    import random
+
+    from fractalcss.complexes import code_lattice
+    from test_arrays import _random_holes
+
+    rng = random.Random(49)
+    n = rng.choice((2, 3, 4))
+    L = rng.randint(2, {2: 6, 3: 4, 4: 2}[n])
+    background = rng.choice(("open", "torus"))
+    assert (n, L, background) == (2, 4, "torus")
+    path = tmp_path / "seed49.cx"
+    path.write_text(code_lattice(n, L, background, holes=_random_holes(rng, n, L)).to_text())
+    rc, stdout, err = run(["distance", "--complex", str(path)], capsys)
+    assert rc == 5 and stdout == ""
+    assert err == "internal error: WitnessError: shortest-path witness is not a Z-logical\n"
+
+
 def test_budget_exit3(capsys, monkeypatch):
     monkeypatch.setenv("FRACTALCSS_BUDGET", "10")
     rc, _, err = run(

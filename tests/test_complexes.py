@@ -10,7 +10,6 @@ from fractalcss.complexes import (
     dual_with_boundary,
     fractal_complex,
     punch_box,
-    punch_fractal,
 )
 
 from complex_oracles import boundary_matrix, cells, delete_indexed, euler_characteristic
@@ -75,23 +74,10 @@ def test_sc31_level2_surviving_faces():
     assert len(cx.holes) == 9
 
 
-def test_level0_noop():
-    base = build_lattice(2, 3, "open")
-    out = punch_fractal(base, FractalSpec(2, 3, 1, 0))
-    assert [out.n_cells(k) for k in range(3)] == [base.n_cells(k) for k in range(3)]
-    assert out.holes == []
-
-
 def test_top_cell_survival_counts():
     for n, p, q, level in [(2, 3, 1, 1), (2, 3, 1, 2), (3, 3, 1, 1), (2, 4, 2, 2), (3, 4, 2, 1)]:
         cx = fractal_complex(FractalSpec(n, p, q, level))
         assert cx.n_cells(n) == (p**n - q**n) ** level
-
-
-def test_punch_requires_divisible_side():
-    base = build_lattice(2, 4, "open")
-    with pytest.raises(ValueError):
-        punch_fractal(base, FractalSpec(2, 3, 1, 1))
 
 
 def test_odd_gap_rejected():

@@ -207,4 +207,4 @@ def test_witness_and_stack_checks_raise_under_optimize(flags):
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, *flags, "-c", _CHECKS_UNDER_O], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["AssertionError", "AssertionError", "ValueError", "AssertionError"]
+    assert out.split() == ["WitnessError", "WitnessError", "ValueError", "WitnessError"]

@@ -57,6 +57,22 @@ def test_cz_trivial_code_vacuous():
     assert all(c.passed for c in stab_conds)
 
 
+def test_cz_k0_code_reported_not_applicable():
+    """Every qubit's X measured: k = 0, so the logical pair is not applicable,
+    and the report says so."""
+    n = 4
+    frozen = CssCode(
+        n_qubits=n, x_checks=checks_of(Gf2Matrix.identity(n)), z_checks=Faces.empty(0),
+        grading=1, qubit_cells=list(range(n)), x_anchor_cells=[], source=None,
+    )
+    report = check_transversal_cz(frozen, frozen, align_identical([frozen, frozen]))
+    final = report.conditions[-1]
+    assert final.condition_id == "CZ2-logical-logical"
+    assert final.passed and final.note == "not applicable: k = 0"
+    assert report.to_text().splitlines()[-1] == (
+        "COND CZ2-logical-logical PASS (not applicable: k = 0)")
+
+
 def test_vb_stack_L2_passes():
     codes, align = build_vasmer_browne_stack(2)
     report = check_transversal_ccz(*codes, align)
@@ -197,6 +213,25 @@ def test_merge_two_fractal_codes():
     result = merge_rough(a, b)
     assert result.k_merged == 1
     assert result.parity_identity
+
+
+def test_merge_shifts_the_hole_labels_of_the_upper_block():
+    """Both blocks carry the e-hole hE0; the upper block's hole becomes hE1,
+    lifted onto the lower block, and the labels name both holes."""
+    spec = FractalSpec(3, 3, 1, 1, holes="e")
+    a = css_from_complex(fractal_complex(spec, "code"), 1)
+    b = css_from_complex(fractal_complex(spec, "code"), 1)
+    assert a.source.label_names[-1] == "hE0"
+    result = merge_rough(a, b)
+    cx = result.merged.source
+    assert list(cx.label_names) == ["bulk", "oE4", "oE5", "hE0", "hE1"]
+    assert [(h.hole_id, h.box) for h in cx.holes] == [
+        (0, ((2, 4), (2, 4), (2, 4))), (1, ((2, 4), (2, 4), (8, 10)))]
+    # each hole keeps its two vertices and one edge under its own label
+    for k, count in ((0, 2), (1, 1)):
+        assert [int((cx.labels[k] == cx.label_names.index(name)).sum())
+                for name in ("hE0", "hE1")] == [count, count]
+    assert result.k_merged == 3  # k(a) + k(b) - 1, each block k = 2
 
 
 def test_merge_k_drops_by_one():

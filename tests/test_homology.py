@@ -7,7 +7,6 @@ from fractalcss.complexes import (
     FractalSpec,
     build_lattice,
     fractal_complex,
-    punch_fractal,
 )
 from fractalcss.homology import (
     betti,
