@@ -4,19 +4,20 @@ Qubits sit on the i-cells.  Each surviving (i-1)-cell anchors an X
 stabilizer on its cofaces; each surviving (i+1)-cell anchors a Z
 stabilizer on its faces.  A code stores its checks once, in CSR form
 (`CssCode.x_checks` / `z_checks`, restricted straight from the complex's
-coface and face lists); syndromes are parities over those rows.  k and
-the logical tests read one reduction of the code's own chain complex,
-Z checks -(H_Z^T)-> qubits -(H_X)-> X checks, by the collapses and
-coreductions of `homology` (`CssCode.reduction`): only its small residue
-is ranked, by `homology._RowSpace`, which contracts the residue's weight-2
-rows and eliminates only the rows left folded onto their components; the
-merge's parity identity and the colour-code S check ask such a reduction
-whether a vector is a product of checks.  The dense
-H_X / H_Z (`CssCode.hx` / `hz`) are views built on first use, only for the
-logical basis, which eliminates both.  The text writer writes the 0/1 rows
-of a ``csscode v1`` file straight from the CSR rows, a few MB of rows at a
-time (so a file is written block by block), and the reader builds the CSR
-rows straight from them.
+coface and face lists); syndromes are parities over those rows.  k, the
+logical tests and the logical basis read one reduction of the code's own
+chain complex, Z checks -(H_Z^T)-> qubits -(H_X)-> X checks, by the
+collapses and coreductions of `homology` (`CssCode.reduction`): only its
+small residue is ranked, by `homology._RowSpace`, which contracts the
+residue's weight-2 rows and eliminates only the rows left folded onto
+their components; the merge's parity identity and the colour-code S check
+ask such a reduction whether a vector is a product of checks, and the
+logical basis is taken in the residue and carried back to every qubit by
+the reduction's rounds in reverse (`_ChainReduction.basis`); only the
+plain style's smooth-patch pruning eliminates a matrix over all qubits.
+The text writer writes the 0/1 rows of a ``csscode v1`` file straight
+from the CSR rows, a few MB of rows at a time (so a file is written block
+by block), and the reader builds the CSR rows straight from them.
 Boundary conditions are label-driven:
 
 * every cell of an E-labeled (rough) patch is dropped from the code -
@@ -48,7 +49,7 @@ from ._text import (
     _ODD_BREAKS, Tokens, decode, encode, first_false, int64, with_newlines, write_lines,
 )
 from .gf2 import (
-    _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _reduce, _rows_from_text, _rref_inplace,
+    Gf2Matrix, Gf2Vector, _kernel_rows, _pack, _rows_from_text, _rref_inplace, _unpack,
     _written_rows,
 )
 from .homology import _Reduction, _RowSpace, betti, default_label_split
@@ -87,10 +88,8 @@ class CssCode:
     grading: int
     qubit_cells: list[int]
     x_anchor_cells: list[int]
+    # the complex whose label-driven code the checks are, if any
     source: CellComplex | None = None
-    # False when the checks are not the label-driven code of `source`, so
-    # the homology cross-check of code_params does not apply
-    check_homology_by_labels: bool = True
 
     def __post_init__(self):
         for checks in (self.x_checks, self.z_checks):
@@ -101,7 +100,7 @@ class CssCode:
         if not self.x_checks.composes_to_zero(self._qubit_z, len(self.z_checks)):
             raise AssertionError("H_X H_Z^T != 0: X and Z checks do not commute")
 
-    # The dense check matrices, built on first use: for the logical basis.
+    # The dense check matrices, built on first use; no feature of the package reads them.
     @cached_property
     def hx(self) -> Gf2Matrix:
         return self.x_checks.matrix(self.n_qubits)
@@ -125,21 +124,18 @@ class _ChainReduction:
     No reduction pair changes the boundary of a cell that stays, so the
     residue's check matrices are H_X and H_Z restricted to the live checks
     and qubits; k is dim H_1 of the residue, read off their ranks
-    (`homology._RowSpace`, which eliminates only the rows left after the
-    weight-2 rows are contracted).  The cofaces are the X checks' rows and
-    the Z checks of each qubit (`qubit_z`, when the caller has them).  A
-    Z-cycle z (H_X z = 0) is carried into the residue by the chain
-    equivalence of the pairs (Kaczynski, Mrozek & Slusarek, Comput. Math.
-    Appl. 1998): each grade-1/2 collapse of qubit a with Z check b adds the
-    qubits of b live in that round when z holds a; every other pair, and
-    every seeded X check, only drops cells from grade 1.  Dually an X-cocycle
-    is carried through the grade-1/0 coreductions by the qubits of the
-    paired X check.  The replay adds all qubits of the check: the bit of a
-    qubit removed in an earlier round is never read again.  A seeded check
-    is the sum of the other live checks of its type on the live qubits, so
-    no row space changes.  z is a product of Z checks iff its image is in
-    the row space of the residue's H_Z, and x one of X checks iff its image
-    is in that of the residue's H_X.
+    (`homology._RowSpace`).  The cofaces are the X checks' rows and the Z
+    checks of each qubit (`qubit_z`, when the caller has them).  The pairs
+    give chain maps both ways (Kaczynski, Mrozek & Slusarek, Comput. Math.
+    Appl. 1998).  Into the residue (`_image`), a Z-cycle z takes the qubits
+    of Z check b where a grade-1/2 collapse paired b with a qubit of z;
+    back out (`basis`), last round first, it takes qubit a where a grade-1/0
+    coreduction paired a with an X check that z meets oddly.  An X-cocycle
+    takes the other kind of round each way.  Other pairs, and seeds (each
+    the sum of the other live checks of its type), change neither map nor
+    any row space.  A replay may add a whole check: a qubit removed in an
+    earlier round is never read again.  z (x) is a product of Z (X) checks
+    iff its image is in the row space of the residue's H_Z (H_X).
     """
 
     def __init__(self, x_rows: Faces, z_rows: Faces, n: int, qubit_z: Faces | None = None):
@@ -177,6 +173,31 @@ class _ChainReduction:
             if held.any():
                 np.bitwise_xor.at(bits, rows.take(checks[held]), 1)
         return bits[self.live]
+
+    def basis(self, kind: str) -> np.ndarray:
+        """k representatives of the Z-logicals (`kind` "Z") or X-logicals
+        ("X") as 0/1 rows over all qubits: the kernel rows of the residue's
+        H_X (H_Z) that are pivot columns of the transposed stack [residue's
+        H_Z (H_X); kernel rows], so independent of the span and of the rows
+        before them, carried back to every qubit."""
+        z = kind == "Z"
+        cut, span = (self.x_rows, self.z_rows) if z else (self.z_rows, self.x_rows)
+        cut_live, span_live = (self.live_x, self.live_z) if z else (self.live_z, self.live_x)
+        n = int(self.live.sum())
+        m = cut.restrict(cut_live, self.live).matrix(n)
+        cycles = _kernel_rows(m, _rref_inplace(m.data, m.rows, n))
+        span = span.restrict(span_live, self.live)
+        r, c = cycles.entries()
+        t = Faces.from_pairs(n, np.concatenate((span.idx, c)), np.concatenate(
+            (span.owners(), r + len(span)))).matrix(len(span) + cycles.rows)
+        picked = [p - len(span) for p in _rref_inplace(t.data, t.rows, t.cols) if p >= len(span)]
+        bits = np.zeros((len(picked), len(self.live)), dtype=np.uint8)
+        bits[:, self.live] = _unpack(cycles.data[picked], n)
+        for qubits, checks in reversed(self.x_rounds if z else self.z_rounds):
+            sizes = cut.counts()[checks]  # at least 1: a check holds its paired qubit
+            bits[:, qubits] ^= np.bitwise_xor.reduceat(
+                bits[:, cut.take(checks)], np.cumsum(sizes) - sizes, axis=1)
+        return bits
 
     def is_z_stabilizer(self, z: Gf2Vector) -> bool:
         """Whether a Z-cycle (H_X z = 0) is a product of Z checks."""
@@ -242,9 +263,7 @@ def code_params(code: CssCode, cross_check: bool = True) -> CodeParams:
     """n and k = dim H_1 of the code's reduced chain complex; k is
     cross-checked against the matching (relative) homology of the labelled
     complex when the source complex is known."""
-    hk = None
-    if cross_check and code.source is not None and code.check_homology_by_labels:
-        hk = homology_k(code)
+    hk = homology_k(code) if cross_check and code.source is not None else None
     k = code.reduction.k
     if hk is not None and hk != k:
         raise AssertionError(
@@ -264,25 +283,21 @@ def logical_basis(code: CssCode) -> tuple[list[PauliOperator], list[PauliOperato
     """k Z-type and k X-type logical representatives, symplectically paired.
 
     Z-logicals span ker(H_X) / rowspace(H_Z), X-logicals span
-    ker(H_Z) / rowspace(H_X); a greedy symplectic Gram-Schmidt with fixed
-    qubit ordering normalizes the pairing matrix to the identity, so the
-    basis is deterministic.  H_X and H_Z are built from the checks and
-    eliminated in place on each call; the code keeps neither.
+    ker(H_Z) / rowspace(H_X); both come from the code's chain reduction
+    (`_ChainReduction.basis`), and a greedy symplectic Gram-Schmidt with
+    fixed qubit ordering normalizes the pairing matrix to the identity, so
+    the basis is deterministic.
     """
-    hx, hz = (checks.matrix(code.n_qubits) for checks in (code.x_checks, code.z_checks))
-    hx, hz = ((m, _rref_inplace(m.data, m.rows, m.cols)) for m in (hx, hz))
-    z_reps = _quotient_reps(hx, hz)
-    x_reps = _quotient_reps(hz, hx)
-    if len(z_reps) != len(x_reps):
+    z, x = (_pack(code.reduction.basis(kind)) for kind in "ZX")
+    if len(z) != len(x):
         raise AssertionError(
-            f"{len(z_reps)} Z-logicals but {len(x_reps)} X-logicals: the checks are inconsistent"
+            f"{len(z)} Z-logicals but {len(x)} X-logicals: the checks are inconsistent"
         )
-    k = len(z_reps)
+    k = len(z)
     if k == 0:
         return [], []
 
-    # the reps' packed rows and their pairing parities z_a . x_b
-    z, x = np.array([v.data for v in z_reps]), np.array([v.data for v in x_reps])
+    # the pairing parities z_a . x_b of the reps' packed rows
     pair = np.array([np.bitwise_count(x & row).sum(axis=1) & 1 for row in z], dtype=np.uint8)
     for t in range(k):
         odd = np.argwhere(pair[t:, t:])  # in row-major order
@@ -303,48 +318,6 @@ def logical_basis(code: CssCode) -> tuple[list[PauliOperator], list[PauliOperato
         [PauliOperator.z_type(Gf2Vector(code.n_qubits, row)) for row in z],
         [PauliOperator.x_type(Gf2Vector(code.n_qubits, row)) for row in x],
     )
-
-
-def _quotient_reps(check, span) -> list[Gf2Vector]:
-    """Representatives of ker(A) modulo rowspace(B), given the (R, pivots)
-    eliminations `check` of A and `span` of B.
-
-    Each kernel vector in turn is reduced by the RREF of B and then by the
-    representatives chosen so far; it is chosen when it stays nonzero.
-    Both reductions XOR the rows picked by the vector's bits at pivot
-    columns (see `gf2._reduce`), the first for all kernel vectors at once;
-    the chosen ones are kept reduced at their lowest bits for the second.
-    The result is the one vector of its coset with no bit at any pivot.
-    """
-    span_rref, span_pivots = span
-    K = _kernel_rows(*check)
-    pivot_row = np.full(K.cols, -1)
-    pivot_row[span_pivots] = np.arange(len(span_pivots))
-    t, c = K.entries()
-    at = pivot_row[c] >= 0
-    t, i = t[at], pivot_row[c[at]]
-    step = max(1, _CHUNK_WORDS // K.data.shape[1])
-    for s in range(0, len(t), step):
-        np.bitwise_xor.at(K.data, t[s : s + step], span_rref.data[i[s : s + step]])
-    chosen: list[Gf2Vector] = []
-    basis = np.zeros((0, K.data.shape[1]), dtype=np.uint64)
-    leads = np.zeros(0, dtype=np.int64)
-    for w in K.data[K.data.any(axis=1)]:
-        w = _reduce(basis, leads, w)
-        if w.any():
-            lead = _leading_bit(w)
-            basis[(basis[:, lead >> 6] >> np.uint64(lead & 63)) & np.uint64(1) != 0] ^= w
-            basis = np.vstack([basis, w])
-            leads = np.append(leads, lead)
-            chosen.append(Gf2Vector(K.cols, w))
-    return chosen
-
-
-def _leading_bit(words: np.ndarray) -> int:
-    """The lowest set bit of a nonzero packed vector."""
-    first = int(np.flatnonzero(words)[0])
-    word = int(words[first])
-    return (first << 6) + (word & -word).bit_length() - 1
 
 
 def _syndrome_free(checks: Faces, support: Gf2Vector) -> bool:

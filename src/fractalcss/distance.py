@@ -117,6 +117,9 @@ class _QubitGraph:
     def __init__(self, code: CssCode):
         if code.grading != 1:
             raise PreconditionError("qubit-graph distances need grading i = 1")
+        if code.source is None:
+            raise PreconditionError("qubit-graph distances need the complex whose code "
+                                    "the checks are; run exhaustive_low_weight instead")
         cx = code.source
         # node per 0-cell: bulk vertices in order, then one per e-label
         is_e = cx.label_mask(0, label_is_e)

@@ -339,8 +339,7 @@ def build_vasmer_browne_stack(
             n_qubits=n, x_checks=checks(x_sup[(x_sup >= 0).any(axis=1)]),
             z_checks=checks(z_sup[(z_sup >= 0).all(axis=1)]), grading=1,
             qubit_cells=list(copy1.qubit_cells),
-            x_anchor_cells=[], source=cx,
-            check_homology_by_labels=False,
+            x_anchor_cells=[], source=None,  # its checks are not the complex's code
         )
 
     copy2 = build_cube_code(x_parity=0, rough_axis=0)
@@ -381,12 +380,13 @@ def _certified(code: CssCode, x: Gf2Vector, z: Gf2Vector) -> bool:
 def stabilizer_tags_near_holes(align: StackAlignment) -> set[str]:
     """Tags "copy:Xrow" of X stabilizers whose support touches the closed
     star of some hole: the hole-boundary stabilizers.  Used to classify
-    gate-check witnesses."""
-    holes = align.codes[0].source.holes
+    gate-check witnesses.  The copies share their qubit cells, whose boxes
+    are read from the complex of the first copy that has one."""
+    cx = next(code.source for code in align.codes if code.source is not None)
     near: set[str] = set()
-    grown = [np.array(h.box) + [-2, 2] for h in holes]
+    grown = [np.array(h.box) + [-2, 2] for h in cx.holes]
     for copy, code in enumerate(align.codes):
-        boxes = code.source.cells[code.grading][code.qubit_cells]
+        boxes = cx.cells[code.grading][code.qubit_cells]
         rows, cols = code.x_checks.owners(), code.x_checks.idx
         for g in grown:
             meets = (np.maximum(boxes[..., 0], g[:, 0]) <= np.minimum(boxes[..., 1], g[:, 1]))
@@ -496,6 +496,7 @@ def merge_rough(a: CssCode, b: CssCode) -> MergeResult:
     merged block encodes k(a) + k(b) - 1 and the product of the new
     interface X stabilizers equals X̄_a X̄_b up to old stabilizers, by the
     chain reduction of the old X checks (no dense check matrix is built).
+    X̄ of a block is its logical X across the interface patch (`_across`).
     """
     if a is b:
         raise ValueError("cannot merge a code block with itself (empty interface)")
@@ -564,17 +565,29 @@ def merge_rough(a: CssCode, b: CssCode) -> MergeResult:
 
     # the qubits of the blocks' logical X in the merged code: a's cells map
     # through `into`, b's keep their indices
-    _, xs_a = logical_basis(a)
-    _, xs_b = logical_basis(b)
-    if not xs_a or not xs_b:
-        raise ValueError("merge needs one logical-X representative per block")
-    cells_a = into[a.grading][np.asarray(a.qubit_cells)[xs_a[0].x_support.indices()]]
-    cells_b = np.asarray(b.qubit_cells)[xs_b[0].x_support.indices()]
+    cells_a = into[a.grading][np.asarray(a.qubit_cells)[_across(a, patch_a[a.grading - 1])]]
+    cells_b = np.asarray(b.qubit_cells)[_across(b, patch_b[b.grading - 1])]
     logical = np.searchsorted(merged.qubit_cells, np.concatenate([cells_a, cells_b]))
     hits = np.concatenate([merged.x_checks.take(interface_rows), logical])
     total = Gf2Vector.from_dense(np.bincount(hits, minlength=merged.n_qubits) & 1)
     parity_ok = _old_x_stabilizer(merged, interface_rows, total)
     return MergeResult(merged, k_merged, parity_ok, tuple(interface_rows.tolist()))
+
+
+def _across(code: CssCode, patch: np.ndarray) -> list[int]:
+    """The qubits of the block's logical X across its rough patch (the
+    (i-1)-cells `patch`): sum_j <c, z_j> x_j over its basis, c the qubits with
+    an odd number of faces on the patch, so <c, z> counts z's ends there."""
+    zs, xs = logical_basis(code)
+    if not xs:
+        raise ValueError("merge needs one logical-X representative per block")
+    on_patch = np.isin(np.arange(code.source.n_cells(code.grading - 1)), patch).astype(np.uint8)
+    c = Gf2Vector.from_dense(code.source.faces[code.grading].parity(on_patch)[code.qubit_cells])
+    total = Gf2Vector(code.n_qubits)
+    for z, x in zip(zs, xs):
+        if c.dot(z.z_support):
+            total ^= x.x_support
+    return total.indices()
 
 
 def _old_x_stabilizer(merged: CssCode, interface_rows, x: Gf2Vector) -> bool:

@@ -12,7 +12,7 @@ rows' OR, and XORs each pivot row into the other rows from that word on.
 
 A pivot column of an RREF is a unit column, so reducing a vector by an
 RREF XORs exactly the pivot rows at whose pivot columns the vector has a
-bit: `_reduce` reads them off at once, and `in_rowspace` is one such XOR.
+bit: `in_rowspace` reads them off at once and is one such XOR.
 Kernel bases are read off the free columns a chunk of words at a time.
 
 This module is the workhorse under every homology and code-parameter
@@ -387,23 +387,12 @@ def _kernel_rows(R: Gf2Matrix, pivots: list[int]) -> Gf2Matrix:
 
 
 def in_rowspace(rref_matrix: Gf2Matrix, pivots: list[int], v: Gf2Vector) -> bool:
-    """Membership test against a precomputed RREF (see :meth:`Gf2Matrix.rref`)."""
-    return not _reduce(rref_matrix.data, np.asarray(pivots, dtype=np.int64), v.data).any()
-
-
-def _reduce(reduced: np.ndarray, pivots: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """The packed vector `words` with the pivot rows of an RREF (`reduced`,
-    pivot row i first set at column ``pivots[i]``) XORed out, one row for
-    each pivot column where `words` has a bit.
-
-    A pivot column is a unit column of the RREF, so XORing one pivot row
-    changes no bit of `words` at another pivot: the rows to XOR are read
-    off `words` once, and the result is zero exactly when `words` lies in
-    the row space.
-    """
-    at = (words[pivots >> 6] >> (pivots & 63).astype(np.uint64)) & np.uint64(1) != 0
-    rows = reduced[: len(pivots)][at, : len(words)]
-    return words ^ np.bitwise_xor.reduce(rows, axis=0)
+    """Membership test against a precomputed RREF (see :meth:`Gf2Matrix.rref`):
+    v lies in the row space iff the pivot rows at its pivot bits XOR to v."""
+    pivots = np.asarray(pivots, dtype=np.int64)
+    at = (v.data[pivots >> 6] >> (pivots & 63).astype(np.uint64)) & np.uint64(1) != 0
+    rows = rref_matrix.data[: len(pivots)][at, : len(v.data)]
+    return not (v.data ^ np.bitwise_xor.reduce(rows, axis=0)).any()
 
 
 # -- text format ------------------------------------------------------

@@ -21,15 +21,24 @@ interface rows of the dense H_X, the blocks' logical X embedded through a
 dict of boxes, and membership by `submatrix` + `rref` + `in_rowspace` of
 the other rows.  ``is_z_stabilizer`` is the dense membership the colour-code
 S check ran on the whole H_Z.
+
+``logical_basis`` is the dense route `code.logical_basis` took before it
+read the code's chain reduction: H_X and H_Z built from the checks and
+eliminated whole, the representatives of each quotient picked by
+``quotient_reps`` (with ``leading_bit`` and ``reduce``, the helper
+`gf2.in_rowspace` has since absorbed), then the same symplectic
+Gram-Schmidt.  Kept verbatim.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from fractalcss.code import CssCode, logical_basis
+from fractalcss.code import CssCode, PauliOperator
 from fractalcss.complexes import CellComplex, Faces, label_is_e, label_is_m
-from fractalcss.gf2 import Gf2Matrix, Gf2Vector, _rref_inplace, in_rowspace
+from fractalcss.gf2 import (
+    _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _rref_inplace, in_rowspace,
+)
 
 
 def checks_of(m: Gf2Matrix) -> Faces:
@@ -125,3 +134,105 @@ def merge_parity(merged: CssCode, interface_rows, total: Gf2Vector) -> bool:
 def is_z_stabilizer(code: CssCode, support: Gf2Vector) -> bool:
     """Whether the support is in the row space of the whole H_Z."""
     return in_rowspace(*code.hz.rref(), support)
+
+
+def logical_basis(code: CssCode) -> tuple[list[PauliOperator], list[PauliOperator]]:
+    """k Z-type and k X-type logical representatives, symplectically paired.
+
+    Z-logicals span ker(H_X) / rowspace(H_Z), X-logicals span
+    ker(H_Z) / rowspace(H_X); a greedy symplectic Gram-Schmidt with fixed
+    qubit ordering normalizes the pairing matrix to the identity, so the
+    basis is deterministic.  H_X and H_Z are built from the checks and
+    eliminated in place on each call; the code keeps neither.
+    """
+    hx, hz = (checks.matrix(code.n_qubits) for checks in (code.x_checks, code.z_checks))
+    hx, hz = ((m, _rref_inplace(m.data, m.rows, m.cols)) for m in (hx, hz))
+    z_reps = quotient_reps(hx, hz)
+    x_reps = quotient_reps(hz, hx)
+    if len(z_reps) != len(x_reps):
+        raise AssertionError(
+            f"{len(z_reps)} Z-logicals but {len(x_reps)} X-logicals: the checks are inconsistent"
+        )
+    k = len(z_reps)
+    if k == 0:
+        return [], []
+
+    # the reps' packed rows and their pairing parities z_a . x_b
+    z, x = np.array([v.data for v in z_reps]), np.array([v.data for v in x_reps])
+    pair = np.array([np.bitwise_count(x & row).sum(axis=1) & 1 for row in z], dtype=np.uint8)
+    for t in range(k):
+        odd = np.argwhere(pair[t:, t:])  # in row-major order
+        if not len(odd):
+            raise AssertionError("symplectic pairing is singular")
+        r, c = odd[0] + t
+        z[[t, r]], pair[[t, r]] = z[[r, t]], pair[[r, t]]
+        x[[t, c]], pair[:, [t, c]] = x[[c, t]], pair[:, [c, t]]
+        rows, cols = pair[:, t] == 1, pair[t] == 1
+        rows[t] = cols[t] = False
+        z[rows] ^= z[t]
+        pair[rows] ^= pair[t]
+        x[cols] ^= x[t]
+        pair[:, cols] ^= pair[:, [t]]
+    if (pair != np.eye(k, dtype=np.uint8)).any():
+        raise AssertionError("symplectic pairing did not reduce to the identity")
+    return (
+        [PauliOperator.z_type(Gf2Vector(code.n_qubits, row)) for row in z],
+        [PauliOperator.x_type(Gf2Vector(code.n_qubits, row)) for row in x],
+    )
+
+
+def quotient_reps(check, span) -> list[Gf2Vector]:
+    """Representatives of ker(A) modulo rowspace(B), given the (R, pivots)
+    eliminations `check` of A and `span` of B.
+
+    Each kernel vector in turn is reduced by the RREF of B and then by the
+    representatives chosen so far; it is chosen when it stays nonzero.
+    Both reductions XOR the rows picked by the vector's bits at pivot
+    columns (see `reduce`), the first for all kernel vectors at once;
+    the chosen ones are kept reduced at their lowest bits for the second.
+    The result is the one vector of its coset with no bit at any pivot.
+    """
+    span_rref, span_pivots = span
+    K = _kernel_rows(*check)
+    pivot_row = np.full(K.cols, -1)
+    pivot_row[span_pivots] = np.arange(len(span_pivots))
+    t, c = K.entries()
+    at = pivot_row[c] >= 0
+    t, i = t[at], pivot_row[c[at]]
+    step = max(1, _CHUNK_WORDS // K.data.shape[1])
+    for s in range(0, len(t), step):
+        np.bitwise_xor.at(K.data, t[s : s + step], span_rref.data[i[s : s + step]])
+    chosen: list[Gf2Vector] = []
+    basis = np.zeros((0, K.data.shape[1]), dtype=np.uint64)
+    leads = np.zeros(0, dtype=np.int64)
+    for w in K.data[K.data.any(axis=1)]:
+        w = reduce(basis, leads, w)
+        if w.any():
+            lead = leading_bit(w)
+            basis[(basis[:, lead >> 6] >> np.uint64(lead & 63)) & np.uint64(1) != 0] ^= w
+            basis = np.vstack([basis, w])
+            leads = np.append(leads, lead)
+            chosen.append(Gf2Vector(K.cols, w))
+    return chosen
+
+
+def leading_bit(words: np.ndarray) -> int:
+    """The lowest set bit of a nonzero packed vector."""
+    first = int(np.flatnonzero(words)[0])
+    word = int(words[first])
+    return (first << 6) + (word & -word).bit_length() - 1
+
+
+def reduce(reduced: np.ndarray, pivots: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """The packed vector `words` with the pivot rows of an RREF (`reduced`,
+    pivot row i first set at column ``pivots[i]``) XORed out, one row for
+    each pivot column where `words` has a bit.
+
+    A pivot column is a unit column of the RREF, so XORing one pivot row
+    changes no bit of `words` at another pivot: the rows to XOR are read off
+    `words` once, and the result is zero exactly when `words` lies in the
+    row space.
+    """
+    at = (words[pivots >> 6] >> (pivots & 63).astype(np.uint64)) & np.uint64(1) != 0
+    rows = reduced[: len(pivots)][at, : len(words)]
+    return words ^ np.bitwise_xor.reduce(rows, axis=0)

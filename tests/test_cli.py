@@ -203,6 +203,14 @@ def test_merge_command(capsys):
     assert "k_merged=1" in stdout and "parity_identity=PASS" in stdout
 
 
+def test_merge_of_blocks_with_k_above_one(capsys):
+    """2D SC(3,1) level 1: each block has k = 2, and the merge's parity
+    identity takes each block's logical X across the interface, not the
+    first of its basis."""
+    rc, stdout, _ = run(["merge", "--dim", "2", "--level", "1"], capsys)
+    assert (rc, stdout) == (0, "k_merged=3 parity_identity=PASS interface_x=3\n")
+
+
 def test_table1_verify_levels(capsys, tmp_path):
     out = tmp_path / "t.csv"
     rc, _, _ = run(["table1", "--verify-levels", "2", "--out", str(out)], capsys)

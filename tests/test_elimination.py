@@ -2,17 +2,20 @@
 
 `_drop_redundant_m_rows` reads the kept M rows off the pivot columns of one
 elimination of H_Z^T; the row-by-row loop it replaced is kept here verbatim
-as the oracle.  The logical basis eliminates H_X and H_Z once per call and
-keeps no RREF on the code; k, the logical tests, the merge's parity
+as the oracle.  k, the logical tests, the logical basis, the merge's parity
 identity and the colour-code S check read only the residue of a reduced
-chain complex.
+chain complex, so none of them eliminates a matrix over all qubits.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import fractalcss
 import fractalcss.code as code_mod
 import fractalcss.gf2 as gf2
 import fractalcss.homology as homology
@@ -123,15 +126,17 @@ def test_plain_fc31_level2_code_params_cross_checked():
 
 
 def test_one_elimination_per_check_matrix(monkeypatch):
-    code = css_from_complex(fractal_complex(FractalSpec(3, 3, 1, 1), "code"), 1)
-    calls = []  # (input bytes, inside the homology cross-check)
-    shapes = []  # (rows, cols) of each elimination
+    """k and the logical tests eliminate only what the residues fold to, and
+    the logical basis per type one residue check matrix and one transposed
+    stack of the residue's span and cycles: no elimination, outside the
+    homology cross-check, has as many rows or columns as the code has
+    qubits."""
+    calls = []  # (rows, cols, inside the homology cross-check)
     in_cross_check = [False]
     real_rref, real_homology_k = gf2._rref_inplace, code_mod.homology_k
 
     def spy_rref(data, rows, cols):
-        calls.append((data.tobytes(), in_cross_check[0]))
-        shapes.append((rows, cols))
+        calls.append((rows, cols, in_cross_check[0]))
         return real_rref(data, rows, cols)
 
     def spy_homology_k(c):
@@ -145,26 +150,25 @@ def test_one_elimination_per_check_matrix(monkeypatch):
         monkeypatch.setattr(module, "_rref_inplace", spy_rref)
     monkeypatch.setattr(code_mod, "homology_k", spy_homology_k)
 
-    assert code_params(code).k == 1
-    zero = Gf2Vector(code.n_qubits)
-    assert not is_z_logical(code, zero) and not is_x_logical(code, zero)
-    before_basis = len(calls)
-    zs, xs = logical_basis(code)
-    assert is_z_logical(code, zs[0].z_support) and is_x_logical(code, xs[0].x_support)
-    assert code_params(code, cross_check=False).k == 1
-
-    # the two residues of the code's reduced chain complex leave one qubit
-    # that no live check meets, so k and the logical tests eliminate
-    # nothing; only the logical basis eliminates H_X and H_Z, once each
-    red = code.reduction
-    assert int(red.live.sum()) == 1 and red.x_space.rank == red.z_space.rank == 0
-    dense = [code.hx.data.tobytes(), code.hz.data.tobytes()]
-    outside = [data for data, inside in calls if not inside]
-    assert outside == dense
-    assert [shape for shape, (_, inside) in zip(shapes, calls) if not inside] == [
-        (code.hx.rows, code.n_qubits), (code.hz.rows, code.n_qubits)]
-    assert not any(data in dense for data, _ in calls[:before_basis])
-    assert any(inside for _, inside in calls)
+    # level 1 leaves one qubit that no live check meets; level 2 leaves 64
+    # qubits and 280 Z checks, which fold to no row over one component.
+    # The basis eliminates, for Z, the residue's H_X and [H_Z; kernel]^T,
+    # then for X the residue's H_Z and [H_X; kernel]^T.
+    for level, before, basis in ((1, [], [(0, 1), (1, 1), (0, 1), (1, 1)]),
+                                 (2, [(0, 1)], [(0, 64), (64, 344), (280, 64), (64, 1)])):
+        code = css_from_complex(fractal_complex(FractalSpec(3, 3, 1, level), "code"), 1)
+        calls.clear()
+        assert code_params(code).k == 1
+        zero = Gf2Vector(code.n_qubits)
+        assert not is_z_logical(code, zero) and not is_x_logical(code, zero)
+        assert any(inside for _, _, inside in calls)
+        assert [(r, c) for r, c, inside in calls if not inside] == before
+        calls.clear()
+        zs, xs = logical_basis(code)
+        assert is_z_logical(code, zs[0].z_support) and is_x_logical(code, xs[0].x_support)
+        assert code_params(code, cross_check=False).k == 1
+        assert [(r, c) for r, c, _ in calls] == basis
+        assert all(max(r, c) < code.n_qubits for r, c, _ in calls)
 
 
 def _basis_digest(code) -> str:
@@ -175,16 +179,78 @@ def _basis_digest(code) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-# sha256 prefixes of the logical_basis supports, taken with the per-call
-# eliminations that the cached ones replaced
+# sha256 prefixes of the logical_basis supports from the code's chain
+# reduction, taken once test_packed_search's coset test passed on these
+# builds (the dense route gave f84e65c277d5c9a0, fe3cde193d455e57,
+# 11f615baeabf5fd1, 1d46e5cdf124cc2b and 23d6871d6b25f54a: other
+# representatives of the same cosets)
 @pytest.mark.parametrize("build, digest", [
     (lambda: css_from_complex(fractal_complex(FractalSpec(3, 3, 1, 1), "code"), 1),
-     "f84e65c277d5c9a0"),
+     "73362ea58785dca4"),
     (lambda: css_from_complex(fractal_complex(FractalSpec(3, 3, 1, 1)), 1),
-     "fe3cde193d455e57"),
-    (lambda: css_from_complex(build_lattice(2, 3, "torus"), 1), "11f615baeabf5fd1"),
-    (lambda: build_color_code_2d(1).code, "1d46e5cdf124cc2b"),
-    (lambda: build_color_code_2d(2).code, "23d6871d6b25f54a"),
+     "6e71a6c7fb82bbab"),
+    (lambda: css_from_complex(build_lattice(2, 3, "torus"), 1), "c21b22f208d9f37b"),
+    (lambda: build_color_code_2d(1).code, "4da6bb219e41f1a8"),
+    (lambda: build_color_code_2d(2).code, "081eae46e80b9d13"),
 ])
 def test_logical_basis_pinned(build, digest):
     assert _basis_digest(build()) == digest
+
+
+# logical_basis on FC(3,1) at the given level, in a child process under an
+# address-space limit: k, the number of pairs, whether every representative
+# is a logical of its type and every pairing z_a . x_b is 1 for a = b and 0
+# otherwise, the seconds, and the peak RSS (VmHWM, kB) after code_params and
+# after the basis.  The dense route eliminated the whole H_X and H_Z: 510 MB
+# at level 3, and 61 GB for the dense H_X alone at level 4.
+_BASIS = """
+import re, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[2]) << 20,) * 2)
+from fractalcss.code import (
+    code_params, css_from_complex, is_x_logical, is_z_logical, logical_basis)
+from fractalcss.complexes import FractalSpec, fractal_complex
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read())[1])
+
+code = css_from_complex(fractal_complex(FractalSpec(3, 3, 1, int(sys.argv[1]), holes="m"), "code"), 1)
+k = code_params(code).k
+after_params = peak_kb()
+start = time.perf_counter()
+zs, xs = logical_basis(code)
+seconds = time.perf_counter() - start
+logicals = (all(is_z_logical(code, z.z_support) for z in zs)
+            and all(is_x_logical(code, x.x_support) for x in xs))
+paired = all(z.z_support.dot(x.x_support) == (a == b)
+             for a, z in enumerate(zs) for b, x in enumerate(xs))
+print(k, len(zs), len(xs), logicals, paired, seconds, after_params, peak_kb())
+"""
+
+
+def _basis_in_child(level: int, limit_mb: int) -> list[str]:
+    src = os.path.dirname(os.path.dirname(fractalcss.__file__))
+    out = subprocess.run([sys.executable, "-c", _BASIS, str(level), str(limit_mb)],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_fc31_level3_logical_basis_under_512_mb():
+    """42,464 qubits: the basis is taken in a residue of 512 qubits and 8,384
+    Z checks, in under 0.5 s, and lifts no peak that code_params set."""
+    k, n_z, n_x, logicals, paired, seconds, after_params, after_basis = _basis_in_child(3, 512)
+    assert (k, n_z, n_x, logicals, paired) == ("1", "1", "1", "True", "True")
+    assert float(seconds) < 0.5
+    assert int(after_basis) <= int(after_params)
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_fc31_level4_logical_basis_under_1_gb():
+    """1,148,128 qubits: the residue has 4,096 qubits and 230,392 Z checks."""
+    k, n_z, n_x, logicals, paired, *_ = _basis_in_child(4, 1024)
+    assert (k, n_z, n_x, logicals, paired) == ("1", "1", "1", "True", "True")

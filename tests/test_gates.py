@@ -232,6 +232,9 @@ def test_merge_shifts_the_hole_labels_of_the_upper_block():
         assert [int((cx.labels[k] == cx.label_names.index(name)).sum())
                 for name in ("hE0", "hE1")] == [count, count]
     assert result.k_merged == 3  # k(a) + k(b) - 1, each block k = 2
+    # each block's logical X across the interface is one plane, not the
+    # first of its basis (which may wind around the hole)
+    assert result.parity_identity
 
 
 def test_merge_k_drops_by_one():

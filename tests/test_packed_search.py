@@ -1,9 +1,11 @@
 """Differential tests of the packed-word paths against the loops they
 replaced (``search_oracles``): the exhaustive search with its budget
-cut-off, row-space membership, the logical quotient, and the CZ/CCZ
-conditions with the CCZ phase-polynomial identity flag.  Every result must
-match bit for bit: values, kinds, witness supports, the weight a
-BudgetError certifies, and whole gate reports.
+cut-off, row-space membership, and the CZ/CCZ conditions with the CCZ
+phase-polynomial identity flag.  Every result must match bit for bit:
+values, kinds, witness supports, the weight a BudgetError certifies, and
+whole gate reports.  The logical basis, which now comes from the code's
+chain reduction, must lie in the cosets of the dense route's
+(``code_oracles.logical_basis``).
 """
 
 import random
@@ -11,9 +13,9 @@ import random
 import numpy as np
 import pytest
 
-import fractalcss.code as code_mod
 import fractalcss.gates as gates_mod
 import fractalcss.gf2 as gf2_mod
+import code_oracles
 import search_oracles as oracle
 from fractalcss.code import css_from_complex, logical_basis
 from fractalcss.colorcode import build_color_code_2d
@@ -36,6 +38,7 @@ from fractalcss.gates import (
 )
 from fractalcss.gf2 import Gf2Matrix, Gf2Vector, in_rowspace
 from test_arrays import seeded_layout
+from test_code_reduction import _layout_codes
 
 
 def _fc(n, p, q, level, holes="m"):
@@ -167,28 +170,63 @@ def test_indices_match_oracle():
             assert v.indices() == oracle.indices(v)
 
 
-def _basis_bits(code):
-    zs, xs = logical_basis(code)
-    return [z.z_support.indices() for z in zs], [x.x_support.indices() for x in xs]
-
-
 def _merged(L):
     build = (lambda: css_from_complex(code_lattice(3, L), 1)) if L else (lambda: _fc(3, 3, 1, 1))
     return merge_rough(build(), build()).merged
 
 
-@pytest.mark.parametrize("name", ["merge-L2", "merge-L3", "merge-fc31-l1", "colour-L1",
-                                  "colour-L2", "colour-L3", "fc31-l1-e", "torus4d-m"])
-def test_logical_basis_matches_oracle(name, monkeypatch):
-    makers = {"merge-L2": lambda: _merged(2), "merge-L3": lambda: _merged(3),
-                "merge-fc31-l1": lambda: _merged(None), **CODES}
+def _assert_oracle_cosets(code):
+    """Each representative of the logical basis is a combination of the
+    dense oracle's plus a stabilizer, and the basis pairs as the identity.
+    The oracle's basis pairs as the identity too, so the combination of a
+    representative v is read off its pairings with the oracle's dual
+    representatives, and what is left must lie in the dense row space of
+    the checks of its type."""
+    zs, xs = logical_basis(code)
+    oracle_zs, oracle_xs = code_oracles.logical_basis(code)
+    k = code.reduction.k
+    assert len(zs) == len(xs) == len(oracle_zs) == len(oracle_xs) == k
+    z = [op.z_support for op in zs]
+    x = [op.x_support for op in xs]
+    assert [[a.dot(b) for b in x] for a in z] == np.eye(k, dtype=int).tolist()
+    for reps, old, dual, checks in ((z, [op.z_support for op in oracle_zs],
+                                     [op.x_support for op in oracle_xs], code.hz),
+                                    (x, [op.x_support for op in oracle_xs],
+                                     [op.z_support for op in oracle_zs], code.hx)):
+        rref = checks.rref()
+        for v in reps:
+            w = v.copy()
+            for o, d in zip(old, dual):
+                if v.dot(d):
+                    w ^= o
+            assert in_rowspace(*rref, w)
+
+
+def _coset_codes():
+    """The merges, the colour codes, the copies of the CCZ stack, the
+    ladder's codes of `CODES` and the 40 seeded layouts at every grading,
+    each as a list of codes."""
+    makers = {"merge-L2": lambda: [_merged(2)], "merge-L3": lambda: [_merged(3)],
+              "merge-fc31-l1": lambda: [_merged(None)],
+              **{name: (lambda make=make: [make()]) for name, make in CODES.items()}}
     for L in (1, 2, 3):
-        makers[f"colour-L{L}"] = lambda L=L: build_color_code_2d(L).code
-    code = makers[name]()
-    got = _basis_bits(code)
-    monkeypatch.setattr(code_mod, "_quotient_reps", oracle.quotient_reps)
-    assert got == _basis_bits(code)
-    assert len(got[0]) == len(got[1]) > 0
+        makers[f"colour-L{L}"] = lambda L=L: [build_color_code_2d(L).code]
+    for L in (2, 3):
+        for holes in (None, "center"):
+            makers[f"ccz-L{L}-{holes or 'clean'}"] = (
+                lambda L=L, holes=holes: build_vasmer_browne_stack(L, holes)[0])
+    for seed in range(40):
+        makers[f"layout{seed}"] = lambda seed=seed: _layout_codes(seed)
+    return makers
+
+
+COSET_CODES = _coset_codes()
+
+
+@pytest.mark.parametrize("name", list(COSET_CODES))
+def test_logical_basis_matches_oracle(name):
+    for code in COSET_CODES[name]():
+        _assert_oracle_cosets(code)
 
 
 def _stacks():
@@ -232,16 +270,14 @@ def test_ccz_reports_with_permuted_and_missing_logicals_match_oracle():
 
 
 def test_small_chunks_match_oracle(monkeypatch):
-    """The chunked loops (kernel columns, span reduction, pair tests) give the
-    same results when every step is cut into many small chunks."""
-    for mod in (gf2_mod, code_mod, gates_mod):
+    """The chunked loops (kernel columns, pair tests) give the same results
+    when every step is cut into many small chunks: the same gate reports,
+    and logical bases in the dense oracle's cosets."""
+    for mod in (gf2_mod, gates_mod):
         monkeypatch.setattr(mod, "_CHUNK_WORDS", 40)
     codes, align = build_vasmer_browne_stack(3, "center")
     assert check_transversal_ccz(*codes, align) == oracle.check_transversal_ccz(*codes, align)
     assert (check_transversal_cz(codes[0], codes[1], align)
             == oracle.check_transversal_cz(codes[0], codes[1], align))
-    code = _merged(2)
-    got = _basis_bits(code)
-    monkeypatch.setattr(code_mod, "_quotient_reps", oracle.quotient_reps)
-    monkeypatch.setattr(code_mod, "_CHUNK_WORDS", 1 << 17)
-    assert got == _basis_bits(code)
+    for code in (_merged(2), *codes):
+        _assert_oracle_cosets(code)

@@ -12,7 +12,7 @@ without e-holes, and the seeded mixed hole layouts.
 import pytest
 
 import distance_oracles as oracle
-from fractalcss.code import css_from_complex
+from fractalcss.code import code_from_text, code_to_text, css_from_complex
 from fractalcss.complexes import (
     FractalSpec,
     build_lattice,
@@ -27,6 +27,7 @@ from fractalcss.distance import (
     dz_shortest_path,
     exhaustive_low_weight,
 )
+from fractalcss.gates import build_vasmer_browne_stack
 from test_arrays import seeded_layout
 
 
@@ -143,3 +144,36 @@ def test_bounded_search_is_the_full_search_cut_at_its_depth(name):
             near = [d if d <= max(depth, 0) else -1 for d in dist]  # the source is at 0
             assert g.bfs(source, depth=depth) == (near, [a if d >= 0 else -1
                                                         for a, d in zip(via, near)])
+
+
+_NO_COMPLEX = "qubit-graph distances need the complex whose code the checks are"
+
+
+@pytest.mark.parametrize("L, holes", [(2, None), (3, "center"), (4, None)])
+def test_stack_copies_without_their_complex_are_refused(L, holes):
+    """Copies 2 and 3 of the CCZ stack carry cube and corner-triangle checks,
+    not the label-driven code of the lattice, so they have no source: the
+    graph refuses them (it built them from the lattice's edges, and the
+    shortest path then failed its witness check)."""
+    codes, _ = build_vasmer_browne_stack(L, holes)
+    assert codes[0].source is not None
+    for code in codes[1:]:
+        assert code.source is None
+        for fn in (dz_shortest_path, dx_min_cut):
+            with pytest.raises(PreconditionError, match=_NO_COMPLEX):
+                fn(code)
+
+
+@pytest.mark.parametrize("name", ["fc31-l1-m", "surface2d-L3", "toric-L2"])
+def test_codes_read_from_text_are_refused(name):
+    """A ``csscode v1`` file holds no complex: both graph distances refuse
+    its code (they raised AttributeError), and the CLI's distances fall
+    back to the search."""
+    code = code_from_text(code_to_text(CODES[name]()))
+    for fn in (dz_shortest_path, dx_min_cut):
+        with pytest.raises(PreconditionError, match=_NO_COMPLEX):
+            fn(code)
+    dz, dx = cli._distances(code, "bfs,mincut", 3)
+    for got, kind in ((dz, "Z"), (dx, "X")):
+        want = exhaustive_low_weight(code, kind, 3)
+        assert (got.value, got.kind) == (want.value, want.kind)
