@@ -10,11 +10,14 @@ chain complex, Z checks -(H_Z^T)-> qubits -(H_X)-> X checks, by the
 collapses and coreductions of `homology` (`CssCode.reduction`): only its
 small residue is ranked, by `homology._RowSpace`, which contracts the
 residue's weight-2 rows and eliminates only the rows left folded onto
-their components; the merge's parity identity and the colour-code S check
-ask such a reduction whether a vector is a product of checks, and the
-logical basis is taken in the residue and carried back to every qubit by
-the reduction's rounds in reverse (`_ChainReduction.basis`); only the
-plain style's smooth-patch pruning eliminates a matrix over all qubits.
+their components.  Every other row-space question is put to that residue
+too: the merge's parity identity and the colour-code S check ask whether
+a vector is a product of checks, the logical basis is the residue's
+kernel rows that are independent of its other row space, carried back to
+every qubit by the reduction's rounds in reverse (`_ChainReduction.basis`),
+and the plain style's smooth-patch pruning keeps the M checks whose images
+in the residue of the non-M checks are independent (`_smooth_patch_rows`).
+No code-sized matrix is eliminated.
 The text writer writes the 0/1 rows of a ``csscode v1`` file straight
 from the CSR rows, a few MB of rows at a time (so a file is written block
 by block), and the reader builds the CSR rows straight from them.
@@ -48,10 +51,7 @@ from .complexes import CellComplex, Faces, label_is_e, label_is_m
 from ._text import (
     _ODD_BREAKS, Tokens, decode, encode, first_false, int64, with_newlines, write_lines,
 )
-from .gf2 import (
-    Gf2Matrix, Gf2Vector, _kernel_rows, _pack, _rows_from_text, _rref_inplace, _unpack,
-    _written_rows,
-)
+from .gf2 import Gf2Matrix, Gf2Vector, _pack, _rows_from_text, _written_rows
 from .homology import _Reduction, _RowSpace, betti, default_label_split
 
 
@@ -163,49 +163,53 @@ class _ChainReduction:
     def k(self) -> int:
         return int(self.live.sum()) - self.x_space.rank - self.z_space.rank
 
-    def _image(self, v: Gf2Vector, rounds, rows: Faces) -> np.ndarray:
-        """v carried through the recorded rounds into the residue, as 0/1
-        bits over the live qubits: the qubits of a check are added where v
-        holds its paired qubit."""
-        bits = v.to_dense()
+    def _image(self, bits: np.ndarray, rounds, rows: Faces) -> np.ndarray:
+        """The 0/1 rows `bits` over all qubits carried through the recorded
+        rounds into the residue, as 0/1 rows over the live qubits: the
+        qubits of a check are added to each row that holds its paired
+        qubit.  `bits` is changed in place."""
         for qubits, checks in rounds:
-            held = bits[qubits] != 0
-            if held.any():
-                np.bitwise_xor.at(bits, rows.take(checks[held]), 1)
-        return bits[self.live]
+            r, j = np.nonzero(bits[:, qubits])
+            if r.size:
+                held = checks[j]
+                sizes = rows.ptr[held + 1] - rows.ptr[held]
+                np.bitwise_xor.at(bits, (np.repeat(r, sizes), rows.take(held)), 1)
+        return bits[:, self.live]
 
     def basis(self, kind: str) -> np.ndarray:
         """k representatives of the Z-logicals (`kind` "Z") or X-logicals
         ("X") as 0/1 rows over all qubits: the kernel rows of the residue's
-        H_X (H_Z) that are pivot columns of the transposed stack [residue's
-        H_Z (H_X); kernel rows], so independent of the span and of the rows
-        before them, carried back to every qubit."""
+        H_X (H_Z) that are independent of the residue's H_Z (H_X) and of the
+        rows before them, carried back to every qubit."""
         z = kind == "Z"
-        cut, span = (self.x_rows, self.z_rows) if z else (self.z_rows, self.x_rows)
-        cut_live, span_live = (self.live_x, self.live_z) if z else (self.live_z, self.live_x)
-        n = int(self.live.sum())
-        m = cut.restrict(cut_live, self.live).matrix(n)
-        cycles = _kernel_rows(m, _rref_inplace(m.data, m.rows, n))
-        span = span.restrict(span_live, self.live)
-        r, c = cycles.entries()
-        t = Faces.from_pairs(n, np.concatenate((span.idx, c)), np.concatenate(
-            (span.owners(), r + len(span)))).matrix(len(span) + cycles.rows)
-        picked = [p - len(span) for p in _rref_inplace(t.data, t.rows, t.cols) if p >= len(span)]
+        cut, cut_space, span_space = ((self.x_rows, self.x_space, self.z_space) if z
+                                      else (self.z_rows, self.z_space, self.x_space))
+        cycles = cut_space.kernel()
+        picked = span_space.independent(cycles)
         bits = np.zeros((len(picked), len(self.live)), dtype=np.uint8)
-        bits[:, self.live] = _unpack(cycles.data[picked], n)
+        bits[np.repeat(np.arange(len(picked)), cycles.counts()[picked]),
+             np.flatnonzero(self.live)[cycles.take(picked)]] = 1
         for qubits, checks in reversed(self.x_rounds if z else self.z_rounds):
-            sizes = cut.counts()[checks]  # at least 1: a check holds its paired qubit
+            # at least 1 each: a check holds its paired qubit
+            sizes = cut.ptr[checks + 1] - cut.ptr[checks]
             bits[:, qubits] ^= np.bitwise_xor.reduceat(
                 bits[:, cut.take(checks)], np.cumsum(sizes) - sizes, axis=1)
         return bits
 
     def is_z_stabilizer(self, z: Gf2Vector) -> bool:
         """Whether a Z-cycle (H_X z = 0) is a product of Z checks."""
-        return self.z_space.contains(self._image(z, self.z_rounds, self.z_rows))
+        image = self._image(z.to_dense()[None], self.z_rounds, self.z_rows)
+        return self.z_space.contains(image[0])
 
     def is_x_stabilizer(self, x: Gf2Vector) -> bool:
         """Whether an X-cocycle (H_Z x = 0) is a product of X checks."""
-        return self.x_space.contains(self._image(x, self.x_rounds, self.x_rows))
+        image = self._image(x.to_dense()[None], self.x_rounds, self.x_rows)
+        return self.x_space.contains(image[0])
+
+
+# the bytes of 0/1 rows a writer renders, or the smooth-patch rule carries
+# into a residue, at a time
+_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -231,10 +235,9 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
     # is dropped when it is a product of the kept ones, so m-condensation is
     # manifest in the generating set while the stabilizer group (and k) is
     # unchanged.  An independent M-anchored plaquette stays.
-    m_anchor = cx.label_mask(i + 1, label_is_m)[z_anchor]
     keep_x, keep_z = x_checks.counts() > 0, z_checks.counts() > 0
-    if m_anchor.any():  # the dense H_Z^T only when some row may be redundant
-        keep_z &= _drop_redundant_m_rows(z_checks, m_anchor, n_qubits)
+    if cx.label_mask(i + 1, label_is_m)[z_anchor].any():
+        keep_z &= _smooth_patch_rows(cx, i, z_anchor, x_checks, z_checks, n_qubits)
     every = np.ones(n_qubits, dtype=bool)
     return CssCode(
         n_qubits=n_qubits,
@@ -247,15 +250,43 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
     )
 
 
-def _drop_redundant_m_rows(z: Faces, m_anchor: np.ndarray, n: int) -> np.ndarray:
-    """Per row of the Z checks z on n qubits, whether to keep it: all non-M
-    rows, plus every M row independent of the rows before it when the
-    non-M rows come first.  Such a row is a pivot column of H_Z^T with its
-    columns in that order."""
-    order = np.argsort(m_anchor, kind="stable")
-    t = Faces.from_pairs(n, z.idx, np.argsort(order)[z.owners()]).matrix(len(z))
-    keep = ~m_anchor
-    keep[order[_rref_inplace(t.data, t.rows, t.cols)]] = True
+def _smooth_patch_rows(cx: CellComplex, i: int, z_anchor: np.ndarray, x_checks: Faces,
+                       z_checks: Faces, n: int) -> np.ndarray:
+    """Per Z check, whether to keep it: every non-M check, and each M check
+    independent of the non-M checks and of the M checks before it.
+
+    An M check that is the last M face of an (i+2)-cell goes: it is the
+    sum of the cell's other faces (dd = 0; an e-face restricts to no
+    qubit), all of them before it, and dropping a check that depends on
+    those before it changes no later check's independence (the clearing of
+    Chen & Kerber, "Persistent homology computation with a twist", EuroCG
+    2011).  The other M checks are carried, a block of rows at a time,
+    into the residue of the non-M checks' chain reduction, where a Z-cycle
+    is a product of checks iff its image is, and kept where the residue's
+    `_RowSpace.independent` picks their images."""
+    is_m = cx.label_mask(i + 1, label_is_m)
+    cleared = np.zeros_like(is_m)
+    if i + 2 <= cx.dim:
+        up = cx.faces[i + 2]
+        m_face = is_m[up.idx]
+        last = np.full(len(up), -1, dtype=np.int64)
+        np.maximum.at(last, up.owners()[m_face], up.idx[m_face])
+        cleared[last[last >= 0]] = True
+    keep = ~is_m[z_anchor]
+    rest = np.flatnonzero(~keep & ~cleared[z_anchor])
+    if rest.size:
+        red = _ChainReduction(x_checks, z_checks.restrict(keep, np.ones(n, dtype=bool)), n)
+        sizes, step = z_checks.counts(), max(1, _BLOCK_BYTES // max(n, 1))
+        rows, cols = [], []
+        for first in range(0, len(rest), step):
+            block = rest[first : first + step]
+            bits = np.zeros((len(block), n), dtype=np.uint8)
+            bits[np.repeat(np.arange(len(block)), sizes[block]), z_checks.take(block)] = 1
+            r, c = np.nonzero(red._image(bits, red.z_rounds, red.z_rows))
+            rows.append(r + first)
+            cols.append(c)
+        images = Faces.from_pairs(len(rest), np.concatenate(rows), np.concatenate(cols))
+        keep[rest[red.z_space.independent(images)]] = True
     return keep
 
 
@@ -340,9 +371,6 @@ def is_x_logical(code: CssCode, support: Gf2Vector) -> bool:
 
 
 # -- serialization -----------------------------------------------------------
-
-# the bytes of 0/1 rows a writer renders at a time
-_BLOCK_BYTES = 1 << 22
 
 
 def _check_rows(checks: Faces, n: int) -> Iterator[memoryview]:

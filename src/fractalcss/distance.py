@@ -29,7 +29,10 @@ share one connected e-component (contracted per label, a path between them
 may be a stabilizer), and the min cut when its two terminals are
 disconnected (flow 0) or when k != 1 (the cut is the lightest X-logical of
 one class only; the m-holes of a 2D fractal add classes with a lighter
-one); callers then fall back to the search.
+one).  The shortest path also refuses a torus with an e-labelled cell whose
+box reaches 0 or the period on a periodic axis: the contracted terminal
+then straddles the seam, and the seam cut misses classes.  Callers then
+fall back to the search.
 Every exact result's witness is re-verified independently: zero syndrome
 against the opposite-type checks and membership outside the stabilizer
 row-space.  A witness that fails raises `WitnessError`.
@@ -85,14 +88,11 @@ def search_budget() -> int:
 @dataclass(frozen=True)
 class DistanceResult:
     value: int
-    kind: str  # "exact", "upper_bound" or "certified_above"
+    kind: str  # "exact" or "certified_above"
     witness: PauliOperator | None = None
 
     def __str__(self):
-        if self.kind == "certified_above":
-            return f">{self.value}"
-        suffix = "" if self.kind == "exact" else "<="
-        return f"{suffix}{self.value}"
+        return f">{self.value}" if self.kind == "certified_above" else str(self.value)
 
 
 @dataclass(frozen=True)
@@ -206,6 +206,20 @@ def _path(via, end: int) -> list[int]:
     return out[::-1]
 
 
+def _reaches_a_seam(cx) -> bool:
+    """Whether an e-labelled cell's box reaches 0 or the period on a
+    periodic axis."""
+    axes = [a for a, p in enumerate(cx.periods) if p is not None]
+    if not axes:
+        return False
+    period = np.array([cx.periods[a] for a in axes])
+    for k, boxes in enumerate(cx.cells):
+        e = boxes[cx.label_mask(k, label_is_e)][:, axes]
+        if ((e[..., 0] == 0) | (e[..., 1] == period)).any():
+            return True
+    return False
+
+
 def dz_shortest_path(code: CssCode) -> DistanceResult:
     """Exact d_Z for i=1 codes: shortest relative 1-cycle.
 
@@ -217,6 +231,9 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
     g = _QubitGraph(code)
     g.require_separate_terminals()
     cx = code.source
+    if _reaches_a_seam(cx):
+        raise PreconditionError("an e-boundary reaches a periodic seam, which the seam cut "
+                                "cannot follow; run exhaustive_low_weight instead")
     best: tuple[int, list[int]] | None = None
 
     if len(g.terminal_labels) >= 2:

@@ -158,11 +158,16 @@ def _stab_rows(align: StackAlignment, copy: int) -> np.ndarray:
 
 
 def _logical_row(align: StackAlignment, copy: int) -> np.ndarray | None:
-    """The copy's logical X as packed sites: the alignment's, else the first
-    of its logical basis; None when the code has none."""
+    """The copy's logical X as packed sites: the alignment's, else the one
+    of its logical basis when k = 1; None when k = 0.  With k > 1 the basis
+    names no particular class, so a copy without the alignment's logical
+    raises ValueError."""
     x = align.x_logicals[copy] if copy < len(align.x_logicals) else None
     if x is None:
         xs = logical_basis(align.codes[copy])[1]
+        if len(xs) > 1:
+            raise ValueError(f"copy {copy} has k = {len(xs)} and no logical X in the "
+                             "alignment to test")
         if not xs:
             return None
         x = xs[0]

@@ -25,15 +25,19 @@ boundary maps restricted to the surviving cells (for FC(4,2) level 2
 relative to the e-labels, 132 of 7,440 edges and 180 of 5,232 faces
 survive).
 
-A residue's boundary or check matrix is ranked, and asked whether a vector
-lies in its row space, by `_RowSpace`: its weight-2 rows are contracted,
-as edges, into the connected components of the columns, the other rows
-are folded onto those components, and only the folded rows become a dense
-GF(2) matrix.  The residues are mostly empty and weight-2 rows: the
-1,038 x 144 Z residue of the FC(4,2) level-2 code folds to no row over one
-component.  `betti` reads only the face arrays, so it stays a cross-check
-independent of H_X and H_Z.  `cobetti` pairs other cells than `betti`
-does, so the CLI still prints two routes.
+`_RowSpace` is the one place where a residue's boundary or check matrix
+is worked with: it is ranked, asked whether a vector lies in its row space,
+asked for a basis of its kernel (the logical representatives of a code),
+and asked which of a block of rows are independent of the row space and of
+each other (the representatives among those, and the smooth-patch checks a
+code keeps).  Its weight-2 rows are contracted, as edges, into the
+connected components of the columns, the other rows are folded onto those
+components, and only the folded rows become a dense GF(2) matrix.  The
+residues are mostly empty and weight-2 rows: the 1,038 x 144 Z residue of
+the FC(4,2) level-2 code folds to no row over one component.  `betti`
+reads only the face arrays, so it stays a cross-check independent of H_X
+and H_Z.  `cobetti` pairs other cells than `betti` does, so the CLI still
+prints two routes.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import numpy as np
 from .complexes import (
     BoundaryError, CellComplex, Faces, dual_with_boundary, label_is_e, label_is_m,
 )
-from .gf2 import Gf2Matrix, Gf2Vector, _rref_inplace, in_rowspace
+from .gf2 import Gf2Matrix, Gf2Vector, _kernel_rows, _rref_inplace, in_rowspace
 
 
 def betti(cx: CellComplex, grade: int, relative_labels=frozenset()) -> int:
@@ -174,7 +178,8 @@ class _Reduction:
 
 class _RowSpace:
     """The row space of a residue's boundary or check matrix, given as CSR
-    rows over `cols` columns, with only a small matrix eliminated.
+    rows over `cols` columns, with only a small matrix eliminated; the one
+    place where a residue's linear algebra is done.
 
     A weight-2 row is an edge between its two columns.  The edges span
     exactly the kernel of the fold that sums a vector's bits over each
@@ -182,11 +187,14 @@ class _RowSpace:
     component of its own): each edge folds to zero, and a spanning forest
     has cols - components independent edges, the kernel's dimension.  So
     the rank is cols - components plus the rank of the other rows folded,
-    and a vector is in the row space iff its fold is in the span of the
-    folded rows.  This is the doubleton step of sparse presolve (Andersen &
-    Andersen, Math. Programming 1995).  Empty rows, and folded rows whose
-    bits cancel, are dropped before the folded rows are eliminated; rows
-    without a bit (two thirds of the benchmark's residues) skip all of it.
+    a vector is in the row space iff its fold is in the span of the folded
+    rows, and vectors are independent modulo the row space iff their folds
+    are modulo that span.  This is the doubleton step of sparse presolve
+    (Andersen & Andersen, Math. Programming 1995).  Empty rows, and folded
+    rows whose bits cancel, are dropped before the folded rows are
+    eliminated; rows without a bit (two thirds of the benchmark's residues)
+    skip all of it.  The components are numbered in the order of their
+    last columns, which `kernel` reads.
     """
 
     def __init__(self, rows: Faces, cols: int):
@@ -194,7 +202,10 @@ class _RowSpace:
         if rows.idx.size:
             weight = rows.counts()
             start = rows.ptr[:-1][weight == 2]
-            self.component, n = _components(cols, rows.idx[start], rows.idx[start + 1])
+            component, n = _components(cols, rows.idx[start], rows.idx[start + 1])
+            last = np.zeros(n, dtype=np.int64)
+            np.maximum.at(last, component, np.arange(cols))
+            self.component = np.argsort(np.argsort(last))[component]
             owner = rows.owners()
             rest = weight[owner] != 2
             # each other row folded onto the components, repeats cancelling
@@ -209,6 +220,33 @@ class _RowSpace:
         space."""
         parity = np.bincount(self.component[np.flatnonzero(bits)], minlength=self.reduced.cols)
         return in_rowspace(self.reduced, self.pivots, Gf2Vector.from_dense(parity & 1))
+
+    def kernel(self) -> Faces:
+        """A basis of the vectors over the columns that every row meets
+        evenly, as CSR rows.  Such a vector is constant on each component,
+        so the basis is the kernel of the folded rows (`_kernel_rows` of
+        their RREF) spread over the components.  A component's last column
+        is a free column of the whole matrix's RREF iff the component is
+        free in the folded one, and no other column is, so these are the
+        rows `_kernel_rows` reads off the whole matrix's RREF, in order."""
+        kernel = _kernel_rows(self.reduced, self.pivots)
+        members = Faces.from_pairs(kernel.cols, self.component, np.arange(len(self.component)))
+        r, c = kernel.entries()
+        return Faces.from_pairs(kernel.rows, np.repeat(r, members.counts()[c]), members.take(c))
+
+    def independent(self, rows: Faces) -> np.ndarray:
+        """The indices of the CSR rows over the columns that lie outside the
+        row space and outside the span of the rows before them, ascending.
+        Folded onto the components, they are the pivot columns past the
+        folded span of one elimination of the transposed stack [RREF rows;
+        rows folded], which has a row per component."""
+        span = len(self.pivots)
+        r, c = self.reduced.entries()  # the nonzero rows are the first `span`
+        stack = Gf2Matrix.from_entries(self.reduced.cols, span + len(rows), np.column_stack((
+            np.concatenate((c, self.component[rows.idx])),
+            np.concatenate((r, rows.owners() + span)))))
+        picked = _rref_inplace(stack.data, stack.rows, stack.cols)
+        return np.array([p - span for p in picked if p >= span], dtype=np.int64)
 
 
 def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:

@@ -8,6 +8,10 @@ renumbered into a `Gf2Matrix` (`_kept_rows`).  The helpers are kept
 verbatim; the CSR checks of a code must give the same matrices bit for
 bit.
 
+``drop_redundant_m_rows`` is also the dense smooth-patch rule that
+`code.css_from_complex` ran (as `_drop_redundant_m_rows`, on CSR rows)
+until the rule moved to the residue of the non-M checks' chain reduction.
+
 ``checks_of`` turns a dense matrix into the CSR rows `CssCode` takes.
 
 ``residue_rref`` is the dense elimination `code._ChainReduction` ran on
@@ -28,6 +32,12 @@ eliminated whole, the representatives of each quotient picked by
 ``quotient_reps`` (with ``leading_bit`` and ``reduce``, the helper
 `gf2.in_rowspace` has since absorbed), then the same symplectic
 Gram-Schmidt.  Kept verbatim.
+
+``stack_basis`` is `code._ChainReduction.basis` as it ran before the
+residue's `_RowSpace` gave the kernel and the independent rows: the kernel
+rows of the residue's dense cut matrix, picked by one elimination of the
+transposed stack [residue's span matrix; kernel rows] over the live
+qubits, then the same lift.  Kept verbatim.
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ import numpy as np
 from fractalcss.code import CssCode, PauliOperator
 from fractalcss.complexes import CellComplex, Faces, label_is_e, label_is_m
 from fractalcss.gf2 import (
-    _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _rref_inplace, in_rowspace,
+    _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _rref_inplace, _unpack, in_rowspace,
 )
 
 
@@ -51,6 +61,30 @@ def residue_rref(rows: Faces, keep_rows, keep_cols) -> tuple[Gf2Matrix, list[int
     columns."""
     m = rows.restrict(keep_rows, keep_cols).matrix(int(keep_cols.sum()))
     return m, _rref_inplace(m.data, m.rows, m.cols)
+
+
+def stack_basis(red, kind: str) -> np.ndarray:
+    """The k representatives `red.basis(kind)` returns, as 0/1 rows over all
+    qubits, by the dense elimination of the residue's cut matrix and of the
+    transposed stack [residue's span matrix; kernel rows]."""
+    z = kind == "Z"
+    cut, span = (red.x_rows, red.z_rows) if z else (red.z_rows, red.x_rows)
+    cut_live, span_live = (red.live_x, red.live_z) if z else (red.live_z, red.live_x)
+    n = int(red.live.sum())
+    m = cut.restrict(cut_live, red.live).matrix(n)
+    cycles = _kernel_rows(m, _rref_inplace(m.data, m.rows, n))
+    span = span.restrict(span_live, red.live)
+    r, c = cycles.entries()
+    t = Faces.from_pairs(n, np.concatenate((span.idx, c)), np.concatenate(
+        (span.owners(), r + len(span)))).matrix(len(span) + cycles.rows)
+    picked = [p - len(span) for p in _rref_inplace(t.data, t.rows, t.cols) if p >= len(span)]
+    bits = np.zeros((len(picked), len(red.live)), dtype=np.uint8)
+    bits[:, red.live] = _unpack(cycles.data[picked], n)
+    for qubits, checks in reversed(red.x_rounds if z else red.z_rounds):
+        sizes = cut.counts()[checks]  # at least 1: a check holds its paired qubit
+        bits[:, qubits] ^= np.bitwise_xor.reduceat(
+            bits[:, cut.take(checks)], np.cumsum(sizes) - sizes, axis=1)
+    return bits
 
 
 def check_matrices(cx: CellComplex, i: int) -> tuple[Gf2Matrix, Gf2Matrix]:

@@ -234,25 +234,52 @@ def test_merge_level_writes_a_code(capsys, tmp_path):
     assert (rc, stdout) == (0, "n=92 k=1\n")
 
 
-def test_witness_failure_exit5(capsys, tmp_path):
-    """Seed 49 of the exact-distance audit (a 2D L = 4 torus whose e-hole
-    crosses the periodic seam): d_Z's witness fails its own check, an
-    internal fault that the CLI reports in one line with exit code 5."""
+def _audit_complex(seed: int, tmp_path):
+    """The complex file of a layout of the exact-distance audit (ROADMAP
+    item 1's recipe), and its dimension, size and background."""
     import random
 
     from fractalcss.complexes import code_lattice
     from test_arrays import _random_holes
 
-    rng = random.Random(49)
+    rng = random.Random(seed)
     n = rng.choice((2, 3, 4))
     L = rng.randint(2, {2: 6, 3: 4, 4: 2}[n])
     background = rng.choice(("open", "torus"))
-    assert (n, L, background) == (2, 4, "torus")
-    path = tmp_path / "seed49.cx"
+    path = tmp_path / f"seed{seed}.cx"
     path.write_text(code_lattice(n, L, background, holes=_random_holes(rng, n, L)).to_text())
-    rc, stdout, err = run(["distance", "--complex", str(path)], capsys)
+    return path, (n, L, background)
+
+
+def test_witness_failure_exit5(capsys, tmp_path, monkeypatch):
+    """A d_Z witness that fails its own check (here the shortest path with
+    its last qubit dropped) is an internal fault, which the CLI reports in
+    one line with exit code 5."""
+    import fractalcss.distance as distance
+
+    real_path = distance._path
+    monkeypatch.setattr(distance, "_path", lambda via, end: real_path(via, end)[:-1])
+    rc, stdout, err = run(["distance", "--dim", "3", "--p", "3", "--q", "1", "--level", "1",
+                           "--holes", "e"], capsys)
     assert rc == 5 and stdout == ""
     assert err == "internal error: WitnessError: shortest-path witness is not a Z-logical\n"
+
+
+@pytest.mark.parametrize("seed, shape, line", [
+    # the graph code's witness failed its check (exit 5)
+    (49, (2, 4, "torus"), "dz=2 dz_kind=exact dx=3 dx_kind=certified_above"),
+    # the graph code claimed dz=3, 6 and 3 exact
+    (224, (2, 3, "torus"), "dz=2 dz_kind=exact dx=3 dx_kind=exact"),
+    (994, (2, 6, "torus"), "dz=3 dz_kind=exact dx=1 dx_kind=exact"),
+    (1133, (3, 3, "torus"), "dz=2 dz_kind=exact dx=3 dx_kind=certified_above"),
+])
+def test_seam_touching_e_holes_fall_back_to_the_search(capsys, tmp_path, seed, shape, line):
+    """Audit layouts whose e-hole reaches a periodic seam: the shortest
+    path refuses them, and the CLI prints what the search certifies."""
+    path, got_shape = _audit_complex(seed, tmp_path)
+    assert got_shape == shape
+    rc, stdout, _ = run(["distance", "--complex", str(path), "--wmax", "3"], capsys)
+    assert (rc, stdout) == (0, line + "\n")
 
 
 def test_budget_exit3(capsys, monkeypatch):

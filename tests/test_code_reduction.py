@@ -262,7 +262,6 @@ def test_no_dense_elimination_of_the_check_matrices(monkeypatch):
     are contracted, none of them a row.  The grade-1 boundary (132 edges on
     no vertex) and the X residue (no check on 144 qubits) have no bit, and
     are not eliminated."""
-    import fractalcss.code as code_mod
     import fractalcss.gf2 as gf2
     import fractalcss.homology as homology
     from fractalcss.code import code_params
@@ -275,7 +274,7 @@ def test_no_dense_elimination_of_the_check_matrices(monkeypatch):
         shapes.append((rows, cols))
         return real(data, rows, cols)
 
-    for module in (gf2, code_mod, homology):
+    for module in (gf2, homology):
         monkeypatch.setattr(module, "_rref_inplace", spy)
     code = _fc(3, 4, 2, 2, "m")
     shapes.clear()  # the smooth-patch pruning of the construction

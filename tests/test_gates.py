@@ -46,12 +46,18 @@ def test_cz_identical_copies_fail_with_witness():
 
 
 def test_cz_trivial_code_vacuous():
+    """No checks: the stabilizer conditions hold vacuously.  The code has
+    k = 4, so the alignment names the logical X to test (without one the
+    check refuses: the basis would pick an arbitrary class)."""
     n = 4
     trivial = CssCode(
         n_qubits=n, x_checks=Faces.empty(0), z_checks=Faces.empty(0),
         grading=1, qubit_cells=list(range(n)), x_anchor_cells=[], source=None,
     )
-    align = align_identical([trivial, trivial])
+    with pytest.raises(ValueError, match="copy 0 has k = 4"):
+        check_transversal_cz(trivial, trivial, align_identical([trivial, trivial]))
+    x = PauliOperator.x_type(Gf2Vector.from_indices(n, [0]))
+    align = align_identical([trivial, trivial], [x, x])
     report = check_transversal_cz(trivial, trivial, align)
     stab_conds = [c for c in report.conditions if c.condition_id.startswith("CZ1")]
     assert all(c.passed for c in stab_conds)
@@ -272,6 +278,19 @@ def test_ccz_missing_logical_reported_not_applicable():
     report = check_transversal_ccz(*stack, align2)
     final = [c for c in report.conditions if c.condition_id == "CCZ2-logical-triple"][0]
     assert final.passed and "not applicable" in final.note
+
+
+def test_copy_with_several_logicals_and_none_aligned_raises():
+    """Copy 2 of the CCZ stack has k = 5 at L = 2: without the alignment's
+    logical X, the first of its logical basis would be an arbitrary class,
+    so the gate checks refuse it instead of testing that one."""
+    codes, align = build_vasmer_browne_stack(2)
+    align2 = align_identical(codes, [align.x_logicals[0], align.x_logicals[1], None])
+    with pytest.raises(ValueError, match="copy 2 has k = 5 and no logical X"):
+        check_transversal_ccz(*codes, align2)
+    with pytest.raises(ValueError, match="copy 2 has k = 5 and no logical X"):
+        check_transversal_cz(codes[0], codes[2], align2)
+    assert check_transversal_ccz(*codes, align).all_pass
 
 
 @pytest.mark.parametrize("L", [2, 3, 4, 5, 6])

@@ -265,8 +265,11 @@ def test_ccz_reports_with_permuted_and_missing_logicals_match_oracle():
         stack = [codes[t] for t in order]
         assert (check_transversal_ccz(*stack, align)
                 == oracle.check_transversal_ccz(*stack, align))
-    align.x_logicals[1] = None  # copy 1 falls back to its logical basis
+    align.x_logicals[0] = None  # copy 0 (k = 1) falls back to its logical basis
     assert check_transversal_ccz(*codes, align) == oracle.check_transversal_ccz(*codes, align)
+    align.x_logicals[1] = None  # copy 1 has k = 20: its basis names no one class
+    with pytest.raises(ValueError, match="copy 1 has k = 20 and no logical X"):
+        check_transversal_ccz(*codes, align)
 
 
 def test_small_chunks_match_oracle(monkeypatch):

@@ -9,6 +9,8 @@ qubits from one bulk vertex to a contracted terminal), torus seams with and
 without e-holes, and the seeded mixed hole layouts.
 """
 
+import random
+
 import pytest
 
 import distance_oracles as oracle
@@ -28,7 +30,7 @@ from fractalcss.distance import (
     exhaustive_low_weight,
 )
 from fractalcss.gates import build_vasmer_browne_stack
-from test_arrays import seeded_layout
+from test_arrays import _random_holes, seeded_layout
 
 
 def _layout(seed):
@@ -40,6 +42,16 @@ def _layout(seed):
     except ValueError:
         pass
     return css_from_complex(cx, 1)
+
+
+def _audit(seed):
+    """A layout of the exact-distance audit (ROADMAP item 1's recipe)."""
+    rng = random.Random(seed)
+    n = rng.choice((2, 3, 4))
+    L = rng.randint(2, {2: 6, 3: 4, 4: 2}[n])
+    background = rng.choice(("open", "torus"))
+    return css_from_complex(punch_holes(code_lattice(n, L, background),
+                                        _random_holes(rng, n, L)), 1)
 
 
 def _fc(n, p, q, level, holes="m", background="open"):
@@ -59,6 +71,7 @@ CODES = {
     **{f"fc31-l1-torus-{holes}": (lambda holes=holes: _fc(3, 3, 1, 1, holes, "torus"))
        for holes in ("m", "e")},
     **{f"layout{seed}": (lambda seed=seed: _layout(seed)) for seed in range(40)},
+    **{f"audit{seed}": (lambda seed=seed: _audit(seed)) for seed in (49, 224, 994, 1133)},
 }
 
 
@@ -86,6 +99,14 @@ _SHARED = "share one connected e-component; run exhaustive_low_weight instead"
 # of the OuterE class is heavier than the weight-1 X-logical of another.
 _ONE_CLASS = ("min-cut distance searches one logical class, but k = {}; "
               "run exhaustive_low_weight instead")
+# Torus layouts with an e-labelled cell whose box reaches 0 or the period on
+# a periodic axis: the contracted terminal straddles the seam, and the seam
+# cut can miss the lightest class.  Audit seed 49's witness failed its
+# check; seeds 224, 994 and 1133 claimed an exact d_Z of 3, 6 and 3 that the
+# search beats with 2, 3 and 2.  Layouts 0, 31 and 33 found the right value
+# (1), and layout 26 refused for another reason, but the graph cannot tell.
+_SEAM = ("PreconditionError", "an e-boundary reaches a periodic seam, which the seam cut "
+                              "cannot follow; run exhaustive_low_weight instead")
 REFUSALS = {
     ("layout5", "dz"): ((1, "exact", [], [17]),
                         ("PreconditionError", f"e-labels hE1 and hE2 {_SHARED}")),
@@ -98,6 +119,15 @@ REFUSALS = {
     ("layout22", "dx"): (("AssertionError", "min-cut witness is not an X-logical"),
                          ("PreconditionError", "the two OuterE components are disconnected "
                                                "(flow 0): no X-logical crosses between them")),
+    ("audit49", "dz"): (("AssertionError", "shortest-path witness is not a Z-logical"), _SEAM),
+    ("audit224", "dz"): ((3, "exact", [], [1, 4, 6]), _SEAM),
+    ("audit994", "dz"): ((6, "exact", [], [0, 1, 2, 3, 4, 5]), _SEAM),
+    ("audit1133", "dz"): ((3, "exact", [], [0, 5, 10]), _SEAM),
+    ("layout0", "dz"): ((1, "exact", [], [0]), _SEAM),
+    ("layout26", "dz"): (("PreconditionError", "need at least two e-boundary components or a "
+                                               "torus background"), _SEAM),
+    ("layout31", "dz"): ((1, "exact", [], [8]), _SEAM),
+    ("layout33", "dz"): ((1, "exact", [], [0]), _SEAM),
     ("sc31-l1", "dx"): ((2, "exact", [0, 3], []), ("PreconditionError", _ONE_CLASS.format(2))),
     ("sc31-l2", "dx"): ((4, "exact", [16, 27, 44, 51], []),
                         ("PreconditionError", _ONE_CLASS.format(8))),
@@ -120,6 +150,20 @@ def test_distances_match_oracle(name):
             assert _outcome(new, code) == now
         else:
             assert _outcome(new, code) == _outcome(old, code)
+
+
+# every seed of the audit (0-1499) whose shortest-path witness failed its
+# check; each is a torus with an e-boundary on a seam
+_WITNESS_FAILURES = (49, 86, 111, 281, 370, 528, 603, 857, 886, 944, 958, 998, 1028, 1138,
+                     1284, 1484, 1487)
+
+
+@pytest.mark.parametrize("seed", _WITNESS_FAILURES)
+def test_no_audit_seed_reaches_the_witness_check(seed):
+    code = _audit(seed)
+    assert _outcome(oracle.dz_shortest_path, code) == (
+        "AssertionError", "shortest-path witness is not a Z-logical")
+    assert _outcome(dz_shortest_path, code) == _SEAM
 
 
 @pytest.mark.parametrize("name, which", sorted(REFUSALS))

@@ -2,12 +2,17 @@
 (`homology._RowSpace`) against the dense elimination it replaced
 (`code_oracles.residue_rref`).
 
-The rank and the membership of vectors must agree on the X and Z residues
-of the reduced chain complex of every code of `test_code_reduction.CODES`
-(the FC ladder, the 40 seeded layouts, the tori and the colour codes) and
-on random CSR rows rich in weight-2 rows: repeated rows, cycles, rows whose
-fold cancels, isolated columns, no rows and no columns.  The components are
-checked against a union-find loop.
+The rank, the membership of vectors, the kernel basis (the rows
+`_kernel_rows` reads off the dense RREF, in order) and the rows picked as
+independent of the row space and of the rows before them (the pivot columns
+past the rows of the dense transposed stack [rows; candidates]) must agree
+on the X and Z residues of the reduced chain complex of every code of
+`test_code_reduction.CODES` (the FC ladder, the 40 seeded layouts, the tori
+and the colour codes) and on random CSR rows rich in weight-2 rows:
+repeated rows, cycles, rows whose fold cancels, isolated columns, no rows
+and no columns.  The components are checked against a union-find loop, and
+the logical basis the residues give against the dense route it replaced
+(`code_oracles.stack_basis`).
 """
 
 import numpy as np
@@ -18,9 +23,9 @@ from hypothesis import strategies as st
 import fractalcss.homology as homology
 from fractalcss.code import css_from_complex
 from fractalcss.complexes import Faces, FractalSpec, fractal_complex
-from fractalcss.gf2 import Gf2Vector, in_rowspace
+from fractalcss.gf2 import Gf2Vector, _kernel_rows, _rref_inplace, in_rowspace
 from fractalcss.homology import _components, _RowSpace
-from code_oracles import residue_rref
+from code_oracles import residue_rref, stack_basis
 from test_code_reduction import CODES
 
 
@@ -41,12 +46,27 @@ def _probes(rows: Faces, cols: int, rng, count: int = 8) -> list[np.ndarray]:
     return out
 
 
+def _dense_independent(rows: Faces, candidates: Faces, cols: int) -> list[int]:
+    """The candidates that are pivot columns of the transposed stack."""
+    t = Faces.from_pairs(cols, np.concatenate((rows.idx, candidates.idx)), np.concatenate(
+        (rows.owners(), candidates.owners() + len(rows)))).matrix(len(rows) + len(candidates))
+    return [p - len(rows) for p in _rref_inplace(t.data, t.rows, t.cols) if p >= len(rows)]
+
+
 def _assert_matches_dense(rows: Faces, cols: int, rng) -> None:
     space = _RowSpace(rows, cols)
     rref, pivots = residue_rref(rows, np.ones(len(rows), dtype=bool), np.ones(cols, dtype=bool))
     assert space.rank == len(pivots)
-    for bits in _probes(rows, cols, rng):
+    probes = _probes(rows, cols, rng)
+    for bits in probes:
         assert space.contains(bits) == in_rowspace(rref, pivots, Gf2Vector.from_dense(bits))
+    kernel = space.kernel()
+    assert kernel.matrix(cols) == _kernel_rows(rref, pivots)
+    # the kernel rows (as the logical basis asks), then the probes, each
+    # twice so a repeat is never independent
+    bits = np.array(probes + probes, dtype=np.uint8).reshape(2 * len(probes), cols)
+    for candidates in (kernel, Faces.from_pairs(len(bits), *np.nonzero(bits))):
+        assert space.independent(candidates).tolist() == _dense_independent(rows, candidates, cols)
 
 
 @pytest.mark.parametrize("name", sorted(CODES))
@@ -56,6 +76,14 @@ def test_residues_match_dense_oracle(name):
         red = code.reduction
         for rows, live in ((red.x_rows, red.live_x), (red.z_rows, red.live_z)):
             _assert_matches_dense(rows.restrict(live, red.live), int(red.live.sum()), rng)
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_basis_matches_stack_oracle(name):
+    """The same representatives, bit for bit, as the dense route."""
+    for code in CODES[name]():
+        for kind in "ZX":
+            assert np.array_equal(code.reduction.basis(kind), stack_basis(code.reduction, kind))
 
 
 def _union_find(n: int, a, b) -> list[int]:

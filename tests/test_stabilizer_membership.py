@@ -15,7 +15,6 @@ import hashlib
 import numpy as np
 import pytest
 
-import fractalcss.code as code_mod
 import fractalcss.gf2 as gf2
 import fractalcss.homology as homology
 from fractalcss.code import (
@@ -117,7 +116,7 @@ def _rref_shapes(monkeypatch) -> list[tuple[int, int]]:
         shapes.append((rows, cols))
         return real(data, rows, cols)
 
-    for module in (gf2, code_mod, homology):
+    for module in (gf2, homology):
         monkeypatch.setattr(module, "_rref_inplace", spy)
     return shapes
 
