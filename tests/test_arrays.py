@@ -84,6 +84,16 @@ def seeded_layout(seed: int) -> tuple[CellComplex, list[Hole], oracle.CellComple
     return new(n, L, background), holes, old(n, L, background)
 
 
+def audit_layout(seed: int) -> tuple[CellComplex, tuple[int, int, str]]:
+    """A layout of the exact-distance audit (ROADMAP item 1's recipe): the
+    punched code lattice and its (n, L, background)."""
+    rng = random.Random(seed)
+    n = rng.choice((2, 3, 4))
+    L = rng.randint(2, {2: 6, 3: 4, 4: 2}[n])
+    background = rng.choice(("open", "torus"))
+    return code_lattice(n, L, background, holes=_random_holes(rng, n, L)), (n, L, background)
+
+
 def punched(cx: CellComplex, holes: list[Hole], ref_base) -> CellComplex:
     """The punched complex; a layout the punch rejects (an e-patch left open)
     comes from the oracle punch, which still builds it."""

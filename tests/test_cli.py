@@ -237,18 +237,12 @@ def test_merge_level_writes_a_code(capsys, tmp_path):
 def _audit_complex(seed: int, tmp_path):
     """The complex file of a layout of the exact-distance audit (ROADMAP
     item 1's recipe), and its dimension, size and background."""
-    import random
+    from test_arrays import audit_layout
 
-    from fractalcss.complexes import code_lattice
-    from test_arrays import _random_holes
-
-    rng = random.Random(seed)
-    n = rng.choice((2, 3, 4))
-    L = rng.randint(2, {2: 6, 3: 4, 4: 2}[n])
-    background = rng.choice(("open", "torus"))
+    cx, shape = audit_layout(seed)
     path = tmp_path / f"seed{seed}.cx"
-    path.write_text(code_lattice(n, L, background, holes=_random_holes(rng, n, L)).to_text())
-    return path, (n, L, background)
+    path.write_text(cx.to_text())
+    return path, shape
 
 
 def test_witness_failure_exit5(capsys, tmp_path, monkeypatch):

@@ -9,8 +9,6 @@ qubits from one bulk vertex to a contracted terminal), torus seams with and
 without e-holes, and the seeded mixed hole layouts.
 """
 
-import random
-
 import pytest
 
 import distance_oracles as oracle
@@ -30,7 +28,7 @@ from fractalcss.distance import (
     exhaustive_low_weight,
 )
 from fractalcss.gates import build_vasmer_browne_stack
-from test_arrays import _random_holes, seeded_layout
+from test_arrays import audit_layout, seeded_layout
 
 
 def _layout(seed):
@@ -45,13 +43,7 @@ def _layout(seed):
 
 
 def _audit(seed):
-    """A layout of the exact-distance audit (ROADMAP item 1's recipe)."""
-    rng = random.Random(seed)
-    n = rng.choice((2, 3, 4))
-    L = rng.randint(2, {2: 6, 3: 4, 4: 2}[n])
-    background = rng.choice(("open", "torus"))
-    return css_from_complex(punch_holes(code_lattice(n, L, background),
-                                        _random_holes(rng, n, L)), 1)
+    return css_from_complex(audit_layout(seed)[0], 1)
 
 
 def _fc(n, p, q, level, holes="m", background="open"):
