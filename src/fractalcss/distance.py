@@ -517,6 +517,9 @@ def fit_scaling(points) -> ScalingFit:
     ys = np.log([d for _, d in points])
     if np.allclose(xs, xs[0]):
         return ScalingFit(tuple(points), 0.0, 0.0)
-    coeffs, residuals, *_ = np.polyfit(xs, ys, 1, full=True)
-    residual = float(residuals[0]) if len(residuals) else 0.0
-    return ScalingFit(tuple(points), float(coeffs[0]), residual)
+    # the closed form in elementwise sums, which needs no BLAS or LAPACK; two
+    # points fit exactly and, as np.polyfit, report no residual
+    dx, dy = xs - xs.mean(), ys - ys.mean()
+    slope = (dx * dy).sum() / (dx * dx).sum()
+    residual = ((dy - slope * dx) ** 2).sum() if len(points) > 2 else 0.0
+    return ScalingFit(tuple(points), float(slope), float(residual))

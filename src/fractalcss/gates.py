@@ -1,12 +1,12 @@
 """Transversal-gate condition checks and the lattice-merge algebra.
 
-The CZ/CCZ checks are pure intersection-parity tests over aligned code
-blocks: every pair (triple) built from X stabilizers must overlap on an
-even number of sites, pairs (triples) mixing stabilizers with logical-X
-representatives must be even, and the all-logical pair (triple) must be
-odd.  Failures always carry a witness.  The stabilizers and logicals are
-packed site sets (bit-packed rows), and a pair or triple is tested by the
-popcount parity of its AND, whole arrays of pairs at a time.
+A transversal C^pZ on p + 1 aligned code blocks (CZ for p = 1, CCZ for
+p = 2) rests on one intersection-parity rule.  Choose one row per copy,
+either an X stabilizer or the logical X, as a set of shared sites: every
+choice with a stabilizer must meet in an even number of sites, and the
+all-logical choice in an odd number (Vasmer & Browne, PRA 100, 012312,
+2019, for p = 2).  `_parity_failures` tests it on packed site sets, whole
+arrays of choices at a time, and every failure carries a witness.
 
 The three-copy stack follows the asymmetric cubic construction: copy 1 is
 the standard surface code on the lattice (weight-6 bulk vertex stabilizers,
@@ -38,7 +38,7 @@ from .code import (
     logical_basis,
 )
 from .complexes import CellComplex, Faces, Hole, code_lattice
-from .gf2 import _CHUNK_WORDS, Gf2Vector, _popcount
+from .gf2 import _CHUNK_WORDS, Gf2Vector
 
 
 class CertificateError(AssertionError):
@@ -75,10 +75,6 @@ class StackAlignment:
             rows.append(np.vstack([_stab_rows(self, copy), *logical]))
         return rows
 
-    def stab_rows(self, copy: int) -> np.ndarray:
-        """The X stabilizers of one copy as packed site sets."""
-        return self.x_rows[copy][: len(self.codes[copy].x_checks)]
-
     def sites_of(self, copy: int, support: Gf2Vector) -> frozenset[int]:
         mapping = self.qubit_site[copy]
         return frozenset(mapping[q] for q in support.indices())
@@ -89,9 +85,7 @@ def align_identical(codes: list[CssCode], x_logicals=None) -> StackAlignment:
     n = codes[0].n_qubits
     if any(c.n_qubits != n for c in codes):
         raise ValueError(f"codes of {[c.n_qubits for c in codes]} qubits cannot share sites")
-    return StackAlignment(
-        codes, n, [list(range(n)) for _ in codes], list(x_logicals or [])
-    )
+    return StackAlignment(codes, n, [list(range(n)) for _ in codes], list(x_logicals or []))
 
 
 def align_by_boxes(codes: list[CssCode]) -> StackAlignment:
@@ -138,16 +132,16 @@ class GateCheckReport:
             if c.note:
                 line += f" ({c.note})"
             for w in c.witnesses:
-                parts = " ".join(f"{k}={v}" for k, v in zip("abc", w[:-1]))
+                parts = " ".join(f"{chr(97 + t)}={v}" for t, v in enumerate(w[:-1]))
                 line += f" [witness: {parts} parity={w[-1]}]"
             lines.append(line)
         return "\n".join(lines) + "\n"
 
 
 def _site_row(align: StackAlignment, copy: int, support: Gf2Vector) -> np.ndarray:
-    """A support of one copy as a packed set of sites."""
+    """A support of one copy as a packed set of sites, one row."""
     sites = np.asarray(align.qubit_site[copy], dtype=np.int64)[support.indices()]
-    return Gf2Vector.from_indices(align.n_sites, sites).data
+    return Gf2Vector.from_indices(align.n_sites, sites).data[None]
 
 
 def _stab_rows(align: StackAlignment, copy: int) -> np.ndarray:
@@ -157,21 +151,16 @@ def _stab_rows(align: StackAlignment, copy: int) -> np.ndarray:
     return Faces(checks.ptr, sites).matrix(align.n_sites).data
 
 
-def _logical_row(align: StackAlignment, copy: int) -> np.ndarray | None:
-    """The copy's logical X as packed sites: the alignment's, else the one
-    of its logical basis when k = 1; None when k = 0.  With k > 1 the basis
-    names no particular class, so a copy without the alignment's logical
-    raises ValueError."""
+def _logical_rows(align: StackAlignment, copy: int) -> np.ndarray:
+    """The copy's logical X as none or one packed row: the alignment's, else
+    its basis's when k = 1.  With k > 1 the basis names no particular class,
+    so a copy without the alignment's logical raises ValueError."""
     x = align.x_logicals[copy] if copy < len(align.x_logicals) else None
-    if x is None:
-        xs = logical_basis(align.codes[copy])[1]
-        if len(xs) > 1:
-            raise ValueError(f"copy {copy} has k = {len(xs)} and no logical X in the "
-                             "alignment to test")
-        if not xs:
-            return None
-        x = xs[0]
-    return _site_row(align, copy, x.x_support)
+    xs = [x] if x is not None else logical_basis(align.codes[copy])[1]
+    if len(xs) > 1:
+        raise ValueError(f"copy {copy} has k = {len(xs)} and no logical X in the "
+                         "alignment to test")
+    return _site_row(align, copy, xs[0].x_support) if xs else align.x_rows[copy][:0]
 
 
 def _meeting(a: np.ndarray, b: np.ndarray, odd: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -191,93 +180,75 @@ def _meeting(a: np.ndarray, b: np.ndarray, odd: bool = True) -> tuple[np.ndarray
     return np.concatenate(out_i), np.concatenate(out_j)
 
 
-def check_transversal_cz(
-    a: CssCode, b: CssCode, align: StackAlignment
-) -> GateCheckReport:
-    """Intersection-parity conditions for a transversal CZ between two
-    aligned blocks: stabilizer pairs even, stabilizer/logical pairs even,
-    logical/logical odd."""
-    ia, ib = align.codes.index(a), align.codes.index(b)
-    stabs = {copy: align.stab_rows(copy) for copy in (ia, ib)}
-    logicals = {copy: _logical_row(align, copy) for copy in {ia, ib}}
+def _parity_failures(rows: list[tuple[np.ndarray, np.ndarray]]):
+    """The choices of one packed row per copy that break the p-fold rule,
+    copy t giving a row of rows[t][0] (its X stabilizers) or of rows[t][1]
+    (its logical X: one row or none).  Yields (roles, picks) per choice of
+    roles, True where a copy gives its logical, fewer logicals first: picks
+    holds the breaking choices' rows, a column per copy, in row-major
+    order.  The copies are folded by the sites they meet in, the logicals
+    (single rows) first, and the last is met for odd parity."""
+    options = [(False, True) if len(logical) else (False,) for _, logical in rows]
+    for roles in sorted(itertools.product(*options), key=sum):
+        order = sorted(range(len(rows)), key=lambda t: not roles[t])
+        chosen = [rows[t][roles[t]] for t in order]
+        meet, picks = chosen[0], [np.arange(len(chosen[0]))]
+        for t, part in enumerate(chosen[1:], 2):
+            i, j = _meeting(meet, part, odd=t == len(rows))
+            meet, picks = meet[i] & part[j], [p[i] for p in picks] + [j]
+        if not all(roles):
+            yield roles, np.array(picks)[np.argsort(order)].T
+        elif not len(picks[0]):  # the all-logical choice is even
+            yield roles, np.zeros((1, len(rows)), dtype=np.int64)
 
-    conds = []
-    si, sj = _meeting(stabs[ia], stabs[ib])
-    bad = [(f"X{i}", f"X{j}", 1) for i, j in zip(si[:8].tolist(), sj[:8].tolist())]
-    conds.append(ConditionResult("CZ1-stab-stab", not bad, tuple(bad)))
 
-    bad = []
-    for src, dst in ((ia, ib), (ib, ia)):
-        if logicals[dst] is not None:
-            bad += [(f"copy{src}:X{i}", f"copy{dst}:Xbar", 1)
-                    for i in _meeting(stabs[src], logicals[dst][None])[0].tolist()]
-    conds.append(ConditionResult("CZ1-stab-logical", not bad, tuple(bad[:8])))
+def _copies(align: StackAlignment, codes) -> list[int]:
+    """The alignment's positions of `codes`: each takes the first position
+    holding that object that no earlier one took, else the first holding it."""
+    taken: list[int] = []
+    for code in codes:
+        held = [t for t, c in enumerate(align.codes) if c is code] or [align.codes.index(code)]
+        taken.append(next((t for t in held if t not in taken), held[0]))
+    return taken
 
-    if logicals[ia] is None or logicals[ib] is None:
-        conds.append(
-            ConditionResult("CZ2-logical-logical", True, (), "not applicable: k = 0")
-        )
-    else:
-        p = _popcount(logicals[ia] & logicals[ib]) & 1
-        conds.append(
-            ConditionResult(
-                "CZ2-logical-logical", p == 1, () if p == 1 else (("Xbar", "Xbar", p),)
-            )
-        )
+
+def _parity_report(align: StackAlignment, codes, conditions, cap=None) -> GateCheckReport:
+    """The p-fold rule on the copies holding `codes`.  conditions[m] names
+    the choices with m logicals: (id, stabilizer label, logical label), a
+    label formatted with the copy, the row and the argument number n.  A
+    witness lists its stabilizers first; a condition keeps `cap` of them."""
+    copies = _copies(align, codes)
+    rows = [(align.x_rows[copy][: len(align.codes[copy].x_checks)], _logical_rows(align, copy))
+            for copy in copies]
+    found: list[list[tuple]] = [[] for _ in conditions]
+    for roles, picks in _parity_failures(rows):
+        m = sum(roles)
+        labels = [conditions[m][1 + role] for role in roles]
+        order = sorted(range(len(copies)), key=roles.__getitem__)  # the stabilizers first
+        found[m] += [tuple(labels[t].format(copy=copies[t], row=pick[t], n=t + 1) for t in order)
+                     + (int(m < len(copies)),) for pick in picks.tolist()]
+    conds = [ConditionResult(cid, not bad, tuple(bad[:cap]))
+             for (cid, *_), bad in zip(conditions, found)]
+    if not all(len(x) for _, x in rows):
+        conds[-1] = ConditionResult(conds[-1].condition_id, True, (), "not applicable: k = 0")
     return GateCheckReport(tuple(conds))
+
+
+def check_transversal_cz(a: CssCode, b: CssCode, align: StackAlignment) -> GateCheckReport:
+    """The p-fold rule for a transversal CZ, at most 8 witnesses each."""
+    return _parity_report(align, (a, b), (("CZ1-stab-stab", "X{row}", ""),
+        ("CZ1-stab-logical", "copy{copy}:X{row}", "copy{copy}:Xbar"),
+        ("CZ2-logical-logical", "", "Xbar")), cap=8)
 
 
 def check_transversal_ccz(
     a: CssCode, b: CssCode, c: CssCode, align: StackAlignment
 ) -> GateCheckReport:
-    """Triple intersection-parity conditions for a transversal CCZ.
-
-    Each copy's stabilizers and logical are packed site sets; a pair or
-    triple is tested by the parity of the popcount of its AND."""
-    idx = [align.codes.index(x) for x in (a, b, c)]
-    stabs = [align.stab_rows(i) for i in idx]
-    logicals = [_logical_row(align, i) for i in idx]
-    bars = [f"{i}:Xbar" for i in idx]
-
-    conds = []
-    si, sj = _meeting(stabs[0], stabs[1], odd=False)
-    pair, sk = _meeting(stabs[0][si] & stabs[1][sj], stabs[2])
-    bad = [(f"{idx[0]}:X{si[p]}", f"{idx[1]}:X{sj[p]}", f"{idx[2]}:X{k}", 1)
-           for p, k in zip(pair.tolist(), sk.tolist())]
-    conds.append(ConditionResult("CCZ1-stab-stab-stab", not bad, tuple(bad)))
-
-    bad = []
-    for which in range(3):
-        if logicals[which] is None:
-            continue
-        o0, o1 = [t for t in range(3) if t != which]
-        si, sj = _meeting(stabs[o0] & logicals[which], stabs[o1])
-        bad += [(f"{idx[o0]}:X{i}", f"{idx[o1]}:X{j}", bars[which], 1)
-                for i, j in zip(si.tolist(), sj.tolist())]
-    conds.append(ConditionResult("CCZ1-stab-stab-logical", not bad, tuple(bad)))
-
-    bad = []
-    for which in range(3):
-        o0, o1 = [t for t in range(3) if t != which]
-        if logicals[o0] is None or logicals[o1] is None:
-            continue
-        bad += [(f"{idx[which]}:X{i}", bars[o0], bars[o1], 1)
-                for i in _meeting(stabs[which], (logicals[o0] & logicals[o1])[None])[0].tolist()]
-    conds.append(ConditionResult("CCZ1-stab-logical-logical", not bad, tuple(bad)))
-
-    if any(l is None for l in logicals):
-        conds.append(
-            ConditionResult("CCZ2-logical-triple", True, (), "not applicable: k = 0")
-        )
-    else:
-        p = _popcount(logicals[0] & logicals[1] & logicals[2]) & 1
-        conds.append(
-            ConditionResult(
-                "CCZ2-logical-triple", p == 1,
-                () if p == 1 else (("Xbar1", "Xbar2", "Xbar3", p),),
-            )
-        )
-    return GateCheckReport(tuple(conds))
+    """The p-fold rule for a transversal CCZ."""
+    stab, bar = "{copy}:X{row}", "{copy}:Xbar"
+    return _parity_report(align, (a, b, c), (
+        ("CCZ1-stab-stab-stab", stab, bar), ("CCZ1-stab-stab-logical", stab, bar),
+        ("CCZ1-stab-logical-logical", stab, bar), ("CCZ2-logical-triple", stab, "Xbar{n}")))
 
 
 # -- the three-copy stack ------------------------------------------------------
@@ -416,7 +387,7 @@ class PhasePolyOperator:
     def diagonal_conjugated_by_x(self, x_support: frozenset[Coord]):
         """Conjugate the diagonal part by X on `x_support`: returns the
         leftover (sign, linear-Z set) relative to the original diagonal."""
-        sign = 0
+        sign = len(self.linear_z & x_support) & 1
         linear: set[Coord] = set()
         for pair in self.quadratic_cz:
             u, v = tuple(pair)
@@ -425,9 +396,6 @@ class PhasePolyOperator:
             if u in x_support:
                 linear ^= {v}
             if u in x_support and v in x_support:
-                sign ^= 1
-        for u in self.linear_z:
-            if u in x_support:
                 sign ^= 1
         return sign, frozenset(linear)
 
@@ -451,9 +419,7 @@ def conjugate_by_ccz(
         sites = align.sites_of(copy, s.z_support)
         return PhasePolyOperator(frozenset(), frozenset((t, copy) for t in sites))
     sites = align.sites_of(copy, s.x_support)
-    quad = frozenset(
-        frozenset(((t, others[0]), (t, others[1]))) for t in sites
-    )
+    quad = frozenset(frozenset(((t, others[0]), (t, others[1]))) for t in sites)
     flag = _cz_part_is_identity(sites, others, align)
     return PhasePolyOperator(frozenset((t, copy) for t in sites), frozenset(), quad, flag)
 
@@ -461,11 +427,12 @@ def conjugate_by_ccz(
 def _cz_part_is_identity(
     sites: frozenset[int], copies: tuple[int, int], align: StackAlignment
 ) -> bool:
-    """Parity test restricted to `sites`: the CZ brane is a logical identity
-    iff every stabilizer/logical pair of the two target copies meets it
-    evenly."""
+    """The CZ brane on `sites` is a logical identity iff every stabilizer or
+    logical of one target copy meets every one of the other evenly on it:
+    the rule for p = 1 on their rows cut to `sites`, logicals included."""
     cut = Gf2Vector.from_indices(align.n_sites, sites).data
-    return not _meeting(align.x_rows[copies[0]] & cut, align.x_rows[copies[1]])[0].size
+    rows = [align.x_rows[copies[0]] & cut, align.x_rows[copies[1]]]
+    return not any(len(p) for _, p in _parity_failures([(r, r[:0]) for r in rows]))
 
 
 def phase_polys_commute(o1: PhasePolyOperator, o2: PhasePolyOperator) -> bool:

@@ -193,8 +193,9 @@ class _RowSpace:
     (Andersen & Andersen, Math. Programming 1995).  Empty rows, and folded
     rows whose bits cancel, are dropped before the folded rows are
     eliminated; rows without a bit (two thirds of the benchmark's residues)
-    skip all of it.  The components are numbered in the order of their
-    last columns, which `kernel` reads.
+    skip all of it, and rows that are all edges skip the fold.  The
+    components are numbered in the order of their last columns, which
+    `kernel` reads.
     """
 
     def __init__(self, rows: Faces, cols: int):
@@ -206,12 +207,14 @@ class _RowSpace:
             last = np.zeros(n, dtype=np.int64)
             np.maximum.at(last, component, np.arange(cols))
             self.component = np.argsort(np.argsort(last))[component]
-            owner = rows.owners()
-            rest = weight[owner] != 2
-            # each other row folded onto the components, repeats cancelling
-            folded = Faces.from_pairs(len(rows), owner[rest], self.component[rows.idx[rest]])
-            folded = folded.restrict(folded.counts() > 0, np.ones(n, dtype=bool))
-            self.reduced = folded.matrix(n)
+            self.reduced = Gf2Matrix(0, n)
+            if ((weight != 0) & (weight != 2)).any():
+                owner = rows.owners()
+                rest = weight[owner] != 2
+                # each other row folded onto the components, repeats cancelling
+                folded = Faces.from_pairs(len(rows), owner[rest], self.component[rows.idx[rest]])
+                folded = folded.restrict(folded.counts() > 0, np.ones(n, dtype=bool))
+                self.reduced = folded.matrix(n)
             self.pivots = _rref_inplace(self.reduced.data, self.reduced.rows, n)
         self.rank = cols - n + len(self.pivots)
 

@@ -2,14 +2,19 @@
 search, membership and gate checks replaced.
 
 Each is the implementation the package had before, kept verbatim apart
-from its imports and two accessors it read (the word-by-word
-``Gf2Vector.indices`` and ``Gf2Matrix.row_indices``, both here).  The
+from its imports, two accessors it read (the word-by-word
+``Gf2Vector.indices`` and ``Gf2Matrix.row_indices``, both here) and the
+copies the gate checks test: they took each code's first position in the
+alignment, so an alignment holding one code twice had a copy tested
+against itself; they now take them by ``positions``.  The
 search raises the package's ``BudgetError`` with the weight it was working
 on, so that a test can compare what the two certified.  The package must
 return the same values, witnesses and reports bit for bit.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from fractalcss.code import CssCode, PauliOperator, is_x_logical, is_z_logical, logical_basis
 from fractalcss.distance import BudgetError, DistanceResult, search_budget
@@ -188,6 +193,17 @@ def logical_sites(align: StackAlignment, copy: int) -> frozenset[int] | None:
     return None
 
 
+def positions(align: StackAlignment, codes) -> list[int]:
+    """Each code's position in the alignment: the first holding that object
+    that no earlier code took, else the first holding it."""
+    out: list[int] = []
+    for code in codes:
+        held = [t for t, c in enumerate(align.codes) if c is code]
+        free = [t for t in held if t not in out]
+        out.append((free or held)[0])
+    return out
+
+
 def _parity(*site_sets: frozenset[int]) -> int:
     inter = site_sets[0]
     for s in site_sets[1:]:
@@ -198,7 +214,7 @@ def _parity(*site_sets: frozenset[int]) -> int:
 def check_transversal_cz(
     a: CssCode, b: CssCode, align: StackAlignment
 ) -> GateCheckReport:
-    ia, ib = align.codes.index(a), align.codes.index(b)
+    ia, ib = positions(align, (a, b))
     stabs = {ia: x_stab_sites(align, ia), ib: x_stab_sites(align, ib)}
     logicals = {ia: logical_sites(align, ia), ib: logical_sites(align, ib)}
     for copy in (ia, ib):
@@ -243,7 +259,7 @@ def check_transversal_cz(
 def check_transversal_ccz(
     a: CssCode, b: CssCode, c: CssCode, align: StackAlignment
 ) -> GateCheckReport:
-    idx = [align.codes.index(x) for x in (a, b, c)]
+    idx = positions(align, (a, b, c))
     stabs = [x_stab_sites(align, i) for i in idx]
     logicals = []
     for i in idx:
@@ -324,3 +340,23 @@ def cz_part_is_identity(
             if len(cut & sc) & 1:
                 return False
     return True
+
+
+def parity_failures(align: StackAlignment, copies: list[int]) -> list[set]:
+    """The p-fold rule by brute force over the copies at `copies`: every
+    choice of one X stabilizer or the logical X per copy.  Per count m of
+    logicals in a choice, the set of choices that break the rule, each as
+    (rows, parity) with rows[t] the stabilizer row of copy t or None for
+    its logical."""
+    options = []
+    for copy in copies:
+        opts = list(enumerate(x_stab_sites(align, copy)))
+        logical = logical_sites(align, copy)
+        options.append(opts + ([(None, logical)] if logical is not None else []))
+    failures: list[set] = [set() for _ in range(len(copies) + 1)]
+    for choice in itertools.product(*options):
+        p = _parity(*(sites for _, sites in choice))
+        m = sum(row is None for row, _ in choice)
+        if p != (m == len(copies)):
+            failures[m].add((tuple(row for row, _ in choice), p))
+    return failures

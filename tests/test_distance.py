@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import fractalcss
@@ -151,6 +152,22 @@ def test_fit_scaling_linear():
 def test_fit_scaling_degenerate_points():
     fit = fit_scaling([(3, 8), (3, 8)])
     assert fit.exponent == 0.0 and fit.residual == 0.0
+
+
+def test_fit_scaling_matches_polyfit():
+    """The closed form agrees with np.polyfit's slope and residual within
+    1e-12 on random point sets; two points report no residual, as there."""
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        points = [(float(L), float(d)) for L, d in
+                  zip(rng.uniform(1, 100, int(rng.integers(2, 8))), rng.uniform(1, 1000, 8))]
+        fit = fit_scaling(points)
+        xs, ys = np.log(np.array(points)).T
+        coeffs, residuals, *_ = np.polyfit(xs, ys, 1, full=True)
+        assert np.isclose(fit.exponent, coeffs[0], rtol=1e-12, atol=1e-12)
+        want = float(residuals[0]) if len(residuals) else 0.0
+        assert np.isclose(fit.residual, want, rtol=1e-12, atol=1e-12)
+        assert (fit.residual == 0.0) == (len(points) == 2)
 
 
 def test_fit_scaling_rejects_nonpositive():

@@ -63,6 +63,30 @@ def test_cz_trivial_code_vacuous():
     assert all(c.passed for c in stab_conds)
 
 
+def test_one_code_object_in_several_copies_is_checked_by_position():
+    """An alignment holding one code object in two or three copies tests
+    its copies, not copy 0 against itself: here the logicals X0 and X1
+    meet in no site, so the logical pair and triple fail, as they do with
+    distinct code objects."""
+    n = 4
+
+    def bare():
+        return CssCode(
+            n_qubits=n, x_checks=Faces.empty(0), z_checks=Faces.empty(0),
+            grading=1, qubit_cells=list(range(n)), x_anchor_cells=[], source=None,
+        )
+
+    t, u = bare(), bare()
+    x0, x1 = (PauliOperator.x_type(Gf2Vector.from_indices(n, [q])) for q in (0, 1))
+    report = check_transversal_cz(t, t, align_identical([t, t], [x0, x1]))
+    assert report.to_text().splitlines()[-1] == (
+        "COND CZ2-logical-logical FAIL [witness: a=Xbar b=Xbar parity=0]")
+    assert report == check_transversal_cz(t, u, align_identical([t, u], [x0, x1]))
+    report = check_transversal_ccz(t, t, t, align_identical([t, t, t], [x0, x1, x0]))
+    assert report.to_text().splitlines()[-1] == (
+        "COND CCZ2-logical-triple FAIL [witness: a=Xbar1 b=Xbar2 c=Xbar3 parity=0]")
+
+
 def test_cz_k0_code_reported_not_applicable():
     """Every qubit's X measured: k = 0, so the logical pair is not applicable,
     and the report says so."""

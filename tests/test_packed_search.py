@@ -1,7 +1,8 @@
 """Differential tests of the packed-word paths against the loops they
 replaced (``search_oracles``): the exhaustive search with its budget
-cut-off, row-space membership, and the CZ/CCZ conditions with the CCZ
-phase-polynomial identity flag.  Every result must match bit for bit:
+cut-off, row-space membership, the CZ/CCZ conditions with the CCZ
+phase-polynomial identity flag, and the p-fold parity rule at p = 3
+against a brute force of all 4-fold parities.  Every result must match bit for bit:
 values, kinds, witness supports, the weight a BudgetError certifies, and
 whole gate reports.  The logical basis, which now comes from the code's
 chain reduction, must lie in the cosets of the dense route's
@@ -17,9 +18,10 @@ import fractalcss.gates as gates_mod
 import fractalcss.gf2 as gf2_mod
 import code_oracles
 import search_oracles as oracle
-from fractalcss.code import css_from_complex, logical_basis
+from fractalcss.code import CssCode, PauliOperator, css_from_complex, logical_basis
 from fractalcss.colorcode import build_color_code_2d
 from fractalcss.complexes import (
+    Faces,
     FractalSpec,
     build_lattice,
     code_lattice,
@@ -30,7 +32,9 @@ from fractalcss.complexes import (
 from fractalcss.distance import BudgetError, _adjacent_pairs, exhaustive_low_weight
 from fractalcss.gates import (
     _cz_part_is_identity,
+    _parity_report,
     align_by_boxes,
+    align_identical,
     build_vasmer_browne_stack,
     check_transversal_ccz,
     check_transversal_cz,
@@ -242,12 +246,14 @@ def test_ccz_and_cz_reports_match_oracle(name, L, holes):
     for a, b in ((0, 1), (1, 2), (2, 0), (1, 1)):
         assert (check_transversal_cz(codes[a], codes[b], align)
                 == oracle.check_transversal_cz(codes[a], codes[b], align))
+    bare = align_identical(codes)  # the same stack without its logicals
     for copy, code in enumerate(codes):
         others = tuple(t for t in range(3) if t != copy)
         for r in range(code.hx.rows):
             sites = oracle.sites_of(align, copy, code.hx.row(r))
-            assert (_cz_part_is_identity(sites, others, align)
-                    == oracle.cz_part_is_identity(sites, others, align))
+            for stack in (align, bare):
+                assert (_cz_part_is_identity(sites, others, stack)
+                        == oracle.cz_part_is_identity(sites, others, stack))
 
 
 @pytest.mark.parametrize("L", range(2, 7))
@@ -284,3 +290,74 @@ def test_small_chunks_match_oracle(monkeypatch):
             == oracle.check_transversal_cz(codes[0], codes[1], align))
     for code in (_merged(2), *codes):
         _assert_oracle_cosets(code)
+
+
+# The p-fold rule at p = 3, a C^3Z on four copies: condition m holds the
+# choices with m logicals.
+C3Z = tuple((f"C3Z-{m}", "{copy}:X{row}", "{copy}:Xbar") for m in range(4)) + (
+    ("C3Z-4", "", "Xbar{n}"),)
+
+
+def _four_copies(code, logicals):
+    """A p = 3 report on four copies of one code object, with `logicals`."""
+    xs = [PauliOperator.x_type(x) for x in logicals]
+    align = align_identical([code] * 4, xs)
+    return align, _parity_report(align, [code] * 4, C3Z)
+
+
+def _assert_matches_brute_force(align, report):
+    """Each condition lists exactly the brute force's failing choices, and
+    holds iff there are none."""
+    for cond, want in zip(report.conditions, oracle.parity_failures(align, [0, 1, 2, 3])):
+        got = set()
+        for *labels, parity in cond.witnesses:
+            if labels == ["Xbar1", "Xbar2", "Xbar3", "Xbar4"]:
+                got.add(((None,) * 4, parity))
+                continue
+            rows = {}
+            for label in labels:
+                copy, _, row = label.partition(":X")
+                rows[int(copy)] = None if row == "bar" else int(row)
+            got.add((tuple(rows[t] for t in range(4)), parity))
+        assert len(got) == len(cond.witnesses) and got == want, cond.condition_id
+        assert cond.passed == (not want)
+
+
+def _random_code(rng, n, checks, density=0.4):
+    rows, cols = np.nonzero(rng.random((checks, n)) < density)
+    return CssCode(n_qubits=n, x_checks=Faces.from_pairs(checks, rows, cols),
+                   z_checks=Faces.empty(0), grading=1, qubit_cells=list(range(n)),
+                   x_anchor_cells=[], source=None)
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_four_fold_rule_matches_brute_force_on_random_rows(seed):
+    """Random X checks and random logical rows, dense and sparse: each
+    condition both holds and fails on some seeds."""
+    rng = np.random.default_rng(seed)
+    density = (0.4, 0.1)[seed % 2]
+    code = _random_code(rng, int(rng.integers(6, 14)), int(rng.integers(2, 6)), density)
+    logicals = [Gf2Vector.from_dense(rng.random(code.n_qubits) < 2 * density) for _ in range(4)]
+    _assert_matches_brute_force(*_four_copies(code, logicals))
+
+
+def test_four_fold_rule_matches_brute_force_on_cube_code():
+    """Four copies of the L = 2 cube code, whose logical X are given as
+    four distinct representatives of its one class."""
+    code = css_from_complex(code_lattice(3, 2), 1)
+    x = logical_basis(code)[1][0].x_support
+    logicals = [x, x ^ code.hx.row(0), x ^ code.hx.row(1), x ^ code.hx.row(0) ^ code.hx.row(2)]
+    align, report = _four_copies(code, logicals)
+    _assert_matches_brute_force(align, report)
+    assert [len(c.witnesses) for c in report.conditions] != [0] * 5
+
+
+def test_four_copy_witness_text():
+    """A witness of four copies prints all four, a to d."""
+    rng = np.random.default_rng(3)
+    code = _random_code(rng, 10, 4)
+    logicals = [Gf2Vector.from_dense(rng.random(10) < 0.6) for _ in range(4)]
+    report = _four_copies(code, logicals)[1]
+    cond = next(c for c in report.conditions[1:4] if c.witnesses)
+    a, b, c, d, parity = cond.witnesses[0]
+    assert f"[witness: a={a} b={b} c={c} d={d} parity={parity}]" in report.to_text()
