@@ -80,18 +80,21 @@ class PauliOperator:
 @dataclass
 class CssCode:
     """The checks in CSR form: row r of `x_checks` (`z_checks`) lists the
-    qubits of the r-th X (Z) check, ascending."""
+    qubits of the r-th X (Z) check, ascending.  `qubit_cells` and
+    `x_anchor_cells` are int64 arrays; any integer sequence is taken."""
 
     n_qubits: int
     x_checks: Faces
     z_checks: Faces
     grading: int
-    qubit_cells: list[int]
-    x_anchor_cells: list[int]
+    qubit_cells: np.ndarray
+    x_anchor_cells: np.ndarray
     # the complex whose label-driven code the checks are, if any
     source: CellComplex | None = None
 
     def __post_init__(self):
+        self.qubit_cells = np.asarray(self.qubit_cells, dtype=np.int64)
+        self.x_anchor_cells = np.asarray(self.x_anchor_cells, dtype=np.int64)
         for checks in (self.x_checks, self.z_checks):
             if checks.idx.size and not 0 <= checks.idx.min() <= checks.idx.max() < self.n_qubits:
                 raise AssertionError(f"check columns outside the {self.n_qubits} qubits")
@@ -115,6 +118,12 @@ class CssCode:
     def reduction(self) -> "_ChainReduction":
         return _ChainReduction(self.x_checks, self.z_checks, self.n_qubits,
                                self.__dict__.pop("_qubit_z", None))
+
+    # The one qubit graph of the code: d_Z, d_X and their refusals read it.
+    @cached_property
+    def _qubit_graph(self):
+        from .distance import _QubitGraph
+        return _QubitGraph(self)
 
 
 class _ChainReduction:
@@ -244,8 +253,8 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
         x_checks=x_checks.restrict(keep_x, every),
         z_checks=z_checks.restrict(keep_z, every),
         grading=i,
-        qubit_cells=np.flatnonzero(qubit).tolist(),
-        x_anchor_cells=np.flatnonzero(x_anchor)[keep_x].tolist(),
+        qubit_cells=np.flatnonzero(qubit),
+        x_anchor_cells=np.flatnonzero(x_anchor)[keep_x],
         source=cx,
     )
 
@@ -403,7 +412,7 @@ def check_matrix_text(code: CssCode, which: str) -> str:
 
 def code_blocks(code: CssCode) -> Iterator[bytes | memoryview]:
     """`code_to_text` as UTF-8 blocks, the 0/1 rows a few MB at a time."""
-    n, cells = code.n_qubits, np.asarray(code.qubit_cells, dtype=np.int64)
+    n, cells = code.n_qubits, code.qubit_cells
     yield f"csscode v1\nnqubits {n} i {code.grading}\n".encode()
     for word, checks in (("HX", code.x_checks), ("HZ", code.z_checks)):
         yield f"{word}\ngf2matrix v1\n{len(checks)} {n}\n".encode()
@@ -494,7 +503,7 @@ def _line_at(raw: bytes, word: str) -> int:
     return at
 
 
-def _read_qubitmap(raw: bytes, n: int) -> list[int]:
+def _read_qubitmap(raw: bytes, n: int) -> np.ndarray:
     """The cells of the lines ``q <j> -> cell <c>``, the j-th non-blank line
     naming qubit j; malformed input raises ValueError."""
     tok = Tokens(raw)
@@ -510,4 +519,4 @@ def _read_qubitmap(raw: bytes, n: int) -> list[int]:
     index = first_false(tok.is_int(tok.column(1), np.arange(n)))
     if index < n:
         raise ValueError(f"expected 'q {index} -> cell <c>', got {tok.line_text(index)!r}")
-    return cells.tolist()
+    return cells

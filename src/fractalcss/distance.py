@@ -6,13 +6,20 @@ to a terminal, edges = qubit 1-cells) and the X-distance of the two-terminal
 open-cube geometry is the minimum edge cut between the e-components,
 computed by Dinic's unit-capacity max-flow.
 
-The graph is built once, as CSR arrays: arcs 2j and 2j + 1 run both ways
+The graph is built once per code and held by it (`CssCode._qubit_graph`,
+as the code holds its chain reduction), so d_Z, d_X and their refusals
+read one graph.  It is int32 CSR arrays: arcs 2j and 2j + 1 run both ways
 along the j-th non-loop qubit, so the reverse of arc a is a ^ 1, and each
 node lists its out-arcs in ascending qubit order.  One breadth-first search
-with an optional per-arc filter serves the terminal-to-terminal paths, the
-torus seams (the seam's qubits masked), Dinic's level graph (residual
-capacity > 0) and the source side of the min cut; the fixed arc order makes
-the path and cut witnesses reproducible.
+with an optional boolean per-arc filter serves the terminal-to-terminal
+paths, the torus seams (the seam's qubits masked), Dinic's level graph
+(residual capacity > 0) and the source side of the min cut.  It expands a
+whole level at a time as arrays (Beamer, Asanovic & Patterson, SC 2012),
+each new node keeping the first arc into it in the order a queue-driven
+search would meet them, so the fixed arc order makes the path and cut
+witnesses reproducible.  Dinic's blocking flow stays a depth-first search
+over unit capacities (Even & Tarjan, SIAM J. Comput. 1975), reading the
+arrays through memoryviews.
 
 The general-grading fallback enumerates connected candidate supports of
 bounded weight.  Two qubits count as connected when they share a check of
@@ -26,13 +33,13 @@ runs out of its node budget reports the weight it had certified.
 
 Both exact methods refuse with `PreconditionError` when two e-labels
 share one connected e-component (contracted per label, a path between them
-may be a stabilizer), and the min cut when its two terminals are
-disconnected (flow 0) or when k != 1 (the cut is the lightest X-logical of
-one class only; the m-holes of a 2D fractal add classes with a lighter
-one).  The shortest path also refuses a torus with an e-labelled cell whose
-box reaches 0 or the period on a periodic axis: the contracted terminal
-then straddles the seam, and the seam cut misses classes.  Callers then
-fall back to the search.
+may be a stabilizer), and the min cut when k != 1 (the cut is the lightest
+X-logical of one class only; the m-holes of a 2D fractal add classes with
+a lighter one), tested before the flow runs, or when its two terminals
+are disconnected (flow 0).  The shortest path also refuses a torus with an
+e-labelled cell whose box reaches 0 or the period on a periodic axis: the
+contracted terminal then straddles the seam, and the seam cut misses
+classes.  Callers then fall back to the search.
 Every exact result's witness is re-verified independently: zero syndrome
 against the opposite-type checks and membership outside the stabilizer
 row-space.  A witness that fails raises `WitnessError`.
@@ -41,7 +48,6 @@ row-space.  A witness that fails raises `WitnessError`.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,7 +117,8 @@ class _QubitGraph:
     Qubit q joins nodes u[q] and v[q] (equal for a loop).  Arcs 2j and
     2j + 1 run both ways along the j-th non-loop qubit, `qubit[j]`, so the
     reverse of arc a is a ^ 1 and it ends at `head[a]`.  The out-arcs of
-    node x are `arcs[ptr[x]:ptr[x + 1]]`, in ascending qubit order.
+    node x are `arcs[ptr[x]:ptr[x + 1]]`, in ascending qubit order.  Every
+    one of these is an int32 array.
     """
 
     def __init__(self, code: CssCode):
@@ -124,13 +131,11 @@ class _QubitGraph:
         # node per 0-cell: bulk vertices in order, then one per e-label
         is_e = cx.label_mask(0, label_is_e)
         codes = cx.labels[0][is_e]
-        self.terminal_labels: list[str] = sorted(
-            {cx.label_names[c] for c in np.unique(codes).tolist()}
-        )
+        self.terminal_labels: list[str] = sorted({cx.label_names[c] for c in np.unique(codes)})
         self.n_bulk = int(len(is_e) - is_e.sum())
         self.n_nodes = self.n_bulk + len(self.terminal_labels)
         terminal = {label: self.n_bulk + t for t, label in enumerate(self.terminal_labels)}
-        node = np.cumsum(~is_e) - 1
+        node = np.cumsum(~is_e, dtype=np.int32) - 1
         node[is_e] = np.array([terminal.get(name, 0) for name in cx.label_names])[codes]
         # the labels at the ends of the first e-edge that joins two labels
         # into one e-component, if any
@@ -139,21 +144,23 @@ class _QubitGraph:
         a, b = (node[ends.idx[ends.ptr[e_edge] + i]] for i in (0, 1))
         j = np.flatnonzero((a >= self.n_bulk) & (b >= self.n_bulk) & (a != b))[:1]
         self.shared = sorted(self.terminal_labels[t - self.n_bulk]
-                             for t in np.concatenate((a[j], b[j])).tolist())
+                             for t in np.concatenate((a[j], b[j])))
         # edge ends: the first two faces of each qubit edge; an edge with one
         # face (a wrap edge collapsed mod 2) is a loop, one with none (0, 0)
         first = ends.ptr[code.qubit_cells]
         count = ends.counts()[code.qubit_cells]
-        node_at = np.append(node[ends.idx], 0)  # the 0 past the end: no face
+        node_at = np.append(node[ends.idx], np.int32(0))  # the 0 past the end: no face
         last = len(ends.idx)
         self.u = np.where(count >= 1, node_at[np.minimum(first, last)], 0)
         self.v = np.where(count >= 2, node_at[np.minimum(first + 1, last)], self.u)
-        qubit = np.flatnonzero(self.u != self.v)
-        tail = np.column_stack((self.u[qubit], self.v[qubit]))
-        out = Faces.from_pairs(self.n_nodes, tail.ravel(), np.arange(tail.size))
-        self.qubit = qubit.tolist()
-        self.head = tail[:, ::-1].ravel().tolist()
-        self.ptr, self.arcs = out.ptr.tolist(), out.idx.tolist()
+        self.qubit = np.flatnonzero(self.u != self.v).astype(np.int32)
+        tail = np.column_stack((self.u[self.qubit], self.v[self.qubit]))
+        self.head = tail[:, ::-1].ravel()
+        # arcs grouped by tail, ascending within a node (stable order)
+        tail = tail.ravel()
+        self.arcs = np.argsort(tail, kind="stable").astype(np.int32)
+        self.ptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
+        np.cumsum(np.bincount(tail, minlength=self.n_nodes), out=self.ptr[1:])
 
     def require_separate_terminals(self) -> None:
         """Refuse a graph in which two e-labels share one connected
@@ -168,29 +175,36 @@ class _QubitGraph:
     def terminal_node(self, label: str) -> int:
         return self.n_bulk + self.terminal_labels.index(label)
 
-    def bfs(self, source: int, usable=None, depth=None) -> tuple[list[int], list[int]]:
+    def bfs(self, source: int, usable=None, depth=None) -> tuple[np.ndarray, np.ndarray]:
         """Breadth-first search from `source` along the arcs a with a true
-        `usable[a]` (every arc when None), each node's arcs in order: the
-        distance per node, -1 where unreachable, and the arc that reached
-        each node, -1 at the source and where unreachable.  With a `depth`
-        no node at that distance or past it is expanded, so only the nodes
-        within it are reached, each by the arc the full search takes."""
-        ptr, arcs, head = self.ptr, self.arcs, self.head
-        dist = [-1] * self.n_nodes
-        via = [-1] * self.n_nodes
+        `usable[a]` (a boolean array; every arc when None): the distance per
+        node, -1 where unreachable, and the arc that reached each node, -1
+        at the source and where unreachable, as int32 arrays.  With a
+        `depth` no node at that distance or past it is expanded, so only the
+        nodes within it are reached.
+
+        The search expands one level at a time: the out-arcs of the
+        frontier, node by node in frontier order and each node's in order,
+        and each new node keeps the first of them that reaches it, so the
+        distances and arcs are those of a queue-driven search, and the next
+        frontier is in the order that search would queue it."""
+        dist = np.full(self.n_nodes, -1, dtype=np.int32)
+        via = np.full(self.n_nodes, -1, dtype=np.int32)
         dist[source] = 0
-        dq = deque([source])
-        while dq:
-            x = dq.popleft()
-            d = dist[x] + 1
-            if depth is not None and d > depth:
-                break  # the queue holds nodes in order of distance
-            for a in arcs[ptr[x] : ptr[x + 1]]:
-                y = head[a]
-                if dist[y] < 0 and (usable is None or usable[a]):
-                    dist[y] = d
-                    via[y] = a
-                    dq.append(y)
+        frontier = np.array([source])
+        d = 0
+        while len(frontier) and (depth is None or d < depth):
+            d += 1
+            out = self.arcs[_ranges(self.ptr[frontier], self.ptr[frontier + 1])]
+            if usable is not None:
+                out = out[usable[out]]
+            y = self.head[out]
+            new = dist[y] < 0
+            out, y = out[new], y[new]
+            first = np.sort(np.unique(y, return_index=True)[1])
+            frontier = y[first]
+            dist[frontier] = d
+            via[frontier] = out[first]
         return dist, via
 
 
@@ -199,10 +213,10 @@ def _path(via, end: int) -> list[int]:
     `via` is the graph and the arc into each node that its `bfs` returned."""
     g, into = via
     out = []
-    a = into[end]
+    a = int(into[end])
     while a >= 0:
-        out.append(g.qubit[a >> 1])
-        a = into[g.head[a ^ 1]]
+        out.append(int(g.qubit[a >> 1]))
+        a = int(into[g.head[a ^ 1]])
     return out[::-1]
 
 
@@ -228,7 +242,7 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
     open and the two copies of the seam are path-connected, giving the
     shortest non-contractible cycle per generator.
     """
-    g = _QubitGraph(code)
+    g = code._qubit_graph
     g.require_separate_terminals()
     cx = code.source
     if _reaches_a_seam(cx):
@@ -242,12 +256,13 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
             dist, via = g.bfs(g.n_bulk + t, depth=None if best is None else best[0] - 1)
             for t2 in range(t + 1, len(g.terminal_labels)):
                 node = g.n_bulk + t2
-                if dist[node] >= 0 and (best is None or dist[node] < best[0]):
-                    best = (dist[node], _path((g, via), node))
+                d = int(dist[node])
+                if d >= 0 and (best is None or d < best[0]):
+                    best = (d, _path((g, via), node))
     if all(p is not None for p in cx.periods):
         for axis in range(cx.dim):
             in_seam = cx.cells[1][code.qubit_cells, axis, 1] == cx.periods[axis]
-            off_seam = np.repeat(~in_seam[g.qubit], 2).tolist()
+            off_seam = np.repeat(~in_seam[g.qubit], 2)
             for q in np.flatnonzero(in_seam).tolist():
                 u, v = int(g.u[q]), int(g.v[q])
                 if u == v:
@@ -256,7 +271,7 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
                     continue
                 dist, via = g.bfs(u, off_seam, None if best is None else best[0] - 2)
                 if dist[v] >= 0:
-                    total = dist[v] + 1
+                    total = int(dist[v]) + 1
                     if best is None or total < best[0]:
                         best = (total, _path((g, via), v) + [q])
     if best is None:
@@ -276,17 +291,22 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
 # -- min cut -----------------------------------------------------------------
 
 
-def _max_flow(g: _QubitGraph, s: int, t: int) -> tuple[int, bytearray]:
+def _max_flow(g: _QubitGraph, s: int, t: int) -> tuple[int, np.ndarray]:
     """Dinic's max-flow from s to t with capacity 1 along each qubit, either
-    way: the flow value and the final residual capacity per arc."""
-    ptr, arcs, head = g.ptr, g.arcs, g.head
-    cap = bytearray(b"\x01") * len(head)
+    way: the flow value and the final residual capacity per arc (uint8).
+    The level graph is a `bfs` along the arcs with capacity left; the
+    blocking flow's depth-first search reads the int32 arrays through
+    memoryviews."""
+    ptr, arcs, head = (memoryview(x) for x in (g.ptr, g.arcs, g.head))
+    residual = np.ones(len(g.head), dtype=np.uint8)
+    cap = memoryview(residual)
     flow = 0
     while True:
-        level = g.bfs(s, cap)[0]
+        level = g.bfs(s, residual.view(bool))[0]
         if level[t] < 0:
-            return flow, cap
-        at = ptr[:-1]  # the next out-arc position to try, per node
+            return flow, residual
+        level = memoryview(level)
+        at = memoryview(g.ptr[:-1].copy())  # the next out-arc position to try, per node
         path = []  # the arcs from s, searched depth first
         while True:
             x = head[path[-1]] if path else s
@@ -316,7 +336,7 @@ def dx_min_cut(code: CssCode) -> DistanceResult:
     separating the two e-components; the witness is the canonical
     source-side residual cut.
     """
-    g = _QubitGraph(code)
+    g = code._qubit_graph
     cx = code.source
     if cx.background != "open":
         raise PreconditionError("min-cut distance needs the open-cube background")
@@ -327,16 +347,16 @@ def dx_min_cut(code: CssCode) -> DistanceResult:
             "m-boundaries elsewhere; run exhaustive_low_weight instead"
         )
     g.require_separate_terminals()
-    s = g.terminal_node(outer_e[0])
-    value, cap = _max_flow(g, s, g.terminal_node(outer_e[1]))
-    if not value:
-        raise PreconditionError("the two OuterE components are disconnected (flow 0): "
-                                "no X-logical crosses between them")
     if code.reduction.k != 1:
         raise PreconditionError(f"min-cut distance searches one logical class, but k = "
                                 f"{code.reduction.k}; run exhaustive_low_weight instead")
+    s = g.terminal_node(outer_e[0])
+    value, residual = _max_flow(g, s, g.terminal_node(outer_e[1]))
+    if not value:
+        raise PreconditionError("the two OuterE components are disconnected (flow 0): "
+                                "no X-logical crosses between them")
     # the source side of the final residual graph: the canonical min cut
-    seen = np.array(g.bfs(s, cap)[0]) >= 0
+    seen = g.bfs(s, residual.view(bool))[0] >= 0
     cut = np.flatnonzero(seen[g.u] != seen[g.v])
     if len(cut) != value:
         raise WitnessError(f"min cut has {len(cut)} edges for flow {value}")

@@ -63,17 +63,32 @@ class StackAlignment:
                 raise ValueError("alignment size mismatch")
             if len(set(sites)) != len(sites):
                 raise ValueError("alignment must be injective per code")
+        self._packed: dict[int, tuple[PauliOperator | None, np.ndarray]] = {}
 
     @cached_property
     def x_rows(self) -> list[np.ndarray]:
-        """Per copy, its X stabilizers as packed site sets, one row each,
-        then its logical X of `x_logicals` when it has one; built once."""
-        rows = []
-        for copy in range(len(self.codes)):
-            x = self.x_logicals[copy] if copy < len(self.x_logicals) else None
-            logical = [] if x is None else [_site_row(self, copy, x.x_support)]
-            rows.append(np.vstack([_stab_rows(self, copy), *logical]))
-        return rows
+        """Per copy, its X stabilizers as packed site sets, one row each;
+        built once."""
+        return [_stab_rows(self, copy) for copy in range(len(self.codes))]
+
+    def _logical_row(self, copy: int, basis: bool = True) -> np.ndarray:
+        """The copy's logical X as none or one packed row: its entry of
+        `x_logicals`, else (with `basis`) its basis's when k = 1.  With k > 1
+        the basis names no particular class, so a copy without the
+        alignment's logical raises ValueError.  A row is packed once per
+        logical object, and a later change to `x_logicals` is read."""
+        x = self.x_logicals[copy] if copy < len(self.x_logicals) else None
+        if x is None and not basis:
+            return self.x_rows[copy][:0]
+        held = self._packed.get(copy)
+        if held is None or held[0] is not x:
+            xs = [x] if x is not None else logical_basis(self.codes[copy])[1]
+            if len(xs) > 1:
+                raise ValueError(f"copy {copy} has k = {len(xs)} and no logical X in the "
+                                 "alignment to test")
+            row = _site_row(self, copy, xs[0].x_support) if xs else self.x_rows[copy][:0]
+            held = self._packed[copy] = (x, row)
+        return held[1]
 
     def sites_of(self, copy: int, support: Gf2Vector) -> frozenset[int]:
         mapping = self.qubit_site[copy]
@@ -151,18 +166,6 @@ def _stab_rows(align: StackAlignment, copy: int) -> np.ndarray:
     return Faces(checks.ptr, sites).matrix(align.n_sites).data
 
 
-def _logical_rows(align: StackAlignment, copy: int) -> np.ndarray:
-    """The copy's logical X as none or one packed row: the alignment's, else
-    its basis's when k = 1.  With k > 1 the basis names no particular class,
-    so a copy without the alignment's logical raises ValueError."""
-    x = align.x_logicals[copy] if copy < len(align.x_logicals) else None
-    xs = [x] if x is not None else logical_basis(align.codes[copy])[1]
-    if len(xs) > 1:
-        raise ValueError(f"copy {copy} has k = {len(xs)} and no logical X in the "
-                         "alignment to test")
-    return _site_row(align, copy, xs[0].x_support) if xs else align.x_rows[copy][:0]
-
-
 def _meeting(a: np.ndarray, b: np.ndarray, odd: bool = True) -> tuple[np.ndarray, np.ndarray]:
     """The pairs (i, j) of packed rows a[i], b[j] that share an odd number
     of sites (with `odd` False: any site), in row-major order.  Rows of a
@@ -218,8 +221,7 @@ def _parity_report(align: StackAlignment, codes, conditions, cap=None) -> GateCh
     label formatted with the copy, the row and the argument number n.  A
     witness lists its stabilizers first; a condition keeps `cap` of them."""
     copies = _copies(align, codes)
-    rows = [(align.x_rows[copy][: len(align.codes[copy].x_checks)], _logical_rows(align, copy))
-            for copy in copies]
+    rows = [(align.x_rows[copy], align._logical_row(copy)) for copy in copies]
     found: list[list[tuple]] = [[] for _ in conditions]
     for roles, picks in _parity_failures(rows):
         m = sum(roles)
@@ -314,7 +316,7 @@ def build_vasmer_browne_stack(
         return CssCode(
             n_qubits=n, x_checks=checks(x_sup[(x_sup >= 0).any(axis=1)]),
             z_checks=checks(z_sup[(z_sup >= 0).all(axis=1)]), grading=1,
-            qubit_cells=list(copy1.qubit_cells),
+            qubit_cells=copy1.qubit_cells,
             x_anchor_cells=[], source=None,  # its checks are not the complex's code
         )
 
@@ -431,7 +433,8 @@ def _cz_part_is_identity(
     logical of one target copy meets every one of the other evenly on it:
     the rule for p = 1 on their rows cut to `sites`, logicals included."""
     cut = Gf2Vector.from_indices(align.n_sites, sites).data
-    rows = [align.x_rows[copies[0]] & cut, align.x_rows[copies[1]]]
+    rows = [np.vstack((align.x_rows[t], align._logical_row(t, basis=False))) for t in copies]
+    rows[0] &= cut
     return not any(len(p) for _, p in _parity_failures([(r, r[:0]) for r in rows]))
 
 
@@ -537,8 +540,8 @@ def merge_rough(a: CssCode, b: CssCode) -> MergeResult:
 
     # the qubits of the blocks' logical X in the merged code: a's cells map
     # through `into`, b's keep their indices
-    cells_a = into[a.grading][np.asarray(a.qubit_cells)[_across(a, patch_a[a.grading - 1])]]
-    cells_b = np.asarray(b.qubit_cells)[_across(b, patch_b[b.grading - 1])]
+    cells_a = into[a.grading][a.qubit_cells[_across(a, patch_a[a.grading - 1])]]
+    cells_b = b.qubit_cells[_across(b, patch_b[b.grading - 1])]
     logical = np.searchsorted(merged.qubit_cells, np.concatenate([cells_a, cells_b]))
     hits = np.concatenate([merged.x_checks.take(interface_rows), logical])
     total = Gf2Vector.from_dense(np.bincount(hits, minlength=merged.n_qubits) & 1)

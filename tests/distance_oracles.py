@@ -1,5 +1,7 @@
-"""Test-only oracle: the qubit-graph distances as the package had them
-before the graph became one set of CSR arc arrays.
+"""Test-only oracles: the qubit-graph distances as the package had them
+before the graph became one set of CSR arc arrays, and the queue-driven
+breadth-first search over that graph's arcs as Python lists (`list_bfs`)
+from before the search expanded one level at a time.
 
 The qubit graph is a list of edge tuples with per-node (neighbour, qubit)
 lists, d_Z runs its own breadth-first search over them (rebuilding the
@@ -19,6 +21,37 @@ from fractalcss.code import CssCode, PauliOperator, is_x_logical, is_z_logical
 from fractalcss.complexes import label_is_e
 from fractalcss.distance import DistanceResult, PreconditionError
 from fractalcss.gf2 import Gf2Vector
+
+# -- the breadth-first search over the CSR arcs as lists ----------------------
+
+
+def list_bfs(g, source: int, usable=None, depth=None) -> tuple[list[int], list[int]]:
+    """Breadth-first search from `source` over the arcs of the package's
+    qubit graph `g` with a true `usable[a]` (every arc when None), a queue
+    of nodes, each node's arcs in order: the distance per node, -1 where
+    unreachable, and the arc that reached each node, -1 at the source and
+    where unreachable.  With a `depth` no node at that distance or past it
+    is expanded.  Verbatim apart from the lists taken from the arrays."""
+    ptr, arcs, head = g.ptr.tolist(), g.arcs.tolist(), g.head.tolist()
+    if usable is not None:
+        usable = list(usable)
+    dist = [-1] * g.n_nodes
+    via = [-1] * g.n_nodes
+    dist[source] = 0
+    dq = deque([source])
+    while dq:
+        x = dq.popleft()
+        d = dist[x] + 1
+        if depth is not None and d > depth:
+            break  # the queue holds nodes in order of distance
+        for a in arcs[ptr[x] : ptr[x + 1]]:
+            y = head[a]
+            if dist[y] < 0 and (usable is None or usable[a]):
+                dist[y] = d
+                via[y] = a
+                dq.append(y)
+    return dist, via
+
 
 # -- the qubit graph ----------------------------------------------------------
 

@@ -173,7 +173,8 @@ def test_code_text_roundtrip():
     again = code_from_text(code_to_text(code))
     assert again.n_qubits == code.n_qubits
     assert again.hx == code.hx and again.hz == code.hz
-    assert again.qubit_cells == code.qubit_cells
+    assert again.qubit_cells.dtype == code.qubit_cells.dtype == np.int64
+    assert again.qubit_cells.tolist() == code.qubit_cells.tolist()
 
 
 # -- one flipped bit: the sparse check raises iff the dense product is nonzero --

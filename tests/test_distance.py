@@ -225,3 +225,66 @@ def test_witness_and_stack_checks_raise_under_optimize(flags):
     out = subprocess.run([sys.executable, *flags, "-c", _CHECKS_UNDER_O], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.split() == ["WitnessError", "WitnessError", "ValueError", "WitnessError"]
+
+
+# d_Z and d_X of FC(3,1) at the given level (code style, m-holes), in a
+# child process under an address-space limit: k, each distance's value and
+# kind, whether each witness is a logical of its type and of the distance's
+# weight, the seconds of k, d_Z and d_X, and the peak RSS (VmHWM, kB) after
+# the code, after k and at the end.  The qubit graph as Python int lists
+# raised the peak by 300-313 MB over the code stage at level 4.
+_DISTANCES = """
+import re, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[2]) << 20,) * 2)
+from fractalcss.code import code_params, css_from_complex, is_x_logical, is_z_logical
+from fractalcss.complexes import FractalSpec, fractal_complex
+from fractalcss.distance import dx_min_cut, dz_shortest_path
+
+def peak_kb():
+    with open("/proc/self/status") as fh:
+        return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read())[1])
+
+code = css_from_complex(fractal_complex(FractalSpec(3, 3, 1, int(sys.argv[1]), holes="m"), "code"), 1)
+after_code = peak_kb()
+start = time.perf_counter()
+k = code_params(code).k
+k_seconds = time.perf_counter() - start
+after_k = peak_kb()
+start = time.perf_counter()
+dz = dz_shortest_path(code)
+dz_seconds = time.perf_counter() - start
+start = time.perf_counter()
+dx = dx_min_cut(code)
+dx_seconds = time.perf_counter() - start
+z, x = dz.witness.z_support, dx.witness.x_support
+witnesses = (is_z_logical(code, z) and z.weight() == dz.value and dx.witness.is_x_type()
+             and is_x_logical(code, x) and x.weight() == dx.value)
+print(k, dz.value, dz.kind, dx.value, dx.kind, witnesses, k_seconds, dz_seconds, dx_seconds,
+      after_code, after_k, peak_kb())
+"""
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_fc31_level4_distances_under_1_gb():
+    """1,148,128 qubits: d_Z = 81 = L and d_X = 4,096 = 8^4, both exact and
+    witnessed, on one int32 qubit graph held by the code.  The code's chain
+    reduction (k) and both distances lift the peak by at most 150 MB over
+    the code stage, and the two distances take less time than twice k's
+    (the list graph lifted it by 300-313 MB, and its distances took 2.7-3.3
+    times k's time: timing them against k's keeps the bound apart from the
+    machine's speed and load)."""
+    src = os.path.dirname(os.path.dirname(fractalcss.__file__))
+    # the child strips asserts when this process does: the witness checks
+    # are typed exceptions
+    out = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-c", _DISTANCES,
+                          "4", "1024"],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    k, dz, dz_kind, dx, dx_kind, witnesses, *seconds, after_code, _, at_end = out.stdout.split()
+    assert (k, dz, dz_kind, dx, dx_kind, witnesses) == ("1", "81", "exact", "4096", "exact",
+                                                        "True")
+    assert int(at_end) - int(after_code) <= 150 << 10
+    k_seconds, dz_seconds, dx_seconds = map(float, seconds)
+    assert dz_seconds + dx_seconds < 2 * k_seconds

@@ -38,6 +38,7 @@ from fractalcss.gates import (
     build_vasmer_browne_stack,
     check_transversal_ccz,
     check_transversal_cz,
+    conjugate_by_ccz,
     merge_rough,
 )
 from fractalcss.gf2 import Gf2Matrix, Gf2Vector, in_rowspace
@@ -276,6 +277,39 @@ def test_ccz_reports_with_permuted_and_missing_logicals_match_oracle():
     align.x_logicals[1] = None  # copy 1 has k = 20: its basis names no one class
     with pytest.raises(ValueError, match="copy 1 has k = 20 and no logical X"):
         check_transversal_ccz(*codes, align)
+
+
+def test_a_logical_changed_after_a_check_is_read():
+    """Each copy's logical X is packed once per logical object: a logical
+    set after a CCZ conjugation has packed the rows is the one the 40
+    CZ-part flags and the CCZ report read, as in a fresh alignment and the
+    oracle (the rows cached with the old logical gave 7 other flags).  Two
+    copies' logicals fail here, and the oracle lists their witnesses in
+    another order, so its report is compared as witness sets."""
+    codes, align = build_vasmer_browne_stack(3, "center")
+
+    def x_check(copy, r):
+        code = codes[copy]
+        return PauliOperator.x_type(Gf2Vector.from_indices(code.n_qubits, code.x_checks[r]))
+
+    conjugate_by_ccz(x_check(0, 0), 0, align)
+    align.x_logicals[1] = align.x_logicals[2]
+    fresh = align_identical(codes, align.x_logicals)
+    flags = [[conjugate_by_ccz(x_check(copy, r), copy, al).cz_identity
+              for copy in range(3) for r in range(len(codes[copy].x_checks))]
+             for al in (align, fresh)]
+    assert len(flags[0]) == 40 and flags[0] == flags[1]
+    for copy, code in enumerate(codes):
+        others = tuple(t for t in range(3) if t != copy)
+        for r in range(len(code.x_checks)):
+            sites = align.sites_of(copy, x_check(copy, r).x_support)
+            assert (_cz_part_is_identity(sites, others, align)
+                    == oracle.cz_part_is_identity(sites, others, align))
+    report = check_transversal_ccz(*codes, align)
+    assert report == check_transversal_ccz(*codes, fresh)
+    assert ([(c.condition_id, c.passed, sorted(c.witnesses)) for c in report.conditions]
+            == [(c.condition_id, c.passed, sorted(c.witnesses))
+                for c in oracle.check_transversal_ccz(*codes, align).conditions])
 
 
 def test_small_chunks_match_oracle(monkeypatch):

@@ -6,9 +6,14 @@ answered though two e-labels share one connected e-component, or answered
 with the min cut of one class where k != 1 (REFUSALS).
 The geometries cover parallel qubits (the 2x2 torus, several
 qubits from one bulk vertex to a contracted terminal), torus seams with and
-without e-holes, and the seeded mixed hole layouts.
+without e-holes, and the seeded mixed hole layouts.  The breadth-first
+search, which expands a level at a time, must give the distances and arcs
+of the queue-driven search over the arcs as lists
+(``distance_oracles.list_bfs``) element for element, with and without an
+arc filter and a depth.
 """
 
+import numpy as np
 import pytest
 
 import distance_oracles as oracle
@@ -23,6 +28,7 @@ from fractalcss.complexes import (
 from fractalcss import cli
 from fractalcss.distance import (
     PreconditionError,
+    _max_flow,
     dx_min_cut,
     dz_shortest_path,
     exhaustive_low_weight,
@@ -86,9 +92,11 @@ _SHARED = "share one connected e-component; run exhaustive_low_weight instead"
 # share an edge; hE2 crosses the outer boundary) into two terminals, and the
 # path between them is a stabilizer; layouts 5 and 23 do the same, and the
 # path found there is a logical only by chance.  Layout 22's four m-holes
-# cut the patch in two, so the OuterE terminals are disconnected (k = 0).
-# The 2D SC(3,1) m-hole codes and layouts 25 and 37 have k > 1, and the cut
-# of the OuterE class is heavier than the weight-1 X-logical of another.
+# cut the patch in two, so the OuterE terminals are disconnected (flow 0)
+# and k = 0; the k test runs before the flow, so its refusal is the one
+# given.  The 2D SC(3,1) m-hole codes and layouts 25 and 37 have k > 1, and
+# the cut of the OuterE class is heavier than the weight-1 X-logical of
+# another.
 _ONE_CLASS = ("min-cut distance searches one logical class, but k = {}; "
               "run exhaustive_low_weight instead")
 # Torus layouts with an e-labelled cell whose box reaches 0 or the period on
@@ -109,8 +117,7 @@ REFUSALS = {
     ("layout28", "dz"): (("AssertionError", "shortest-path witness is not a Z-logical"),
                          ("PreconditionError", f"e-labels hE2 and oE4 {_SHARED}")),
     ("layout22", "dx"): (("AssertionError", "min-cut witness is not an X-logical"),
-                         ("PreconditionError", "the two OuterE components are disconnected "
-                                               "(flow 0): no X-logical crosses between them")),
+                         ("PreconditionError", _ONE_CLASS.format(0))),
     ("audit49", "dz"): (("AssertionError", "shortest-path witness is not a Z-logical"), _SEAM),
     ("audit224", "dz"): ((3, "exact", [], [1, 4, 6]), _SEAM),
     ("audit994", "dz"): ((6, "exact", [], [0, 1, 2, 3, 4, 5]), _SEAM),
@@ -171,15 +178,68 @@ def test_cli_falls_back_to_the_search_on_a_refusal(name, which):
 def test_bounded_search_is_the_full_search_cut_at_its_depth(name):
     """A BFS given a depth reaches the nodes within it by the arcs of the
     full search and no node past it; dz_shortest_path passes such depths."""
-    from fractalcss.distance import _QubitGraph
-
-    g = _QubitGraph(CODES[name]())
+    g = CODES[name]()._qubit_graph
     for source in (0, g.n_nodes - 1):
         dist, via = g.bfs(source)
-        for depth in range(-1, max(dist) + 2):
-            near = [d if d <= max(depth, 0) else -1 for d in dist]  # the source is at 0
-            assert g.bfs(source, depth=depth) == (near, [a if d >= 0 else -1
-                                                        for a, d in zip(via, near)])
+        for depth in range(-1, int(dist.max()) + 2):
+            near = np.where(dist <= max(depth, 0), dist, -1)  # the source is at 0
+            got = g.bfs(source, depth=depth)
+            assert got[0].tolist() == near.tolist()
+            assert got[1].tolist() == np.where(near >= 0, via, -1).tolist()
+
+
+def _arc_filters(code, g):
+    """The `usable` filters to test a code's graph with: every arc, the arcs
+    off each torus seam (as dz_shortest_path masks them), a seeded random
+    three quarters, and the arcs with residual capacity after the max-flow
+    between the first and last terminal."""
+    yield None
+    cx = code.source
+    if all(p is not None for p in cx.periods):
+        for axis in range(cx.dim):
+            in_seam = cx.cells[1][code.qubit_cells, axis, 1] == cx.periods[axis]
+            yield np.repeat(~in_seam[g.qubit], 2)
+    yield np.random.default_rng(len(g.head)).random(len(g.head)) < 0.75
+    if len(g.terminal_labels) >= 2:
+        yield _max_flow(g, g.n_bulk, g.n_nodes - 1)[1].view(bool)
+
+
+AUDIT_SEEDS = (49, 224, 645, 994, 1119, 1133)
+BFS_CODES = {**{name: build for name, build in CODES.items() if not name.startswith("audit")},
+             **{f"audit{seed}": (lambda seed=seed: _audit(seed)) for seed in AUDIT_SEEDS}}
+
+
+@pytest.mark.parametrize("name", sorted(BFS_CODES))
+def test_level_search_matches_the_queue_search(name):
+    """The search that expands one level at a time gives the distances and
+    arcs of the queue-driven search (``distance_oracles.list_bfs``) element
+    for element: from every terminal, the first and the last node, with
+    and without an arc filter and a depth."""
+    code = BFS_CODES[name]()
+    g = code._qubit_graph
+    sources = sorted({0, g.n_nodes - 1, *range(g.n_bulk, g.n_nodes)} & {*range(g.n_nodes)})
+    for usable in _arc_filters(code, g):
+        for source in sources:
+            dist, via = g.bfs(source, usable)
+            assert dist.dtype == via.dtype == np.int32
+            want = oracle.list_bfs(g, source, usable)
+            assert (dist.tolist(), via.tolist()) == want
+            for depth in (0, 1, max(want[0]) // 2, max(want[0]) - 1):
+                got = g.bfs(source, usable, depth)
+                assert (got[0].tolist(), got[1].tolist()) == oracle.list_bfs(g, source, usable, depth)
+
+
+def test_the_graph_is_int32_arrays_held_by_the_code():
+    """One graph per code, its arrays int32: d_Z and d_X read the graph the
+    code holds."""
+    code = CODES["fc31-l2-m"]()
+    g = code._qubit_graph
+    assert code._qubit_graph is g
+    for part in (g.ptr, g.arcs, g.head, g.qubit, g.u, g.v):
+        assert isinstance(part, np.ndarray) and part.dtype == np.int32
+    dz_shortest_path(code)
+    dx_min_cut(code)
+    assert code._qubit_graph is g
 
 
 _NO_COMPLEX = "qubit-graph distances need the complex whose code the checks are"

@@ -57,7 +57,7 @@ def _complex_fields(cx: CellComplex):
 
 
 def _code_fields(code):
-    return (code.n_qubits, code.grading, code.qubit_cells,
+    return (code.n_qubits, code.grading, code.qubit_cells.dtype.str, code.qubit_cells.tolist(),
             [(f.ptr.tolist(), f.idx.tolist()) for f in (code.x_checks, code.z_checks)])
 
 
