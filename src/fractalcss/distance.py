@@ -294,10 +294,11 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
 def _max_flow(g: _QubitGraph, s: int, t: int) -> tuple[int, np.ndarray]:
     """Dinic's max-flow from s to t with capacity 1 along each qubit, either
     way: the flow value and the final residual capacity per arc (uint8).
-    The level graph is a `bfs` along the arcs with capacity left; the
-    blocking flow's depth-first search reads the int32 arrays through
-    memoryviews."""
-    ptr, arcs, head = (memoryview(x) for x in (g.ptr, g.arcs, g.head))
+    Each phase's level graph comes from a `bfs` along the arcs with
+    capacity left, its arcs gathered per node as int32 arrays; the
+    blocking flow's depth-first search reads them through memoryviews."""
+    head = memoryview(g.head)
+    tail = g.head.reshape(-1, 2)[:, ::-1].ravel()
     residual = np.ones(len(g.head), dtype=np.uint8)
     cap = memoryview(residual)
     flow = 0
@@ -305,8 +306,15 @@ def _max_flow(g: _QubitGraph, s: int, t: int) -> tuple[int, np.ndarray]:
         level = g.bfs(s, residual.view(bool))[0]
         if level[t] < 0:
             return flow, residual
-        level = memoryview(level)
-        at = memoryview(g.ptr[:-1].copy())  # the next out-arc position to try, per node
+        # the level graph's arcs, per node in order: one level on, and
+        # short of t's level unless into t
+        to = level[g.head]
+        step = residual.view(bool) & (to == level[tail] + 1) & ((to < level[t]) | (g.head == t))
+        keep = step[g.arcs]
+        arcs = memoryview(g.arcs[keep])
+        ptr = np.cumsum(np.append(False, keep), dtype=np.int32)[g.ptr]
+        at = memoryview(ptr[:-1].copy())  # the next out-arc position to try, per node
+        ptr = memoryview(ptr)
         path = []  # the arcs from s, searched depth first
         while True:
             x = head[path[-1]] if path else s
@@ -322,7 +330,7 @@ def _max_flow(g: _QubitGraph, s: int, t: int) -> tuple[int, np.ndarray]:
                 at[head[path.pop() ^ 1]] += 1
             else:
                 a = arcs[at[x]]
-                if cap[a] and level[head[a]] == level[x] + 1:
+                if cap[a]:
                     path.append(a)
                 else:
                     at[x] += 1
