@@ -306,10 +306,8 @@ def _max_flow(g: _QubitGraph, s: int, t: int) -> tuple[int, np.ndarray]:
         level = g.bfs(s, residual.view(bool))[0]
         if level[t] < 0:
             return flow, residual
-        # the level graph's arcs, per node in order: one level on, and
-        # short of t's level unless into t
-        to = level[g.head]
-        step = residual.view(bool) & (to == level[tail] + 1) & ((to < level[t]) | (g.head == t))
+        # the level graph's arcs, per node in order: capacity left, one level on
+        step = residual.view(bool) & (level[g.head] == level[tail] + 1)
         keep = step[g.arcs]
         arcs = memoryview(g.arcs[keep])
         ptr = np.cumsum(np.append(False, keep), dtype=np.int32)[g.ptr]
