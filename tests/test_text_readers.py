@@ -80,6 +80,9 @@ def _outcome(read, fields, text):
     except MemoryError:  # the old reader, on a dimension near 2**63; the new one refuses it
         assert read is text_oracles.complex_from_text
         return ValueError, "out of memory"
+    except OverflowError as err:  # the old reader's qubit cell past int64, which the
+        assert read is text_oracles.code_from_text  # code's int64 cells cannot hold
+        return OverflowError, str(err)
 
 
 def _misnumbered_qubitmap(text: str) -> bool:
