@@ -247,11 +247,14 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
     keep_x, keep_z = x_checks.counts() > 0, z_checks.counts() > 0
     if cx.label_mask(i + 1, label_is_m)[z_anchor].any():
         keep_z &= _smooth_patch_rows(cx, i, z_anchor, x_checks, z_checks, n_qubits)
+    # restricted here, so the unrestricted checks are freed before the code
+    # transposes its Z checks
     every = np.ones(n_qubits, dtype=bool)
+    x_checks, z_checks = x_checks.restrict(keep_x, every), z_checks.restrict(keep_z, every)
     return CssCode(
         n_qubits=n_qubits,
-        x_checks=x_checks.restrict(keep_x, every),
-        z_checks=z_checks.restrict(keep_z, every),
+        x_checks=x_checks,
+        z_checks=z_checks,
         grading=i,
         qubit_cells=np.flatnonzero(qubit),
         x_anchor_cells=np.flatnonzero(x_anchor)[keep_x],
@@ -294,6 +297,7 @@ def _smooth_patch_rows(cx: CellComplex, i: int, z_anchor: np.ndarray, x_checks: 
             bits = np.zeros((len(block), n), dtype=np.uint8)
             bits[np.repeat(np.arange(len(block)), sizes[block]), z_checks.take(block)] = 1
             r, c = np.nonzero(red._image(bits, red.z_rounds, red.z_rows))
+            del bits  # before the next block's rows are allocated
             rows.append(r + first)
             cols.append(c)
         images = Faces.from_pairs(len(rest), np.concatenate(rows), np.concatenate(cols))

@@ -29,9 +29,12 @@ Per grade k a complex holds a box array, label codes into a per-complex
 table of label strings, and the face lists in CSR form (see
 :class:`CellComplex` and :class:`Faces`).  A built lattice stores int16
 boxes (int32, then int64, when its coordinates need them) and int32 label
-codes, face indices and row pointers; every midpoint, width and key that
-can outgrow them is computed wider.  A complex read from text keeps the
-int64 arrays it was parsed into.
+codes, face indices and row pointers, and cofaces are int32 while their
+counts fit; every midpoint, width and key that can outgrow them is
+computed wider.  A complex read from text keeps the int64 arrays it was
+parsed into.  The kernels keep their temporaries small: the dd = 0 check
+and the punch work in bounded blocks, and a gather of faces holds one
+full-length array besides its result.
 
 A lattice on the open cube or the torus, punched or not, is one
 construction (:func:`_lattice_complex`): the boxes and label codes of all
@@ -79,11 +82,11 @@ periodic axis ``m +- 2 * period`` is tried as well.  Every cell of a
 lattice has its own midpoint, so the punch places each cell's row in a
 dense grid over the halved midpoints ``m >> 1`` (modulo the period on a
 periodic axis) and runs these tests only on the cells of the grid block
-around each hole: the blocks of all holes of one box shape come from one
-gather.  It marks the deleted cells and the new label codes in one array
-each; the lattice construction builds only the kept cells, and
-:func:`punch_holes`, which punches a complex that exists, hands the masks
-to :meth:`CellComplex.delete`.
+around each hole: the blocks of the holes of one box shape come from one
+gather per chunk of about `_BLOCK` cells.  It marks the deleted cells and
+the new label codes in one array each; the lattice construction builds
+only the kept cells, and :func:`punch_holes`, which punches a complex that
+exists, hands the masks to :meth:`CellComplex.delete`.
 """
 
 from __future__ import annotations
@@ -160,19 +163,33 @@ class BoundaryError(ValueError, AssertionError):
     that treat it as a broken invariant."""
 
 
+_LIMITS = {t: (int(np.iinfo(t).min), int(np.iinfo(t).max))
+           for t in (np.int16, np.int32, np.int64)}
+
+
 def _width(lo: int, hi: int, widths=(np.int16, np.int32, np.int64)) -> type:
     """The first of the integer `widths` that holds every value from lo to
     hi (the last when none does)."""
-    return next((t for t in widths if np.iinfo(t).min <= lo and hi <= np.iinfo(t).max),
-                widths[-1])
+    return next((t for t in widths if _LIMITS[t][0] <= lo and hi <= _LIMITS[t][1]), widths[-1])
 
 
 def _ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """The concatenation of ``arange(starts[i], stops[i])`` over i."""
+    """The concatenation of ``arange(starts[i], stops[i])`` over i, as int64
+    indices (numpy gathers through them fastest): each range's start less
+    the position of its first entry, repeated over the range, plus the
+    positions, which are added a block at a time so that the result is
+    the one full-length array."""
     counts = stops - starts
-    ends = counts.cumsum()
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + (starts - (ends - counts)).repeat(counts)
+    out = (starts - counts.cumsum(dtype=np.int64) + counts).repeat(counts)
+    for first in range(0, out.size, _ENTRIES):
+        part = out[first : first + _ENTRIES]
+        part += np.arange(first, first + part.size, dtype=out.dtype)
+    return out
+
+
+# the entries a CSR kernel handles at a time: the positions `_ranges` adds
+# at once, about the entries one block of `Faces.composes_to_zero` reaches
+_ENTRIES = 1 << 14
 
 
 class Faces:
@@ -230,18 +247,23 @@ class Faces:
 
     def transpose(self, n: int) -> "Faces":
         """The cofaces: per cell of the grade below (n of them), the sorted
-        cells whose faces contain it."""
-        ptr = np.zeros(n + 1, dtype=np.int64)
+        cells whose faces contain it; int32 when both the entries and these
+        cells are fewer than 2**31, else int64."""
+        width = _width(0, max(self.ptr.size - 1, self.idx.size), (np.int32, np.int64))
+        ptr = np.zeros(n + 1, dtype=width)
         np.cumsum(np.bincount(self.idx, minlength=n), out=ptr[1:])
-        return Faces(ptr, self.owners()[np.argsort(self.idx, kind="stable")])
+        owners = np.arange(self.ptr.size - 1, dtype=width).repeat(self.counts())
+        return Faces(ptr, owners[np.argsort(self.idx, kind="stable")])
 
     def restrict(self, keep: np.ndarray, keep_below: np.ndarray) -> "Faces":
         """The kept cells' faces among the kept faces, both renumbered, in
         the integer widths of these faces."""
-        own = self.owners()
-        sel = keep[own] & keep_below[self.idx]
-        ptr = np.zeros(int(keep.sum()) + 1, dtype=self.ptr.dtype)
-        np.cumsum(np.bincount(own[sel], minlength=len(self))[keep], out=ptr[1:])
+        sel = keep.repeat(self.counts())
+        sel &= keep_below[self.idx]
+        # the kept entries before each entry; a deleted cell keeps none
+        before = np.zeros(sel.size + 1, dtype=self.ptr.dtype)
+        sel.cumsum(out=before[1:])
+        ptr = np.concatenate((before[self.ptr[:-1][keep]], before[-1:]))
         return Faces(ptr, (np.cumsum(keep_below, dtype=self.idx.dtype) - 1)[self.idx[sel]])
 
     def matrix(self, cols: int) -> Gf2Matrix:
@@ -262,19 +284,28 @@ class Faces:
         of times through `below`.  On the faces of consecutive grades this
         is dd = 0; on a code's X checks and the Z checks of each qubit it
         is H_X H_Z^T = 0."""
-        # in blocks of cells, so the temporaries stay small
-        for first in range(0, len(self), 1 << 16):
-            ptr = self.ptr[first : first + (1 << 16) + 1]
-            block = Faces(ptr - ptr[0], self.idx[ptr[0] : ptr[-1]])
-            starts, stops = below.ptr[block.idx], below.ptr[block.idx + 1]
-            # the key cell * n + reached cell, in int64 (owners() is)
-            reach = np.repeat(block.owners() * n, stops - starts)
+        # in blocks of whole cells, so the temporaries stay small: a block
+        # holds about _ENTRIES / (the mean count below) faces, so it reaches
+        # about _ENTRIES entries; a cell with more faces is a block alone
+        step = max(_ENTRIES * len(below) // max(len(below.idx), 1), 1)
+        first, size = 0, self.ptr.size - 1
+        while first < size:
+            stop = int(self.ptr.searchsorted(self.ptr[first] + step, "right")) - 1
+            if stop == first:  # one cell past the step
+                stop += 1
+            faces = self.idx[self.ptr[first] : self.ptr[stop]]
+            starts, stops = below.ptr[faces], below.ptr[faces + 1]
+            # the key cell * n + reached cell, the cell numbered in the block
+            owner = np.arange(stop - first, dtype=np.int64).repeat(
+                self.ptr[first + 1 : stop + 1] - self.ptr[first:stop])
+            reach = (owner * n).repeat(stops - starts)
             reach += below.idx[_ranges(starts, stops)]
             reach.sort()
             # sorted, every value occurs an even number of times iff the
             # entries pair up
             if len(reach) % 2 or (reach[0::2] != reach[1::2]).any():
                 return False
+            first = stop
         return True
 
 
@@ -349,8 +380,10 @@ class CellComplex:
         return Faces.empty(self.n_cells(k))
 
     def labels_present(self) -> set[str]:
-        codes = np.unique(np.concatenate(self.labels)).tolist()
-        return {self.label_names[c] for c in codes} - {BULK}
+        used = np.zeros(len(self.label_names), dtype=bool)
+        for lab in self.labels:
+            used[lab] = True
+        return {self.label_names[c] for c in np.flatnonzero(used).tolist()} - {BULK}
 
     def assert_dd_zero(self) -> None:
         """Every (k-2)-cell is reached an even number of times from each k-cell."""
@@ -771,6 +804,9 @@ def code_lattice(
 # L = 2; the ladder's largest is 2.7, the FC(3,1) level-1 sphere).
 _SLOTS_PER_CELL = 64
 
+# the cells a punch's scatter, gather or test handles at a time
+_BLOCK = 1 << 18
+
 
 class _MidpointGrid:
     """The row of each cell at its halved midpoint ``m >> 1`` in a dense
@@ -787,29 +823,33 @@ class _MidpointGrid:
     def __init__(self, boxes: np.ndarray, periods):
         self.boxes, self.periods = boxes, periods
         self.wide = np.int32 if boxes.dtype == np.int16 else np.int64
-        half, self.reach = [], 0  # per axis, the halved midpoints
-        for d in range(len(periods)):
+        # the grid's extent, from the midpoints and widths of one axis at a time
+        self.low, shape, self.reach = [], [], 0
+        for d, period in enumerate(periods):
             m, w = _midpoints(boxes[:, d], self.wide)
-            half.append(m >> 1)
             self.reach = max(self.reach, int(w.max(initial=0)))
-        lo, hi = ([int(h.min()) for h in half], [int(h.max()) for h in half]) if len(boxes) \
-            else ([0] * len(periods),) * 2
-        self.low = [0 if p else a for p, a in zip(periods, lo)]
-        shape = [p or b - a + 1 for p, a, b in zip(periods, self.low, hi)]
+            lo, hi = (int(m.min()) >> 1, int(m.max()) >> 1) if len(m) else (0, 0)
+            self.low.append(0 if period else lo)
+            shape.append(period or hi - self.low[d] + 1)
+            del m, w
         if math.prod(shape) > _SLOTS_PER_CELL * max(len(boxes), 1):
             raise ValueError(f"{len(boxes)} cells spread over a grid of {math.prod(shape)} "
                              f"midpoints; holes need at most {_SLOTS_PER_CELL} per cell")
-        flat = np.zeros(len(boxes), dtype=np.int64)  # the cells' grid positions, axis by axis
+        # the cells' grid positions, axis by axis, in the grid's index width
+        flat = np.zeros(len(boxes), dtype=_width(0, math.prod(shape), (np.int32, np.int64)))
         for d, period in enumerate(periods):
-            h = half[d]
+            h = np.add(boxes[:, d, 0], boxes[:, d, 1], dtype=self.wide)
+            h >>= 1
             h -= self.low[d]
             if period:
                 h %= period
             flat *= shape[d]
             flat += h
-        del half
+            del h
         self.rows = np.full(shape, -1, dtype=np.int32)
-        self.rows.flat[flat] = np.arange(len(boxes), dtype=np.int32)
+        for first in range(0, len(flat), _BLOCK):
+            part = flat[first : first + _BLOCK]
+            self.rows.flat[part] = np.arange(first, first + len(part), dtype=np.int32)
         if np.count_nonzero(self.rows >= 0) < len(boxes):
             raise ValueError("cells share a midpoint; holes need one cell per midpoint")
 
@@ -846,8 +886,8 @@ class _MidpointGrid:
         (2 * period in these units).  The pairs are tested in blocks, so the
         temporaries stay small."""
         hit = np.ones(len(rows), dtype=bool)
-        for first in range(0, len(rows), 1 << 18):
-            part = slice(first, first + (1 << 18))
+        for first in range(0, len(rows), _BLOCK):
+            part = slice(first, first + _BLOCK)
             near, jp = np.take(self.boxes, rows[part], axis=0), j[part]
             for d, period in enumerate(self.periods):
                 m, w = _midpoints(near[:, d], self.wide)
@@ -872,8 +912,8 @@ def _hole_hits(boxes: np.ndarray, bulk: np.ndarray, periods, style: str,
                holes: list[Hole]) -> tuple[np.ndarray, np.ndarray]:
     """Per cell (the rows of `boxes`), whether a hole deletes it, and the
     last hole that relabels it (-1 for none), before e-patches close down.
-    The holes of one box shape are tested together, on the cells of one
-    gather of the midpoint grid."""
+    The holes of one box shape are tested together, a chunk of them at a
+    time, on the cells of one gather of the midpoint grid per chunk."""
     grid = _MidpointGrid(boxes, periods)
     hb = np.array([h.box for h in holes], dtype=np.int64).reshape(len(holes), len(periods), 2)
     ends = 2 * hb.transpose(1, 2, 0)  # per axis, the doubled ends of every hole
@@ -884,24 +924,30 @@ def _hole_hits(boxes: np.ndarray, bulk: np.ndarray, periods, style: str,
         first_doom, within = np.full(len(boxes), len(holes), dtype=np.int32), []
     shapes, shape = np.unique(hb[:, :, 1] - hb[:, :, 0], axis=0, return_inverse=True)
     for s in range(len(shapes)):
-        js = np.flatnonzero(shape.ravel() == s)
-        j, r = grid.gather(hb[js])
-        j = js[j].astype(np.int32)  # the type of `tag`, for the fast ufunc.at
-        if style == "code":
-            # an m-hole measures out the closed star of its box; an e-hole
-            # tags the interior, whose faces join its e-patch below, and the
-            # code module deletes the patch, leaving dangling edges
-            hit = grid.hits(r, j, ends, lambda w, j: np.where(is_m[j], -w, np.maximum(w, 1)))
-            m = is_m[j]
-            doomed[r[hit & m]] = True
-            e = hit & ~m
-            np.maximum.at(tag, r[e], j[e])
-        else:
-            hit = grid.hits(r, j, ends, lambda w, j: np.maximum(w, 1))
-            doomed[r[hit]] = True
-            np.minimum.at(first_doom, r[hit], j[hit])
-            on = grid.hits(r, j, ends, lambda w, j: w)
-            within.append((j[on], r[on]))
+        # as many holes at a time as gather about _BLOCK cells: a block
+        # spans at most the box, the widest cell and one slot per side
+        holes_of_shape = np.flatnonzero(shape.ravel() == s)
+        step = max(_BLOCK // math.prod(int(x) + grid.reach + 2 for x in shapes[s]), 1)
+        for first in range(0, len(holes_of_shape), step):
+            js = holes_of_shape[first : first + step]
+            j, r = grid.gather(hb[js])
+            j = js[j].astype(np.int32)  # the type of `tag`, for the fast ufunc.at
+            if style == "code":
+                # an m-hole measures out the closed star of its box; an
+                # e-hole tags the interior, whose faces join its e-patch
+                # below, and the code module deletes the patch, leaving
+                # dangling edges
+                hit = grid.hits(r, j, ends, lambda w, j: np.where(is_m[j], -w, np.maximum(w, 1)))
+                m = is_m[j]
+                doomed[r[hit & m]] = True
+                e = hit & ~m
+                np.maximum.at(tag, r[e], j[e])
+            else:
+                hit = grid.hits(r, j, ends, lambda w, j: np.maximum(w, 1))
+                doomed[r[hit]] = True
+                np.minimum.at(first_doom, r[hit], j[hit])
+                on = grid.hits(r, j, ends, lambda w, j: w)
+                within.append((j[on], r[on]))
     if style != "code" and within:
         # a hole labels the bulk cells within its closed box that neither it
         # nor an earlier hole deleted

@@ -111,8 +111,9 @@ class _Reduction:
         self.down = down
         self.up = up or [fs.transpose(len(below)) for below, fs in zip(down, down[1:])]
         self.live = [np.ones(len(fs), dtype=bool) for fs in down]
-        self.n_down = [fs.counts() for fs in down]
-        self.n_up = [fs.counts() for fs in self.up]
+        # the live counts in the width of the row pointers
+        self.n_down = [np.subtract(fs.ptr[1:], fs.ptr[:-1]) for fs in down]
+        self.n_up = [np.subtract(fs.ptr[1:], fs.ptr[:-1]) for fs in self.up]
         self.rounds: list[tuple[int, int, np.ndarray, np.ndarray]] = []
 
     def run(self) -> tuple[list[np.ndarray], list[int]]:
@@ -153,7 +154,9 @@ class _Reduction:
         if not 0 <= j < len(self.live):
             return None
         near = (self.down if j < k else self.up)[k].take(cells)
-        np.subtract.at((self.n_up if j < k else self.n_down)[j], near, 1)
+        count = (self.n_up if j < k else self.n_down)[j]
+        # a one of the counts' type keeps ufunc.at on its fast path
+        np.subtract.at(count, near, count.dtype.type(1))
         return near
 
     def _pair_off(self, g: int, h: int) -> None:

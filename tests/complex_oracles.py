@@ -28,6 +28,14 @@ on the cells of the grid block around each hole (``_MidpointGrid.near``)
 and hands the masks to ``CellComplex.delete``.  They are kept verbatim
 from the package before it built the punched complex in one construction;
 ``Faces.from_table``, which only they use, is ``_faces_from_table`` here.
+
+The CSR kernels ``ranges``, ``transpose`` and ``composes_to_zero``, and
+the punch's ``GatherGrid`` and ``hole_hits``, are the oracles of
+``complexes._ranges``, ``Faces.transpose``, ``Faces.composes_to_zero``,
+``_MidpointGrid`` and ``_hole_hits``, kept verbatim from before those
+worked in bounded blocks and kept indices in the width of their faces:
+three full-length temporaries per range set, int64 cofaces always, blocks
+of 65,536 cells, and a grid and a gather each built in one piece.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from fractalcss.complexes import (
     FractalSpec,
     Hole,
     _check_e_patches,
+    _midpoints,
     fractal_holes,
 )
 from fractalcss.complexes import CellComplex as ArrayComplex
@@ -869,3 +878,176 @@ def two_step_fractal_complex(spec: FractalSpec, style: str = "plain") -> ArrayCo
     else:
         base = array_build_lattice(spec.n, spec.side, spec.background)
     return punch_per_hole(base, fractal_holes(spec)) if spec.level else base
+
+
+# -- oracle: the CSR and punch kernels before they worked in bounded blocks --
+
+
+def ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The concatenation of ``arange(starts[i], stops[i])`` over i."""
+    counts = stops - starts
+    ends = counts.cumsum()
+    total = int(ends[-1]) if len(ends) else 0
+    return np.arange(total) + (starts - (ends - counts)).repeat(counts)
+
+
+def transpose(faces: Faces, n: int) -> Faces:
+    """The cofaces: per cell of the grade below (n of them), the sorted
+    cells whose faces contain it."""
+    ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(faces.idx, minlength=n), out=ptr[1:])
+    return Faces(ptr, faces.owners()[np.argsort(faces.idx, kind="stable")])
+
+
+def composes_to_zero(faces: Faces, below: Faces, n: int) -> bool:
+    """Whether the product of two CSR maps is zero over GF(2): each cell
+    here reaches each of the n cells that `below` lists an even number
+    of times through `below`.  On the faces of consecutive grades this
+    is dd = 0; on a code's X checks and the Z checks of each qubit it
+    is H_X H_Z^T = 0."""
+    # in blocks of cells, so the temporaries stay small
+    for first in range(0, len(faces), 1 << 16):
+        ptr = faces.ptr[first : first + (1 << 16) + 1]
+        block = Faces(ptr - ptr[0], faces.idx[ptr[0] : ptr[-1]])
+        starts, stops = below.ptr[block.idx], below.ptr[block.idx + 1]
+        # the key cell * n + reached cell, in int64 (owners() is)
+        reach = np.repeat(block.owners() * n, stops - starts)
+        reach += below.idx[ranges(starts, stops)]
+        reach.sort()
+        # sorted, every value occurs an even number of times iff the
+        # entries pair up
+        if len(reach) % 2 or (reach[0::2] != reach[1::2]).any():
+            return False
+    return True
+
+
+class GatherGrid:
+    """The row of each cell at its halved midpoint ``m >> 1`` in a dense
+    int32 array, -1 where no cell lies; on a periodic axis the index is
+    taken modulo the period, on the others it counts from the lowest
+    midpoint.  Cells that share a midpoint raise ValueError, and so do
+    cells spread over more than `_SLOTS_PER_CELL` slots each, before the
+    grid is allocated.
+
+    `boxes` holds the cells of every grade.  Midpoints and widths are
+    computed in twice the width of the boxes' integers, so that they
+    cannot overflow."""
+
+    def __init__(self, boxes: np.ndarray, periods):
+        self.boxes, self.periods = boxes, periods
+        self.wide = np.int32 if boxes.dtype == np.int16 else np.int64
+        half, self.reach = [], 0  # per axis, the halved midpoints
+        for d in range(len(periods)):
+            m, w = _midpoints(boxes[:, d], self.wide)
+            half.append(m >> 1)
+            self.reach = max(self.reach, int(w.max(initial=0)))
+        lo, hi = ([int(h.min()) for h in half], [int(h.max()) for h in half]) if len(boxes) \
+            else ([0] * len(periods),) * 2
+        self.low = [0 if p else a for p, a in zip(periods, lo)]
+        shape = [p or b - a + 1 for p, a, b in zip(periods, self.low, hi)]
+        if math.prod(shape) > _SLOTS_PER_CELL * max(len(boxes), 1):
+            raise ValueError(f"{len(boxes)} cells spread over a grid of {math.prod(shape)} "
+                             f"midpoints; holes need at most {_SLOTS_PER_CELL} per cell")
+        flat = np.zeros(len(boxes), dtype=np.int64)  # the cells' grid positions, axis by axis
+        for d, period in enumerate(periods):
+            h = half[d]
+            h -= self.low[d]
+            if period:
+                h %= period
+            flat *= shape[d]
+            flat += h
+        del half
+        self.rows = np.full(shape, -1, dtype=np.int32)
+        self.rows.flat[flat] = np.arange(len(boxes), dtype=np.int32)
+        if np.count_nonzero(self.rows >= 0) < len(boxes):
+            raise ValueError("cells share a midpoint; holes need one cell per midpoint")
+
+    def gather(self, boxes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The (hole, row) pairs of the cells whose midpoints could meet one
+        of the (h, dim, 2) hole `boxes`, all of one shape, under any of the
+        three relations: the grid block around every box, in one gather.
+        Where the grid's edge clips a block, the block keeps its width and
+        takes in cells past its end, once or more; `hits` rejects them."""
+        at = []
+        for d, period in enumerate(self.periods):
+            lo = (2 * boxes[:, d, 0] - self.reach) >> 1
+            hi = (2 * boxes[:, d, 1] + self.reach) >> 1
+            if period:  # the boxes share hi - lo; a block wider than the period wraps once
+                idx = (lo[:, None] + np.arange(min(int(hi[0] - lo[0]) + 1, period))) % period
+            else:
+                size = self.rows.shape[d]
+                first = np.clip(lo - self.low[d], 0, size)
+                stop = np.clip(hi - self.low[d] + 1, 0, size)
+                idx = np.minimum(first[:, None] + np.arange(int((stop - first).max())), size - 1)
+            shape = [len(boxes)] + [1] * len(self.periods)
+            shape[d + 1] = -1
+            at.append(idx.reshape(shape))
+        rows = self.rows[tuple(at)]
+        pair = np.flatnonzero(rows >= 0)
+        return pair // max(rows.size // len(boxes), 1), rows.ravel()[pair]
+
+    def hits(self, rows: np.ndarray, j: np.ndarray, ends: np.ndarray, margin) -> np.ndarray:
+        """Per pair of a cell row and a hole j whose box [a, b] has the
+        doubled ends ``ends[d, 0, j]`` = 2a and ``ends[d, 1, j]`` = 2b on
+        axis d, whether ``2a + g <= m <= 2b - g`` holds on every axis, m
+        the cell's doubled midpoint, w its width there and g = margin(w, j);
+        on a periodic axis also after shifting m by one period either way
+        (2 * period in these units).  The pairs are tested in blocks, so the
+        temporaries stay small."""
+        hit = np.ones(len(rows), dtype=bool)
+        for first in range(0, len(rows), 1 << 18):
+            part = slice(first, first + (1 << 18))
+            near, jp = np.take(self.boxes, rows[part], axis=0), j[part]
+            for d, period in enumerate(self.periods):
+                m, w = _midpoints(near[:, d], self.wide)
+                g = margin(w, jp)
+                lo, hi = ends[d, 0][jp] + g, ends[d, 1][jp] - g
+                ok = (lo <= m) & (m <= hi)
+                if period:
+                    for shift in (-2 * period, 2 * period):
+                        ok |= (lo <= m + shift) & (m + shift <= hi)
+                hit[part] &= ok
+        return hit
+
+
+def hole_hits(boxes: np.ndarray, bulk: np.ndarray, periods, style: str,
+              holes: list[Hole]) -> tuple[np.ndarray, np.ndarray]:
+    """Per cell (the rows of `boxes`), whether a hole deletes it, and the
+    last hole that relabels it (-1 for none), before e-patches close down.
+    The holes of one box shape are tested together, on the cells of one
+    gather of the midpoint grid."""
+    grid = GatherGrid(boxes, periods)
+    hb = np.array([h.box for h in holes], dtype=np.int64).reshape(len(holes), len(periods), 2)
+    ends = 2 * hb.transpose(1, 2, 0)  # per axis, the doubled ends of every hole
+    is_m = np.array([h.kind == "m" for h in holes], dtype=bool)
+    doomed = np.zeros(len(boxes), dtype=bool)
+    tag = np.full(len(boxes), -1, dtype=np.int32)
+    if style != "code":  # the first hole that deletes each cell, and the cells on each hole
+        first_doom, within = np.full(len(boxes), len(holes), dtype=np.int32), []
+    shapes, shape = np.unique(hb[:, :, 1] - hb[:, :, 0], axis=0, return_inverse=True)
+    for s in range(len(shapes)):
+        js = np.flatnonzero(shape.ravel() == s)
+        j, r = grid.gather(hb[js])
+        j = js[j].astype(np.int32)  # the type of `tag`, for the fast ufunc.at
+        if style == "code":
+            # an m-hole measures out the closed star of its box; an e-hole
+            # tags the interior, whose faces join its e-patch below, and the
+            # code module deletes the patch, leaving dangling edges
+            hit = grid.hits(r, j, ends, lambda w, j: np.where(is_m[j], -w, np.maximum(w, 1)))
+            m = is_m[j]
+            doomed[r[hit & m]] = True
+            e = hit & ~m
+            np.maximum.at(tag, r[e], j[e])
+        else:
+            hit = grid.hits(r, j, ends, lambda w, j: np.maximum(w, 1))
+            doomed[r[hit]] = True
+            np.minimum.at(first_doom, r[hit], j[hit])
+            on = grid.hits(r, j, ends, lambda w, j: w)
+            within.append((j[on], r[on]))
+    if style != "code" and within:
+        # a hole labels the bulk cells within its closed box that neither it
+        # nor an earlier hole deleted
+        j, r = (np.concatenate(x) for x in zip(*within))
+        ok = bulk[r] & (j < first_doom[r])
+        np.maximum.at(tag, r[ok], j[ok])
+    return doomed, tag
