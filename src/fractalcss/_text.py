@@ -163,7 +163,7 @@ class Tokens:
         # per token width: the tokens, the index of each in the distinct
         # tokens, where each distinct token is first used, and its text
         groups = []
-        for w in np.unique(width).tolist():
+        for w in np.flatnonzero(np.bincount(width)).tolist():
             rows = np.flatnonzero(width == w)
             keys = self.b[self.start[t[rows]][:, None] + np.arange(w)].view(np.dtype((np.void, w)))
             distinct, at, inverse = np.unique(keys.ravel(), return_index=True, return_inverse=True)

@@ -69,7 +69,7 @@ def build_color_code_2d(L: int = 1) -> ColorCode2D:
     fy, fx = np.nonzero((np.arange(period)[:, None] - np.arange(-1, W)) % 2 == 0)
     x0 = fx - 1
     colors = ((x0 - 3 * fy) // 2 + 1) % 3
-    if np.unique(colors[(x0 <= 0) | (x0 >= W - 2)]).tolist() != [1, 2]:
+    if np.flatnonzero(np.bincount(colors[(x0 <= 0) | (x0 >= W - 2)])).tolist() != [1, 2]:
         raise AssertionError("both open boundaries must miss color 0")
     # the hexagon on columns x0..x0+2 of rows y and y+1, clipped to 0..W
     cols = x0[:, None] + [0, 1, 2, 0, 1, 2]
@@ -112,7 +112,9 @@ def _shrink(cc: ColorCode2D, color: int) -> CellComplex:
     reach = Faces.from_pairs(len(colors), np.repeat(owner, edges.counts()[rows]),
                              edges.take(rows))
     new_faces = bounded[reach.counts()[bounded] == 0]
-    mine = np.isin(owner, new_faces)
+    is_new = np.zeros(len(colors), dtype=bool)
+    is_new[new_faces] = True
+    mine = is_new[owner]
     face_faces = Faces.from_pairs(len(new_faces), np.searchsorted(new_faces, owner[mine]),
                                   rows[mine])
 

@@ -131,7 +131,8 @@ class _QubitGraph:
         # node per 0-cell: bulk vertices in order, then one per e-label
         is_e = cx.label_mask(0, label_is_e)
         codes = cx.labels[0][is_e]
-        self.terminal_labels: list[str] = sorted({cx.label_names[c] for c in np.unique(codes)})
+        self.terminal_labels: list[str] = sorted(
+            {cx.label_names[c] for c in np.flatnonzero(np.bincount(codes))})
         self.n_bulk = int(len(is_e) - is_e.sum())
         self.n_nodes = self.n_bulk + len(self.terminal_labels)
         terminal = {label: self.n_bulk + t for t, label in enumerate(self.terminal_labels)}
@@ -448,7 +449,7 @@ def _adjacent_pairs(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
         c = checks.idx  # the columns of a row ascend
         later, end = np.arange(1, len(c) + 1), np.repeat(checks.ptr[1:], checks.counts())
         keys.append(np.repeat(c, end - later) * code.n_qubits + c[_ranges(later, end)])
-    return np.divmod(np.unique(np.concatenate(keys)), code.n_qubits)
+    return np.divmod(np.unique(np.concatenate(keys), return_index=True)[0], code.n_qubits)
 
 
 def _same_columns(columns: Faces, a, b) -> np.ndarray:

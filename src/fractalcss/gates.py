@@ -368,7 +368,8 @@ def stabilizer_tags_near_holes(align: StackAlignment) -> set[str]:
         rows, cols = code.x_checks.owners(), code.x_checks.idx
         for g in grown:
             meets = (np.maximum(boxes[..., 0], g[:, 0]) <= np.minimum(boxes[..., 1], g[:, 1]))
-            near.update(f"{copy}:X{r}" for r in np.unique(rows[meets.all(axis=1)[cols]]).tolist())
+            hit = np.bincount(rows[meets.all(axis=1)[cols]])
+            near.update(f"{copy}:X{r}" for r in np.flatnonzero(hit).tolist())
     return near
 
 
@@ -556,7 +557,8 @@ def _across(code: CssCode, patch: np.ndarray) -> list[int]:
     zs, xs = logical_basis(code)
     if not xs:
         raise ValueError("merge needs one logical-X representative per block")
-    on_patch = np.isin(np.arange(code.source.n_cells(code.grading - 1)), patch).astype(np.uint8)
+    on_patch = np.zeros(code.source.n_cells(code.grading - 1), dtype=np.uint8)
+    on_patch[patch] = 1
     c = Gf2Vector.from_dense(code.source.faces[code.grading].parity(on_patch)[code.qubit_cells])
     total = Gf2Vector(code.n_qubits)
     for z, x in zip(zs, xs):
