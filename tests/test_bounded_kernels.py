@@ -92,7 +92,7 @@ def test_transpose_matches_oracle(faces_below):
 
 @pytest.mark.parametrize("k", (1, 2, 3))
 def test_lattice_cofaces_match_oracle(k):
-    cx = code_lattice(3, 9, holes=fractal_holes(FractalSpec(3, 3, 1, 2, holes="m")))
+    cx = _fc31_level2()
     assert _same_faces(cx.cofaces(k - 1), oracle.transpose(cx.faces[k], cx.n_cells(k - 1)))
 
 
