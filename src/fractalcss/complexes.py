@@ -231,11 +231,11 @@ class Faces:
     def __getitem__(self, i: int) -> np.ndarray:
         return self.idx[self.ptr[i] : self.ptr[i + 1]]
 
-    def counts(self) -> np.ndarray:
-        """The number of faces of each cell, as int64 whatever the width of
-        `ptr`: ``np.subtract.at`` and its kind take the fast path only where
-        the counts and the values they add have one type."""
-        return np.subtract(self.ptr[1:], self.ptr[:-1], dtype=np.int64)
+    def counts(self, dtype=np.int64) -> np.ndarray:
+        """The number of faces of each cell, as int64 by default whatever
+        the width of `ptr`, so that sums and products of counts cannot
+        wrap; `self.ptr.dtype` keeps the width of the row pointers."""
+        return np.subtract(self.ptr[1:], self.ptr[:-1], dtype=dtype)
 
     def owners(self) -> np.ndarray:
         """The cell of every entry of ``idx``."""

@@ -448,7 +448,9 @@ def _adjacent_pairs(code: CssCode) -> tuple[np.ndarray, np.ndarray]:
     for checks in (code.x_checks, code.z_checks):
         c = checks.idx  # the columns of a row ascend
         later, end = np.arange(1, len(c) + 1), np.repeat(checks.ptr[1:], checks.counts())
-        keys.append(np.repeat(c, end - later) * code.n_qubits + c[_ranges(later, end)])
+        # int64 keys: the columns may be int32, and a * n wraps there past 46,340 qubits
+        keys.append(np.repeat(c.astype(np.int64), end - later) * code.n_qubits
+                    + c[_ranges(later, end)])
     return np.divmod(np.unique(np.concatenate(keys), return_index=True)[0], code.n_qubits)
 
 

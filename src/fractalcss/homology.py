@@ -112,8 +112,8 @@ class _Reduction:
         self.up = up or [fs.transpose(len(below)) for below, fs in zip(down, down[1:])]
         self.live = [np.ones(len(fs), dtype=bool) for fs in down]
         # the live counts in the width of the row pointers
-        self.n_down = [np.subtract(fs.ptr[1:], fs.ptr[:-1]) for fs in down]
-        self.n_up = [np.subtract(fs.ptr[1:], fs.ptr[:-1]) for fs in self.up]
+        self.n_down = [fs.counts(fs.ptr.dtype) for fs in down]
+        self.n_up = [fs.counts(fs.ptr.dtype) for fs in self.up]
         self.rounds: list[tuple[int, int, np.ndarray, np.ndarray]] = []
 
     def run(self) -> tuple[list[np.ndarray], list[int]]:

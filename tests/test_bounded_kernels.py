@@ -203,36 +203,34 @@ def _assert_masks_match_oracle(monkeypatch, cx, holes):
         assert got == _masks(cx, holes)
 
 
-@pytest.mark.parametrize("block", (1 << 10, 1 << 18))
 @pytest.mark.parametrize("style", ("plain", "code"))
 @pytest.mark.parametrize("holes", HOLES)
 @pytest.mark.parametrize("background", ("open", "torus", "sphere"))
 @pytest.mark.parametrize("name", FRACTALS)
-def test_ladder_punch_masks_match_oracle(monkeypatch, name, background, holes, style, block):
-    """With chunks of 2**10 cells too: a few holes of the smallest shape
-    per chunk."""
-    monkeypatch.setattr(complexes, "_BLOCK", block)
+def test_ladder_punch_masks_match_oracle(monkeypatch, name, background, holes, style):
+    """In chunks of 2**10 cells, a few holes of the smallest shape per
+    chunk (the default chunk never splits these complexes)."""
+    monkeypatch.setattr(complexes, "_BLOCK", 1 << 10)
     spec = FractalSpec(*FRACTALS[name], background=background, holes=HOLES[holes])
     builder = code_lattice if style == "code" else build_lattice
     _assert_masks_match_oracle(monkeypatch, builder(spec.n, spec.side, background),
                                fractal_holes(spec))
 
 
-@pytest.mark.parametrize("block", (5, 1 << 18))
 @pytest.mark.parametrize("seed", range(40))
-def test_seeded_punch_masks_match_oracle(monkeypatch, seed, block):
-    """The 40 seeded layouts, also with chunks of 5 cells: every scatter,
-    gather and test then splits, and each chunk holds one hole."""
-    monkeypatch.setattr(complexes, "_BLOCK", block)
+def test_seeded_punch_masks_match_oracle(monkeypatch, seed):
+    """The 40 seeded layouts in chunks of 5 cells: every scatter, gather
+    and test then splits, and each chunk holds one hole."""
+    monkeypatch.setattr(complexes, "_BLOCK", 5)
     style, n, L, background, holes = seeded_params(seed)
     builder = code_lattice if style == "code" else build_lattice
     _assert_masks_match_oracle(monkeypatch, builder(n, L, background), holes)
 
 
-@pytest.mark.parametrize("block", (7, 1 << 18))
 @pytest.mark.parametrize("name", ("fc31-l2", "fc42-l2", "fc31-4d-l1"))
-def test_grid_matches_oracle(monkeypatch, name, block):
-    monkeypatch.setattr(complexes, "_BLOCK", block)
+def test_grid_matches_oracle(monkeypatch, name):
+    """In chunks of 7 grid rows, so that the scatter splits."""
+    monkeypatch.setattr(complexes, "_BLOCK", 7)
     spec = FractalSpec(*FRACTALS[name])
     for cx in (code_lattice(spec.n, spec.side), build_lattice(spec.n, spec.side, "torus")):
         boxes = np.concatenate(cx.cells)

@@ -145,6 +145,24 @@ def test_budget_sweep_matches_oracle(name):
                 assert got == want, (op_type, w_max, budget)
 
 
+def test_adjacent_pairs_of_int32_checks_past_46341_qubits():
+    """With int32 columns, a * n wraps past 46,340 qubits unless the keys
+    are widened first: the pairs of every X and Z check, against a brute
+    force over each check's columns."""
+    n = 50_000
+    x_rows = [[0, 49_999], [10, 46_341, 46_342, 49_000], [10, 20]]
+    z_rows = [[0, 49_999], [46_341, 46_342], [47_000, 48_000, 49_500]]
+
+    def faces(rows):
+        ptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int32)
+        return Faces(ptr, np.concatenate(rows).astype(np.int32))
+
+    code = CssCode(n, faces(x_rows), faces(z_rows), 1, np.arange(n), np.arange(len(x_rows)))
+    want = sorted({(a, b) for row in x_rows + z_rows for i, a in enumerate(row) for b in row[i + 1:]})
+    a, b = _adjacent_pairs(code)
+    assert list(zip(a.tolist(), b.tolist())) == want
+
+
 def test_budget_error_certifies_the_finished_weights():
     code = css_from_complex(code_lattice(3, 3), 1)
     n = code.n_qubits
