@@ -309,8 +309,8 @@ def code_params(code: CssCode, cross_check: bool = True) -> CodeParams:
     """n and k = dim H_1 of the code's reduced chain complex; k is
     cross-checked against the matching (relative) homology of the labelled
     complex when the source complex is known."""
-    hk = homology_k(code) if cross_check and code.source is not None else None
     k = code.reduction.k
+    hk = homology_k(code) if cross_check and code.source is not None else None
     if hk is not None and hk != k:
         raise AssertionError(
             f"k={k} from ranks but dim H_{code.grading} = {hk}; "

@@ -252,8 +252,34 @@ class Faces:
         width = _width(0, max(self.ptr.size - 1, self.idx.size), (np.int32, np.int64))
         ptr = np.zeros(n + 1, dtype=width)
         np.cumsum(np.bincount(self.idx, minlength=n), out=ptr[1:])
-        owners = np.arange(self.ptr.size - 1, dtype=width).repeat(self.counts())
-        return Faces(ptr, owners[np.argsort(self.idx, kind="stable")])
+        if self.idx.size <= _ENTRIES:  # one block: the owners in a stable order
+            owners = np.arange(self.ptr.size - 1, dtype=width).repeat(self.counts())
+            return Faces(ptr, owners[np.argsort(self.idx, kind="stable")])
+        # a counting sort, a block of whole cells at a time: each block's
+        # entries go, in order, to the next free slots of their cells below
+        out, free = np.empty(self.idx.size, dtype=width), ptr[:-1].copy()
+        for first, stop in self._blocks(_ENTRIES):
+            part = self.idx[self.ptr[first] : self.ptr[stop]]
+            order = np.argsort(part, kind="stable")
+            below = part[order]
+            starts = np.flatnonzero(np.diff(below, prepend=-1))  # a run per cell below
+            cells, runs = below[starts], np.diff(starts, append=below.size)
+            slots = free[cells]
+            at = np.arange(below.size, dtype=width) + (slots - starts).repeat(runs)
+            out[at] = np.arange(first, stop, dtype=width).repeat(
+                self.ptr[first + 1 : stop + 1] - self.ptr[first:stop])[order]
+            free[cells] = slots + runs
+        return Faces(ptr, out)
+
+    def _blocks(self, entries: int):
+        """(first, stop) of consecutive runs of whole cells that hold about
+        `entries` entries together; a cell with more is a run alone."""
+        first, size = 0, self.ptr.size - 1
+        while first < size:
+            stop = max(int(self.ptr.searchsorted(self.ptr[first] + entries, "right")) - 1,
+                       first + 1)
+            yield first, stop
+            first = stop
 
     def restrict(self, keep: np.ndarray, keep_below: np.ndarray) -> "Faces":
         """The kept cells' faces among the kept faces, both renumbered, in
@@ -287,12 +313,7 @@ class Faces:
         # in blocks of whole cells, so the temporaries stay small: a block
         # holds about _ENTRIES / (the mean count below) faces, so it reaches
         # about _ENTRIES entries; a cell with more faces is a block alone
-        step = max(_ENTRIES * len(below) // max(len(below.idx), 1), 1)
-        first, size = 0, self.ptr.size - 1
-        while first < size:
-            stop = int(self.ptr.searchsorted(self.ptr[first] + step, "right")) - 1
-            if stop == first:  # one cell past the step
-                stop += 1
+        for first, stop in self._blocks(max(_ENTRIES * len(below) // max(len(below.idx), 1), 1)):
             faces = self.idx[self.ptr[first] : self.ptr[stop]]
             starts, stops = below.ptr[faces], below.ptr[faces + 1]
             # the key cell * n + reached cell, the cell numbered in the block
@@ -305,7 +326,6 @@ class Faces:
             # entries pair up
             if len(reach) % 2 or (reach[0::2] != reach[1::2]).any():
                 return False
-            first = stop
         return True
 
 
@@ -432,10 +452,9 @@ class CellComplex:
             self.background, "dual", self.periods, self.holes,
         )
 
-    def relative_faces(self, labels: set[str]) -> list[Faces]:
-        """The face arrays of the relative chain complex C(L)/C(B), B the
-        cells carrying `labels`: the faces of the unlabelled cells among the
-        unlabelled cells, each grade renumbered in its original order.  B
+    def relative_cells(self, labels: set[str]) -> list[np.ndarray]:
+        """Per grade, the mask of the cells of the relative chain complex
+        C(L)/C(B), B the cells carrying `labels`: the unlabelled cells.  B
         must be a nonempty subcomplex (ValueError otherwise)."""
         keep = [~self.label_mask(k, labels.__contains__) for k in range(self.dim + 1)]
         if all(kp.all() for kp in keep):
@@ -443,7 +462,13 @@ class CellComplex:
         if open_face := _first_open_face(self.faces, [~kp for kp in keep]):
             raise ValueError("selected subcomplex is not closed under the boundary: "
                              "grade-{} cell {} has unselected face {}".format(*open_face))
-        return self._restrict_faces(keep)
+        return keep
+
+    def relative_faces(self, labels: set[str]) -> list[Faces]:
+        """The face arrays of the relative chain complex C(L)/C(B): the faces
+        of the :meth:`relative_cells` among them, each grade renumbered in
+        its original order."""
+        return self._restrict_faces(self.relative_cells(labels))
 
     def quotient_to_point(self, labels: set[str]) -> "CellComplex":
         """Collapse the labeled boundary subcomplex to a single point.
@@ -452,8 +477,8 @@ class CellComplex:
         vertex that replaces the selected vertices: an edge with an odd
         number of collapsed endpoints gets it as a face.
         """
-        faces = self.relative_faces(labels)
-        keep = [~self.label_mask(k, labels.__contains__) for k in range(self.dim + 1)]
+        keep = self.relative_cells(labels)
+        faces = self._restrict_faces(keep)
         cells = [c[kp] for c, kp in zip(self.cells, keep)]
         new_labels = [lab[kp] for lab, kp in zip(self.labels, keep)]
         star = len(cells[0])  # index of the new vertex, after every kept one

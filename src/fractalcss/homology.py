@@ -1,7 +1,8 @@
 """Z2 cellular homology, absolute and relative, plus duality checks.
 
 Relative homology is the homology of the relative chain complex C(L)/C(B)
-(`CellComplex.relative_faces`, the labeled boundary subcomplex B removed):
+(`CellComplex.relative_cells`, the labeled boundary subcomplex B removed;
+the reduction starts with B dead rather than from renumbered copies):
 ``H_i(L, B) = H_i(L/B)`` for i > 0.  At i = 0 the functions here return
 the value of the quotient L/B, where B is one more point: one more than the
 reduced relative group.  :func:`betti_with_caveat` flags it instead of
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import (
-    BoundaryError, CellComplex, Faces, dual_with_boundary, label_is_e, label_is_m,
+    BoundaryError, CellComplex, Faces, _width, dual_with_boundary, label_is_e, label_is_m,
 )
 from .gf2 import Gf2Matrix, Gf2Vector, _kernel_rows, _rref_inplace, in_rowspace
 
@@ -62,25 +63,28 @@ def betti_with_caveat(
 ) -> tuple[int, bool]:
     """:func:`betti` and the reduced caveat: True for relative homology at
     grade 0, where the quotient-complex value is not the reduced group."""
-    down, point = _chains(cx, grade, relative_labels)
-    return _reduced_betti(down, grade) + point, point
+    live, point = _chains(cx, grade, relative_labels)
+    return _reduced_betti(cx.faces, grade, live=live) + point, point
 
 
-def _chains(cx: CellComplex, grade: int, relative_labels) -> tuple[list[Faces], bool]:
-    """The face arrays of C(L), or of C(L)/C(B) for the cells B carrying
-    `relative_labels`, and whether the grade is 0 with labels: there the
-    quotient L/B counts the collapsed B as one more component."""
+def _chains(cx: CellComplex, grade: int, relative_labels) -> tuple[list[np.ndarray] | None, bool]:
+    """The cells of C(L) (None: all of them), or of C(L)/C(B) for the
+    cells B carrying `relative_labels`, as a mask per grade, and whether
+    the grade is 0 with labels: there the quotient L/B counts the
+    collapsed B as one more component."""
     if not 0 <= grade <= cx.dim:
         raise ValueError(f"grade {grade} out of range 0..{cx.dim}")
     if not relative_labels:
-        return cx.faces, False
-    return cx.relative_faces(set(relative_labels)), grade == 0
+        return None, False
+    return cx.relative_cells(set(relative_labels)), grade == 0
 
 
-def _reduced_betti(down: list[Faces], grade: int, up: list[Faces] | None = None) -> int:
+def _reduced_betti(down: list[Faces], grade: int, up: list[Faces] | None = None,
+                   live: list[np.ndarray] | None = None) -> int:
     """dim H_grade of the chain complex of faces down[k] (cofaces up[k], if
-    given): reduced by `_Reduction`, its residue's boundaries ranked."""
-    live, seeds = _Reduction(down, up).run()
+    given) on the cells `live` (all, if not given; taken over): reduced by
+    `_Reduction`, its residue's boundaries ranked."""
+    live, seeds = _Reduction(down, up, live).run()
     sizes = [int(keep.sum()) for keep in live]
     # the residue's boundaries into and out of the grade
     d = {k: down[k].restrict(live[k], live[k - 1])
@@ -97,7 +101,11 @@ class _Reduction:
     The complex is given in CSR form: ``down[k]`` lists the faces of each
     k-cell (``down[0]`` is empty) and ``up[k]``, k below the top grade, its
     cofaces, sorted (the transposes of `down` when not given);
-    ``n_down[k]`` / ``n_up[k]`` count the live ones.  Every round of pairs
+    ``n_down[k]`` / ``n_up[k]`` count the live ones.  The cells start live
+    unless masks `live` are given (a subcomplex whose boundary maps are
+    `down` restricted, as a relative complex is): a dead cell is never a
+    candidate and never counted, so the pairs are those of the restricted
+    copies, in the original numbering.  Every round of pairs
     is recorded in ``rounds`` as (g, h, x, y), none empty: the g-cells x
     went with the h-cells y, x[i] with y[i].  A round gathers the
     h-neighbours of the candidates x (to find their y), x's far side, and
@@ -107,13 +115,13 @@ class _Reduction:
     no pair changes a surviving boundary.
     """
 
-    def __init__(self, down: list[Faces], up: list[Faces] | None = None):
+    def __init__(self, down: list[Faces], up: list[Faces] | None = None,
+                 live: list[np.ndarray] | None = None):
         self.down = down
         self.up = up or [fs.transpose(len(below)) for below, fs in zip(down, down[1:])]
-        self.live = [np.ones(len(fs), dtype=bool) for fs in down]
-        # the live counts in the width of the row pointers
-        self.n_down = [fs.counts(fs.ptr.dtype) for fs in down]
-        self.n_up = [fs.counts(fs.ptr.dtype) for fs in self.up]
+        self.live = live or [np.ones(len(fs), dtype=bool) for fs in down]
+        self.n_down = [_live_counts(fs, below) for fs, below in zip(down, [None] + self.live)]
+        self.n_up = [_live_counts(fs, above) for fs, above in zip(self.up, self.live[1:])]
         self.rounds: list[tuple[int, int, np.ndarray, np.ndarray]] = []
 
     def run(self) -> tuple[list[np.ndarray], list[int]]:
@@ -177,6 +185,16 @@ class _Reduction:
             self._remove(g, x, 2 * g - h)
             cand = self._remove(h, y, g)  # the g-cells whose count fell
             self.rounds.append((g, h, x, y))
+
+
+def _live_counts(fs: Faces, live: np.ndarray | None) -> np.ndarray:
+    """Per cell, its entries in `fs` that are `live` (all when None), in
+    the narrowest integer type that holds the most (int16 on a lattice)."""
+    counts = fs.counts(fs.ptr.dtype)
+    if live is not None and not (alive := live[fs.idx]).all():
+        dead = fs.ptr.searchsorted(np.flatnonzero(~alive), "right") - 1
+        counts -= np.bincount(dead, minlength=len(fs)).astype(counts.dtype)
+    return counts.astype(_width(0, int(counts.max(initial=0))), copy=False)
 
 
 class _RowSpace:
@@ -283,10 +301,11 @@ def _components(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
 def cobetti(cx: CellComplex, grade: int, relative_labels=frozenset()) -> int:
     """dim H^i from the cochain complex (faces and cofaces swapped, grades
     reversed), reduced like :func:`betti`; equals betti at the same grade."""
-    down, point = _chains(cx, grade, relative_labels)
-    n = cx.dim
+    live, point = _chains(cx, grade, relative_labels)
+    n, down = cx.dim, cx.faces
     up = [down[k + 1].transpose(len(down[k])) for k in range(n)]
-    return _reduced_betti([Faces.empty(len(down[n]))] + up[::-1], n - grade, down[:0:-1]) + point
+    return _reduced_betti([Faces.empty(len(down[n]))] + up[::-1], n - grade, down[:0:-1],
+                          live and live[::-1]) + point
 
 
 @dataclass(frozen=True)

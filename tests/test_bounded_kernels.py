@@ -2,7 +2,8 @@
 
 `complexes._ranges` builds one full-length array (its result) and adds
 the positions a block of `_ENTRIES` at a time, `Faces.transpose` keeps
-int32 cofaces while the counts fit, `Faces.composes_to_zero` works in
+int32 cofaces while the counts fit and places a block of about
+`_ENTRIES` entries at a time, `Faces.composes_to_zero` works in
 blocks that reach about `_ENTRIES` entries, and `_MidpointGrid` and
 `_hole_hits` build the grid one axis at a time and gather the holes of
 one shape in chunks of `_BLOCK` cells.  The oracles are the kernels before
@@ -82,26 +83,35 @@ def _same_faces(a: Faces, b: Faces) -> bool:
 
 
 @settings(max_examples=200, deadline=None)
-@given(csr())
-def test_transpose_matches_oracle(faces_below):
+@given(csr(), st.sampled_from((1, 3, 1 << 14)))
+def test_transpose_matches_oracle(faces_below, block):
+    """In blocks of about 1 and 3 entries too, so that the cells below
+    take entries from several blocks."""
     faces, below = faces_below
-    got = faces.transpose(below)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(complexes, "_ENTRIES", block)
+        got = faces.transpose(below)
     assert _same_faces(got, oracle.transpose(faces, below))
     assert got.ptr.dtype == got.idx.dtype == np.int32
 
 
+@pytest.mark.parametrize("block", (64, 1 << 14))
 @pytest.mark.parametrize("k", (1, 2, 3))
-def test_lattice_cofaces_match_oracle(k):
+def test_lattice_cofaces_match_oracle(monkeypatch, k, block):
+    monkeypatch.setattr(complexes, "_ENTRIES", block)
     cx = _fc31_level2()
     assert _same_faces(cx.cofaces(k - 1), oracle.transpose(cx.faces[k], cx.n_cells(k - 1)))
 
 
+@pytest.mark.parametrize("block", (2, 1 << 14))
 @pytest.mark.parametrize("cells, entries, width", [
     (5, 5, np.int32), (6, 5, np.int64), (5, 6, np.int64), (1, 0, np.int32)])
-def test_transpose_is_int32_exactly_when_both_counts_fit(monkeypatch, cells, entries, width):
+def test_transpose_is_int32_exactly_when_both_counts_fit(monkeypatch, cells, entries, width,
+                                                         block):
     """The widths at a limit of 5 instead of 2**31 - 1: int32 cofaces when
     neither the cells (the values of their idx) nor the entries (of ptr)
     pass it; the values are the oracle's either way."""
+    monkeypatch.setattr(complexes, "_ENTRIES", block)
     real = complexes._width
     monkeypatch.setattr(complexes, "_width", lambda lo, hi, widths=(np.int16, np.int32, np.int64):
                         real(lo, hi, widths) if hi <= 5 else widths[-1])

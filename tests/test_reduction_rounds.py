@@ -34,9 +34,11 @@ from test_coreduction import CLOSED, LADDER, LEFSCHETZ
 from test_text_fuzz import punched as random_punched
 
 
-def _assert_same_reduction(down: list[Faces], up: list[Faces] | None = None) -> _Reduction:
+def _assert_same_reduction(down: list[Faces], up: list[Faces] | None = None
+                           ) -> tuple[_Reduction, list[int]]:
     """Run the engine (with the cofaces `up` when given) and the oracle on
-    the faces `down`: the same live masks, seeds and non-empty rounds."""
+    the faces `down`: the same live masks, seeds and non-empty rounds.
+    Return the engine and its seeds."""
     red, ref = _Reduction(down, up), oracle.Reduction(down)
     (live, seeds), (want_live, want_seeds) = red.run(), ref.run()
     assert seeds == want_seeds
@@ -47,7 +49,7 @@ def _assert_same_reduction(down: list[Faces], up: list[Faces] | None = None) -> 
     for (g, h, x, y), (wg, wh, wx, wy) in zip(red.rounds, want):
         assert (g, h) == (wg, wh)
         assert np.array_equal(x, wx) and np.array_equal(y, wy)
-    return red
+    return red, seeds
 
 
 def _code_chains(code: CssCode) -> tuple[list[Faces], list[Faces]]:
@@ -80,10 +82,31 @@ def _assert_complex_matches(cx) -> None:
             down = cx.relative_faces(set(labels)) if labels else cx.faces
         except ValueError:  # the labelled cells are no subcomplex
             continue
-        _assert_same_reduction(down)
+        red = _assert_same_reduction(down)
         n = cx.dim
         up = [down[k + 1].transpose(len(down[k])) for k in range(n)]
-        _assert_same_reduction([Faces.empty(len(down[n]))] + up[::-1], down[::-1])
+        co = _assert_same_reduction([Faces.empty(len(down[n]))] + up[::-1], down[::-1])
+        if labels:
+            keep = cx.relative_cells(set(labels))
+            _assert_same_in_place(red, cx.faces, None, keep)
+            whole = [cx.faces[k + 1].transpose(cx.n_cells(k)) for k in range(n)]
+            _assert_same_in_place(co, [Faces.empty(cx.n_cells(n))] + whole[::-1],
+                                  cx.faces[::-1], keep[::-1])
+
+
+def _assert_same_in_place(copies: tuple[_Reduction, list[int]], down, up, keep) -> None:
+    """The engine on the whole complex's faces `down` (cofaces `up`) from
+    the cells `keep` pairs the cells that the engine and seeds `copies`
+    paired on the renumbered copies, in the same rounds, and leaves the
+    same cells and seeds."""
+    (red, want_seeds), cells = copies, [np.flatnonzero(kp) for kp in keep]
+    whole = _Reduction(down, up, [kp.copy() for kp in keep])
+    (live, seeds), want_live = whole.run(), red.live
+    assert seeds == want_seeds
+    assert all(np.array_equal(np.flatnonzero(a), c[np.flatnonzero(b)])
+               for a, b, c in zip(live, want_live, cells))
+    assert [(g, h, cells[g][x].tolist(), cells[h][y].tolist()) for g, h, x, y in red.rounds] \
+        == [(g, h, x.tolist(), y.tolist()) for g, h, x, y in whole.rounds]
 
 
 @pytest.mark.parametrize("name", sorted(CODES))
@@ -161,8 +184,8 @@ def test_rounds_are_never_empty_and_gather_at_most_three_times(monkeypatch):
         takes[0] = 0  # a seed's gather is no round's
         return pair_off(self, g, h)
 
-    def ledger_init(self, down, up=None):
-        init(self, down, up)
+    def ledger_init(self, *args):
+        init(self, *args)
         self.rounds = Ledger()
 
     monkeypatch.setattr(Faces, "take", counted_take)
@@ -207,8 +230,8 @@ def test_live_counts_stay_exact_after_every_round(monkeypatch):
             _assert_live_counts_exact(self.red)
             checked.append(item)
 
-    def checked_init(self, down, up=None):
-        init(self, down, up)
+    def checked_init(self, *args):
+        init(self, *args)
         self.rounds = Checked(self)
 
     monkeypatch.setattr(_Reduction, "__init__", checked_init)
