@@ -158,22 +158,18 @@ def cmd_homology(args) -> int:
 
 
 def _distances(code, methods: str, w_max: int):
-    dz = dx = None
-    if "bfs" in methods:
-        try:
-            dz = dz_shortest_path(code)
-        except PreconditionError:
-            dz = None
-    if dz is None:
-        dz = exhaustive_low_weight(code, "Z", w_max)
-    if "mincut" in methods:
-        try:
-            dx = dx_min_cut(code)
-        except PreconditionError:
-            dx = None
-    if dx is None:
-        dx = exhaustive_low_weight(code, "X", w_max)
-    return dz, dx
+    """(d_Z, d_X), each by its exact method when `methods` names it and the
+    code meets its precondition, else by the low-weight search."""
+    found = []
+    for method, exact, pauli in (("bfs", dz_shortest_path, "Z"), ("mincut", dx_min_cut, "X")):
+        d = None
+        if method in methods:
+            try:
+                d = exact(code)
+            except PreconditionError:
+                pass
+        found.append(d if d is not None else exhaustive_low_weight(code, pauli, w_max))
+    return found
 
 
 def cmd_distance(args) -> int:
@@ -191,10 +187,7 @@ def cmd_scan(args) -> int:
 
     def scan_level(level: int) -> str:
         t0 = time.perf_counter()
-        spec = FractalSpec(
-            n=args.dim, p=args.p, q=args.q, level=level,
-            background=args.background, holes=holes,
-        )
+        spec = FractalSpec(args.dim, args.p, args.q, level, args.background, holes)
         code = css_from_complex(fractal_complex(spec, style="code"), args.i)
         k = code_params(code).k
         dz, dx = _distances(code, args.methods, args.wmax)
@@ -219,24 +212,18 @@ def cmd_table1(args) -> int:
     if args.verify_levels:
         lines.append("p,q,level,L,k,dz,dx,fitted_dx_exponent,closed_form,deviation")
         for p, q in [(3, 1), (4, 2)]:
-            points = []
-            row_cache = []
+            rows = []  # p, q, level, L, k, d_Z, d_X
             for level in range(1, args.verify_levels + 1):
                 spec = FractalSpec(3, p, q, level, holes="m")
                 code = css_from_complex(fractal_complex(spec, style="code"), 1)
-                k = code_params(code).k
-                dz = dz_shortest_path(code)
-                dx = dx_min_cut(code)
-                points.append((spec.side, dx.value))
-                row_cache.append((p, q, level, spec.side, k, dz.value, dx.value))
+                rows.append((p, q, level, spec.side, code_params(code).k,
+                             dz_shortest_path(code).value, dx_min_cut(code).value))
             closed = hausdorff_exponent(p, q, 2)
-            fit = fit_scaling(points) if len(points) >= 2 else None
+            fit = fit_scaling([(r[3], r[6]) for r in rows]) if len(rows) >= 2 else None
             fitted = fit.exponent if fit else float("nan")
-            for row in row_cache:
-                lines.append(
-                    ",".join(str(x) for x in row)
-                    + f",{fitted:.4f},{closed:.4f},{abs(fitted - closed):.4f}"
-                )
+            for row in rows:
+                lines.append(",".join(map(str, row))
+                             + f",{fitted:.4f},{closed:.4f},{abs(fitted - closed):.4f}")
     _write_blocks(args.out, "\n".join(lines) + "\n")
     return 0
 
@@ -275,12 +262,10 @@ def cmd_merge(args) -> int:
 
     if args.level:
         spec = FractalSpec(args.dim, args.p, args.q, args.level, holes="m")
-        a = css_from_complex(fractal_complex(spec, style="code"), 1)
-        b = css_from_complex(fractal_complex(spec, style="code"), 1)
+        build = functools.partial(fractal_complex, spec, style="code")
     else:
-        a = css_from_complex(code_lattice(args.dim, args.L), 1)
-        b = css_from_complex(code_lattice(args.dim, args.L), 1)
-    result = merge_rough(a, b)
+        build = functools.partial(code_lattice, args.dim, args.L)
+    result = merge_rough(*(css_from_complex(build(), 1) for _ in range(2)))
     print(
         f"k_merged={result.k_merged} "
         f"parity_identity={'PASS' if result.parity_identity else 'FAIL'} "
@@ -298,23 +283,56 @@ def cmd_export(args) -> int:
     return 0
 
 
-# the flags a command adds to the geometry flags when it reads them
-_OPTIONAL_FLAGS = {
-    "level": dict(type=int, default=1),
-    "i": dict(type=int, default=1),
-    "style": dict(default="plain", choices=["plain", "code"]),
-    "out": dict(default=None),
+# Each flag's add_argument keywords, written once ("which" is positional)
+_FLAGS = {
+    "--dim": dict(type=int, default=3),
+    "--p": dict(type=int, default=3),
+    "--q": dict(type=int, default=1),
+    "--background": dict(default="open", choices=["open", "torus", "sphere"]),
+    "--holes": dict(default="m"),
+    "--level": dict(type=int, default=1),
+    "--i": dict(type=int, default=1),
+    "--style": dict(default="plain", choices=["plain", "code"]),
+    "--out": dict(default=None),
+    "--complex": dict(default=None),
+    "--code": dict(required=True),
+    "--grade": dict(type=int, default=1),
+    "--relative": dict(default=""),
+    "--lefschetz": dict(action="store_true"),
+    "--methods": dict(default="bfs,mincut"),
+    "--wmax": dict(type=int, default=2),
+    "--level-min": dict(type=int, default=1),
+    "--level-max": dict(type=int, default=2),
+    "--timings": dict(action="store_true"),
+    "--verify-levels": dict(type=int, default=0),
+    "which": dict(choices=["cz", "ccz", "s"]),
+    "--vb": dict(action="store_true"),
+    "--colorcode": dict(action="store_true"),
+    "--L": dict(type=int, default=2),
+    "--hole": dict(choices=["center"], default=None),
+    "--what": dict(choices=["hx", "hz"], default="hx"),
 }
 
+_SPEC = "--dim --p --q --background --holes"
 
-def _add_spec_flags(p, *optional):
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--background", default="open", choices=["open", "torus", "sphere"])
-    p.add_argument("--holes", default="m")
-    for name in optional:
-        p.add_argument(f"--{name}", **_OPTIONAL_FLAGS[name])
+# Per command: its help, its function and its flags in help order
+_COMMANDS = {
+    "gen": ("generate a fractal cell complex", cmd_gen, f"{_SPEC} --level --style --out"),
+    "code": ("build a CSS code from a complex", cmd_code,
+             f"{_SPEC} --level --i --style --out --complex"),
+    "params": ("code parameters from a csscode file", cmd_params, "--code"),
+    "homology": ("Betti numbers of a complex", cmd_homology,
+                 f"{_SPEC} --level --style --complex --grade --relative --lefschetz"),
+    "distance": ("code distances", cmd_distance, f"{_SPEC} --level --i --complex --methods --wmax"),
+    "scan": ("parameter/distance scan across levels", cmd_scan,
+             f"{_SPEC} --i --out --level-min --level-max --methods --wmax --timings"),
+    "table1": ("Hausdorff dimensions and distance exponents", cmd_table1, "--out --verify-levels"),
+    "gate-check": ("transversal gate condition checks", cmd_gate_check,
+                   "which --vb --colorcode --L --hole --out"),
+    "merge": ("merge two blocks along rough boundaries", cmd_merge,
+              "--dim --L --p --q --level --out"),
+    "export": ("dump a check matrix in gf2matrix format", cmd_export, "--code --what --out"),
+}
 
 
 # Built once per process: parse_args reads the parser and changes nothing in it.
@@ -325,73 +343,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="fractal cell complexes, CSS codes, exact distances, gate checks",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen", help="generate a fractal cell complex")
-    _add_spec_flags(p, "level", "style", "out")
-    p.set_defaults(func=cmd_gen)
-
-    p = sub.add_parser("code", help="build a CSS code from a complex")
-    _add_spec_flags(p, "level", "i", "style", "out")
-    p.add_argument("--complex", default=None)
-    p.set_defaults(func=cmd_code)
-
-    p = sub.add_parser("params", help="code parameters from a csscode file")
-    p.add_argument("--code", required=True)
-    p.set_defaults(func=cmd_params)
-
-    p = sub.add_parser("homology", help="Betti numbers of a complex")
-    _add_spec_flags(p, "level", "style")
-    p.add_argument("--complex", default=None)
-    p.add_argument("--grade", type=int, default=1)
-    p.add_argument("--relative", default="")
-    p.add_argument("--lefschetz", action="store_true")
-    p.set_defaults(func=cmd_homology)
-
-    p = sub.add_parser("distance", help="code distances")
-    _add_spec_flags(p, "level", "i")
-    p.add_argument("--complex", default=None)
-    p.add_argument("--methods", default="bfs,mincut")
-    p.add_argument("--wmax", type=int, default=2)
-    p.set_defaults(func=cmd_distance)
-
-    p = sub.add_parser("scan", help="parameter/distance scan across levels")
-    _add_spec_flags(p, "i", "out")
-    p.add_argument("--level-min", type=int, default=1)
-    p.add_argument("--level-max", type=int, default=2)
-    p.add_argument("--methods", default="bfs,mincut")
-    p.add_argument("--wmax", type=int, default=2)
-    p.add_argument("--timings", action="store_true")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("table1", help="Hausdorff dimensions and distance exponents")
-    p.add_argument("--out", default=None)
-    p.add_argument("--verify-levels", type=int, default=0)
-    p.set_defaults(func=cmd_table1)
-
-    p = sub.add_parser("gate-check", help="transversal gate condition checks")
-    p.add_argument("which", choices=["cz", "ccz", "s"])
-    p.add_argument("--vb", action="store_true")
-    p.add_argument("--colorcode", action="store_true")
-    p.add_argument("--L", type=int, default=2)
-    p.add_argument("--hole", choices=["center"], default=None)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gate_check)
-
-    p = sub.add_parser("merge", help="merge two blocks along rough boundaries")
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--L", type=int, default=2)
-    p.add_argument("--p", type=int, default=3)
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--level", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_merge)
-
-    p = sub.add_parser("export", help="dump a check matrix in gf2matrix format")
-    p.add_argument("--code", required=True)
-    p.add_argument("--what", choices=["hx", "hz"], default="hx")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_export)
-
+    for name, (help_text, func, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+    sub.choices["merge"].set_defaults(level=0)  # a lattice merge unless --level is set
     return ap
 
 

@@ -121,6 +121,10 @@ class Hole:
     kind: str  # "e" or "m"
     level: int = 0
 
+    def __post_init__(self):
+        if self.kind not in ("e", "m"):
+            raise ValueError(f"hole kind {self.kind!r} is not 'e' or 'm'")
+
     @property
     def label(self) -> str:
         return ("hE" if self.kind == "e" else "hM") + str(self.hole_id)
@@ -146,6 +150,9 @@ class FractalSpec:
             raise ValueError(f"(p - q) must be even to center holes, got {self.p - self.q}")
         if self.level < 0:
             raise ValueError("level must be >= 0")
+        for kind in [self.holes] if isinstance(self.holes, str) else self.holes.values():
+            if kind not in ("e", "m"):
+                raise ValueError(f"hole kind {kind!r} is not 'e' or 'm'")
 
     @property
     def side(self) -> int:
@@ -757,6 +764,22 @@ def _lattice_complex(axis_kinds: list[str], L: int, background: str, style: str,
     return cx
 
 
+def _lattice_args(n: int, background: str, e_axes, backgrounds) -> tuple[str, tuple]:
+    """The background ("open-cube" is "open") and the e-axes (default: the
+    last axis) of a lattice, checked: a dimension outside 2..4, a
+    background not in `backgrounds` or an axis outside 0..n-1 raises
+    ValueError."""
+    if not 2 <= n <= 4:
+        raise ValueError(f"dimension {n} unsupported (need 2..4)")
+    background = {"open-cube": "open"}.get(background, background)
+    if background not in backgrounds:
+        raise ValueError(f"unknown background {background!r}")
+    e_axes = (n - 1,) if e_axes is None else tuple(e_axes)
+    if not all(0 <= d < n for d in e_axes):
+        raise ValueError(f"e_axes {e_axes} outside 0..{n - 1}")
+    return background, e_axes
+
+
 def build_lattice(
     n: int, L: int, background: str = "open", e_axes: tuple[int, ...] | None = None,
     holes: list[Hole] | tuple = (),
@@ -773,15 +796,9 @@ def build_lattice(
     """
     if L < 1:
         raise ValueError("L must be >= 1")
-    if not 2 <= n <= 4:
-        raise ValueError(f"dimension {n} unsupported (need 2..4)")
-    background = {"open-cube": "open"}.get(background, background)
+    background, e_axes = _lattice_args(n, background, e_axes, ("open", "torus", "sphere"))
     if background == "torus":
         return _lattice_complex(["circle"] * n, L, "torus", "plain", (), holes)
-    if background not in ("open", "sphere"):
-        raise ValueError(f"unknown background {background!r}")
-    if e_axes is None:
-        e_axes = (n - 1,)
     # E-priority: a cell on several outer patches takes the first e-patch in
     # patch order, else the first m-patch
     rules = tuple(
@@ -801,8 +818,8 @@ def code_lattice(
     n: int, L: int, background: str = "open", e_axes: tuple[int, ...] | None = None,
     holes: list[Hole] | tuple = (),
 ) -> CellComplex:
-    """The boundary-adapted cellulation used to build codes, with `holes`
-    punched in the same construction.
+    """The boundary-adapted cellulation used to build codes, on the open
+    cube or the torus, with `holes` punched in the same construction.
 
     Rough axes are full intervals with OuterE end planes; smooth axes are
     cell-centered paths, so the i=1 code built on it is the standard
@@ -810,11 +827,9 @@ def code_lattice(
     """
     if L < 2:
         raise ValueError("code lattice needs L >= 2")
-    background = {"open-cube": "open"}.get(background, background)
+    background, e_axes = _lattice_args(n, background, e_axes, ("open", "torus"))
     if background == "torus":
         return _lattice_complex(["circle"] * n, L, "torus", "code", (), holes)
-    if e_axes is None:  # any other background is the open cube
-        e_axes = (n - 1,)
     kinds = ["interval" if d in e_axes else "centered" for d in range(n)]
     rules = tuple((d, side * 2 * L, f"oE{2 * d + side}") for d in e_axes for side in (0, 1))
     return _lattice_complex(kinds, L, "open", "code", rules, holes)

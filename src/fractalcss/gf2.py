@@ -278,9 +278,7 @@ class Gf2Matrix:
             raise ValueError(f"column counts differ: {self.cols} and {other.cols}")
         out = Gf2Matrix(self.rows, other.rows)
         for i in range(self.rows):
-            par = np.bitwise_count(self.data[i] & other.data).sum(axis=1) & 1
-            for j in np.nonzero(par)[0]:
-                out.set(i, int(j), 1)
+            out.data[i] = _pack(np.bitwise_count(self.data[i] & other.data).sum(axis=1) & 1)
         return out
 
     def matmul(self, other: "Gf2Matrix") -> "Gf2Matrix":
@@ -305,7 +303,8 @@ def _rref_inplace(data: np.ndarray, rows: int, cols: int) -> list[int]:
 
     Word by word as the module docstring says: empty columns cost nothing,
     and a pivot row's words before the current one are zero.  Rows are not
-    swapped while eliminating; the pivot rows move into place at the end.
+    swapped while eliminating; the pivot rows move into place at the end,
+    in one gather (a transient copy of `data`).
     The padding bits past `cols` are zero, so no pivot lands there.
     """
     pivots: list[int] = []
@@ -329,18 +328,8 @@ def _rref_inplace(data: np.ndarray, rows: int, cols: int) -> list[int]:
             is_pivot[row] = True
             pivots.append((w << 6) + low.bit_length() - 1)
             order.append(row)
-    # The non-pivot rows are zero by now and go last.  Follow each cycle of
-    # the permutation with one spare row, marking placed rows as fixed.
-    order += np.flatnonzero(~is_pivot).tolist()
-    for start in range(rows):
-        if order[start] == start:
-            continue
-        first, j = data[start].copy(), start
-        while order[j] != start:
-            data[j] = data[order[j]]
-            order[j], j = j, order[j]
-        data[j] = first
-        order[j] = j
+    # the non-pivot rows are zero by now and go last
+    data[:] = data[order + np.flatnonzero(~is_pivot).tolist()]
     return pivots
 
 

@@ -734,6 +734,8 @@ def array_code_lattice(
     if L < 2:
         raise ValueError("code lattice needs L >= 2")
     background = {"open-cube": "open"}.get(background, background)
+    if background not in ("open", "torus"):
+        raise ValueError(f"unknown background {background!r}")
     if background == "torus":
         return _array_build_from_axes(n, ["circle"] * n, L, "torus", "code")
     if e_axes is None:

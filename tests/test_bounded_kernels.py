@@ -223,6 +223,10 @@ def test_ladder_punch_masks_match_oracle(monkeypatch, name, background, holes, s
     monkeypatch.setattr(complexes, "_BLOCK", 1 << 10)
     spec = FractalSpec(*FRACTALS[name], background=background, holes=HOLES[holes])
     builder = code_lattice if style == "code" else build_lattice
+    if (style, background) == ("code", "sphere"):  # the code style builds no sphere
+        with pytest.raises(ValueError, match="unknown background 'sphere'"):
+            builder(spec.n, spec.side, background)
+        return
     _assert_masks_match_oracle(monkeypatch, builder(spec.n, spec.side, background),
                                fractal_holes(spec))
 

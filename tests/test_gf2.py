@@ -68,6 +68,19 @@ def test_matmul_matches_dense(rows, cols, seed):
     assert np.array_equal(prod.to_dense(), ref.astype(np.uint8))
 
 
+@pytest.mark.parametrize("rows, inner, other", [(3, 5, 0), (0, 5, 3), (2, 1, 64), (4, 70, 65),
+                                                (5, 130, 130), (1, 64, 200)])
+def test_matmul_t_rows_of_several_words_match_dense(rows, inner, other):
+    """Each row of ``a @ b^T`` packed at once: every word of it, and zero
+    padding past the last column (so equality with the dense product's
+    packing holds word for word)."""
+    rng = np.random.default_rng(rows * 10_000 + inner * 100 + other)
+    a = _random_matrix(rng, rows, inner)
+    b = _random_matrix(rng, other, inner)
+    ref = (a.to_dense().astype(int) @ b.to_dense().astype(int).T) % 2
+    assert a.matmul_t(b) == Gf2Matrix.from_dense(ref.reshape(rows, other))
+
+
 @pytest.mark.parametrize("rows,cols", [(0, 5), (5, 0), (1, 1), (3, 64), (70, 130), (129, 65)])
 def test_entries_dense_and_transpose_match_numpy(rows, cols):
     dense = (np.random.default_rng(rows * 1000 + cols).random((rows, cols)) < 0.3)
