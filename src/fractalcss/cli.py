@@ -158,12 +158,16 @@ def cmd_homology(args) -> int:
 
 
 def _distances(code, methods: str, w_max: int):
-    """(d_Z, d_X), each by its exact method when `methods` names it and the
-    code meets its precondition, else by the low-weight search."""
+    """(d_Z, d_X), each by its exact method (bfs for d_Z, mincut for d_X)
+    when `methods`, comma-separated names of bfs, mincut and none, names it
+    and the code meets its precondition, else by the low-weight search."""
+    names = {name.strip() for name in methods.split(",")}
+    if not names <= {"bfs", "mincut", "none"}:
+        raise ValidationError(f"--methods takes bfs, mincut or none, not {methods!r}")
     found = []
     for method, exact, pauli in (("bfs", dz_shortest_path, "Z"), ("mincut", dx_min_cut, "X")):
         d = None
-        if method in methods:
+        if method in names:
             try:
                 d = exact(code)
             except PreconditionError:
@@ -245,12 +249,10 @@ def cmd_gate_check(args) -> int:
         a = css_from_complex(code_lattice(2, args.L, e_axes=(1,)), 1)
         b = css_from_complex(code_lattice(2, args.L, e_axes=(0,)), 1)
         report = check_transversal_cz(a, b, align_by_boxes([a, b]))
-    elif args.which == "s":
+    else:  # "s", the last of the parser's choices
         if not args.colorcode:
             raise ValidationError("s checks run on the --colorcode patch")
         report = check_transversal_s_colorcode(build_color_code_2d(args.L))
-    else:
-        raise ValidationError(f"unknown gate check {args.which!r}")
     _write_blocks(args.out, report.to_text())
     if not report.all_pass:
         raise GateConditionFailure(report.to_text())
@@ -361,7 +363,7 @@ def main(argv=None) -> int:
         return 3
     except GateConditionFailure:
         return 4
-    except (ValidationError, ValueError, OSError) as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except AssertionError as err:  # after ValueError: a BoundaryError is bad input

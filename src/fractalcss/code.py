@@ -20,7 +20,8 @@ in the residue of the non-M checks are independent (`_smooth_patch_rows`).
 No code-sized matrix is eliminated.
 The text writer writes the 0/1 rows of a ``csscode v1`` file straight
 from the CSR rows, a few MB of rows at a time (so a file is written block
-by block), and the reader builds the CSR rows straight from them.
+by block).  The reader gives the text "\n" line breaks once, at its entry,
+parses it once, and builds the CSR rows straight from the 0/1 rows.
 Boundary conditions are label-driven:
 
 * every cell of an E-labeled (rough) patch is dropped from the code -
@@ -39,7 +40,6 @@ one an even number of times.  No dense product is formed.
 
 from __future__ import annotations
 
-import contextlib
 import re
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -48,10 +48,8 @@ from functools import cached_property
 import numpy as np
 
 from .complexes import CellComplex, Faces, label_is_e, label_is_m
-from ._text import (
-    _ODD_BREAKS, Tokens, decode, encode, first_false, int64, with_newlines, write_lines,
-)
-from .gf2 import Gf2Matrix, Gf2Vector, _pack, _rows_from_text, _written_rows
+from ._text import Tokens, decode, encode, first_false, int64, with_newlines, write_lines
+from .gf2 import Gf2Matrix, Gf2Vector, _pack, _rows_from_text
 from .homology import _Reduction, _RowSpace, betti, default_label_split
 
 
@@ -434,18 +432,10 @@ def code_to_text(code: CssCode) -> str:
 def code_from_text(text: str) -> CssCode:
     """Parse a ``csscode v1`` file; malformed input raises ValueError.
 
-    Lines are read as `str.splitlines` reads them.  A text whose lines all
-    end in "\\n" where lines are parsed (the head, the section words and
-    the qubit map) and whose two bodies are 0/1 rows as the writer writes
-    them is read as it is; any other text is first given "\\n" line breaks
-    (`with_newlines`), which would leave such a text unchanged."""
-    parts = None
-    if text.isascii():
-        with contextlib.suppress(ValueError):
-            parts = _code_parts(encode(text), _written_rows)
-    if parts is None:
-        parts = _code_parts(encode(with_newlines(text)), _rows_from_text)
-    n, i, hx, hz, raw_map = parts
+    Lines are read as `str.splitlines` reads them: the text is first given
+    "\\n" line breaks (`with_newlines`, which leaves the writer's text as
+    it is)."""
+    n, i, hx, hz, raw_map = _code_parts(encode(with_newlines(text)))
     if not hx.shape[1] - 1 == n == hz.shape[1] - 1:
         raise ValueError(f"HX and HZ have {hx.shape[1] - 1} and {hz.shape[1] - 1} columns "
                          f"for {n} qubits")
@@ -468,15 +458,13 @@ def code_from_text(text: str) -> CssCode:
 
 # the first two lines of a text whose line breaks are all "\n"
 _HEAD = re.compile(rb"([^\n]*)\n?([^\n]*)")
-_ODD_BREAK = re.compile(f"[{_ODD_BREAKS}]".encode())
 
 
-def _code_parts(raw: bytes, read_rows):
-    """The qubit count, the grading, the HX and HZ rows (`read_rows` of
-    each body, a view of `raw`) and the qubit map's bytes of the encoded
-    ``csscode v1`` text `raw`.  None when `read_rows` returns None for a
-    body, or when a line break other than "\\n" lies outside the bodies;
-    malformed input raises ValueError."""
+def _code_parts(raw: bytes):
+    """The qubit count, the grading, the HX and HZ rows (`_rows_from_text`
+    of each body, a view of `raw`) and the qubit map's bytes of the encoded
+    ``csscode v1`` text `raw`, whose line breaks are all "\\n"; malformed
+    input raises ValueError."""
     head = _HEAD.match(raw)
     if decode(head[1]).strip() != "csscode v1":
         raise ValueError("not a csscode v1 file")
@@ -486,10 +474,8 @@ def _code_parts(raw: bytes, read_rows):
     n, i = int64(toks[1]), int64(toks[3])
     at_hx, at_hz, at_map = (_line_at(raw, word) for word in ("HX", "HZ", "qubitmap"))
     view = memoryview(raw)
-    hx = read_rows(view[at_hx + len("HX\n") : at_hz])
-    hz = read_rows(view[at_hz + len("HZ\n") : at_map])
-    if hx is None or hz is None or _ODD_BREAK.search(raw, 0, at_hx) or _ODD_BREAK.search(raw, at_map):
-        return None
+    hx = _rows_from_text(view[at_hx + len("HX\n") : at_hz])
+    hz = _rows_from_text(view[at_hz + len("HZ\n") : at_map])
     return n, i, hx, hz, raw[at_map + len("qubitmap\n") :]
 
 

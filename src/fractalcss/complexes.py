@@ -47,11 +47,12 @@ dropped axis at j or j + 1 (mod the vertex count on a periodic axis).
 The unpunched lattice is never a complex.  A sphere is the quotient of
 the open cube, which :func:`punch_holes` punches.
 
-Cofaces, the face arrays of a relative chain complex (the unlabelled
-cells, :meth:`CellComplex.relative_faces`) and dense GF(2) incidence
-matrices are derived on demand, the last only for eliminations: the small
-residues that ``betti`` and ``cobetti`` rank after collapsing the
-complex, and a code's checks.
+Cofaces, the cells of a relative chain complex (the unlabelled cells, as
+one mask per grade: :meth:`CellComplex.relative_cells`, from which
+``betti`` and ``cobetti`` reduce the complex in place) and dense GF(2)
+incidence matrices are derived on demand, the last only for eliminations:
+the small residues that ``betti`` and ``cobetti`` rank after collapsing
+the complex, and a code's checks.
 
 Boundary labels are short strings: ``bulk``, ``oE<k>``/``oM<k>`` for outer
 hypersurface patches (patch id ``2*axis + side``), ``hE<k>``/``hM<k>`` for

@@ -292,9 +292,11 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
 # -- min cut -----------------------------------------------------------------
 
 
-def _max_flow(g: _QubitGraph, s: int, t: int) -> tuple[int, np.ndarray]:
+def _max_flow(g: _QubitGraph, s: int, t: int) -> tuple[int, np.ndarray, np.ndarray]:
     """Dinic's max-flow from s to t with capacity 1 along each qubit, either
-    way: the flow value and the final residual capacity per arc (uint8).
+    way: the flow value, the final residual capacity per arc (uint8), and
+    the distance per node from s along the arcs with capacity left in that
+    residual (-1 where unreachable, t among them), which its last `bfs` found.
     Each phase's level graph comes from a `bfs` along the arcs with
     capacity left, its arcs gathered per node as int32 arrays; the
     blocking flow's depth-first search reads them through memoryviews."""
@@ -306,7 +308,7 @@ def _max_flow(g: _QubitGraph, s: int, t: int) -> tuple[int, np.ndarray]:
     while True:
         level = g.bfs(s, residual.view(bool))[0]
         if level[t] < 0:
-            return flow, residual
+            return flow, residual, level
         # the level graph's arcs, per node in order: capacity left, one level on
         step = residual.view(bool) & (level[g.head] == level[tail] + 1)
         keep = step[g.arcs]
@@ -358,12 +360,12 @@ def dx_min_cut(code: CssCode) -> DistanceResult:
         raise PreconditionError(f"min-cut distance searches one logical class, but k = "
                                 f"{code.reduction.k}; run exhaustive_low_weight instead")
     s = g.terminal_node(outer_e[0])
-    value, residual = _max_flow(g, s, g.terminal_node(outer_e[1]))
+    value, _, level = _max_flow(g, s, g.terminal_node(outer_e[1]))
     if not value:
         raise PreconditionError("the two OuterE components are disconnected (flow 0): "
                                 "no X-logical crosses between them")
     # the source side of the final residual graph: the canonical min cut
-    seen = g.bfs(s, residual.view(bool))[0] >= 0
+    seen = level >= 0
     cut = np.flatnonzero(seen[g.u] != seen[g.v])
     if len(cut) != value:
         raise WitnessError(f"min cut has {len(cut)} edges for flow {value}")

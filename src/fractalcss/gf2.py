@@ -395,7 +395,7 @@ def matrix_to_text(m: Gf2Matrix) -> str:
 
 def matrix_from_text(text: str) -> Gf2Matrix:
     """Parse a ``gf2matrix v1`` file; malformed input raises ValueError."""
-    grid = _rows_from_text(encode(text))
+    grid = _rows_from_text(encode(with_newlines(text)))
     cols = grid.shape[1] - 1
     return Gf2Matrix(len(grid), cols, _pack(grid[:, :cols] == ord("1")))
 
@@ -410,31 +410,24 @@ _MAX_EMPTY_ROWS = 1 << 20
 
 
 def _rows_from_text(raw) -> np.ndarray:
-    """The rows of a ``gf2matrix v1`` text given as UTF-8 bytes, or a view
-    of them: a (rows, cols + 1) array of character codes, cols of ``0`` or
-    ``1``, then the line break.  Text as the writers write it is validated
-    as one view of `raw`; other text is given "\\n" line breaks
-    (`with_newlines`, which leaves the writers' text unchanged) and read as
-    `_rows_from_str` reads it.  Malformed input raises ValueError."""
-    rows = _written_rows(raw)
-    return _rows_from_str(with_newlines(decode(bytes(raw)))) if rows is None else rows
-
-
-def _written_rows(raw) -> np.ndarray | None:
-    """`_rows_from_text` of a text as the writers write it, as one view of
-    `raw`; None for any other text."""
+    """The rows of a ``gf2matrix v1`` text given as UTF-8 bytes whose line
+    breaks are all "\\n", or a view of them: a (rows, cols + 1) array of
+    character codes, cols of ``0`` or ``1``, then the line break.  Rows as
+    the writers write them are validated as one view of `raw`; any other
+    text is read as `_rows_from_str` reads it.  Malformed input raises
+    ValueError."""
     head = _WRITTEN_HEAD.match(raw)
     if head:
         rows, cols = int(head[1]), int(head[2])
         b = np.frombuffer(raw, dtype=np.uint8)[head.end() :]
         if cols and _is_rows(b, rows, cols):
             return b.reshape(rows, cols + 1)
-    return None
+    return _rows_from_str(decode(bytes(raw)))
 
 
 def _rows_from_str(text: str) -> np.ndarray:
     """`_rows_from_text` for a text given as str that is not in the
-    writers' form (`_written_rows` reads that)."""
+    writers' form."""
     head = _MATRIX_HEAD.match(text)
     if head[1].strip() != "gf2matrix v1":
         raise ValueError("not a gf2matrix v1 file")

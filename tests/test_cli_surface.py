@@ -4,8 +4,9 @@ text byte for byte as `cli_help.json` holds it (at 80 columns, as Python
 defaults, and the distance fallback of `distance` and `scan`
 (`cli._distances`): an exact method that refuses its code falls back to
 the low-weight search, a method that `--methods` leaves out is not
-called, d_Z is settled (exact method, then search) before d_X, and a
-search over its budget is exit 3."""
+called, d_Z is settled (exact method, then search) before d_X, a
+search over its budget is exit 3, and a `--methods` name other than bfs,
+mincut or none is exit 2."""
 
 import contextlib
 import io
@@ -131,3 +132,36 @@ def test_a_search_over_its_budget_is_exit_3(calls, capsys):
     assert rc == 3 and captured.out == ""
     assert captured.err == f"budget exceeded: {err}\n" and "certified_above=1" in str(err)
     assert log == ["bfs", "search Z 2"]
+
+
+# what `distance --level 1` prints per accepted --methods value
+METHODS = {
+    "none": "dz=2 dz_kind=certified_above dx=2 dx_kind=certified_above",
+    "bfs": "dz=3 dz_kind=exact dx=2 dx_kind=certified_above",
+    "mincut": "dz=2 dz_kind=certified_above dx=8 dx_kind=exact",
+    "mincut,bfs": "dz=3 dz_kind=exact dx=8 dx_kind=exact",
+    "bfs, mincut": "dz=3 dz_kind=exact dx=8 dx_kind=exact",
+}
+
+
+@pytest.mark.parametrize("methods", list(METHODS))
+def test_accepted_method_names_keep_their_output(methods, tmp_path, capsys):
+    assert cli.main(["distance", "--level", "1", "--methods", methods]) == 0
+    assert capsys.readouterr().out == METHODS[methods] + "\n"
+    out = tmp_path / "scan.csv"
+    assert cli.main(["scan", "--level-max", "1", "--methods", methods, "--out", str(out)]) == 0
+    dz, dz_kind, dx, dx_kind = (part.split("=")[1] for part in METHODS[methods].split())
+    assert out.read_text().splitlines()[1] == f"3,3,1,1,3,1,{dz},{dz_kind},{dx},{dx_kind},0.000"
+
+
+@pytest.mark.parametrize("methods", ["mincutt", "foo", "", "bfs,,mincut"])
+def test_an_unknown_method_name_is_exit_2(methods, tmp_path, capsys):
+    """A name other than bfs, mincut or none, an empty one included, was
+    read by substring (mincutt ran the min cut) or ignored."""
+    message = f"error: --methods takes bfs, mincut or none, not {methods!r}\n"
+    assert cli.main(["distance", "--level", "1", "--methods", methods]) == 2
+    assert capsys.readouterr() == ("", message)
+    out = tmp_path / "scan.csv"
+    assert cli.main(["scan", "--level-max", "1", "--methods", methods, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", message)
+    assert not out.exists()

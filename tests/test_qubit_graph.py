@@ -10,7 +10,8 @@ without e-holes, and the seeded mixed hole layouts.  The breadth-first
 search, which expands a level at a time, must give the distances and arcs
 of the queue-driven search over the arcs as lists
 (``distance_oracles.list_bfs``) element for element, with and without an
-arc filter and a depth.
+arc filter and a depth.  The distances the max-flow returns are those of a
+fresh search of its final residual, and d_X takes its cut from them.
 """
 
 import numpy as np
@@ -29,6 +30,7 @@ from fractalcss import cli
 from fractalcss.distance import (
     PreconditionError,
     _max_flow,
+    _QubitGraph,
     dx_min_cut,
     dz_shortest_path,
     exhaustive_low_weight,
@@ -227,6 +229,34 @@ def test_level_search_matches_the_queue_search(name):
             for depth in (0, 1, max(want[0]) // 2, max(want[0]) - 1):
                 got = g.bfs(source, usable, depth)
                 assert (got[0].tolist(), got[1].tolist()) == oracle.list_bfs(g, source, usable, depth)
+
+
+FLOW_CODES = {**CODES, **BFS_CODES}
+
+
+@pytest.mark.parametrize("name", sorted(FLOW_CODES))
+def test_max_flow_returns_its_last_search(name):
+    """The distances `_max_flow` returns are a fresh `bfs` from s along the
+    arcs of its final residual: between the first and the last terminal,
+    and between the first and the last node, where they differ."""
+    g = FLOW_CODES[name]()._qubit_graph
+    for s, t in sorted({(0, g.n_nodes - 1), (g.n_bulk, g.n_nodes - 1)}):
+        if s >= t:
+            continue
+        _, residual, level = _max_flow(g, s, t)
+        assert level.tolist() == g.bfs(s, residual.view(bool))[0].tolist()
+        assert level[t] == -1
+
+
+def test_the_min_cut_reads_the_flows_last_search(monkeypatch):
+    """d_X takes its source side from the flow's last search: two searches
+    at FC(3,1) level 2, one per flow phase (the min cut ran a third)."""
+    code = CODES["fc31-l2-m"]()
+    searches, bfs = [], _QubitGraph.bfs
+    monkeypatch.setattr(_QubitGraph, "bfs",
+                        lambda g, *args, **kw: searches.append(args) or bfs(g, *args, **kw))
+    assert dx_min_cut(code).value == 64
+    assert len(searches) == 2
 
 
 def test_the_graph_is_int32_arrays_held_by_the_code():

@@ -14,7 +14,8 @@ between tokens, which fault is reported when two grades have one, and
 line breaks other than "\\n" (``\\r\\n``, ``\\x0b``, ``\\x1c``) inside a 0/1
 body, inside the qubit map and the head (also splitting one of their
 lines) and hiding a section word in a body, which the readers read as
-they read the text with "\\n" breaks.
+they read the text with "\\n" breaks; and `code_from_text` parses each
+text once, after giving it "\\n" breaks.
 
 Five intended differences, the first three on inputs the old readers
 accepted or crashed on: `code_from_text` rejects a qubitmap line
@@ -40,6 +41,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import text_oracles
+from fractalcss import code as code_module
 from fractalcss._text import with_newlines
 from fractalcss.code import code_from_text, code_to_text, css_from_complex
 from fractalcss.complexes import CellComplex, FractalSpec, fractal_complex
@@ -407,3 +409,21 @@ def test_odd_line_breaks_read_as_newlines(name):
     assert_readers_agree(kind, text)
     new, _, fields = READERS[kind]
     assert _outcome(new, fields, text) == _outcome(new, fields, with_newlines(text))
+
+
+def test_a_code_text_is_parsed_once(monkeypatch):
+    """`code_from_text` gives the text "\\n" breaks and parses it once: as
+    written, with "\\r\\n" breaks, and with a bad qubit-map line (the
+    last two were parsed a second time after a first parse as written)."""
+    text = code_to_text(css_from_complex(fractal_complex(FractalSpec(3, 3, 1, 1), "code"), 1))
+    parsed, parse = [], code_module._code_parts
+    monkeypatch.setattr(code_module, "_code_parts", lambda raw: parsed.append(raw) or parse(raw))
+    for copy, error in ((text, None), (text.replace("\n", "\r\n"), None),
+                        (text.replace("q 3 -> cell", "q 3 => cell"), "bad qubitmap line")):
+        parsed.clear()
+        if error:
+            with pytest.raises(ValueError, match=error):
+                code_from_text(copy)
+        else:
+            assert code_to_text(code_from_text(copy)) == text
+        assert parsed == [with_newlines(copy).encode()]
