@@ -472,18 +472,12 @@ class CellComplex:
                              "grade-{} cell {} has unselected face {}".format(*open_face))
         return keep
 
-    def relative_faces(self, labels: set[str]) -> list[Faces]:
-        """The face arrays of the relative chain complex C(L)/C(B): the faces
-        of the :meth:`relative_cells` among them, each grade renumbered in
-        its original order."""
-        return self._restrict_faces(self.relative_cells(labels))
-
     def quotient_to_point(self, labels: set[str]) -> "CellComplex":
         """Collapse the labeled boundary subcomplex to a single point.
 
-        The relative chain complex (:meth:`relative_faces`) plus one new
-        vertex that replaces the selected vertices: an edge with an odd
-        number of collapsed endpoints gets it as a face.
+        The relative chain complex (the :meth:`relative_cells`, their faces
+        among them) plus one new vertex that replaces the selected vertices:
+        an edge with an odd number of collapsed endpoints gets it as a face.
         """
         keep = self.relative_cells(labels)
         faces = self._restrict_faces(keep)

@@ -299,7 +299,10 @@ def _max_flow(g: _QubitGraph, s: int, t: int) -> tuple[int, np.ndarray, np.ndarr
     residual (-1 where unreachable, t among them), which its last `bfs` found.
     Each phase's level graph comes from a `bfs` along the arcs with
     capacity left, its arcs gathered per node as int32 arrays; the
-    blocking flow's depth-first search reads them through memoryviews."""
+    blocking flow's depth-first search reads them through memoryviews.
+    s == t raises ValueError: the search would augment the empty path forever."""
+    if s == t:
+        raise ValueError(f"max-flow needs two distinct nodes, not s = t = {s}")
     head = memoryview(g.head)
     tail = g.head.reshape(-1, 2)[:, ::-1].ravel()
     residual = np.ones(len(g.head), dtype=np.uint8)

@@ -5,8 +5,8 @@ p = 2) rests on one intersection-parity rule.  Choose one row per copy,
 either an X stabilizer or the logical X, as a set of shared sites: every
 choice with a stabilizer must meet in an even number of sites, and the
 all-logical choice in an odd number (Vasmer & Browne, PRA 100, 012312,
-2019, for p = 2).  `_parity_failures` tests it on packed site sets, whole
-arrays of choices at a time, and every failure carries a witness.
+2019, for p = 2).  `_parity_failures` counts it per site from the CSR
+checks, a whole array of choices at a time; every failure has a witness.
 
 The three-copy stack follows the asymmetric cubic construction: copy 1 is
 the standard surface code on the lattice (weight-6 bulk vertex stabilizers,
@@ -28,6 +28,7 @@ part and compares the leftover signs and linear-Z terms.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,7 +39,7 @@ from .code import (
     logical_basis,
 )
 from .complexes import CellComplex, Faces, Hole, code_lattice
-from .gf2 import _CHUNK_WORDS, Gf2Vector
+from .gf2 import Gf2Vector
 
 
 class CertificateError(AssertionError):
@@ -54,45 +55,49 @@ class StackAlignment:
 
     codes: list[CssCode]
     n_sites: int
-    qubit_site: list[list[int]]  # per code: site index for each qubit
+    qubit_site: list[np.ndarray]  # per code: the site of each qubit, int64
     x_logicals: list[PauliOperator] = field(default_factory=list)
 
     def __post_init__(self):
+        self.qubit_site = [np.asarray(sites, dtype=np.int64) for sites in self.qubit_site]
         for code, sites in zip(self.codes, self.qubit_site):
             if code.n_qubits != len(sites):
                 raise ValueError("alignment size mismatch")
-            if len(set(sites)) != len(sites):
+            if len(np.unique(sites, return_index=True)[1]) != len(sites):
                 raise ValueError("alignment must be injective per code")
-        self._packed: dict[int, tuple[PauliOperator | None, np.ndarray]] = {}
+        self._held: dict[int, tuple[PauliOperator | None, Faces | None]] = {}
 
     @cached_property
-    def x_rows(self) -> list[np.ndarray]:
-        """Per copy, its X stabilizers as packed site sets, one row each;
-        built once."""
-        return [_stab_rows(self, copy) for copy in range(len(self.codes))]
+    def x_rows(self) -> list[Faces]:
+        """Per copy, per site, the X stabilizers that hold it; built once."""
+        return [self._incidence(copy, code.x_checks) for copy, code in enumerate(self.codes)]
 
-    def _logical_row(self, copy: int, basis: bool = True) -> np.ndarray:
-        """The copy's logical X as none or one packed row: its entry of
-        `x_logicals`, else (with `basis`) its basis's when k = 1.  With k > 1
-        the basis names no particular class, so a copy without the
-        alignment's logical raises ValueError.  A row is packed once per
+    def _incidence(self, copy: int, rows: Faces) -> Faces:
+        """Per site, which of `rows` (sets of the copy's qubits) hold it."""
+        return Faces(rows.ptr, self.qubit_site[copy][rows.idx]).transpose(self.n_sites)
+
+    def _logical_row(self, copy: int, basis: bool = True) -> Faces | None:
+        """The copy's logical X as one row (per site, row 0 or none) or None:
+        its entry of `x_logicals`, else (with `basis`) its basis's when k = 1.
+        With k > 1 the basis names no particular class, so a copy without the
+        alignment's logical raises ValueError.  A row is built once per
         logical object, and a later change to `x_logicals` is read."""
         x = self.x_logicals[copy] if copy < len(self.x_logicals) else None
         if x is None and not basis:
-            return self.x_rows[copy][:0]
-        held = self._packed.get(copy)
+            return None
+        held = self._held.get(copy)
         if held is None or held[0] is not x:
             xs = [x] if x is not None else logical_basis(self.codes[copy])[1]
             if len(xs) > 1:
                 raise ValueError(f"copy {copy} has k = {len(xs)} and no logical X in the "
                                  "alignment to test")
-            row = _site_row(self, copy, xs[0].x_support) if xs else self.x_rows[copy][:0]
-            held = self._packed[copy] = (x, row)
+            q = xs[0].x_support.indices() if xs else []
+            row = self._incidence(copy, Faces.from_pairs(1, [0] * len(q), q)) if xs else None
+            held = self._held[copy] = (x, row)
         return held[1]
 
     def sites_of(self, copy: int, support: Gf2Vector) -> frozenset[int]:
-        mapping = self.qubit_site[copy]
-        return frozenset(mapping[q] for q in support.indices())
+        return frozenset(self.qubit_site[copy][support.indices()].tolist())
 
 
 def align_identical(codes: list[CssCode], x_logicals=None) -> StackAlignment:
@@ -100,22 +105,19 @@ def align_identical(codes: list[CssCode], x_logicals=None) -> StackAlignment:
     n = codes[0].n_qubits
     if any(c.n_qubits != n for c in codes):
         raise ValueError(f"codes of {[c.n_qubits for c in codes]} qubits cannot share sites")
-    return StackAlignment(codes, n, [list(range(n)) for _ in codes], list(x_logicals or []))
+    return StackAlignment(codes, n, [np.arange(n) for _ in codes], list(x_logicals or []))
 
 
 def align_by_boxes(codes: list[CssCode]) -> StackAlignment:
-    """Align codes whose qubit cells occupy the same geometric midpoints."""
-    site_index: dict[tuple, int] = {}
-    qubit_site: list[list[int]] = []
-    for code in codes:
-        mids = code.source.cells[code.grading][code.qubit_cells].sum(axis=2)  # doubled
-        qubit_site.append(
-            [site_index.setdefault(mid, len(site_index)) for mid in map(tuple, mids.tolist())]
-        )
-    counts = {len(s) for s in qubit_site}
-    if len(counts) != 1 or len(site_index) != counts.pop():
+    """Align codes whose qubit cells occupy the same geometric midpoints,
+    the sites numbered in order of first appearance."""
+    mids = [code.source.cells[code.grading][code.qubit_cells].sum(axis=2) for code in codes]
+    _, first, site = np.unique(np.concatenate(mids), axis=0, return_index=True,
+                               return_inverse=True)
+    if len({len(m) for m in mids}) != 1 or len(first) != len(mids[0]):
         raise ValueError("codes do not share a common site set")
-    return StackAlignment(codes, len(site_index), qubit_site)
+    order = np.argsort(np.argsort(first))  # each midpoint's rank by first appearance
+    return StackAlignment(codes, len(first), np.split(order[site.ravel()], len(codes)))
 
 
 # -- condition reports ---------------------------------------------------------
@@ -153,56 +155,29 @@ class GateCheckReport:
         return "\n".join(lines) + "\n"
 
 
-def _site_row(align: StackAlignment, copy: int, support: Gf2Vector) -> np.ndarray:
-    """A support of one copy as a packed set of sites, one row."""
-    sites = np.asarray(align.qubit_site[copy], dtype=np.int64)[support.indices()]
-    return Gf2Vector.from_indices(align.n_sites, sites).data[None]
-
-
-def _stab_rows(align: StackAlignment, copy: int) -> np.ndarray:
-    """The X stabilizers of one copy as packed site sets, one row each."""
-    checks = align.codes[copy].x_checks
-    sites = np.asarray(align.qubit_site[copy], dtype=np.int64)[checks.idx]
-    return Faces(checks.ptr, sites).matrix(align.n_sites).data
-
-
-def _meeting(a: np.ndarray, b: np.ndarray, odd: bool = True) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs (i, j) of packed rows a[i], b[j] that share an odd number
-    of sites (with `odd` False: any site), in row-major order.  Rows of a
-    are taken in chunks, so at most _CHUNK_WORDS words are ANDed at once."""
-    step = max(1, _CHUNK_WORDS // max(1, b.size))
-    out_i, out_j = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for s in range(0, len(a), step):
-        meet = a[s : s + step, None, :] & b
-        if odd:
-            i, j = np.nonzero(np.bitwise_count(np.bitwise_xor.reduce(meet, axis=2)) & 1)
-        else:
-            i, j = np.nonzero(meet.any(axis=2))
-        out_i.append(i + s)
-        out_j.append(j)
-    return np.concatenate(out_i), np.concatenate(out_j)
-
-
-def _parity_failures(rows: list[tuple[np.ndarray, np.ndarray]]):
-    """The choices of one packed row per copy that break the p-fold rule,
-    copy t giving a row of rows[t][0] (its X stabilizers) or of rows[t][1]
-    (its logical X: one row or none).  Yields (roles, picks) per choice of
-    roles, True where a copy gives its logical, fewer logicals first: picks
-    holds the breaking choices' rows, a column per copy, in row-major
-    order.  The copies are folded by the sites they meet in, the logicals
-    (single rows) first, and the last is met for odd parity."""
-    options = [(False, True) if len(logical) else (False,) for _, logical in rows]
+def _parity_failures(rows: list[tuple[Faces, Faces | None]], on: np.ndarray):
+    """The choices of one row per copy that break the p-fold rule on the
+    sites of the mask `on`.  rows[t] lists per site the rows that hold it of
+    copy t's X stabilizers and of its logical X (one row, or None).  Yields
+    (roles, picks) per choice of roles, True where a copy gives its logical,
+    fewer logicals first, then in `itertools.product` order (one logical: the
+    last copy's first); picks holds the breaking rows, a column per copy, in
+    row-major order.  A choice is counted once per site its rows all hold,
+    under a mixed-radix key in copy order that must fit int64 (ValueError)."""
+    options = [(False, True) if logical is not None else (False,) for _, logical in rows]
     for roles in sorted(itertools.product(*options), key=sum):
-        order = sorted(range(len(rows)), key=lambda t: not roles[t])
-        chosen = [rows[t][roles[t]] for t in order]
-        meet, picks = chosen[0], [np.arange(len(chosen[0]))]
-        for t, part in enumerate(chosen[1:], 2):
-            i, j = _meeting(meet, part, odd=t == len(rows))
-            meet, picks = meet[i] & part[j], [p[i] for p in picks] + [j]
-        if not all(roles):
-            yield roles, np.array(picks)[np.argsort(order)].T
-        elif not len(picks[0]):  # the all-logical choice is even
-            yield roles, np.zeros((1, len(rows)), dtype=np.int64)
+        parts = [part[role] for part, role in zip(rows, roles)]
+        radix = [int(part.idx.max(initial=-1)) + 1 for part in parts]
+        if math.prod(radix) > np.iinfo(np.int64).max:
+            raise ValueError(f"choices of {radix} rows per copy take keys past int64")
+        site, key = np.flatnonzero(on), np.zeros(np.count_nonzero(on), dtype=np.int64)
+        for part, r in zip(parts, radix):
+            n = part.counts()[site]
+            key, site = key.repeat(n) * r + part.take(site), site.repeat(n)
+        keys, counts = np.unique(key, return_counts=True)
+        odd = keys[counts & 1 == 1]  # the choices that meet in an odd number of sites
+        yield roles, (np.zeros((int(not odd.size), len(rows)), dtype=np.int64) if all(roles)
+                      else np.array(np.unravel_index(odd, radix)).T)  # all logicals: even breaks
 
 
 def _copies(align: StackAlignment, codes) -> list[int]:
@@ -223,7 +198,7 @@ def _parity_report(align: StackAlignment, codes, conditions, cap=None) -> GateCh
     copies = _copies(align, codes)
     rows = [(align.x_rows[copy], align._logical_row(copy)) for copy in copies]
     found: list[list[tuple]] = [[] for _ in conditions]
-    for roles, picks in _parity_failures(rows):
+    for roles, picks in _parity_failures(rows, np.ones(align.n_sites, dtype=bool)):
         m = sum(roles)
         labels = [conditions[m][1 + role] for role in roles]
         order = sorted(range(len(copies)), key=roles.__getitem__)  # the stabilizers first
@@ -231,7 +206,7 @@ def _parity_report(align: StackAlignment, codes, conditions, cap=None) -> GateCh
                      + (int(m < len(copies)),) for pick in picks.tolist()]
     conds = [ConditionResult(cid, not bad, tuple(bad[:cap]))
              for (cid, *_), bad in zip(conditions, found)]
-    if not all(len(x) for _, x in rows):
+    if any(x is None for _, x in rows):
         conds[-1] = ConditionResult(conds[-1].condition_id, True, (), "not applicable: k = 0")
     return GateCheckReport(tuple(conds))
 
@@ -246,7 +221,9 @@ def check_transversal_cz(a: CssCode, b: CssCode, align: StackAlignment) -> GateC
 def check_transversal_ccz(
     a: CssCode, b: CssCode, c: CssCode, align: StackAlignment
 ) -> GateCheckReport:
-    """The p-fold rule for a transversal CCZ."""
+    """The p-fold rule for a transversal CCZ.  Among the choices with one
+    logical, the witnesses with copy c's logical come first, then b's, then
+    a's (the `itertools.product` order of the roles)."""
     stab, bar = "{copy}:X{row}", "{copy}:Xbar"
     return _parity_report(align, (a, b, c), (
         ("CCZ1-stab-stab-stab", stab, bar), ("CCZ1-stab-stab-logical", stab, bar),
@@ -432,11 +409,17 @@ def _cz_part_is_identity(
 ) -> bool:
     """The CZ brane on `sites` is a logical identity iff every stabilizer or
     logical of one target copy meets every one of the other evenly on it:
-    the rule for p = 1 on their rows cut to `sites`, logicals included."""
-    cut = Gf2Vector.from_indices(align.n_sites, sites).data
-    rows = [np.vstack((align.x_rows[t], align._logical_row(t, basis=False))) for t in copies]
-    rows[0] &= cut
-    return not any(len(p) for _, p in _parity_failures([(r, r[:0]) for r in rows]))
+    the rule for p = 1 on their rows cut to `sites`, a logical counted as
+    one more stabilizer row."""
+    on = np.bincount(list(sites), minlength=align.n_sites) > 0
+    rows = []
+    for t in copies:
+        stabs, logical = align.x_rows[t], align._logical_row(t, basis=False)
+        if logical is not None:  # row len(x_checks), the last at each of its sites
+            stabs = Faces(stabs.ptr + np.append(0, logical.counts().cumsum()), np.insert(
+                stabs.idx, stabs.ptr[1:][logical.owners()], len(align.codes[t].x_checks)))
+        rows.append((stabs, None))
+    return not any(len(p) for _, p in _parity_failures(rows, on))
 
 
 def phase_polys_commute(o1: PhasePolyOperator, o2: PhasePolyOperator) -> bool:

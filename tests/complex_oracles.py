@@ -17,8 +17,11 @@ complex.
 
 The remaining helpers have no caller in the package: the dense boundary
 matrix of an array-backed complex, the Euler characteristic, a matrix
-from row vectors, a row weight, and ``delete_indexed``, which gives the
-array ``delete`` the oracle's arguments (index sets and a relabel dict).
+from row vectors, a row weight, ``delete_indexed``, which gives the
+array ``delete`` the oracle's arguments (index sets and a relabel dict),
+and ``relative_faces``, the face arrays of a relative chain complex
+renumbered as a copy (``CellComplex.relative_faces`` until the package
+reduced its relative complexes in place).
 
 The two-step build is the oracle of the one-construction
 ``fractal_complex``: the whole lattice as an int64 ``CellComplex`` with
@@ -119,6 +122,13 @@ def euler_characteristic(cx) -> int:
 
 def row_weight(m: Gf2Matrix, r: int) -> int:
     return int(np.bitwise_count(m.data[r]).sum())
+
+
+def relative_faces(cx: ArrayComplex, labels: set[str]) -> list[Faces]:
+    """The face arrays of the relative chain complex C(L)/C(B): the faces
+    of ``cx.relative_cells(labels)`` among them, each grade renumbered in
+    its original order."""
+    return cx._restrict_faces(cx.relative_cells(labels))
 
 
 def from_arrays(cx: ArrayComplex) -> "CellComplex":

@@ -182,6 +182,19 @@ def sites_of(align: StackAlignment, copy: int, support: Gf2Vector) -> frozenset[
     return frozenset(mapping[q] for q in indices(support))
 
 
+def box_sites(codes) -> tuple[int, list[list[int]]]:
+    """The site count and per code the site of each qubit, as
+    `gates.align_by_boxes` numbered them with a dict: each doubled midpoint
+    in order of first appearance."""
+    site_index: dict[tuple, int] = {}
+    qubit_site: list[list[int]] = []
+    for code in codes:
+        mids = code.source.cells[code.grading][code.qubit_cells].sum(axis=2)
+        qubit_site.append([site_index.setdefault(mid, len(site_index))
+                           for mid in map(tuple, mids.tolist())])
+    return len(site_index), qubit_site
+
+
 def x_stab_sites(align: StackAlignment, copy: int) -> list[frozenset[int]]:
     code = align.codes[copy]
     return [sites_of(align, copy, code.hx.row(r)) for r in range(code.hx.rows)]
@@ -342,12 +355,12 @@ def cz_part_is_identity(
     return True
 
 
-def parity_failures(align: StackAlignment, copies: list[int]) -> list[set]:
+def parity_failures(align: StackAlignment, copies: list[int], on=None) -> list[set]:
     """The p-fold rule by brute force over the copies at `copies`: every
-    choice of one X stabilizer or the logical X per copy.  Per count m of
-    logicals in a choice, the set of choices that break the rule, each as
-    (rows, parity) with rows[t] the stabilizer row of copy t or None for
-    its logical."""
+    choice of one X stabilizer or the logical X per copy, met on the sites
+    `on` (a set; every site when None).  Per count m of logicals in a
+    choice, the set of choices that break the rule, each as (rows, parity)
+    with rows[t] the stabilizer row of copy t or None for its logical."""
     options = []
     for copy in copies:
         opts = list(enumerate(x_stab_sites(align, copy)))
@@ -355,7 +368,7 @@ def parity_failures(align: StackAlignment, copies: list[int]) -> list[set]:
         options.append(opts + ([(None, logical)] if logical is not None else []))
     failures: list[set] = [set() for _ in range(len(copies) + 1)]
     for choice in itertools.product(*options):
-        p = _parity(*(sites for _, sites in choice))
+        p = _parity(*(sites for _, sites in choice), *([] if on is None else [on]))
         m = sum(row is None for row, _ in choice)
         if p != (m == len(copies)):
             failures[m].add((tuple(row for row, _ in choice), p))

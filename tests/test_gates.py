@@ -1,6 +1,7 @@
 """Transversal CZ/CCZ conditions, the three-copy stack, phase polynomials,
 and the rough-boundary merge algebra."""
 
+import numpy as np
 import pytest
 
 from fractalcss.code import (
@@ -11,6 +12,7 @@ from fractalcss.code import (
 )
 from fractalcss.complexes import Faces, FractalSpec, code_lattice, fractal_complex
 from fractalcss.gates import (
+    StackAlignment,
     align_by_boxes,
     align_identical,
     build_vasmer_browne_stack,
@@ -85,6 +87,20 @@ def test_one_code_object_in_several_copies_is_checked_by_position():
     report = check_transversal_ccz(t, t, t, align_identical([t, t, t], [x0, x1, x0]))
     assert report.to_text().splitlines()[-1] == (
         "COND CCZ2-logical-triple FAIL [witness: a=Xbar1 b=Xbar2 c=Xbar3 parity=0]")
+
+
+def test_alignments_refuse_sites_the_codes_cannot_share():
+    """A site map of another length than the code, one that sends two
+    qubits to one site, and codes whose qubits do not sit at one set of
+    midpoints are refused."""
+    a = css_from_complex(code_lattice(2, 2, e_axes=(1,)), 1)
+    n = a.n_qubits
+    with pytest.raises(ValueError, match="size mismatch"):
+        StackAlignment([a], n, [np.arange(n - 1)])
+    with pytest.raises(ValueError, match="injective"):
+        StackAlignment([a], n, [np.arange(n) // 2])
+    with pytest.raises(ValueError, match="common site set"):
+        align_by_boxes([a, css_from_complex(code_lattice(2, 3, e_axes=(1,)), 1)])
 
 
 def test_cz_k0_code_reported_not_applicable():
@@ -361,15 +377,14 @@ def test_certificate_needs_each_part():
 
 def test_stack_rows_packed_once_per_alignment(monkeypatch):
     """The CCZ conjugations of the 40 X stabilizers of the holed L = 3 stack
-    pack each copy's stabilizer rows once."""
-    import fractalcss.gates as gates
-
+    and its CCZ check transpose each copy's X checks and its logical to
+    their site incidence once."""
     codes, align = build_vasmer_browne_stack(3, "center")
-    packed = []
-    real = gates._stab_rows
-    monkeypatch.setattr(gates, "_stab_rows", lambda a, c: packed.append(c) or real(a, c))
+    built, real = [], Faces.transpose
+    monkeypatch.setattr(Faces, "transpose", lambda f, n: built.append((len(f), n)) or real(f, n))
     for copy, code in enumerate(codes):
         for r in range(code.hx.rows):
             conjugate_by_ccz(PauliOperator.x_type(code.hx.row(r)), copy, align)
     check_transversal_ccz(*codes, align)
-    assert sorted(packed) == [0, 1, 2]
+    assert sorted(built) == sorted([(1, align.n_sites)] * 3
+                                   + [(len(code.x_checks), align.n_sites) for code in codes])

@@ -1,20 +1,23 @@
 """Differential tests of the packed-word paths against the loops they
 replaced (``search_oracles``): the exhaustive search with its budget
 cut-off, row-space membership, the CZ/CCZ conditions with the CCZ
-phase-polynomial identity flag, and the p-fold parity rule at p = 3
-against a brute force of all 4-fold parities.  Every result must match bit for bit:
+phase-polynomial identity flag, and the p-fold parity rule against a
+brute force of all parities: at p = 3 on four copies, and at p = 1..3 on
+random rows, site maps and masks of the sites met.  Every result must match bit for bit:
 values, kinds, witness supports, the weight a BudgetError certifies, and
 whole gate reports.  The logical basis, which now comes from the code's
 chain reduction, must lie in the cosets of the dense route's
 (``code_oracles.logical_basis``).
 """
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import fractalcss.gates as gates_mod
 import fractalcss.gf2 as gf2_mod
 import code_oracles
 import search_oracles as oracle
@@ -31,7 +34,9 @@ from fractalcss.complexes import (
 )
 from fractalcss.distance import BudgetError, _adjacent_pairs, exhaustive_low_weight
 from fractalcss.gates import (
+    StackAlignment,
     _cz_part_is_identity,
+    _parity_failures,
     _parity_report,
     align_by_boxes,
     align_identical,
@@ -281,6 +286,7 @@ def test_cz_reports_match_oracle(L):
     b = css_from_complex(code_lattice(2, L, e_axes=(0,)), 1)
     for pair in ((a, b), (a, a), (b, a)):
         align = align_by_boxes(list(pair))
+        assert (align.n_sites, [s.tolist() for s in align.qubit_site]) == oracle.box_sites(pair)
         assert check_transversal_cz(*pair, align) == oracle.check_transversal_cz(*pair, align)
 
 
@@ -330,12 +336,30 @@ def test_a_logical_changed_after_a_check_is_read():
                 for c in oracle.check_transversal_ccz(*codes, align).conditions])
 
 
+def test_one_logical_witnesses_list_the_last_copys_logical_first():
+    """The choices with one logical come in `itertools.product` order of
+    the roles, so the last copy's logical comes first, where the oracle
+    lists copy 0's first: on the holed L = 3 stack with copy 1's logical
+    set to copy 2's brane, copy 1's witnesses precede copy 0's.  The
+    witness sets are the oracle's."""
+    codes, align = build_vasmer_browne_stack(3, "center")
+    align.x_logicals[1] = align.x_logicals[2]
+    got = check_transversal_ccz(*codes, align).conditions[1]
+    want = oracle.check_transversal_ccz(*codes, align).conditions[1]
+    assert got.condition_id == "CCZ1-stab-stab-logical"
+    assert got.witnesses == (
+        ("0:X0", "2:X0", "1:Xbar", 1), ("0:X1", "2:X1", "1:Xbar", 1),
+        ("0:X10", "2:X9", "1:Xbar", 1), ("0:X11", "2:X9", "1:Xbar", 1),
+        ("1:X1", "2:X4", "0:Xbar", 1), ("1:X1", "2:X6", "0:Xbar", 1),
+        ("1:X9", "2:X4", "0:Xbar", 1), ("1:X9", "2:X6", "0:Xbar", 1))
+    assert sorted(got.witnesses) == sorted(want.witnesses)
+
+
 def test_small_chunks_match_oracle(monkeypatch):
-    """The chunked loops (kernel columns, pair tests) give the same results
-    when every step is cut into many small chunks: the same gate reports,
-    and logical bases in the dense oracle's cosets."""
-    for mod in (gf2_mod, gates_mod):
-        monkeypatch.setattr(mod, "_CHUNK_WORDS", 40)
+    """The chunked loops of `gf2` (kernel columns, matrix products) give the
+    same results when every step is cut into many small chunks: the same
+    gate reports, and logical bases in the dense oracle's cosets."""
+    monkeypatch.setattr(gf2_mod, "_CHUNK_WORDS", 40)
     codes, align = build_vasmer_browne_stack(3, "center")
     assert check_transversal_ccz(*codes, align) == oracle.check_transversal_ccz(*codes, align)
     assert (check_transversal_cz(codes[0], codes[1], align)
@@ -402,6 +426,68 @@ def test_four_fold_rule_matches_brute_force_on_cube_code():
     align, report = _four_copies(code, logicals)
     _assert_matches_brute_force(align, report)
     assert [len(c.witnesses) for c in report.conditions] != [0] * 5
+
+
+@st.composite
+def _parity_cases(draw):
+    """p + 1 copies (p = 1..3) of one to p + 1 code objects, one object
+    possibly at two positions, with random X checks (some of no qubit),
+    random injective site maps per position, a logical or none per
+    position (some of no qubit), and a random mask of the sites met."""
+    p = draw(st.integers(1, 3))
+    n_sites = draw(st.integers(1, 9))
+    codes = []
+    for _ in range(draw(st.integers(1, p + 1))):
+        n = draw(st.integers(1, n_sites))
+        rows = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=4))
+        r, c = np.nonzero(np.array(rows, dtype=bool).reshape(len(rows), n))
+        codes.append(CssCode(n, Faces.from_pairs(len(rows), r, c), Faces.empty(0), 1,
+                             np.arange(n), np.arange(len(rows))))
+    stack = [codes[draw(st.integers(0, len(codes) - 1))] for _ in range(p + 1)]
+    sites = [draw(st.permutations(range(n_sites)))[:code.n_qubits] for code in stack]
+    logicals = [draw(st.none() | st.lists(st.booleans(), min_size=code.n_qubits,
+                                           max_size=code.n_qubits)) for code in stack]
+    xs = [None if x is None else PauliOperator.x_type(Gf2Vector.from_dense(np.array(x, dtype=bool)))
+          for x in logicals]
+    on = draw(st.lists(st.booleans(), min_size=n_sites, max_size=n_sites))
+    return StackAlignment(stack, n_sites, sites, xs), np.array(on, dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parity_cases())
+def test_parity_failures_match_brute_force(case):
+    """`_parity_failures` on the sites of a mask yields every choice of
+    roles, fewer logicals first and then in `itertools.product` order, and
+    per choice exactly the brute force's breaking rows (a logical with no
+    site is still a row), in row-major order."""
+    align, on = case
+    copies = list(range(len(align.codes)))
+    rows = [(align.x_rows[t], align._logical_row(t, basis=False)) for t in copies]
+    want = oracle.parity_failures(align, copies, set(np.flatnonzero(on).tolist()))
+    options = [(False, True) if x is not None else (False,) for x in align.x_logicals]
+    got = list(_parity_failures(rows, on))
+    assert [roles for roles, _ in got] == sorted(itertools.product(*options), key=sum)
+    found = [set() for _ in range(len(copies) + 1)]
+    for roles, picks in got:
+        m, picks = sum(roles), list(map(tuple, picks.tolist()))
+        assert picks == sorted(set(picks))
+        found[m] |= {(tuple(None if role else r for role, r in zip(roles, pick)),
+                      int(m < len(copies))) for pick in picks}
+    assert found == want
+
+
+def test_parity_failures_refuse_keys_past_int64():
+    """Four copies of 2**16 rows take keys up to 2**64: refused, where
+    three copies (2**48) fit and every diagonal choice meets once."""
+    n = 1 << 16
+    code = CssCode(n, Faces(np.arange(n + 1), np.arange(n)), Faces.empty(0), 1,
+                   np.arange(n), np.arange(n))
+    every = np.ones(n, dtype=bool)
+    rows = [(x, None) for x in align_identical([code] * 4).x_rows]
+    with pytest.raises(ValueError, match="past int64"):
+        list(_parity_failures(rows, every))
+    [(roles, picks)] = _parity_failures(rows[:3], every)
+    assert picks.tolist() == [[r] * 3 for r in range(n)]
 
 
 def test_four_copy_witness_text():

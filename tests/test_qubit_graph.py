@@ -11,7 +11,8 @@ search, which expands a level at a time, must give the distances and arcs
 of the queue-driven search over the arcs as lists
 (``distance_oracles.list_bfs``) element for element, with and without an
 arc filter and a depth.  The distances the max-flow returns are those of a
-fresh search of its final residual, and d_X takes its cut from them.
+fresh search of its final residual, and d_X takes its cut from them; a
+max-flow from a node to itself is refused.
 """
 
 import numpy as np
@@ -246,6 +247,15 @@ def test_max_flow_returns_its_last_search(name):
         _, residual, level = _max_flow(g, s, t)
         assert level.tolist() == g.bfs(s, residual.view(bool))[0].tolist()
         assert level[t] == -1
+
+
+def test_max_flow_refuses_one_terminal():
+    """s == t is refused before the first phase: on the one-node graph of
+    seeded layout 0 the search would augment the empty path forever."""
+    g = _layout(0)._qubit_graph
+    assert g.n_nodes == 1
+    with pytest.raises(ValueError, match="two distinct nodes"):
+        _max_flow(g, 0, 0)
 
 
 def test_the_min_cut_reads_the_flows_last_search(monkeypatch):
