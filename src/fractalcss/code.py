@@ -4,7 +4,7 @@ Qubits sit on the i-cells.  Each surviving (i-1)-cell anchors an X
 stabilizer on its cofaces; each surviving (i+1)-cell anchors a Z
 stabilizer on its faces.  A code stores its checks once, in CSR form
 (`CssCode.x_checks` / `z_checks`, restricted straight from the complex's
-coface and face lists); syndromes are parities over those rows.  k, the
+face lists, the X rows transposed); syndromes are parities over them.  k, the
 logical tests and the logical basis read one reduction of the code's own
 chain complex, Z checks -(H_Z^T)-> qubits -(H_X)-> X checks, by the
 collapses and coreductions of `homology` (`CssCode.reduction`): only its
@@ -234,8 +234,9 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
     x_anchor, qubit, z_anchor = (~cx.label_mask(k, label_is_e) for k in (i - 1, i, i + 1))
     n_qubits = int(qubit.sum())
     # row r: the qubit cells among the cofaces (X) or faces (Z) of the r-th
-    # anchor cell
-    x_checks = cx.cofaces(i - 1).restrict(x_anchor, qubit)
+    # anchor cell; the X rows transpose each qubit's anchor faces, so no
+    # coface list of the whole complex is built
+    x_checks = cx.faces[i].restrict(qubit, x_anchor).transpose(int(x_anchor.sum()))
     z_checks = cx.faces[i + 1].restrict(z_anchor, qubit)
 
     # Smooth-patch rule: a Z stabilizer anchored on an M-labeled (i+1)-cell
@@ -245,9 +246,7 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
     keep_x, keep_z = x_checks.counts() > 0, z_checks.counts() > 0
     if cx.label_mask(i + 1, label_is_m)[z_anchor].any():
         keep_z &= _smooth_patch_rows(cx, i, z_anchor, x_checks, z_checks, n_qubits)
-    # restricted here, so the unrestricted checks are freed before the code
-    # transposes its Z checks
-    every = np.ones(n_qubits, dtype=bool)
+    every = np.ones(n_qubits, dtype=bool)  # dropping only empty rows shares the entries
     x_checks, z_checks = x_checks.restrict(keep_x, every), z_checks.restrict(keep_z, every)
     return CssCode(
         n_qubits=n_qubits,

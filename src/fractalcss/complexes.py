@@ -32,9 +32,9 @@ boxes (int32, then int64, when its coordinates need them) and int32 label
 codes, face indices and row pointers, and cofaces are int32 while their
 counts fit; every midpoint, width and key that can outgrow them is
 computed wider.  A complex read from text keeps the int64 arrays it was
-parsed into.  The kernels keep their temporaries small: the dd = 0 check
-and the punch work in bounded blocks, and a gather of faces holds one
-full-length array besides its result.
+parsed into.  Each kernel holds its result and one block of `_ENTRIES`
+temporaries: the punch, the face tables, dd = 0, a transpose, the dual (a
+grade at a time); a gather of faces holds one full-length array more.
 
 A lattice on the open cube or the torus, punched or not, is one
 construction (:func:`_lattice_complex`): the boxes and label codes of all
@@ -84,8 +84,9 @@ lattice has its own midpoint, so the punch places each cell's row in a
 dense grid over the halved midpoints ``m >> 1`` (modulo the period on a
 periodic axis) and runs these tests only on the cells of the grid block
 around each hole: the blocks of the holes of one box shape come from one
-gather per chunk of about `_BLOCK` cells.  It marks the deleted cells and
-the new label codes in one array each; the lattice construction builds
+gather per chunk of about `_ENTRIES` cells, tested as many pairs at a
+time.  It marks the deleted cells and the new label codes in one array
+each; the lattice construction builds
 only the kept cells, and :func:`punch_holes`, which punches a complex that
 exists, hands the masks to :meth:`CellComplex.delete`.
 """
@@ -258,26 +259,30 @@ class Faces:
         cells whose faces contain it; int32 when both the entries and these
         cells are fewer than 2**31, else int64."""
         width = _width(0, max(self.ptr.size - 1, self.idx.size), (np.int32, np.int64))
-        ptr = np.zeros(n + 1, dtype=width)
-        np.cumsum(np.bincount(self.idx, minlength=n), out=ptr[1:])
+        # ptr[c + 2] counts cell c's entries in place (bincount would cast
+        # idx to int64), and sums them: ptr[c + 1] is where cell c starts
+        ptr = np.zeros(n + 2, dtype=width)
+        np.add.at(ptr[2:], self.idx, width(1))
+        np.cumsum(ptr, out=ptr)
         if self.idx.size <= _ENTRIES:  # one block: the owners in a stable order
             owners = np.arange(self.ptr.size - 1, dtype=width).repeat(self.counts())
-            return Faces(ptr, owners[np.argsort(self.idx, kind="stable")])
+            return Faces(ptr[1:], owners[np.argsort(self.idx, kind="stable")])
         # a counting sort, a block of whole cells at a time: each block's
-        # entries go, in order, to the next free slots of their cells below
-        out, free = np.empty(self.idx.size, dtype=width), ptr[:-1].copy()
+        # entries go, in order, to the next free slots of their cells c below
+        # (ptr[c + 1])
+        out, free = np.empty(self.idx.size, dtype=width), ptr[1:]
         for first, stop in self._blocks(_ENTRIES):
             part = self.idx[self.ptr[first] : self.ptr[stop]]
             order = np.argsort(part, kind="stable")
             below = part[order]
             starts = np.flatnonzero(np.diff(below, prepend=-1))  # a run per cell below
             cells, runs = below[starts], np.diff(starts, append=below.size)
-            slots = free[cells]
-            at = np.arange(below.size, dtype=width) + (slots - starts).repeat(runs)
+            at = (free[cells] - starts).astype(width).repeat(runs)
+            at += np.arange(len(part), dtype=width)
+            free[cells] += runs
             out[at] = np.arange(first, stop, dtype=width).repeat(
                 self.ptr[first + 1 : stop + 1] - self.ptr[first:stop])[order]
-            free[cells] = slots + runs
-        return Faces(ptr, out)
+        return Faces(ptr[:-1], out)
 
     def _blocks(self, entries: int):
         """(first, stop) of consecutive runs of whole cells that hold about
@@ -291,14 +296,21 @@ class Faces:
 
     def restrict(self, keep: np.ndarray, keep_below: np.ndarray) -> "Faces":
         """The kept cells' faces among the kept faces, both renumbered, in
-        the integer widths of these faces."""
+        the integer widths of these faces; where only cells without faces go
+        and every face stays, the entries are shared."""
+        if keep_below.all() and not self.counts()[~keep].any():
+            return Faces(np.append(self.ptr[:1], self.ptr[1:][keep]), self.idx)
         sel = keep.repeat(self.counts())
         sel &= keep_below[self.idx]
         # the kept entries before each entry; a deleted cell keeps none
         before = np.zeros(sel.size + 1, dtype=self.ptr.dtype)
-        sel.cumsum(out=before[1:])
+        before[1:] = sel
+        np.cumsum(before, out=before)  # in place: a cumsum into another type casts a copy
         ptr = np.concatenate((before[self.ptr[:-1][keep]], before[-1:]))
-        return Faces(ptr, (np.cumsum(keep_below, dtype=self.idx.dtype) - 1)[self.idx[sel]])
+        del before
+        new = keep_below.astype(self.idx.dtype)
+        np.cumsum(new, out=new)
+        return Faces(ptr, new[self.idx[sel]] - 1)
 
     def matrix(self, cols: int) -> Gf2Matrix:
         """The dense incidence matrix: one row per cell, `cols` columns for
@@ -383,8 +395,8 @@ class CellComplex:
             if n and not 0 <= labels[k].min() <= labels[k].max() < len(self.label_names):
                 raise ValueError(f"grade {k} has a label code outside the label table")
             idx = faces[k].idx
-            bad = np.flatnonzero((idx < 0) | (idx >= self.n_cells(k - 1)))
-            if bad.size:
+            if idx.size and not 0 <= idx.min() <= idx.max() < self.n_cells(k - 1):
+                bad = np.flatnonzero((idx < 0) | (idx >= self.n_cells(k - 1)))
                 i = int(np.searchsorted(faces[k].ptr, bad[0], "right")) - 1
                 raise ValueError(f"cell {k} {i} has a face index out of range")
         self.assert_dd_zero()
@@ -665,12 +677,13 @@ class _Lattice:
         self.start = np.cumsum([0] + counts)
         self.index = _width(0, int(self.start[-1]), (np.int32, np.int64))
 
-    def boxes(self) -> np.ndarray:
-        """The (N, dim, 2) boxes of all cells."""
-        out = np.empty((self.start[-1], self.dim, 2), dtype=self.width)
-        for k, blocks in enumerate(self.blocks):
-            for ext, (first, shape) in blocks.items():
-                at = self.start[k] + first
+    def boxes(self, grades: slice = slice(None)) -> np.ndarray:
+        """The (N, dim, 2) boxes of the cells of a slice of the grades."""
+        ks = range(self.dim + 1)[grades]
+        out = np.empty((self.start[ks.stop] - self.start[ks.start], self.dim, 2), dtype=self.width)
+        for k in ks:
+            for ext, (first, shape) in self.blocks[k].items():
+                at = self.start[k] - self.start[ks.start] + first
                 block = out[at : at + math.prod(shape)].reshape(*shape, self.dim, 2)
                 for d in range(self.dim):
                     along = [1] * self.dim
@@ -681,14 +694,16 @@ class _Lattice:
 
     def faces(self, k: int, cells: np.ndarray) -> np.ndarray:
         """The (len(cells), 2k) table of the faces of the ascending k-cells
-        `cells`, each row ascending: across the extended axes from the last
-        to the first, whose blocks below ascend, and on each axis the lower
-        index first.  A face that a row holds twice (on an axis of period
-        1) is in both columns of its pair."""
-        table = np.empty((len(cells), 2 * k), dtype=np.int64)
+        `cells`, in the index width, each row ascending: across the extended
+        axes from the last to the first, whose blocks below ascend, and on
+        each axis the lower index first.  A face that a row holds twice (on
+        an axis of period 1) is in both columns of its pair."""
+        table = np.empty((len(cells), 2 * k), dtype=self.index)
         blocks, below = self.blocks[k].items(), self.blocks[k - 1]
         bounds = np.searchsorted(cells, [first for _, (first, _) in blocks] + [self.start[k + 1]])
         for (ext, (first, shape)), a, b in zip(blocks, bounds, bounds[1:]):
+            if a == b:
+                continue
             c = cells[a:b] - first
             for col, d in enumerate(reversed(ext)):
                 # c = (outer * shape[d] + j) * inner + rest; the block below
@@ -707,18 +722,20 @@ class _Lattice:
 
     def kept_faces(self, k: int, keep: np.ndarray, keep_below: np.ndarray) -> Faces:
         """The faces of the kept k-cells among the kept (k-1)-cells (a mask
-        each), both renumbered; a face held twice cancels."""
-        table = self.faces(k, np.flatnonzero(keep))
-        sel = keep_below[table]
-        twice = table[:, 0::2] == table[:, 1::2]
-        sel[:, 0::2] &= ~twice
-        sel[:, 1::2] &= ~twice
-        new = np.cumsum(keep_below, dtype=self.index) - 1
-        if sel.all():  # every row keeps its faces
-            return Faces(np.arange(0, table.size + 1, 2 * k, dtype=self.index), new[table.ravel()])
-        ptr = np.zeros(len(table) + 1, dtype=self.index)
-        np.cumsum(sel.sum(axis=1), out=ptr[1:])
-        return Faces(ptr, new[table[sel]])
+        each), both renumbered; a face held twice cancels.  The table is
+        built `_ENTRIES` entries at a time, straight into the CSR arrays."""
+        ptr = np.zeros(int(np.count_nonzero(keep)) + 1, dtype=self.index)
+        idx = np.empty((len(ptr) - 1) * 2 * k, dtype=self.index)
+        new = keep_below.astype(self.index)
+        np.cumsum(new, out=new)  # in place, as in `restrict`
+        row, step = 0, max(_ENTRIES // (2 * k), 1)
+        for first in range(0, len(keep), step):
+            table = self.faces(k, first + np.flatnonzero(keep[first : first + step]))
+            sel = keep_below[table] & (table[:, 0::2] != table[:, 1::2]).repeat(2, axis=1)
+            ptr[row + 1 : row + 1 + len(table)] = ptr[row] + np.cumsum(sel.sum(axis=1))
+            idx[ptr[row] : ptr[row + len(table)]] = new[table[sel]] - 1
+            row += len(table)
+        return Faces(ptr, idx if ptr[-1] == idx.size else idx[: ptr[-1]].copy())
 
 
 def _lattice_complex(axis_kinds: list[str], L: int, background: str, style: str,
@@ -736,20 +753,19 @@ def _lattice_complex(axis_kinds: list[str], L: int, background: str, style: str,
     closed (`_check_e_patches`)."""
     lat = _Lattice(axis_kinds, L)
     boxes = lat.boxes()
-    codes = np.zeros(len(boxes), dtype=np.int32)
+    codes = np.zeros(len(boxes), dtype=_width(0, len(rules) + len(holes)))
     for r in range(len(rules) - 1, -1, -1):
         d, c, _ = rules[r]
         codes[(boxes[:, d, 0] == c) & (boxes[:, d, 1] == c)] = r + 1
     names = [BULK] + [label for _, _, label in rules]
-    gone = np.zeros(len(boxes), dtype=bool)
-    if holes:
-        gone, codes, names = _punch_masks(
-            boxes, codes, names, lat.start, lat.periods, style, holes,
-            lambda k, cells: (2 * k, lat.faces(k, cells).ravel()))
+    gone, codes, names = _punch_masks(
+        boxes, codes, names, lat.start, lat.periods, style, holes,
+        lambda k, cells: (2 * k, lat.faces(k, cells).ravel())) if holes else (
+        np.zeros(len(boxes), dtype=bool), codes, names)
     keep = np.split(~gone, lat.start[1:-1])
-    cells = [np.compress(kp, b, axis=0) for b, kp in zip(np.split(boxes, lat.start[1:-1]), keep)]
-    labels = [c[kp] for c, kp in zip(np.split(codes, lat.start[1:-1]), keep)]
-    del boxes, codes, gone  # nothing holds the whole lattice while the faces are built
+    labels = [c[kp].astype(np.int32) for c, kp in zip(np.split(codes, lat.start[1:-1]), keep)]
+    del gone, boxes, codes  # nothing holds the whole lattice: kept boxes come a grade at a time
+    cells = [np.compress(kp, lat.boxes(slice(k, k + 1)), axis=0) for k, kp in enumerate(keep)]
     faces = [Faces.empty(len(cells[0]))] + [
         lat.kept_faces(k, keep[k], keep[k - 1]) for k in range(1, lat.dim + 1)]
     cx = CellComplex(lat.dim, cells, labels, names, faces, background, style, lat.periods,
@@ -839,10 +855,6 @@ def code_lattice(
 # L = 2; the ladder's largest is 2.7, the FC(3,1) level-1 sphere).
 _SLOTS_PER_CELL = 64
 
-# the cells a punch's scatter, gather or test handles at a time
-_BLOCK = 1 << 18
-
-
 class _MidpointGrid:
     """The row of each cell at its halved midpoint ``m >> 1`` in a dense
     int32 array, -1 where no cell lies; on a periodic axis the index is
@@ -870,21 +882,21 @@ class _MidpointGrid:
         if math.prod(shape) > _SLOTS_PER_CELL * max(len(boxes), 1):
             raise ValueError(f"{len(boxes)} cells spread over a grid of {math.prod(shape)} "
                              f"midpoints; holes need at most {_SLOTS_PER_CELL} per cell")
-        # the cells' grid positions, axis by axis, in the grid's index width
-        flat = np.zeros(len(boxes), dtype=_width(0, math.prod(shape), (np.int32, np.int64)))
-        for d, period in enumerate(periods):
-            h = np.add(boxes[:, d, 0], boxes[:, d, 1], dtype=self.wide)
-            h >>= 1
-            h -= self.low[d]
-            if period:
-                h %= period
-            flat *= shape[d]
-            flat += h
-            del h
+        # each block of cells' grid positions, axis by axis, in the grid's
+        # index width
         self.rows = np.full(shape, -1, dtype=np.int32)
-        for first in range(0, len(flat), _BLOCK):
-            part = flat[first : first + _BLOCK]
-            self.rows.flat[part] = np.arange(first, first + len(part), dtype=np.int32)
+        for first in range(0, len(boxes), _ENTRIES):
+            part = boxes[first : first + _ENTRIES]
+            flat = np.zeros(len(part), dtype=_width(0, math.prod(shape), (np.int32, np.int64)))
+            for d, period in enumerate(periods):
+                h = np.add(part[:, d, 0], part[:, d, 1], dtype=self.wide)
+                h >>= 1
+                h -= self.low[d]
+                if period:
+                    h %= period
+                flat *= shape[d]
+                flat += h
+            self.rows.flat[flat] = np.arange(first, first + len(part), dtype=np.int32)
         if np.count_nonzero(self.rows >= 0) < len(boxes):
             raise ValueError("cells share a midpoint; holes need one cell per midpoint")
 
@@ -915,14 +927,14 @@ class _MidpointGrid:
     def hits(self, rows: np.ndarray, j: np.ndarray, ends: np.ndarray, margin) -> np.ndarray:
         """Per pair of a cell row and a hole j whose box [a, b] has the
         doubled ends ``ends[d, 0, j]`` = 2a and ``ends[d, 1, j]`` = 2b on
-        axis d, whether ``2a + g <= m <= 2b - g`` holds on every axis, m
-        the cell's doubled midpoint, w its width there and g = margin(w, j);
-        on a periodic axis also after shifting m by one period either way
-        (2 * period in these units).  The pairs are tested in blocks, so the
-        temporaries stay small."""
+        axis d (in the wide width), whether ``2a + g <= m <= 2b - g`` holds
+        on every axis, m the cell's doubled midpoint, w its width there and
+        g = margin(w, j); on a periodic axis also after shifting m by one
+        period either way (2 * period in these units).  The pairs are tested
+        `_ENTRIES` at a time, each block's temporaries in the wide width."""
         hit = np.ones(len(rows), dtype=bool)
-        for first in range(0, len(rows), _BLOCK):
-            part = slice(first, first + _BLOCK)
+        for first in range(0, len(rows), _ENTRIES):
+            part = slice(first, first + _ENTRIES)
             near, jp = np.take(self.boxes, rows[part], axis=0), j[part]
             for d, period in enumerate(self.periods):
                 m, w = _midpoints(near[:, d], self.wide)
@@ -951,22 +963,25 @@ def _hole_hits(boxes: np.ndarray, bulk: np.ndarray, periods, style: str,
     time, on the cells of one gather of the midpoint grid per chunk."""
     grid = _MidpointGrid(boxes, periods)
     hb = np.array([h.box for h in holes], dtype=np.int64).reshape(len(holes), len(periods), 2)
-    ends = 2 * hb.transpose(1, 2, 0)  # per axis, the doubled ends of every hole
+    # per axis, the doubled ends of every hole in the wide width, clipped to
+    # a quarter of its range: still past every (shifted) midpoint and margin
+    lim = int(np.iinfo(grid.wide).max) >> 2
+    ends = np.clip(2 * hb, -lim, lim).astype(grid.wide).transpose(1, 2, 0)
     is_m = np.array([h.kind == "m" for h in holes], dtype=bool)
     doomed = np.zeros(len(boxes), dtype=bool)
-    tag = np.full(len(boxes), -1, dtype=np.int32)
+    tag = np.full(len(boxes), -1, dtype=_width(-1, len(holes)))
     if style != "code":  # the first hole that deletes each cell, and the cells on each hole
-        first_doom, within = np.full(len(boxes), len(holes), dtype=np.int32), []
+        first_doom, within = np.full(len(boxes), len(holes), dtype=tag.dtype), []
     shapes, shape = np.unique(hb[:, :, 1] - hb[:, :, 0], axis=0, return_inverse=True)
     for s in range(len(shapes)):
-        # as many holes at a time as gather about _BLOCK cells: a block
+        # as many holes at a time as gather about _ENTRIES cells: a block
         # spans at most the box, the widest cell and one slot per side
         holes_of_shape = np.flatnonzero(shape.ravel() == s)
-        step = max(_BLOCK // math.prod(int(x) + grid.reach + 2 for x in shapes[s]), 1)
+        step = max(_ENTRIES // math.prod(int(x) + grid.reach + 2 for x in shapes[s]), 1)
         for first in range(0, len(holes_of_shape), step):
             js = holes_of_shape[first : first + step]
             j, r = grid.gather(hb[js])
-            j = js[j].astype(np.int32)  # the type of `tag`, for the fast ufunc.at
+            j = js[j].astype(tag.dtype)  # for the fast ufunc.at
             if style == "code":
                 # an m-hole measures out the closed star of its box; an
                 # e-hole tags the interior, whose faces join its e-patch
@@ -1002,7 +1017,7 @@ def _punch_masks(boxes: np.ndarray, codes: np.ndarray, names, start: np.ndarray,
     ``faces_of(k, cells)`` gives the face counts of the ascending k-cells
     `cells` and their faces, concatenated.  Holes apply in order; a cell
     relabeled by several holes takes the last one's label."""
-    doomed, tag = _hole_hits(boxes, codes == 0, periods, style, holes)
+    doomed, tag = _hole_hits(boxes, None if style == "code" else codes == 0, periods, style, holes)
     if style == "code":  # e-patches close down: a face takes its cofaces' last e-hole
         for k in range(len(start) - 2, 0, -1):
             cells = np.flatnonzero(tag[start[k] : start[k + 1]] >= 0)
@@ -1125,13 +1140,14 @@ def dual_with_boundary(cx: CellComplex) -> CellComplex:
     computation on the dual removes them); interior duals are bulk.
     In dual grade g the D cells of the primal (n-g)-cells come first, in
     primal order, then the Db cells of the labeled primal (n-1-g)-cells.
+    So each grade's CSR rows are assembled in order from the cofaces of
+    the two primal grades it reads, one grade at a time.
     """
     n = cx.dim
     count = [cx.n_cells(k) for k in range(n + 2)]
     labeled = [lab != 0 for lab in cx.labels]
-    rank = [np.cumsum(lab) - 1 for lab in labeled]  # index among labeled cells
-    up = [cx.cofaces(k) for k in range(n)]
     cells, labels, faces = [], [], []
+    up = cx.cofaces(n - 1)  # of primal grade k, read again as grade kb's by the next grade
     for g in range(n + 1):
         k, kb = n - g, n - 1 - g  # D cells of primal grade k, Db cells of grade kb
         boxes, codes = [cx.cells[k]], [np.zeros(count[k], dtype=np.int64)]
@@ -1143,16 +1159,17 @@ def dual_with_boundary(cx: CellComplex) -> CellComplex:
         if g == 0:
             faces.append(Faces.empty(len(cells[0])))
             continue
-        # d D(c): the D cells of the cofaces of c, then Db(c) if c is labeled
-        lab = np.flatnonzero(labeled[k])
-        rows = [up[k].owners(), lab]
-        cols = [up[k].idx, count[k + 1] + rank[k][lab]]
-        if kb >= 0:
-            # d Db(c): the Db cells of the labeled cofaces of c
-            own = up[kb].owners()
-            sel = labeled[kb][own] & labeled[k][up[kb].idx]
-            rows.append(count[k] + rank[kb][own[sel]])
-            cols.append(count[k + 1] + rank[k][up[kb].idx[sel]])
-        faces.append(Faces.from_pairs(len(cells[g]), np.concatenate(rows), np.concatenate(cols)))
+        # d D(c): the D cells of the cofaces of c, then Db(c) if c is
+        # labeled; d Db(c): the Db cells of the labeled cofaces of c
+        below = cx.cofaces(kb) if kb >= 0 else Faces.empty(0)
+        db = below.restrict(labeled[kb], labeled[k]) if kb >= 0 else below
+        at = up.ptr[1:][labeled[k]]  # where the labeled cells' cofaces end
+        ptr = np.concatenate((up.ptr + np.append(0, np.cumsum(labeled[k])), db.ptr[1:]))
+        ptr[count[k] + 1 :] += ptr[count[k]]
+        idx = np.empty(ptr[-1], dtype=_width(0, count[k + 1] + at.size, (np.int32, np.int64)))
+        idx[: ptr[count[k]]] = np.insert(up.idx, at, count[k + 1] + np.arange(at.size))
+        idx[ptr[count[k]] :] = db.idx + count[k + 1]
+        faces.append(Faces(ptr, idx))
+        up = below
     return CellComplex(n, cells, labels, cx.label_names, faces, cx.background, "dual",
                        cx.periods, cx.holes)

@@ -66,6 +66,7 @@ class StackAlignment:
             if len(np.unique(sites, return_index=True)[1]) != len(sites):
                 raise ValueError("alignment must be injective per code")
         self._held: dict[int, tuple[PauliOperator | None, Faces | None]] = {}
+        self._merged: dict[int, tuple[Faces | None, Faces]] = {}
 
     @cached_property
     def x_rows(self) -> list[Faces]:
@@ -95,6 +96,17 @@ class StackAlignment:
             row = self._incidence(copy, Faces.from_pairs(1, [0] * len(q), q)) if xs else None
             held = self._held[copy] = (x, row)
         return held[1]
+
+    def _stabilizers_and_logical(self, copy: int) -> Faces:
+        """Per site, the copy's X stabilizers that hold it, then its logical X
+        in `x_logicals` as row len(x_checks), if any; built once per logical."""
+        logical = self._logical_row(copy, basis=False)
+        if self._merged.get(copy, (False,))[0] is not logical:
+            stabs = self.x_rows[copy]
+            self._merged[copy] = (logical, stabs if logical is None else Faces(
+                stabs.ptr + np.append(0, logical.counts().cumsum()), np.insert(
+                    stabs.idx, stabs.ptr[1:][logical.owners()], len(self.codes[copy].x_checks))))
+        return self._merged[copy][1]
 
     def sites_of(self, copy: int, support: Gf2Vector) -> frozenset[int]:
         return frozenset(self.qubit_site[copy][support.indices()].tolist())
@@ -412,13 +424,7 @@ def _cz_part_is_identity(
     the rule for p = 1 on their rows cut to `sites`, a logical counted as
     one more stabilizer row."""
     on = np.bincount(list(sites), minlength=align.n_sites) > 0
-    rows = []
-    for t in copies:
-        stabs, logical = align.x_rows[t], align._logical_row(t, basis=False)
-        if logical is not None:  # row len(x_checks), the last at each of its sites
-            stabs = Faces(stabs.ptr + np.append(0, logical.counts().cumsum()), np.insert(
-                stabs.idx, stabs.ptr[1:][logical.owners()], len(align.codes[t].x_checks)))
-        rows.append((stabs, None))
+    rows = [(align._stabilizers_and_logical(t), None) for t in copies]
     return not any(len(p) for _, p in _parity_failures(rows, on))
 
 

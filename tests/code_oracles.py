@@ -14,6 +14,11 @@ until the rule moved to the residue of the non-M checks' chain reduction.
 
 ``checks_of`` turns a dense matrix into the CSR rows `CssCode` takes.
 
+``css_from_complex`` is `code.css_from_complex` from before it transposed
+each qubit's anchor faces into the X checks: the X rows restricted from the
+cofaces of the whole complex, and each kind restricted again, as a copy, to
+the rows it keeps.
+
 ``residue_rref`` is the dense elimination `code._ChainReduction` ran on
 each residue of a code's reduced chain complex before
 `homology._RowSpace` contracted its weight-2 rows: the residue's rows as a
@@ -44,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fractalcss.code import CssCode, PauliOperator
+from fractalcss.code import CssCode, PauliOperator, _smooth_patch_rows
 from fractalcss.complexes import CellComplex, Faces, label_is_e, label_is_m
 from fractalcss.gf2 import (
     _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _rref_inplace, _unpack, in_rowspace,
@@ -270,3 +275,22 @@ def reduce(reduced: np.ndarray, pivots: np.ndarray, words: np.ndarray) -> np.nda
     at = (words[pivots >> 6] >> (pivots & 63).astype(np.uint64)) & np.uint64(1) != 0
     rows = reduced[: len(pivots)][at, : len(words)]
     return words ^ np.bitwise_xor.reduce(rows, axis=0)
+
+
+def css_from_complex(cx: CellComplex, i: int) -> CssCode:
+    """`code.css_from_complex` as it extracted the checks before it
+    transposed the qubits' anchor faces: the X rows restricted from the
+    cofaces of the whole complex, and both kinds restricted again to the
+    kept rows, each a copy."""
+    x_anchor, qubit, z_anchor = (~cx.label_mask(k, label_is_e) for k in (i - 1, i, i + 1))
+    n_qubits = int(qubit.sum())
+    x_checks = cx.cofaces(i - 1).restrict(x_anchor, qubit)
+    z_checks = cx.faces[i + 1].restrict(z_anchor, qubit)
+    keep_x, keep_z = x_checks.counts() > 0, z_checks.counts() > 0
+    if cx.label_mask(i + 1, label_is_m)[z_anchor].any():
+        keep_z &= _smooth_patch_rows(cx, i, z_anchor, x_checks, z_checks, n_qubits)
+    every = np.ones(n_qubits, dtype=bool)
+    x_checks, z_checks = x_checks.restrict(keep_x, every), z_checks.restrict(keep_z, every)
+    return CssCode(n_qubits=n_qubits, x_checks=x_checks, z_checks=z_checks, grading=i,
+                   qubit_cells=np.flatnonzero(qubit),
+                   x_anchor_cells=np.flatnonzero(x_anchor)[keep_x], source=cx)

@@ -39,6 +39,14 @@ the punch's ``GatherGrid`` and ``hole_hits``, are the oracles of
 worked in bounded blocks and kept indices in the width of their faces:
 three full-length temporaries per range set, int64 cofaces always, blocks
 of 65,536 cells, and a grid and a gather each built in one piece.
+
+``lattice_faces`` and ``kept_faces`` are ``_Lattice.faces`` and
+``_Lattice.kept_faces`` (taking the lattice first) from before the face
+tables were built in the index width a block of kept cells at a time: one
+int64 table of every kept cell's faces, renumbered in one gather.
+``dual_from_pairs`` is ``dual_with_boundary`` from before it assembled
+each grade's CSR from the cofaces it reads: the cofaces of every grade,
+and each dual grade's (cell, face) pairs sorted by ``Faces.from_pairs``.
 """
 
 from __future__ import annotations
@@ -1063,3 +1071,86 @@ def hole_hits(boxes: np.ndarray, bulk: np.ndarray, periods, style: str,
         ok = bulk[r] & (j < first_doom[r])
         np.maximum.at(tag, r[ok], j[ok])
     return doomed, tag
+
+
+# -- oracle: the face tables and the dual before they held one block ----------
+
+
+def lattice_faces(lat, k: int, cells: np.ndarray) -> np.ndarray:
+    """The (len(cells), 2k) table of the faces of the ascending k-cells
+    `cells` of the `complexes._Lattice` lat, each row ascending: across the
+    extended axes from the last to the first, whose blocks below ascend,
+    and on each axis the lower index first.  A face that a row holds twice
+    (on an axis of period 1) is in both columns of its pair."""
+    table = np.empty((len(cells), 2 * k), dtype=np.int64)
+    blocks, below = lat.blocks[k].items(), lat.blocks[k - 1]
+    bounds = np.searchsorted(cells, [first for _, (first, _) in blocks] + [lat.start[k + 1]])
+    for (ext, (first, shape)), a, b in zip(blocks, bounds, bounds[1:]):
+        c = cells[a:b] - first
+        for col, d in enumerate(reversed(ext)):
+            # c = (outer * shape[d] + j) * inner + rest; the block below
+            # has base_shape[d] = shape[d] + 1 vertices on axis d (as many
+            # on a circle), and the same multi-index there lies `outer`
+            # rows of `inner` cells further on
+            base, base_shape = below[tuple(x for x in ext if x != d)]
+            inner = math.prod(shape[d + 1 :])
+            lower = base + c + c // (shape[d] * inner) * ((base_shape[d] - shape[d]) * inner)
+            upper = lower + inner
+            if lat.periods[d]:
+                upper[c // inner % shape[d] == shape[d] - 1] -= shape[d] * inner
+            np.minimum(lower, upper, out=table[a:b, 2 * col])
+            np.maximum(lower, upper, out=table[a:b, 2 * col + 1])
+    return table
+
+
+def kept_faces(lat, k: int, keep: np.ndarray, keep_below: np.ndarray) -> Faces:
+    """The faces of the kept k-cells among the kept (k-1)-cells (a mask
+    each), both renumbered; a face held twice cancels."""
+    table = lattice_faces(lat, k, np.flatnonzero(keep))
+    sel = keep_below[table]
+    twice = table[:, 0::2] == table[:, 1::2]
+    sel[:, 0::2] &= ~twice
+    sel[:, 1::2] &= ~twice
+    new = np.cumsum(keep_below, dtype=lat.index) - 1
+    if sel.all():  # every row keeps its faces
+        return Faces(np.arange(0, table.size + 1, 2 * k, dtype=lat.index), new[table.ravel()])
+    ptr = np.zeros(len(table) + 1, dtype=lat.index)
+    np.cumsum(sel.sum(axis=1), out=ptr[1:])
+    return Faces(ptr, new[table[sel]])
+
+
+def dual_from_pairs(cx: ArrayComplex) -> ArrayComplex:
+    """Honest dual cellulation of a complex with boundary, as
+    `complexes.dual_with_boundary` (same cells, labels and faces): every
+    grade's (cell, face) pairs from the cofaces of every grade, sorted by
+    `Faces.from_pairs`."""
+    n = cx.dim
+    count = [cx.n_cells(k) for k in range(n + 2)]
+    labeled = [lab != 0 for lab in cx.labels]
+    rank = [np.cumsum(lab) - 1 for lab in labeled]  # index among labeled cells
+    up = [cx.cofaces(k) for k in range(n)]
+    cells, labels, faces = [], [], []
+    for g in range(n + 1):
+        k, kb = n - g, n - 1 - g  # D cells of primal grade k, Db cells of grade kb
+        boxes, codes = [cx.cells[k]], [np.zeros(count[k], dtype=np.int64)]
+        if kb >= 0:
+            boxes.append(cx.cells[kb][labeled[kb]])
+            codes.append(cx.labels[kb][labeled[kb]])
+        cells.append(np.concatenate(boxes))
+        labels.append(np.concatenate(codes))
+        if g == 0:
+            faces.append(Faces.empty(len(cells[0])))
+            continue
+        # d D(c): the D cells of the cofaces of c, then Db(c) if c is labeled
+        lab = np.flatnonzero(labeled[k])
+        rows = [up[k].owners(), lab]
+        cols = [up[k].idx, count[k + 1] + rank[k][lab]]
+        if kb >= 0:
+            # d Db(c): the Db cells of the labeled cofaces of c
+            own = up[kb].owners()
+            sel = labeled[kb][own] & labeled[k][up[kb].idx]
+            rows.append(count[k] + rank[kb][own[sel]])
+            cols.append(count[k + 1] + rank[k][up[kb].idx[sel]])
+        faces.append(Faces.from_pairs(len(cells[g]), np.concatenate(rows), np.concatenate(cols)))
+    return ArrayComplex(n, cells, labels, cx.label_names, faces, cx.background, "dual",
+                        cx.periods, cx.holes)

@@ -18,11 +18,22 @@ event's stack.
 
 Profiling every call costs time (a few times the run's own), so a probe
 belongs around one stage at a time.
+
+:func:`stage_table` runs the FC(3,1) pipeline of one level (code style,
+m-holes) in a fresh interpreter under an address-space limit, so that it
+fails with MemoryError rather than meet the kernel's OOM killer: the build,
+the code and k (with its homology cross-check), each stage's seconds, and
+VmRSS and VmHWM after it.  The one-off level-5 run is this module as a
+script, against the package in any source tree:
+
+    python tests/memory_probe.py --level 5 --limit-mb 6900 --src src
 """
 
 from __future__ import annotations
 
+import argparse
 import os
+import subprocess
 import sys
 import tracemalloc
 
@@ -85,3 +96,62 @@ class PeakProbe:
         """The peak, what was kept and the peak's stack, for a failure message."""
         return (f"peak {self.peak / 2**20:.1f} MB over the start, {self.kept / 2**20:.1f} MB "
                 f"kept, set at " + (" > ".join(self.stack) or "no package frame"))
+
+
+# the child of `stage_table`: per stage, its name, seconds, VmRSS and VmHWM
+# (kB) after it, and k after the last
+_STAGES = """
+import re, resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[2]) << 20,) * 2)
+from fractalcss.code import code_params, css_from_complex
+from fractalcss.complexes import FractalSpec, fractal_complex
+
+def stage(name, run):
+    start = time.perf_counter()
+    out = run()
+    seconds = time.perf_counter() - start
+    with open("/proc/self/status") as fh:
+        text = fh.read()
+    rss, hwm = (re.search(key + r":\\s*(\\d+) kB", text)[1] for key in ("VmRSS", "VmHWM"))
+    print(name, seconds, rss, hwm, flush=True)
+    return out
+
+cx = stage("build", lambda: fractal_complex(FractalSpec(3, 3, 1, int(sys.argv[1]), holes="m"),
+                                            "code"))
+code = stage("code", lambda: css_from_complex(cx, 1))
+print(stage("k", lambda: code_params(code).k))
+"""
+
+
+def stage_table(level: int, limit_mb: int, src: str | None = None,
+                timeout: float = 1800) -> tuple[list[tuple[str, float, float, float]], int]:
+    """The FC(3,1) level-`level` pipeline in a child under RLIMIT_AS of
+    `limit_mb` MB, importing the package from `src` (default: this one's)
+    and stripping asserts when this process does: per stage (build, code,
+    k), its name, seconds, and VmRSS and VmHWM after it in MB; and k.  A
+    failed child raises RuntimeError with its stderr."""
+    src = src or os.path.dirname(_PACKAGE)
+    out = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-c", _STAGES,
+                          str(level), str(limit_mb)],
+                         env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
+                         capture_output=True, text=True, timeout=timeout)
+    if out.returncode:
+        raise RuntimeError(out.stderr)
+    *lines, k = out.stdout.splitlines()
+    rows = [(name, float(s), int(rss) / 1024, int(hwm) / 1024)
+            for name, s, rss, hwm in (line.split() for line in lines)]
+    return rows, int(k)
+
+
+if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Time and memory of the FC(3,1) pipeline "
+                                     "(code style, m-holes), stage by stage, in a child.")
+    parser.add_argument("--level", type=int, required=True)
+    parser.add_argument("--limit-mb", type=int, required=True, help="the child's RLIMIT_AS")
+    parser.add_argument("--src", help="the source tree to import the package from")
+    args = parser.parse_args()
+    rows, k = stage_table(args.level, args.limit_mb, args.src)
+    print("stage seconds vmrss_mb vmhwm_mb")
+    for name, seconds, rss, hwm in rows:
+        print(f"{name} {seconds:.2f} {rss:.1f} {hwm:.1f}")
+    print(f"k {k}")

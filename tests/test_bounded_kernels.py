@@ -1,16 +1,28 @@
-"""The bounded CSR and punch kernels against the kernels they replaced.
+"""The bounded CSR, punch and construction kernels against the kernels
+they replaced.
 
 `complexes._ranges` builds one full-length array (its result) and adds
 the positions a block of `_ENTRIES` at a time, `Faces.transpose` keeps
 int32 cofaces while the counts fit and places a block of about
 `_ENTRIES` entries at a time, `Faces.composes_to_zero` works in
 blocks that reach about `_ENTRIES` entries, and `_MidpointGrid` and
-`_hole_hits` build the grid one axis at a time and gather the holes of
-one shape in chunks of `_BLOCK` cells.  The oracles are the kernels before
-(`complex_oracles.ranges`, `transpose`, `composes_to_zero`, `GatherGrid`
-and `hole_hits`); each kernel must give the same values, and the punch
-the same masks and label codes, or the same ValueError.  The block sizes
-are shrunk in some cases so that blocks and chunks split everywhere.
+`_hole_hits` place the grid's cells, gather the holes of one shape and
+test the pairs in blocks of `_ENTRIES`.  The oracles are the kernels
+before (`complex_oracles.ranges`, `transpose`, `composes_to_zero`,
+`GatherGrid` and `hole_hits`); each kernel must give the same values, and
+the punch the same masks and label codes, or the same ValueError.
+
+The lattice's face tables are built in the index width a block of kept
+cells at a time (`_Lattice.faces` / `kept_faces`), a code's X checks
+transpose the qubits' anchor faces and `dual_with_boundary` assembles each
+grade's CSR from the cofaces it reads.  The routes before, the int64 table
+of every kept cell (`complex_oracles.lattice_faces` / `kept_faces`), the
+checks restricted from the whole complex's cofaces
+(`code_oracles.css_from_complex`) and the dual from sorted pairs
+(`complex_oracles.dual_from_pairs`), must give the same arrays on the
+ladder, the 40 seeded layouts, the audit seeds 0-99, the tori and the
+spheres.  `_ENTRIES` is shrunk to a few entries in most cases, so that
+blocks and chunks split everywhere.
 """
 
 from __future__ import annotations
@@ -20,17 +32,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import code_oracles as code_oracle
 import complex_oracles as oracle
 from fractalcss import complexes
+from fractalcss.code import css_from_complex
 from fractalcss.complexes import (
     Faces,
     FractalSpec,
     _ranges,
     build_lattice,
     code_lattice,
+    dual_with_boundary,
+    fractal_complex,
     fractal_holes,
 )
-from test_arrays import seeded_params
+from test_arrays import audit_layout, seeded_params
 from test_one_construction import FRACTALS, HOLES
 
 # -- ranges -------------------------------------------------------------------
@@ -220,7 +236,7 @@ def _assert_masks_match_oracle(monkeypatch, cx, holes):
 def test_ladder_punch_masks_match_oracle(monkeypatch, name, background, holes, style):
     """In chunks of 2**10 cells, a few holes of the smallest shape per
     chunk (the default chunk never splits these complexes)."""
-    monkeypatch.setattr(complexes, "_BLOCK", 1 << 10)
+    monkeypatch.setattr(complexes, "_ENTRIES", 1 << 10)
     spec = FractalSpec(*FRACTALS[name], background=background, holes=HOLES[holes])
     builder = code_lattice if style == "code" else build_lattice
     if (style, background) == ("code", "sphere"):  # the code style builds no sphere
@@ -235,7 +251,7 @@ def test_ladder_punch_masks_match_oracle(monkeypatch, name, background, holes, s
 def test_seeded_punch_masks_match_oracle(monkeypatch, seed):
     """The 40 seeded layouts in chunks of 5 cells: every scatter, gather
     and test then splits, and each chunk holds one hole."""
-    monkeypatch.setattr(complexes, "_BLOCK", 5)
+    monkeypatch.setattr(complexes, "_ENTRIES", 5)
     style, n, L, background, holes = seeded_params(seed)
     builder = code_lattice if style == "code" else build_lattice
     _assert_masks_match_oracle(monkeypatch, builder(n, L, background), holes)
@@ -244,11 +260,108 @@ def test_seeded_punch_masks_match_oracle(monkeypatch, seed):
 @pytest.mark.parametrize("name", ("fc31-l2", "fc42-l2", "fc31-4d-l1"))
 def test_grid_matches_oracle(monkeypatch, name):
     """In chunks of 7 grid rows, so that the scatter splits."""
-    monkeypatch.setattr(complexes, "_BLOCK", 7)
     spec = FractalSpec(*FRACTALS[name])
-    for cx in (code_lattice(spec.n, spec.side), build_lattice(spec.n, spec.side, "torus")):
+    lattices = (code_lattice(spec.n, spec.side), build_lattice(spec.n, spec.side, "torus"))
+    monkeypatch.setattr(complexes, "_ENTRIES", 7)
+    for cx in lattices:
         boxes = np.concatenate(cx.cells)
         grid = complexes._MidpointGrid(boxes, cx.periods)
         want = oracle.GatherGrid(boxes, cx.periods)
         assert (grid.low, grid.reach) == (want.low, want.reach)
         assert np.array_equal(grid.rows, want.rows)
+
+
+# -- the lattice's face tables, the code's checks and the dual ----------------
+
+
+def _outcome(build):
+    """The complex `build` returns, or the message of its ValueError."""
+    try:
+        return build()
+    except ValueError as err:
+        return f"ValueError: {err}"
+
+
+def _arrays(cx) -> list[np.ndarray]:
+    return [*cx.cells, *cx.labels, *(a for f in cx.faces for a in (f.ptr, f.idx))]
+
+
+def _code_arrays(code) -> list[np.ndarray]:
+    return [code.x_checks.ptr, code.x_checks.idx, code.z_checks.ptr, code.z_checks.idx,
+            code.qubit_cells, code.x_anchor_cells]
+
+
+def _assert_same_arrays(got: list[np.ndarray], want: list[np.ndarray], dtypes: bool = True):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b) and (a.dtype == b.dtype or not dtypes)
+
+
+def _assert_routes_match(monkeypatch, build, entries: int):
+    """`build` with `_ENTRIES` patched to `entries`, its codes at every
+    grading and its dual, against the build through the parent's face
+    tables (`complex_oracles.lattice_faces` and `kept_faces`), its codes
+    from the unrestricted cofaces (`code_oracles.css_from_complex`) and its
+    dual from sorted pairs (`complex_oracles.dual_from_pairs`): every array
+    equal, and the same ValueError where the build raises."""
+    with monkeypatch.context() as m:
+        m.setattr(complexes._Lattice, "faces", oracle.lattice_faces)
+        m.setattr(complexes._Lattice, "kept_faces", oracle.kept_faces)
+        want = _outcome(build)
+    with monkeypatch.context() as m:
+        m.setattr(complexes, "_ENTRIES", entries)
+        got = _outcome(build)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert (got.label_names, got.holes, got.periods) == (want.label_names, want.holes,
+                                                            want.periods)
+        _assert_same_arrays(_arrays(got), _arrays(want))
+        for i in range(1, got.dim):
+            code, ref = css_from_complex(got, i), code_oracle.css_from_complex(want, i)
+            assert code.n_qubits == ref.n_qubits
+            _assert_same_arrays(_code_arrays(code), _code_arrays(ref))
+        dual = _outcome(lambda: dual_with_boundary(got))
+        ref = _outcome(lambda: oracle.dual_from_pairs(want))
+        if isinstance(ref, str):  # labels not closed under the boundary (a punched sphere)
+            assert dual == ref
+            return
+        assert (dual.label_names, dual.background, dual.style) == (ref.label_names,
+                                                                    ref.background, ref.style)
+        _assert_same_arrays(_arrays(dual), _arrays(ref), dtypes=False)
+
+
+@pytest.mark.parametrize("style", ("plain", "code"))
+@pytest.mark.parametrize("holes", HOLES)
+@pytest.mark.parametrize("background", ("open", "torus", "sphere"))
+@pytest.mark.parametrize("name", FRACTALS)
+def test_ladder_routes_match_oracle(monkeypatch, name, background, holes, style):
+    spec = FractalSpec(*FRACTALS[name], background=background, holes=HOLES[holes])
+    _assert_routes_match(monkeypatch, lambda: fractal_complex(spec, style), 64)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_seeded_routes_match_oracle(monkeypatch, seed):
+    style, n, L, background, holes = seeded_params(seed)
+    builder = code_lattice if style == "code" else build_lattice
+    _assert_routes_match(monkeypatch, lambda: builder(n, L, background, holes=holes), 7)
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_audit_routes_match_oracle(monkeypatch, seed):
+    _assert_routes_match(monkeypatch, lambda: audit_layout(seed)[0], 7)
+
+
+@pytest.mark.parametrize("L", (1, 2, 3))
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("build", ("plain torus", "sphere", "code torus"))
+def test_tori_and_spheres_routes_match_oracle(monkeypatch, build, n, L):
+    """Period 1 (L = 1) holds faces twice: they cancel, and the kept
+    faces' arrays are trimmed."""
+    if build == "code torus":
+        if L < 2:
+            return
+        _assert_routes_match(monkeypatch, lambda: code_lattice(n, L, "torus"), 5)
+    else:
+        background = build.split()[-1]
+        _assert_routes_match(monkeypatch, lambda: build_lattice(n, L, background), 5)

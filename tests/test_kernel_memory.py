@@ -1,16 +1,23 @@
-"""Memory guards on the CSR kernels and the level-4 pipeline.
+"""Memory guards on the CSR kernels, the construction stages and the
+level-4 pipeline.
 
 Each kernel holds one bounded block of temporaries: `composes_to_zero`
 (dd = 0 and H_X H_Z^T = 0) traces at most a fixed block over its start,
 where it traced 5-12 MB at FC(3,1) level 3 when it worked in blocks of
 65,536 cells; `Faces.take` traces its result, the ranges it gathers
 through and a few arrays per cell, where it traced two more int64
-arrays as long as the result.  A failure names the package stack at
+arrays as long as the result.  Each construction stage holds what it
+returns plus one bounded block: the FC(4,2) level-2 build (the punch
+tests `_ENTRIES` pairs at a time), its code (no unrestricted copy of the
+checks) and the FC(3,1) level-2 plain dual (one grade's cofaces at a
+time) each trace at most a bound set from their own peaks, below the
+peaks of the routes they replaced.  A failure names the package stack at
 the traced peak (`memory_probe.PeakProbe`).
 
 Slow: the FC(3,1) level-4 pipeline (code style, m-holes) in a child
-process, VmHWM read after the build, the code and k (with its homology
-cross-check); and, under the probe, the build's traced peak and the
+process under an address-space limit, VmHWM read after the build, the
+code and k with its homology cross-check (`memory_probe.stage_table`);
+and, under the probe, the build's and the code's traced peaks and the
 arrays the code keeps.
 """
 
@@ -25,8 +32,8 @@ import pytest
 
 import fractalcss
 from fractalcss.code import css_from_complex
-from fractalcss.complexes import FractalSpec, fractal_complex
-from memory_probe import PeakProbe
+from fractalcss.complexes import FractalSpec, dual_with_boundary, fractal_complex
+from memory_probe import PeakProbe, stage_table
 
 # the temporaries a kernel may hold over its output
 _FIXED = 1 << 20
@@ -65,27 +72,41 @@ def test_take_holds_its_output_and_per_cell_arrays(level3, k):
     assert probe.peak <= bound, probe.report()
 
 
+# -- the construction stages --------------------------------------------------
+
+# MB a stage may trace over its start: its own peak with at most 25 % over,
+# below the peak of the route it replaced.  The FC(4,2) level-2 build
+# traced 1.27 MB (2.29 MB when the punch tested 2**18 int64 pairs at a
+# time), its code 0.84 MB (1.08 MB) and the FC(3,1) level-2 plain dual
+# 0.89 MB (1.39 MB when every grade's pairs were sorted at once).
+_STAGE_BOUNDS = {"fc42-l2 build": 1.5, "fc42-l2 code": 1.0, "fc31-l2 dual": 1.1}
+
+
+@pytest.mark.parametrize("stage", _STAGE_BOUNDS)
+def test_stage_holds_its_output_and_one_block(stage):
+    fc42 = FractalSpec(3, 4, 2, 2, holes="m")
+    if stage == "fc42-l2 build":
+        def run():
+            return fractal_complex(fc42, "code")
+    elif stage == "fc42-l2 code":
+        cx = fractal_complex(fc42, "code")
+
+        def run():
+            return css_from_complex(cx, 1)
+    else:
+        cx = fractal_complex(FractalSpec(3, 3, 1, 2, holes="m"))
+
+        def run():
+            return dual_with_boundary(cx)
+    with PeakProbe() as probe:
+        run()
+    assert probe.peak <= _STAGE_BOUNDS[stage] * 2**20, probe.report()
+
+
 # -- the level-4 pipeline -----------------------------------------------------
 
-# VmHWM (kB) after the build, the code and k, in a fresh interpreter
-_PIPELINE = """
-import re
-from fractalcss.code import code_params, css_from_complex
-from fractalcss.complexes import FractalSpec, fractal_complex
-
-def peak_kb():
-    with open("/proc/self/status") as fh:
-        return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read())[1])
-
-cx = fractal_complex(FractalSpec(3, 3, 1, 4, holes="m"), "code")
-after_build = peak_kb()
-code = css_from_complex(cx, 1)
-after_code = peak_kb()
-k = code_params(code).k
-print(k, after_build, after_code, peak_kb())
-"""
-
-# the build's traced peak and the bytes the code keeps, with their stacks
+# the build's and the code's traced peaks and the bytes the code keeps,
+# with their stacks
 _PROBED = """
 from fractalcss.code import css_from_complex
 from fractalcss.complexes import FractalSpec, fractal_complex
@@ -95,7 +116,7 @@ with PeakProbe() as build:
     cx = fractal_complex(FractalSpec(3, 3, 1, 4, holes="m"), "code")
 with PeakProbe() as code:
     css_from_complex(cx, 1)
-print(build.peak, code.kept)
+print(build.peak, code.peak, code.kept)
 print(build.report())
 print(code.report())
 """
@@ -113,22 +134,29 @@ def _child(script: str) -> list[str]:
 @pytest.mark.slow
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
 def test_fc31_level4_pipeline_peak_rss():
-    """At most 180 MB after the build, 290 MB after the code and 350 MB
-    after k (221.5, 335.1 and 410.8 MB with the unbounded kernels)."""
-    k, *peaks = _child(_PIPELINE)[0].split()
-    assert k == "1"
-    after_build, after_code, at_end = (int(kb) / 1024 for kb in peaks)
-    assert after_build <= 180, peaks
-    assert after_code <= 290, peaks
-    assert at_end <= 350, peaks
+    """At most 156 MB after the build, 226 MB after the code and 279 MB
+    after k, under RLIMIT_AS of 1 GB: 141.6, 205.5 and 253.7 MB here, each
+    bound 10 % over (168.3, 241.5 and 271.0 MB before the construction
+    stages held one block; 221.5, 335.1 and 410.8 MB with the unbounded
+    kernels)."""
+    rows, k = stage_table(4, 1024)
+    assert k == 1
+    after_build, after_code, at_end = (hwm for _, _, _, hwm in rows)
+    assert after_build <= 156, rows
+    assert after_code <= 226, rows
+    assert at_end <= 279, rows
 
 
 @pytest.mark.slow
 def test_fc31_level4_traced_build_peak_and_code_arrays():
-    """The build traces at most 150 MB over its start (192 MB with the
-    unbounded kernels), and the code keeps at most 60 MB (88 MB with int64
+    """The build traces at most 105 MB over its start (98.5 MB here; 131.6
+    MB when the punch tested 2**18 int64 pairs at a time and the face
+    tables were int64, 192 MB with the unbounded kernels); the code traces
+    at most 70 MB (63.7 MB here; 98.5 MB with the unrestricted checks
+    beside their restriction) and keeps at most 60 MB (88 MB with int64
     cofaces)."""
     sizes, build_report, code_report = _child(_PROBED)
-    build_peak, code_kept = map(int, sizes.split())
-    assert build_peak <= 150 << 20, build_report
+    build_peak, code_peak, code_kept = map(int, sizes.split())
+    assert build_peak <= 105 << 20, build_report
+    assert code_peak <= 70 << 20, code_report
     assert code_kept <= 60 << 20, code_report

@@ -214,6 +214,13 @@ def test_int16_midpoints_do_not_overflow():
 
 @pytest.mark.parametrize("kinds", ("m", "mixed"))
 def test_one_gather_per_hole_shape(monkeypatch, kinds):
+    """The holes of one shape are gathered together, the smallest shape
+    first, in chunks of as many holes as gather about `_ENTRIES` cells: a
+    hole's block spans its box, the widest cell and one slot per side, 6**3,
+    10**3 and 22**3 grid slots for the holes of side 1, 3 and 9."""
+    sides = {2: 75, 6: 16, 18: 1}  # doubled side: holes per chunk
+    assert sides == {side: complexes._ENTRIES // (side + 4) ** 3 for side in sides}
+    want = [75] * 9 + [1] + [16, 10] + [1]  # 676, 26 and 1 holes
     gathers = []
     gather = complexes._MidpointGrid.gather
 
@@ -225,10 +232,10 @@ def test_one_gather_per_hole_shape(monkeypatch, kinds):
     spec = FractalSpec(3, 3, 1, 3, holes=HOLES[kinds])
     holes = fractal_holes(spec)
     punch_holes(code_lattice(3, spec.side), holes)
-    assert gathers == [676, 26, 1]  # the smallest shape first
+    assert gathers == want
     gathers.clear()
     fractal_complex(spec, "code")
-    assert gathers == [676, 26, 1]
+    assert gathers == want
 
 
 def test_composes_to_zero_with_keys_past_int32():
