@@ -19,8 +19,8 @@ and the plain style's smooth-patch pruning keeps the M checks whose images
 in the residue of the non-M checks are independent (`_smooth_patch_rows`).
 No code-sized matrix is eliminated.
 The text writer writes the 0/1 rows of a ``csscode v1`` file straight
-from the CSR rows, a few MB of rows at a time (so a file is written block
-by block).  The reader gives the text "\n" line breaks once, at its entry,
+from the CSR rows, about 1 MB of rows at a time (so a file is written
+block by block).  The reader gives the text "\n" line breaks once, at its entry,
 parses it once, and builds the CSR rows straight from the 0/1 rows.
 Boundary conditions are label-driven:
 
@@ -96,9 +96,8 @@ class CssCode:
         for checks in (self.x_checks, self.z_checks):
             if checks.idx.size and not 0 <= checks.idx.min() <= checks.idx.max() < self.n_qubits:
                 raise AssertionError(f"check columns outside the {self.n_qubits} qubits")
-        # the Z checks of each qubit, which the reduction takes over
-        self._qubit_z = self.z_checks.transpose(self.n_qubits)
-        if not self.x_checks.composes_to_zero(self._qubit_z, len(self.z_checks)):
+        if not self.x_checks.composes_to_zero(self.z_checks.transpose(self.n_qubits),
+                                              len(self.z_checks)):
             raise AssertionError("H_X H_Z^T != 0: X and Z checks do not commute")
 
     # The dense check matrices, built on first use; no feature of the package reads them.
@@ -114,8 +113,7 @@ class CssCode:
     # and the colour-code S check read it.
     @cached_property
     def reduction(self) -> "_ChainReduction":
-        return _ChainReduction(self.x_checks, self.z_checks, self.n_qubits,
-                               self.__dict__.pop("_qubit_z", None))
+        return _ChainReduction(self.x_checks, self.z_checks, self.n_qubits)
 
     # The one qubit graph of the code: d_Z, d_X and their refusals read it.
     @cached_property
@@ -132,23 +130,24 @@ class _ChainReduction:
     residue's check matrices are H_X and H_Z restricted to the live checks
     and qubits; k is dim H_1 of the residue, read off their ranks
     (`homology._RowSpace`).  The cofaces are the X checks' rows and the Z
-    checks of each qubit (`qubit_z`, when the caller has them).  The pairs
-    give chain maps both ways (Kaczynski, Mrozek & Slusarek, Comput. Math.
-    Appl. 1998).  Into the residue (`_image`), a Z-cycle z takes the qubits
-    of Z check b where a grade-1/2 collapse paired b with a qubit of z;
-    back out (`basis`), last round first, it takes qubit a where a grade-1/0
-    coreduction paired a with an X check that z meets oddly.  An X-cocycle
-    takes the other kind of round each way.  Other pairs, and seeds (each
-    the sum of the other live checks of its type), change neither map nor
-    any row space.  A replay may add a whole check: a qubit removed in an
+    checks of each qubit; Z checks outside `live_z`, if given, start dead.
+    The pairs give chain maps both ways (Kaczynski, Mrozek & Slusarek,
+    Comput. Math. Appl. 1998).  Into the residue (`_image`), a Z-cycle z
+    takes the qubits of Z check b where a grade-1/2 collapse paired b with a
+    qubit of z; back out (`basis`), last round first, it takes qubit a where
+    a grade-1/0 coreduction paired a with an X check that z meets oddly.  An
+    X-cocycle takes the other kind of round each way.  Other pairs, and seeds
+    (each the sum of the other live checks of its type), change neither map
+    nor any row space.  A replay may add a whole check: a qubit removed in an
     earlier round is never read again.  z (x) is a product of Z (X) checks
     iff its image is in the row space of the residue's H_Z (H_X).
     """
 
-    def __init__(self, x_rows: Faces, z_rows: Faces, n: int, qubit_z: Faces | None = None):
+    def __init__(self, x_rows: Faces, z_rows: Faces, n: int, live_z: np.ndarray | None = None):
         self.x_rows, self.z_rows = x_rows, z_rows
         red = _Reduction([Faces.empty(len(x_rows)), x_rows.transpose(n), z_rows],
-                         [x_rows, z_rows.transpose(n) if qubit_z is None else qubit_z])
+                         [x_rows, z_rows.transpose(n)], None if live_z is None else
+                         [np.ones(len(x_rows), dtype=bool), np.ones(n, dtype=bool), live_z])
         self.live_x, self.live, self.live_z = red.run()[0]
         # (qubits, their checks) per round of grade-1/2 collapses and of
         # grade-1/0 coreductions
@@ -216,7 +215,7 @@ class _ChainReduction:
 
 # the bytes of 0/1 rows a writer renders, or the smooth-patch rule carries
 # into a residue, at a time
-_BLOCK_BYTES = 1 << 22
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -232,20 +231,33 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
         raise ValueError(f"grading {i} out of range 1..{n - 1}")
 
     x_anchor, qubit, z_anchor = (~cx.label_mask(k, label_is_e) for k in (i - 1, i, i + 1))
+    # Smooth-patch rule: a Z stabilizer anchored on an M-labeled (i+1)-cell
+    # is dropped when it is a product of the kept ones, so m-condensation is
+    # manifest in the generating set while the stabilizer group (and k) is
+    # unchanged.  An independent M-anchored plaquette stays.  The last M face
+    # of an (i+2)-cell anchors no check: it is the sum of the cell's other
+    # faces (dd = 0; an e-face restricts to no qubit), all before it, and
+    # dropping a check that depends on those before it changes no later one's
+    # independence (the clearing of Chen & Kerber, EuroCG 2011).  At the plain
+    # FC(3,1) level 3 it drops 8,220 of 8,862 M checks; `_smooth_patch_rows`
+    # decides the others.
+    is_m = cx.label_mask(i + 1, label_is_m)
+    if i + 2 <= n and is_m[z_anchor].any():
+        up = cx.faces[i + 2]
+        at = np.flatnonzero(is_m[up.idx])  # the M entries; their cells from the row pointers
+        last = np.full(len(up), -1, dtype=np.int64)
+        np.maximum.at(last, up.ptr[1:].searchsorted(at, "right"), up.idx[at])
+        z_anchor[last[last >= 0]] = False
     n_qubits = int(qubit.sum())
     # row r: the qubit cells among the cofaces (X) or faces (Z) of the r-th
     # anchor cell; the X rows transpose each qubit's anchor faces, so no
     # coface list of the whole complex is built
     x_checks = cx.faces[i].restrict(qubit, x_anchor).transpose(int(x_anchor.sum()))
     z_checks = cx.faces[i + 1].restrict(z_anchor, qubit)
-
-    # Smooth-patch rule: a Z stabilizer anchored on an M-labeled (i+1)-cell
-    # is dropped when it is a product of the kept ones, so m-condensation is
-    # manifest in the generating set while the stabilizer group (and k) is
-    # unchanged.  An independent M-anchored plaquette stays.
     keep_x, keep_z = x_checks.counts() > 0, z_checks.counts() > 0
-    if cx.label_mask(i + 1, label_is_m)[z_anchor].any():
-        keep_z &= _smooth_patch_rows(cx, i, z_anchor, x_checks, z_checks, n_qubits)
+    if is_m[z_anchor].any():
+        keep_z &= _smooth_patch_rows(x_checks, z_checks, is_m[z_anchor], n_qubits)
+    del is_m  # a cell mask: not held beside the checks' last copies
     every = np.ones(n_qubits, dtype=bool)  # dropping only empty rows shares the entries
     x_checks, z_checks = x_checks.restrict(keep_x, every), z_checks.restrict(keep_z, every)
     return CssCode(
@@ -259,46 +271,28 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
     )
 
 
-def _smooth_patch_rows(cx: CellComplex, i: int, z_anchor: np.ndarray, x_checks: Faces,
-                       z_checks: Faces, n: int) -> np.ndarray:
+def _smooth_patch_rows(x_checks: Faces, z_checks: Faces, is_m: np.ndarray, n: int) -> np.ndarray:
     """Per Z check, whether to keep it: every non-M check, and each M check
-    independent of the non-M checks and of the M checks before it.
+    (`is_m`) independent of the non-M checks and of the M checks before it.
 
-    An M check that is the last M face of an (i+2)-cell goes: it is the
-    sum of the cell's other faces (dd = 0; an e-face restricts to no
-    qubit), all of them before it, and dropping a check that depends on
-    those before it changes no later check's independence (the clearing of
-    Chen & Kerber, "Persistent homology computation with a twist", EuroCG
-    2011).  At the plain FC(3,1) level 3 it drops 8,220 of 8,862 M checks,
-    which makes the step five times faster.  The other M checks are
-    carried, a block of rows at a time, into the residue of the non-M
-    checks' chain reduction, where a Z-cycle is a product of checks iff its
-    image is, and kept where the residue's `_RowSpace.independent` picks
-    their images."""
-    is_m = cx.label_mask(i + 1, label_is_m)
-    cleared = np.zeros_like(is_m)
-    if i + 2 <= cx.dim:
-        up = cx.faces[i + 2]
-        m_face = is_m[up.idx]
-        last = np.full(len(up), -1, dtype=np.int64)
-        np.maximum.at(last, up.owners()[m_face], up.idx[m_face])
-        cleared[last[last >= 0]] = True
-    keep = ~is_m[z_anchor]
-    rest = np.flatnonzero(~keep & ~cleared[z_anchor])
-    if rest.size:
-        red = _ChainReduction(x_checks, z_checks.restrict(keep, np.ones(n, dtype=bool)), n)
-        sizes, step = z_checks.counts(), max(1, _BLOCK_BYTES // max(n, 1))
-        rows, cols = [], []
-        for first in range(0, len(rest), step):
-            block = rest[first : first + step]
-            bits = np.zeros((len(block), n), dtype=np.uint8)
-            bits[np.repeat(np.arange(len(block)), sizes[block]), z_checks.take(block)] = 1
-            r, c = np.nonzero(red._image(bits, red.z_rounds, red.z_rows))
-            del bits  # before the next block's rows are allocated
-            rows.append(r + first)
-            cols.append(c)
-        images = Faces.from_pairs(len(rest), np.concatenate(rows), np.concatenate(cols))
-        keep[rest[red.z_space.independent(images)]] = True
+    The M checks are carried, a block of rows at a time, into the residue
+    of the non-M checks' chain reduction, where a Z-cycle is a product of
+    checks iff its image is, and kept where the residue's
+    `_RowSpace.independent` picks their images."""
+    keep, rest = ~is_m, np.flatnonzero(is_m)
+    red = _ChainReduction(x_checks, z_checks, n, ~is_m)  # the M checks start dead
+    sizes, step = z_checks.counts(), max(1, _BLOCK_BYTES // max(n, 1))
+    rows, cols = [], []
+    for first in range(0, len(rest), step):
+        block = rest[first : first + step]
+        bits = np.zeros((len(block), n), dtype=np.uint8)
+        bits[np.repeat(np.arange(len(block)), sizes[block]), z_checks.take(block)] = 1
+        r, c = np.nonzero(red._image(bits, red.z_rounds, red.z_rows))
+        del bits  # before the next block's rows are allocated
+        rows.append(r + first)
+        cols.append(c)
+    images = Faces.from_pairs(len(rest), np.concatenate(rows), np.concatenate(cols))
+    keep[rest[red.z_space.independent(images)]] = True
     return keep
 
 
@@ -400,7 +394,7 @@ def _check_rows(checks: Faces, n: int) -> Iterator[memoryview]:
 
 
 def check_matrix_blocks(code: CssCode, which: str) -> Iterator[bytes | memoryview]:
-    """`check_matrix_text` as UTF-8 blocks, the 0/1 rows a few MB at a time."""
+    """`check_matrix_text` as UTF-8 blocks, the 0/1 rows about 1 MB at a time."""
     checks = code.x_checks if which == "hx" else code.z_checks
     yield f"gf2matrix v1\n{len(checks)} {code.n_qubits}\n".encode()
     yield from _check_rows(checks, code.n_qubits)
@@ -412,7 +406,7 @@ def check_matrix_text(code: CssCode, which: str) -> str:
 
 
 def code_blocks(code: CssCode) -> Iterator[bytes | memoryview]:
-    """`code_to_text` as UTF-8 blocks, the 0/1 rows a few MB at a time."""
+    """`code_to_text` as UTF-8 blocks, the 0/1 rows about 1 MB at a time."""
     n, cells = code.n_qubits, code.qubit_cells
     yield f"csscode v1\nnqubits {n} i {code.grading}\n".encode()
     for word, checks in (("HX", code.x_checks), ("HZ", code.z_checks)):

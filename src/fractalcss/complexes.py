@@ -296,10 +296,15 @@ class Faces:
 
     def restrict(self, keep: np.ndarray, keep_below: np.ndarray) -> "Faces":
         """The kept cells' faces among the kept faces, both renumbered, in
-        the integer widths of these faces; where only cells without faces go
-        and every face stays, the entries are shared."""
-        if keep_below.all() and not self.counts()[~keep].any():
-            return Faces(np.append(self.ptr[:1], self.ptr[1:][keep]), self.idx)
+        the integer widths of these faces; where every face stays, none is
+        renumbered, and the entries are shared if only cells without faces go."""
+        if keep_below.all():  # every face stays, numbered as before
+            counts = self.counts(self.ptr.dtype)
+            if not counts[~keep].any():
+                return Faces(np.append(self.ptr[:1], self.ptr[1:][keep]), self.idx)
+            ptr = np.zeros(int(keep.sum()) + 1, dtype=self.ptr.dtype)
+            np.cumsum(counts[keep], out=ptr[1:])
+            return Faces(ptr, self.idx[keep.repeat(counts)])
         sel = keep.repeat(self.counts())
         sel &= keep_below[self.idx]
         # the kept entries before each entry; a deleted cell keeps none
@@ -310,7 +315,8 @@ class Faces:
         del before
         new = keep_below.astype(self.idx.dtype)
         np.cumsum(new, out=new)
-        return Faces(ptr, new[self.idx[sel]] - 1)
+        new -= 1  # the new number of each kept face, so one gather renumbers
+        return Faces(ptr, new[self.idx[sel]])
 
     def matrix(self, cols: int) -> Gf2Matrix:
         """The dense incidence matrix: one row per cell, `cols` columns for
@@ -758,10 +764,12 @@ def _lattice_complex(axis_kinds: list[str], L: int, background: str, style: str,
         d, c, _ = rules[r]
         codes[(boxes[:, d, 0] == c) & (boxes[:, d, 1] == c)] = r + 1
     names = [BULK] + [label for _, _, label in rules]
-    gone, codes, names = _punch_masks(
-        boxes, codes, names, lat.start, lat.periods, style, holes,
-        lambda k, cells: (2 * k, lat.faces(k, cells).ravel())) if holes else (
-        np.zeros(len(boxes), dtype=bool), codes, names)
+    if holes:
+        gone, codes, names = _punch_masks(
+            boxes, codes, names, lat.start, lat.periods, style, holes,
+            lambda k, cells: (2 * k, lat.faces(k, cells).ravel()))
+    else:
+        gone = np.zeros(len(boxes), dtype=bool)
     keep = np.split(~gone, lat.start[1:-1])
     labels = [c[kp].astype(np.int32) for c, kp in zip(np.split(codes, lat.start[1:-1]), keep)]
     del gone, boxes, codes  # nothing holds the whole lattice: kept boxes come a grade at a time

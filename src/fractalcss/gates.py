@@ -65,8 +65,8 @@ class StackAlignment:
                 raise ValueError("alignment size mismatch")
             if len(np.unique(sites, return_index=True)[1]) != len(sites):
                 raise ValueError("alignment must be injective per code")
-        self._held: dict[int, tuple[PauliOperator | None, Faces | None]] = {}
-        self._merged: dict[int, tuple[Faces | None, Faces]] = {}
+        # per copy: the logical read, its row, and the stabilizers with that row merged
+        self._held: dict[int, tuple[PauliOperator | None, Faces | None, Faces | None]] = {}
 
     @cached_property
     def x_rows(self) -> list[Faces]:
@@ -94,19 +94,18 @@ class StackAlignment:
                                  "alignment to test")
             q = xs[0].x_support.indices() if xs else []
             row = self._incidence(copy, Faces.from_pairs(1, [0] * len(q), q)) if xs else None
-            held = self._held[copy] = (x, row)
+            stabs = self.x_rows[copy]
+            held = self._held[copy] = (x, row, None if x is None else Faces(
+                stabs.ptr + np.append(0, row.counts().cumsum()), np.insert(
+                    stabs.idx, stabs.ptr[1:][row.owners()], len(self.codes[copy].x_checks))))
         return held[1]
 
     def _stabilizers_and_logical(self, copy: int) -> Faces:
         """Per site, the copy's X stabilizers that hold it, then its logical X
         in `x_logicals` as row len(x_checks), if any; built once per logical."""
-        logical = self._logical_row(copy, basis=False)
-        if self._merged.get(copy, (False,))[0] is not logical:
-            stabs = self.x_rows[copy]
-            self._merged[copy] = (logical, stabs if logical is None else Faces(
-                stabs.ptr + np.append(0, logical.counts().cumsum()), np.insert(
-                    stabs.idx, stabs.ptr[1:][logical.owners()], len(self.codes[copy].x_checks))))
-        return self._merged[copy][1]
+        if self._logical_row(copy, basis=False) is None:
+            return self.x_rows[copy]
+        return self._held[copy][2]
 
     def sites_of(self, copy: int, support: Gf2Vector) -> frozenset[int]:
         return frozenset(self.qubit_site[copy][support.indices()].tolist())

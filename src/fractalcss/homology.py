@@ -191,9 +191,9 @@ def _live_counts(fs: Faces, live: np.ndarray | None) -> np.ndarray:
     """Per cell, its entries in `fs` that are `live` (all when None), in
     the narrowest integer type that holds the most (int16 on a lattice)."""
     counts = fs.counts(fs.ptr.dtype)
-    if live is not None and not (alive := live[fs.idx]).all():
-        dead = fs.ptr.searchsorted(np.flatnonzero(~alive), "right") - 1
-        counts -= np.bincount(dead, minlength=len(fs)).astype(counts.dtype)
+    if live is not None and (dead := np.flatnonzero((~live)[fs.idx])).size:
+        # the cell of each dead entry: how many cells end at or before it
+        np.subtract.at(counts, fs.ptr[1:].searchsorted(dead, "right"), counts.dtype.type(1))
     return counts.astype(_width(0, int(counts.max(initial=0))), copy=False)
 
 

@@ -17,7 +17,10 @@ until the rule moved to the residue of the non-M checks' chain reduction.
 ``css_from_complex`` is `code.css_from_complex` from before it transposed
 each qubit's anchor faces into the X checks: the X rows restricted from the
 cofaces of the whole complex, and each kind restricted again, as a copy, to
-the rows it keeps.
+the rows it keeps.  Its smooth-patch rule (``smooth_patch_rows``) builds the
+Z rows of every M check, clears the last M face of each (i+2)-cell among
+them, and carries the others into the chain reduction of a copy of the
+non-M checks.
 
 ``residue_rref`` is the dense elimination `code._ChainReduction` ran on
 each residue of a code's reduced chain complex before
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from fractalcss.code import CssCode, PauliOperator, _smooth_patch_rows
+from fractalcss.code import _BLOCK_BYTES, CssCode, PauliOperator, _ChainReduction
 from fractalcss.complexes import CellComplex, Faces, label_is_e, label_is_m
 from fractalcss.gf2 import (
     _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _rref_inplace, _unpack, in_rowspace,
@@ -288,9 +291,40 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
     z_checks = cx.faces[i + 1].restrict(z_anchor, qubit)
     keep_x, keep_z = x_checks.counts() > 0, z_checks.counts() > 0
     if cx.label_mask(i + 1, label_is_m)[z_anchor].any():
-        keep_z &= _smooth_patch_rows(cx, i, z_anchor, x_checks, z_checks, n_qubits)
+        keep_z &= smooth_patch_rows(cx, i, z_anchor, x_checks, z_checks, n_qubits)
     every = np.ones(n_qubits, dtype=bool)
     x_checks, z_checks = x_checks.restrict(keep_x, every), z_checks.restrict(keep_z, every)
     return CssCode(n_qubits=n_qubits, x_checks=x_checks, z_checks=z_checks, grading=i,
                    qubit_cells=np.flatnonzero(qubit),
                    x_anchor_cells=np.flatnonzero(x_anchor)[keep_x], source=cx)
+
+
+def smooth_patch_rows(cx: CellComplex, i: int, z_anchor: np.ndarray, x_checks: Faces,
+                      z_checks: Faces, n: int) -> np.ndarray:
+    """Per Z check, whether to keep it: every non-M check, and each M check
+    independent of the non-M checks and of the M checks before it; the last
+    M face of an (i+2)-cell goes without a test."""
+    is_m = cx.label_mask(i + 1, label_is_m)
+    cleared = np.zeros_like(is_m)
+    if i + 2 <= cx.dim:
+        up = cx.faces[i + 2]
+        m_face = is_m[up.idx]
+        last = np.full(len(up), -1, dtype=np.int64)
+        np.maximum.at(last, up.owners()[m_face], up.idx[m_face])
+        cleared[last[last >= 0]] = True
+    keep = ~is_m[z_anchor]
+    rest = np.flatnonzero(~keep & ~cleared[z_anchor])
+    if rest.size:
+        red = _ChainReduction(x_checks, z_checks.restrict(keep, np.ones(n, dtype=bool)), n)
+        sizes, step = z_checks.counts(), max(1, _BLOCK_BYTES // max(n, 1))
+        rows, cols = [], []
+        for first in range(0, len(rest), step):
+            block = rest[first : first + step]
+            bits = np.zeros((len(block), n), dtype=np.uint8)
+            bits[np.repeat(np.arange(len(block)), sizes[block]), z_checks.take(block)] = 1
+            r, c = np.nonzero(red._image(bits, red.z_rounds, red.z_rows))
+            rows.append(r + first)
+            cols.append(c)
+        images = Faces.from_pairs(len(rest), np.concatenate(rows), np.concatenate(cols))
+        keep[rest[red.z_space.independent(images)]] = True
+    return keep

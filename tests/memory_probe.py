@@ -123,8 +123,8 @@ print(stage("k", lambda: code_params(code).k))
 """
 
 
-def stage_table(level: int, limit_mb: int, src: str | None = None,
-                timeout: float = 1800) -> tuple[list[tuple[str, float, float, float]], int]:
+def stage_table(level: int, limit_mb: int,
+                src: str | None = None) -> tuple[list[tuple[str, float, float, float]], int]:
     """The FC(3,1) level-`level` pipeline in a child under RLIMIT_AS of
     `limit_mb` MB, importing the package from `src` (default: this one's)
     and stripping asserts when this process does: per stage (build, code,
@@ -134,7 +134,7 @@ def stage_table(level: int, limit_mb: int, src: str | None = None,
     out = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-c", _STAGES,
                           str(level), str(limit_mb)],
                          env={**os.environ, "PYTHONPATH": os.path.abspath(src)},
-                         capture_output=True, text=True, timeout=timeout)
+                         capture_output=True, text=True, timeout=600)
     if out.returncode:
         raise RuntimeError(out.stderr)
     *lines, k = out.stdout.splitlines()

@@ -2,17 +2,18 @@
 
 The smooth-patch rule keeps every non-M Z check and each M check
 independent of the checks before it, the non-M checks first.
-`code._smooth_patch_rows` clears the last M face of each (i+2)-cell and
-asks the residue of the non-M checks' chain reduction about the rest; it
-must keep the rows that the row-by-row loop below keeps (the oracle), on
-random matrices (the residue's `_RowSpace.independent` alone) and on the
-geometries, and the checks that the dense elimination of H_Z^T kept
-(`code_oracles.check_matrices`) across the plain ladder, the 2D carpets,
-the 40 seeded layouts, the tori and the spheres at every grading.  k, the
-logical tests, the logical basis, the merge's parity identity and the
-colour-code S check read only the residue of a reduced chain complex, so
-none of them, and no code construction, eliminates a matrix with as many
-rows or columns as the code has qubits.
+`code.css_from_complex` clears the last M face of each (i+2)-cell, and
+`code._smooth_patch_rows` asks the residue of the non-M checks' chain
+reduction about the rest; they must keep the rows that the row-by-row
+loop below keeps (the oracle), on random matrices (the residue's
+`_RowSpace.independent` alone) and on the geometries, and the checks
+that the dense elimination of H_Z^T kept (`code_oracles.check_matrices`)
+across the plain ladder, the 2D carpets, the 40 seeded layouts, the tori
+and the spheres at every grading.  k, the logical tests, the logical
+basis, the merge's parity identity and the colour-code S check read only
+the residue of a reduced chain complex, so none of them, and no code
+construction, eliminates a matrix with as many rows or columns as the
+code has qubits.
 """
 
 import hashlib
