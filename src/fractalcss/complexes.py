@@ -1082,15 +1082,19 @@ def _first_open_face(faces: list[Faces], selected: list[np.ndarray]) -> tuple[in
 
 
 def _check_e_patches(cx: CellComplex) -> None:
-    """The e-labelled cells must be closed under the boundary, as the code
-    and the relative homology remove them: raise ValueError naming the patch
-    of the first e-labelled cell with a face that is not e-labelled (a
-    plain-style e-hole cut by the outer boundary or by a later m-hole)."""
-    e = [cx.label_mask(k, label_is_e) for k in range(cx.dim + 1)]
-    if open_face := _first_open_face(cx.faces, e):
+    """The e-labelled cells, which the code and the relative homology remove,
+    must be closed under the boundary: a plain-style e-hole cut by the outer
+    boundary or by a later m-hole is not."""
+    _check_closed(cx, [cx.label_mask(k, label_is_e) for k in range(cx.dim + 1)], "e-labelled")
+
+
+def _check_closed(cx: CellComplex, cells: list[np.ndarray], what: str, error=ValueError):
+    """Raise `error` naming the patch of the first of `cells` (a mask per
+    grade) with a face outside them, if there is one."""
+    if open_face := _first_open_face(cx.faces, cells):
         k, i, f = open_face
-        raise ValueError(
-            f"e-labelled patch {cx.label_names[cx.labels[k][i]]} is not closed under "
+        raise error(
+            f"{what} patch {cx.label_names[cx.labels[k][i]]} is not closed under "
             f"the boundary: grade-{k} cell {i} has face {f} labelled "
             f"{cx.label_names[cx.labels[k - 1][f]]}"
         )
@@ -1154,6 +1158,7 @@ def dual_with_boundary(cx: CellComplex) -> CellComplex:
     n = cx.dim
     count = [cx.n_cells(k) for k in range(n + 2)]
     labeled = [lab != 0 for lab in cx.labels]
+    _check_closed(cx, labeled, "labelled", BoundaryError)  # else dd = 0 fails on the dual
     cells, labels, faces = [], [], []
     up = cx.cofaces(n - 1)  # of primal grade k, read again as grade kb's by the next grade
     for g in range(n + 1):

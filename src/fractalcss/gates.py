@@ -5,8 +5,9 @@ p = 2) rests on one intersection-parity rule.  Choose one row per copy,
 either an X stabilizer or the logical X, as a set of shared sites: every
 choice with a stabilizer must meet in an even number of sites, and the
 all-logical choice in an odd number (Vasmer & Browne, PRA 100, 012312,
-2019, for p = 2).  `_parity_failures` counts it per site from the CSR
-checks, a whole array of choices at a time; every failure has a witness.
+2019, for p = 2).  `_parity_failures` counts every choice of roles in one
+pass per site from the CSR checks, each copy's logical X the last row of
+its site incidence; every failure has a witness.
 
 The three-copy stack follows the asymmetric cubic construction: copy 1 is
 the standard surface code on the lattice (weight-6 bulk vertex stabilizers,
@@ -65,47 +66,38 @@ class StackAlignment:
                 raise ValueError("alignment size mismatch")
             if len(np.unique(sites, return_index=True)[1]) != len(sites):
                 raise ValueError("alignment must be injective per code")
-        # per copy: the logical read, its row, and the stabilizers with that row merged
-        self._held: dict[int, tuple[PauliOperator | None, Faces | None, Faces | None]] = {}
+        # per copy: the logical read, and its incidence with that logical's row
+        self._held: dict[int, tuple[PauliOperator | None, tuple[Faces, int | None]]] = {}
 
     @cached_property
     def x_rows(self) -> list[Faces]:
         """Per copy, per site, the X stabilizers that hold it; built once."""
-        return [self._incidence(copy, code.x_checks) for copy, code in enumerate(self.codes)]
+        return [Faces(code.x_checks.ptr, sites[code.x_checks.idx]).transpose(self.n_sites)
+                for code, sites in zip(self.codes, self.qubit_site)]
 
-    def _incidence(self, copy: int, rows: Faces) -> Faces:
-        """Per site, which of `rows` (sets of the copy's qubits) hold it."""
-        return Faces(rows.ptr, self.qubit_site[copy][rows.idx]).transpose(self.n_sites)
-
-    def _logical_row(self, copy: int, basis: bool = True) -> Faces | None:
-        """The copy's logical X as one row (per site, row 0 or none) or None:
-        its entry of `x_logicals`, else (with `basis`) its basis's when k = 1.
-        With k > 1 the basis names no particular class, so a copy without the
-        alignment's logical raises ValueError.  A row is built once per
-        logical object, and a later change to `x_logicals` is read."""
+    def _rows(self, copy: int, basis: bool = True) -> tuple[Faces, int | None]:
+        """Per site, the copy's X stabilizers that hold it, then its logical X
+        as row len(x_checks); and that row (None: no logical).  The logical is
+        the copy's entry of `x_logicals`, else with `basis` its basis's at
+        k = 1 (at k > 1 the basis names no particular class: ValueError).
+        Built once per logical object, so a later change to `x_logicals` is read."""
         x = self.x_logicals[copy] if copy < len(self.x_logicals) else None
         if x is None and not basis:
-            return None
+            return self.x_rows[copy], None
         held = self._held.get(copy)
         if held is None or held[0] is not x:
             xs = [x] if x is not None else logical_basis(self.codes[copy])[1]
             if len(xs) > 1:
                 raise ValueError(f"copy {copy} has k = {len(xs)} and no logical X in the "
                                  "alignment to test")
-            q = xs[0].x_support.indices() if xs else []
-            row = self._incidence(copy, Faces.from_pairs(1, [0] * len(q), q)) if xs else None
-            stabs = self.x_rows[copy]
-            held = self._held[copy] = (x, row, None if x is None else Faces(
-                stabs.ptr + np.append(0, row.counts().cumsum()), np.insert(
-                    stabs.idx, stabs.ptr[1:][row.owners()], len(self.codes[copy].x_checks))))
+            stabs, row = self.x_rows[copy], len(self.codes[copy].x_checks)
+            if xs:  # the sites of the logical, merged in as the last row
+                on = np.zeros(self.n_sites, dtype=bool)
+                on[self.qubit_site[copy]] = xs[0].x_support.to_dense()
+                stabs = Faces(stabs.ptr + np.append(0, np.cumsum(on)),
+                              np.insert(stabs.idx, stabs.ptr[1:][on], row))
+            held = self._held[copy] = (x, (stabs, row if xs else None))
         return held[1]
-
-    def _stabilizers_and_logical(self, copy: int) -> Faces:
-        """Per site, the copy's X stabilizers that hold it, then its logical X
-        in `x_logicals` as row len(x_checks), if any; built once per logical."""
-        if self._logical_row(copy, basis=False) is None:
-            return self.x_rows[copy]
-        return self._held[copy][2]
 
     def sites_of(self, copy: int, support: Gf2Vector) -> frozenset[int]:
         return frozenset(self.qubit_site[copy][support.indices()].tolist())
@@ -166,29 +158,31 @@ class GateCheckReport:
         return "\n".join(lines) + "\n"
 
 
-def _parity_failures(rows: list[tuple[Faces, Faces | None]], on: np.ndarray):
+def _parity_failures(rows: list[tuple[Faces, int | None]], on: np.ndarray):
     """The choices of one row per copy that break the p-fold rule on the
-    sites of the mask `on`.  rows[t] lists per site the rows that hold it of
-    copy t's X stabilizers and of its logical X (one row, or None).  Yields
+    sites of the mask `on`.  rows[t] lists per site the rows of copy t that
+    hold it, and its logical X's row (None: every row a stabilizer).  Yields
     (roles, picks) per choice of roles, True where a copy gives its logical,
     fewer logicals first, then in `itertools.product` order (one logical: the
     last copy's first); picks holds the breaking rows, a column per copy, in
-    row-major order.  A choice is counted once per site its rows all hold,
-    under a mixed-radix key in copy order that must fit int64 (ValueError)."""
-    options = [(False, True) if logical is not None else (False,) for _, logical in rows]
+    row-major order.  All choices are counted in one pass, once per site their
+    rows all hold, under a mixed-radix key in copy order (ValueError past int64)."""
+    logical = np.array([-1 if row is None else row for _, row in rows])
+    radix = [max(int(part.idx.max(initial=-1)), row) + 1
+             for (part, _), row in zip(rows, logical.tolist())]
+    if math.prod(radix) > np.iinfo(np.int64).max:
+        raise ValueError(f"choices of {radix} rows per copy take keys past int64")
+    site, key = np.flatnonzero(on), np.zeros(np.count_nonzero(on), dtype=np.int64)
+    for (part, _), r in zip(rows, radix):
+        n = part.counts()[site]
+        key, site = key.repeat(n) * r + part.take(site), site.repeat(n)
+    keys, counts = np.unique(key, return_counts=True)
+    odd = keys[counts & 1 == 1]  # the choices that meet in an odd number of sites
+    picks = np.array(np.unravel_index(odd, radix)).T
+    options = [(False, True) if row >= 0 else (False,) for row in logical.tolist()]
     for roles in sorted(itertools.product(*options), key=sum):
-        parts = [part[role] for part, role in zip(rows, roles)]
-        radix = [int(part.idx.max(initial=-1)) + 1 for part in parts]
-        if math.prod(radix) > np.iinfo(np.int64).max:
-            raise ValueError(f"choices of {radix} rows per copy take keys past int64")
-        site, key = np.flatnonzero(on), np.zeros(np.count_nonzero(on), dtype=np.int64)
-        for part, r in zip(parts, radix):
-            n = part.counts()[site]
-            key, site = key.repeat(n) * r + part.take(site), site.repeat(n)
-        keys, counts = np.unique(key, return_counts=True)
-        odd = keys[counts & 1 == 1]  # the choices that meet in an odd number of sites
-        yield roles, (np.zeros((int(not odd.size), len(rows)), dtype=np.int64) if all(roles)
-                      else np.array(np.unravel_index(odd, radix)).T)  # all logicals: even breaks
+        mine = picks[((picks == logical) == roles).all(axis=1)]
+        yield roles, (logical[None][:1 - len(mine)] if all(roles) else mine)  # all: even breaks
 
 
 def _copies(align: StackAlignment, codes) -> list[int]:
@@ -207,7 +201,7 @@ def _parity_report(align: StackAlignment, codes, conditions, cap=None) -> GateCh
     label formatted with the copy, the row and the argument number n.  A
     witness lists its stabilizers first; a condition keeps `cap` of them."""
     copies = _copies(align, codes)
-    rows = [(align.x_rows[copy], align._logical_row(copy)) for copy in copies]
+    rows = [align._rows(copy) for copy in copies]
     found: list[list[tuple]] = [[] for _ in conditions]
     for roles, picks in _parity_failures(rows, np.ones(align.n_sites, dtype=bool)):
         m = sum(roles)
@@ -423,7 +417,7 @@ def _cz_part_is_identity(
     the rule for p = 1 on their rows cut to `sites`, a logical counted as
     one more stabilizer row."""
     on = np.bincount(list(sites), minlength=align.n_sites) > 0
-    rows = [(align._stabilizers_and_logical(t), None) for t in copies]
+    rows = [(align._rows(t, basis=False)[0], None) for t in copies]
     return not any(len(p) for _, p in _parity_failures(rows, on))
 
 

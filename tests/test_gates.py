@@ -377,14 +377,17 @@ def test_certificate_needs_each_part():
 
 def test_stack_rows_packed_once_per_alignment(monkeypatch):
     """The CCZ conjugations of the 40 X stabilizers of the holed L = 3 stack
-    and its CCZ check transpose each copy's X checks and its logical to
-    their site incidence once."""
+    and its CCZ check transpose each copy's X checks to their site
+    incidence once, and no logical: its sites are merged in as one row.
+    The CCZ check counts all eight choices of roles in one key expansion."""
     codes, align = build_vasmer_browne_stack(3, "center")
     built, real = [], Faces.transpose
     monkeypatch.setattr(Faces, "transpose", lambda f, n: built.append((len(f), n)) or real(f, n))
     for copy, code in enumerate(codes):
         for r in range(code.hx.rows):
             conjugate_by_ccz(PauliOperator.x_type(code.hx.row(r)), copy, align)
+    unique, counted = np.unique, []
+    monkeypatch.setattr(np, "unique", lambda *a, **k: counted.append(1) or unique(*a, **k))
     check_transversal_ccz(*codes, align)
-    assert sorted(built) == sorted([(1, align.n_sites)] * 3
-                                   + [(len(code.x_checks), align.n_sites) for code in codes])
+    assert sorted(built) == sorted((len(code.x_checks), align.n_sites) for code in codes)
+    assert len(counted) == 1

@@ -11,6 +11,7 @@ chain reduction, must lie in the cosets of the dense route's
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -459,10 +460,11 @@ def test_parity_failures_match_brute_force(case):
     """`_parity_failures` on the sites of a mask yields every choice of
     roles, fewer logicals first and then in `itertools.product` order, and
     per choice exactly the brute force's breaking rows (a logical with no
-    site is still a row), in row-major order."""
+    site is still a row), in row-major order.  On the same sites, the CZ
+    part of each ordered pair of copies is an identity as the oracle says."""
     align, on = case
     copies = list(range(len(align.codes)))
-    rows = [(align.x_rows[t], align._logical_row(t, basis=False)) for t in copies]
+    rows = [align._rows(t, basis=False) for t in copies]
     want = oracle.parity_failures(align, copies, set(np.flatnonzero(on).tolist()))
     options = [(False, True) if x is not None else (False,) for x in align.x_logicals]
     got = list(_parity_failures(rows, on))
@@ -474,20 +476,37 @@ def test_parity_failures_match_brute_force(case):
         found[m] |= {(tuple(None if role else r for role, r in zip(roles, pick)),
                       int(m < len(copies))) for pick in picks}
     assert found == want
+    sites = frozenset(np.flatnonzero(on).tolist())
+    for pair in itertools.permutations(copies, 2):
+        assert (_cz_part_is_identity(sites, pair, align)
+                == oracle.cz_part_is_identity(sites, pair, align))
 
 
 def test_parity_failures_refuse_keys_past_int64():
     """Four copies of 2**16 rows take keys up to 2**64: refused, where
-    three copies (2**48) fit and every diagonal choice meets once."""
+    three copies (2**48) fit and every diagonal choice meets once.  A
+    logical is one more row of its copy: four copies of r = 55,108 rows
+    (r**4 < 2**63) fit, and with their logicals as row r they are refused."""
+    def diagonal(n):
+        return CssCode(n, Faces(np.arange(n + 1), np.arange(n)), Faces.empty(0), 1,
+                       np.arange(n), np.arange(n))
+
     n = 1 << 16
-    code = CssCode(n, Faces(np.arange(n + 1), np.arange(n)), Faces.empty(0), 1,
-                   np.arange(n), np.arange(n))
     every = np.ones(n, dtype=bool)
-    rows = [(x, None) for x in align_identical([code] * 4).x_rows]
+    rows = [(x, None) for x in align_identical([diagonal(n)] * 4).x_rows]
     with pytest.raises(ValueError, match="past int64"):
         list(_parity_failures(rows, every))
     [(roles, picks)] = _parity_failures(rows[:3], every)
     assert picks.tolist() == [[r] * 3 for r in range(n)]
+    r = math.isqrt(math.isqrt(np.iinfo(np.int64).max))
+    code, first = diagonal(r), np.arange(r) < 2
+    [(roles, picks)] = _parity_failures([(x, None) for x in align_identical([code] * 4).x_rows],
+                                        first)
+    assert picks.tolist() == [[0] * 4, [1] * 4]
+    x = PauliOperator.x_type(Gf2Vector.from_indices(r, [0]))
+    align = align_identical([code] * 4, [x] * 4)
+    with pytest.raises(ValueError, match=rf"choices of \[{r + 1}, {r + 1}, .* past int64"):
+        list(_parity_failures([align._rows(t) for t in range(4)], first))
 
 
 def test_four_copy_witness_text():
