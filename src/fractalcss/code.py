@@ -18,10 +18,10 @@ every qubit by the reduction's rounds in reverse (`_ChainReduction.basis`),
 and the plain style's smooth-patch pruning keeps the M checks whose images
 in the residue of the non-M checks are independent (`_smooth_patch_rows`).
 No code-sized matrix is eliminated.
-The text writer writes the 0/1 rows of a ``csscode v1`` file straight
-from the CSR rows, about 1 MB of rows at a time (so a file is written
-block by block).  The reader gives the text "\n" line breaks once, at its entry,
-parses it once, and builds the CSR rows straight from the 0/1 rows.
+The text writer writes the 0/1 rows of a ``csscode v1`` file from the
+CSR rows through `gf2`'s one body writer, about 1 MB at a time.  The
+reader gives the text "\n" line breaks once, at its entry, parses it
+once, and builds the CSR rows straight from the 0/1 rows.
 Boundary conditions are label-driven:
 
 * every cell of an E-labeled (rough) patch is dropped from the code -
@@ -49,7 +49,7 @@ import numpy as np
 
 from .complexes import CellComplex, Faces, label_is_e, label_is_m
 from ._text import Tokens, decode, encode, first_false, int64, with_newlines, write_lines
-from .gf2 import Gf2Matrix, Gf2Vector, _pack, _rows_from_text
+from .gf2 import _BLOCK_BYTES, Gf2Matrix, Gf2Vector, _pack, _rows_from_text, _rows_to_text
 from .homology import _Reduction, _RowSpace, betti, default_label_split
 
 
@@ -213,11 +213,6 @@ class _ChainReduction:
         return self.x_space.contains(image[0])
 
 
-# the bytes of 0/1 rows a writer renders, or the smooth-patch rule carries
-# into a residue, at a time
-_BLOCK_BYTES = 1 << 20
-
-
 @dataclass(frozen=True)
 class CodeParams:
     n_qubits: int
@@ -379,30 +374,12 @@ def is_x_logical(code: CssCode, support: Gf2Vector) -> bool:
 # -- serialization -----------------------------------------------------------
 
 
-def _check_rows(checks: Faces, n: int) -> Iterator[memoryview]:
-    """H_X or H_Z as the rows of its ``gf2matrix v1`` text, written
-    straight from the CSR checks: per check, n ``0`` / ``1`` and a line
-    break, in blocks of whole rows of about `_BLOCK_BYTES`, each a view of
-    the array it was written in."""
-    step = max(1, _BLOCK_BYTES // (n + 1))
-    for first in range(0, len(checks), step):
-        ptr = checks.ptr[first : first + step + 1]
-        rows = np.full((len(ptr) - 1, n + 1), ord("0"), dtype=np.uint8)
-        rows[:, n] = ord("\n")
-        rows[np.repeat(np.arange(len(rows)), np.diff(ptr)), checks.idx[ptr[0] : ptr[-1]]] = ord("1")
-        yield rows.reshape(-1).data
-
-
 def check_matrix_blocks(code: CssCode, which: str) -> Iterator[bytes | memoryview]:
-    """`check_matrix_text` as UTF-8 blocks, the 0/1 rows about 1 MB at a time."""
+    """H_X (`which` "hx") or H_Z ("hz") as a ``gf2matrix v1`` file, in
+    UTF-8 blocks, the 0/1 rows about 1 MB at a time."""
     checks = code.x_checks if which == "hx" else code.z_checks
     yield f"gf2matrix v1\n{len(checks)} {code.n_qubits}\n".encode()
-    yield from _check_rows(checks, code.n_qubits)
-
-
-def check_matrix_text(code: CssCode, which: str) -> str:
-    """H_X (`which` "hx") or H_Z ("hz") as a ``gf2matrix v1`` file."""
-    return b"".join(check_matrix_blocks(code, which)).decode()
+    yield from _rows_to_text(checks.ptr, checks.idx, code.n_qubits)
 
 
 def code_blocks(code: CssCode) -> Iterator[bytes | memoryview]:
@@ -412,7 +389,7 @@ def code_blocks(code: CssCode) -> Iterator[bytes | memoryview]:
     for word, checks in (("HX", code.x_checks), ("HZ", code.z_checks)):
         yield f"{word}\ngf2matrix v1\n{len(checks)} {n}\n".encode()
         if n:  # rows of no columns are bare line breaks, which a section drops
-            yield from _check_rows(checks, n)
+            yield from _rows_to_text(checks.ptr, checks.idx, n)
     # the qubit map's lines: the word "q", j, the word "-> cell", the cell
     fixed = np.column_stack((np.zeros_like(cells), np.arange(len(cells)), np.ones_like(cells), cells))
     yield b"qubitmap\n" + write_lines(["q", "-> cell"], fixed, np.array([True, False, True, False]))

@@ -1,4 +1,11 @@
-"""Bit-packed dense linear algebra over GF(2).
+"""Bit-packed dense linear algebra over GF(2), and the ``gf2matrix v1`` text.
+
+Codes and complexes are sparse (CSR `Faces`); packed words serve
+elimination and the few dense views around it: `Gf2Vector`, `Gf2Matrix`
+(products, transpose, submatrix, RREF), `rank`, `kernel_basis` and
+`in_rowspace`.  Every 0/1 body the package writes, of a `Gf2Matrix` or of
+a code's CSR checks, is rendered by one writer of CSR rows
+(`_rows_to_text`), and read by `_rows_from_text`.
 
 Matrices are stored row-major with 64 bits per machine word (numpy uint64,
 LSB-first within each word).  Padding bits past the last column are kept at
@@ -14,15 +21,13 @@ A pivot column of an RREF is a unit column, so reducing a vector by an
 RREF XORs exactly the pivot rows at whose pivot columns the vector has a
 bit: `in_rowspace` reads them off at once and is one such XOR.
 Kernel bases are read off the free columns a chunk of words at a time.
-
-This module is the workhorse under every homology and code-parameter
-computation in the package; everything here is pure and safe to call from
-multiple threads.
+Everything here is pure and safe to call from multiple threads.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -89,18 +94,6 @@ class Gf2Vector:
     def copy(self) -> "Gf2Vector":
         return Gf2Vector(self.n, self.data.copy())
 
-    def get(self, i: int) -> int:
-        return int((self.data[i >> 6] >> np.uint64(i & 63)) & np.uint64(1))
-
-    def set(self, i: int, value: int) -> None:
-        if not 0 <= i < self.n:
-            raise IndexError(f"bit {i} out of range for length {self.n}")
-        bit = np.uint64(1) << np.uint64(i & 63)
-        if value & 1:
-            self.data[i >> 6] |= bit
-        else:
-            self.data[i >> 6] &= ~bit
-
     def weight(self) -> int:
         return _popcount(self.data)
 
@@ -166,14 +159,6 @@ class Gf2Matrix:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zeros(cls, rows: int, cols: int) -> "Gf2Matrix":
-        return cls(rows, cols)
-
-    @classmethod
-    def identity(cls, n: int) -> "Gf2Matrix":
-        return cls.from_entries(n, n, np.repeat(np.arange(n), 2))
-
-    @classmethod
     def from_dense(cls, arr) -> "Gf2Matrix":
         arr = np.asarray(arr, dtype=np.uint8) & 1
         if arr.ndim != 2:
@@ -195,36 +180,21 @@ class Gf2Matrix:
         np.bitwise_xor.at(m.data, (r, c >> 6), np.uint64(1) << (c & 63).astype(np.uint64))
         return m
 
-    # -- element access -----------------------------------------------
-
-    def get(self, r: int, c: int) -> int:
-        return int((self.data[r, c >> 6] >> np.uint64(c & 63)) & np.uint64(1))
-
-    def set(self, r: int, c: int, value: int) -> None:
-        if not (0 <= r < self.rows and 0 <= c < self.cols):
-            raise IndexError((r, c, self.rows, self.cols))
-        bit = np.uint64(1) << np.uint64(c & 63)
-        if value & 1:
-            self.data[r, c >> 6] |= bit
-        else:
-            self.data[r, c >> 6] &= ~bit
+    # -- access ---------------------------------------------------------
 
     def row(self, r: int) -> Gf2Vector:
         return Gf2Vector(self.cols, self.data[r].copy())
 
     def entries(self) -> tuple[np.ndarray, np.ndarray]:
-        """(row, col) index arrays of the set bits, in row-major order; only
-        the nonzero words are unpacked."""
+        """(row, col) index arrays of the set bits, in row-major order: only
+        the nonzero words are unpacked, and searched as bools (fast nonzero)."""
         r, w = np.nonzero(self.data)
-        words = self.data[r, w].astype("<u8").view(np.uint8).reshape(-1, 8)
-        i, b = np.nonzero(np.unpackbits(words, axis=1, bitorder="little"))
-        return r[i], (w[i] << 6) + b
+        words = self.data[r, w].astype("<u8").view(np.uint8)
+        bit = np.flatnonzero(np.unpackbits(words, bitorder="little").view(bool))
+        return r[bit >> 6], (w[bit >> 6] << 6) + (bit & 63)
 
     def copy(self) -> "Gf2Matrix":
         return Gf2Matrix(self.rows, self.cols, self.data.copy())
-
-    def is_zero(self) -> bool:
-        return not self.data.any()
 
     def __eq__(self, other) -> bool:
         return (
@@ -251,25 +221,7 @@ class Gf2Matrix:
         bits = _unpack(self.data[rows], self.cols)[:, cols]
         return Gf2Matrix(len(rows), len(cols), _pack(bits))
 
-    def vstack(self, other: "Gf2Matrix") -> "Gf2Matrix":
-        if self.cols != other.cols:
-            raise ValueError(f"column counts differ: {self.cols} and {other.cols}")
-        return Gf2Matrix(
-            self.rows + other.rows, self.cols, np.vstack([self.data, other.data])
-        )
-
     # -- arithmetic -----------------------------------------------------
-
-    def mul_vec(self, v: Gf2Vector) -> Gf2Vector:
-        """The syndrome ``self v``, ANDed in row blocks of at most
-        _CHUNK_WORDS words, so no temporary as large as the matrix."""
-        if v.n != self.cols:
-            raise ValueError(f"vector length {v.n} for {self.cols} columns")
-        step = max(1, _CHUNK_WORDS // self.data.shape[1])
-        parity = np.zeros(self.rows, dtype=np.uint8)
-        for s in range(0, self.rows, step):
-            parity[s : s + step] = np.bitwise_count(self.data[s : s + step] & v.data).sum(axis=1) & 1
-        return Gf2Vector.from_dense(parity)
 
     def matmul_t(self, other: "Gf2Matrix") -> "Gf2Matrix":
         """Return ``self @ other^T`` over GF(2): entry (i, j) is the parity of
@@ -386,11 +338,31 @@ def in_rowspace(rref_matrix: Gf2Matrix, pivots: list[int], v: Gf2Vector) -> bool
 
 # -- text format ------------------------------------------------------
 
+# the bytes of 0/1 rows a writer renders, or the smooth-patch rule carries
+# into a residue, at a time
+_BLOCK_BYTES = 1 << 20
+
+
 def matrix_to_text(m: Gf2Matrix) -> str:
     """Serialize in the ``gf2matrix v1`` text format."""
-    rows = np.full((m.rows, m.cols + 1), ord("\n"), dtype=np.uint8)
-    rows[:, : m.cols] = _unpack(m.data, m.cols) + ord("0")
-    return f"gf2matrix v1\n{m.rows} {m.cols}\n" + rows.tobytes().decode("ascii")
+    r, c = m.entries()
+    body = b"".join(_rows_to_text(np.searchsorted(r, np.arange(m.rows + 1)), c, m.cols))
+    return f"gf2matrix v1\n{m.rows} {m.cols}\n" + body.decode("ascii")
+
+
+def _rows_to_text(ptr: np.ndarray, idx: np.ndarray, cols: int) -> Iterator[memoryview]:
+    """The body of a ``gf2matrix v1`` text, written from CSR rows (row r
+    has a ``1`` at columns ``idx[ptr[r]:ptr[r + 1]]``): per row, cols
+    ``0`` / ``1`` and a line break, in blocks of whole rows of about
+    `_BLOCK_BYTES`, each a view of the array it was written in.  Every
+    writer of a 0/1 body writes it here."""
+    step = max(1, _BLOCK_BYTES // (cols + 1))
+    for first in range(0, len(ptr) - 1, step):
+        block = ptr[first : first + step + 1]
+        rows = np.full((len(block) - 1, cols + 1), ord("0"), dtype=np.uint8)
+        rows[:, cols] = ord("\n")
+        rows[np.repeat(np.arange(len(rows)), np.diff(block)), idx[block[0] : block[-1]]] = ord("1")
+        yield rows.reshape(-1).data
 
 
 def matrix_from_text(text: str) -> Gf2Matrix:

@@ -214,9 +214,9 @@ class _RowSpace:
     (Andersen & Andersen, Math. Programming 1995).  Empty rows, and folded
     rows whose bits cancel, are dropped before the folded rows are
     eliminated; rows without a bit (two thirds of the benchmark's residues)
-    skip all of it, and rows that are all edges skip the fold.  The
-    components are numbered in the order of their last columns, which
-    `kernel` reads.
+    skip all of it, and rows that are all edges skip the fold and its
+    elimination.  The components are numbered in the order of their last
+    columns, which `kernel` reads.
     """
 
     def __init__(self, rows: Faces, cols: int):
@@ -236,7 +236,7 @@ class _RowSpace:
                 folded = Faces.from_pairs(len(rows), owner[rest], self.component[rows.idx[rest]])
                 folded = folded.restrict(folded.counts() > 0, np.ones(n, dtype=bool))
                 self.reduced = folded.matrix(n)
-            self.pivots = _rref_inplace(self.reduced.data, self.reduced.rows, n)
+                self.pivots = _rref_inplace(self.reduced.data, self.reduced.rows, n)
         self.rank = cols - n + len(self.pivots)
 
     def contains(self, bits: np.ndarray) -> bool:

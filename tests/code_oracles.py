@@ -12,7 +12,9 @@ bit.
 `code.css_from_complex` ran (as `_drop_redundant_m_rows`, on CSR rows)
 until the rule moved to the residue of the non-M checks' chain reduction.
 
-``checks_of`` turns a dense matrix into the CSR rows `CssCode` takes.
+``checks_of`` turns a dense matrix into the CSR rows `CssCode` takes, and
+``dense_syndrome`` is a syndrome by the dense integer product of a check
+matrix and a support, independent of the packed and the CSR routes.
 
 ``css_from_complex`` is `code.css_from_complex` from before it transposed
 each qubit's anchor faces into the X checks: the X rows restricted from the
@@ -52,16 +54,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from fractalcss.code import _BLOCK_BYTES, CssCode, PauliOperator, _ChainReduction
+from fractalcss.code import CssCode, PauliOperator, _ChainReduction
 from fractalcss.complexes import CellComplex, Faces, label_is_e, label_is_m
 from fractalcss.gf2 import (
-    _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _rref_inplace, _unpack, in_rowspace,
+    _BLOCK_BYTES, _CHUNK_WORDS, Gf2Matrix, Gf2Vector, _kernel_rows, _rref_inplace, _unpack,
+    in_rowspace,
 )
 
 
 def checks_of(m: Gf2Matrix) -> Faces:
     """The set columns of each row of m."""
     return Faces.from_pairs(m.rows, *m.entries())
+
+
+def dense_syndrome(m: Gf2Matrix, v: Gf2Vector) -> np.ndarray:
+    """m v over GF(2), one entry per row of m."""
+    return (m.to_dense().astype(np.int64) @ v.to_dense()) % 2
 
 
 def residue_rref(rows: Faces, keep_rows, keep_cols) -> tuple[Gf2Matrix, list[int]]:

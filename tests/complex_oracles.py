@@ -95,9 +95,9 @@ def faces(cx, k: int) -> list[tuple[int, ...]]:
 def boundary_matrix(cx: ArrayComplex, k: int) -> Gf2Matrix:
     """Dense boundary map C_k -> C_{k-1}; degenerate sizes outside 1..dim."""
     if k == 0:
-        return Gf2Matrix.zeros(0, cx.n_cells(0))
+        return Gf2Matrix(0, cx.n_cells(0))
     if not 1 <= k <= cx.dim:
-        return Gf2Matrix.zeros(cx.n_cells(cx.dim), 0)
+        return Gf2Matrix(cx.n_cells(cx.dim), 0)
     return cx.cofaces(k - 1).matrix(cx.n_cells(k))
 
 
@@ -228,9 +228,9 @@ class CellComplex:
     def boundary_matrix(self, k: int) -> Gf2Matrix:
         """Dense boundary map C_k -> C_{k-1}; degenerate sizes outside 1..dim."""
         if k == 0:
-            return Gf2Matrix.zeros(0, self.n_cells(0))
+            return Gf2Matrix(0, self.n_cells(0))
         if not 1 <= k <= self.dim:
-            return Gf2Matrix.zeros(self.n_cells(self.dim), 0)
+            return Gf2Matrix(self.n_cells(self.dim), 0)
         return Gf2Matrix.from_entries(
             self.n_cells(k - 1), self.n_cells(k),
             ((r, i) for i, fs in enumerate(self.faces[k]) for r in fs),

@@ -2,8 +2,9 @@
 search, membership and gate checks replaced.
 
 Each is the implementation the package had before, kept verbatim apart
-from its imports, two accessors it read (the word-by-word
-``Gf2Vector.indices`` and ``Gf2Matrix.row_indices``, both here) and the
+from its imports, three accessors it read (the word-by-word
+``Gf2Vector.indices``, ``Gf2Matrix.row_indices`` and the per-bit
+``Gf2Vector.get``, as ``bit``, all here) and the
 copies the gate checks test: they took each code's first position in the
 alignment, so an alignment holding one code twice had a copy tested
 against itself; they now take them by ``positions``.  The
@@ -15,6 +16,8 @@ return the same values, witnesses and reports bit for bit.
 from __future__ import annotations
 
 import itertools
+
+import numpy as np
 
 from fractalcss.code import CssCode, PauliOperator, is_x_logical, is_z_logical, logical_basis
 from fractalcss.distance import BudgetError, DistanceResult, search_budget
@@ -39,6 +42,10 @@ def row_indices(m: Gf2Matrix, r: int) -> list[int]:
     return indices(m.row(r))
 
 
+def bit(v: Gf2Vector, i: int) -> int:
+    return int((v.data[i >> 6] >> np.uint64(i & 63)) & np.uint64(1))
+
+
 # -- membership and the logical quotient ---------------------------------------------
 
 
@@ -46,7 +53,7 @@ def in_rowspace(rref_matrix: Gf2Matrix, pivots: list[int], v: Gf2Vector) -> bool
     """Membership test against a precomputed RREF (see :meth:`Gf2Matrix.rref`)."""
     w = v.copy()
     for i, p in enumerate(pivots):
-        if w.get(p):
+        if bit(w, p):
             w.data ^= rref_matrix.data[i, : len(w.data)]
     return w.is_zero()
 
@@ -61,11 +68,11 @@ def quotient_reps(check, span) -> list[Gf2Vector]:
     for row in K.data:
         w = Gf2Vector(K.cols, row.copy())
         for i, p in enumerate(span_pivots):
-            if w.get(p):
+            if bit(w, p):
                 w.data ^= span_rref.data[i, : len(w.data)]
         for u in chosen_rref:
             lead = _leading_bit(u)
-            if lead is not None and w.get(lead):
+            if lead is not None and bit(w, lead):
                 w ^= u
         if not w.is_zero():
             chosen.append(w.copy())

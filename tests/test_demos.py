@@ -1,6 +1,8 @@
-"""Each script under demos/ runs to the end and prints its headline result."""
+"""Each script under demos/ runs to the end and prints its headline result,
+and so does the README's library example."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -9,7 +11,8 @@ import pytest
 import fractalcss
 
 SRC = os.path.dirname(os.path.dirname(fractalcss.__file__))
-DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+DEMOS = os.path.join(ROOT, "demos")
 
 # demo -> one line its stdout must contain
 KEY_LINES = {
@@ -26,3 +29,17 @@ def test_demo_runs(demo):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert KEY_LINES[demo] in proc.stdout.splitlines()
+
+
+def test_readme_library_example():
+    """The ``## Library example`` block of README.md, run in a fresh
+    interpreter, prints the values its comments give."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"^## Library example\n+```python\n(.*?)^```", readme, re.M | re.S)[1]
+    want = re.findall(r"^print\(.*\)\s+# (\S+)$", block, re.M)
+    assert want == ["1", "9", "64"]
+    proc = subprocess.run([sys.executable, "-c", block], env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == want

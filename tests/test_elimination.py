@@ -42,6 +42,7 @@ from fractalcss.complexes import (
 from fractalcss.gf2 import Gf2Matrix, Gf2Vector
 from fractalcss.homology import _RowSpace
 from code_oracles import check_matrices, checks_of
+from search_oracles import bit
 from test_arrays import seeded_layout
 
 
@@ -56,7 +57,7 @@ def _drop_redundant_m_rows_oracle(hz: Gf2Matrix, m_anchor: list[bool]) -> list[i
         w = v.copy()
         for u in reduced:
             lead = u.indices()[0]
-            if w.get(lead):
+            if bit(w, lead):
                 w ^= u
         return w
 
@@ -184,49 +185,43 @@ def test_one_elimination_per_check_matrix(monkeypatch):
     """k and the logical tests eliminate only what the residues fold to, and
     the logical basis per type one transposed stack of the folded span
     and the folded cycles, with a row per component of the span residue:
-    no elimination, outside the homology cross-check, has as many rows or
-    columns as the code has qubits."""
-    calls = []  # (rows, cols, inside the homology cross-check)
-    in_cross_check = [False]
+    no elimination has as many rows or columns as the code has qubits."""
+    calls, cross_checks = [], []  # (rows, cols) eliminated; codes cross-checked
     real_rref, real_homology_k = gf2._rref_inplace, code_mod.homology_k
 
     def spy_rref(data, rows, cols):
-        calls.append((rows, cols, in_cross_check[0]))
+        calls.append((rows, cols))
         return real_rref(data, rows, cols)
 
     def spy_homology_k(c):
-        in_cross_check[0] = True
-        try:
-            return real_homology_k(c)
-        finally:
-            in_cross_check[0] = False
+        cross_checks.append(c)
+        return real_homology_k(c)
 
     for module in (gf2, homology):
         monkeypatch.setattr(module, "_rref_inplace", spy_rref)
     monkeypatch.setattr(code_mod, "homology_k", spy_homology_k)
 
     # level 1 leaves one qubit that no live check meets; level 2 leaves 64
-    # qubits and 280 Z checks, which fold to no row over one component.
-    # The residues' row spaces are built for k; the basis then eliminates,
+    # qubits and 280 Z checks, which fold to no row over one component, so
+    # k, its cross-check and the logical tests eliminate nothing.  The
+    # residues' row spaces are built for k; the basis then eliminates,
     # for Z, the one Z component against the 64 Z-cycles (the X residue
     # has no bit, so each qubit is one), then for X the 64 qubits against
     # the one X-cocycle (every qubit: the Z residue is one component with
     # no folded row).
-    for level, before, basis in ((1, [], [(1, 1), (1, 1)]),
-                                 (2, [(0, 1)], [(1, 64), (64, 1)])):
+    for level, basis in ((1, [(1, 1), (1, 1)]), (2, [(1, 64), (64, 1)])):
         code = css_from_complex(fractal_complex(FractalSpec(3, 3, 1, level), "code"), 1)
         calls.clear()
         assert code_params(code).k == 1
         zero = Gf2Vector(code.n_qubits)
         assert not is_z_logical(code, zero) and not is_x_logical(code, zero)
-        assert any(inside for _, _, inside in calls)
-        assert [(r, c) for r, c, inside in calls if not inside] == before
-        calls.clear()
+        assert cross_checks == [code] and calls == []
+        cross_checks.clear()
         zs, xs = logical_basis(code)
         assert is_z_logical(code, zs[0].z_support) and is_x_logical(code, xs[0].x_support)
         assert code_params(code, cross_check=False).k == 1
-        assert [(r, c) for r, c, _ in calls] == basis
-        assert all(max(r, c) < code.n_qubits for r, c, _ in calls)
+        assert calls == basis
+        assert all(max(r, c) < code.n_qubits for r, c in calls)
 
 
 @pytest.mark.parametrize("style", ["plain", "code"])
@@ -282,14 +277,14 @@ def test_logical_basis_pinned(build, digest):
 
 
 # logical_basis on FC(3,1) at the given level, in a child process under an
-# address-space limit: k, the number of pairs, whether every representative
-# is a logical of its type and every pairing z_a . x_b is 1 for a = b and 0
-# otherwise, the seconds, and the peak RSS (VmHWM, kB) after code_params,
-# after the basis (before the logical tests) and at the end; when traced,
-# then the traced peaks (bytes) of code_params and of the basis with the
-# logical tests, both over the traced start before code_params.  The dense
-# route eliminated the whole H_X and H_Z: 510 MB at level 3, and 61 GB for
-# the dense H_X alone at level 4.
+# address-space limit (and under -O when the tests run under it): k, the
+# number of pairs, whether every representative is a logical of its type
+# and every pairing z_a . x_b is 1 for a = b and 0 otherwise, the seconds,
+# the peak RSS (VmHWM, kB) after code_params, after the basis (before the
+# logical tests) and at the end, then the traced peaks (bytes) of
+# code_params and of the basis with the logical tests, both over the traced
+# start before code_params.  The dense route eliminated the whole H_X and
+# H_Z: 510 MB at level 3, and 61 GB for the dense H_X alone at level 4.
 _BASIS = """
 import re, resource, sys, time, tracemalloc
 resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[2]) << 20,) * 2)
@@ -302,8 +297,7 @@ def peak_kb():
         return int(re.search(r"VmHWM:\\s*(\\d+) kB", fh.read())[1])
 
 code = css_from_complex(fractal_complex(FractalSpec(3, 3, 1, int(sys.argv[1]), holes="m"), "code"), 1)
-if sys.argv[3] == "traced":
-    tracemalloc.start()
+tracemalloc.start()
 k = code_params(code).k
 after_params, params_peak = peak_kb(), tracemalloc.get_traced_memory()[1]
 tracemalloc.reset_peak()
@@ -320,10 +314,10 @@ print(k, len(zs), len(xs), logicals, paired, seconds, after_params, after_basis,
 """
 
 
-def _basis_in_child(level: int, limit_mb: int, traced: bool = False) -> list[str]:
+def _basis_in_child(level: int, limit_mb: int) -> list[str]:
     src = os.path.dirname(os.path.dirname(fractalcss.__file__))
-    out = subprocess.run([sys.executable, "-c", _BASIS, str(level), str(limit_mb),
-                          "traced" if traced else "untraced"],
+    out = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-c", _BASIS, str(level),
+                          str(limit_mb)],
                          env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
@@ -339,7 +333,7 @@ def test_fc31_level3_logical_basis_under_512_mb():
     peak RSS moves with pages the run maps from files (256 kB more at the
     end than after code_params, with no traced allocation above it)."""
     (k, n_z, n_x, logicals, paired, seconds, *_, params_peak,
-     basis_peak) = _basis_in_child(3, 512, traced=True)
+     basis_peak) = _basis_in_child(3, 512)
     assert (k, n_z, n_x, logicals, paired) == ("1", "1", "1", "True", "True")
     assert float(seconds) < 0.5
     assert int(basis_peak) <= int(params_peak)
@@ -351,19 +345,21 @@ def test_fc31_level4_logical_basis_under_1_gb():
     """1,148,128 qubits: the residue has 4,096 qubits and 230,392 Z checks.
     The X residue has no check, so each of its qubits is a Z-cycle, and the
     one component of the Z residue picks the first.  So the basis takes
-    under 0.5 s and adds less than one byte per qubit to the peak that
-    code_params set (the dense transposed stack of the residue,
-    4,096 x 234,488, took 1.3-1.8 s and added 120 MB)."""
-    k, n_z, n_x, logicals, paired, seconds, after_params, after_basis, *_ = _basis_in_child(4, 1024)
+    under 0.5 s, and neither it nor the logical tests allocate past the
+    peak that code_params set (the dense transposed stack of the residue,
+    4,096 x 234,488, took 1.3-1.8 s and added 120 MB).  The allocations
+    are traced, as at level 3: the peak RSS moves with pages the run maps
+    from files (256 kB more after the basis, with no traced allocation
+    above the peak)."""
+    (k, n_z, n_x, logicals, paired, seconds, *_, params_peak,
+     basis_peak) = _basis_in_child(4, 1024)
     assert (k, n_z, n_x, logicals, paired) == ("1", "1", "1", "True", "True")
     assert float(seconds) < 0.5
-    # code_params ends at its peak (RSS equals VmHWM there), so any page the
-    # basis touches shows; it touches less than one byte per qubit
-    assert int(after_basis) - int(after_params) < 1_148_128 // 1024
+    assert int(basis_peak) <= int(params_peak)
 
 
 # The plain FC(3,1) code at the given level, built in a child process under
-# an address-space limit: a digest of its CSR checks, the number of X and
+# an address-space limit (and -O, as the basis child): a digest of its CSR checks, the number of X and
 # Z checks, the seconds of css_from_complex, the peak RSS (VmHWM, kB)
 # after the build, and the traced peak (bytes) of css_from_complex over its
 # start.  The dense smooth-patch rule eliminated the whole H_Z^T: 5.9-6.6 s
@@ -405,7 +401,7 @@ def test_fc31_level3_plain_code_under_512_mb():
     free pages, not with what the stage holds).  The checks are the ones
     the dense rule kept (digest taken with it)."""
     src = os.path.dirname(os.path.dirname(fractalcss.__file__))
-    out = subprocess.run([sys.executable, "-c", _PLAIN, "3", "512"],
+    out = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-c", _PLAIN, "3", "512"],
                          env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr

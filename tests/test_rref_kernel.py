@@ -52,17 +52,22 @@ def _rref_inplace_oracle(data: np.ndarray, rows: int, cols: int) -> list[int]:
     return pivots
 
 
+def _set(v: Gf2Vector, i: int) -> None:
+    """Set bit i of a packed vector in its word, one bit at a time."""
+    v.data[i >> 6] |= np.uint64(1) << np.uint64(i & 63)
+
+
 def _kernel_from_rref_oracle(R: Gf2Matrix, pivots: list[int]) -> list[Gf2Vector]:
     pivot_set = set(pivots)
     free_cols = [c for c in range(R.cols) if c not in pivot_set]
     basis = []
     for f in free_cols:
         v = Gf2Vector(R.cols)
-        v.set(f, 1)
+        _set(v, f)
         fw, fb = f >> 6, np.uint64(f & 63)
         for i, p in enumerate(pivots):
             if (R.data[i, fw] >> fb) & np.uint64(1):
-                v.set(p, 1)
+                _set(v, p)
         basis.append(v)
     return basis
 
@@ -101,8 +106,8 @@ def test_special_matrices_match_oracle(rows, cols):
     for dense in (np.zeros((rows, cols)), np.ones((rows, cols)), np.eye(rows, cols),
                   np.eye(rows, cols)[::-1], np.tri(rows, cols)[::-1]):
         _assert_same_rref(Gf2Matrix.from_dense(dense), (rows, cols))
-    _assert_same_rref(Gf2Matrix.zeros(0, cols), (0, cols))
-    _assert_same_rref(Gf2Matrix.zeros(rows, 0), (rows, 0))
+    _assert_same_rref(Gf2Matrix(0, cols), (0, cols))
+    _assert_same_rref(Gf2Matrix(rows, 0), (rows, 0))
 
 
 def _fc(p: int, q: int, level: int, holes):
@@ -168,7 +173,7 @@ def test_vector_packing_matches_per_bit(n):
     ones = np.flatnonzero(bits).tolist()
     reference = Gf2Vector(n)
     for i in ones:
-        reference.set(i, 1)
+        _set(reference, i)
     assert Gf2Vector.from_dense(bits) == reference
     assert Gf2Vector.from_indices(n, ones + ones[:3]) == reference  # repeats stay set
     assert Gf2Vector.from_indices(n, iter(ones)) == reference
@@ -190,8 +195,6 @@ _SHAPE_GUARDS = textwrap.dedent("""
         lambda: v2.dot(v3),
         lambda: v2 ^ v3,
         lambda: Gf2Matrix.from_dense([1, 0]),
-        lambda: m23.vstack(Gf2Matrix(1, 2)),
-        lambda: m23.mul_vec(v2),
         lambda: m23.matmul_t(Gf2Matrix(2, 2)),
         lambda: m33.matmul(m23),
     ]
@@ -211,4 +214,4 @@ def test_shape_guards_raise_value_error(flags):
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, *flags, "-c", _SHAPE_GUARDS], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["9", "9"]
+    assert out.split() == ["7", "7"]

@@ -1,22 +1,24 @@
 """The array text writers against the per-line writers they replaced.
 
 `CellComplex.to_text` renders the cell lines of every grade into one byte
-buffer, and `code_to_text` and `check_matrix_text` (the CLI's `export`)
-write the 0/1 check rows straight from the CSR checks.  `text_oracles`
-holds the writers they replaced, verbatim: one f-string per line, and the
-checks unpacked from the dense `CssCode.hx` / `hz`.  Both must write the
+buffer, and `code_to_text`, `check_matrix_blocks` (the CLI's `export`) and
+`gf2.matrix_to_text` write every 0/1 body through one writer of CSR rows,
+`gf2._rows_to_text`.  `text_oracles` holds the writers they replaced,
+verbatim: one f-string per line, and the packed words unpacked whole (the
+checks from the dense `CssCode.hx` / `hz`).  Both must write the
 same bytes on the FC(3,1) / FC(4,2) ladder, levels 1-2 in both styles with
 m-holes and at level 2 with e- and mixed holes; 2D SC(3,1) levels 1-3; the
 4D (2,2) torus, clean and with an e- or m-hole; the 40 seeded layouts of
 `test_arrays` at every grading; Hypothesis's punched complexes; the sphere,
 whose star vertex has box -1; `dual_with_boundary`; a code with no X check
 and one with no qubit; and complexes with no coordinates, with int64's
-extreme coordinates and with non-ASCII labels.  The writers never build
-the dense check matrices.  `fractalcss code --out` and `export --out`
-write the 0/1 bodies to their files a block of rows at a time; with the
-block forced down to 1-3 rows, the files still hold the bytes of
-`code_to_text` and `check_matrix_text`, on the ladder and on a code with
-no qubits.
+extreme coordinates and with non-ASCII labels; `matrix_to_text` on random
+matrices of no row, no column, 63-65 columns and bodies of several blocks.
+The writers never build the dense check matrices.  `fractalcss code --out`
+and `export --out` write the 0/1 bodies to their files a block of rows at
+a time; with the block forced down to 1-3 rows, the files still hold the
+bytes of `code_to_text` and of the joined `check_matrix_blocks`, on the
+ladder and on a code with no qubits.
 """
 
 import numpy as np
@@ -27,10 +29,10 @@ from hypothesis import strategies as st
 import text_oracles
 from fractalcss.cli import _write_blocks, main
 import fractalcss.code
+import fractalcss.gf2
 from fractalcss.code import (
     CssCode,
     check_matrix_blocks,
-    check_matrix_text,
     code_blocks,
     code_from_text,
     code_to_text,
@@ -56,11 +58,16 @@ def assert_complex_bytes(cx: CellComplex) -> None:
     assert cx.to_text() == text_oracles.complex_to_text(cx)
 
 
+def exported(code: CssCode, which: str) -> str:
+    """The ``gf2matrix v1`` file `export` writes of H_X or H_Z."""
+    return b"".join(check_matrix_blocks(code, which)).decode()
+
+
 def assert_code_bytes(code: CssCode) -> None:
     text = code_to_text(code)  # before the oracle builds the dense matrices
     assert text == text_oracles.code_to_text(code)
-    assert check_matrix_text(code, "hx") == matrix_to_text(code.hx)
-    assert check_matrix_text(code, "hz") == matrix_to_text(code.hz)
+    assert exported(code, "hx") == text_oracles.matrix_to_text(code.hx)
+    assert exported(code, "hz") == text_oracles.matrix_to_text(code.hz)
 
 
 LADDER = {
@@ -149,10 +156,28 @@ def test_codes_without_x_checks_or_qubits():
     no_qubits = CssCode(n_qubits=0, x_checks=Faces.empty(2), z_checks=Faces.empty(1), grading=2,
                         qubit_cells=[], x_anchor_cells=[])
     assert code_to_text(no_qubits).endswith("gf2matrix v1\n1 0\nqubitmap\n")
-    assert check_matrix_text(no_qubits, "hx") == "gf2matrix v1\n2 0\n\n\n"
+    assert exported(no_qubits, "hx") == "gf2matrix v1\n2 0\n\n\n"
     for code in (no_x, no_qubits):
         assert_code_bytes(code)
         assert code_to_text(code_from_text(code_to_text(code))) == code_to_text(code)
+
+
+@pytest.mark.parametrize("block", (None, 1, 70))
+def test_matrix_to_text_matches_unpacking_writer(monkeypatch, block):
+    """`matrix_to_text` writes its body from the matrix's entries as CSR
+    rows, in the bytes of the writer that unpacked the words: with the
+    default block (the 1,200 x 1,456 body is more than one) and with blocks
+    of one row or a few."""
+    if block:
+        monkeypatch.setattr(fractalcss.gf2, "_BLOCK_BYTES", block)
+    rng = np.random.default_rng(block or 0)
+    for rows, cols in ((0, 0), (0, 5), (3, 0), (1, 1), (5, 63), (5, 64), (5, 65), (9, 130),
+                       (1200, 1456)):
+        for density in (0.0, 0.02, 0.5):
+            m = Gf2Matrix.from_dense(rng.random((rows, cols)) < density)
+            text = matrix_to_text(m)
+            assert text == text_oracles.matrix_to_text(m)
+            assert matrix_from_text(text) == m
 
 
 def _vertices(dim: int, boxes: list, names=("bulk",)) -> CellComplex:
@@ -177,7 +202,7 @@ def test_edge_complexes():
 
 
 def test_writers_build_no_dense_check_matrix(monkeypatch, tmp_path):
-    """`code_to_text`, `check_matrix_text`, `fractalcss code --out` and
+    """`code_to_text`, `check_matrix_blocks`, `fractalcss code --out` and
     `fractalcss export` write from the CSR checks alone."""
     def dense(code):
         raise AssertionError("a text writer built a dense check matrix")
@@ -186,17 +211,18 @@ def test_writers_build_no_dense_check_matrix(monkeypatch, tmp_path):
     monkeypatch.setattr(CssCode, "hz", property(dense))
     code = css_from_complex(fractal_complex(FractalSpec(3, 3, 1, 1, holes="m"), "code"), 1)
     text = code_to_text(code)
-    exported = {which: check_matrix_text(code, which) for which in ("hx", "hz")}
+    files = {which: exported(code, which) for which in ("hx", "hz")}
     path = tmp_path / "code.txt"
     assert main(["code", "--level", "1", "--style", "code", "--out", str(path)]) == 0
     assert path.read_text() == text
     for which in ("hx", "hz"):
         out = tmp_path / f"{which}.txt"
         assert main(["export", "--code", str(path), "--what", which, "--out", str(out)]) == 0
-        assert out.read_text() == exported[which]
+        assert out.read_text() == files[which]
     monkeypatch.undo()
     assert text == text_oracles.code_to_text(code)
-    assert exported == {"hx": matrix_to_text(code.hx), "hz": matrix_to_text(code.hz)}
+    assert files == {"hx": text_oracles.matrix_to_text(code.hx),
+                     "hz": text_oracles.matrix_to_text(code.hz)}
 
 
 STREAMED = {
@@ -215,8 +241,8 @@ def test_cli_writes_the_bodies_in_blocks(monkeypatch, tmp_path, name, rows):
     assert main(["code", *STREAMED[name], "--out", str(path)]) == 0
     code = fractalcss.code.code_from_text(path.read_text())
     text = code_to_text(code)
-    exported = {which: check_matrix_text(code, which) for which in ("hx", "hz")}
-    monkeypatch.setattr(fractalcss.code, "_BLOCK_BYTES", rows * (code.n_qubits + 1))
+    files = {which: exported(code, which) for which in ("hx", "hz")}
+    monkeypatch.setattr(fractalcss.gf2, "_BLOCK_BYTES", rows * (code.n_qubits + 1))
     assert sum(1 for _ in code_blocks(code)) == (
         4 + sum(-(-len(c) // rows) for c in (code.x_checks, code.z_checks)))
     streamed = tmp_path / "streamed.txt"
@@ -225,7 +251,7 @@ def test_cli_writes_the_bodies_in_blocks(monkeypatch, tmp_path, name, rows):
     for which in ("hx", "hz"):
         out = tmp_path / f"{which}.txt"
         assert main(["export", "--code", str(path), "--what", which, "--out", str(out)]) == 0
-        assert out.read_bytes() == exported[which].encode()
+        assert out.read_bytes() == files[which].encode()
 
 
 @pytest.mark.parametrize("rows", (1, 2, 3))
@@ -236,8 +262,8 @@ def test_blocks_of_a_code_with_no_qubits(monkeypatch, tmp_path, rows):
     code = CssCode(n_qubits=0, x_checks=Faces.empty(3), z_checks=Faces.empty(2), grading=1,
                    qubit_cells=[], x_anchor_cells=[])
     text = code_to_text(code)
-    exported = {which: check_matrix_text(code, which) for which in ("hx", "hz")}
-    monkeypatch.setattr(fractalcss.code, "_BLOCK_BYTES", rows)
+    files = {which: exported(code, which) for which in ("hx", "hz")}
+    monkeypatch.setattr(fractalcss.gf2, "_BLOCK_BYTES", rows)
     assert [len(b) for b in check_matrix_blocks(code, "hx")][1:] == [
         len(r) for r in np.array_split(range(3), -(-3 // rows))]
     path = tmp_path / "code.txt"
@@ -246,9 +272,9 @@ def test_blocks_of_a_code_with_no_qubits(monkeypatch, tmp_path, rows):
     for which in ("hx", "hz"):
         out = tmp_path / f"{which}.txt"
         _write_blocks(str(out), check_matrix_blocks(code, which))
-        assert out.read_bytes() == exported[which].encode()
+        assert out.read_bytes() == files[which].encode()
         assert main(["export", "--code", str(path), "--what", which, "--out", str(out)]) == 0
-        assert out.read_bytes() == exported[which].encode()
+        assert out.read_bytes() == files[which].encode()
         assert matrix_from_text(out.read_text()) == Gf2Matrix({"hx": 3, "hz": 2}[which], 0)
-    assert exported["hx"] == "gf2matrix v1\n3 0\n\n\n\n"
+    assert files["hx"] == "gf2matrix v1\n3 0\n\n\n\n"
     assert code_to_text(code_from_text(text)) == text

@@ -13,8 +13,10 @@ line ``q <j> -> cell <c>`` whose j is not the line's position, which
 The writers, `complex_to_text` and `code_to_text`, are the per-line
 writers that `CellComplex.to_text` and `code.code_to_text` ran before
 they rendered byte buffers: one f-string per cell or qubit, and the check
-matrices written from the dense `CssCode.hx` / `hz` by `matrix_to_text`.
-They are kept verbatim; the array writers must write the same bytes.
+matrices written from the dense `CssCode.hx` / `hz` by `matrix_to_text`,
+the writer `gf2.matrix_to_text` was before every 0/1 body was written
+from CSR rows: the packed words unpacked whole.  They are kept verbatim;
+the array writers must write the same bytes.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from fractalcss.code import CssCode
 from fractalcss.complexes import BULK, CellComplex, Faces, Hole
-from fractalcss.gf2 import Gf2Matrix, _pack, matrix_to_text
+from fractalcss.gf2 import Gf2Matrix, _pack, _unpack
 
 
 def complex_from_text(text: str) -> CellComplex:
@@ -166,6 +168,13 @@ def complex_to_text(self: CellComplex) -> str:
             faces = " ".join(idx[ptr[i] : ptr[i + 1]])
             lines.append(f"cell {k} {i} {names[i]} {coords} : {faces}".rstrip())
     return "\n".join(lines) + "\n"
+
+
+def matrix_to_text(m: Gf2Matrix) -> str:
+    """Serialize in the ``gf2matrix v1`` text format."""
+    rows = np.full((m.rows, m.cols + 1), ord("\n"), dtype=np.uint8)
+    rows[:, : m.cols] = _unpack(m.data, m.cols) + ord("0")
+    return f"gf2matrix v1\n{m.rows} {m.cols}\n" + rows.tobytes().decode("ascii")
 
 
 def code_to_text(code: CssCode) -> str:
