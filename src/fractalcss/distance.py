@@ -6,20 +6,21 @@ to a terminal, edges = qubit 1-cells) and the X-distance of the two-terminal
 open-cube geometry is the minimum edge cut between the e-components,
 computed by Dinic's unit-capacity max-flow.
 
-The graph is built once per code and held by it (`CssCode._qubit_graph`,
-as the code holds its chain reduction), so d_Z, d_X and their refusals
-read one graph.  It is int32 CSR arrays: arcs 2j and 2j + 1 run both ways
-along the j-th non-loop qubit, so the reverse of arc a is a ^ 1, and each
-node lists its out-arcs in ascending qubit order.  One breadth-first search
-with an optional boolean per-arc filter serves the terminal-to-terminal
-paths, the torus seams (the seam's qubits masked), Dinic's level graph
-(residual capacity > 0) and the source side of the min cut.  It expands a
-whole level at a time as arrays (Beamer, Asanovic & Patterson, SC 2012),
-each new node keeping the first arc into it in the order a queue-driven
-search would meet them, so the fixed arc order makes the path and cut
-witnesses reproducible.  Dinic's blocking flow stays a depth-first search
-over unit capacities (Even & Tarjan, SIAM J. Comput. 1975), reading the
-arrays through memoryviews.
+The graph is built once per code and held by it (`CssCode._qubit_graph`, as
+the code holds its chain reduction), so d_Z, d_X and their refusals read
+one graph.  It is int32 CSR arrays: arcs 2q and 2q + 1 run both ways along
+qubit q, so arc a is qubit a >> 1 and its reverse is a ^ 1, and each node
+lists its out-arcs in ascending qubit order; a loop's are self-arcs, which
+no search, level graph or cut takes.  One breadth-first search with an
+optional boolean per-arc filter serves the terminal-to-terminal paths, the
+torus seams (the seam's qubits masked), Dinic's level graph (residual
+capacity > 0) and the source side of the min cut.  It expands a whole level
+at a time as arrays (Beamer, Asanovic & Patterson, SC 2012), each new node
+keeping the first arc into it in the order a queue-driven search would meet
+them, so the fixed arc order makes the path and cut witnesses
+reproducible.  Dinic's blocking flow stays a depth-first search over unit
+capacities (Even & Tarjan, SIAM J. Comput. 1975), reading the arrays
+through memoryviews.
 
 The general-grading fallback enumerates connected candidate supports of
 bounded weight.  Two qubits count as connected when they share a check of
@@ -114,11 +115,11 @@ class ScalingFit:
 class _QubitGraph:
     """Nodes: bulk 0-cells plus one contracted node per e-component.
 
-    Qubit q joins nodes u[q] and v[q] (equal for a loop).  Arcs 2j and
-    2j + 1 run both ways along the j-th non-loop qubit, `qubit[j]`, so the
-    reverse of arc a is a ^ 1 and it ends at `head[a]`.  The out-arcs of
-    node x are `arcs[ptr[x]:ptr[x + 1]]`, in ascending qubit order.  Every
-    one of these is an int32 array.
+    Arcs 2q and 2q + 1 run both ways along qubit q (self-arcs for a loop,
+    and at node 0 for an edge with no face), so arc a is qubit a >> 1, its
+    reverse is a ^ 1 and it ends at `head[a]`.  The out-arcs of node x are
+    `arcs[ptr[x]:ptr[x + 1]]`, in ascending qubit order.  Every one of these
+    is an int32 array.
     """
 
     def __init__(self, code: CssCode):
@@ -152,13 +153,11 @@ class _QubitGraph:
         count = ends.counts()[code.qubit_cells]
         node_at = np.append(node[ends.idx], np.int32(0))  # the 0 past the end: no face
         last = len(ends.idx)
-        self.u = np.where(count >= 1, node_at[np.minimum(first, last)], 0)
-        self.v = np.where(count >= 2, node_at[np.minimum(first + 1, last)], self.u)
-        self.qubit = np.flatnonzero(self.u != self.v).astype(np.int32)
-        tail = np.column_stack((self.u[self.qubit], self.v[self.qubit]))
-        self.head = tail[:, ::-1].ravel()
+        u = np.where(count >= 1, node_at[np.minimum(first, last)], 0)
+        v = np.where(count >= 2, node_at[np.minimum(first + 1, last)], u)
+        self.head = np.column_stack((v, u)).ravel()
         # arcs grouped by tail, ascending within a node (stable order)
-        tail = tail.ravel()
+        tail = np.column_stack((u, v)).ravel()
         self.arcs = np.argsort(tail, kind="stable").astype(np.int32)
         self.ptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
         np.cumsum(np.bincount(tail, minlength=self.n_nodes), out=self.ptr[1:])
@@ -216,7 +215,7 @@ def _path(via, end: int) -> list[int]:
     out = []
     a = int(into[end])
     while a >= 0:
-        out.append(int(g.qubit[a >> 1]))
+        out.append(a >> 1)
         a = int(into[g.head[a ^ 1]])
     return out[::-1]
 
@@ -263,9 +262,9 @@ def dz_shortest_path(code: CssCode) -> DistanceResult:
     if all(p is not None for p in cx.periods):
         for axis in range(cx.dim):
             in_seam = cx.cells[1][code.qubit_cells, axis, 1] == cx.periods[axis]
-            off_seam = np.repeat(~in_seam[g.qubit], 2)
+            off_seam = np.repeat(~in_seam, 2)
             for q in np.flatnonzero(in_seam).tolist():
-                u, v = int(g.u[q]), int(g.v[q])
+                u, v = int(g.head[2 * q + 1]), int(g.head[2 * q])
                 if u == v:
                     if best is None or 1 < best[0]:
                         best = (1, [q])
@@ -304,7 +303,6 @@ def _max_flow(g: _QubitGraph, s: int, t: int) -> tuple[int, np.ndarray, np.ndarr
     if s == t:
         raise ValueError(f"max-flow needs two distinct nodes, not s = t = {s}")
     head = memoryview(g.head)
-    tail = g.head.reshape(-1, 2)[:, ::-1].ravel()
     residual = np.ones(len(g.head), dtype=np.uint8)
     cap = memoryview(residual)
     flow = 0
@@ -313,7 +311,8 @@ def _max_flow(g: _QubitGraph, s: int, t: int) -> tuple[int, np.ndarray, np.ndarr
         if level[t] < 0:
             return flow, residual, level
         # the level graph's arcs, per node in order: capacity left, one level on
-        step = residual.view(bool) & (level[g.head] == level[tail] + 1)
+        ends = level[g.head].reshape(-1, 2)  # per qubit: the levels of its arcs' heads
+        step = residual.view(bool) & (ends == ends[:, ::-1] + 1).ravel()
         keep = step[g.arcs]
         arcs = memoryview(g.arcs[keep])
         ptr = np.cumsum(np.append(False, keep), dtype=np.int32)[g.ptr]
@@ -369,7 +368,7 @@ def dx_min_cut(code: CssCode) -> DistanceResult:
                                 "no X-logical crosses between them")
     # the source side of the final residual graph: the canonical min cut
     seen = level >= 0
-    cut = np.flatnonzero(seen[g.u] != seen[g.v])
+    cut = np.flatnonzero(seen[g.head[0::2]] != seen[g.head[1::2]])
     if len(cut) != value:
         raise WitnessError(f"min cut has {len(cut)} edges for flow {value}")
     witness = PauliOperator.x_type(Gf2Vector.from_indices(code.n_qubits, cut))

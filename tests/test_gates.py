@@ -312,7 +312,6 @@ def test_ccz_missing_logical_reported_not_applicable():
         grading=1, qubit_cells=list(codes[0].qubit_cells),
         x_anchor_cells=[], source=codes[0].source,
     )
-    frozen.check_homology_by_labels = False
     stack = [codes[0], codes[1], frozen]
     align2 = align_identical(stack, [align.x_logicals[0], align.x_logicals[1], None])
     report = check_transversal_ccz(*stack, align2)

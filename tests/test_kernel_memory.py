@@ -126,8 +126,9 @@ print(code.report())
 def _child(script: str) -> list[str]:
     src = os.path.dirname(os.path.dirname(fractalcss.__file__))
     path = os.pathsep.join((src, os.path.dirname(__file__)))
-    out = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
-                         capture_output=True, text=True, timeout=600)
+    out = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-c", script],
+                         env={**os.environ, "PYTHONPATH": path}, capture_output=True,
+                         text=True, timeout=600)
     assert out.returncode == 0, out.stderr
     return out.stdout.splitlines()
 

@@ -280,8 +280,9 @@ def test_fc31_level4_build_peak_rss():
     is never a complex, nothing holds it while the result is built, and
     the punch builds its midpoint grid one axis at a time."""
     src = os.path.dirname(os.path.dirname(fractalcss.__file__))
-    out = subprocess.run([sys.executable, "-c", _LEVEL4], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, timeout=300, check=True).stdout
+    out = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-c", _LEVEL4],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, timeout=300, check=True).stdout
     counts, peak_kb = out.rsplit(" ", 1)
     assert counts == "[437042, 1174048, 963304, 210000]"
     assert int(peak_kb) <= 180 * 1024

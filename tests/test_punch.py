@@ -303,8 +303,9 @@ except ValueError as err:
 
 def test_punch_refuses_a_sparse_complex_before_allocating():
     src = os.path.dirname(os.path.dirname(fractalcss.__file__))
-    out = subprocess.run([sys.executable, "-c", _SPARSE], env={**os.environ, "PYTHONPATH": src},
-                         capture_output=True, text=True, timeout=120)
+    out = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-c", _SPARSE],
+                         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+                         text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout == ("2 cells spread over a grid of 8589934593 midpoints; "
                           "holes need at most 64 per cell\n")

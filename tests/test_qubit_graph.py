@@ -4,15 +4,15 @@ in value, kind and witness bits, and raise ``PreconditionError`` on the
 same codes, except where the graph code failed its own witness check,
 answered though two e-labels share one connected e-component, or answered
 with the min cut of one class where k != 1 (REFUSALS).
-The geometries cover parallel qubits (the 2x2 torus, several
-qubits from one bulk vertex to a contracted terminal), torus seams with and
-without e-holes, and the seeded mixed hole layouts.  The breadth-first
-search, which expands a level at a time, must give the distances and arcs
-of the queue-driven search over the arcs as lists
-(``distance_oracles.list_bfs``) element for element, with and without an
-arc filter and a depth.  The distances the max-flow returns are those of a
-fresh search of its final residual, and d_X takes its cut from them; a
-max-flow from a node to itself is refused.
+The geometries cover parallel qubits (the 2x2 torus, several qubits from
+one bulk vertex to a contracted terminal), loops (the tori of one cell,
+every qubit a loop), torus seams with and without e-holes, and the seeded
+mixed hole layouts.  The breadth-first search, which expands a level at a
+time, must give the distances and arcs of the queue-driven search over the
+arcs as lists (``distance_oracles.list_bfs``) element for element, with
+and without an arc filter and a depth.  The distances the max-flow returns
+are those of a fresh search of its final residual, and d_X takes its cut
+from them; a max-flow from a node to itself is refused.
 """
 
 import numpy as np
@@ -69,6 +69,8 @@ CODES = {
        for n in (2, 3) for L in (2, 3, 4)},
     **{f"toric-L{L}": (lambda L=L: css_from_complex(build_lattice(2, L, "torus"), 1))
        for L in (2, 3)},
+    **{f"torus{n}d-L1": (lambda n=n: css_from_complex(build_lattice(n, 1, "torus"), 1))
+       for n in (2, 3, 4)},
     **{f"fc31-l1-torus-{holes}": (lambda holes=holes: _fc(3, 3, 1, 1, holes, "torus"))
        for holes in ("m", "e")},
     **{f"layout{seed}": (lambda seed=seed: _layout(seed)) for seed in range(40)},
@@ -201,13 +203,15 @@ def _arc_filters(code, g):
     if all(p is not None for p in cx.periods):
         for axis in range(cx.dim):
             in_seam = cx.cells[1][code.qubit_cells, axis, 1] == cx.periods[axis]
-            yield np.repeat(~in_seam[g.qubit], 2)
+            yield np.repeat(~in_seam, 2)
     yield np.random.default_rng(len(g.head)).random(len(g.head)) < 0.75
     if len(g.terminal_labels) >= 2:
         yield _max_flow(g, g.n_bulk, g.n_nodes - 1)[1].view(bool)
 
 
-AUDIT_SEEDS = (49, 224, 645, 994, 1119, 1133)
+# seeds 63 and 787: two-node graphs with 6 and 15 loops beside the arcs
+# between their terminals
+AUDIT_SEEDS = (49, 63, 224, 645, 787, 994, 1119, 1133)
 BFS_CODES = {**{name: build for name, build in CODES.items() if not name.startswith("audit")},
              **{f"audit{seed}": (lambda seed=seed: _audit(seed)) for seed in AUDIT_SEEDS}}
 
@@ -270,13 +274,16 @@ def test_the_min_cut_reads_the_flows_last_search(monkeypatch):
 
 
 def test_the_graph_is_int32_arrays_held_by_the_code():
-    """One graph per code, its arrays int32: d_Z and d_X read the graph the
-    code holds."""
+    """One graph per code, its arrays exactly `head` and `arcs` (two arcs
+    per qubit) and `ptr` (one past the nodes), all int32: d_Z and d_X read
+    the graph the code holds."""
     code = CODES["fc31-l2-m"]()
     g = code._qubit_graph
     assert code._qubit_graph is g
-    for part in (g.ptr, g.arcs, g.head, g.qubit, g.u, g.v):
-        assert isinstance(part, np.ndarray) and part.dtype == np.int32
+    arrays = {name: part for name, part in vars(g).items() if isinstance(part, np.ndarray)}
+    assert {name: (part.dtype, len(part)) for name, part in arrays.items()} == {
+        "head": (np.int32, 2 * code.n_qubits), "arcs": (np.int32, 2 * code.n_qubits),
+        "ptr": (np.int32, g.n_nodes + 1)}
     dz_shortest_path(code)
     dx_min_cut(code)
     assert code._qubit_graph is g
