@@ -2,9 +2,9 @@
 
 Qubits sit on the i-cells.  Each surviving (i-1)-cell anchors an X
 stabilizer on its cofaces; each surviving (i+1)-cell anchors a Z
-stabilizer on its faces.  A code stores its checks once, in CSR form
-(`CssCode.x_checks` / `z_checks`, restricted straight from the complex's
-face lists, the X rows transposed); syndromes are parities over them.  k, the
+stabilizer on its faces.  A code holds its checks in CSR form, the X checks
+both ways: per check (`CssCode.x_checks`, `z_checks`) and per qubit
+(`qubit_x`, which `css_from_complex` transposes into the X rows).  k, the
 logical tests and the logical basis read one reduction of the code's own
 chain complex, Z checks -(H_Z^T)-> qubits -(H_X)-> X checks, by the
 collapses and coreductions of `homology` (`CssCode.reduction`): only its
@@ -32,10 +32,9 @@ Boundary conditions are label-driven:
   anchored on the patch's (i+1)-cells are removed (they are products of
   bulk stabilizers, so the group is unchanged).
 
-H_X H_Z^T = 0 is checked for every constructed code, truncations
+H_Z H_X^T = 0 is checked for every constructed code, truncations
 included, by the blocked product test of dd = 0 (`Faces.composes_to_zero`):
-each X check reaches the Z checks through its qubits, and must reach each
-one an even number of times.  No dense product is formed.
+each Z check must reach each X check evenly through its qubits (`qubit_x`).
 """
 
 from __future__ import annotations
@@ -77,9 +76,9 @@ class PauliOperator:
 
 @dataclass
 class CssCode:
-    """The checks in CSR form: row r of `x_checks` (`z_checks`) lists the
-    qubits of the r-th X (Z) check, ascending.  `qubit_cells` and
-    `x_anchor_cells` are int64 arrays; any integer sequence is taken."""
+    """The checks in CSR form, rows ascending: row r of `x_checks` (`z_checks`)
+    lists the qubits of X (Z) check r, row q of `qubit_x` the X checks of qubit q
+    (`css_from_complex`'s; else transposed here).  The `*_cells` become int64."""
 
     n_qubits: int
     x_checks: Faces
@@ -89,15 +88,20 @@ class CssCode:
     x_anchor_cells: np.ndarray
     # the complex whose label-driven code the checks are, if any
     source: CellComplex | None = None
+    qubit_x: Faces | None = None
 
     def __post_init__(self):
         self.qubit_cells = np.asarray(self.qubit_cells, dtype=np.int64)
         self.x_anchor_cells = np.asarray(self.x_anchor_cells, dtype=np.int64)
-        for checks in (self.x_checks, self.z_checks):
-            if checks.idx.size and not 0 <= checks.idx.min() <= checks.idx.max() < self.n_qubits:
-                raise AssertionError(f"check columns outside the {self.n_qubits} qubits")
-        if not self.x_checks.composes_to_zero(self.z_checks.transpose(self.n_qubits),
-                                              len(self.z_checks)):
+        if self.qubit_x is None:
+            self.qubit_x = self.x_checks.transpose(self.n_qubits)
+        if (len(self.qubit_x), self.qubit_x.idx.size) != (self.n_qubits, self.x_checks.idx.size):
+            raise AssertionError("qubit_x is not shaped as the X checks' transpose")
+        for checks, n in ((self.x_checks, self.n_qubits), (self.z_checks, self.n_qubits),
+                          (self.qubit_x, len(self.x_checks))):
+            if checks.idx.size and not 0 <= checks.idx.min() <= checks.idx.max() < n:
+                raise AssertionError(f"check columns outside 0..{n - 1}")
+        if not self.z_checks.composes_to_zero(self.qubit_x, len(self.x_checks)):
             raise AssertionError("H_X H_Z^T != 0: X and Z checks do not commute")
 
     # The dense check matrices, built on first use; no feature of the package reads them.
@@ -113,7 +117,7 @@ class CssCode:
     # and the colour-code S check read it.
     @cached_property
     def reduction(self) -> "_ChainReduction":
-        return _ChainReduction(self.x_checks, self.z_checks, self.n_qubits)
+        return _ChainReduction(self.x_checks, self.z_checks, self.qubit_x)
 
     # The one qubit graph of the code: d_Z, d_X and their refusals read it.
     @cached_property
@@ -129,8 +133,8 @@ class _ChainReduction:
     No reduction pair changes the boundary of a cell that stays, so the
     residue's check matrices are H_X and H_Z restricted to the live checks
     and qubits; k is dim H_1 of the residue, read off their ranks
-    (`homology._RowSpace`).  The cofaces are the X checks' rows and the Z
-    checks of each qubit; Z checks outside `live_z`, if given, start dead.
+    (`homology._RowSpace`).  The qubits' faces are `qubit_x`, their X checks;
+    Z checks outside `live_z`, if given, start dead.
     The pairs give chain maps both ways (Kaczynski, Mrozek & Slusarek,
     Comput. Math. Appl. 1998).  Into the residue (`_image`), a Z-cycle z
     takes the qubits of Z check b where a grade-1/2 collapse paired b with a
@@ -143,9 +147,10 @@ class _ChainReduction:
     iff its image is in the row space of the residue's H_Z (H_X).
     """
 
-    def __init__(self, x_rows: Faces, z_rows: Faces, n: int, live_z: np.ndarray | None = None):
-        self.x_rows, self.z_rows = x_rows, z_rows
-        red = _Reduction([Faces.empty(len(x_rows)), x_rows.transpose(n), z_rows],
+    def __init__(self, x_rows: Faces, z_rows: Faces, qubit_x: Faces,
+                 live_z: np.ndarray | None = None):
+        self.x_rows, self.z_rows, n = x_rows, z_rows, len(qubit_x)
+        red = _Reduction([Faces.empty(len(x_rows)), qubit_x, z_rows],
                          [x_rows, z_rows.transpose(n)], None if live_z is None else
                          [np.ones(len(x_rows), dtype=bool), np.ones(n, dtype=bool), live_z])
         self.live_x, self.live, self.live_z = red.run()[0]
@@ -244,14 +249,14 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
         np.maximum.at(last, up.ptr[1:].searchsorted(at, "right"), up.idx[at])
         z_anchor[last[last >= 0]] = False
     n_qubits = int(qubit.sum())
-    # row r: the qubit cells among the cofaces (X) or faces (Z) of the r-th
-    # anchor cell; the X rows transpose each qubit's anchor faces, so no
-    # coface list of the whole complex is built
-    x_checks = cx.faces[i].restrict(qubit, x_anchor).transpose(int(x_anchor.sum()))
+    # row r: the qubit cells among the faces (Z; restricted before the X tables
+    # are held) or cofaces (X; each qubit's anchor faces, transposed) of anchor r
     z_checks = cx.faces[i + 1].restrict(z_anchor, qubit)
+    qubit_x = cx.faces[i].restrict(qubit, x_anchor)
+    x_checks = qubit_x.transpose(int(x_anchor.sum()))
     keep_x, keep_z = x_checks.counts() > 0, z_checks.counts() > 0
     if is_m[z_anchor].any():
-        keep_z &= _smooth_patch_rows(x_checks, z_checks, is_m[z_anchor], n_qubits)
+        keep_z &= _smooth_patch_rows(x_checks, z_checks, qubit_x, is_m[z_anchor])
     del is_m  # a cell mask: not held beside the checks' last copies
     every = np.ones(n_qubits, dtype=bool)  # dropping only empty rows shares the entries
     x_checks, z_checks = x_checks.restrict(keep_x, every), z_checks.restrict(keep_z, every)
@@ -263,10 +268,12 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
         qubit_cells=np.flatnonzero(qubit),
         x_anchor_cells=np.flatnonzero(x_anchor)[keep_x],
         source=cx,
+        qubit_x=qubit_x.restrict(every, keep_x),  # itself when every anchor has a qubit
     )
 
 
-def _smooth_patch_rows(x_checks: Faces, z_checks: Faces, is_m: np.ndarray, n: int) -> np.ndarray:
+def _smooth_patch_rows(x_checks: Faces, z_checks: Faces, qubit_x: Faces,
+                       is_m: np.ndarray) -> np.ndarray:
     """Per Z check, whether to keep it: every non-M check, and each M check
     (`is_m`) independent of the non-M checks and of the M checks before it.
 
@@ -274,8 +281,8 @@ def _smooth_patch_rows(x_checks: Faces, z_checks: Faces, is_m: np.ndarray, n: in
     of the non-M checks' chain reduction, where a Z-cycle is a product of
     checks iff its image is, and kept where the residue's
     `_RowSpace.independent` picks their images."""
-    keep, rest = ~is_m, np.flatnonzero(is_m)
-    red = _ChainReduction(x_checks, z_checks, n, ~is_m)  # the M checks start dead
+    keep, rest, n = ~is_m, np.flatnonzero(is_m), len(qubit_x)
+    red = _ChainReduction(x_checks, z_checks, qubit_x, ~is_m)  # the M checks start dead
     sizes, step = z_checks.counts(), max(1, _BLOCK_BYTES // max(n, 1))
     rows, cols = [], []
     for first in range(0, len(rest), step):

@@ -296,9 +296,11 @@ class Faces:
 
     def restrict(self, keep: np.ndarray, keep_below: np.ndarray) -> "Faces":
         """The kept cells' faces among the kept faces, both renumbered, in
-        the integer widths of these faces; where every face stays, none is
-        renumbered, and the entries are shared if only cells without faces go."""
+        the faces' integer widths: these faces if all stay; where every face
+        stays, none is renumbered, and the entries are shared if only empty cells go."""
         if keep_below.all():  # every face stays, numbered as before
+            if keep.all():
+                return self
             counts = self.counts(self.ptr.dtype)
             if not counts[~keep].any():
                 return Faces(np.append(self.ptr[:1], self.ptr[1:][keep]), self.idx)

@@ -413,7 +413,7 @@ def exhaustive_low_weight(
         return is_logical(code, Gf2Vector.from_indices(n, support))
 
     # syndrome columns: the checks of each qubit, ascending
-    columns = (code.z_checks if op_type == "X" else code.x_checks).transpose(n)
+    columns = code.z_checks.transpose(n) if op_type == "X" else code.qubit_x
 
     # weight 1: root r is the (r + 1)-th node visited
     for r in np.flatnonzero(columns.counts() == 0).tolist():

@@ -553,9 +553,10 @@ def _old_x_stabilizer(merged: CssCode, interface_rows, x: Gf2Vector) -> bool:
     """Whether x is a product of the merged code's non-interface X checks:
     never with a syndrome, else as their chain reduction says."""
     old = np.bincount(interface_rows, minlength=len(merged.x_checks)) == 0
-    x_checks = merged.x_checks.restrict(old, np.ones(merged.n_qubits, dtype=bool))
+    every = np.ones(merged.n_qubits, dtype=bool)
+    x_checks, qubit_x = merged.x_checks.restrict(old, every), merged.qubit_x.restrict(every, old)
     return (_syndrome_free(merged.z_checks, x)
-            and _ChainReduction(x_checks, merged.z_checks, merged.n_qubits).is_x_stabilizer(x))
+            and _ChainReduction(x_checks, merged.z_checks, qubit_x).is_x_stabilizer(x))
 
 
 def _rough_axis(cx: CellComplex) -> int:

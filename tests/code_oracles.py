@@ -323,7 +323,8 @@ def smooth_patch_rows(cx: CellComplex, i: int, z_anchor: np.ndarray, x_checks: F
     keep = ~is_m[z_anchor]
     rest = np.flatnonzero(~keep & ~cleared[z_anchor])
     if rest.size:
-        red = _ChainReduction(x_checks, z_checks.restrict(keep, np.ones(n, dtype=bool)), n)
+        red = _ChainReduction(x_checks, z_checks.restrict(keep, np.ones(n, dtype=bool)),
+                              x_checks.transpose(n))
         sizes, step = z_checks.counts(), max(1, _BLOCK_BYTES // max(n, 1))
         rows, cols = [], []
         for first in range(0, len(rest), step):

@@ -22,9 +22,9 @@ belongs around one stage at a time.
 :func:`stage_table` runs the FC(3,1) pipeline of one level (code style,
 m-holes) in a fresh interpreter under an address-space limit, so that it
 fails with MemoryError rather than meet the kernel's OOM killer: the build,
-the code and k (with its homology cross-check), each stage's seconds, and
-VmRSS and VmHWM after it.  The one-off level-5 run is this module as a
-script, against the package in any source tree:
+the code, k (with its homology cross-check), d_Z and d_X, each stage's
+seconds, and VmRSS and VmHWM after it.  The one-off level-5 run is this
+module as a script, against the package in any source tree:
 
     python tests/memory_probe.py --level 5 --limit-mb 6900 --src src
 """
@@ -99,12 +99,13 @@ class PeakProbe:
 
 
 # the child of `stage_table`: per stage, its name, seconds, VmRSS and VmHWM
-# (kB) after it, and k after the last
+# (kB) after it, and k, d_Z and d_X after the last
 _STAGES = """
 import re, resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (int(sys.argv[2]) << 20,) * 2)
 from fractalcss.code import code_params, css_from_complex
 from fractalcss.complexes import FractalSpec, fractal_complex
+from fractalcss.distance import dx_min_cut, dz_shortest_path
 
 def stage(name, run):
     start = time.perf_counter()
@@ -119,17 +120,21 @@ def stage(name, run):
 cx = stage("build", lambda: fractal_complex(FractalSpec(3, 3, 1, int(sys.argv[1]), holes="m"),
                                             "code"))
 code = stage("code", lambda: css_from_complex(cx, 1))
-print(stage("k", lambda: code_params(code).k))
+k = stage("k", lambda: code_params(code).k)
+dz = stage("d_Z", lambda: dz_shortest_path(code).value)
+dx = stage("d_X", lambda: dx_min_cut(code).value)
+print(k, dz, dx)
 """
 
 
-def stage_table(level: int, limit_mb: int,
-                src: str | None = None) -> tuple[list[tuple[str, float, float, float]], int]:
+def stage_table(level: int, limit_mb: int, src: str | None = None
+                ) -> tuple[list[tuple[str, float, float, float]], tuple[int, int, int]]:
     """The FC(3,1) level-`level` pipeline in a child under RLIMIT_AS of
     `limit_mb` MB, importing the package from `src` (default: this one's)
     and stripping asserts when this process does: per stage (build, code,
-    k), its name, seconds, and VmRSS and VmHWM after it in MB; and k.  A
-    failed child raises RuntimeError with its stderr."""
+    k, d_Z, d_X), its name, seconds, and VmRSS and VmHWM after it in MB;
+    and (k, d_Z, d_X).  A failed child raises RuntimeError with its
+    stderr."""
     src = src or os.path.dirname(_PACKAGE)
     out = subprocess.run([sys.executable, *["-O"] * sys.flags.optimize, "-c", _STAGES,
                           str(level), str(limit_mb)],
@@ -137,21 +142,23 @@ def stage_table(level: int, limit_mb: int,
                          capture_output=True, text=True, timeout=600)
     if out.returncode:
         raise RuntimeError(out.stderr)
-    *lines, k = out.stdout.splitlines()
+    *lines, values = out.stdout.splitlines()
     rows = [(name, float(s), int(rss) / 1024, int(hwm) / 1024)
             for name, s, rss, hwm in (line.split() for line in lines)]
-    return rows, int(k)
+    k, dz, dx = map(int, values.split())
+    return rows, (k, dz, dx)
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description="Time and memory of the FC(3,1) pipeline "
-                                     "(code style, m-holes), stage by stage, in a child.")
+                                     "(code style, m-holes), stage by stage, in a child: "
+                                     "build, code, k, d_Z, d_X.")
     parser.add_argument("--level", type=int, required=True)
     parser.add_argument("--limit-mb", type=int, required=True, help="the child's RLIMIT_AS")
     parser.add_argument("--src", help="the source tree to import the package from")
     args = parser.parse_args()
-    rows, k = stage_table(args.level, args.limit_mb, args.src)
+    rows, (k, dz, dx) = stage_table(args.level, args.limit_mb, args.src)
     print("stage seconds vmrss_mb vmhwm_mb")
     for name, seconds, rss, hwm in rows:
         print(f"{name} {seconds:.2f} {rss:.1f} {hwm:.1f}")
-    print(f"k {k}")
+    print(f"k {k} d_Z {dz} d_X {dx}")

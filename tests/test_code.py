@@ -15,6 +15,7 @@ from fractalcss.code import (
     logical_basis,
 )
 from fractalcss.complexes import (
+    Faces,
     FractalSpec,
     build_lattice,
     code_lattice,
@@ -229,6 +230,23 @@ def test_check_width_mismatch_raises():
     hx, hz = Gf2Matrix(1, 4), Gf2Matrix.from_entries(1, 5, [(0, 4)])
     with pytest.raises(AssertionError, match="columns"):
         CssCode(4, checks_of(hx), checks_of(hz), 1, list(range(4)), [], [])
+
+
+@pytest.mark.parametrize("bad", ("rows", "entries", "column"))
+def test_qubit_x_of_the_wrong_shape_raises(bad):
+    """A given table of each qubit's X checks is taken as it is, and refused
+    with a row too few, an entry too few or a column past the X checks."""
+    code = css_from_complex(code_lattice(2, 3), 1)
+    ptr, idx = code.qubit_x.ptr, code.qubit_x.idx
+    args = (code.n_qubits, code.x_checks, code.z_checks, 1, code.qubit_cells, [])
+    assert CssCode(*args, qubit_x=code.qubit_x).qubit_x is code.qubit_x
+    given = {
+        "rows": Faces(ptr[:-1], idx[: ptr[-2]]),
+        "entries": Faces(np.minimum(ptr, len(idx) - 1), idx[:-1]),
+        "column": Faces(ptr, np.append(idx[:-1], len(code.x_checks))),
+    }[bad]
+    with pytest.raises(AssertionError, match="qubit_x is not shaped|columns outside"):
+        CssCode(*args, qubit_x=given)
 
 
 # -- a csscode v1 file with empty check rows ------------------------------------

@@ -10,6 +10,8 @@ membership by `in_rowspace` on those RREFs of the whole check matrices.
 
 import hashlib
 import itertools
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -17,21 +19,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fractalcss.code import (
-    CssCode, css_from_complex, is_x_logical, is_z_logical, logical_basis,
+    CssCode, code_from_text, code_params, code_to_text, css_from_complex, is_x_logical,
+    is_z_logical, logical_basis,
 )
 from fractalcss.colorcode import build_color_code_2d, shrunk_lattices
 from fractalcss.complexes import (
+    Faces,
     FractalSpec,
     build_lattice,
     code_lattice,
     fractal_complex,
+    label_is_e,
     punch_box,
     punch_holes,
 )
+from fractalcss.distance import dx_min_cut, dz_shortest_path
 from fractalcss.gates import build_vasmer_browne_stack
 from fractalcss.gf2 import Gf2Matrix, Gf2Vector, _kernel_rows, in_rowspace
 from code_oracles import check_matrices, checks_of, dense_syndrome
-from test_arrays import seeded_layout
+from test_arrays import audit_layout, seeded_layout
 from test_text_fuzz import punched
 
 
@@ -238,9 +244,6 @@ def test_no_dense_check_matrix_built(monkeypatch):
     """FC(4,2) level 2: k with the homology cross-check, both exact
     distances and both witness checks read the CSR checks only; the dense
     H_X / H_Z views are never built."""
-    from fractalcss.code import code_params
-    from fractalcss.distance import dx_min_cut, dz_shortest_path
-
     def refuse(self):
         raise AssertionError("the dense view of a check matrix was built")
 
@@ -283,3 +286,62 @@ def test_no_dense_elimination_of_the_check_matrices(monkeypatch):
     assert (dz.value, dx.value) == (16, 144)
     assert is_z_logical(code, dz.witness.z_support) and is_x_logical(code, dx.witness.x_support)
     assert shapes == []
+
+
+# -- the X checks of each qubit ------------------------------------------------
+
+
+def _assert_qubit_x_is_the_transpose(code):
+    """`code.qubit_x`, and that of the code read back from its text, equal
+    the transpose of the X checks entry for entry."""
+    for held in (code, code_from_text(code_to_text(code))):
+        want = held.x_checks.transpose(held.n_qubits)
+        assert np.array_equal(held.qubit_x.ptr, want.ptr)
+        assert np.array_equal(held.qubit_x.idx, want.idx)
+
+
+@pytest.mark.parametrize("name", sorted(CODES))
+def test_qubit_x_is_the_transpose_of_the_x_checks(name):
+    """The table `css_from_complex` hands over, and the one a code given
+    none (the stack's cube copies, the colour code, a code read from text)
+    builds."""
+    for code in CODES[name]():
+        _assert_qubit_x_is_the_transpose(code)
+
+
+@pytest.mark.parametrize("seed", (75, 115, 192, 202, 279))
+def test_qubit_x_renumbered_past_anchors_without_a_qubit(seed):
+    """Audit layouts whose grading-2 code has 1-6 X anchors (1-cells) that
+    meet no qubit: their empty rows go, and the X checks of each qubit are
+    renumbered past them."""
+    cx = audit_layout(seed)[0]
+    code = css_from_complex(cx, 2)
+    assert 1 <= int((~cx.label_mask(1, label_is_e)).sum()) - len(code.x_checks) <= 6
+    _assert_qubit_x_is_the_transpose(code)
+
+
+@pytest.mark.parametrize("style, calls", [("code", (2, 3)), ("plain", (3, 3))])
+def test_each_code_transposes_its_x_checks_once(monkeypatch, style, calls):
+    """FC(3,1) level 2 (m-holes), from the build through k, the logical
+    basis and both distances: `code.py` transposes the qubits' anchor faces
+    into the X checks once and the Z checks once per chain reduction (the
+    plain style's smooth-patch rule runs a second one), and the homology
+    cross-check transposes the complex's three face grades: 5 calls in the
+    code style and 6 in the plain style, where the commutation test and
+    every chain reduction transposed the checks again (7 and 9)."""
+    seen = []
+    transpose = Faces.transpose
+
+    def spy(self, n):
+        seen.append(sys._getframe(1).f_code.co_filename)
+        return transpose(self, n)
+
+    monkeypatch.setattr(Faces, "transpose", spy)
+    code = css_from_complex(fractal_complex(FractalSpec(3, 3, 1, 2, holes="m"), style), 1)
+    assert code_params(code).k == 1
+    logical_basis(code)
+    assert dz_shortest_path(code).value == 9
+    assert dx_min_cut(code).value == {"code": 64, "plain": 96}[style]
+    modules = [os.path.basename(path) for path in seen]
+    assert (modules.count("code.py"), modules.count("homology.py")) == calls
+    assert len(seen) == sum(calls)

@@ -2,7 +2,7 @@
 level-4 pipeline.
 
 Each kernel holds one bounded block of temporaries: `composes_to_zero`
-(dd = 0 and H_X H_Z^T = 0) traces at most a fixed block over its start,
+(dd = 0 and H_Z H_X^T = 0) traces at most a fixed block over its start,
 where it traced 5-12 MB at FC(3,1) level 3 when it worked in blocks of
 65,536 cells; `Faces.take` traces its result, the ranges it gathers
 through and a few arrays per cell, where it traced two more int64
@@ -16,7 +16,8 @@ the traced peak (`memory_probe.PeakProbe`).
 
 Slow: the FC(3,1) level-4 pipeline (code style, m-holes) in a child
 process under an address-space limit, VmHWM read after the build, the
-code and k with its homology cross-check (`memory_probe.stage_table`);
+code and k with its homology cross-check, which then runs on to d_Z and
+d_X (`memory_probe.stage_table`);
 and, under the probe, the build's and the code's traced peaks and the
 arrays the code keeps.
 """
@@ -42,17 +43,16 @@ _FIXED = 1 << 20
 @pytest.fixture(scope="module")
 def level3():
     cx = fractal_complex(FractalSpec(3, 3, 1, 3, holes="m"), "code")
-    code = css_from_complex(cx, 1)
-    return cx, code, code.z_checks.transpose(code.n_qubits)
+    return cx, css_from_complex(cx, 1)
 
 
 @pytest.mark.parametrize("check", ("dd2", "dd3", "hx_hz"))
 def test_composes_to_zero_holds_a_fixed_block(level3, check):
-    cx, code, qubit_z = level3
+    cx, code = level3
     faces, below, n = {
         "dd2": (cx.faces[2], cx.faces[1], cx.n_cells(0)),
         "dd3": (cx.faces[3], cx.faces[2], cx.n_cells(1)),
-        "hx_hz": (code.x_checks, qubit_z, len(code.z_checks)),
+        "hx_hz": (code.z_checks, code.qubit_x, len(code.x_checks)),
     }[check]
     with PeakProbe() as probe:
         assert faces.composes_to_zero(below, n)
@@ -137,16 +137,19 @@ def _child(script: str) -> list[str]:
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
 def test_fc31_level4_pipeline_peak_rss():
     """At most 156 MB after the build, 221 MB after the code and 276 MB
-    after k, under RLIMIT_AS of 1 GB: 141.7, 201.2 and 252.2 MB here
-    (142.8, 202.3 and 253.4 MB under python -O), each bound at most 10 %
-    over (168.3, 241.4 and 270.9 MB before the construction stages held
-    one block; 221.5, 335.1 and 410.8 MB with the unbounded kernels)."""
-    rows, k = stage_table(4, 1024)
-    assert k == 1
-    after_build, after_code, at_end = (hwm for _, _, _, hwm in rows)
-    assert after_build <= 156, rows
-    assert after_code <= 221, rows
-    assert at_end <= 276, rows
+    after k, under RLIMIT_AS of 1 GB: 141.6, 191.8 and 261.5 MB here
+    (142.8, 193.1 and 261.5 MB under python -O; after k, 13.1 MB of it is
+    the X checks of each qubit that the code holds).  Each bound is at most
+    10 % over the peak it was set from, 141.7, 201.2 and 252.2 MB (168.3,
+    241.4 and 270.9 MB before the construction stages held one block;
+    221.5, 335.1 and 410.8 MB with the unbounded kernels).
+    The stages run on to d_Z = 81 and d_X = 4,096."""
+    rows, values = stage_table(4, 1024)
+    assert values == (1, 81, 4096), rows
+    hwm = {name: high for name, _, _, high in rows}
+    assert hwm["build"] <= 156, rows
+    assert hwm["code"] <= 221, rows
+    assert hwm["k"] <= 276, rows
 
 
 @pytest.mark.slow
@@ -154,10 +157,11 @@ def test_fc31_level4_traced_build_peak_and_code_arrays():
     """The build traces at most 105 MB over its start (98.5 MB here; 131.6
     MB when the punch tested 2**18 int64 pairs at a time and the face
     tables were int64, 192 MB with the unbounded kernels); the code traces
-    at most 70 MB (64.8 MB here; 98.5 MB with the unrestricted checks
-    beside their restriction) and keeps at most 60 MB (40.4 MB here; 59.2
-    MB while the code held the Z checks of each qubit for its reduction,
-    88 MB with int64 cofaces)."""
+    at most 70 MB (61.6 MB here; 64.8 MB while the commutation test
+    transposed the Z checks, 98.5 MB with the unrestricted checks beside
+    their restriction) and keeps at most 60 MB (53.5 MB here, 13.1 MB of it
+    the X checks of each qubit; 59.2 MB while the code held the Z checks
+    of each qubit for its reduction, 88 MB with int64 cofaces)."""
     sizes, build_report, code_report = _child(_PROBED)
     build_peak, code_peak, code_kept = map(int, sizes.split())
     assert build_peak <= 105 << 20, build_report

@@ -174,8 +174,9 @@ def test_merge_eliminates_no_z_residue(monkeypatch):
     seen, spaces = list(shapes), list(built)
     merged = result.merged
     old = np.bincount(result.interface_x_rows, minlength=len(merged.x_checks)) == 0
-    x_checks = merged.x_checks.restrict(old, np.ones(merged.n_qubits, dtype=bool))
-    red = _ChainReduction(x_checks, merged.z_checks, merged.n_qubits)
+    every = np.ones(merged.n_qubits, dtype=bool)
+    x_checks, qubit_x = merged.x_checks.restrict(old, every), merged.qubit_x.restrict(every, old)
+    red = _ChainReduction(x_checks, merged.z_checks, qubit_x)
     assert (int(red.live_x.sum()), int(red.live_z.sum()), int(red.live.sum())) == (0, 1456, 1104)
     x_shape, z_shape = _residue_shapes(red)
     assert (x_shape, z_shape) == ((0, 1104), (480, 320))
@@ -192,10 +193,10 @@ def test_chain_reduction_eliminates_only_the_residue_asked(monkeypatch, query, k
     # the X residue has no check on 64 qubits; the Z residue's 280 checks
     # fold to none over one component
     x_shape, z_shape = _residue_shapes(
-        _ChainReduction(code.x_checks, code.z_checks, code.n_qubits))
+        _ChainReduction(code.x_checks, code.z_checks, code.qubit_x))
     assert (x_shape, z_shape) == ((0, 64), (0, 1))
     shapes = _rref_shapes(monkeypatch)
-    red = _ChainReduction(code.x_checks, code.z_checks, code.n_qubits)
+    red = _ChainReduction(code.x_checks, code.z_checks, code.qubit_x)
     assert shapes == []
     for _ in range(2):
         assert getattr(red, query)(Gf2Vector(code.n_qubits))
