@@ -11,6 +11,7 @@ from fractalcss.gates import (
     merge_rough,
     stabilizer_tags_near_holes,
 )
+from fractalcss.gf2 import Gf2Vector
 
 print("three-copy stack, L = 2 and 3, no holes:")
 for L in (2, 3):
@@ -22,13 +23,19 @@ print("\nsame stack with a central (m,m,m)-hole at L = 3:")
 codes, align = build_vasmer_browne_stack(3, "center")
 report = check_transversal_ccz(*codes, align)
 near = stabilizer_tags_near_holes(align)
-n_fail = sum(len(c.witnesses) for c in report.failures())
-print(f"  {n_fail} failing triples, every witness touches the hole boundary")
+witnesses = [w for c in report.failures() for w in c.witnesses]
+# a witness's X-check tags read "copy:Xrow"; "Xbar" tags name logicals
+touch = all(any(t in near for t in w[:-1] if ":X" in str(t) and "bar" not in str(t))
+            for w in witnesses)
+print(f"  {len(witnesses)} failing triples, "
+      f"{'every witness touches' if touch else 'some witness misses'} the hole boundary")
 
-s = PauliOperator.x_type(codes[0].hx.row(0))
-ppo = conjugate_by_ccz(s, 0, align)
-print(f"  a bulk X stabilizer conjugates to X x {len(ppo.quadratic_cz)} CZ pairs, "
-      f"logical identity: {ppo.cz_identity}")
+check = codes[0].x_checks[0]
+ppo = conjugate_by_ccz(
+    PauliOperator.x_type(Gf2Vector.from_indices(codes[0].n_qubits, check)), 0, align)
+where = "on the hole boundary" if "0:X0" in near else "away from the hole"
+print(f"  X check 0 of copy 1 (weight {len(check)}, {where}) conjugates to "
+      f"X x {len(ppo.quadratic_cz)} CZ pairs, logical identity: {ppo.cz_identity}")
 
 print("\nhexagonal color code, transversal S:")
 cc = build_color_code_2d(1)

@@ -78,31 +78,34 @@ class PauliOperator:
 class CssCode:
     """The checks in CSR form, rows ascending: row r of `x_checks` (`z_checks`)
     lists the qubits of X (Z) check r, row q of `qubit_x` the X checks of qubit q
-    (`css_from_complex`'s; else transposed here).  The `*_cells` become int64."""
+    (`css_from_complex`'s; else transposed here).  Qubit q is the cell
+    `qubit_cells[q]` (made int64), so there are `len(qubit_cells)` qubits."""
 
-    n_qubits: int
     x_checks: Faces
     z_checks: Faces
     grading: int
     qubit_cells: np.ndarray
-    x_anchor_cells: np.ndarray
     # the complex whose label-driven code the checks are, if any
     source: CellComplex | None = None
     qubit_x: Faces | None = None
 
     def __post_init__(self):
         self.qubit_cells = np.asarray(self.qubit_cells, dtype=np.int64)
-        self.x_anchor_cells = np.asarray(self.x_anchor_cells, dtype=np.int64)
-        if self.qubit_x is None:
-            self.qubit_x = self.x_checks.transpose(self.n_qubits)
-        if (len(self.qubit_x), self.qubit_x.idx.size) != (self.n_qubits, self.x_checks.idx.size):
-            raise AssertionError("qubit_x is not shaped as the X checks' transpose")
+        # the columns first: the transpose reads the X checks' columns
         for checks, n in ((self.x_checks, self.n_qubits), (self.z_checks, self.n_qubits),
                           (self.qubit_x, len(self.x_checks))):
+            if checks is None:
+                checks = self.qubit_x = self.x_checks.transpose(self.n_qubits)
             if checks.idx.size and not 0 <= checks.idx.min() <= checks.idx.max() < n:
                 raise AssertionError(f"check columns outside 0..{n - 1}")
+        if (len(self.qubit_x), self.qubit_x.idx.size) != (self.n_qubits, self.x_checks.idx.size):
+            raise AssertionError("qubit_x is not shaped as the X checks' transpose")
         if not self.z_checks.composes_to_zero(self.qubit_x, len(self.x_checks)):
             raise AssertionError("H_X H_Z^T != 0: X and Z checks do not commute")
+
+    @property
+    def n_qubits(self) -> int:
+        return len(self.qubit_cells)
 
     # The dense check matrices, built on first use; no feature of the package reads them.
     @cached_property
@@ -248,7 +251,6 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
         last = np.full(len(up), -1, dtype=np.int64)
         np.maximum.at(last, up.ptr[1:].searchsorted(at, "right"), up.idx[at])
         z_anchor[last[last >= 0]] = False
-    n_qubits = int(qubit.sum())
     # row r: the qubit cells among the faces (Z; restricted before the X tables
     # are held) or cofaces (X; each qubit's anchor faces, transposed) of anchor r
     z_checks = cx.faces[i + 1].restrict(z_anchor, qubit)
@@ -258,15 +260,13 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
     if is_m[z_anchor].any():
         keep_z &= _smooth_patch_rows(x_checks, z_checks, qubit_x, is_m[z_anchor])
     del is_m  # a cell mask: not held beside the checks' last copies
-    every = np.ones(n_qubits, dtype=bool)  # dropping only empty rows shares the entries
+    every = np.ones(len(qubit_x), dtype=bool)  # dropping only empty rows shares the entries
     x_checks, z_checks = x_checks.restrict(keep_x, every), z_checks.restrict(keep_z, every)
     return CssCode(
-        n_qubits=n_qubits,
         x_checks=x_checks,
         z_checks=z_checks,
         grading=i,
         qubit_cells=np.flatnonzero(qubit),
-        x_anchor_cells=np.flatnonzero(x_anchor)[keep_x],
         source=cx,
         qubit_x=qubit_x.restrict(every, keep_x),  # itself when every anchor has a qubit
     )
@@ -420,15 +420,7 @@ def code_from_text(text: str) -> CssCode:
     x_checks, z_checks = (Faces.from_pairs(len(m), *np.divmod(np.flatnonzero(m == ord("1")), n + 1))
                           for m in (hx, hz))
     try:
-        return CssCode(
-            n_qubits=n,
-            x_checks=x_checks,
-            z_checks=z_checks,
-            grading=i,
-            qubit_cells=_read_qubitmap(raw_map, n),
-            x_anchor_cells=[],
-            source=None,
-        )
+        return CssCode(x_checks, z_checks, i, _read_qubitmap(raw_map, n))
     except AssertionError as err:  # the checks do not commute
         raise ValueError(str(err)) from err
 

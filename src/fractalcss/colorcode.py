@@ -76,8 +76,7 @@ def build_color_code_2d(L: int = 1) -> ColorCode2D:
     rows = (fy[:, None] + [0, 0, 0, 1, 1, 1]) % period
     on = (cols >= 0) & (cols <= W)
     faces = Faces.from_pairs(len(x0), np.nonzero(on)[0], (rows * (W + 1) + cols)[on])
-    code = CssCode(n_qubits=n, x_checks=faces, z_checks=faces, grading=1,
-                   qubit_cells=np.arange(n), x_anchor_cells=[], source=None)
+    code = CssCode(x_checks=faces, z_checks=faces, grading=1, qubit_cells=np.arange(n))
     return ColorCode2D(code, colors, (x + y) % 2, edges)
 
 

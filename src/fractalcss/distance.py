@@ -1,8 +1,8 @@
 """Exact code distances where the geometry permits, certified bounds elsewhere.
 
 For grading i=1 the Z-distance is a shortest-path problem on the qubit
-graph (nodes = surviving 0-cells with every e-boundary component contracted
-to a terminal, edges = qubit 1-cells) and the X-distance of the two-terminal
+graph (nodes = surviving 0-cells with the 0-cells of each e-label contracted
+to one terminal, edges = qubit 1-cells) and the X-distance of the two-terminal
 open-cube geometry is the minimum edge cut between the e-components,
 computed by Dinic's unit-capacity max-flow.
 
@@ -113,7 +113,7 @@ class ScalingFit:
 
 
 class _QubitGraph:
-    """Nodes: bulk 0-cells plus one contracted node per e-component.
+    """Nodes: bulk 0-cells plus one contracted node per e-label, not per e-component.
 
     Arcs 2q and 2q + 1 run both ways along qubit q (self-arcs for a loop,
     and at node 0 for an edge with no face), so arc a is qubit a >> 1, its

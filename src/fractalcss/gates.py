@@ -39,7 +39,7 @@ from .code import (
     CssCode, PauliOperator, _ChainReduction, _syndrome_free, code_params, css_from_complex,
     logical_basis,
 )
-from .complexes import CellComplex, Faces, Hole, code_lattice
+from .complexes import CellComplex, Faces, Hole, code_lattice, label_is_e
 from .gf2 import Gf2Vector
 
 
@@ -295,11 +295,10 @@ def build_vasmer_browne_stack(
         is_x = (jx + jy + k) % 2 == x_parity
         x_sup = at(centers[inner & is_x, None] + _CUBE_EDGES)
         z_sup = at(centers[inner & ~is_x, None, None] + _CORNER_TRIPLES).reshape(-1, 3)
-        return CssCode(
-            n_qubits=n, x_checks=checks(x_sup[(x_sup >= 0).any(axis=1)]),
+        return CssCode(  # no source: its checks are not the complex's code
+            x_checks=checks(x_sup[(x_sup >= 0).any(axis=1)]),
             z_checks=checks(z_sup[(z_sup >= 0).all(axis=1)]), grading=1,
             qubit_cells=copy1.qubit_cells,
-            x_anchor_cells=[], source=None,  # its checks are not the complex's code
         )
 
     copy2 = build_cube_code(x_parity=0, rough_axis=0)
@@ -515,16 +514,21 @@ def merge_rough(a: CssCode, b: CssCode) -> MergeResult:
         cb.holes + [Hole(h.hole_id + hole_shift, tuple(map(tuple, (h.box + lift).tolist())),
                          h.kind, h.level) for h in ca.holes],
     )
-    merged = css_from_complex(merged_cx, a.grading)
+    g = a.grading
+    merged = css_from_complex(merged_cx, g)
 
-    anchors = merged_cx.cells[a.grading - 1][merged.x_anchor_cells, axis]
+    # the X checks' anchors by `css_from_complex`'s rule: the non-e
+    # (g-1)-cells that bound a qubit, in order
+    anchor = ~merged_cx.label_mask(g - 1, label_is_e)
+    anchor &= np.bincount(merged_cx.faces[g].take(merged.qubit_cells), minlength=len(anchor)) > 0
+    anchors = merged_cx.cells[g - 1][anchor, axis]
     interface_rows = np.flatnonzero((anchors == height_b).all(axis=1))
     k_merged = code_params(merged).k
 
     # the qubits of the blocks' logical X in the merged code: a's cells map
     # through `into`, b's keep their indices
-    cells_a = into[a.grading][a.qubit_cells[_across(a, patch_a[a.grading - 1])]]
-    cells_b = b.qubit_cells[_across(b, patch_b[b.grading - 1])]
+    cells_a = into[g][a.qubit_cells[_across(a, patch_a[g - 1])]]
+    cells_b = b.qubit_cells[_across(b, patch_b[g - 1])]
     logical = np.searchsorted(merged.qubit_cells, np.concatenate([cells_a, cells_b]))
     hits = np.concatenate([merged.x_checks.take(interface_rows), logical])
     total = Gf2Vector.from_dense(np.bincount(hits, minlength=merged.n_qubits) & 1)

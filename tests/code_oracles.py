@@ -302,9 +302,8 @@ def css_from_complex(cx: CellComplex, i: int) -> CssCode:
         keep_z &= smooth_patch_rows(cx, i, z_anchor, x_checks, z_checks, n_qubits)
     every = np.ones(n_qubits, dtype=bool)
     x_checks, z_checks = x_checks.restrict(keep_x, every), z_checks.restrict(keep_z, every)
-    return CssCode(n_qubits=n_qubits, x_checks=x_checks, z_checks=z_checks, grading=i,
-                   qubit_cells=np.flatnonzero(qubit),
-                   x_anchor_cells=np.flatnonzero(x_anchor)[keep_x], source=cx)
+    return CssCode(x_checks=x_checks, z_checks=z_checks, grading=i,
+                   qubit_cells=np.flatnonzero(qubit), source=cx)
 
 
 def smooth_patch_rows(cx: CellComplex, i: int, z_anchor: np.ndarray, x_checks: Faces,

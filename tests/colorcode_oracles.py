@@ -100,10 +100,7 @@ def build_color_code_2d(L: int = 1) -> ColorCode2D:
     n = len(verts)
     h = Faces.from_pairs(len(faces), np.repeat(np.arange(len(faces)), [len(vs) for vs in faces]),
                          np.concatenate(faces))
-    code = CssCode(
-        n_qubits=n, x_checks=h, z_checks=h, grading=1,
-        qubit_cells=list(range(n)), x_anchor_cells=[], source=None,
-    )
+    code = CssCode(x_checks=h, z_checks=h, grading=1, qubit_cells=list(range(n)))
     return ColorCode2D(code, verts, faces, colors, bipartition, edges)
 
 

@@ -290,7 +290,7 @@ def _arrays(cx) -> list[np.ndarray]:
 
 def _code_arrays(code) -> list[np.ndarray]:
     return [code.x_checks.ptr, code.x_checks.idx, code.z_checks.ptr, code.z_checks.idx,
-            code.qubit_cells, code.x_anchor_cells]
+            code.qubit_cells]
 
 
 def _assert_same_arrays(got: list[np.ndarray], want: list[np.ndarray], dtypes: bool = True):

@@ -207,7 +207,7 @@ def test_sparse_commutation_check_after_one_flip(seed):
         code = css_from_complex(delete_indexed(cx, [set(), set(), faces, cubes]), 1)
         hx, hz = code.hx, code.hz
     n = hx.cols
-    CssCode(n, checks_of(hx), checks_of(hz), 1, list(range(n)), [], [])
+    CssCode(checks_of(hx), checks_of(hz), 1, list(range(n)))
     outcomes = set()
     for _ in range(30):
         x, z = hx.copy(), hz.copy()
@@ -215,7 +215,7 @@ def test_sparse_commutation_check_after_one_flip(seed):
         r, c = int(rng.integers(m.rows)), int(rng.integers(n))
         m.data[r, c >> 6] ^= np.uint64(1) << np.uint64(c & 63)
         try:
-            CssCode(n, checks_of(x), checks_of(z), 1, list(range(n)), [], [])
+            CssCode(checks_of(x), checks_of(z), 1, list(range(n)))
             raised = False
         except AssertionError as exc:
             assert "do not commute" in str(exc)
@@ -226,10 +226,12 @@ def test_sparse_commutation_check_after_one_flip(seed):
 
 
 def test_check_width_mismatch_raises():
-    # a Z check on qubit 4 of a 4-qubit code
-    hx, hz = Gf2Matrix(1, 4), Gf2Matrix.from_entries(1, 5, [(0, 4)])
-    with pytest.raises(AssertionError, match="columns"):
-        CssCode(4, checks_of(hx), checks_of(hz), 1, list(range(4)), [], [])
+    # a Z check, then an X check, on qubit 4 of a 4-qubit code: the X
+    # checks' columns are checked before the X checks are transposed
+    wide, narrow = Gf2Matrix.from_entries(1, 5, [(0, 4)]), Gf2Matrix(1, 4)
+    for hx, hz in ((narrow, wide), (wide, narrow)):
+        with pytest.raises(AssertionError, match="check columns outside 0..3"):
+            CssCode(checks_of(hx), checks_of(hz), 1, list(range(4)))
 
 
 @pytest.mark.parametrize("bad", ("rows", "entries", "column"))
@@ -238,7 +240,7 @@ def test_qubit_x_of_the_wrong_shape_raises(bad):
     with a row too few, an entry too few or a column past the X checks."""
     code = css_from_complex(code_lattice(2, 3), 1)
     ptr, idx = code.qubit_x.ptr, code.qubit_x.idx
-    args = (code.n_qubits, code.x_checks, code.z_checks, 1, code.qubit_cells, [])
+    args = (code.x_checks, code.z_checks, 1, code.qubit_cells)
     assert CssCode(*args, qubit_x=code.qubit_x).qubit_x is code.qubit_x
     given = {
         "rows": Faces(ptr[:-1], idx[: ptr[-2]]),

@@ -106,6 +106,21 @@ def test_dz_matches_exhaustive_small():
         assert ex.value == bfs
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known wrong answer: the 2D SC(3,1) carpet's d_Z is 8, reported as 9")
+def test_sc31_2d_level2_has_no_z_logical_below_exact_dz():
+    """The 2D SC(3,1) carpet at level 2 (60 qubits, m-holes): an exact d_Z
+    leaves no Z-logical below it.  `dz_shortest_path` reports 9 as exact,
+    but its terminal-to-terminal paths search one logical class only, and
+    the search finds a Z-logical of weight 8.  A change that corrects d_Z
+    or refuses it as exact makes this test pass: then drop the mark."""
+    code = css_from_complex(fractal_complex(FractalSpec(2, 3, 1, 2, holes="m"), "code"), 1)
+    assert code.n_qubits == 60
+    dz = dz_shortest_path(code)
+    below = exhaustive_low_weight(code, "Z", dz.value - 1)
+    assert dz.kind != "exact" or below.kind == "certified_above", below.witness
+
+
 def test_dx_min_cut_refuses_e_holes():
     code = _fc_code(3, 1, 1, holes="e")
     with pytest.raises(PreconditionError):

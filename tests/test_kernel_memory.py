@@ -157,11 +157,13 @@ def test_fc31_level4_traced_build_peak_and_code_arrays():
     """The build traces at most 105 MB over its start (98.5 MB here; 131.6
     MB when the punch tested 2**18 int64 pairs at a time and the face
     tables were int64, 192 MB with the unbounded kernels); the code traces
-    at most 70 MB (61.6 MB here; 64.8 MB while the commutation test
-    transposed the Z checks, 98.5 MB with the unrestricted checks beside
-    their restriction) and keeps at most 60 MB (53.5 MB here, 13.1 MB of it
-    the X checks of each qubit; 59.2 MB while the code held the Z checks
-    of each qubit for its reduction, 88 MB with int64 cofaces)."""
+    at most 70 MB (55.6 MB here; 61.6 MB while the code held its X checks'
+    anchor cells, 64.8 MB while the commutation test transposed the Z
+    checks, 98.5 MB with the unrestricted checks beside their restriction)
+    and keeps at most 60 MB (50.3 MB here, 13.1 MB of it the X checks of
+    each qubit; 53.5 MB with the anchor cells, 59.2 MB while the code held
+    the Z checks of each qubit for its reduction, 88 MB with int64
+    cofaces)."""
     sizes, build_report, code_report = _child(_PROBED)
     build_peak, code_peak, code_kept = map(int, sizes.split())
     assert build_peak <= 105 << 20, build_report

@@ -163,7 +163,7 @@ def test_adjacent_pairs_of_int32_checks_past_46341_qubits():
         ptr = np.cumsum([0] + [len(r) for r in rows]).astype(np.int32)
         return Faces(ptr, np.concatenate(rows).astype(np.int32))
 
-    code = CssCode(n, faces(x_rows), faces(z_rows), 1, np.arange(n), np.arange(len(x_rows)))
+    code = CssCode(faces(x_rows), faces(z_rows), 1, np.arange(n))
     want = sorted({(a, b) for row in x_rows + z_rows for i, a in enumerate(row) for b in row[i + 1:]})
     a, b = _adjacent_pairs(code)
     assert list(zip(a.tolist(), b.tolist())) == want
@@ -402,9 +402,8 @@ def _assert_matches_brute_force(align, report):
 
 def _random_code(rng, n, checks, density=0.4):
     rows, cols = np.nonzero(rng.random((checks, n)) < density)
-    return CssCode(n_qubits=n, x_checks=Faces.from_pairs(checks, rows, cols),
-                   z_checks=Faces.empty(0), grading=1, qubit_cells=list(range(n)),
-                   x_anchor_cells=[], source=None)
+    return CssCode(x_checks=Faces.from_pairs(checks, rows, cols), z_checks=Faces.empty(0),
+                   grading=1, qubit_cells=list(range(n)))
 
 
 @pytest.mark.parametrize("seed", range(16))
@@ -442,8 +441,7 @@ def _parity_cases(draw):
         n = draw(st.integers(1, n_sites))
         rows = draw(st.lists(st.lists(st.booleans(), min_size=n, max_size=n), max_size=4))
         r, c = np.nonzero(np.array(rows, dtype=bool).reshape(len(rows), n))
-        codes.append(CssCode(n, Faces.from_pairs(len(rows), r, c), Faces.empty(0), 1,
-                             np.arange(n), np.arange(len(rows))))
+        codes.append(CssCode(Faces.from_pairs(len(rows), r, c), Faces.empty(0), 1, np.arange(n)))
     stack = [codes[draw(st.integers(0, len(codes) - 1))] for _ in range(p + 1)]
     sites = [draw(st.permutations(range(n_sites)))[:code.n_qubits] for code in stack]
     logicals = [draw(st.none() | st.lists(st.booleans(), min_size=code.n_qubits,
@@ -488,8 +486,7 @@ def test_parity_failures_refuse_keys_past_int64():
     logical is one more row of its copy: four copies of r = 55,108 rows
     (r**4 < 2**63) fit, and with their logicals as row r they are refused."""
     def diagonal(n):
-        return CssCode(n, Faces(np.arange(n + 1), np.arange(n)), Faces.empty(0), 1,
-                       np.arange(n), np.arange(n))
+        return CssCode(Faces(np.arange(n + 1), np.arange(n)), Faces.empty(0), 1, np.arange(n))
 
     n = 1 << 16
     every = np.ones(n, dtype=bool)

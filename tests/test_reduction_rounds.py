@@ -158,8 +158,8 @@ def test_random_codes_match_oracle(n, rank, seed):
     dual = _kernel_rows(*hz.rref())
     rows = _combos(dual.data, n, rng, min(rank, dual.rows))
     hx = Gf2Matrix.from_dense(np.array([v.to_dense() for v in rows]).reshape(len(rows), n))
-    code = CssCode(n_qubits=n, x_checks=checks_of(hx), z_checks=checks_of(hz), grading=1,
-                   qubit_cells=list(range(n)), x_anchor_cells=[], source=None)
+    code = CssCode(x_checks=checks_of(hx), z_checks=checks_of(hz), grading=1,
+                   qubit_cells=list(range(n)))
     _assert_code_matches(code, rng)
 
 

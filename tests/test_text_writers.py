@@ -148,13 +148,12 @@ def test_punched_complexes(cx, data):
 
 
 def test_codes_without_x_checks_or_qubits():
-    no_x = CssCode(n_qubits=3, x_checks=Faces.empty(0),
-                   z_checks=Faces.from_pairs(2, [0, 0, 1], [0, 2, 1]), grading=1,
-                   qubit_cells=[5, -1, 70], x_anchor_cells=[])
+    no_x = CssCode(x_checks=Faces.empty(0), z_checks=Faces.from_pairs(2, [0, 0, 1], [0, 2, 1]),
+                   grading=1, qubit_cells=[5, -1, 70])
     assert "\nHX\ngf2matrix v1\n0 3\nHZ\n" in code_to_text(no_x)
     # rows of no columns: the matrix file has its blank rows, the code file drops them
-    no_qubits = CssCode(n_qubits=0, x_checks=Faces.empty(2), z_checks=Faces.empty(1), grading=2,
-                        qubit_cells=[], x_anchor_cells=[])
+    no_qubits = CssCode(x_checks=Faces.empty(2), z_checks=Faces.empty(1), grading=2,
+                        qubit_cells=[])
     assert code_to_text(no_qubits).endswith("gf2matrix v1\n1 0\nqubitmap\n")
     assert exported(no_qubits, "hx") == "gf2matrix v1\n2 0\n\n\n"
     for code in (no_x, no_qubits):
@@ -259,8 +258,7 @@ def test_blocks_of_a_code_with_no_qubits(monkeypatch, tmp_path, rows):
     """The CLI's file writer on a code with no qubits: the code file drops
     the rows of no columns, its reader reads the blank bodies back as those
     rows, and `export` writes the matrix files with their blank rows."""
-    code = CssCode(n_qubits=0, x_checks=Faces.empty(3), z_checks=Faces.empty(2), grading=1,
-                   qubit_cells=[], x_anchor_cells=[])
+    code = CssCode(x_checks=Faces.empty(3), z_checks=Faces.empty(2), grading=1, qubit_cells=[])
     text = code_to_text(code)
     files = {which: exported(code, which) for which in ("hx", "hz")}
     monkeypatch.setattr(fractalcss.gf2, "_BLOCK_BYTES", rows)

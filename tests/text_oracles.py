@@ -136,15 +136,7 @@ def code_from_text(text: str) -> CssCode:
     if len(qubit_cells) != n:
         raise ValueError(f"qubitmap has {len(qubit_cells)} lines for {n} qubits")
     try:
-        return CssCode(
-            n_qubits=n,
-            x_checks=x_checks,
-            z_checks=z_checks,
-            grading=i,
-            qubit_cells=qubit_cells,
-            x_anchor_cells=[],
-            source=None,
-        )
+        return CssCode(x_checks, z_checks, i, qubit_cells)
     except AssertionError as err:  # the checks do not commute
         raise ValueError(str(err)) from err
 
